@@ -20,18 +20,6 @@ func main() {
 	cfg := moelightning.TinyMoE()
 	fmt.Println("model:", cfg)
 
-	// Arenas: the functional stand-ins for CPU DRAM, pinned staging and
-	// GPU HBM (sizes in float32s).
-	cpu := memory.NewArena("cpu", 1<<22)
-	gpu := memory.NewArena("gpu", 1<<22)
-	pinned := memory.NewArena("pinned", 1<<22)
-	cacheArena := memory.NewArena("kvcache", 1<<22)
-
-	weights, err := engine.NewRandomWeights(cpu, cfg, 2024)
-	if err != nil {
-		log.Fatal(err)
-	}
-
 	// An MTBench-shaped micro workload.
 	wl := workload.MTBench(12).WithRequests(6)
 	reqs := wl.Generate(7)
@@ -42,9 +30,15 @@ func main() {
 	}
 	prompts := engine.PromptsFromRequests(reqs, cfg.VocabSize)
 
-	const genLen = 10
-	pipe, err := engine.NewPipeline(weights, gpu, pinned, cacheArena, len(prompts),
-		engine.Config{MicroBatch: 2, MaxContext: 64, Lookahead: 2})
+	// The host: seeded weights in the CPU arena plus the functional
+	// stand-ins for GPU HBM, pinned staging and the KV cache.
+	const genLen, maxContext = 10, 64
+	host, err := engine.NewHost(cfg, 2024, len(prompts), maxContext, 0)
+	if err != nil {
+		log.Fatal(err)
+	}
+	pipe, err := engine.NewPipeline(host.W, host.GPU, host.Pinned, host.Cache, len(prompts),
+		engine.Config{MicroBatch: 2, MaxContext: maxContext, Lookahead: 2})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -60,7 +54,7 @@ func main() {
 	}
 
 	// Verify against the sequential reference.
-	ref, err := engine.NewReference(weights, memory.NewArena("refcache", 1<<22), len(prompts), 64)
+	ref, err := engine.NewReference(host.W, memory.NewArena("refcache", host.Cache.Capacity()), len(prompts), maxContext)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -3,6 +3,7 @@ package moelightning
 import (
 	"context"
 	"fmt"
+	"slices"
 
 	"moelightning/internal/engine"
 	"moelightning/internal/memory"
@@ -54,51 +55,13 @@ type FunctionalOptions struct {
 	SharedPrefixKV SharedPrefixMode
 }
 
-func (o *FunctionalOptions) defaults() {
-	if o.MicroBatchSize <= 0 {
-		o.MicroBatchSize = 2
-	}
-	if o.NumMicroBatches <= 0 {
-		o.NumMicroBatches = 2
-	}
-	if o.GenLen <= 0 {
-		o.GenLen = 8
-	}
-	if o.MaxContext <= 0 {
-		o.MaxContext = 128
-	}
-}
-
-// FunctionalResult reports a functional run.
+// FunctionalResult reports a functional run: the server's final
+// counter snapshot (waves, deferrals, prefill and prefix-reuse totals,
+// data movement, expert paging — see ServerStats) plus the tokens.
 type FunctionalResult struct {
+	ServerStats
 	// Outputs maps request ID to generated token IDs.
 	Outputs map[int][]int
-	// Waves is how many pipeline rounds served the queue.
-	Waves int
-	// Deferred counts requests pushed to a later wave at least once
-	// (Alg. 2's aborted list).
-	Deferred int
-	// PrefillTokens counts prompt tokens prefilled across all waves;
-	// PrefillTokensPerSecond is prompt-phase throughput over the time
-	// spent in the packed prefill pass.
-	PrefillTokens          int
-	PrefillTokensPerSecond float64
-	// PrefixHitTokens / PrefixHitRatio / CowCopies summarize
-	// shared-prefix KV reuse: prompt tokens mapped from resident shared
-	// prefixes instead of prefilled, their share of all prompt tokens,
-	// and copy-on-write block copies on divergence.
-	PrefixHitTokens int
-	PrefixHitRatio  float64
-	CowCopies       int64
-	// HtoDBytes / DtoHBytes / PagesMoved account the data movement the
-	// pipeline performed (bytes / page count).
-	HtoDBytes, DtoHBytes, PagesMoved int64
-	// WeightBytesFetched is the expert-pager traffic: bytes of expert
-	// FFN blocks fetched into the GPU residency pool (demand + prefetch).
-	// ExpertHits / ExpertMisses split expert acquisitions into warm hits
-	// and demand-fetched misses.
-	WeightBytesFetched       int64
-	ExpertHits, ExpertMisses int64
 	// Verified is true when the reference cross-check ran and matched.
 	Verified bool
 }
@@ -111,7 +74,6 @@ type FunctionalResult struct {
 // real float32 math, so full-size configs are intentionally not
 // supported.
 func RunFunctional(cfg ModelConfig, requests []Request, opts FunctionalOptions) (FunctionalResult, error) {
-	opts.defaults()
 	if len(requests) == 0 {
 		return FunctionalResult{}, fmt.Errorf("moelightning: empty request queue")
 	}
@@ -150,51 +112,26 @@ func RunFunctional(cfg ModelConfig, requests []Request, opts FunctionalOptions) 
 		}
 		out.Outputs[h.ID()] = tokens
 	}
-	st := srv.Stats()
-	out.Waves = st.Waves
-	out.Deferred = st.Deferred
-	out.PrefillTokens = st.PrefillTokens
-	out.PrefillTokensPerSecond = st.PrefillTokensPerSecond
-	out.PrefixHitTokens = st.PrefixHitTokens
-	out.PrefixHitRatio = st.PrefixHitRatio
-	out.CowCopies = st.CowCopies
-	out.HtoDBytes = st.HtoDBytes
-	out.DtoHBytes = st.DtoHBytes
-	out.PagesMoved = st.PagesMoved
-	out.WeightBytesFetched = st.WeightBytesFetched
-	out.ExpertHits = st.ExpertHits
-	out.ExpertMisses = st.ExpertMisses
+	out.ServerStats = srv.Stats()
 
 	if opts.Verify {
-		// srv.vocab is the serving path's effective vocabulary, so the
+		// srv.cfg is the serving path's effective configuration, so the
 		// reference re-derives exactly the prompts the server used.
-		prompts := engine.PromptsFromRequests(requests, srv.vocab)
-		ref, err := engine.NewReferenceKV(srv.w, memory.NewArena("ref", srv.cacheCap), len(requests), opts.MaxContext, opts.KVDtype)
+		prompts := engine.PromptsFromRequests(requests, srv.cfg.Vocab)
+		ref, err := engine.NewReferenceKV(srv.host.W, memory.NewArena("ref", srv.host.Cache.Capacity()), len(requests), srv.cfg.MaxContext, srv.cfg.KVDtype)
 		if err != nil {
 			return out, err
 		}
-		want, err := ref.Generate(prompts, opts.GenLen)
+		want, err := ref.Generate(prompts, srv.cfg.GenLen)
 		if err != nil {
 			return out, err
 		}
 		for i, r := range requests {
-			if !equalInts(out.Outputs[r.ID], want[i]) {
+			if !slices.Equal(out.Outputs[r.ID], want[i]) {
 				return out, fmt.Errorf("moelightning: request %d diverged from the reference", r.ID)
 			}
 		}
 		out.Verified = true
 	}
 	return out, nil
-}
-
-func equalInts(a, b []int) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
 }

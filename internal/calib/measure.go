@@ -211,9 +211,9 @@ func (t *Table) measurePrefill(cfg BuildConfig, chunk int) (Entry, error) {
 	promptLen := chunk / seqs
 	// Each pipeline prefills once; repeat whole passes (weights rebuilt
 	// outside the timer) until enough wall clock accumulates.
-	bench := engine.PrefillBenchConfig{
+	bench := engine.BenchConfig{
 		Model: cfg.Model, Seed: cfg.Seed, Seqs: seqs, PromptLen: promptLen,
-		Chunk: chunk, KVDtype: kvcache.F32,
+		Config: engine.Config{PrefillChunk: chunk, KVDtype: kvcache.F32},
 	}
 	min := t.minTime(cfg).Seconds()
 	var tokens int
@@ -241,18 +241,16 @@ func (t *Table) measurePrefill(cfg BuildConfig, chunk int) (Entry, error) {
 // measured warm step at the reference shape.
 func (t *Table) closeDecodeLoop(cfg BuildConfig, steps int) error {
 	const seqs, mu, promptLen = 8, attendItems, 4
-	warm, err := engine.MeasureDecodeSteps(engine.DecodeBenchConfig{
-		Model: cfg.Model, Seed: cfg.Seed, Seqs: seqs, Mu: mu,
-		PromptLen: promptLen, Steps: steps, KVDtype: kvcache.F32,
-	})
+	bench := engine.BenchConfig{
+		Model: cfg.Model, Seed: cfg.Seed, Seqs: seqs, PromptLen: promptLen, Steps: steps,
+		Config: engine.Config{MicroBatch: mu, KVDtype: kvcache.F32},
+	}
+	warm, err := engine.MeasureDecodeSteps(bench)
 	if err != nil {
 		return err
 	}
-	cold, err := engine.MeasureDecodeSteps(engine.DecodeBenchConfig{
-		Model: cfg.Model, Seed: cfg.Seed, Seqs: seqs, Mu: mu,
-		PromptLen: promptLen, Steps: steps, KVDtype: kvcache.F32,
-		ExpertResidencyBytes: 1,
-	})
+	bench.ExpertResidencyBytes = 1 // one resident block: every acquisition is cold
+	cold, err := engine.MeasureDecodeSteps(bench)
 	if err != nil {
 		return err
 	}

@@ -69,17 +69,16 @@ func (sc Scenario) KVCodec() perfmodel.KVCodec {
 // ServeConfig is the ready-to-run engine configuration for the
 // scenario.
 func (sc Scenario) ServeConfig() engine.ServeConfig {
-	// The pipeline's KV pool holds Seqs*MaxContext tokens carved into
-	// 16-token blocks; every sequence occupies whole blocks, so round
-	// the bound up to block granularity with a block of headroom.
-	maxContext := (sc.PromptLen+sc.GenLen)/16*16 + 32
+	maxContext := engine.ContextBound(sc.PromptLen, sc.GenLen)
 	return engine.ServeConfig{
+		Config: engine.Config{
+			MicroBatch: sc.Mu,
+			MaxContext: maxContext,
+			KVDtype:    sc.KVDtype,
+		},
 		NumMicroBatches: sc.NumMicroBatches,
-		MicroBatchSize:  sc.Mu,
 		GenLen:          sc.GenLen,
 		CacheTokens:     2 * sc.Mu * maxContext,
-		MaxContext:      maxContext,
-		KVDtype:         sc.KVDtype,
 	}
 }
 

@@ -19,6 +19,7 @@ package chaos
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 	"time"
 
@@ -161,8 +162,7 @@ func Run(cfg Config) (Report, error) {
 
 	// The server is built over engine directly (not the facade) because
 	// the bit-identity check needs the *engine.Weights to drive the
-	// sequential reference oracle. Shapes and arena sizing mirror the
-	// facade's tiny-server defaults.
+	// sequential reference oracle.
 	m := model.Tiny()
 	const (
 		microBatch = 4
@@ -170,33 +170,28 @@ func Run(cfg Config) (Report, error) {
 		genLen     = 10
 		maxContext = 64
 	)
-	layout := engine.NewLayout(m)
-	layerFloats := layout.LayerFloats()
-	residencyFloats := layout.ResidencySlots(0) * layout.ExpertFloats()
-	weightArena := 2*layerFloats + residencyFloats + 4<<20
-	waveSeqs := microBatch * numMicro
-	cpu := memory.NewArena("cpu", m.Layers*layerFloats+4<<20)
-	gpu := memory.NewArena("gpu", weightArena)
-	pinned := memory.NewArena("pinned", weightArena)
-	cacheArena := memory.NewArena("kvcache", 2*waveSeqs*maxContext*m.KVDim()*2+4<<20)
-	w, err := engine.NewRandomWeights(cpu, m, cfg.Seed)
+	host, err := engine.NewHost(m, cfg.Seed, microBatch*numMicro, maxContext, 0)
 	if err != nil {
 		return rep, err
 	}
-	srv, err := engine.NewServer(w, gpu, pinned, cacheArena, engine.ServeConfig{
+	srv, err := engine.NewServer(host, engine.ServeConfig{
+		Config: engine.Config{
+			MicroBatch:   microBatch,
+			MaxContext:   maxContext,
+			SharedPrefix: true,
+			Faults:       inj,
+		},
+		AdmissionPolicy: engine.AdmissionPolicy{
+			SLOAware:          true,
+			MaxQueuedRequests: cfg.MaxQueuedRequests,
+		},
 		NumMicroBatches:    numMicro,
-		MicroBatchSize:     microBatch,
 		GenLen:             genLen,
 		CacheTokens:        microBatch * maxContext,
-		MaxContext:         maxContext,
 		Vocab:              m.VocabSize,
 		HonorRequestGenLen: true,
-		SLOAware:           true,
-		SharedPrefixKV:     true,
-		MaxQueuedRequests:  cfg.MaxQueuedRequests,
 		EnforceDeadlines:   true,
 		WaveTimeout:        cfg.WaveTimeout,
-		Faults:             inj,
 	})
 	if err != nil {
 		return rep, err
@@ -270,11 +265,11 @@ func Run(cfg Config) (Report, error) {
 	for _, h := range survivors {
 		rep.SurvivorsChecked++
 		got, _ := h.Wait()
-		want, rerr := referenceTokens(w, h.Request(), m.VocabSize, maxContext, len(got))
+		want, rerr := referenceTokens(host.W, h.Request(), m.VocabSize, maxContext, len(got))
 		if rerr != nil {
 			return rep, fmt.Errorf("chaos: reference replay of request %d: %w", h.ID(), rerr)
 		}
-		if !equalInts(got, want) {
+		if !slices.Equal(got, want) {
 			rep.Mismatched++
 		}
 	}
@@ -306,16 +301,4 @@ func referenceTokens(w *engine.Weights, req workload.Request, vocab, maxContext,
 		return nil, err
 	}
 	return out[0], nil
-}
-
-func equalInts(a, b []int) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
 }

@@ -1,10 +1,9 @@
 package engine
 
 import (
+	"errors"
 	"time"
 
-	"moelightning/internal/kvcache"
-	"moelightning/internal/memory"
 	"moelightning/internal/model"
 	"moelightning/internal/workload"
 )
@@ -16,25 +15,23 @@ import (
 // -bench`. Every run is seeded and self-contained — weights and arenas
 // are built per call and freed on return.
 
-// DecodeBenchConfig parameterizes one decode-step measurement.
-type DecodeBenchConfig struct {
+// BenchConfig parameterizes one measurement: a seeded model, Seqs
+// prompts of PromptLen tokens each, and the engine Config to run them
+// under. The harness owns the run's shape: it derives MaxContext from
+// PromptLen and Steps and splits Seqs evenly, so a set MaxContext or
+// Partition is rejected; a non-positive MicroBatch runs all Seqs as one
+// micro-batch.
+type BenchConfig struct {
 	// Model is the architecture to run (tiny scale only — the harness
 	// executes real float32 math).
 	Model model.Config
 	// Seed makes the synthetic weights and prompts deterministic.
-	Seed int64
-	// Seqs sequences decode in Seqs/Mu micro-batches.
-	Seqs, Mu int
-	// PromptLen is the prefilled context before the measured steps.
-	PromptLen int
-	// Steps is how many decode steps to time (after one untimed
-	// warm-up step that fills pipelines and the expert pool).
+	Seed            int64
+	Seqs, PromptLen int
+	// Steps is how many decode steps MeasureDecodeSteps times (after one
+	// untimed warm-up step that fills pipelines and the expert pool).
 	Steps int
-	// KVDtype selects the cache codec.
-	KVDtype kvcache.DType
-	// ExpertResidencyBytes sizes the pager's resident set (0 = the
-	// default two-layer working set).
-	ExpertResidencyBytes int
+	Config
 }
 
 // DecodeBenchResult is one timed decode run.
@@ -53,7 +50,7 @@ type DecodeBenchResult struct {
 // MeasureDecodeSteps prefills cfg.Seqs prompts, primes layer 0, runs
 // one warm-up step, then times cfg.Steps steady-state decode steps
 // through the full pipelined lane schedule (GPU, CPU, HtoD, DtoH).
-func MeasureDecodeSteps(cfg DecodeBenchConfig) (DecodeBenchResult, error) {
+func MeasureDecodeSteps(cfg BenchConfig) (DecodeBenchResult, error) {
 	var res DecodeBenchResult
 	if cfg.Steps <= 0 {
 		cfg.Steps = 8
@@ -61,14 +58,7 @@ func MeasureDecodeSteps(cfg DecodeBenchConfig) (DecodeBenchResult, error) {
 	if cfg.PromptLen <= 0 {
 		cfg.PromptLen = 4
 	}
-	maxContext := cfg.PromptLen + cfg.Steps + 8
-
-	pl, prompts, err := buildBenchPipeline(cfg.Model, cfg.Seed, cfg.Seqs, Config{
-		MicroBatch:           cfg.Mu,
-		MaxContext:           maxContext,
-		KVDtype:              cfg.KVDtype,
-		ExpertResidencyBytes: cfg.ExpertResidencyBytes,
-	}, cfg.PromptLen)
+	pl, prompts, err := buildBenchPipeline(cfg, cfg.PromptLen+cfg.Steps+8)
 	if err != nil {
 		return res, err
 	}
@@ -103,18 +93,6 @@ func MeasureDecodeSteps(cfg DecodeBenchConfig) (DecodeBenchResult, error) {
 	return res, nil
 }
 
-// PrefillBenchConfig parameterizes one packed-prefill measurement.
-type PrefillBenchConfig struct {
-	Model model.Config
-	Seed  int64
-	// Seqs prompts of PromptLen tokens prefill as one wave.
-	Seqs, PromptLen int
-	// Chunk bounds the per-layer packed batch (<= 0 selects the engine
-	// default).
-	Chunk   int
-	KVDtype kvcache.DType
-}
-
 // PrefillBenchResult is one timed packed-prefill pass.
 type PrefillBenchResult struct {
 	// Tokens prompt tokens prefilled in Seconds of wall clock.
@@ -125,17 +103,12 @@ type PrefillBenchResult struct {
 // MeasurePrefill times the wave-packed prefill pass at the given chunk
 // size: per layer, all live prompt tokens pack into chunk-bounded
 // batches of one QKV GEMM + one expert-grouped FFN pass each.
-func MeasurePrefill(cfg PrefillBenchConfig) (PrefillBenchResult, error) {
+func MeasurePrefill(cfg BenchConfig) (PrefillBenchResult, error) {
 	var res PrefillBenchResult
 	if cfg.PromptLen <= 0 {
 		cfg.PromptLen = 16
 	}
-	pl, prompts, err := buildBenchPipeline(cfg.Model, cfg.Seed, cfg.Seqs, Config{
-		MicroBatch:   cfg.Seqs,
-		MaxContext:   cfg.PromptLen + 8,
-		KVDtype:      cfg.KVDtype,
-		PrefillChunk: cfg.Chunk,
-	}, cfg.PromptLen)
+	pl, prompts, err := buildBenchPipeline(cfg, cfg.PromptLen+8)
 	if err != nil {
 		return res, err
 	}
@@ -150,76 +123,50 @@ func MeasurePrefill(cfg PrefillBenchConfig) (PrefillBenchResult, error) {
 	return res, nil
 }
 
-// ServeBenchResult is one timed closed-queue serve run.
+// ServeBenchResult is one timed closed-queue serve run: the serve
+// outcome (its GeneratedTokens is the throughput numerator) plus the
+// wall-clock it took — prefill + decode + scheduling, the end-to-end
+// figure the calibrated performance model is judged against.
 type ServeBenchResult struct {
 	ServeResult
-	// GeneratedTokens and Seconds give the end-to-end generation
-	// throughput (prefill + decode + scheduling) the calibrated
-	// performance model is judged against.
-	GeneratedTokens int
-	Seconds         float64
+	Seconds float64
 }
 
-// MeasureServe builds weights and arenas (sized like the public
-// server), drains the request queue through engine.Serve and reports
-// wall-clock generation throughput.
+// MeasureServe builds a host sized for cfg's waves, drains the request
+// queue through Serve and reports wall-clock generation throughput.
 func MeasureServe(m model.Config, seed int64, queue []workload.Request, cfg ServeConfig) (ServeBenchResult, error) {
 	var res ServeBenchResult
-	layout := NewLayout(m)
-	layerFloats := layout.LayerFloats()
-	residencyFloats := layout.ResidencySlots(cfg.ExpertResidencyBytes) * layout.ExpertFloats()
-	weightArena := 2*layerFloats + residencyFloats + 4<<20
-	waveSeqs := cfg.MicroBatchSize * cfg.NumMicroBatches
-	cacheCap := 2*waveSeqs*cfg.MaxContext*m.KVDim()*2 + 4<<20
-
-	cpu := memory.NewArena("cpu", m.Layers*layerFloats+4<<20)
-	gpu := memory.NewArena("gpu", weightArena)
-	pinned := memory.NewArena("pinned", weightArena)
-	cacheArena := memory.NewArena("kvcache", cacheCap)
-
-	w, err := NewRandomWeights(cpu, m, seed)
+	host, err := NewHost(m, seed, cfg.MicroBatch*cfg.NumMicroBatches, cfg.MaxContext, cfg.ExpertResidencyBytes)
 	if err != nil {
 		return res, err
 	}
 	start := time.Now()
-	sr, err := Serve(w, gpu, pinned, cacheArena, queue, cfg)
-	if err != nil {
-		return res, err
-	}
+	res.ServeResult, err = Serve(host, queue, cfg)
 	res.Seconds = time.Since(start).Seconds()
-	res.ServeResult = sr
-	for _, toks := range sr.Outputs {
-		res.GeneratedTokens += len(toks)
-	}
-	return res, nil
+	return res, err
 }
 
-// buildBenchPipeline sizes arenas for the model (the same shape the
-// public server uses) and builds a pipeline plus synthetic prompts.
-func buildBenchPipeline(m model.Config, seed int64, seqs int, cfg Config, promptLen int) (*Pipeline, [][]int, error) {
-	layout := NewLayout(m)
-	layerFloats := layout.LayerFloats()
-	residencyFloats := layout.ResidencySlots(cfg.ExpertResidencyBytes) * layout.ExpertFloats()
-	weightArena := 2*layerFloats + residencyFloats + 4<<20
-	cacheCap := 2*seqs*cfg.MaxContext*m.KVDim()*2 + 4<<20
-
-	cpu := memory.NewArena("cpu", m.Layers*layerFloats+4<<20)
-	gpu := memory.NewArena("gpu", weightArena)
-	pinned := memory.NewArena("pinned", weightArena)
-	cacheArena := memory.NewArena("cache", cacheCap)
-
-	w, err := NewRandomWeights(cpu, m, seed)
+// buildBenchPipeline builds a host for the model (sized like a
+// server's) and a pipeline plus synthetic prompts over it.
+func buildBenchPipeline(cfg BenchConfig, maxContext int) (*Pipeline, [][]int, error) {
+	if cfg.MaxContext != 0 || cfg.Partition != nil {
+		return nil, nil, errors.New("engine: BenchConfig derives MaxContext and Partition; leave them unset")
+	}
+	cfg.MaxContext = maxContext
+	if cfg.MicroBatch <= 0 {
+		cfg.MicroBatch = cfg.Seqs
+	}
+	host, err := NewHost(cfg.Model, cfg.Seed, cfg.Seqs, maxContext, cfg.ExpertResidencyBytes)
 	if err != nil {
 		return nil, nil, err
 	}
-	reqs := make([]workload.Request, seqs)
+	reqs := make([]workload.Request, cfg.Seqs)
 	for i := range reqs {
-		reqs[i] = workload.Request{ID: i, PromptLen: promptLen}
+		reqs[i] = workload.Request{ID: i, PromptLen: cfg.PromptLen}
 	}
-	prompts := PromptsFromRequests(reqs, m.VocabSize)
-	pl, err := NewPipeline(w, gpu, pinned, cacheArena, seqs, cfg)
+	pl, err := NewPipeline(host.W, host.GPU, host.Pinned, host.Cache, cfg.Seqs, cfg.Config)
 	if err != nil {
 		return nil, nil, err
 	}
-	return pl, prompts, nil
+	return pl, PromptsFromRequests(reqs, cfg.Model.VocabSize), nil
 }

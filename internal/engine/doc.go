@@ -1,0 +1,55 @@
+// Package engine is the functional MoE inference engine: a real (tiny-
+// scale) MoE transformer that executes prefill and CGOPipe decode over
+// explicit memory arenas, with one worker goroutine per hardware lane.
+// Its output is verified token-for-token against a sequential reference
+// implementation, demonstrating that the paper's schedule, paging and
+// memory management preserve model semantics.
+//
+// # Where things are defined
+//
+// Each concept has one definition; everything else passes it through.
+//
+//   - Config (pipeline.go): every engine option. ServeConfig embeds it
+//     and the server hands the embedded value to NewPipeline unchanged.
+//   - Host / NewHost (host.go): weights plus GPU / pinned / KV arena
+//     sizing, for every caller that builds an engine.
+//   - AdmissionPolicy, PlanWave (admission.go): queue bounds and the
+//     wave-boundary decision — ordering, Alg. 2 placement, deferral,
+//     no-progress — shared with the traffic simulator.
+//   - ServerStats (stats.go): the counters. The server accumulates into
+//     one directly; ServeResult and the facade's results embed it.
+//
+// The Server itself is four files: handle.go (the request handle),
+// admit.go (submit, overload gate, admission loop), wave.go (plan →
+// build → run under the watchdog → audit → finalize) and stats.go.
+//
+// # The handle state machine
+//
+// A Handle is in one of three states, and every transition is taken by
+// the serving goroutine (Submit only creates the handle):
+//
+//	queued ──PlanWave places it──▶ in wave ──finalize──▶ finished
+//	  │  ▲                                                  ▲
+//	  │  └── PlanWave passes it over: Deferrals++ ──────────│── (stays queued)
+//	  └── reaped or failed before any wave ─────────────────┘
+//
+// queued: counted against the queue bounds from Submit until the handle
+// dispatches into a wave or finishes. It leaves by dispatch, or straight
+// to finished with ErrCanceled (canceled while queued),
+// ErrDeadlineExceeded (TTFT budget expired in the queue), ErrNoProgress
+// (deferred with the same set twice running), a no-fit or batcher
+// error, or the watchdog's error on a broken server.
+//
+// in wave: owns one pipeline sequence; push streams its tokens and the
+// wave's stop function retires it (GenLen reached, cancel, TPOT guard).
+// It leaves only to finished: nil on success, ErrCanceled,
+// ErrDeadlineExceeded (TPOT guard), a request-scoped error (KV
+// exhaustion, failed expert fetch) or the wave's error (build failure,
+// generation error, ErrWaveStalled). A handle never returns from a wave
+// to the queue.
+//
+// finished: terminal, entered exactly once through Handle.finish (a
+// second call is a no-op) by Server.finalize, which also folds the
+// outcome into the stats. A wave's busy time and wave count are folded
+// before its first handle finishes. A push after finish is dropped.
+package engine

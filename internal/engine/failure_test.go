@@ -229,9 +229,9 @@ func TestCacheExhaustionRetiresOnlyOffender(t *testing.T) {
 // tokens, and the wave itself (and Close) reports no error.
 func TestServerFailsOnlyExhaustedRequest(t *testing.T) {
 	w, gpu, pinned, cacheArena, reqs, _, want := exhaustionFixture(t)
-	srv, err := NewServer(w, gpu, pinned, cacheArena, ServeConfig{
-		NumMicroBatches: 1, MicroBatchSize: 3,
-		GenLen: exhaustionGenLen, CacheTokens: 100, MaxContext: 16,
+	srv, err := NewServer(&Host{W: w, GPU: gpu, Pinned: pinned, Cache: cacheArena}, ServeConfig{
+		Config:          Config{MicroBatch: 3, MaxContext: 16},
+		NumMicroBatches: 1, GenLen: exhaustionGenLen, CacheTokens: 100,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -344,9 +344,9 @@ func TestPrefillExhaustionRetiresOnlyOffender(t *testing.T) {
 // reports no error.
 func TestServerFailsOnlyPrefillExhaustedRequest(t *testing.T) {
 	w, gpu, pinned, cacheArena, reqs, _, want := prefillExhaustionFixture(t)
-	srv, err := NewServer(w, gpu, pinned, cacheArena, ServeConfig{
-		NumMicroBatches: 1, MicroBatchSize: 3,
-		GenLen: exhaustionGenLen, CacheTokens: 100, MaxContext: 16,
+	srv, err := NewServer(&Host{W: w, GPU: gpu, Pinned: pinned, Cache: cacheArena}, ServeConfig{
+		Config:          Config{MicroBatch: 3, MaxContext: 16},
+		NumMicroBatches: 1, GenLen: exhaustionGenLen, CacheTokens: 100,
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -1,9 +1,3 @@
-// Package engine is the functional MoE inference engine: a real (tiny-
-// scale) MoE transformer that executes prefill and CGOPipe decode over
-// explicit memory arenas, with one worker goroutine per hardware lane.
-// Its output is verified token-for-token against a sequential reference
-// implementation, demonstrating that the paper's schedule, paging and
-// memory management preserve model semantics.
 package engine
 
 import (

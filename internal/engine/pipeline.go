@@ -395,9 +395,6 @@ func NewPipeline(w *Weights, gpu, pinned, cacheArena *memory.Arena, numSeqs int,
 	return p, nil
 }
 
-// MicroBatches returns the micro-batch partition (sequence indices).
-func (p *Pipeline) MicroBatches() [][]int { return p.mbs }
-
 // Close shuts the worker goroutines down (the five lanes and the
 // expert prefetcher). The pipeline is unusable afterwards.
 func (p *Pipeline) Close() {

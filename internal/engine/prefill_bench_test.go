@@ -87,12 +87,14 @@ func seqPrefill(p *Pipeline, prompts [][]int) error {
 				continue
 			}
 
+			item := tensor.CausalItem{Out: arows, Queries: queries}
 			if quantized {
 				qKeys, qVals, _ = p.cache.QBlockView(s, l, qKeys[:0], qVals[:0])
-				tensor.AttendCausalQ(arows, queries, qKeys, qVals, cfg.QHeads, cfg.KVHeads, cfg.HeadDim)
+				item.KeyQBlocks, item.ValueQBlocks = qKeys, qVals
 			} else {
-				tensor.AttendCausal(arows, queries, keys, values, cfg.QHeads, cfg.KVHeads, cfg.HeadDim)
+				item.KeyBlocks, item.ValueBlocks = []tensor.Mat{keys}, []tensor.Mat{values}
 			}
+			tensor.AttendCausalMany([]tensor.CausalItem{item}, cfg.QHeads, cfg.KVHeads, cfg.HeadDim)
 			chosen := p.kern.postAttn(layout, shared, &p.expSrc, arows, rows, scratch)
 			for _, experts := range chosen {
 				for _, e := range experts {

@@ -175,9 +175,9 @@ func TestServeReportsPrefillThroughput(t *testing.T) {
 	reqs := []workload.Request{
 		{ID: 0, PromptLen: 4}, {ID: 1, PromptLen: 7}, {ID: 2, PromptLen: 5},
 	}
-	res, err := Serve(w, gpu, pinned, cacheArena, reqs, ServeConfig{
-		NumMicroBatches: 2, MicroBatchSize: 2,
-		GenLen: 3, CacheTokens: 200, MaxContext: 32,
+	res, err := Serve(&Host{W: w, GPU: gpu, Pinned: pinned, Cache: cacheArena}, reqs, ServeConfig{
+		Config:          Config{MicroBatch: 2, MaxContext: 32},
+		NumMicroBatches: 2, GenLen: 3, CacheTokens: 200,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -207,10 +207,9 @@ func TestInt8WavesBatchMoreSequences(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, err := Serve(w, gpu, pinned, cacheArena, reqs, ServeConfig{
-			NumMicroBatches: 1, MicroBatchSize: 4,
-			GenLen: 5, CacheTokens: 100, MaxContext: 64,
-			KVDtype: dtype,
+		res, err := Serve(&Host{W: w, GPU: gpu, Pinned: pinned, Cache: cacheArena}, reqs, ServeConfig{
+			Config:          Config{MicroBatch: 4, MaxContext: 64, KVDtype: dtype},
+			NumMicroBatches: 1, GenLen: 5, CacheTokens: 100,
 		})
 		if err != nil {
 			t.Fatalf("dtype %v: %v", dtype, err)

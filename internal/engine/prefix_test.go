@@ -352,10 +352,9 @@ func TestServeSharedPrefixWave(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, err := Serve(w, gpu, pinned, cacheArena, reqs, ServeConfig{
-			NumMicroBatches: 2, MicroBatchSize: 2,
-			GenLen: 4, CacheTokens: 100, MaxContext: 32,
-			SharedPrefixKV: shared,
+		res, err := Serve(&Host{W: w, GPU: gpu, Pinned: pinned, Cache: cacheArena}, reqs, ServeConfig{
+			Config:          Config{MicroBatch: 2, MaxContext: 32, SharedPrefix: shared},
+			NumMicroBatches: 2, GenLen: 4, CacheTokens: 100,
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -389,10 +388,9 @@ func TestConcurrentSubmitSharedPrefix(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv, err := NewServer(w, gpu, pinned, cacheArena, ServeConfig{
-		NumMicroBatches: 2, MicroBatchSize: 4,
-		GenLen: 4, CacheTokens: 200, MaxContext: 64,
-		SharedPrefixKV: true,
+	srv, err := NewServer(&Host{W: w, GPU: gpu, Pinned: pinned, Cache: cacheArena}, ServeConfig{
+		Config:          Config{MicroBatch: 4, MaxContext: 64, SharedPrefix: true},
+		NumMicroBatches: 2, GenLen: 4, CacheTokens: 200,
 	})
 	if err != nil {
 		t.Fatal(err)

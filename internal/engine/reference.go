@@ -168,9 +168,6 @@ func (r *Reference) step(s, token int) error {
 	return nil
 }
 
-// ContextLen exposes the cached length of a sequence (for tests).
-func (r *Reference) ContextLen(s int) int { return r.cache.Len(s) }
-
 // PromptsFromRequests derives deterministic synthetic prompts from a
 // workload request set (token IDs hash from the request ID), so the
 // functional engines can run paper-shaped workloads. A request with a

@@ -77,11 +77,10 @@ func TestServerShedsAtRequestBound(t *testing.T) {
 		t.Fatal(err)
 	}
 	inj, reached, release := stallGate()
-	srv, err := NewServer(w, gpu, pinned, cacheArena, ServeConfig{
-		NumMicroBatches: 1, MicroBatchSize: 1,
-		GenLen: 2, CacheTokens: 64, MaxContext: 32,
-		MaxQueuedRequests: 2,
-		Faults:            inj,
+	srv, err := NewServer(&Host{W: w, GPU: gpu, Pinned: pinned, Cache: cacheArena}, ServeConfig{
+		Config:          Config{MicroBatch: 1, MaxContext: 32, Faults: inj},
+		AdmissionPolicy: AdmissionPolicy{MaxQueuedRequests: 2},
+		NumMicroBatches: 1, GenLen: 2, CacheTokens: 64,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -138,10 +137,10 @@ func TestServerShedsAtTokenBound(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv, err := NewServer(w, gpu, pinned, cacheArena, ServeConfig{
-		NumMicroBatches: 1, MicroBatchSize: 1,
-		GenLen: 4, CacheTokens: 64, MaxContext: 32,
-		MaxQueuedTokens: 10,
+	srv, err := NewServer(&Host{W: w, GPU: gpu, Pinned: pinned, Cache: cacheArena}, ServeConfig{
+		Config:          Config{MicroBatch: 1, MaxContext: 32},
+		AdmissionPolicy: AdmissionPolicy{MaxQueuedTokens: 10},
+		NumMicroBatches: 1, GenLen: 4, CacheTokens: 64,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -173,11 +172,9 @@ func TestServerDropsExpiredTTFTDeadline(t *testing.T) {
 		t.Fatal(err)
 	}
 	inj, reached, release := stallGate()
-	srv, err := NewServer(w, gpu, pinned, cacheArena, ServeConfig{
-		NumMicroBatches: 1, MicroBatchSize: 1,
-		GenLen: 3, CacheTokens: 64, MaxContext: 32,
-		EnforceDeadlines: true,
-		Faults:           inj,
+	srv, err := NewServer(&Host{W: w, GPU: gpu, Pinned: pinned, Cache: cacheArena}, ServeConfig{
+		Config:          Config{MicroBatch: 1, MaxContext: 32, Faults: inj},
+		NumMicroBatches: 1, GenLen: 3, CacheTokens: 64, EnforceDeadlines: true,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -228,11 +225,9 @@ func TestTPOTGuardRetiresHopelessSequence(t *testing.T) {
 	// Per-step stalls make real time pass between decode boundaries, so
 	// the 1ns budget below is provably blown by the second token.
 	inj := faults.New(faults.Config{StallEvery: 1, StallFor: 2 * time.Millisecond})
-	srv, err := NewServer(w, gpu, pinned, cacheArena, ServeConfig{
-		NumMicroBatches: 1, MicroBatchSize: 2,
-		GenLen: genLen, CacheTokens: 128, MaxContext: 32,
-		TPOTGuard: true,
-		Faults:    inj,
+	srv, err := NewServer(&Host{W: w, GPU: gpu, Pinned: pinned, Cache: cacheArena}, ServeConfig{
+		Config:          Config{MicroBatch: 2, MaxContext: 32, Faults: inj},
+		NumMicroBatches: 1, GenLen: genLen, CacheTokens: 128, TPOTGuard: true,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -285,11 +280,9 @@ func TestWaveWatchdogFailsStalledWave(t *testing.T) {
 	}
 	gate := make(chan struct{}) // never closed: the stall never ends on its own
 	inj := faults.New(faults.Config{StallEvery: 1, Gate: gate})
-	srv, err := NewServer(w, gpu, pinned, cacheArena, ServeConfig{
-		NumMicroBatches: 1, MicroBatchSize: 1,
-		GenLen: 2, CacheTokens: 64, MaxContext: 32,
-		WaveTimeout: 50 * time.Millisecond,
-		Faults:      inj,
+	srv, err := NewServer(&Host{W: w, GPU: gpu, Pinned: pinned, Cache: cacheArena}, ServeConfig{
+		Config:          Config{MicroBatch: 1, MaxContext: 32, Faults: inj},
+		NumMicroBatches: 1, GenLen: 2, CacheTokens: 64, WaveTimeout: 50 * time.Millisecond,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -307,6 +300,15 @@ func TestWaveWatchdogFailsStalledWave(t *testing.T) {
 	st := srv.Stats()
 	if st.WaveTimeouts != 1 || st.Failed != 1 || st.KVLeaks != 0 {
 		t.Errorf("stats: timeouts %d failed %d leaks %d, want 1/1/0", st.WaveTimeouts, st.Failed, st.KVLeaks)
+	}
+	// The failed wave held the engine until the watchdog fired: that is
+	// busy time, or TokensPerSecond and the SLO-aware drain projection
+	// overstate the rate after any failed wave.
+	srv.mu.Lock()
+	busy := srv.busy
+	srv.mu.Unlock()
+	if busy < 50*time.Millisecond {
+		t.Errorf("busy time %v after a wave that ran into its 50ms watchdog", busy)
 	}
 }
 
@@ -405,10 +407,9 @@ func TestServerForcedKVExhaustionFailsOnlyVictim(t *testing.T) {
 	}
 	const genLen = 3
 	inj := faults.New(faults.Config{KVAllocFailAt: []int{5}})
-	srv, err := NewServer(w, gpu, pinned, cacheArena, ServeConfig{
-		NumMicroBatches: 1, MicroBatchSize: 3,
-		GenLen: genLen, CacheTokens: 96, MaxContext: 16,
-		Faults: inj,
+	srv, err := NewServer(&Host{W: w, GPU: gpu, Pinned: pinned, Cache: cacheArena}, ServeConfig{
+		Config:          Config{MicroBatch: 3, MaxContext: 16, Faults: inj},
+		NumMicroBatches: 1, GenLen: genLen, CacheTokens: 96,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -466,13 +467,10 @@ func TestCancelMidPrefillPreservesSharedPrefix(t *testing.T) {
 	const genLen = 4
 	inj, reached, release := stallGate()
 	s := &Server{
-		w: w, gpu: gpu, pinned: pinned, cache: cacheArena,
+		host: &Host{W: w, GPU: gpu, Pinned: pinned, Cache: cacheArena},
 		cfg: ServeConfig{
-			NumMicroBatches: 1, MicroBatchSize: 2,
-			GenLen: genLen, CacheTokens: 200, MaxContext: 64,
-			Vocab:          cfg.VocabSize,
-			SharedPrefixKV: true,
-			Faults:         inj,
+			Config:          Config{MicroBatch: 2, MaxContext: 64, SharedPrefix: true, Faults: inj},
+			NumMicroBatches: 1, GenLen: genLen, CacheTokens: 200, Vocab: cfg.VocabSize,
 		},
 	}
 	reqA := workload.Request{ID: 1, PromptLen: 20, PrefixID: 7, PrefixLen: 16}
@@ -488,7 +486,7 @@ func TestCancelMidPrefillPreservesSharedPrefix(t *testing.T) {
 		close(cancelA)
 		release()
 	}()
-	pending, _ := s.runWave([]*Handle{hA, hB}, nil)
+	pending := s.runWave([]*Handle{hA, hB})
 	if len(pending) != 0 {
 		t.Fatalf("wave deferred %d handles, want 0", len(pending))
 	}

@@ -3,20 +3,25 @@ package engine
 import (
 	"time"
 
-	"moelightning/internal/faults"
-	"moelightning/internal/kvcache"
-	"moelightning/internal/memory"
 	"moelightning/internal/workload"
 )
 
-// ServeConfig parameterizes wave-based batch serving: the whole request
-// queue is processed in waves, each wave formed by the Alg. 2 batcher
-// into balanced micro-batches and run through a fresh CGOPipe pipeline.
+// ServeConfig parameterizes wave-based batch serving: the request queue
+// is processed in waves, each wave formed by the Alg. 2 batcher into
+// balanced micro-batches and run through a CGOPipe pipeline. It is the
+// pipeline's own Config plus the admission policy plus the knobs only
+// the serving loop has; no engine option is restated here.
 type ServeConfig struct {
-	// NumMicroBatches and MicroBatchSize shape each wave (Alg. 2's n_ub
-	// and ubs).
+	// Config is handed to every wave's pipeline as is, with the wave's
+	// placement filled in as Partition (NewServer rejects a preset one).
+	// Its MicroBatch is Alg. 2's ubs: the maximum requests per
+	// micro-batch. KVDtype and SharedPrefix also shape the batcher's
+	// byte budget and prefix discount.
+	Config
+	// AdmissionPolicy orders and bounds the pending queue.
+	AdmissionPolicy
+	// NumMicroBatches is Alg. 2's n_ub: micro-batches per wave.
 	NumMicroBatches int
-	MicroBatchSize  int
 	// GenLen is tokens to generate per request.
 	GenLen int
 	// CacheTokens is the per-micro-batch KV budget, in float32-token
@@ -24,10 +29,6 @@ type ServeConfig struct {
 	// bytes at the serving codec's kvcache.TokenBytes rate, so an int8
 	// wave admits ~32/9 the context of the identical float32 config.
 	CacheTokens int
-	// MaxContext bounds any single sequence (prompt + generation).
-	MaxContext int
-	// Lookahead is the pipeline's CPU-attention lookahead.
-	Lookahead int
 	// Vocab sizes the synthetic prompts derived from request IDs.
 	Vocab int
 	// HonorRequestGenLen lets a request's own GenLen (when 0 < GenLen <
@@ -36,46 +37,10 @@ type ServeConfig struct {
 	// GenLen tokens — the classic closed-batch behavior Serve and
 	// RunFunctional keep.
 	HonorRequestGenLen bool
-	// KVDtype selects the KV cache codec every wave's pipeline uses:
-	// kvcache.F32 (the zero value; bit-exact) or kvcache.Int8 (§3.3
-	// group quantization — ~9/32 the cache footprint per token, so the
-	// same arena holds ~3.5x the context).
-	KVDtype kvcache.DType
-	// PrefillChunk bounds the wave-packed prefill's per-layer packed
-	// batch in prompt tokens (Config.PrefillChunk; <= 0 selects the
-	// engine default).
-	PrefillChunk int
-	// ExpertResidencyBytes caps every wave pipeline's GPU-resident
-	// expert-weight pool (Config.ExpertResidencyBytes; <= 0 selects two
-	// layers' expert sets). Output is bit-identical for any value.
-	ExpertResidencyBytes int
-	// SLOAware switches wave-boundary admission from FIFO-with-deferral
-	// to deadline-slack order: at every wave boundary the (deferred +
-	// newly arrived) queue is sorted most-urgent-first (AdmissionOrder)
-	// and placed by batching.BatchOrdered, so when capacity runs out it
-	// is the slack-rich requests that defer. Off, admission is exactly
-	// the classic length-sorted Alg. 2 pass.
-	SLOAware bool
-	// StarvationWaves bounds starvation under SLO-aware admission: a
-	// request deferred this many consecutive wave boundaries jumps to
-	// the front of the admission order (<= 0 selects
-	// DefaultStarvationWaves). Ignored without SLOAware.
-	StarvationWaves int
-	// SharedPrefixKV enables shared-prefix KV reuse inside every wave's
-	// pipeline (Config.SharedPrefix) and makes the Alg. 2 batcher charge
-	// only the unshared bytes of a request whose declared prefix is
-	// already placed in the wave. Bit-identical output either way.
-	SharedPrefixKV bool
-	// MaxQueuedRequests / MaxQueuedTokens bound the admitted-but-not-yet-
-	// dispatched set: a Submit that would push past either bound fails
-	// fast with ErrOverloaded instead of queueing toward a blown
-	// deadline. <= 0 disables the bound.
-	MaxQueuedRequests int
-	MaxQueuedTokens   int
 	// SLOAwareShed adds a projection-based shed on top of the hard
-	// bounds: once the server has a measured generation rate, a batch
-	// whose projected queue drain time exceeds every one of its TTFT
-	// budgets is rejected with ErrOverloaded at Submit.
+	// queue bounds: once the server has a measured generation rate, a
+	// batch whose projected queue drain time exceeds every one of its
+	// TTFT budgets is rejected with ErrOverloaded at Submit.
 	SLOAwareShed bool
 	// EnforceDeadlines fails queued requests whose TTFT budget has
 	// already expired at the wave boundary (ErrDeadlineExceeded), before
@@ -90,55 +55,25 @@ type ServeConfig struct {
 	// WaveTimeout+1s is abandoned and the server marks itself broken
 	// (ErrWaveStalled). 0 disables the watchdog.
 	WaveTimeout time.Duration
-	// Faults threads a deterministic fault injector through every wave's
-	// pipeline (expert-pager fetches, KV block allocation, wave stalls).
-	// Nil means no injection: the hooks are never installed.
-	Faults *faults.Injector
 }
 
-// ServeResult is the outcome of serving a queue.
+// ServeResult is the outcome of serving a closed queue: the server's
+// final counter snapshot plus the tokens.
 type ServeResult struct {
+	ServerStats
 	// Outputs maps request ID to its generated tokens.
 	Outputs map[int][]int
-	// Waves is how many pipeline rounds ran.
-	Waves int
-	// Deferred counts requests that were pushed to a later wave at
-	// least once (Alg. 2's aborted list).
-	Deferred int
-	// PrefillTokens counts prompt tokens prefilled across all waves;
-	// PrefillTokensPerSecond is prompt-phase throughput over the time
-	// spent in the packed prefill pass.
-	PrefillTokens          int
-	PrefillTokensPerSecond float64
-	// PrefixHitTokens / PrefixHitRatio / CowCopies summarize
-	// shared-prefix KV reuse: prompt tokens mapped from resident
-	// prefixes (vs prefilled), their share of all prompt tokens, and
-	// copy-on-write block copies on divergence.
-	PrefixHitTokens int
-	PrefixHitRatio  float64
-	CowCopies       int64
-	// Data-movement totals across all waves (bytes / pages).
-	HtoDBytes, DtoHBytes, PagesMoved int64
-	// Expert weight-paging totals across all waves: bytes of expert
-	// blocks fetched into the residency pool, and the warm-hit/miss
-	// split of expert acquisitions (misses demand-fetched on the
-	// critical path).
-	WeightBytesFetched       int64
-	ExpertHits, ExpertMisses int64
 }
 
 // Serve drains a closed request queue through successive pipeline
 // waves: a thin wrapper over the long-lived Server that submits the
-// whole queue at once and waits for the drain. The weights live in
-// their own arena and persist across waves; the GPU, pinned and cache
-// arenas are reset between waves (their regions die with each wave's
-// pipeline).
-func Serve(w *Weights, gpu, pinned, cacheArena *memory.Arena, queue []workload.Request, cfg ServeConfig) (ServeResult, error) {
+// whole queue at once and waits for the drain.
+func Serve(host *Host, queue []workload.Request, cfg ServeConfig) (ServeResult, error) {
 	res := ServeResult{Outputs: make(map[int][]int)}
 	if len(queue) == 0 {
 		return res, nil
 	}
-	srv, err := NewServer(w, gpu, pinned, cacheArena, cfg)
+	srv, err := NewServer(host, cfg)
 	if err != nil {
 		return res, err
 	}
@@ -153,19 +88,6 @@ func Serve(w *Weights, gpu, pinned, cacheArena *memory.Arena, queue []workload.R
 			res.Outputs[h.ID()] = tokens
 		}
 	}
-	st := srv.Stats()
-	res.Waves = st.Waves
-	res.Deferred = st.Deferred
-	res.PrefillTokens = st.PrefillTokens
-	res.PrefillTokensPerSecond = st.PrefillTokensPerSecond
-	res.PrefixHitTokens = st.PrefixHitTokens
-	res.PrefixHitRatio = st.PrefixHitRatio
-	res.CowCopies = st.CowCopies
-	res.HtoDBytes = st.HtoDBytes
-	res.DtoHBytes = st.DtoHBytes
-	res.PagesMoved = st.PagesMoved
-	res.WeightBytesFetched = st.WeightBytesFetched
-	res.ExpertHits = st.ExpertHits
-	res.ExpertMisses = st.ExpertMisses
+	res.ServerStats = srv.Stats()
 	return res, closeErr
 }

@@ -20,32 +20,11 @@ func newSLOTestServer(t *testing.T, cfg ServeConfig) *Server {
 	if cfg.Vocab == 0 {
 		cfg.Vocab = mcfg.VocabSize
 	}
-	srv, err := NewServer(w, gpu, pinned, cacheArena, cfg)
+	srv, err := NewServer(&Host{W: w, GPU: gpu, Pinned: pinned, Cache: cacheArena}, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	return srv
-}
-
-// TestAdmissionOrderSlack: ascending slack with starvation promotion and
-// no-SLO requests last in FIFO order.
-func TestAdmissionOrderSlack(t *testing.T) {
-	base := time.Unix(0, 0)
-	items := []AdmissionItem{
-		{Submitted: base, SLO: SLO{TTFT: time.Second}}, // 0: 1s slack
-		{Submitted: base}, // 1: no SLO
-		{Submitted: base, SLO: SLO{TTFT: 100 * time.Millisecond}},         // 2: 100ms slack
-		{Submitted: base.Add(time.Millisecond)},                           // 3: no SLO, later
-		{Submitted: base, SLO: SLO{TTFT: 10 * time.Second}, Deferrals: 5}, // 4: starved
-		{Submitted: base, SLO: SLO{TTFT: 500 * time.Millisecond}},         // 5: 500ms slack
-	}
-	got := AdmissionOrder(items, base, 3)
-	want := []int{4, 2, 5, 0, 1, 3}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("order %v, want %v", got, want)
-		}
-	}
 }
 
 // TestAdmissionOrderDeterministic: identical inputs always produce the
@@ -72,9 +51,9 @@ func TestAdmissionOrderDeterministic(t *testing.T) {
 // defer forever.
 func TestServerSLOAwareStarvationBound(t *testing.T) {
 	srv := newSLOTestServer(t, ServeConfig{
-		NumMicroBatches: 1, MicroBatchSize: 2,
-		GenLen: 2, CacheTokens: 40, MaxContext: 40,
-		SLOAware: true, StarvationWaves: 2,
+		Config:          Config{MicroBatch: 2, MaxContext: 40},
+		AdmissionPolicy: AdmissionPolicy{SLOAware: true, StarvationWaves: 2},
+		NumMicroBatches: 1, GenLen: 2, CacheTokens: 40,
 	})
 
 	// The long request fills most of one micro-batch's 40-token budget
@@ -106,15 +85,15 @@ func TestServerSLOAwareStarvationBound(t *testing.T) {
 	if st.Completed != 9 {
 		t.Errorf("completed %d of 9", st.Completed)
 	}
-	if long.deferrals == 0 {
+	if long.item.Deferrals == 0 {
 		t.Error("long request was never deferred — the test exerted no pressure")
 	}
 	// The bound: the long request defers at most StarvationWaves times —
 	// at that count the next boundary promotes it to the front of the
 	// admission order, and as the only starved request it is placed into
 	// an empty micro-batch first, so it cannot be passed over again.
-	if long.deferrals > 2 {
-		t.Errorf("long request deferred %d times with StarvationWaves=2", long.deferrals)
+	if long.item.Deferrals > 2 {
+		t.Errorf("long request deferred %d times with StarvationWaves=2", long.item.Deferrals)
 	}
 }
 
@@ -122,9 +101,9 @@ func TestServerSLOAwareStarvationBound(t *testing.T) {
 // back filled after an SLO-aware run.
 func TestServerSLOStatsPopulated(t *testing.T) {
 	srv := newSLOTestServer(t, ServeConfig{
-		NumMicroBatches: 2, MicroBatchSize: 2,
-		GenLen: 4, CacheTokens: 128, MaxContext: 32,
-		SLOAware: true,
+		Config:          Config{MicroBatch: 2, MaxContext: 32},
+		AdmissionPolicy: AdmissionPolicy{SLOAware: true},
+		NumMicroBatches: 2, GenLen: 4, CacheTokens: 128,
 	})
 	var handles []*Handle
 	for i := 0; i < 6; i++ {
@@ -163,9 +142,9 @@ func TestServerSLOStatsPopulated(t *testing.T) {
 // counted as a TTFT miss, not silently met.
 func TestSLOMissAccounting(t *testing.T) {
 	srv := newSLOTestServer(t, ServeConfig{
-		NumMicroBatches: 1, MicroBatchSize: 1,
-		GenLen: 3, CacheTokens: 64, MaxContext: 32,
-		SLOAware: true,
+		Config:          Config{MicroBatch: 1, MaxContext: 32},
+		AdmissionPolicy: AdmissionPolicy{SLOAware: true},
+		NumMicroBatches: 1, GenLen: 3, CacheTokens: 64,
 	})
 	h, err := srv.SubmitSLO(workload.Request{ID: 1, PromptLen: 4, GenLen: 3},
 		SLO{TTFT: time.Nanosecond}, nil)
@@ -190,8 +169,8 @@ func TestSLOMissAccounting(t *testing.T) {
 // (capacity 0) and ranges over it immediately.
 func TestQueueCanceledHandleNeverBuffers(t *testing.T) {
 	srv := newSLOTestServer(t, ServeConfig{
-		NumMicroBatches: 1, MicroBatchSize: 2,
-		GenLen: 512, CacheTokens: 2048, MaxContext: 1024,
+		Config:          Config{MicroBatch: 2, MaxContext: 1024},
+		NumMicroBatches: 1, GenLen: 512, CacheTokens: 2048,
 	})
 	canceled := make(chan struct{})
 	close(canceled)
@@ -248,8 +227,8 @@ func TestTokensLazyAllocation(t *testing.T) {
 // path never blocks on a full or unconsumed channel).
 func TestCancelMidWaveDoesNotStall(t *testing.T) {
 	srv := newSLOTestServer(t, ServeConfig{
-		NumMicroBatches: 1, MicroBatchSize: 2,
-		GenLen: 8, CacheTokens: 128, MaxContext: 32,
+		Config:          Config{MicroBatch: 2, MaxContext: 32},
+		NumMicroBatches: 1, GenLen: 8, CacheTokens: 128,
 	})
 	cancel := make(chan struct{})
 	h, err := srv.Submit(workload.Request{ID: 1, PromptLen: 4, GenLen: 8}, cancel)

@@ -134,9 +134,9 @@ func TestServerAdmitsAcrossWaves(t *testing.T) {
 		t.Fatal(err)
 	}
 	const genLen = 4
-	srv, err := NewServer(w, gpu, pinned, cacheArena, ServeConfig{
-		NumMicroBatches: 2, MicroBatchSize: 2,
-		GenLen: genLen, CacheTokens: 256, MaxContext: 32,
+	srv, err := NewServer(&Host{W: w, GPU: gpu, Pinned: pinned, Cache: cacheArena}, ServeConfig{
+		Config:          Config{MicroBatch: 2, MaxContext: 32},
+		NumMicroBatches: 2, GenLen: genLen, CacheTokens: 256,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -204,9 +204,9 @@ func TestServerCanceledWhileQueued(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv, err := NewServer(w, gpu, pinned, cacheArena, ServeConfig{
-		NumMicroBatches: 1, MicroBatchSize: 2,
-		GenLen: 3, CacheTokens: 128, MaxContext: 32,
+	srv, err := NewServer(&Host{W: w, GPU: gpu, Pinned: pinned, Cache: cacheArena}, ServeConfig{
+		Config:          Config{MicroBatch: 2, MaxContext: 32},
+		NumMicroBatches: 1, GenLen: 3, CacheTokens: 128,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -246,18 +246,17 @@ func TestServerNoProgressGuard(t *testing.T) {
 	// One micro-batch of one request per wave: the longest prompt is
 	// always placed and everything else aborted.
 	s := &Server{
-		w: w, gpu: gpu, pinned: pinned, cache: cacheArena,
+		host: &Host{W: w, GPU: gpu, Pinned: pinned, Cache: cacheArena},
 		cfg: ServeConfig{
-			NumMicroBatches: 1, MicroBatchSize: 1,
-			GenLen: 2, CacheTokens: 64, MaxContext: 64,
-			Vocab: cfg.VocabSize,
+			Config:          Config{MicroBatch: 1, MaxContext: 64},
+			NumMicroBatches: 1, GenLen: 2, CacheTokens: 64, Vocab: cfg.VocabSize,
 		},
 	}
 	starved := newHandle(workload.Request{ID: 1, PromptLen: 5, GenLen: 2}, nil, 2, SLO{})
 	big1 := newHandle(workload.Request{ID: 2, PromptLen: 9, GenLen: 2}, nil, 2, SLO{})
 	big2 := newHandle(workload.Request{ID: 3, PromptLen: 9, GenLen: 2}, nil, 2, SLO{})
 
-	pending, prev := s.runWave([]*Handle{starved, big1}, nil)
+	pending := s.runWave([]*Handle{starved, big1})
 	if len(pending) != 1 || pending[0] != starved {
 		t.Fatalf("wave 1 should defer the short request, got %v", pending)
 	}
@@ -266,7 +265,7 @@ func TestServerNoProgressGuard(t *testing.T) {
 	}
 
 	// A new long arrival starves the deferred request a second time.
-	pending, _ = s.runWave(append(pending, big2), prev)
+	pending = s.runWave(append(pending, big2))
 	if len(pending) != 0 {
 		t.Fatalf("wave 2 should not defer anything, got %d", len(pending))
 	}
@@ -292,9 +291,9 @@ func TestServerSubmitCloseRace(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		srv, err := NewServer(w, gpu, pinned, cacheArena, ServeConfig{
-			NumMicroBatches: 2, MicroBatchSize: 2,
-			GenLen: 2, CacheTokens: 128, MaxContext: 16,
+		srv, err := NewServer(&Host{W: w, GPU: gpu, Pinned: pinned, Cache: cacheArena}, ServeConfig{
+			Config:          Config{MicroBatch: 2, MaxContext: 16},
+			NumMicroBatches: 2, GenLen: 2, CacheTokens: 128,
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -340,42 +339,6 @@ func TestServerSubmitCloseRace(t *testing.T) {
 	}
 }
 
-// TestServerNoProgressGuardUsesIdentity: the guard compares handle
-// identity, so a fresh request with values identical to a previously
-// starved one is deferred normally, not failed on first sight.
-func TestServerNoProgressGuardUsesIdentity(t *testing.T) {
-	cfg := model.Tiny()
-	cpu, gpu, pinned, cacheArena := newTestArenas()
-	w, err := NewRandomWeights(cpu, cfg, 5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	s := &Server{
-		w: w, gpu: gpu, pinned: pinned, cache: cacheArena,
-		cfg: ServeConfig{
-			NumMicroBatches: 1, MicroBatchSize: 1,
-			GenLen: 2, CacheTokens: 64, MaxContext: 64,
-			Vocab: cfg.VocabSize,
-		},
-	}
-	req := workload.Request{ID: 1, PromptLen: 5, GenLen: 2}
-	a1 := newHandle(req, nil, 2, SLO{})
-	big1 := newHandle(workload.Request{ID: 2, PromptLen: 9, GenLen: 2}, nil, 2, SLO{})
-	big2 := newHandle(workload.Request{ID: 3, PromptLen: 9, GenLen: 2}, nil, 2, SLO{})
-
-	_, prev := s.runWave([]*Handle{a1, big1}, nil) // defers a1
-	// a1 leaves the queue (say, canceled); a distinct handle with the
-	// exact same request values arrives alongside another long prompt.
-	a2 := newHandle(req, nil, 2, SLO{})
-	pending, _ := s.runWave([]*Handle{a2, big2}, prev)
-	if len(pending) != 1 || pending[0] != a2 {
-		t.Fatalf("identical-valued fresh request should defer, got %v", pending)
-	}
-	if err := a2.Err(); err != nil {
-		t.Fatalf("fresh request falsely failed: %v", err)
-	}
-}
-
 // TestServerHonorsRequestGenLen: with HonorRequestGenLen a short
 // request ends at its own GenLen — its tokens are the reference prefix —
 // while full-length batch-mates are untouched.
@@ -387,10 +350,9 @@ func TestServerHonorsRequestGenLen(t *testing.T) {
 		t.Fatal(err)
 	}
 	const waveGen = 6
-	srv, err := NewServer(w, gpu, pinned, cacheArena, ServeConfig{
-		NumMicroBatches: 1, MicroBatchSize: 2,
-		GenLen: waveGen, CacheTokens: 256, MaxContext: 64,
-		HonorRequestGenLen: true,
+	srv, err := NewServer(&Host{W: w, GPU: gpu, Pinned: pinned, Cache: cacheArena}, ServeConfig{
+		Config:          Config{MicroBatch: 2, MaxContext: 64},
+		NumMicroBatches: 1, GenLen: waveGen, CacheTokens: 256, HonorRequestGenLen: true,
 	})
 	if err != nil {
 		t.Fatal(err)

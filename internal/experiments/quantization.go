@@ -2,11 +2,9 @@ package experiments
 
 import (
 	"fmt"
-	"time"
 
 	"moelightning/internal/engine"
 	"moelightning/internal/kvcache"
-	"moelightning/internal/memory"
 	"moelightning/internal/metrics"
 	"moelightning/internal/model"
 	"moelightning/internal/perfmodel"
@@ -91,39 +89,21 @@ func MeasuredQuantization() []MeasuredQuantRow {
 	var rows []MeasuredQuantRow
 	for _, dt := range []kvcache.DType{kvcache.F32, kvcache.Int8} {
 		row := MeasuredQuantRow{KV: dt}
-		layerFloats := engine.NewLayout(cfg).LayerFloats()
-		cpu := memory.NewArena("cpu", cfg.Layers*layerFloats+4<<20)
-		gpu := memory.NewArena("gpu", 2*layerFloats+4<<20)
-		pinned := memory.NewArena("pinned", 2*layerFloats+4<<20)
-		cacheArena := memory.NewArena("kvcache", 4<<20)
-		w, err := engine.NewRandomWeights(cpu, cfg, 7)
-		if err != nil {
-			row.Err = err
-			rows = append(rows, row)
-			continue
-		}
 		queue := make([]workload.Request, 8)
 		for i := range queue {
 			queue[i] = workload.Request{ID: i, PromptLen: 8 + 2*(i%4)}
 		}
-		start := time.Now()
-		res, err := engine.Serve(w, gpu, pinned, cacheArena, queue, engine.ServeConfig{
-			NumMicroBatches: 2, MicroBatchSize: 2,
-			GenLen: 16, CacheTokens: 256, MaxContext: 64,
-			KVDtype: dt,
+		res, err := engine.MeasureServe(cfg, 7, queue, engine.ServeConfig{
+			Config:          engine.Config{MicroBatch: 2, MaxContext: 64, KVDtype: dt},
+			NumMicroBatches: 2, GenLen: 16, CacheTokens: 256,
 		})
 		if err != nil {
 			row.Err = err
 			rows = append(rows, row)
 			continue
 		}
-		elapsed := time.Since(start).Seconds()
-		generated := 0
-		for _, toks := range res.Outputs {
-			generated += len(toks)
-		}
-		if elapsed > 0 {
-			row.TokensPerSecond = float64(generated) / elapsed
+		if res.Seconds > 0 {
+			row.TokensPerSecond = float64(res.GeneratedTokens) / res.Seconds
 		}
 		row.CacheBytesPerToken = kvcache.TokenBytes(cfg.KVDim(), dt)
 		row.DtoHBytes = res.DtoHBytes

@@ -115,11 +115,4 @@ func Baselines() []System {
 	return []System{FlexGen(), FlexGenC(), DeepSpeed(), MoELightningP(), MoELightning()}
 }
 
-// WithPolicy returns a copy of s that runs a fixed policy instead of its
-// planner (used by the Tab. 5 ablations).
-func (s System) WithPolicy(p perfmodel.Policy) System {
-	s.Plan = func(perfmodel.Input) (perfmodel.Policy, error) { return p, nil }
-	return s
-}
-
 func (s System) String() string { return fmt.Sprintf("System(%s)", s.Name) }

@@ -30,16 +30,6 @@ func NVMe(capacityGiB float64) Disk {
 	}
 }
 
-// SATASSD returns a SATA SSD tier.
-func SATASSD(capacityGiB float64) Disk {
-	return Disk{
-		Name:          "SATA-SSD",
-		Bytes:         GiB(capacityGiB),
-		ReadBandwidth: GBps(0.55),
-		Eff:           0.85,
-	}
-}
-
 // WithDisk returns a copy of the spec with a disk tier attached.
 func (s Spec) WithDisk(d Disk) Spec {
 	s.Disk = d

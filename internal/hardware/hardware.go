@@ -86,11 +86,7 @@ type Spec struct {
 	Disk Disk
 }
 
-const (
-	kib = 1 << 10
-	mib = 1 << 20
-	gib = 1 << 30
-)
+const gib = 1 << 30
 
 // GiB converts gibibytes to bytes.
 func GiB(n float64) int64 { return int64(n * gib) }

@@ -7,12 +7,10 @@ import (
 	"moelightning/internal/tensor"
 )
 
-// The benchmarks below compare the two ways attention can read the
-// paged cache: Gather-then-attend (the fallback: two memmoves per
-// block into staging matrices, then the flat kernel) against the
-// zero-copy blockwise path (BlockView + AttendOneBlocks walking the
-// blocks in place). Same GQA problem, same context, same geometry as
-// one decode-step sequence.
+// The benchmarks below time the way attention reads the paged cache:
+// the zero-copy blockwise path (BlockView + AttendOneBlocks walking the
+// blocks in place), float32 and int8. Same GQA problem, same context,
+// same geometry as one decode-step sequence.
 
 const (
 	benchCtx     = 512
@@ -48,29 +46,6 @@ func benchCacheDType(b *testing.B, dtype DType) (*Cache, []float32) {
 		q[i] = float32(i%7) * 0.1
 	}
 	return c, q
-}
-
-// BenchmarkGather measures the fallback path: materialize the context
-// with Gather, then run the flat attention kernel over the copy.
-func BenchmarkGather(b *testing.B) {
-	c, q := benchCache(b)
-	kvDim := benchNKV * benchHeadDim
-	keys := tensor.NewMat(benchCtx, kvDim)
-	values := tensor.NewMat(benchCtx, kvDim)
-	out := make([]float32, benchNQ*benchHeadDim)
-	scores := make([]float32, benchCtx)
-	b.SetBytes(int64(2 * benchCtx * kvDim * 4))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		ctx, err := c.Gather(0, 0, keys, values)
-		if err != nil {
-			b.Fatal(err)
-		}
-		tensor.AttendOne(out, q,
-			tensor.FromSlice(ctx, kvDim, keys.Data[:ctx*kvDim]),
-			tensor.FromSlice(ctx, kvDim, values.Data[:ctx*kvDim]),
-			benchNQ, benchNKV, benchHeadDim, scores)
-	}
 }
 
 // BenchmarkBlockwiseAttend measures the zero-copy path: BlockView over

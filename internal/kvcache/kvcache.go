@@ -25,9 +25,6 @@
 //     run within the codec's ~0.4% per-group error, but a quantized
 //     pipeline stays bit-identical to a quantized reference.
 //
-// Gather remains as a fallback that materializes (for Int8:
-// dequantizes) the context into caller matrices.
-//
 // # Shared prefixes: refcounts, the hash index, and copy-on-write
 //
 // Blocks are refcounted and content-addressed, so sequences whose
@@ -440,46 +437,6 @@ func (c *Cache) QBlockView(seq, layer int, keys, values []tensor.QBlock) (k, v [
 		})
 	}
 	return keys, values, n
-}
-
-// Gather materializes the K and V matrices [ctx, kvDim] for a sequence
-// at a layer into the provided matrices (the caller preallocates at
-// least LayerLen(seq, layer) rows), dequantizing when the cache is
-// Int8. The block-contiguous layout makes the F32 case two memmoves
-// per block; it is the fallback for consumers that need a flat float32
-// context — the hot attention path reads the blocks in place via
-// BlockView / QBlockView.
-func (c *Cache) Gather(seq, layer int, keys, values tensor.Mat) (ctx int, err error) {
-	n := c.length[seqLayer{seq, layer}]
-	if keys.Rows < n || values.Rows < n || keys.Cols != c.kvDim || values.Cols != c.kvDim {
-		return 0, fmt.Errorf("kvcache: gather buffers too small: %dx%d for %d tokens of dim %d",
-			keys.Rows, keys.Cols, n, c.kvDim)
-	}
-	blocks := c.blocks[seqLayer{seq, layer}]
-	half := c.halfFloats()
-	so := c.scalesOff()
-	for bi := 0; bi*c.blockTokens < n; bi++ {
-		lo := bi * c.blockTokens
-		rows := n - lo
-		if rows > c.blockTokens {
-			rows = c.blockTokens
-		}
-		data := blocks[bi].region.Data()
-		if c.dtype == Int8 {
-			for t := 0; t < rows; t++ {
-				tensor.DequantizeRow(keys.Row(lo+t),
-					data[t*c.packedCols:(t+1)*c.packedCols],
-					data[so+t*c.groups:so+(t+1)*c.groups], c.kvDim, GroupSize)
-				tensor.DequantizeRow(values.Row(lo+t),
-					data[half+t*c.packedCols:half+(t+1)*c.packedCols],
-					data[half+so+t*c.groups:half+so+(t+1)*c.groups], c.kvDim, GroupSize)
-			}
-			continue
-		}
-		copy(keys.Data[lo*c.kvDim:(lo+rows)*c.kvDim], data[:rows*c.kvDim])
-		copy(values.Data[lo*c.kvDim:(lo+rows)*c.kvDim], data[half:half+rows*c.kvDim])
-	}
-	return n, nil
 }
 
 // Release drops the sequence's reference on every block of its

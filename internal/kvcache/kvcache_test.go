@@ -2,6 +2,7 @@ package kvcache
 
 import (
 	"errors"
+	"slices"
 	"testing"
 
 	"moelightning/internal/memory"
@@ -26,7 +27,22 @@ func vec(dim int, base float32) []float32 {
 	return v
 }
 
-func TestAppendGatherRoundTrip(t *testing.T) {
+// rowAt reads position pos of a (sequence, layer) stream through the
+// zero-copy views attention walks, dequantizing an Int8 cache's row.
+func rowAt(c *Cache, seq, layer, pos int) (k, v []float32) {
+	b, r := pos/c.blockTokens, pos%c.blockTokens
+	if c.dtype != Int8 {
+		kb, vb, _ := c.BlockView(seq, layer, nil, nil)
+		return kb[b].Row(r), vb[b].Row(r)
+	}
+	kb, vb, _ := c.QBlockView(seq, layer, nil, nil)
+	k, v = make([]float32, c.kvDim), make([]float32, c.kvDim)
+	tensor.DequantizeRow(k, kb[b].RowCodes(r), kb[b].RowScales(r), c.kvDim, GroupSize)
+	tensor.DequantizeRow(v, vb[b].RowCodes(r), vb[b].RowScales(r), c.kvDim, GroupSize)
+	return k, v
+}
+
+func TestAppendRoundTrip(t *testing.T) {
 	const layers, dim = 2, 4
 	c := newCache(t, layers, dim, 3, 32)
 	for pos := 0; pos < 7; pos++ {
@@ -41,19 +57,17 @@ func TestAppendGatherRoundTrip(t *testing.T) {
 	if c.Len(0) != 7 {
 		t.Fatalf("len = %d", c.Len(0))
 	}
-	keys := tensor.NewMat(7, dim)
-	values := tensor.NewMat(7, dim)
 	for l := 0; l < layers; l++ {
-		ctx, err := c.Gather(0, l, keys, values)
-		if err != nil || ctx != 7 {
-			t.Fatalf("gather: ctx=%d err=%v", ctx, err)
+		if _, _, ctx := c.BlockView(0, l, nil, nil); ctx != 7 {
+			t.Fatalf("layer %d context = %d tokens, want 7", l, ctx)
 		}
 		for pos := 0; pos < 7; pos++ {
-			if keys.At(pos, 0) != float32(100*l+pos) {
-				t.Fatalf("layer %d pos %d key = %v", l, pos, keys.At(pos, 0))
+			k, v := rowAt(c, 0, l, pos)
+			if k[0] != float32(100*l+pos) {
+				t.Fatalf("layer %d pos %d key = %v", l, pos, k[0])
 			}
-			if values.At(pos, 3) != float32(1000*l+pos)+3 {
-				t.Fatalf("layer %d pos %d value = %v", l, pos, values.At(pos, 3))
+			if v[3] != float32(1000*l+pos)+3 {
+				t.Fatalf("layer %d pos %d value = %v", l, pos, v[3])
 			}
 		}
 	}
@@ -86,14 +100,9 @@ func TestMultipleSequencesIsolated(t *testing.T) {
 			}
 		}
 	}
-	keys := tensor.NewMat(4, dim)
-	values := tensor.NewMat(4, dim)
 	for s := 0; s < 3; s++ {
-		if _, err := c.Gather(s, 0, keys, values); err != nil {
-			t.Fatal(err)
-		}
-		if keys.At(2, 0) != float32(10*s+2) {
-			t.Fatalf("seq %d key = %v", s, keys.At(2, 0))
+		if k, _ := rowAt(c, s, 0, 2); k[0] != float32(10*s+2) {
+			t.Fatalf("seq %d key = %v", s, k[0])
 		}
 	}
 }
@@ -146,12 +155,6 @@ func TestErrors(t *testing.T) {
 	if err := c.Append(0, 5, vec(4, 0), vec(4, 0)); err == nil {
 		t.Error("bad layer accepted")
 	}
-	small := tensor.NewMat(1, 4)
-	c.Append(0, 0, vec(4, 0), vec(4, 0))
-	c.Append(0, 0, vec(4, 0), vec(4, 0))
-	if _, err := c.Gather(0, 0, small, small); err == nil {
-		t.Error("undersized gather buffer accepted")
-	}
 }
 
 func TestNewValidates(t *testing.T) {
@@ -203,11 +206,9 @@ func TestAppendExhaustionLeavesLengthConsistent(t *testing.T) {
 		t.Fatalf("failed append advanced length to %d", got)
 	}
 	// Every read of the failed sequence must still see exactly the
-	// stored tokens — gathered and blockwise.
-	keys := tensor.NewMat(2, dim)
-	values := tensor.NewMat(2, dim)
-	if ctx, err := c.Gather(0, 0, keys, values); err != nil || ctx != 2 {
-		t.Fatalf("gather after failed append: ctx=%d err=%v", ctx, err)
+	// stored tokens.
+	if _, _, ctx := c.BlockView(0, 0, nil, nil); ctx != 2 {
+		t.Fatalf("context = %d tokens after failed append, want 2", ctx)
 	}
 	// Freeing the other sequence lets the survivor grow again and
 	// round-trip its full contents.
@@ -230,10 +231,10 @@ func TestAppendExhaustionLeavesLengthConsistent(t *testing.T) {
 	}
 }
 
-// TestBlockViewMatchesGather checks the zero-copy views expose exactly
-// the gathered contents, including a partial last block, and that they
+// TestBlockViewMatchesAppended checks the zero-copy views expose exactly
+// the appended rows, including a partial last block, and that they
 // alias the cache (no copies).
-func TestBlockViewMatchesGather(t *testing.T) {
+func TestBlockViewMatchesAppended(t *testing.T) {
 	const layers, dim, block, n = 2, 3, 4, 11
 	c := newCache(t, layers, dim, block, 32)
 	for pos := 0; pos < n; pos++ {
@@ -243,12 +244,7 @@ func TestBlockViewMatchesGather(t *testing.T) {
 			}
 		}
 	}
-	keys := tensor.NewMat(n, dim)
-	values := tensor.NewMat(n, dim)
 	for l := 0; l < layers; l++ {
-		if _, err := c.Gather(0, l, keys, values); err != nil {
-			t.Fatal(err)
-		}
 		kb, vb, ctx := c.BlockView(0, l, nil, nil)
 		if ctx != n {
 			t.Fatalf("ctx = %d", ctx)
@@ -262,26 +258,21 @@ func TestBlockViewMatchesGather(t *testing.T) {
 		row := 0
 		for b := range kb {
 			for r := 0; r < kb[b].Rows; r++ {
-				for j := 0; j < dim; j++ {
-					if kb[b].At(r, j) != keys.At(row, j) {
-						t.Fatalf("layer %d pos %d key mismatch", l, row)
-					}
-					if vb[b].At(r, j) != values.At(row, j) {
-						t.Fatalf("layer %d pos %d value mismatch", l, row)
-					}
+				if !slices.Equal(kb[b].Row(r), vec(dim, float32(100*l+row))) {
+					t.Fatalf("layer %d pos %d key mismatch", l, row)
+				}
+				if !slices.Equal(vb[b].Row(r), vec(dim, float32(1000*l+row))) {
+					t.Fatalf("layer %d pos %d value mismatch", l, row)
 				}
 				row++
 			}
 		}
 	}
-	// The views alias the cache: a mutation through the view is seen by
-	// the next Gather (proving no copy sits in between).
+	// The views alias the cache: a mutation through one view is seen by
+	// the next (proving no copy sits in between).
 	kb, _, _ := c.BlockView(0, 0, nil, nil)
 	kb[0].Set(0, 0, -42)
-	if _, err := c.Gather(0, 0, keys, values); err != nil {
-		t.Fatal(err)
-	}
-	if keys.At(0, 0) != -42 {
+	if kb2, _, _ := c.BlockView(0, 0, nil, nil); kb2[0].At(0, 0) != -42 {
 		t.Fatal("BlockView returned a copy, not a view")
 	}
 }

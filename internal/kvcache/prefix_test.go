@@ -55,19 +55,13 @@ func TestAttachPrefixSharesBlocks(t *testing.T) {
 		t.Fatalf("attach consumed blocks: used %d -> %d", usedBefore, c.UsedBlocks())
 	}
 	// The attached context reads back identical to the donor's prefix.
-	dk := tensor.NewMat(10, dim)
-	dv := tensor.NewMat(10, dim)
-	ak := tensor.NewMat(8, dim)
-	av := tensor.NewMat(8, dim)
 	for l := 0; l < layers; l++ {
-		if _, err := c.Gather(0, l, dk, dv); err != nil {
-			t.Fatal(err)
-		}
-		if _, err := c.Gather(1, l, ak, av); err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(ak.Data, dk.Data[:8*dim]) || !reflect.DeepEqual(av.Data, dv.Data[:8*dim]) {
-			t.Fatalf("layer %d: attached prefix differs from donor", l)
+		for pos := 0; pos < 8; pos++ {
+			dk, dv := rowAt(c, 0, l, pos)
+			ak, av := rowAt(c, 1, l, pos)
+			if !reflect.DeepEqual(ak, dk) || !reflect.DeepEqual(av, dv) {
+				t.Fatalf("layer %d pos %d: attached prefix differs from donor", l, pos)
+			}
 		}
 	}
 	// Appending the divergent tail works and leaves the donor intact.
@@ -75,10 +69,7 @@ func TestAttachPrefixSharesBlocks(t *testing.T) {
 	if err := c.Append(1, 0, tail, tail); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := c.Gather(0, 0, dk, dv); err != nil {
-		t.Fatal(err)
-	}
-	if dk.At(8, 0) != float32(tokens[8]) {
+	if dk, _ := rowAt(c, 0, 0, 8); dk[0] != float32(tokens[8]) {
 		t.Fatal("follower append corrupted donor block")
 	}
 }
@@ -136,20 +127,16 @@ func TestAttachPrefixPartialTailCopiesOnWrite(t *testing.T) {
 			}
 			// Donor still reads its own token at position 6; follower
 			// reads the divergent row; the shared first 6 rows agree.
-			dk := tensor.NewMat(8, dim)
-			dv := tensor.NewMat(8, dim)
-			fk := tensor.NewMat(7, dim)
-			fv := tensor.NewMat(7, dim)
-			if _, err := c.Gather(0, 0, dk, dv); err != nil {
-				t.Fatal(err)
+			for pos := 0; pos < 6; pos++ {
+				dk, _ := rowAt(c, 0, 0, pos)
+				fk, _ := rowAt(c, 1, 0, pos)
+				if !reflect.DeepEqual(dk, fk) {
+					t.Fatalf("shared row %d diverged after COW", pos)
+				}
 			}
-			if _, err := c.Gather(1, 0, fk, fv); err != nil {
-				t.Fatal(err)
-			}
-			if !reflect.DeepEqual(dk.Data[:6*dim], fk.Data[:6*dim]) {
-				t.Fatal("shared rows diverged after COW")
-			}
-			if dk.At(6, 0) == fk.At(6, 0) {
+			dk, _ := rowAt(c, 0, 0, 6)
+			fk, _ := rowAt(c, 1, 0, 6)
+			if dk[0] == fk[0] {
 				t.Fatal("divergent row leaked between sequences")
 			}
 			// Bit-identity under the codec: the follower's divergent row
@@ -163,8 +150,8 @@ func TestAttachPrefixPartialTailCopiesOnWrite(t *testing.T) {
 			} else {
 				copy(ref, div)
 			}
-			if !reflect.DeepEqual(fk.Row(6), ref) {
-				t.Fatalf("follower divergent row %v != codec reference %v", fk.Row(6), ref)
+			if !reflect.DeepEqual(fk, ref) {
+				t.Fatalf("follower divergent row %v != codec reference %v", fk, ref)
 			}
 		})
 	}
@@ -186,12 +173,7 @@ func TestReleaseKeepsSharedBlocksAlive(t *testing.T) {
 	if c.UsedBlocks() != used {
 		t.Fatalf("donor release freed shared blocks: %d -> %d", used, c.UsedBlocks())
 	}
-	k := tensor.NewMat(8, dim)
-	v := tensor.NewMat(8, dim)
-	if _, err := c.Gather(1, 0, k, v); err != nil {
-		t.Fatal(err)
-	}
-	if k.At(3, 0) != float32(tokens[3]) {
+	if k, _ := rowAt(c, 1, 0, 3); k[0] != float32(tokens[3]) {
 		t.Fatal("survivor lost prefix content after donor release")
 	}
 	c.Release(1)
@@ -293,12 +275,7 @@ func TestCowExhaustionLeavesStreamUnchanged(t *testing.T) {
 		t.Fatalf("failed COW counted: %d", c.CowCopies())
 	}
 	// Donor's content at the contested position is intact.
-	k := tensor.NewMat(8, dim)
-	v := tensor.NewMat(8, dim)
-	if _, err := c.Gather(0, 0, k, v); err != nil {
-		t.Fatal(err)
-	}
-	if k.At(6, 0) != float32(tokens[6]) {
+	if k, _ := rowAt(c, 0, 0, 6); k[0] != float32(tokens[6]) {
 		t.Fatal("failed COW corrupted shared block")
 	}
 	// Retiring the offender releases its tail capacity... it holds no

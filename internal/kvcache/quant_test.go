@@ -4,16 +4,18 @@ import (
 	"errors"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"moelightning/internal/memory"
 	"moelightning/internal/tensor"
 )
 
-// TestQuantizedAppendGatherRoundTrip: an Int8 cache quantizes on
-// Append; Gather dequantizes back within the codec's per-group error
-// bound (half a step: maxAbs(group)/254).
-func TestQuantizedAppendGatherRoundTrip(t *testing.T) {
+// TestQuantizedAppendRoundTrip: an Int8 cache quantizes on Append; the
+// QBlockView rows attention reads in place — block boundaries and the
+// partial last block included — dequantize back within the codec's
+// per-group error bound (half a step: maxAbs(group)/254).
+func TestQuantizedAppendRoundTrip(t *testing.T) {
 	const layers, dim, block, tokens = 2, 64, 4, 11
 	arena := memory.NewArena("cache", 1<<20)
 	c, err := New(arena, layers, dim, block, 64, Int8)
@@ -37,19 +39,15 @@ func TestQuantizedAppendGatherRoundTrip(t *testing.T) {
 			}
 		}
 	}
-	keys := tensor.NewMat(tokens, dim)
-	values := tensor.NewMat(tokens, dim)
 	for l := 0; l < layers; l++ {
-		ctx, err := c.Gather(7, l, keys, values)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if ctx != tokens {
-			t.Fatalf("layer %d ctx = %d, want %d", l, ctx, tokens)
+		kb, _, ctx := c.QBlockView(7, l, nil, nil)
+		if ctx != tokens || tensor.QBlocksRows(kb) != tokens {
+			t.Fatalf("layer %d ctx = %d over %d view rows, want %d", l, ctx, tensor.QBlocksRows(kb), tokens)
 		}
 		for pos := 0; pos < tokens; pos++ {
-			checkRowWithin(t, keys.Row(pos), wantK[pos], GroupSize)
-			checkRowWithin(t, values.Row(pos), wantV[pos], GroupSize)
+			k, v := rowAt(c, 7, l, pos)
+			checkRowWithin(t, k, wantK[pos], GroupSize)
+			checkRowWithin(t, v, wantV[pos], GroupSize)
 		}
 	}
 }
@@ -68,61 +66,6 @@ func checkRowWithin(t *testing.T, got, want []float32, group int) {
 		}
 		if err := math.Abs(float64(got[i] - want[i])); err > maxAbs/254+1e-12 {
 			t.Fatalf("col %d: |%g - %g| = %g exceeds bound %g", i, got[i], want[i], err, maxAbs/254)
-		}
-	}
-}
-
-// TestQBlockViewMatchesGather: attention's in-place quantized views
-// must decode to exactly what Gather materializes — same codes, same
-// scales, block boundaries and the partial last block included.
-func TestQBlockViewMatchesGather(t *testing.T) {
-	const dim, block, tokens = 32, 4, 10
-	arena := memory.NewArena("cache", 1<<20)
-	c, err := New(arena, 1, dim, block, 32, Int8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rng := rand.New(rand.NewSource(4))
-	k := make([]float32, dim)
-	v := make([]float32, dim)
-	for pos := 0; pos < tokens; pos++ {
-		for i := range k {
-			k[i] = rng.Float32() - 0.5
-			v[i] = rng.Float32() - 0.5
-		}
-		if err := c.Append(0, 0, k, v); err != nil {
-			t.Fatal(err)
-		}
-	}
-	keys := tensor.NewMat(tokens, dim)
-	values := tensor.NewMat(tokens, dim)
-	if _, err := c.Gather(0, 0, keys, values); err != nil {
-		t.Fatal(err)
-	}
-	kb, vb, ctx := c.QBlockView(0, 0, nil, nil)
-	if ctx != tokens {
-		t.Fatalf("ctx = %d, want %d", ctx, tokens)
-	}
-	if got := tensor.QBlocksRows(kb); got != tokens {
-		t.Fatalf("view rows = %d, want %d", got, tokens)
-	}
-	row := make([]float32, dim)
-	pos := 0
-	for bi := range kb {
-		for r := 0; r < kb[bi].Rows; r++ {
-			tensor.DequantizeRow(row, kb[bi].RowCodes(r), kb[bi].RowScales(r), dim, GroupSize)
-			for i := range row {
-				if row[i] != keys.Row(pos)[i] {
-					t.Fatalf("key block %d row %d col %d: %g != %g", bi, r, i, row[i], keys.Row(pos)[i])
-				}
-			}
-			tensor.DequantizeRow(row, vb[bi].RowCodes(r), vb[bi].RowScales(r), dim, GroupSize)
-			for i := range row {
-				if row[i] != values.Row(pos)[i] {
-					t.Fatalf("value block %d row %d col %d: %g != %g", bi, r, i, row[i], values.Row(pos)[i])
-				}
-			}
-			pos++
 		}
 	}
 }
@@ -173,23 +116,12 @@ func TestMixedDtypeAppendReleaseInterleaving(t *testing.T) {
 			}
 		}
 	}
-	keys := tensor.NewMat(6, dim)
-	values := tensor.NewMat(6, dim)
-	if _, err := cf.Gather(0, 0, keys, values); err != nil {
-		t.Fatal(err)
-	}
 	for pos := 0; pos < 6; pos++ {
-		for i := range steady[pos] {
-			if keys.Row(pos)[i] != steady[pos][i] {
-				t.Fatalf("f32 seq 0 pos %d col %d clobbered", pos, i)
-			}
+		if k, _ := rowAt(cf, 0, 0, pos); !slices.Equal(k, steady[pos]) {
+			t.Fatalf("f32 seq 0 pos %d clobbered", pos)
 		}
-	}
-	if _, err := cq.Gather(0, 0, keys, values); err != nil {
-		t.Fatal(err)
-	}
-	for pos := 0; pos < 6; pos++ {
-		checkRowWithin(t, keys.Row(pos), steady[pos], GroupSize)
+		k, _ := rowAt(cq, 0, 0, pos)
+		checkRowWithin(t, k, steady[pos], GroupSize)
 	}
 	cf.Release(0)
 	cq.Release(0)

@@ -129,9 +129,6 @@ func NewExpertPager(fast, pinned *memory.Arena, expertFloats, numSlots int, src 
 // Slots returns the residency pool size in blocks.
 func (p *ExpertPager) Slots() int { return len(p.slots) }
 
-// BlockFloats returns the per-block size in floats.
-func (p *ExpertPager) BlockFloats() int { return p.floats }
-
 // Close stops the prefetch worker. Pending prefetch requests complete
 // first; the pager is unusable afterwards.
 func (p *ExpertPager) Close() {

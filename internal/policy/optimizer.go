@@ -35,11 +35,7 @@ type options struct {
 	ffnChoices  []bool
 	maxN        int
 	kvBudget    float64
-	objective   Objective
 }
-
-// Objective scores a feasible policy; higher is better.
-type Objective func(e *perfmodel.Estimator, p perfmodel.Policy) float64
 
 // Option customizes Optimize.
 type Option func(*options)
@@ -73,11 +69,6 @@ func WithMaxN(n int) Option {
 	return func(o *options) { o.maxN = n }
 }
 
-// WithObjective replaces the default throughput objective.
-func WithObjective(f Objective) Option {
-	return func(o *options) { o.objective = f }
-}
-
 // WithKVBudget pins the attention KV budget (§C sparsity extension) on
 // every candidate policy.
 func WithKVBudget(b float64) Option {
@@ -93,9 +84,6 @@ func defaultOptions() options {
 		attnChoices: []bool{false, true},
 		ffnChoices:  []bool{true},
 		maxN:        1 << 20,
-		objective: func(e *perfmodel.Estimator, p perfmodel.Policy) float64 {
-			return e.Throughput(p).TokensPerSecond
-		},
 	}
 }
 
@@ -136,7 +124,7 @@ func Optimize(in perfmodel.Input, opts ...Option) (Result, error) {
 			return
 		}
 		res.Feasible++
-		cands = append(cands, candidate{p, o.objective(e, p)})
+		cands = append(cands, candidate{p, e.Throughput(p).TokensPerSecond})
 	}
 
 	rdGrid := []float64{0}

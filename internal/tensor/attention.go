@@ -159,28 +159,6 @@ func AttendMany(items []AttnItem, nq, nkv, headDim int) {
 	})
 }
 
-// causalBounds splits n causal query tokens into chunk boundaries for
-// a worker fan-out. Token t attends over t+1 keys, so equal-width
-// token ranges would leave the last worker ~2x the average work;
-// boundaries go at n*sqrt(c/chunks) instead, which equalizes the
-// triangular area. Shared by AttendCausal and AttendCausalQ so the two
-// kernels' load balancing cannot drift apart. Returns nil when there
-// is nothing to do.
-func causalBounds(n, chunks int) []int {
-	if chunks > n {
-		chunks = n
-	}
-	if chunks < 1 {
-		return nil
-	}
-	bounds := make([]int, chunks+1)
-	for c := 1; c < chunks; c++ {
-		bounds[c] = int(float64(n) * math.Sqrt(float64(c)/float64(chunks)))
-	}
-	bounds[chunks] = n
-	return bounds
-}
-
 // BlocksPrefix appends views of the first n rows of a float32 block
 // list to dst (the last view possibly partial) — how causal attention
 // scopes token t to its t+1-row prefix without copying. The float32
@@ -220,9 +198,7 @@ type CausalItem struct {
 // chunk boundaries of near-equal attention COST, not token count:
 // token i of an item costs StartPos+i+1 context rows, so equal-count
 // ranges would leave the worker holding a long prompt's tail ~2x the
-// average work — the same triangular skew causalBounds corrects for
-// the single-sequence kernels. Returns nil when there is nothing to
-// do.
+// average work. Returns nil when there is nothing to do.
 func causalManyBounds(items []CausalItem, chunks, total int) []int {
 	if chunks > total {
 		chunks = total
@@ -257,12 +233,12 @@ func causalManyBounds(items []CausalItem, chunks, total int) []int {
 // fanned across the default worker pool: the flattened (item, token)
 // index space is split into contiguous ranges of near-equal attention
 // cost (causalManyBounds), so short prompts never serialize behind
-// long ones the way a per-sequence AttendCausal loop forces them to.
+// long ones the way a per-sequence loop would force them to.
 // Each token's problem reads only its own cached prefix (scoped by
 // BlocksPrefix/QBlocksPrefix views) and writes only its own output
 // row, so the fan-out is bit-identical to solving every item
-// sequentially — and, by the blockwise-kernel invariants, to the flat
-// AttendCausal/AttendCausalQ paths over the same values.
+// sequentially — and, by the blockwise-kernel invariants, to flat
+// per-token AttendOne over the same values.
 func AttendCausalMany(items []CausalItem, nq, nkv, headDim int) {
 	total, maxCtx, maxBlocks := 0, 0, 0
 	for i := range items {
@@ -319,33 +295,6 @@ func AttendCausalMany(items []CausalItem, nq, nkv, headDim int) {
 			}
 			if base >= hi {
 				break
-			}
-		}
-	})
-}
-
-// AttendCausal computes prefill attention for a whole prompt: queries
-// [n, nq*headDim] against keys/values [n, nkv*headDim] with a causal
-// mask; out is [n, nq*headDim]. Query tokens fan out across the
-// default worker pool in causalBounds chunks, mirroring AttendMany:
-// each token's problem is independent (it reads the shared K/V prefix
-// and writes only its own output row), so the fan-out is bit-identical
-// to the sequential loop.
-func AttendCausal(out, queries Mat, keys, values Mat, nq, nkv, headDim int) {
-	n := queries.Rows
-	pool := Default()
-	bounds := causalBounds(n, pool.Workers())
-	if bounds == nil {
-		return
-	}
-	chunks := len(bounds) - 1
-	pool.ParallelFor(chunks, 1, func(lo, hi int) {
-		scores := make([]float32, bounds[hi])
-		for c := lo; c < hi; c++ {
-			for t := bounds[c]; t < bounds[c+1]; t++ {
-				sub := Mat{Rows: t + 1, Cols: keys.Cols, Data: keys.Data[:(t+1)*keys.Cols]}
-				subV := Mat{Rows: t + 1, Cols: values.Cols, Data: values.Data[:(t+1)*values.Cols]}
-				AttendOne(out.Row(t), queries.Row(t), sub, subV, nq, nkv, headDim, scores)
 			}
 		}
 	})

@@ -461,29 +461,3 @@ func TestAttendManyMixedItemsBitIdentical(t *testing.T) {
 		}
 	}
 }
-
-// TestAttendCausalParallelBitIdentical checks the pool-fanned causal
-// prefill against the sequential per-token loop bit for bit.
-func TestAttendCausalParallelBitIdentical(t *testing.T) {
-	const nq, nkv, dh = 4, 2, 4
-	rng := rand.New(rand.NewSource(53))
-	for _, n := range []int{1, 2, 3, 7, 16, 33} {
-		queries := randMat(rng, n, nq*dh)
-		keys := randMat(rng, n, nkv*dh)
-		values := randMat(rng, n, nkv*dh)
-		want := NewMat(n, nq*dh)
-		scores := make([]float32, n)
-		for t2 := 0; t2 < n; t2++ {
-			sub := Mat{Rows: t2 + 1, Cols: keys.Cols, Data: keys.Data[:(t2+1)*keys.Cols]}
-			subV := Mat{Rows: t2 + 1, Cols: values.Cols, Data: values.Data[:(t2+1)*values.Cols]}
-			AttendOne(want.Row(t2), queries.Row(t2), sub, subV, nq, nkv, dh, scores)
-		}
-		got := NewMat(n, nq*dh)
-		AttendCausal(got, queries, keys, values, nq, nkv, dh)
-		for i := range want.Data {
-			if got.Data[i] != want.Data[i] {
-				t.Fatalf("n=%d: AttendCausal[%d] = %v, want %v", n, i, got.Data[i], want.Data[i])
-			}
-		}
-	}
-}

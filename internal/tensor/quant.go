@@ -210,35 +210,3 @@ func AttendOneBlocksQ(out, q []float32, keys, values []QBlock, nq, nkv, headDim 
 		}
 	}
 }
-
-// AttendCausalQ is AttendCausal over a quantized paged context: every
-// prompt token's K/V is already appended (keys/values hold all n
-// rows), and token t attends over the t+1-row prefix via
-// QBlocksPrefix. Query tokens fan out across the default worker pool
-// with per-worker scratch, in the same causalBounds chunks as the
-// float32 kernel; each token's problem reads only its prefix and
-// writes only its own output row, so the fan-out is bit-identical to
-// the sequential append-then-attend loop.
-func AttendCausalQ(out, queries Mat, keys, values []QBlock, nq, nkv, headDim int) {
-	n := queries.Rows
-	pool := Default()
-	bounds := causalBounds(n, pool.Workers())
-	if bounds == nil {
-		return
-	}
-	chunks := len(bounds) - 1
-	group := nq / nkv
-	pool.ParallelFor(chunks, 1, func(lo, hi int) {
-		scores := make([]float32, group*bounds[hi])
-		rowBuf := make([]float32, headDim)
-		kp := make([]QBlock, 0, len(keys))
-		vp := make([]QBlock, 0, len(values))
-		for c := lo; c < hi; c++ {
-			for t := bounds[c]; t < bounds[c+1]; t++ {
-				kp = QBlocksPrefix(kp[:0], keys, t+1)
-				vp = QBlocksPrefix(vp[:0], values, t+1)
-				AttendOneBlocksQ(out.Row(t), queries.Row(t), kp, vp, nq, nkv, headDim, scores[:group*(t+1)], rowBuf)
-			}
-		}
-	})
-}

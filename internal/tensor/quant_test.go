@@ -228,34 +228,3 @@ func TestQuantizeSubnormalGroups(t *testing.T) {
 		}
 	}
 }
-
-// TestAttendCausalQMatchesSequential: the pool fan-out over quantized
-// prefixes is bit-identical to attending each token sequentially over
-// its own prefix — and QBlocksPrefix scopes exactly t+1 rows.
-func TestAttendCausalQMatchesSequential(t *testing.T) {
-	const nq, nkv, headDim, blockTokens = 4, 2, 8, 4
-	rng := rand.New(rand.NewSource(11))
-	for _, n := range []int{1, 3, 9, 21} {
-		qk, qv, _, _, _, _ := quantAttnFixture(rng, n, blockTokens, nkv, headDim)
-		queries := NewMat(n, nq*headDim)
-		for i := range queries.Data {
-			queries.Data[i] = rng.Float32() - 0.5
-		}
-		want := NewMat(n, nq*headDim)
-		for tok := 0; tok < n; tok++ {
-			kp := QBlocksPrefix(nil, qk, tok+1)
-			vp := QBlocksPrefix(nil, qv, tok+1)
-			if QBlocksRows(kp) != tok+1 {
-				t.Fatalf("prefix(%d) has %d rows", tok+1, QBlocksRows(kp))
-			}
-			AttendOneBlocksQ(want.Row(tok), queries.Row(tok), kp, vp, nq, nkv, headDim, nil, nil)
-		}
-		got := NewMat(n, nq*headDim)
-		AttendCausalQ(got, queries, qk, qv, nq, nkv, headDim)
-		for i := range got.Data {
-			if got.Data[i] != want.Data[i] {
-				t.Fatalf("n=%d elem %d: %g != %g", n, i, got.Data[i], want.Data[i])
-			}
-		}
-	}
-}

@@ -208,37 +208,6 @@ func TestAttendOneUniform(t *testing.T) {
 	}
 }
 
-func TestAttendCausalMatchesIncremental(t *testing.T) {
-	// Causal prefill attention must equal token-at-a-time decode
-	// attention over growing contexts.
-	const nq, nkv, dh, n = 4, 2, 4, 5
-	rng := rand.New(rand.NewSource(9))
-	queries := NewMat(n, nq*dh)
-	keys := NewMat(n, nkv*dh)
-	values := NewMat(n, nkv*dh)
-	for i := range queries.Data {
-		queries.Data[i] = rng.Float32() - 0.5
-	}
-	for i := range keys.Data {
-		keys.Data[i] = rng.Float32() - 0.5
-		values.Data[i] = rng.Float32() - 0.5
-	}
-	batch := NewMat(n, nq*dh)
-	AttendCausal(batch, queries, keys, values, nq, nkv, dh)
-
-	for tok := 0; tok < n; tok++ {
-		out := make([]float32, nq*dh)
-		sub := Mat{Rows: tok + 1, Cols: keys.Cols, Data: keys.Data[:(tok+1)*keys.Cols]}
-		subV := Mat{Rows: tok + 1, Cols: values.Cols, Data: values.Data[:(tok+1)*values.Cols]}
-		AttendOne(out, queries.Row(tok), sub, subV, nq, nkv, dh, nil)
-		for i, v := range out {
-			if !almostEqual(v, batch.At(tok, i), 1e-5) {
-				t.Fatalf("token %d dim %d: causal %v != incremental %v", tok, i, batch.At(tok, i), v)
-			}
-		}
-	}
-}
-
 func TestFromSlicePanicsOnBadLength(t *testing.T) {
 	defer func() {
 		if recover() == nil {

@@ -4,7 +4,6 @@ import (
 	"testing"
 
 	"moelightning/internal/engine"
-	"moelightning/internal/memory"
 	"moelightning/internal/model"
 	"moelightning/internal/workload"
 )
@@ -12,23 +11,15 @@ import (
 func newTestServer(t *testing.T, sloAware bool) (*engine.Server, model.Config) {
 	t.Helper()
 	cfg := model.Tiny()
-	cpu := memory.NewArena("cpu", 1<<22)
-	gpu := memory.NewArena("gpu", 1<<22)
-	pinned := memory.NewArena("pinned", 1<<22)
-	cacheArena := memory.NewArena("cache", 1<<22)
-	w, err := engine.NewRandomWeights(cpu, cfg, 11)
+	host, err := engine.NewHost(cfg, 11, 4, 64, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv, err := engine.NewServer(w, gpu, pinned, cacheArena, engine.ServeConfig{
-		NumMicroBatches:    2,
-		MicroBatchSize:     2,
-		GenLen:             10,
-		CacheTokens:        128,
-		MaxContext:         64,
-		Vocab:              cfg.VocabSize,
-		HonorRequestGenLen: true,
-		SLOAware:           sloAware,
+	srv, err := engine.NewServer(host, engine.ServeConfig{
+		Config:          engine.Config{MicroBatch: 2, MaxContext: 64},
+		AdmissionPolicy: engine.AdmissionPolicy{SLOAware: sloAware},
+		NumMicroBatches: 2, GenLen: 10, CacheTokens: 128,
+		Vocab: cfg.VocabSize, HonorRequestGenLen: true,
 	})
 	if err != nil {
 		t.Fatal(err)

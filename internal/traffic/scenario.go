@@ -252,18 +252,3 @@ func BurstyMix(rps float64, n int) Scenario {
 		NumRequests: n,
 	}
 }
-
-// DiurnalMix cycles a day-shaped load curve (trough, ramp, peak, ramp
-// down) compressed into Period, over the full cohort mix.
-func DiurnalMix(rps float64, period time.Duration, n int) Scenario {
-	return Scenario{
-		Name: "diurnal-mix",
-		Arrival: Diurnal{
-			PeakRPS: 2 * rps,
-			Period:  period,
-			Phases:  []float64{0.25, 0.5, 1, 0.5},
-		},
-		Cohorts:     []Cohort{ChatCohort(), RAGCohort(), AgenticCohort(), SummarizeCohort()},
-		NumRequests: n,
-	}
-}

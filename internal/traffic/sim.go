@@ -1,26 +1,10 @@
 package traffic
 
 import (
-	"fmt"
 	"time"
 
 	"moelightning/internal/batching"
 	"moelightning/internal/engine"
-	"moelightning/internal/workload"
-)
-
-// AdmissionPolicy selects how the simulator orders the pending queue at
-// each wave boundary.
-type AdmissionPolicy string
-
-const (
-	// PolicyFIFO is the classic length-sorted Alg. 2 pass over the
-	// arrival-ordered queue (the engine's default admission).
-	PolicyFIFO AdmissionPolicy = "fifo"
-	// PolicySlack is deadline-slack admission: engine.AdmissionOrder
-	// over the pending queue, placed by batching.BatchOrdered (the
-	// engine's ServeConfig.SLOAware path).
-	PolicySlack AdmissionPolicy = "deadline-slack"
 )
 
 // SimConfig parameterizes a virtual-time admission simulation.
@@ -28,11 +12,11 @@ type SimConfig struct {
 	// Batch is the wave shape (identical role to the live server's
 	// batchConfig output).
 	Batch batching.Config
-	// Policy selects FIFO or deadline-slack admission.
-	Policy AdmissionPolicy
-	// StarvationWaves is the slack policy's starvation bound (<= 0
-	// selects engine.DefaultStarvationWaves).
-	StarvationWaves int
+	// AdmissionPolicy is the live server's queueing policy, applied
+	// verbatim: FIFO or deadline-slack ordering, the starvation bound,
+	// and the overload bound that sheds an arrival at admission (never
+	// queued, a TTFT miss if it carried an SLO).
+	engine.AdmissionPolicy
 	// PerPromptToken and PerDecodeStep are the virtual cost model: a
 	// wave's prefill takes admitted-prompt-tokens x PerPromptToken, and
 	// its decode takes GenLen x PerDecodeStep. Zero selects 100us and
@@ -40,11 +24,6 @@ type SimConfig struct {
 	// magnitudes matter for policy comparison.
 	PerPromptToken time.Duration
 	PerDecodeStep  time.Duration
-	// MaxQueuedRequests mirrors the live server's overload control: an
-	// arrival finding this many requests already pending is shed at
-	// admission (never queued, a TTFT miss if it carried an SLO).
-	// <= 0 disables the bound.
-	MaxQueuedRequests int
 }
 
 // SimWave is one simulated wave boundary.
@@ -74,22 +53,21 @@ type SimReport struct {
 	Shed []int
 }
 
-// SimulateAdmission replays a trace through the engine's actual
-// wave-boundary admission logic on a virtual clock. It is a pure
-// function of (trace, cfg): the batcher (batching.Batch or
-// BatchOrdered) and the ordering (engine.AdmissionOrder) are the same
-// code the live server runs, but time is simulated, so the admitted
-// waves are bit-reproducible — the determinism and FIFO-vs-slack
-// comparisons rest on this.
+// SimulateAdmission replays a trace through the engine's wave-boundary
+// admission on a virtual clock. It is a pure function of (trace, cfg):
+// every boundary is decided by engine.PlanWave and every arrival gated
+// by engine.AdmissionPolicy.QueueBound — the code the live server
+// runs — so all that lives here is the clock and the cost model, and
+// the admitted waves are bit-reproducible (the determinism and
+// FIFO-vs-slack comparisons rest on this).
 //
 // The cost model is deliberately simple: a wave occupies the server for
 // prefill (admitted prompt tokens x PerPromptToken) plus decode (GenLen
 // x PerDecodeStep), every admitted request's first token lands at the
 // end of prefill, and arrivals during the wave queue for the next
-// boundary. The engine's no-progress guard is mirrored: a deferred set
-// that repeats identically across two boundaries is dropped (those
-// requests count as failed), as is an entire queue that fits no
-// micro-batch at all.
+// boundary. As in the server, a deferred set that repeats identically
+// across two boundaries is dropped (those requests count as failed), as
+// is an entire queue that fits no micro-batch at all.
 func SimulateAdmission(trace Trace, cfg SimConfig) (SimReport, error) {
 	if err := trace.validate(); err != nil {
 		return SimReport{}, err
@@ -97,13 +75,7 @@ func SimulateAdmission(trace Trace, cfg SimConfig) (SimReport, error) {
 	if err := cfg.Batch.Validate(); err != nil {
 		return SimReport{}, err
 	}
-	switch cfg.Policy {
-	case PolicyFIFO, PolicySlack:
-	case "":
-		cfg.Policy = PolicyFIFO
-	default:
-		return SimReport{}, fmt.Errorf("traffic: unknown admission policy %q", cfg.Policy)
-	}
+	policy := cfg.AdmissionPolicy
 	perPrompt := cfg.PerPromptToken
 	if perPrompt <= 0 {
 		perPrompt = 100 * time.Microsecond
@@ -113,134 +85,78 @@ func SimulateAdmission(trace Trace, cfg SimConfig) (SimReport, error) {
 		perStep = 2 * time.Millisecond
 	}
 
-	// base anchors AdmissionOrder's wall-clock arithmetic at a fixed
-	// instant so the simulation is a pure function of the trace.
+	// base anchors the items' wall-clock arithmetic at a fixed instant
+	// so the simulation is a pure function of the trace.
 	base := time.Unix(0, 0)
 	rep := SimReport{TTFT: make(map[int]time.Duration)}
-	deferrals := make(map[int]int)
-	arrival := make(map[int]Event, len(trace.Events))
-	for _, ev := range trace.Events {
-		arrival[ev.Request.ID] = ev
+	failed := make(map[int]bool) // shed or dropped: never got a first token
+	drop := func(items []engine.AdmissionItem) {
+		for _, it := range items {
+			failed[it.Req.ID] = true
+			rep.Dropped = append(rep.Dropped, it.Req.ID)
+		}
 	}
-	dropped := make(map[int]bool)
-	shed := make(map[int]bool)
 
 	next := 0 // first event not yet arrived
-	var pending []Event
+	var pending []engine.AdmissionItem
 	var clock time.Duration
-	var prevDeferred []int
-
 	for next < len(trace.Events) || len(pending) > 0 {
 		// Admit everything that has arrived by now; if the queue is
 		// empty, idle forward to the next arrival.
 		if len(pending) == 0 && trace.Events[next].At > clock {
 			clock = trace.Events[next].At
 		}
-		for next < len(trace.Events) && trace.Events[next].At <= clock {
+		for ; next < len(trace.Events) && trace.Events[next].At <= clock; next++ {
 			ev := trace.Events[next]
-			next++
 			// Overload control at arrival, exactly where the live server
 			// sheds: a full queue fails the request fast instead of letting
 			// it age toward a blown deadline.
-			if cfg.MaxQueuedRequests > 0 && len(pending) >= cfg.MaxQueuedRequests {
-				shed[ev.Request.ID] = true
+			if policy.QueueBound(len(pending), 0, 1, 0) != nil {
+				failed[ev.Request.ID] = true
 				rep.Shed = append(rep.Shed, ev.Request.ID)
 				continue
 			}
-			pending = append(pending, ev)
+			pending = append(pending, engine.AdmissionItem{Req: ev.Request, Submitted: base.Add(ev.At), SLO: ev.SLO})
 		}
 
-		// Order the queue and run the engine's placement loop.
-		queue := pending
-		if cfg.Policy == PolicySlack {
-			items := make([]engine.AdmissionItem, len(pending))
-			for i, ev := range pending {
-				items[i] = engine.AdmissionItem{
-					Submitted: base.Add(ev.At),
-					SLO:       ev.SLO,
-					Deferrals: deferrals[ev.Request.ID],
-				}
-			}
-			order := engine.AdmissionOrder(items, base.Add(clock), cfg.StarvationWaves)
-			queue = make([]Event, len(pending))
-			for i, idx := range order {
-				queue[i] = pending[idx]
-			}
-		}
-		reqs := make([]workload.Request, len(queue))
-		for i, ev := range queue {
-			reqs[i] = ev.Request
-		}
-		var mbs []batching.MicroBatch
-		var aborted []workload.Request
-		var err error
-		if cfg.Policy == PolicySlack {
-			mbs, aborted, err = batching.BatchOrdered(reqs, cfg.Batch)
-		} else {
-			mbs, aborted, err = batching.Batch(reqs, cfg.Batch)
-		}
+		plan, err := engine.PlanWave(pending, base.Add(clock), policy, cfg.Batch)
 		if err != nil {
 			return SimReport{}, err
 		}
-		if len(mbs) == 0 || countRequests(mbs) == 0 {
+		if len(plan.MicroBatches) == 0 {
 			// Nothing fits: the live server fails the whole queue.
-			for _, ev := range pending {
-				dropped[ev.Request.ID] = true
-				rep.Dropped = append(rep.Dropped, ev.Request.ID)
-			}
+			drop(pending)
 			pending = nil
 			continue
 		}
-
-		wave := SimWave{Start: clock}
-		promptTokens := 0
-		for _, mb := range mbs {
-			for _, r := range mb.Requests {
-				wave.Admitted = append(wave.Admitted, r.ID)
-				promptTokens += r.PromptLen
-			}
-		}
-		for _, r := range aborted {
-			wave.Deferred = append(wave.Deferred, r.ID)
-			deferrals[r.ID]++
-			if deferrals[r.ID] > rep.MaxDeferrals {
-				rep.MaxDeferrals = deferrals[r.ID]
-			}
-		}
-
 		// The wave occupies [clock, clock+prefill+decode); first tokens
 		// land at the end of prefill.
+		wave := SimWave{Start: clock}
+		var admitted, deferred []engine.AdmissionItem
+		promptTokens := 0
+		for _, mb := range plan.MicroBatches {
+			for _, i := range mb {
+				admitted = append(admitted, pending[i])
+				wave.Admitted = append(wave.Admitted, pending[i].Req.ID)
+				promptTokens += pending[i].Req.PromptLen
+			}
+		}
 		prefill := time.Duration(promptTokens) * perPrompt
 		wave.End = clock + prefill + time.Duration(cfg.Batch.GenLen)*perStep
-		for _, id := range wave.Admitted {
-			rep.TTFT[id] = clock + prefill - arrival[id].At
+		for _, it := range admitted {
+			rep.TTFT[it.Req.ID] = base.Add(clock + prefill).Sub(it.Submitted)
+		}
+		for _, i := range plan.Deferred {
+			deferred = append(deferred, pending[i])
+			wave.Deferred = append(wave.Deferred, pending[i].Req.ID)
+			rep.MaxDeferrals = max(rep.MaxDeferrals, pending[i].Deferrals)
 		}
 		rep.Waves = append(rep.Waves, wave)
-
-		// No-progress guard: an identical deferred set two boundaries
-		// running is starved — drop it (the live server fails those
-		// handles with ErrNoProgress).
-		if len(wave.Deferred) > 0 && sameIDSet(wave.Deferred, prevDeferred) {
-			for _, id := range wave.Deferred {
-				dropped[id] = true
-				rep.Dropped = append(rep.Dropped, id)
-			}
-			pending = nil
-			prevDeferred = nil
-		} else {
-			byID := make(map[int]bool, len(wave.Deferred))
-			for _, id := range wave.Deferred {
-				byID[id] = true
-			}
-			kept := pending[:0]
-			for _, ev := range pending {
-				if byID[ev.Request.ID] {
-					kept = append(kept, ev)
-				}
-			}
-			pending = append([]Event(nil), kept...)
-			prevDeferred = wave.Deferred
+		if plan.NoProgress {
+			drop(deferred)
+			deferred = nil
 		}
+		pending = deferred
 		clock = wave.End
 	}
 
@@ -252,8 +168,7 @@ func SimulateAdmission(trace Trace, cfg SimConfig) (SimReport, error) {
 		}
 		rep.SLORequests++
 		ttft, admitted := rep.TTFT[ev.Request.ID]
-		missTTFT := !admitted || dropped[ev.Request.ID] || shed[ev.Request.ID] ||
-			(ev.SLO.TTFT > 0 && ttft > ev.SLO.TTFT)
+		missTTFT := !admitted || failed[ev.Request.ID] || (ev.SLO.TTFT > 0 && ttft > ev.SLO.TTFT)
 		missTPOT := ev.SLO.TPOT > 0 && ev.Request.GenLen > 1 && perStep > ev.SLO.TPOT
 		if missTTFT {
 			rep.SLOMissTTFT++
@@ -266,29 +181,4 @@ func SimulateAdmission(trace Trace, cfg SimConfig) (SimReport, error) {
 		}
 	}
 	return rep, nil
-}
-
-func countRequests(mbs []batching.MicroBatch) int {
-	n := 0
-	for _, mb := range mbs {
-		n += len(mb.Requests)
-	}
-	return n
-}
-
-func sameIDSet(a, b []int) bool {
-	if len(a) != len(b) || len(a) == 0 {
-		return false
-	}
-	seen := make(map[int]int, len(a))
-	for _, id := range a {
-		seen[id]++
-	}
-	for _, id := range b {
-		seen[id]--
-		if seen[id] < 0 {
-			return false
-		}
-	}
-	return true
 }

@@ -11,6 +11,10 @@ import (
 	"moelightning/internal/workload"
 )
 
+// slackPolicy is deadline-slack admission with the default starvation
+// bound and no queue bound.
+var slackPolicy = engine.AdmissionPolicy{SLOAware: true}
+
 func simBatch() batching.Config {
 	return batching.Config{
 		NumMicroBatches: 2,
@@ -25,7 +29,7 @@ func simBatch() batching.Config {
 // function.
 func TestSimulateDeterministic(t *testing.T) {
 	scn := BurstyMix(15, 80)
-	for _, policy := range []AdmissionPolicy{PolicyFIFO, PolicySlack} {
+	for _, slack := range []bool{false, true} {
 		tr1, err := scn.Generate(2024)
 		if err != nil {
 			t.Fatal(err)
@@ -34,7 +38,7 @@ func TestSimulateDeterministic(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		cfg := SimConfig{Batch: simBatch(), Policy: policy}
+		cfg := SimConfig{Batch: simBatch(), AdmissionPolicy: engine.AdmissionPolicy{SLOAware: slack}}
 		a, err := SimulateAdmission(tr1, cfg)
 		if err != nil {
 			t.Fatal(err)
@@ -44,10 +48,10 @@ func TestSimulateDeterministic(t *testing.T) {
 			t.Fatal(err)
 		}
 		if !reflect.DeepEqual(a.Waves, b.Waves) {
-			t.Errorf("%s: same seed produced different admitted waves", policy)
+			t.Errorf("slack=%v: same seed produced different admitted waves", slack)
 		}
 		if !reflect.DeepEqual(a.TTFT, b.TTFT) {
-			t.Errorf("%s: same seed produced different TTFTs", policy)
+			t.Errorf("slack=%v: same seed produced different TTFTs", slack)
 		}
 	}
 }
@@ -70,11 +74,11 @@ func TestSlackBeatsFIFOOnBurstyMix(t *testing.T) {
 		t.Fatal(err)
 	}
 	step := 10 * time.Millisecond
-	fifo, err := SimulateAdmission(tr, SimConfig{Batch: simBatch(), Policy: PolicyFIFO, PerDecodeStep: step})
+	fifo, err := SimulateAdmission(tr, SimConfig{Batch: simBatch(), PerDecodeStep: step})
 	if err != nil {
 		t.Fatal(err)
 	}
-	slack, err := SimulateAdmission(tr, SimConfig{Batch: simBatch(), Policy: PolicySlack, PerDecodeStep: step})
+	slack, err := SimulateAdmission(tr, SimConfig{Batch: simBatch(), AdmissionPolicy: slackPolicy, PerDecodeStep: step})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -91,45 +95,6 @@ func TestSlackBeatsFIFOOnBurstyMix(t *testing.T) {
 	if slack.SLOMet <= fifo.SLOMet {
 		t.Errorf("slack admission did not improve SLO attainment: fifo %d, slack %d",
 			fifo.SLOMet, slack.SLOMet)
-	}
-}
-
-// TestSimStarvationBound: under slack admission, no request defers more
-// than the starvation bound plus the waves it takes to drain — in
-// particular a deadline-free request cannot be deferred indefinitely by
-// a stream of urgent ones.
-func TestSimStarvationBound(t *testing.T) {
-	// One long, deadline-free request arrives first; a steady stream of
-	// tight-deadline short requests follows. Under pure slack ordering
-	// the long request would always sort last; the starvation bound must
-	// promote it.
-	events := []Event{{At: 0, Cohort: "batch", Request: workload.Request{ID: 1, PromptLen: 40, GenLen: 8}}}
-	for i := 0; i < 40; i++ {
-		events = append(events, Event{
-			At:      time.Duration(i) * 10 * time.Millisecond,
-			Cohort:  "chat",
-			Request: workload.Request{ID: 2 + i, PromptLen: 6, GenLen: 8},
-			SLO:     SLO{TTFT: 50 * time.Millisecond},
-		})
-	}
-	tr := Trace{Scenario: "starvation", Seed: 1, Events: events}
-	const bound = 3
-	rep, err := SimulateAdmission(tr, SimConfig{
-		Batch:           simBatch(),
-		Policy:          PolicySlack,
-		StarvationWaves: bound,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, ok := rep.TTFT[1]; !ok {
-		t.Fatal("deadline-free request was never admitted")
-	}
-	if len(rep.Dropped) != 0 {
-		t.Fatalf("no-progress guard fired: dropped %v", rep.Dropped)
-	}
-	if rep.MaxDeferrals > bound {
-		t.Errorf("request deferred %d times, starvation bound is %d", rep.MaxDeferrals, bound)
 	}
 }
 
@@ -152,8 +117,8 @@ func TestSimMatchesEngineOrdering(t *testing.T) {
 		t.Fatalf("engine ordering puts ID %d first, want the 100ms-TTFT request", events[order[0]].Request.ID)
 	}
 	rep, err := SimulateAdmission(Trace{Scenario: "x", Events: events}, SimConfig{
-		Batch:  batching.Config{NumMicroBatches: 1, MicroBatchSize: 1, GenLen: 4, CacheTokens: 64},
-		Policy: PolicySlack,
+		Batch:           batching.Config{NumMicroBatches: 1, MicroBatchSize: 1, GenLen: 4, CacheTokens: 64},
+		AdmissionPolicy: slackPolicy,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -197,7 +162,7 @@ func TestSimOverloadShedBoundsAdmittedTTFT(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	base := SimConfig{Batch: simBatch(), Policy: PolicySlack, PerDecodeStep: step}
+	base := SimConfig{Batch: simBatch(), AdmissionPolicy: slackPolicy, PerDecodeStep: step}
 	knee, err := SimulateAdmission(atKnee, base)
 	if err != nil {
 		t.Fatal(err)

@@ -21,10 +21,10 @@
 // at its due instant, TTFT/TPOT measured per request, goodput counted
 // under each cohort's SLO). SimulateAdmission replays the same trace
 // through the engine's actual wave-boundary admission logic
-// (batching.Batch / batching.BatchOrdered plus engine.AdmissionOrder)
-// on a virtual clock — a pure function used to compare FIFO against
-// deadline-slack admission deterministically and to test that a seeded
-// trace always produces identical admitted waves.
+// (engine.PlanWave and AdmissionPolicy.QueueBound) on a virtual clock —
+// a pure function used to compare FIFO against deadline-slack admission
+// deterministically and to test that a seeded trace always produces
+// identical admitted waves.
 //
 // Sweep runs a scenario at several arrival-rate multiples and FindKnee
 // locates the saturation knee — the point past which offered load no

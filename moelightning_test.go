@@ -1,6 +1,7 @@
 package moelightning
 
 import (
+	"slices"
 	"strings"
 	"testing"
 )
@@ -218,7 +219,7 @@ func TestRunFunctionalSharedPrefix(t *testing.T) {
 		t.Fatal("verification did not run with sharing on")
 	}
 	for _, r := range reqs {
-		if !equalInts(on.Outputs[r.ID], off.Outputs[r.ID]) {
+		if !slices.Equal(on.Outputs[r.ID], off.Outputs[r.ID]) {
 			t.Errorf("request %d: sharing changed tokens: %v vs %v", r.ID, on.Outputs[r.ID], off.Outputs[r.ID])
 		}
 	}

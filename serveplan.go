@@ -1,12 +1,15 @@
 package moelightning
 
-import "fmt"
+import (
+	"fmt"
+
+	"moelightning/internal/engine"
+)
 
 // ServerConfigForPolicy maps an optimizer policy onto a ready-to-run
 // ServerConfig for the functional engine: the policy's micro-batch
 // shape becomes the wave shape, the workload's prompt/generation
-// lengths size the context bound (rounded up to the KV pool's 16-token
-// block granularity with a block of headroom), and the KV budget is
+// lengths size the context bound (engine.ContextBound), and the KV budget is
 // denominated so the Alg. 2 batcher admits the whole batch at the
 // chosen codec. The result is what `policysearch` prints and what the
 // calibration scenarios serve under.
@@ -15,7 +18,7 @@ func ServerConfigForPolicy(m ModelConfig, p Policy, w WorkloadConfig, kv KVDtype
 	if prompt <= 0 {
 		prompt = w.AvgPrompt
 	}
-	maxContext := (prompt+w.GenLen)/16*16 + 32
+	maxContext := engine.ContextBound(prompt, w.GenLen)
 	numMB := p.MicroBatches()
 	if numMB <= 0 {
 		numMB = 1

@@ -8,7 +8,6 @@ import (
 	"moelightning/internal/engine"
 	"moelightning/internal/faults"
 	"moelightning/internal/kvcache"
-	"moelightning/internal/memory"
 )
 
 // Streaming-server types, re-exported from the engine. They are
@@ -219,15 +218,14 @@ func (c *ServerConfig) defaults() {
 // arrived) requests at every wave boundary; Close drains and shuts
 // down.
 type Server struct {
-	cfg      ServerConfig
-	w        *engine.Weights
-	eng      *engine.Server
-	vocab    int // effective prompt vocabulary (Vocab or the model's)
-	cacheCap int
+	host *engine.Host
+	eng  *engine.Server
+	cfg  engine.ServeConfig // the effective engine configuration
 }
 
 // NewServer validates the configuration, builds the weights and arenas,
-// and starts the serving loop.
+// and starts the serving loop. This is the one place the flat public
+// ServerConfig is mapped onto the engine's options.
 func NewServer(cfg ServerConfig) (*Server, error) {
 	cfg.defaults()
 	if err := cfg.Model.Validate(); err != nil {
@@ -237,58 +235,46 @@ func NewServer(cfg ServerConfig) (*Server, error) {
 		return nil, fmt.Errorf("moelightning: %s has %d parameters; the functional engine is for tiny configs (use TinyMoE)",
 			cfg.Model.Name, cfg.Model.TotalParams())
 	}
-
 	vocab := cfg.Vocab
 	if vocab <= 0 {
 		vocab = cfg.Model.VocabSize
 	}
-	layout := engine.NewLayout(cfg.Model)
-	layerFloats := layout.LayerFloats()
-	// The GPU/pinned arenas hold the double-buffered shared region, the
-	// expert residency pool (and its per-slot pinned staging), and the
-	// per-micro-batch transfer buffers; 2*layerFloats covers the first
-	// two at the default residency, and the slot term covers any larger
-	// ExpertResidencyBytes the caller configures.
-	residencyFloats := layout.ResidencySlots(cfg.ExpertResidencyBytes) * layout.ExpertFloats()
-	weightArena := 2*layerFloats + residencyFloats + 4<<20
-	waveSeqs := cfg.MicroBatchSize * cfg.NumMicroBatches
-	cacheCap := 2*waveSeqs*cfg.MaxContext*cfg.Model.KVDim()*2 + 4<<20
-	cpu := memory.NewArena("cpu", cfg.Model.Layers*layerFloats+4<<20)
-	gpu := memory.NewArena("gpu", weightArena)
-	pinned := memory.NewArena("pinned", weightArena)
-	cacheArena := memory.NewArena("kvcache", cacheCap)
-
-	w, err := engine.NewRandomWeights(cpu, cfg.Model, cfg.Seed)
+	ecfg := engine.ServeConfig{
+		Config: engine.Config{
+			MicroBatch:           cfg.MicroBatchSize,
+			MaxContext:           cfg.MaxContext,
+			Lookahead:            cfg.Lookahead,
+			KVDtype:              cfg.KVDtype,
+			PrefillChunk:         cfg.PrefillChunk,
+			SharedPrefix:         cfg.SharedPrefixKV == SharedPrefixOn,
+			ExpertResidencyBytes: cfg.ExpertResidencyBytes,
+			Faults:               cfg.Faults,
+		},
+		AdmissionPolicy: engine.AdmissionPolicy{
+			SLOAware:          cfg.SLOAware,
+			StarvationWaves:   cfg.StarvationWaves,
+			MaxQueuedRequests: cfg.MaxQueuedRequests,
+			MaxQueuedTokens:   cfg.MaxQueuedTokens,
+		},
+		NumMicroBatches:    cfg.NumMicroBatches,
+		GenLen:             cfg.GenLen,
+		CacheTokens:        cfg.CacheTokens,
+		Vocab:              vocab,
+		HonorRequestGenLen: !cfg.FixedGenLen,
+		SLOAwareShed:       cfg.SLOAwareShed,
+		EnforceDeadlines:   cfg.EnforceDeadlines,
+		TPOTGuard:          cfg.TPOTGuard,
+		WaveTimeout:        cfg.WaveTimeout,
+	}
+	host, err := engine.NewHost(cfg.Model, cfg.Seed, ecfg.MicroBatch*ecfg.NumMicroBatches, ecfg.MaxContext, ecfg.ExpertResidencyBytes)
 	if err != nil {
 		return nil, err
 	}
-	eng, err := engine.NewServer(w, gpu, pinned, cacheArena, engine.ServeConfig{
-		NumMicroBatches:      cfg.NumMicroBatches,
-		MicroBatchSize:       cfg.MicroBatchSize,
-		GenLen:               cfg.GenLen,
-		CacheTokens:          cfg.CacheTokens,
-		MaxContext:           cfg.MaxContext,
-		Lookahead:            cfg.Lookahead,
-		Vocab:                vocab,
-		HonorRequestGenLen:   !cfg.FixedGenLen,
-		KVDtype:              cfg.KVDtype,
-		PrefillChunk:         cfg.PrefillChunk,
-		ExpertResidencyBytes: cfg.ExpertResidencyBytes,
-		SLOAware:             cfg.SLOAware,
-		StarvationWaves:      cfg.StarvationWaves,
-		SharedPrefixKV:       cfg.SharedPrefixKV == SharedPrefixOn,
-		MaxQueuedRequests:    cfg.MaxQueuedRequests,
-		MaxQueuedTokens:      cfg.MaxQueuedTokens,
-		SLOAwareShed:         cfg.SLOAwareShed,
-		EnforceDeadlines:     cfg.EnforceDeadlines,
-		TPOTGuard:            cfg.TPOTGuard,
-		WaveTimeout:          cfg.WaveTimeout,
-		Faults:               cfg.Faults,
-	})
+	eng, err := engine.NewServer(host, ecfg)
 	if err != nil {
 		return nil, err
 	}
-	return &Server{cfg: cfg, w: w, eng: eng, vocab: vocab, cacheCap: cacheCap}, nil
+	return &Server{host: host, eng: eng, cfg: ecfg}, nil
 }
 
 // Submit admits one request. Canceling ctx cancels the request: queued,

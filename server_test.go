@@ -7,6 +7,8 @@ import (
 	"reflect"
 	"sync"
 	"testing"
+
+	"moelightning/internal/engine"
 )
 
 func serverRequests(n, genLen int) []Request {
@@ -248,5 +250,28 @@ func TestFunctionalOptionPlumbing(t *testing.T) {
 	}
 	if same {
 		t.Error("Vocab option had no effect on the generated prompts")
+	}
+}
+
+// TestServerConfigCoversEngineConfig: the flat public ServerConfig is
+// the one hand-written mapping left above the engine, so every engine
+// knob must have a counterpart there — all of engine.Config except the
+// two the server decides itself (the micro-batch size has its serving
+// name, the partition comes from the batcher).
+func TestServerConfigCoversEngineConfig(t *testing.T) {
+	public := reflect.TypeOf(ServerConfig{})
+	renamed := map[string]string{"MicroBatch": "MicroBatchSize", "SharedPrefix": "SharedPrefixKV"}
+	ec := reflect.TypeOf(engine.Config{})
+	for i := 0; i < ec.NumField(); i++ {
+		name := ec.Field(i).Name
+		if name == "Partition" {
+			continue
+		}
+		if to, ok := renamed[name]; ok {
+			name = to
+		}
+		if _, ok := public.FieldByName(name); !ok {
+			t.Errorf("engine.Config.%s has no ServerConfig.%s", ec.Field(i).Name, name)
+		}
 	}
 }
