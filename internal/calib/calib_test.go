@@ -4,6 +4,7 @@ import (
 	"math"
 	"path/filepath"
 	"runtime"
+	"slices"
 	"testing"
 
 	"moelightning/internal/hardware"
@@ -141,43 +142,66 @@ func TestScheduleFactorAppliesToDecodeOnly(t *testing.T) {
 // table from live micro-benches, predict the standing scenarios, run
 // the real server, and require the calibrated model inside ErrorBand
 // on every scenario while the analytic host model is demonstrably
-// outside it (its spec-sheet peaks are far above what scalar kernels
-// sustain).
+// outside it (its spec-sheet peaks are far above what the kernels
+// sustain). Both sides rest on wall-clock windows of tens of
+// milliseconds, and `go test ./...` runs other packages on the same
+// cores for seconds at a time, so the comparison is between medians
+// over calibRounds interleaved build/evaluate rounds — a round whose
+// build and evaluation saw different loads moves neither median.
 func TestCalibratedServeError(t *testing.T) {
 	if testing.Short() {
 		t.Skip("live calibration bench")
 	}
 	m := model.Tiny()
 	spec := hardware.Host(runtime.NumCPU())
-	tab, err := Build(BuildConfig{Model: m, Spec: spec, Seed: 7})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := tab.Validate(); err != nil {
-		t.Fatal(err)
-	}
 	scenarios := StandingScenarios()
 	if len(scenarios) < 2 {
 		t.Fatalf("want >= 2 standing scenarios, got %d", len(scenarios))
 	}
-	reports, err := Evaluate(tab, m, spec, 7, scenarios)
-	if err != nil {
-		t.Fatal(err)
+	const calibRounds = 5
+	type series struct{ measured, calibrated, analytic []float64 }
+	runs := make([]series, len(scenarios))
+	for round := 0; round < calibRounds; round++ {
+		tab, err := Build(BuildConfig{Model: m, Spec: spec, Seed: 7})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := tab.Validate(); err != nil {
+			t.Fatal(err)
+		}
+		reports, err := Evaluate(tab, m, spec, 7, scenarios)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, r := range reports {
+			t.Logf("round %d %s: measured %.1f tok/s, calibrated %.1f (err %.1f%%), analytic %.1f (err %.1f%%)",
+				round, r.Name, r.MeasuredTPS, r.CalibratedTPS, 100*r.CalibratedErr, r.AnalyticTPS, 100*r.AnalyticErr)
+			runs[i].measured = append(runs[i].measured, r.MeasuredTPS)
+			runs[i].calibrated = append(runs[i].calibrated, r.CalibratedTPS)
+			runs[i].analytic = append(runs[i].analytic, r.AnalyticTPS)
+		}
 	}
-	for _, r := range reports {
-		t.Logf("%s: measured %.1f tok/s, calibrated %.1f (err %.1f%%), analytic %.1f (err %.1f%%)",
-			r.Name, r.MeasuredTPS, r.CalibratedTPS, 100*r.CalibratedErr, r.AnalyticTPS, 100*r.AnalyticErr)
-		if r.CalibratedErr > ErrorBand {
+	median := func(xs []float64) float64 {
+		slices.Sort(xs)
+		return xs[len(xs)/2]
+	}
+	for i, sc := range scenarios {
+		measured := median(runs[i].measured)
+		calibratedErr := relErr(median(runs[i].calibrated), measured)
+		analyticErr := relErr(median(runs[i].analytic), measured)
+		t.Logf("%s: median measured %.1f tok/s, calibrated err %.1f%%, analytic err %.1f%%",
+			sc.Name, measured, 100*calibratedErr, 100*analyticErr)
+		if calibratedErr > ErrorBand {
 			t.Errorf("%s: calibrated error %.1f%% exceeds the %.0f%% band",
-				r.Name, 100*r.CalibratedErr, 100*ErrorBand)
+				sc.Name, 100*calibratedErr, 100*ErrorBand)
 		}
-		if r.AnalyticErr <= ErrorBand {
+		if analyticErr <= ErrorBand {
 			t.Errorf("%s: analytic error %.1f%% unexpectedly within the band — the calibration demonstration is vacuous",
-				r.Name, 100*r.AnalyticErr)
+				sc.Name, 100*analyticErr)
 		}
-		if r.AnalyticErr <= r.CalibratedErr {
+		if analyticErr <= calibratedErr {
 			t.Errorf("%s: analytic error %.1f%% not worse than calibrated %.1f%%",
-				r.Name, 100*r.AnalyticErr, 100*r.CalibratedErr)
+				sc.Name, 100*analyticErr, 100*calibratedErr)
 		}
 	}
 }

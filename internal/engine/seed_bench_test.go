@@ -36,7 +36,7 @@ func seedMatMulT(dst, a, bT tensor.Mat) {
 			br := bT.Row(j)
 			var sum float32
 			for k, av := range ar {
-				sum += av * br[k]
+				sum += float32(av * br[k])
 			}
 			dr[j] = sum
 		}

@@ -174,7 +174,10 @@ func TestExpertPagerPrefetchBecomesHit(t *testing.T) {
 // goroutines over a pool much smaller than the key space; run under
 // -race this is the pager's central correctness test — every Acquire
 // must return that key's bytes no matter what eviction and prefetch are
-// doing around it.
+// doing around it. The pager's contract is that pins never outnumber
+// slots (the engine's one consumer pins a step's experts and releases
+// them; TestExpertPagerAcquirePastSlotsPanics), so the eight goroutines
+// share `slots` pin tokens; prefetches are not bounded.
 func TestExpertPagerConcurrent(t *testing.T) {
 	var stats Stats
 	const nLayers, nExperts, floats, slots = 4, 8, 32, 4
@@ -183,6 +186,7 @@ func TestExpertPagerConcurrent(t *testing.T) {
 
 	var wg sync.WaitGroup
 	errs := make(chan string, 8)
+	pins := make(chan struct{}, slots)
 	for g := 0; g < 8; g++ {
 		wg.Add(1)
 		go func(seed int64) {
@@ -193,8 +197,10 @@ func TestExpertPagerConcurrent(t *testing.T) {
 				if rng.Intn(4) == 0 {
 					p.Prefetch(ExpertKey{Layer: rng.Intn(nLayers), Expert: rng.Intn(nExperts)})
 				}
+				pins <- struct{}{}
 				data, err := p.Acquire(k)
 				if err != nil {
+					<-pins
 					select {
 					case errs <- "unexpected fetch error under concurrency":
 					default:
@@ -211,6 +217,7 @@ func TestExpertPagerConcurrent(t *testing.T) {
 					}
 				}
 				p.Release(k)
+				<-pins
 			}
 		}(int64(g + 1))
 	}
@@ -226,6 +233,23 @@ func TestExpertPagerConcurrent(t *testing.T) {
 	if got, want := stats.BytesFetched.Load(), 4*int64(floats)*fetched; got != want {
 		t.Fatalf("bytes fetched = %d, want %d (%d fetches)", got, want, fetched)
 	}
+}
+
+// TestExpertPagerAcquirePastSlotsPanics pins the single-consumer rule:
+// with every slot pinned and no fetch in flight, one more cold Acquire
+// can never be served, and the pager says so instead of deadlocking.
+func TestExpertPagerAcquirePastSlotsPanics(t *testing.T) {
+	const floats, slots = 32, 3
+	p := newTestPager(t, floats, slots, testSource(t, 1, slots+1, floats), nil)
+	for e := 0; e < slots; e++ {
+		mustAcquire(t, p, ExpertKey{Expert: e})
+	}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("cold Acquire with every slot pinned returned; want the wedged-pager panic")
+		}
+	}()
+	p.Acquire(ExpertKey{Expert: slots})
 }
 
 func TestExpertPagerRejectsBadConfig(t *testing.T) {

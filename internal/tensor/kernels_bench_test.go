@@ -1,6 +1,7 @@
 package tensor
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 )
@@ -46,13 +47,19 @@ func BenchmarkKernelsMatMulTParallel(b *testing.B) {
 	}
 }
 
-// BenchmarkKernelsMatMulTSingleRow is the GEMV shape every per-token
-// seed call used (batch of one).
-func BenchmarkKernelsMatMulTSingleRow(b *testing.B) {
-	a, bT, dst := benchMats(1, 256, 256)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		MatMulT(dst, a, bT)
+// BenchmarkKernelsMatMulTRows is one core on the bench model's expert
+// up-projection (k 128, 448 columns) at the row counts the engine runs:
+// a lone token, a decode micro-batch, a small wave, a prefill chunk.
+func BenchmarkKernelsMatMulTRows(b *testing.B) {
+	for _, rows := range []int{1, 2, 4, 16, 256} {
+		b.Run(fmt.Sprint(rows), func(b *testing.B) {
+			a, bT, dst := benchMats(rows, 128, 448)
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				MatMulT(dst, a, bT)
+			}
+			b.ReportMetric(2*float64(rows*128*448)*float64(b.N)/b.Elapsed().Seconds()/1e9, "GFLOP/s")
+		})
 	}
 }
 

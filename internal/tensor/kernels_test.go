@@ -17,27 +17,9 @@ func matMulTNaive(dst, a, bT Mat) {
 			br := bT.Row(j)
 			var sum float32
 			for k, av := range ar {
-				sum += av * br[k]
+				sum += float32(av * br[k])
 			}
 			dr[j] = sum
-		}
-	}
-}
-
-// matMulNaive is the seed dst = a @ b loop without the zero-skip (the
-// blocked kernel defines plain accumulation).
-func matMulNaive(dst, a, b Mat) {
-	for i := 0; i < a.Rows; i++ {
-		ar := a.Row(i)
-		dr := dst.Row(i)
-		for j := range dr {
-			dr[j] = 0
-		}
-		for k, av := range ar {
-			br := b.Row(k)
-			for j, bv := range br {
-				dr[j] += av * bv
-			}
 		}
 	}
 }
@@ -118,34 +100,6 @@ func TestMatMulTParallelBitIdentical(t *testing.T) {
 		for i := range want.Data {
 			if got2.Data[i] != want.Data[i] {
 				t.Fatalf("trial %d: MatMulTParallel[%d] = %v, want %v", trial, i, got2.Data[i], want.Data[i])
-			}
-		}
-	}
-}
-
-// TestMatMulBlockedBitIdentical covers the multi-row dst = a @ b kernel
-// including row tails.
-func TestMatMulBlockedBitIdentical(t *testing.T) {
-	rng := rand.New(rand.NewSource(13))
-	for trial := 0; trial < 30; trial++ {
-		m, k, n := 1+rng.Intn(13), 1+rng.Intn(13), 1+rng.Intn(13)
-		a := randMat(rng, m, k)
-		b := randMat(rng, k, n)
-		want := NewMat(m, n)
-		matMulNaive(want, a, b)
-		got := NewMat(m, n)
-		MatMul(got, a, b)
-		for i := range want.Data {
-			if got.Data[i] != want.Data[i] {
-				t.Fatalf("trial %d [%d,%d,%d]: MatMul[%d] = %v, want %v",
-					trial, m, k, n, i, got.Data[i], want.Data[i])
-			}
-		}
-		got2 := NewMat(m, n)
-		MatMulParallel(got2, a, b)
-		for i := range want.Data {
-			if got2.Data[i] != want.Data[i] {
-				t.Fatalf("trial %d: MatMulParallel[%d] = %v, want %v", trial, i, got2.Data[i], want.Data[i])
 			}
 		}
 	}
@@ -294,16 +248,17 @@ func TestAttendManyMatchesAttendOne(t *testing.T) {
 }
 
 // TestPoolParallelForCoverage checks every index is visited exactly
-// once across chunk splits, including n < workers and grain clamping.
+// once across chunk splits, including n < workers and grain clamping,
+// and that chunks start on grain boundaries.
 func TestPoolParallelForCoverage(t *testing.T) {
 	for _, workers := range []int{1, 2, 4, 7} {
 		pool := NewPool(workers)
 		for _, n := range []int{0, 1, 2, 3, 5, 16, 33, 100} {
-			for _, grain := range []int{1, 4, 50} {
+			for _, grain := range []int{1, 4, 8, 50} {
 				visits := make([]int32, n)
 				pool.ParallelFor(n, grain, func(lo, hi int) {
-					if lo < 0 || hi > n || lo > hi {
-						t.Errorf("bad chunk [%d,%d) for n=%d", lo, hi, n)
+					if lo < 0 || hi > n || lo > hi || lo%grain != 0 {
+						t.Errorf("bad chunk [%d,%d) for n=%d grain=%d", lo, hi, n, grain)
 						return
 					}
 					for i := lo; i < hi; i++ {

@@ -56,8 +56,9 @@ func (p *Pool) Workers() int {
 }
 
 // ParallelFor splits [0, n) into at most Workers() contiguous chunks of
-// at least grain elements each and runs fn on every chunk, returning
-// when all chunks are done. With one worker, one chunk, or a nil pool
+// at least grain elements each, every boundary between two chunks a
+// multiple of grain, and runs fn on every chunk, returning when all
+// chunks are done. With one worker, one chunk, or a nil pool
 // it degrades to a single inline call fn(0, n). fn must not call back
 // into ParallelFor on the same pool (kernels are leaf operations).
 func (p *Pool) ParallelFor(n, grain int, fn func(lo, hi int)) {
@@ -75,7 +76,7 @@ func (p *Pool) ParallelFor(n, grain int, fn func(lo, hi int)) {
 	if chunks > p.workers {
 		chunks = p.workers
 	}
-	size := (n + chunks - 1) / chunks
+	size := (n + chunks*grain - 1) / (chunks * grain) * grain
 	var wg sync.WaitGroup
 	for lo := size; lo < n; lo += size {
 		hi := lo + size

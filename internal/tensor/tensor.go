@@ -1,13 +1,19 @@
 // Package tensor provides the dense float32 compute kernels the
-// functional engine runs: blocked multi-row matrix multiplication with
-// worker-pool parallel variants, RMSNorm, softmax, fused SiLU, rotary
-// embeddings, batched attention and top-k selection. Everything is
-// plain Go on flat row-major slices. Kernels are deterministic by
-// construction: every variant of an operation computes each output
-// element with the same accumulation order, so the blocked, parallel
-// and batched paths agree bit for bit with their scalar counterparts
-// at any worker count. Modeling the performance of full-size models
-// remains the job of the perfmodel/sim packages.
+// functional engine runs: tiled transposed-weight matrix multiplication
+// with a worker-pool parallel variant, RMSNorm, softmax, fused SiLU,
+// rotary embeddings, batched attention and top-k selection, on flat
+// row-major slices. Kernels are deterministic by construction: every
+// variant of an operation computes each output element with the same
+// accumulation order, so tiled, parallel and batched paths agree bit
+// for bit with their scalar counterparts at any worker count. For the
+// GEMM the invariant is: one accumulator per output element walking k
+// in ascending order, the multiply and the add rounded separately. The
+// Go tile in matMulTBlock is that definition; on amd64 with AVX2 an
+// assembly tile (gemm_amd64.s) puts eight such elements side by side in
+// one register — never an FMA, never a sum across lanes — and is tested
+// identical to the Go tile, which every other host and every -race
+// build runs. Modeling the performance of full-size models remains the
+// job of the perfmodel/sim packages.
 package tensor
 
 import (
@@ -53,86 +59,32 @@ func (m Mat) Clone() Mat {
 	return out
 }
 
-// Every matmul variant below computes each output element with a
-// single accumulator walking k in ascending order, so the blocked,
-// multi-row and parallel paths are bit-identical to the naive loop per
-// element: tiling only changes which elements are in flight, never the
-// accumulation order within one.
+// parallelFlops is the multiply-add count under which MatMulTParallel
+// stays sequential: below it a hand-off to a pool worker costs more
+// than the half of the GEMM it takes away. Measured on the 2-vCPU bench
+// host with the AVX2 tile, k = 128, sequential vs fanned out (median
+// us per call): 1 row 262k multiply-adds 91 vs 127, 524k 229 vs 214;
+// 4 rows 229k (the decode expert GEMM) 19 vs 29, 524k 48 vs 61, 1.05M
+// 115 vs 108; 16 rows 917k 47 vs 76, 4.2M 258 vs 251; 256 rows 14.7M
+// (the prefill expert GEMM) 915 vs 494. A hand-off is worth 50-100 us
+// there, so the crossover sits at 0.5M, 1M and 4M multiply-adds for 1,
+// 4 and 16 rows; 1Mi is the decode shapes' crossover and within 10% of
+// the better choice everywhere measured. The figure belongs to that
+// host, whose two vCPUs wake each other slowly; it has not been
+// measured on a machine with independent cores, where a cheaper
+// hand-off would put the crossover lower.
+const parallelFlops = 1 << 20
 
-// parallelFlops is the approximate multiply-add count under which the
-// Parallel variants stay sequential (fan-out overhead dominates).
-const parallelFlops = 16 * 1024
-
-// matMulCheck panics on a dst = a @ b shape mismatch (b [k,n]).
-func matMulCheck(dst, a, b Mat) {
-	if a.Cols != b.Rows || dst.Rows != a.Rows || dst.Cols != b.Cols {
-		panic(fmt.Sprintf("tensor: matmul shape mismatch [%d,%d]@[%d,%d]->[%d,%d]",
-			a.Rows, a.Cols, b.Rows, b.Cols, dst.Rows, dst.Cols))
-	}
-}
+// panelK is the largest k whose 8-row panel fits the vector tile's
+// stack scratch (16 KiB); every shape the engine runs is under it. A
+// longer k runs the Go tile.
+const panelK = 512
 
 // matMulTCheck panics on a dst = a @ bT.T shape mismatch (bT [n,k]).
 func matMulTCheck(dst, a, bT Mat) {
 	if a.Cols != bT.Cols || dst.Rows != a.Rows || dst.Cols != bT.Rows {
 		panic(fmt.Sprintf("tensor: matmulT shape mismatch [%d,%d]@[%d,%d]T->[%d,%d]",
 			a.Rows, a.Cols, bT.Rows, bT.Cols, dst.Rows, dst.Cols))
-	}
-}
-
-// MatMul computes dst = a @ b for a [m,k] and b [k,n]. dst must be
-// [m,n] and distinct from a and b.
-func MatMul(dst, a, b Mat) {
-	matMulCheck(dst, a, b)
-	matMulRows(dst, a, b, 0, a.Rows)
-}
-
-// MatMulParallel is MatMul with output rows tiled across the default
-// worker pool. Bit-identical to MatMul.
-func MatMulParallel(dst, a, b Mat) {
-	matMulCheck(dst, a, b)
-	if a.Rows*a.Cols*b.Cols < parallelFlops {
-		matMulRows(dst, a, b, 0, a.Rows)
-		return
-	}
-	Default().ParallelFor(a.Rows, 4, func(lo, hi int) {
-		matMulRows(dst, a, b, lo, hi)
-	})
-}
-
-// matMulRows computes dst rows [lo, hi) of a @ b, four output rows at a
-// time so each loaded b row feeds four accumulating output rows.
-func matMulRows(dst, a, b Mat, lo, hi int) {
-	k, n := a.Cols, b.Cols
-	i := lo
-	for ; i+4 <= hi; i += 4 {
-		a0, a1, a2, a3 := a.Row(i)[:k], a.Row(i + 1)[:k], a.Row(i + 2)[:k], a.Row(i + 3)[:k]
-		d0, d1, d2, d3 := dst.Row(i)[:n], dst.Row(i + 1)[:n], dst.Row(i + 2)[:n], dst.Row(i + 3)[:n]
-		for j := range d0 {
-			d0[j], d1[j], d2[j], d3[j] = 0, 0, 0, 0
-		}
-		for kk := 0; kk < k; kk++ {
-			br := b.Row(kk)[:n]
-			av0, av1, av2, av3 := a0[kk], a1[kk], a2[kk], a3[kk]
-			for j, bv := range br {
-				d0[j] += av0 * bv
-				d1[j] += av1 * bv
-				d2[j] += av2 * bv
-				d3[j] += av3 * bv
-			}
-		}
-	}
-	for ; i < hi; i++ {
-		ar := a.Row(i)[:k]
-		dr := dst.Row(i)[:n]
-		for j := range dr {
-			dr[j] = 0
-		}
-		for kk, av := range ar {
-			br := b.Row(kk)[:n]
-			for j, bv := range br {
-				dr[j] += av * bv
-			}
-		}
 	}
 }
 
@@ -144,19 +96,19 @@ func MatMulT(dst, a, bT Mat) {
 }
 
 // MatMulTParallel is MatMulT fanned out across the default worker
-// pool: output rows are tiled when there are enough of them to occupy
-// the workers, otherwise output columns (bT rows) are — so a
-// single-token GEMV against a large projection (the LM head) still
-// parallelizes. Bit-identical to MatMulT either way.
+// pool: output rows are split, on 8-row stripe boundaries, when there
+// are enough of them to occupy the workers, otherwise output columns
+// (bT rows) are — so a single-token GEMV against a large projection
+// (the LM head) still parallelizes. Bit-identical to MatMulT either way.
 func MatMulTParallel(dst, a, bT Mat) {
 	matMulTCheck(dst, a, bT)
-	if a.Rows*a.Cols*bT.Rows < parallelFlops {
+	p := Default()
+	if p.Workers() == 1 || a.Rows*a.Cols*bT.Rows < parallelFlops {
 		matMulTBlock(dst, a, bT, 0, a.Rows, 0, bT.Rows)
 		return
 	}
-	p := Default()
-	if a.Rows >= 4*p.Workers() || a.Rows >= bT.Rows {
-		p.ParallelFor(a.Rows, 4, func(lo, hi int) {
+	if a.Rows >= 8*p.Workers() || a.Rows >= bT.Rows {
+		p.ParallelFor(a.Rows, 8, func(lo, hi int) {
 			matMulTBlock(dst, a, bT, lo, hi, 0, bT.Rows)
 		})
 		return
@@ -167,10 +119,15 @@ func MatMulTParallel(dst, a, bT Mat) {
 }
 
 // matMulTBlock computes the dst block rows [lo, hi) x cols [jlo, jhi)
-// of a @ bT.T with a 4x2 register tile: four a rows and two bT rows
-// stay live across the shared k loop, giving eight independent
-// accumulation chains and one-load-many-use reuse of both operands.
+// of a @ bT.T. Whole blocks of eight columns go to the AVX2 tile where
+// the host has one (matMulTVec); the rest — column tails, or everything
+// — runs the Go tile below, which is the definition: a 4x2 register
+// tile, four a rows and two bT rows live across the shared k loop, each
+// element `s += float32(a*b)`. The conversion forbids the compiler from
+// fusing the pair into one FMA (it does on arm64 and may at
+// GOAMD64=v3), so both tiles round the product and then the sum.
 func matMulTBlock(dst, a, bT Mat, lo, hi, jlo, jhi int) {
+	jlo = matMulTVec(dst, a, bT, lo, hi, jlo, jhi)
 	k, n := a.Cols, jhi
 	i := lo
 	for ; i+4 <= hi; i += 4 {
@@ -183,14 +140,14 @@ func matMulTBlock(dst, a, bT Mat, lo, hi, jlo, jhi int) {
 			for kk := range a0 {
 				av0, av1, av2, av3 := a0[kk], a1[kk], a2[kk], a3[kk]
 				bv0, bv1 := b0[kk], b1[kk]
-				s00 += av0 * bv0
-				s01 += av0 * bv1
-				s10 += av1 * bv0
-				s11 += av1 * bv1
-				s20 += av2 * bv0
-				s21 += av2 * bv1
-				s30 += av3 * bv0
-				s31 += av3 * bv1
+				s00 += float32(av0 * bv0)
+				s01 += float32(av0 * bv1)
+				s10 += float32(av1 * bv0)
+				s11 += float32(av1 * bv1)
+				s20 += float32(av2 * bv0)
+				s21 += float32(av2 * bv1)
+				s30 += float32(av3 * bv0)
+				s31 += float32(av3 * bv1)
 			}
 			d0[j], d0[j+1] = s00, s01
 			d1[j], d1[j+1] = s10, s11
@@ -202,10 +159,10 @@ func matMulTBlock(dst, a, bT Mat, lo, hi, jlo, jhi int) {
 			var s0, s1, s2, s3 float32
 			for kk := range br {
 				bv := br[kk]
-				s0 += a0[kk] * bv
-				s1 += a1[kk] * bv
-				s2 += a2[kk] * bv
-				s3 += a3[kk] * bv
+				s0 += float32(a0[kk] * bv)
+				s1 += float32(a1[kk] * bv)
+				s2 += float32(a2[kk] * bv)
+				s3 += float32(a3[kk] * bv)
 			}
 			d0[j], d1[j], d2[j], d3[j] = s0, s1, s2, s3
 		}
@@ -218,8 +175,8 @@ func matMulTBlock(dst, a, bT Mat, lo, hi, jlo, jhi int) {
 			b0, b1 := bT.Row(j)[:k], bT.Row(j + 1)[:k]
 			var s0, s1 float32
 			for kk, av := range ar {
-				s0 += av * b0[kk]
-				s1 += av * b1[kk]
+				s0 += float32(av * b0[kk])
+				s1 += float32(av * b1[kk])
 			}
 			dr[j], dr[j+1] = s0, s1
 		}
@@ -227,7 +184,7 @@ func matMulTBlock(dst, a, bT Mat, lo, hi, jlo, jhi int) {
 			br := bT.Row(j)[:k]
 			var s float32
 			for kk, av := range ar {
-				s += av * br[kk]
+				s += float32(av * br[kk])
 			}
 			dr[j] = s
 		}
