@@ -67,7 +67,7 @@ func main() {
 	}
 	fmt.Println("\npipeline output matches the sequential reference token-for-token")
 
-	pipe.Close() // drain the lanes and the expert prefetcher so counters are final
+	pipe.Close() // stops the lanes and the expert prefetcher (waiting out a copy in flight), so counters are final
 	fmt.Printf("\ndata movement (bytes): HtoD %d, DtoH %d, pinned staging %d, shared weight pages %d\n",
 		pipe.Counters.HtoDBytes.Load(), pipe.Counters.DtoHBytes.Load(),
 		pipe.Counters.PinBytes.Load(), pipe.Counters.PagesMoved.Load())

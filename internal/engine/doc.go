@@ -23,6 +23,24 @@
 // admit.go (submit, overload gate, admission loop), wave.go (plan →
 // build → run under the watchdog → audit → finalize) and stats.go.
 //
+// # The expert weight stream
+//
+// Expert FFN blocks reach the GPU through paging.ExpertPager, and the
+// engine, not the pager, knows what runs next. Pipeline.beginLayer is
+// the one place they meet: when a layer's first expert work starts
+// (decode: the top of its first post-attention task, once the previous
+// layer's last has retired; prefill: the top of the layer) it announces
+// the layer and requests the next layer's predicted experts, load
+// descending. The pager then evicts in schedule order — the layer just
+// finished first, the layer about to run last, LRU plus frequency only
+// inside a layer — lets no prefetch displace a block needed sooner than
+// the one it brings, and keeps a single pending request, so its worker
+// is never more than one copy behind the schedule and Close waits for
+// that copy alone. With the default pool of two layers every block is
+// fetched once per decode step, off the GPU lane; whatever the pool, a
+// block that is not there when a kernel asks is fetched on the spot, so
+// residency moves time and never tokens.
+//
 // # The handle state machine
 //
 // A Handle is in one of three states, and every transition is taken by

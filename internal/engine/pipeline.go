@@ -21,13 +21,19 @@ import (
 // each layer moves through pinned staging into a double-buffered GPU
 // region, page by page, while expert FFN blocks move individually
 // through an ExpertPager that keeps a fixed-byte resident set on the
-// GPU — hot experts stay put across layers and steps, a background
-// prefetcher stages the next layer's predicted experts behind the
-// current layer's GEMMs, and a routed-to expert that missed
-// demand-fetches synchronously (bit-identical output for any residency
-// size). Attention runs on the CPU worker against the CPU-resident
-// paged KV cache; everything else runs on the GPU worker, which only
-// ever reads GPU-arena memory.
+// GPU. The engine tells the pager the schedule it already knows: as a
+// layer's first post-attention task starts — the previous layer's last
+// one has retired, so its blocks are free to go — it announces the
+// layer and hands over the next layer's predicted experts (prefill does
+// the same once per layer). The pager evicts the layer furthest ahead
+// in the cyclic layer order first and its worker never holds more than
+// that one request, so each block crosses once per pass through the
+// layers, behind the layer's GEMMs rather than on the GPU lane, and a
+// larger pool keeps the layers coming up soonest resident across steps.
+// A routed-to expert that is not resident demand-fetches synchronously
+// (bit-identical output for any residency size). Attention runs on the
+// CPU worker against the CPU-resident paged KV cache; everything else
+// runs on the GPU worker, which only ever reads GPU-arena memory.
 type Pipeline struct {
 	w      *Weights
 	layout Layout
@@ -201,10 +207,17 @@ type Config struct {
 	// ExpertResidencyBytes caps the GPU-resident expert-weight pool:
 	// the pager keeps this many bytes of expert FFN blocks resident
 	// (rounded down to whole blocks, minimum one). <= 0 selects two
-	// layers' expert sets — the computing layer plus a prefetched-ahead
-	// one. Output is bit-identical for ANY value: a routed-to expert
-	// that is not resident demand-fetches synchronously, so a small
-	// budget only costs time, never correctness.
+	// layers' expert sets — the computing layer plus the one being
+	// prefetched behind it. That is the size at which every expert block
+	// is fetched exactly once per decode step and none of it on the GPU
+	// lane, provided a layer computes for as long as the next layer's
+	// blocks take to copy (a wave too small for that demand-fetches what
+	// the prefetcher did not reach: the same bytes, on the critical
+	// path). More keeps the layers coming up soonest resident across
+	// steps; less turns the difference into demand fetches. Output is
+	// bit-identical for ANY value: a routed-to expert that is not
+	// resident demand-fetches synchronously, so a small budget only
+	// costs time, never correctness.
 	ExpertResidencyBytes int
 	// Faults optionally threads a deterministic fault injector through
 	// the pipeline's seams: expert-pager fetches, KV block allocation,
@@ -376,7 +389,7 @@ func NewPipeline(w *Weights, gpu, pinned, cacheArena *memory.Arena, numSeqs int,
 	}
 	p.expSrc = pagedExperts{p: p}
 	p.predBuf = make([]int, 0, w.Cfg.Experts)
-	p.keyBuf = make([]paging.ExpertKey, 0, w.Cfg.Experts)
+	p.keyBuf = make([]paging.ExpertKey, 0, 2*w.Cfg.Experts) // prefill's first request carries two layers
 
 	p.abortCh = make(chan struct{})
 	if cfg.Faults != nil {
@@ -396,7 +409,8 @@ func NewPipeline(w *Weights, gpu, pinned, cacheArena *memory.Arena, numSeqs int,
 }
 
 // Close shuts the worker goroutines down (the five lanes and the
-// expert prefetcher). The pipeline is unusable afterwards.
+// expert prefetcher, which drops the requests it has not started). The
+// pipeline is unusable afterwards.
 func (p *Pipeline) Close() {
 	if !p.closed {
 		p.lanes.close()

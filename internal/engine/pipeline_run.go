@@ -3,7 +3,6 @@ package engine
 import (
 	"errors"
 	"fmt"
-	"sort"
 	"time"
 
 	"moelightning/internal/kvcache"
@@ -230,14 +229,6 @@ func (p *Pipeline) decodeStep(step int) error {
 		mb := p.mbs[j-1]
 		jj := j - 1
 		pre[g] = mk("pre", l, j, func() error {
-			if jj == 0 {
-				// First micro-batch of a layer: hand the next layer's
-				// predicted experts to the prefetcher so their fetches
-				// overlap this layer's compute (the last layer wraps to
-				// layer 0 for the next step). Runs on the GPU lane, the
-				// sole writer of the router statistics it reads.
-				p.prefetchExperts(p.realLayer(v + 1))
-			}
 			p.Counters.GPUKernels.Add(1)
 			return p.runPreAttn(v, jj, mb, positions)
 		})
@@ -256,6 +247,18 @@ func (p *Pipeline) decodeStep(step int) error {
 			return nil
 		})
 		post[g] = mk("post", l, j, func() error {
+			if jj == 0 {
+				// First expert work of the layer, and the previous layer's
+				// last post-attention has retired (the GPU lane runs posts
+				// in order): its blocks are now the pager's first victims,
+				// so this is the earliest the next layer's predicted experts
+				// can be fetched without displacing blocks still waiting to
+				// be used (the last layer wraps to layer 0 of the next
+				// step). Runs even when micro-batch 0 has emptied, on the
+				// GPU lane, the sole writer of the router statistics it
+				// reads.
+				p.beginLayer(l)
+			}
 			p.Counters.GPUKernels.Add(1)
 			return p.runPostAttn(l, v, jj, mb)
 		})
@@ -559,8 +562,10 @@ func (p *Pipeline) loadSharedSync(v int) error {
 
 // primeLayer stages virtual layer v the way the engine does between
 // phases: the shared region lands synchronously and the layer's
-// predicted expert set goes to the prefetcher. GenerateStream's preload
-// and the benchmark baselines share this path.
+// predicted expert set goes to the prefetcher (after prefill the pager
+// still has the last layer announced, so what makes room is the layer
+// before it). GenerateStream's preload and the benchmark baselines
+// share this path.
 func (p *Pipeline) primeLayer(v int) error {
 	if err := p.loadSharedSync(v); err != nil {
 		return err
@@ -594,14 +599,19 @@ func (s *pagedExperts) Release(e int) {
 // predictExperts returns up to n expert ids of real layer `layer`,
 // most-frequently-routed first per the cumulative router statistics
 // (ties and the cold start resolve to ascending id). The returned slice
-// is p.predBuf; callers don't retain it.
+// is p.predBuf; callers don't retain it. An insertion sort in place: it
+// runs on the GPU lane once per layer per step and must not allocate.
 func (p *Pipeline) predictExperts(layer, n int) []int {
 	load := p.ExpertLoad[layer]
 	ids := p.predBuf[:0]
 	for e := range load {
+		i := len(ids)
 		ids = append(ids, e)
+		for ; i > 0 && load[ids[i-1]] < load[e]; i-- {
+			ids[i] = ids[i-1]
+		}
+		ids[i] = e
 	}
-	sort.SliceStable(ids, func(i, j int) bool { return load[ids[i]] > load[ids[j]] })
 	if n < len(ids) {
 		ids = ids[:n]
 	}
@@ -609,12 +619,22 @@ func (p *Pipeline) predictExperts(layer, n int) []int {
 	return ids
 }
 
-// prefetchExperts hands real layer `layer`'s predicted expert set to
-// the pager's background worker: up to half the residency pool, so
-// prefetches for the next layer never crowd out the experts the
-// current layer is still using. Best effort — dropped requests are
-// covered by the demand-fetch fallback.
-func (p *Pipeline) prefetchExperts(layer int) {
+// beginLayer tells the pager real layer `layer` starts computing and
+// hands it the next layer's predicted experts (the last layer wraps to
+// layer 0). Decode calls it once per layer per step, prefill once per
+// layer.
+func (p *Pipeline) beginLayer(layer int) {
+	p.pager.BeginLayer(layer, p.w.Cfg.Layers)
+	p.prefetchExperts(p.realLayer(layer + 1))
+}
+
+// prefetchExperts hands the predicted expert sets of the given real
+// layers, in that order, to the pager's background worker: per layer up
+// to half the residency pool, so prefetches for the next layer never
+// crowd out the experts the current layer is still using. Best effort —
+// a block the worker does not reach in time is covered by the
+// demand-fetch fallback.
+func (p *Pipeline) prefetchExperts(layers ...int) {
 	n := p.pager.Slots() / 2
 	if n < 1 {
 		n = 1
@@ -623,8 +643,10 @@ func (p *Pipeline) prefetchExperts(layer int) {
 		n = p.w.Cfg.Experts
 	}
 	keys := p.keyBuf[:0]
-	for _, e := range p.predictExperts(layer, n) {
-		keys = append(keys, paging.ExpertKey{Layer: layer, Expert: e})
+	for _, layer := range layers {
+		for _, e := range p.predictExperts(layer, n) {
+			keys = append(keys, paging.ExpertKey{Layer: layer, Expert: e})
+		}
 	}
 	p.keyBuf = keys
 	p.pager.Prefetch(keys...)

@@ -124,9 +124,6 @@ func (p *Pipeline) prefill(prompts [][]int) error {
 		}
 	}
 
-	// Warm the pager for layer 0 (no router statistics yet: id order).
-	p.prefetchExperts(0)
-
 	for l := 0; l < cfg.Layers; l++ {
 		// Fault seam + cooperative abort at the layer boundary: a fired
 		// stall blocks here (woken early by Abort), and a watchdog
@@ -138,11 +135,19 @@ func (p *Pipeline) prefill(prompts [][]int) error {
 		if err := p.loadSharedSync(l); err != nil {
 			return err
 		}
-		// Hand the next layer's predicted experts to the prefetcher
-		// before this layer's chunks start computing, so the fetches
-		// overlap the chunk GEMMs instead of serializing after them.
-		if l+1 < cfg.Layers {
-			p.prefetchExperts(l + 1)
+		// Announce the layer and hand the next one's predicted experts
+		// to the prefetcher before this layer's chunks start computing,
+		// so the fetches overlap the chunk GEMMs instead of serializing
+		// after them. The last layer prefetches layer 0 for the first
+		// decode step, on layer 0's now complete router statistics.
+		// Nothing ran ahead of layer 0 to prefetch it, so its own set (no
+		// statistics yet: id order) rides in front of layer 1's in one
+		// request — a second Prefetch would replace the first.
+		if l == 0 {
+			p.pager.BeginLayer(0, cfg.Layers)
+			p.prefetchExperts(0, p.realLayer(1))
+		} else {
+			p.beginLayer(l)
 		}
 		shared := p.db.Slot(l).Data()
 		p.expSrc.layer = l

@@ -105,7 +105,7 @@ func (s *Server) execWave(waveNum int, wave []*Handle, partition [][]int) ([]err
 	if abandoned {
 		return nil, gerr
 	}
-	pl.Close() // drains the lanes and the expert prefetcher first, so the counters below are final
+	pl.Close() // stops the lanes and the expert prefetcher (waiting out a copy in flight) first, so the counters below are final
 	s.auditWave(pl, waveNum)
 	if gerr != nil {
 		return nil, fmt.Errorf("engine: wave %d: %w", waveNum, gerr)

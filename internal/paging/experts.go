@@ -61,11 +61,22 @@ type expertEntry struct {
 // on a miss, so callers always get correct data — a small residency
 // only ever costs time), Release unpins it, and Prefetch hands keys to
 // a persistent background worker that stages them through pinned memory
-// while compute runs. Eviction is LRU with a frequency bonus: among
-// unpinned resident blocks the victim minimizes last-touch tick plus
-// lifetime acquire count, so recency dominates (a just-prefetched block
-// that has not been used yet is never the victim while older layers'
-// blocks remain) while each reuse extends a hot expert's lifetime.
+// while compute runs.
+//
+// Eviction follows the schedule the caller announces. Layers are
+// visited in a fixed cyclic order, and BeginLayer says which one starts
+// computing; the victim is the unpinned resident block whose layer
+// comes up furthest ahead in that order, so the layer that just
+// finished goes first, and the announced layer and the one prefetched
+// behind it go last. Inside one layer the victim minimizes last-touch
+// tick plus lifetime acquire count: LRU, with each reuse extending a
+// hot expert's lifetime. A prefetch never displaces a block needed
+// strictly sooner than the one it brings; a demand fetch takes the
+// furthest block whatever its layer, because the kernel is waiting.
+// With a pool of two layers' blocks and the next layer prefetched when
+// a layer starts, every block is therefore fetched once per pass
+// through the layers. Until a layer is announced every block ties and
+// the rule is the in-layer one alone.
 type ExpertPager struct {
 	floats  int
 	src     Source
@@ -81,14 +92,25 @@ type ExpertPager struct {
 	free    []int
 	tick    int64
 
+	// cur is the layer announced by BeginLayer in a cycle of `cycle`
+	// layers; cycle 0 means none was announced yet.
+	cur, cycle int
+
+	// pending[next:] are the prefetch requests the worker has not
+	// started. Prefetch replaces them, the worker pops one at a time
+	// until closed is set, and wake signals the worker that pending or
+	// closed changed.
+	pending []ExpertKey
+	next    int
+	closed  bool
+	wake    *sync.Cond
+
 	// fault, when set, is consulted inside every fetch attempt; a
 	// non-nil return fails that attempt (fetch retries with backoff
 	// before giving up). Install it before serving traffic.
 	fault func() error
 
-	prefetchCh chan ExpertKey
-	closeOnce  sync.Once
-	wg         sync.WaitGroup
+	wg sync.WaitGroup
 }
 
 // NewExpertPager carves numSlots expert-sized slots (plus matching
@@ -102,12 +124,12 @@ func NewExpertPager(fast, pinned *memory.Arena, expertFloats, numSlots int, src 
 		stats = &Stats{}
 	}
 	p := &ExpertPager{
-		floats:     expertFloats,
-		src:        src,
-		stats:      stats,
-		entries:    make(map[ExpertKey]*expertEntry, numSlots),
-		prefetchCh: make(chan ExpertKey, 1024),
+		floats:  expertFloats,
+		src:     src,
+		stats:   stats,
+		entries: make(map[ExpertKey]*expertEntry, numSlots),
 	}
+	p.wake = sync.NewCond(&p.mu)
 	for i := 0; i < numSlots; i++ {
 		r, err := fast.Alloc(expertFloats)
 		if err != nil {
@@ -129,13 +151,34 @@ func NewExpertPager(fast, pinned *memory.Arena, expertFloats, numSlots int, src 
 // Slots returns the residency pool size in blocks.
 func (p *ExpertPager) Slots() int { return len(p.slots) }
 
-// Close stops the prefetch worker. Pending prefetch requests complete
-// first; the pager is unusable afterwards.
+// Close stops the prefetch worker. Requests it has not started are
+// discarded — they are for layers that will never run — so Close waits
+// for at most the one copy in flight. Prefetch is a no-op afterwards.
 func (p *ExpertPager) Close() {
-	p.closeOnce.Do(func() {
-		close(p.prefetchCh)
-		p.wg.Wait()
-	})
+	p.mu.Lock()
+	p.closed = true
+	p.wake.Signal()
+	p.mu.Unlock()
+	p.wg.Wait()
+}
+
+// BeginLayer announces that layer `layer`, of a model whose layers are
+// visited cyclically 0..layers-1, starts computing: from now on its
+// blocks are the ones needed soonest and the previous layer's the ones
+// needed last. Call it once per layer, before prefetching the next one.
+func (p *ExpertPager) BeginLayer(layer, layers int) {
+	p.mu.Lock()
+	p.cur, p.cycle = layer, layers
+	p.mu.Unlock()
+}
+
+// aheadLocked is how many layers from now layer comes up: 0 for the
+// announced layer, cycle-1 for the one just finished.
+func (p *ExpertPager) aheadLocked(layer int) int {
+	if p.cycle <= 0 {
+		return 0
+	}
+	return ((layer-p.cur)%p.cycle + p.cycle) % p.cycle
 }
 
 // SetFetchFault installs (or, with nil, removes) a fault hook
@@ -180,7 +223,7 @@ func (p *ExpertPager) Acquire(k ExpertKey) ([]float32, error) {
 			}
 			return p.slots[slot].Data(), nil
 		}
-		slot, ok := p.takeSlotLocked()
+		slot, ok := p.takeSlotLocked(0)
 		if !ok {
 			// Every slot is pinned or mid-fetch. Wait for any in-flight
 			// fetch to land (its entry then becomes evictable) and retry.
@@ -242,36 +285,47 @@ func (p *ExpertPager) Resident(k ExpertKey) bool {
 	return ok && !e.loading
 }
 
-// Prefetch hands keys to the background worker, best effort: keys
-// already resident or in flight are skipped there, and requests are
-// dropped rather than ever blocking the caller when the queue is full.
+// Prefetch replaces the set of blocks the background worker should
+// bring in next, in order, best effort. Requests from an earlier call
+// that the worker has not started are dropped: the caller prefetches
+// one layer ahead, so they are for a layer that is already computing
+// (where a miss demand-fetches) and fetching them late would only
+// displace live blocks. Keys already resident or in flight are skipped
+// by the worker, as is a key that could only land by evicting a block
+// needed sooner. Never blocks the caller.
 func (p *ExpertPager) Prefetch(keys ...ExpertKey) {
-	for _, k := range keys {
-		select {
-		case p.prefetchCh <- k:
-		default:
-			return
-		}
+	p.mu.Lock()
+	if !p.closed {
+		p.pending, p.next = append(p.pending[:0], keys...), 0
+		p.wake.Signal()
 	}
+	p.mu.Unlock()
 }
 
 // worker is the persistent prefetch goroutine (the pool.go idiom:
-// spawned once, blocks on a channel, no goroutine per request). Each
-// request claims a slot under the lock, then copies outside it, so
-// fetches overlap whatever compute is running.
+// spawned once, no goroutine per request). Each request claims a slot
+// under the lock, then copies outside it, so fetches overlap whatever
+// compute is running.
 func (p *ExpertPager) worker() {
 	defer p.wg.Done()
-	for k := range p.prefetchCh {
-		p.mu.Lock()
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	for {
+		for p.next == len(p.pending) && !p.closed {
+			p.wake.Wait()
+		}
+		if p.closed {
+			return
+		}
+		k := p.pending[p.next]
+		p.next++
 		if _, ok := p.entries[k]; ok {
-			p.mu.Unlock()
 			continue // already resident or in flight
 		}
 		p.tick++
-		slot, ok := p.takeSlotLocked()
+		slot, ok := p.takeSlotLocked(p.aheadLocked(k.Layer))
 		if !ok {
-			p.mu.Unlock()
-			continue // nothing evictable right now; a miss will cover it
+			continue // nothing this block may displace; a miss will cover it
 		}
 		e := &expertEntry{slot: slot, loading: true, ready: make(chan struct{}), freq: 1, tick: p.tick}
 		p.entries[k] = e
@@ -285,13 +339,11 @@ func (p *ExpertPager) worker() {
 			// miss will demand-fetch (and surface the error) if the fault
 			// persists.
 			p.dropFailedLocked(k, e, err)
-			p.mu.Unlock()
 			continue
 		}
 		p.stats.Prefetched.Add(1)
 		e.loading = false
 		close(e.ready)
-		p.mu.Unlock()
 	}
 }
 
@@ -338,12 +390,15 @@ func (p *ExpertPager) fetch(k ExpertKey, slot int) error {
 	}
 }
 
-// takeSlotLocked claims a slot: a free one if any, else the unpinned
-// resident block minimizing tick+freq is evicted — LRU ordering, with
-// every past acquire buying the block one tick of extra lifetime (ties
-// broken by key order so behavior is reproducible). Returns false when
-// every slot is pinned or loading.
-func (p *ExpertPager) takeSlotLocked() (int, bool) {
+// takeSlotLocked claims a slot: a free one if any, else it evicts the
+// unpinned resident block whose layer comes up furthest ahead of the
+// announced one, provided that is at least minAhead layers away (a
+// prefetch passes the distance of the block it brings, a demand fetch
+// 0). Inside a layer the victim minimizes tick+freq — LRU ordering,
+// with every past acquire buying the block one tick of extra lifetime —
+// and key order breaks what ties remain, so behavior is reproducible.
+// Returns false when every slot is pinned, loading or needed sooner.
+func (p *ExpertPager) takeSlotLocked(minAhead int) (int, bool) {
 	if n := len(p.free); n > 0 {
 		s := p.free[n-1]
 		p.free = p.free[:n-1]
@@ -351,17 +406,19 @@ func (p *ExpertPager) takeSlotLocked() (int, bool) {
 	}
 	var victimKey ExpertKey
 	var victim *expertEntry
-	var best int64
+	var bestAhead int
+	var bestScore int64
 	for k, e := range p.entries {
 		if e.refs > 0 || e.loading {
 			continue
 		}
-		score := e.tick + e.freq
-		if victim == nil || score < best || (score == best && keyLess(k, victimKey)) {
-			victim, victimKey, best = e, k, score
+		ahead, score := p.aheadLocked(k.Layer), e.tick+e.freq
+		if victim == nil || ahead > bestAhead || ahead == bestAhead &&
+			(score < bestScore || score == bestScore && keyLess(k, victimKey)) {
+			victim, victimKey, bestAhead, bestScore = e, k, ahead, score
 		}
 	}
-	if victim == nil {
+	if victim == nil || bestAhead < minAhead {
 		return 0, false
 	}
 	delete(p.entries, victimKey)

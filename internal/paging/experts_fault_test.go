@@ -75,7 +75,7 @@ func TestPrefetchFaultIsBestEffort(t *testing.T) {
 
 	k := ExpertKey{Expert: 0}
 	p.Prefetch(k)
-	p.Close() // drain the worker: the failed prefetch must not wedge it
+	waitIdle(t, p)
 	if p.Resident(k) {
 		t.Fatal("failed prefetch left a resident entry")
 	}
@@ -85,4 +85,16 @@ func TestPrefetchFaultIsBestEffort(t *testing.T) {
 	if got := stats.FetchFailures.Load(); got != 1 {
 		t.Fatalf("failures = %d, want 1", got)
 	}
+
+	// The failed prefetch must not wedge the worker or leak its slot:
+	// once the fault clears, both slots fill by prefetch.
+	p.SetFetchFault(nil)
+	p.Prefetch(k, ExpertKey{Expert: 1})
+	waitIdle(t, p)
+	if !p.Resident(k) || !p.Resident(ExpertKey{Expert: 1}) {
+		t.Fatal("worker did not recover after a failed prefetch")
+	}
+	checkBlock(t, k, mustAcquire(t, p, k))
+	p.Release(k)
+	checkByteIdentity(t, &stats, 16)
 }

@@ -228,7 +228,35 @@ func TestExpertPagerConcurrent(t *testing.T) {
 	default:
 	}
 
-	p.Close() // drain the worker so the byte invariant is final
+	waitIdle(t, p) // the worker has decided every request: the byte invariant is final
+	checkByteIdentity(t, &stats, floats)
+}
+
+// waitIdle returns once the prefetch worker has nothing left to start
+// and no fetch is in flight. The worker pops a request and claims its
+// slot under one hold of the lock, so seeing both at once means every
+// request handed over so far has landed, failed or been passed over.
+func waitIdle(t *testing.T, p *ExpertPager) {
+	t.Helper()
+	deadline := time.Now().Add(5 * time.Second)
+	for {
+		p.mu.Lock()
+		idle := p.next == len(p.pending) && p.anyLoadingLocked() == nil
+		p.mu.Unlock()
+		if idle {
+			return
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("prefetch worker never went idle")
+		}
+		time.Sleep(100 * time.Microsecond)
+	}
+}
+
+// checkByteIdentity asserts the accounting identity every block fetch
+// keeps: bytes fetched == (demand misses + prefetches) x block bytes.
+func checkByteIdentity(t *testing.T, stats *Stats, floats int) {
+	t.Helper()
 	fetched := stats.Misses.Load() + stats.Prefetched.Load()
 	if got, want := stats.BytesFetched.Load(), 4*int64(floats)*fetched; got != want {
 		t.Fatalf("bytes fetched = %d, want %d (%d fetches)", got, want, fetched)
