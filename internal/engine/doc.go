@@ -31,7 +31,10 @@
 // (decode: the top of its first post-attention task, once the previous
 // layer's last has retired; prefill: the top of the layer) it announces
 // the layer and requests the next layer's predicted experts, load
-// descending. The pager then evicts in schedule order — the layer just
+// descending, as many as half the pool holds and no more than the next
+// layer's rows x TopK — what it can route to; a one-sequence wave that
+// asked for all of them would keep the worker copying unread blocks
+// beside the lanes from start to finish. The pager then evicts in schedule order — the layer just
 // finished first, the layer about to run last, LRU plus frequency only
 // inside a layer — lets no prefetch displace a block needed sooner than
 // the one it brings, and keeps a single pending request, so its worker

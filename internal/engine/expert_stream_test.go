@@ -127,6 +127,59 @@ func TestExpertStreamFetchesEachBlockOnce(t *testing.T) {
 	}
 }
 
+// TestSmallWavePrefetchesOnlyRoutableBlocks: a decode layer of r rows
+// routes to at most r x TopK experts, so that is all a wave of one or
+// two sequences may ask the prefetcher for — not every expert of every
+// layer, which its worker would copy flat out beside the lanes for the
+// whole wave, most of it never read. A count over requests, so it holds
+// at any speed: what the worker fetches is bounded by what was asked
+// for, one request per layer per step plus the one pending when decode
+// starts. Without the limit a step here prefetches up to Layers x
+// Experts blocks.
+func TestSmallWavePrefetchesOnlyRoutableBlocks(t *testing.T) {
+	cfg := streamModel()
+	const gen = 10
+	cpu := memory.NewArena("cpu", 1<<22)
+	w, err := NewRandomWeights(cpu, cfg, 31)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, seqs := range []int{1, 2} {
+		prompts := testPrompts(seqs, 5, 12, cfg.VocabSize)
+		ref, err := NewReference(w, memory.NewArena("rc", 1<<22), seqs, 64)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := ref.Generate(prompts, gen)
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, gpu, pinned, cacheArena := newTestArenas()
+		pl, err := NewPipeline(w, gpu, pinned, cacheArena, seqs, Config{MicroBatch: 1, MaxContext: 64})
+		if err != nil {
+			t.Fatal(err)
+		}
+		prefetched := int64(-1) // at the first token: prefill is over, no decode step has run
+		got, err := pl.GenerateStream(prompts, gen, func(_, _, _ int) {
+			if prefetched < 0 {
+				prefetched = pl.Counters.ExpertPaging.Prefetched.Load()
+			}
+		}, nil)
+		pl.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("%d sequences: tokens diverge from the reference:\n got %v\nwant %v", seqs, got, want)
+		}
+		decode := pl.Counters.ExpertPaging.Prefetched.Load() - prefetched
+		if limit := int64(((gen-1)*cfg.Layers + 1) * seqs * cfg.TopK); decode > limit {
+			t.Errorf("%d sequences: %d decode steps prefetched %d blocks, want <= %d (%d rows x top-%d per layer)",
+				seqs, gen-1, decode, limit, seqs, cfg.TopK)
+		}
+	}
+}
+
 // TestPrefillHandoffEvictsOldestLayerFirst: when prefill reaches the
 // last layer it has the layer before it and the last layer's prefetched
 // blocks resident; making room for layer 0 — the first decode step's —

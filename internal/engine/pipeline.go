@@ -211,13 +211,15 @@ type Config struct {
 	// prefetched behind it. That is the size at which every expert block
 	// is fetched exactly once per decode step and none of it on the GPU
 	// lane, provided a layer computes for as long as the next layer's
-	// blocks take to copy (a wave too small for that demand-fetches what
-	// the prefetcher did not reach: the same bytes, on the critical
-	// path). More keeps the layers coming up soonest resident across
-	// steps; less turns the difference into demand fetches. Output is
-	// bit-identical for ANY value: a routed-to expert that is not
-	// resident demand-fetches synchronously, so a small budget only
-	// costs time, never correctness.
+	// blocks take to copy. A wave of one or two sequences does not, and
+	// is not asked to try: a layer's request stops at rows x TopK
+	// blocks, all its rows can route to, and a routed block the
+	// prediction left out is a demand fetch of the same bytes. More
+	// keeps the layers coming up soonest resident across steps; less
+	// turns the difference into demand fetches. Output is bit-identical
+	// for ANY value: a routed-to expert that is not resident
+	// demand-fetches synchronously, so a small budget only costs time,
+	// never correctness.
 	ExpertResidencyBytes int
 	// Faults optionally threads a deterministic fault injector through
 	// the pipeline's seams: expert-pager fetches, KV block allocation,

@@ -210,6 +210,7 @@ func (p *Pipeline) decodeStep(step int) error {
 
 	total := L * nb
 	attnPages := p.attnPages()
+	rows := p.liveRows() // fixed for the step: sequences retire between steps
 
 	// Phase 1: create every task object so dependencies can be wired
 	// regardless of issue order.
@@ -257,7 +258,7 @@ func (p *Pipeline) decodeStep(step int) error {
 				// step). Runs even when micro-batch 0 has emptied, on the
 				// GPU lane, the sole writer of the router statistics it
 				// reads.
-				p.beginLayer(l)
+				p.beginLayer(l, rows)
 			}
 			p.Counters.GPUKernels.Add(1)
 			return p.runPostAttn(l, v, jj, mb)
@@ -570,8 +571,19 @@ func (p *Pipeline) primeLayer(v int) error {
 	if err := p.loadSharedSync(v); err != nil {
 		return err
 	}
-	p.prefetchExperts(p.realLayer(v))
+	p.prefetchExperts(p.liveRows(), p.realLayer(v))
 	return nil
+}
+
+// liveRows is the number of sequences still generating: the token rows
+// every layer of a decode step routes. Micro-batches only change
+// between steps and inside the single-threaded prefill.
+func (p *Pipeline) liveRows() int {
+	n := 0
+	for _, mb := range p.mbs {
+		n += len(mb)
+	}
+	return n
 }
 
 // pagedExperts adapts the expert pager to the expertSource interface
@@ -621,26 +633,34 @@ func (p *Pipeline) predictExperts(layer, n int) []int {
 
 // beginLayer tells the pager real layer `layer` starts computing and
 // hands it the next layer's predicted experts (the last layer wraps to
-// layer 0). Decode calls it once per layer per step, prefill once per
-// layer.
-func (p *Pipeline) beginLayer(layer int) {
+// layer 0), for a next layer of `rows` token rows. Decode calls it once
+// per layer per step, prefill once per layer.
+func (p *Pipeline) beginLayer(layer, rows int) {
 	p.pager.BeginLayer(layer, p.w.Cfg.Layers)
-	p.prefetchExperts(p.realLayer(layer + 1))
+	p.prefetchExperts(rows, p.realLayer(layer+1))
 }
 
 // prefetchExperts hands the predicted expert sets of the given real
-// layers, in that order, to the pager's background worker: per layer up
-// to half the residency pool, so prefetches for the next layer never
-// crowd out the experts the current layer is still using. Best effort —
-// a block the worker does not reach in time is covered by the
-// demand-fetch fallback.
-func (p *Pipeline) prefetchExperts(layers ...int) {
+// layers, in that order, to the pager's background worker. Per layer
+// that is at most half the residency pool, so prefetches for the next
+// layer never crowd out the experts the current layer is still using,
+// and at most rows x TopK blocks, all that a layer of `rows` token rows
+// can route to. Without the second limit a wave of one or two sequences
+// asks for every expert of every layer: its layers compute in less time
+// than those blocks take to copy, so the worker would copy flat out for
+// the whole wave, next to the lanes, blocks that are mostly never read.
+// Best effort — a block the worker does not reach in time, or that the
+// prediction left out, is covered by the demand-fetch fallback.
+func (p *Pipeline) prefetchExperts(rows int, layers ...int) {
 	n := p.pager.Slots() / 2
 	if n < 1 {
 		n = 1
 	}
 	if n > p.w.Cfg.Experts {
 		n = p.w.Cfg.Experts
+	}
+	if routable := rows * p.w.Cfg.TopK; n > routable {
+		n = routable
 	}
 	keys := p.keyBuf[:0]
 	for _, layer := range layers {

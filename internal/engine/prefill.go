@@ -142,12 +142,17 @@ func (p *Pipeline) prefill(prompts [][]int) error {
 		// decode step, on layer 0's now complete router statistics.
 		// Nothing ran ahead of layer 0 to prefetch it, so its own set (no
 		// statistics yet: id order) rides in front of layer 1's in one
-		// request — a second Prefetch would replace the first.
-		if l == 0 {
+		// request — a second Prefetch would replace the first. A prefill
+		// layer routes every packed token, the decode step after the
+		// last one only the sequences still live.
+		switch {
+		case l == 0:
 			p.pager.BeginLayer(0, cfg.Layers)
-			p.prefetchExperts(0, p.realLayer(1))
-		} else {
-			p.beginLayer(l)
+			p.prefetchExperts(total, 0, p.realLayer(1))
+		case l < cfg.Layers-1:
+			p.beginLayer(l, total)
+		default:
+			p.beginLayer(l, p.liveRows())
 		}
 		shared := p.db.Slot(l).Data()
 		p.expSrc.layer = l
