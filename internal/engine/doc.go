@@ -18,6 +18,13 @@
 //     no-progress — shared with the traffic simulator.
 //   - ServerStats (stats.go): the counters. The server accumulates into
 //     one directly; ServeResult and the facade's results embed it.
+//   - The decode step's task graph (internal/schedule): roles, lanes,
+//     look-ahead, issue order and dependencies, weight-buffer reuse
+//     hazards included, are what schedule.Build emits for CGOPipe — the
+//     graph the simulator runs. NewPipeline builds it once for the
+//     pipeline's shape and binds it to Pipeline.runTask; decodeStep sets
+//     the step's inputs and runs it (laneSet, pipeline.go), allocating
+//     nothing for it.
 //
 // The Server itself is four files: handle.go (the request handle),
 // admit.go (submit, overload gate, admission loop), wave.go (plan →

@@ -36,16 +36,24 @@ func TestPipelineMatchesReference(t *testing.T) {
 		name          string
 		seqs, mu, gen int
 		lookahead     int
+		layers        int // 0: Tiny's four
 	}{
-		{"single-seq", 1, 1, 6, 2},
-		{"one-microbatch", 3, 3, 5, 2},
-		{"two-microbatches", 4, 2, 6, 2},
-		{"many-microbatches", 8, 2, 5, 2},
-		{"uneven-tail", 5, 2, 4, 2},
-		{"lookahead-1", 6, 2, 4, 1},
-		{"lookahead-3", 6, 2, 4, 3},
+		{"single-seq", 1, 1, 6, 2, 0},
+		{"one-microbatch", 3, 3, 5, 2, 0},
+		{"two-microbatches", 4, 2, 6, 2, 0},
+		{"many-microbatches", 8, 2, 5, 2, 0},
+		{"uneven-tail", 5, 2, 4, 2, 0},
+		{"lookahead-1", 6, 2, 4, 1, 0},
+		{"lookahead-3", 6, 2, 4, 3, 0},
+		// Buffer-slot parity flips between steps, and the look-ahead is
+		// clamped to the two micro-batches.
+		{"odd-layers-lookahead-past-microbatches", 4, 2, 6, 3, 3},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
+			cfg := cfg
+			if tc.layers > 0 {
+				cfg.Layers = tc.layers
+			}
 			cpu, gpu, pinned, cacheArena := newTestArenas()
 			w, err := NewRandomWeights(cpu, cfg, 42)
 			if err != nil {

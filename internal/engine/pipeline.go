@@ -11,12 +11,19 @@ import (
 	"moelightning/internal/kvcache"
 	"moelightning/internal/memory"
 	"moelightning/internal/paging"
+	"moelightning/internal/schedule"
+	"moelightning/internal/sim"
 	"moelightning/internal/tensor"
 )
 
 // Pipeline is the CGOPipe functional engine: decode steps execute
 // Alg. 1 with one worker goroutine per lane (GPU, CPU, HtoD, DtoH, Pin)
-// and channel-carried dependencies. Weights live in the CPU arena and
+// and channel-carried dependencies. The step's task graph is the one
+// schedule.Build emits for CGOPipe — the graph the simulator and the HRM
+// figures run — built once at construction for the pipeline's shape
+// (layers, micro-batches, look-ahead, attention pages; retirement empties
+// a micro-batch, it never removes a task) and bound to runTask; a step
+// only sets its inputs and runs it. Weights live in the CPU arena and
 // stream in two granularities: the shared attention/router region of
 // each layer moves through pinned staging into a double-buffered GPU
 // region, page by page, while expert FFN blocks move individually
@@ -60,6 +67,15 @@ type Pipeline struct {
 	closed bool
 	used   bool
 
+	// The inputs of the decode step in flight, written by decodeStep
+	// before it submits the graph and read by the lane tasks: the virtual
+	// index of the step's layer 0 (step x Layers; buffer slots go by its
+	// parity, which flips between steps when Layers is odd), every
+	// sequence's position at step start, and the live row count.
+	vbase     int
+	positions []int
+	stepRows  int
+
 	// Counters observable by tests and examples.
 	Counters Counters
 
@@ -92,19 +108,23 @@ type Pipeline struct {
 	attnItems        []tensor.AttnItem
 	maxContext       int
 
-	// seqErr records per-sequence failures (KV-pool exhaustion) hit
-	// mid-step; GenerateStream retires the offenders at the next step
-	// boundary instead of failing the wave. Written only by the CPU
-	// lane during a step, read by the generation goroutine after the
-	// step barrier.
+	// seqErr records per-sequence failures hit mid-step; GenerateStream
+	// retires the offenders at the next step boundary instead of failing
+	// the wave. During a step two lanes write it — the CPU lane on KV-pool
+	// exhaustion (runCPUAttn), the GPU lane on a failed expert fetch
+	// (runPostAttn) — and a sequence sits in one micro-batch, whose tasks
+	// the graph chains (cattn -> loadh -> post -> next layer's pre -> qkv
+	// -> cattn), so writes and reads of one element are ordered. The
+	// generation goroutine reads it after the step barrier; prefill, which
+	// is single-threaded, writes it too.
 	seqErr []error
 
-	scratch      *ffnScratch
-	logits       []float32
-	normedHead   []float32
-	lookahead    int
-	prefillChunk int
-	sharedPrefix bool
+	scratch *ffnScratch
+	// The LM head's workspaces, one row per sequence: live rows are
+	// normed into normedHead, packed, and meet the embedding in one GEMM.
+	logits, normedHead []float32
+	prefillChunk       int
+	sharedPrefix       bool
 
 	// expSrc adapts the pager to the expertSource the kernels consume,
 	// one real layer at a time. The GPU lane and the single-threaded
@@ -177,7 +197,7 @@ type Config struct {
 	// MaxContext bounds per-sequence context for cache sizing.
 	MaxContext int
 	// Lookahead is how many micro-batches ahead CPU attention launches
-	// (Alg. 1 uses 2).
+	// (<= 0: Alg. 1's 2).
 	Lookahead int
 	// Partition optionally supplies an explicit micro-batch partition
 	// (lists of sequence indices), e.g. from the Alg. 2 batcher; when
@@ -243,9 +263,6 @@ func NewPipeline(w *Weights, gpu, pinned, cacheArena *memory.Arena, numSeqs int,
 	if cfg.MicroBatch <= 0 && len(cfg.Partition) == 0 {
 		return nil, fmt.Errorf("engine: need a positive micro-batch size or an explicit partition")
 	}
-	if cfg.Lookahead <= 0 {
-		cfg.Lookahead = 2
-	}
 	if len(cfg.Partition) > 0 {
 		if err := validatePartition(cfg.Partition, numSeqs); err != nil {
 			return nil, err
@@ -287,12 +304,14 @@ func NewPipeline(w *Weights, gpu, pinned, cacheArena *memory.Arena, numSeqs int,
 		gpuArena: gpu, pinnedArena: pinned,
 		db: db, staging: staging, cache: cache,
 		hidden:     tensor.FromSlice(numSeqs, w.Cfg.Hidden, hiddenRegion.Data()),
-		logits:     make([]float32, w.Cfg.VocabSize),
-		normedHead: make([]float32, w.Cfg.Hidden),
+		logits:     make([]float32, numSeqs*w.Cfg.VocabSize),
+		normedHead: make([]float32, numSeqs*w.Cfg.Hidden),
+		positions:  make([]int, numSeqs),
 		kern:       defaultKernels(),
 	}
 	if len(cfg.Partition) > 0 {
-		p.mbs = cfg.Partition
+		// retire assigns into p.mbs: copy, so the caller's partition stays.
+		p.mbs = append(p.mbs, cfg.Partition...)
 	} else {
 		for s := 0; s < numSeqs; s += cfg.MicroBatch {
 			hi := s + cfg.MicroBatch
@@ -400,13 +419,19 @@ func NewPipeline(w *Weights, gpu, pinned, cacheArena *memory.Arena, numSeqs int,
 		p.pager.SetFetchFault(cfg.Faults.ExpertFetch)
 	}
 
-	p.lanes = newLaneSet()
-	p.lookahead = cfg.Lookahead
 	p.sharedPrefix = cfg.SharedPrefix
 	p.prefillChunk = cfg.PrefillChunk
 	if p.prefillChunk <= 0 {
 		p.prefillChunk = DefaultPrefillChunk
 	}
+	graph, err := schedule.Build(schedule.CGOPipe, schedule.Plan{
+		Layers: w.Cfg.Layers, MicroBatches: nb,
+		Lookahead: cfg.Lookahead, AttnPages: p.attnPages(),
+	})
+	if err != nil {
+		return nil, err
+	}
+	p.lanes = newLaneSet(graph, p.runTask, p.fail)
 	return p, nil
 }
 
@@ -513,57 +538,99 @@ func validatePartition(parts [][]int, n int) error {
 	return nil
 }
 
-// laneSet runs one worker goroutine per lane; tasks carry explicit
-// dependencies as done-channels ("share memory by communicating").
+// laneSet executes one decode step's task graph with one worker
+// goroutine per lane. The graph is bound once, at construction: tasks
+// keeps the builder's order, which is Alg. 1's issue order, and every
+// dependency id becomes an edge carrying one buffered token a step — a
+// task's ready channel has its in-degree as capacity, a finishing task
+// sends one token to each dependent and a starting task receives all of
+// its own ("share memory by communicating"). When a step's last task has
+// finished every channel is empty again, so the next step re-arms
+// nothing and allocates nothing.
 type laneSet struct {
-	chans [5]chan *task
-	wg    sync.WaitGroup
+	tasks []task
+	chans []chan *task // by sim.Lane; nil where the graph has no task
+	run   func(*sim.Task) error
+	fail  func(error)
+	wg    sync.WaitGroup // the lane workers, until close
+	step  sync.WaitGroup // the tasks of the step in flight
 }
 
-// task identifies itself by (kind, l, j) coordinates instead of a
-// preformatted name so the per-step hot path never touches fmt; the
-// name is only rendered if the task fails.
+// task is one builder task with its edges resolved.
 type task struct {
-	kind string
-	l, j int
-	deps []*task
-	run  func() error
-	done chan struct{}
-	fail func(error)
+	sim.Task
+	ready chan struct{} // one token per dependency
+	next  []*task       // dependents
 }
 
-const (
-	laneGPU = iota
-	laneCPU
-	laneHtoD
-	laneDtoH
-	lanePin
-)
-
-func newLaneSet() *laneSet {
-	ls := &laneSet{}
-	for i := range ls.chans {
-		ls.chans[i] = make(chan *task, 4096)
+// newLaneSet binds the graph a schedule builder emitted: run executes a
+// task by its (role, layer, micro-batch) coordinates, on the task's
+// lane, and fail receives what it returns.
+func newLaneSet(built []sim.Task, run func(*sim.Task) error, fail func(error)) *laneSet {
+	ls := &laneSet{
+		tasks: make([]task, len(built)),
+		chans: make([]chan *task, len(sim.Lanes())),
+		run:   run, fail: fail,
+	}
+	byID := make(map[int]*task, len(built))
+	perLane := make([]int, len(ls.chans))
+	for i, b := range built {
+		ls.tasks[i].Task = b
+		byID[b.ID] = &ls.tasks[i]
+		perLane[b.Lane]++
+	}
+	for i := range ls.tasks {
+		t := &ls.tasks[i]
+		if len(t.Deps) > 0 {
+			t.ready = make(chan struct{}, len(t.Deps))
+		}
+		for _, d := range t.Deps {
+			byID[d].next = append(byID[d].next, t)
+		}
+	}
+	for lane, n := range perLane {
+		if n == 0 {
+			continue
+		}
+		ls.chans[lane] = make(chan *task, n) // a whole step's sends: submitting never blocks
 		ls.wg.Add(1)
-		go func(ch chan *task) {
-			defer ls.wg.Done()
-			for t := range ch {
-				for _, d := range t.deps {
-					<-d.done
-				}
-				if err := t.run(); err != nil {
-					t.fail(fmt.Errorf("%s(%d,%d): %w", t.kind, t.l, t.j, err))
-				}
-				close(t.done)
-			}
-		}(ls.chans[i])
+		go ls.work(ls.chans[lane])
 	}
 	return ls
 }
 
+func (ls *laneSet) work(ch chan *task) {
+	defer ls.wg.Done()
+	for t := range ch {
+		for range t.Deps {
+			<-t.ready
+		}
+		if err := ls.run(&t.Task); err != nil {
+			ls.fail(fmt.Errorf("%v: %w", t.Task, err))
+		}
+		for _, d := range t.next {
+			d.ready <- struct{}{}
+		}
+		ls.step.Done()
+	}
+}
+
+// runStep submits every task to its lane in issue order and waits for
+// the step barrier: all of them finished.
+func (ls *laneSet) runStep() {
+	ls.step.Add(len(ls.tasks))
+	for i := range ls.tasks {
+		t := &ls.tasks[i]
+		ls.chans[t.Lane] <- t
+	}
+	ls.step.Wait()
+}
+
 func (ls *laneSet) close() {
 	for _, ch := range ls.chans {
-		close(ch)
+		if ch != nil {
+			close(ch)
+		}
 	}
 	ls.wg.Wait()
 }

@@ -8,6 +8,8 @@ import (
 	"moelightning/internal/kvcache"
 	"moelightning/internal/memory"
 	"moelightning/internal/paging"
+	"moelightning/internal/schedule"
+	"moelightning/internal/sim"
 	"moelightning/internal/tensor"
 )
 
@@ -69,12 +71,11 @@ func (p *Pipeline) GenerateStream(prompts [][]int, genLen int, sink StepSink, st
 		}
 		active[s] = true
 		live++
-		logitsFor(p.w, p.hidden.Row(s), p.logits, p.normedHead)
-		next[s] = tensor.ArgMax(p.logits)
 	}
 	if live == 0 {
 		return out, nil
 	}
+	p.sampleNext(active, next)
 
 	// Preload layer 0 before the first decode step: the shared region
 	// lands synchronously in GPU slot 0 and layer 0's predicted experts
@@ -140,17 +141,36 @@ func (p *Pipeline) GenerateStream(prompts [][]int, genLen int, sink StepSink, st
 		if live == 0 {
 			break
 		}
-		for s := range prompts {
-			if active[s] {
-				logitsFor(p.w, p.hidden.Row(s), p.logits, p.normedHead)
-				next[s] = tensor.ArgMax(p.logits)
-			}
-		}
+		p.sampleNext(active, next)
 	}
 	// Decode-time writes into shared history (multi-turn continuations)
 	// may copy-on-write after prefill counted; refresh the tally.
 	p.Counters.CowCopies.Store(p.cache.CowCopies())
 	return out, nil
+}
+
+// sampleNext writes the greedy next token of every active sequence into
+// next: the live hidden rows are normed into a packed buffer and meet
+// the tied embedding in one GEMM. GEMM rows are independent, so each
+// token is the one reference.go's row-by-row logitsFor picks.
+func (p *Pipeline) sampleNext(active []bool, next []int) {
+	cfg := p.w.Cfg
+	n := 0
+	for s, on := range active {
+		if on {
+			tensor.RMSNorm(p.normedHead[n*cfg.Hidden:(n+1)*cfg.Hidden], p.hidden.Row(s), p.w.FinalNorm, 1e-5)
+			n++
+		}
+	}
+	logits := tensor.FromSlice(n, cfg.VocabSize, p.logits[:n*cfg.VocabSize])
+	tensor.MatMulTParallel(logits, tensor.FromSlice(n, cfg.Hidden, p.normedHead[:n*cfg.Hidden]), p.w.Embedding)
+	n = 0
+	for s, on := range active {
+		if on {
+			next[s] = tensor.ArgMax(logits.Row(n))
+			n++
+		}
+	}
 }
 
 // SeqErr returns the terminal error of one sequence from the last
@@ -190,159 +210,65 @@ func (p *Pipeline) retire(s int) {
 
 // decodeStep executes Alg. 1 for one token position: every micro-batch
 // through every layer, with the pipeline's five lanes overlapped. The
-// call returns when the step completes (synchronous step boundary).
+// graph was bound at construction; a step sets its inputs, runs it, and
+// returns when the step completes (synchronous step boundary).
 func (p *Pipeline) decodeStep(step int) error {
-	cfg := p.w.Cfg
-	L := cfg.Layers
-	nb := len(p.mbs)
-	ahead := p.lookahead
-	if ahead > nb {
-		ahead = nb
-	}
-	vbase := step * L // virtual index of this step's layer 0; preloaded slot parity matches
-
+	p.vbase = step * p.w.Cfg.Layers // the preloaded layer 0 sits in the slot of this parity
 	// Positions captured at step start; every sequence appends one
 	// token per layer during the step.
-	positions := make([]int, p.hidden.Rows)
-	for s := range positions {
-		positions[s] = p.cache.Len(s)
+	for s := range p.positions {
+		p.positions[s] = p.cache.Len(s)
 	}
-
-	total := L * nb
-	attnPages := p.attnPages()
-	rows := p.liveRows() // fixed for the step: sequences retire between steps
-
-	// Phase 1: create every task object so dependencies can be wired
-	// regardless of issue order.
-	pre := make([]*task, total+1)
-	qkv := make([]*task, total+1)
-	cattn := make([]*task, total+1)
-	loadh := make([]*task, total+1)
-	post := make([]*task, total+1)
-	pagesT := make([][]*task, L+1) // pagesT[l][pg]: page pg of virtual layer vbase+l+1
-	pinsT := make([][]*task, L+1)
-	mk := func(kind string, l, j int, run func() error) *task {
-		return &task{kind: kind, l: l, j: j, run: run, done: make(chan struct{}), fail: p.fail}
-	}
-	for g := 1; g <= total; g++ {
-		l, j := (g-1)/nb, (g-1)%nb+1
-		v := vbase + l
-		mb := p.mbs[j-1]
-		jj := j - 1
-		pre[g] = mk("pre", l, j, func() error {
-			p.Counters.GPUKernels.Add(1)
-			return p.runPreAttn(v, jj, mb, positions)
-		})
-		qkv[g] = mk("qkv", l, j, func() error {
-			memory.Copy(p.qkvCPU[jj], p.qkvGPU[jj])
-			p.Counters.DtoHBytes.Add(floatBytes(p.qkvGPU[jj].Len()))
-			return nil
-		})
-		cattn[g] = mk("cattn", l, j, func() error {
-			p.Counters.CPUAttns.Add(1)
-			return p.runCPUAttn(l, jj, mb)
-		})
-		loadh[g] = mk("loadh", l, j, func() error {
-			memory.Copy(p.attnGPU[jj], p.attnCPU[jj])
-			p.Counters.HtoDBytes.Add(floatBytes(p.attnGPU[jj].Len()))
-			return nil
-		})
-		post[g] = mk("post", l, j, func() error {
-			if jj == 0 {
-				// First expert work of the layer, and the previous layer's
-				// last post-attention has retired (the GPU lane runs posts
-				// in order): its blocks are now the pager's first victims,
-				// so this is the earliest the next layer's predicted experts
-				// can be fetched without displacing blocks still waiting to
-				// be used (the last layer wraps to layer 0 of the next
-				// step). Runs even when micro-batch 0 has emptied, on the
-				// GPU lane, the sole writer of the router statistics it
-				// reads.
-				p.beginLayer(l, rows)
-			}
-			p.Counters.GPUKernels.Add(1)
-			return p.runPostAttn(l, v, jj, mb)
-		})
-	}
-	for l := 0; l <= L-1; l++ {
-		v := vbase + l
-		pagesT[l] = make([]*task, nb)
-		pinsT[l] = make([]*task, nb)
-		for pg := 0; pg < nb; pg++ {
-			vv, pp := v+1, pg
-			pagesT[l][pg] = mk("page", vv, pp, func() error {
-				return p.runPage(vv, pp)
-			})
-			pinsT[l][pg] = mk("pin", vv, pp, func() error {
-				return p.runPin(vv, pp)
-			})
-		}
-	}
-
-	// Phase 2: wire dependencies.
-	for g := 1; g <= total; g++ {
-		l, j := (g-1)/nb, (g-1)%nb+1
-		// Pre-attention: previous layer's hidden states and the
-		// attention-projection pages of this layer.
-		if l > 0 {
-			pre[g].deps = append(pre[g].deps, post[g-nb])
-			pre[g].deps = append(pre[g].deps, pagesT[l-1][attnPages-1])
-		}
-		qkv[g].deps = append(qkv[g].deps, pre[g])
-		cattn[g].deps = append(cattn[g].deps, qkv[g])
-		loadh[g].deps = append(loadh[g].deps, cattn[g])
-		post[g].deps = append(post[g].deps, loadh[g])
-		if l > 0 {
-			post[g].deps = append(post[g].deps, pagesT[l-1][nb-1]) // full layer resident
-		}
-		// Weight page shipping at this slot: page j-1 of layer l+1.
-		pagesT[l][j-1].deps = append(pagesT[l][j-1].deps, pinsT[l][j-1])
-		if j == 1 && l > 0 {
-			// Slot-reuse hazard: the double-buffer slot of layer l+1 is
-			// the one layer l-1 used; wait for its last consumer.
-			pagesT[l][0].deps = append(pagesT[l][0].deps, post[(l-1)*nb+nb])
-		}
-		// Staging-slot reuse hazard: pin of layer l+1 overwrites the
-		// pinned slot that fed layer l-1's pages.
-		if l > 1 {
-			pinsT[l][j-1].deps = append(pinsT[l][j-1].deps, pagesT[l-2][j-1])
-		}
-	}
-
-	// Phase 3: submit in Alg. 1 issue order (per-lane FIFO).
-	submit := func(lane int, t *task) {
-		p.lanes.chans[lane] <- t
-	}
-	preSlot := func(g int) {
-		l, j := (g-1)/nb, (g-1)%nb+1
-		submit(laneGPU, pre[g])
-		submit(laneDtoH, qkv[g])
-		submit(laneCPU, cattn[g])
-		submit(lanePin, pinsT[l][j-1])
-	}
-	for g := 1; g <= ahead && g <= total; g++ {
-		preSlot(g)
-	}
-	for g := 1; g <= total; g++ {
-		l, j := (g-1)/nb, (g-1)%nb+1
-		submit(laneHtoD, loadh[g])
-		submit(laneHtoD, pagesT[l][j-1])
-		submit(laneGPU, post[g])
-		if g2 := g + ahead; g2 <= total {
-			preSlot(g2)
-		}
-	}
-
-	// Step barrier: every post task and every page must complete.
-	for g := 1; g <= total; g++ {
-		<-post[g].done
-	}
-	for l := 0; l < L; l++ {
-		for pg := 0; pg < nb; pg++ {
-			<-pagesT[l][pg].done
-		}
-	}
+	p.stepRows = p.liveRows() // fixed for the step: sequences retire between steps
+	p.lanes.runStep()
 	return p.failed()
+}
+
+// runTask is the engine's side of the graph: what each role of the
+// CGOPipe builder does here, on the lane the builder put it on. The
+// builder numbers layers and micro-batches from 1 and calls the next
+// step's first layer Layers+1, so l may equal Layers for a page or a
+// pin. Everything a task needs beyond its coordinates — the step's
+// inputs, the micro-batch's current members — is read when it runs:
+// retirement replaces p.mbs[j] between steps.
+func (p *Pipeline) runTask(t *sim.Task) error {
+	l, j := t.Layer-1, t.MB-1
+	v := p.vbase + l // virtual layer: the weight buffers' slots go by its parity
+	switch t.Role {
+	case schedule.RolePre:
+		p.Counters.GPUKernels.Add(1)
+		return p.runPreAttn(v, j)
+	case schedule.RoleQKV:
+		memory.Copy(p.qkvCPU[j], p.qkvGPU[j])
+		p.Counters.DtoHBytes.Add(floatBytes(p.qkvGPU[j].Len()))
+	case schedule.RoleCPUAttn:
+		p.Counters.CPUAttns.Add(1)
+		return p.runCPUAttn(l, j)
+	case schedule.RoleLoadH:
+		memory.Copy(p.attnGPU[j], p.attnCPU[j])
+		p.Counters.HtoDBytes.Add(floatBytes(p.attnGPU[j].Len()))
+	case schedule.RolePost:
+		if j == 0 {
+			// First expert work of the layer, and the previous layer's
+			// last post-attention has retired (the GPU lane runs posts in
+			// order): its blocks are now the pager's first victims, so
+			// this is the earliest the next layer's predicted experts can
+			// be fetched without displacing blocks still waiting to be
+			// used (the last layer wraps to layer 0 of the next step).
+			// Runs even when micro-batch 0 has emptied, on the GPU lane,
+			// the sole writer of the router statistics it reads.
+			p.beginLayer(l, p.stepRows)
+		}
+		p.Counters.GPUKernels.Add(1)
+		return p.runPostAttn(l, v, j)
+	case schedule.RolePage:
+		return p.runPage(v, j)
+	case schedule.RolePin:
+		return p.runPin(v, j)
+	default:
+		return fmt.Errorf("engine: no binding for role %d", t.Role)
+	}
+	return nil
 }
 
 // attnPages returns how many leading pages cover the attention
@@ -364,7 +290,8 @@ func (p *Pipeline) attnPages() int {
 // the GPU-resident weights of virtual layer v. The x staging buffer and
 // position buffer are pipeline-owned: GPU-lane tasks are serialized, so
 // sharing them across micro-batches is race-free.
-func (p *Pipeline) runPreAttn(v, j int, mb []int, positions []int) error {
+func (p *Pipeline) runPreAttn(v, j int) error {
+	mb := p.mbs[j]
 	n := len(mb)
 	if n == 0 {
 		return nil // every sequence of this micro-batch was retired
@@ -377,7 +304,7 @@ func (p *Pipeline) runPreAttn(v, j int, mb []int, positions []int) error {
 	pos := p.posBuf[:n]
 	for i, s := range mb {
 		copy(x.Row(i), p.hidden.Row(s))
-		pos[i] = positions[s]
+		pos[i] = p.positions[s]
 	}
 	p.kern.preAttn(p.layout, shared, x, pos, qkv, p.scratch)
 	return nil
@@ -395,7 +322,8 @@ func (p *Pipeline) runPreAttn(v, j int, mb []int, positions []int) error {
 // A sequence whose Append exhausts the block pool is marked in seqErr
 // and skipped for the rest of the step rather than failing the wave;
 // GenerateStream retires it at the step boundary.
-func (p *Pipeline) runCPUAttn(layer, j int, mb []int) error {
+func (p *Pipeline) runCPUAttn(layer, j int) error {
+	mb := p.mbs[j]
 	n := len(mb)
 	if n == 0 {
 		return nil
@@ -451,7 +379,8 @@ func (p *Pipeline) scoresFor(i, ctx int) []float32 {
 // writes the updated hidden states back. The shared region comes from
 // the double buffer; expert blocks come from the pager, which
 // demand-fetches any miss synchronously so routing is always honored.
-func (p *Pipeline) runPostAttn(layer, v, j int, mb []int) error {
+func (p *Pipeline) runPostAttn(layer, v, j int) error {
+	mb := p.mbs[j]
 	n := len(mb)
 	if n == 0 {
 		return nil

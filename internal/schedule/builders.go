@@ -12,27 +12,34 @@ import "moelightning/internal/sim"
 // Layer 1's weights are resident; pages for layers 2..L+1 stream during
 // the step (L+1 is the next step's first layer, so steady-state work is
 // one full pass).
+//
+// The paged schedule moves weights through two buffers of two slots
+// each, chosen by layer parity, and emits the two reuse hazards as
+// dependencies so that every executor of the graph — the simulator and
+// the engine's lanes — honours them:
+//
+//   - page(l+1, 1) waits for post(l-1, last): layer l+1 lands in the GPU
+//     slot layer l-1 computed from, and the later pages follow the first
+//     on the HtoD lane. Lane order implies it at look-ahead 1 (the page
+//     follows loadh(l, 1), which needs pre(l, 1), which the GPU lane
+//     runs after post(l-1, last)) and not from 2 up, where pre(l, 1)
+//     runs before post(l-1, last).
+//   - pin(l+1, j) waits for page(l-1, j): it overwrites the pinned slot
+//     that page ships from, and nothing else holds the Pin lane back.
+//
+// Neither binds at the paper's settings: every figure and table prints
+// the makespans it printed without them.
 func buildLookahead(p Plan, ahead int, paged bool) []sim.Task {
+	if p.Lookahead > 0 {
+		ahead = p.Lookahead
+	}
 	if ahead > p.MicroBatches {
 		ahead = p.MicroBatches // avoid head-of-line deadlock at tiny MB counts
 	}
-	if ahead < 1 {
-		ahead = 1
-	}
-	x := newIDs()
-	var tasks []sim.Task
-	add := func(role string, l, j int, lane sim.Lane, dur float64, kind string, deps ...int) {
-		tasks = append(tasks, sim.Task{
-			ID:       x.id(role, l, j),
-			Name:     taskName(role, l, j),
-			Kind:     kind,
-			Lane:     lane,
-			Duration: dur,
-			Deps:     deps,
-		})
-	}
+	attnPages := min(max(p.AttnPages, 1), p.MicroBatches)
 	d := p.D
 	total := p.slots()
+	b := builder{p: p, tasks: make([]sim.Task, 0, 8*total)}
 
 	// preSlot emits the pre-attention chain (PreAttn -> QKV offload ->
 	// CPU attention) for slot g, plus the pinned-staging copy of the
@@ -41,30 +48,30 @@ func buildLookahead(p Plan, ahead int, paged bool) []sim.Task {
 		l, j := p.slot(g)
 		var deps []int
 		if l > 1 {
-			// Hidden states come from the previous layer's post-attention.
-			if id, ok := x.lookup("post", l-1, j); ok {
-				deps = append(deps, id)
-			}
-			// QKV projection needs the layer's first weight page (the
+			// Hidden states come from the previous layer's post-attention;
+			// the QKV projection reads the layer's leading pages (the
 			// attention projections lead the page order).
+			weights := p.id(RoleWFull, l, 0)
 			if paged {
-				deps = append(deps, x.id("page", l, 1))
-			} else {
-				deps = append(deps, x.id("wfull", l, 0))
+				weights = p.id(RolePage, l, attnPages)
 			}
+			deps = []int{p.id(RolePost, l-1, j), weights}
 		}
-		add("pre", l, j, sim.GPU, d.PreAttn, "pre-attn", deps...)
-		add("qkv", l, j, sim.DtoH, d.QKVOff, "qkv-offload", x.id("pre", l, j))
-		add("cattn", l, j, sim.CPU, d.CPUAttn, "cpu-attn", x.id("qkv", l, j))
+		b.add(RolePre, l, j, sim.GPU, d.PreAttn, "pre-attn", deps...)
+		b.add(RoleQKV, l, j, sim.DtoH, d.QKVOff, "qkv-offload", p.id(RolePre, l, j))
+		b.add(RoleCPUAttn, l, j, sim.CPU, d.CPUAttn, "cpu-attn", p.id(RoleQKV, l, j))
 		if paged {
 			// Stage the page for layer l+1 that ships at this slot; the
 			// disk-resident share must land in CPU memory first.
 			var pinDeps []int
 			if d.DiskPage > 0 {
-				add("disk", l+1, j, sim.Disk, d.DiskPage, "disk-read")
-				pinDeps = append(pinDeps, x.id("disk", l+1, j))
+				b.add(RoleDisk, l+1, j, sim.Disk, d.DiskPage, "disk-read")
+				pinDeps = append(pinDeps, p.id(RoleDisk, l+1, j))
 			}
-			add("pin", l+1, j, sim.Pin, d.PinPage, "pin", pinDeps...)
+			if l > 2 {
+				pinDeps = append(pinDeps, p.id(RolePage, l-1, j)) // staging-slot reuse
+			}
+			b.add(RolePin, l+1, j, sim.Pin, d.PinPage, "pin", pinDeps...)
 		}
 	}
 
@@ -78,34 +85,33 @@ func buildLookahead(p Plan, ahead int, paged bool) []sim.Task {
 		l, j := p.slot(g)
 
 		// LoadH (D2): attention output for this slot returns to GPU.
-		add("loadh", l, j, sim.HtoD, d.HiddenLoad, "hidden-load", x.id("cattn", l, j))
+		b.add(RoleLoadH, l, j, sim.HtoD, d.HiddenLoad, "hidden-load", p.id(RoleCPUAttn, l, j))
 
 		// Weight transfer for layer l+1 (D3).
 		if paged {
-			add("page", l+1, j, sim.HtoD, d.WeightPage, "weights", x.id("pin", l+1, j))
+			deps := []int{p.id(RolePin, l+1, j)}
+			if j == 1 && l > 1 {
+				deps = append(deps, p.id(RolePost, l-1, p.MicroBatches)) // double-buffer slot reuse
+			}
+			b.add(RolePage, l+1, j, sim.HtoD, d.WeightPage, "weights", deps...)
 		} else if j == p.MicroBatches {
 			// Monolithic transfer issued at the layer boundary; baseline
 			// systems keep weights pinned, so no staging dependency
 			// (beyond the disk read when a disk tier is in play).
-			var wDeps []int
-			if d.DiskWhole > 0 {
-				add("disk", l+1, 0, sim.Disk, d.DiskWhole, "disk-read")
-				wDeps = append(wDeps, x.id("disk", l+1, 0))
-			}
-			add("wfull", l+1, 0, sim.HtoD, d.WeightWhole, "weights", wDeps...)
+			b.wholeLayer(l + 1)
 		}
 
 		// Post-attention (O projection + MoE FFN) needs the hidden
 		// states and the full layer weights.
-		deps := []int{x.id("loadh", l, j)}
+		deps := []int{p.id(RoleLoadH, l, j)}
 		if l > 1 {
 			if paged {
-				deps = append(deps, x.id("page", l, p.MicroBatches))
+				deps = append(deps, p.id(RolePage, l, p.MicroBatches))
 			} else {
-				deps = append(deps, x.id("wfull", l, 0))
+				deps = append(deps, p.id(RoleWFull, l, 0))
 			}
 		}
-		add("post", l, j, sim.GPU, d.PostAttn, "post-attn", deps...)
+		b.add(RolePost, l, j, sim.GPU, d.PostAttn, "post-attn", deps...)
 
 		// Launch the pre-attention chain `ahead` slots in advance
 		// (Alg. 1 lines 14-17).
@@ -113,152 +119,68 @@ func buildLookahead(p Plan, ahead int, paged bool) []sim.Task {
 			preSlot(g2)
 		}
 	}
-	return tasks
+	return b.tasks
+}
+
+// wholeLayer emits layer l's monolithic weight transfer, behind the
+// read of its disk-resident share when a disk tier is in play.
+func (b *builder) wholeLayer(l int) {
+	var deps []int
+	if b.p.D.DiskWhole > 0 {
+		b.add(RoleDisk, l, 0, sim.Disk, b.p.D.DiskWhole, "disk-read")
+		deps = []int{b.p.id(RoleDisk, l, 0)}
+	}
+	b.add(RoleWFull, l, 0, sim.HtoD, b.p.D.WeightWhole, "weights", deps...)
 }
 
 // buildGPUAttn emits FlexGen's S4 schedule: attention on GPU with the
 // micro-batch's KV cache prefetched over HtoD, monolithic weight
 // transfers queued behind the KV loads.
 func buildGPUAttn(p Plan) []sim.Task {
-	x := newIDs()
-	var tasks []sim.Task
-	add := func(role string, l, j int, lane sim.Lane, dur float64, kind string, deps ...int) {
-		tasks = append(tasks, sim.Task{
-			ID:       x.id(role, l, j),
-			Name:     taskName(role, l, j),
-			Kind:     kind,
-			Lane:     lane,
-			Duration: dur,
-			Deps:     deps,
-		})
-	}
+	b := builder{p: p}
 	d := p.D
 	for l := 1; l <= p.Layers; l++ {
 		for j := 1; j <= p.MicroBatches; j++ {
 			// KV prefetch for this micro-batch (D4).
-			add("kvload", l, j, sim.HtoD, d.KVLoad, "kv-load")
+			b.add(RoleKVLoad, l, j, sim.HtoD, d.KVLoad, "kv-load")
 			// Fused block: pre-attention, GPU attention, post-attention.
-			deps := []int{x.id("kvload", l, j)}
+			deps := []int{p.id(RoleKVLoad, l, j)}
 			if l > 1 {
-				deps = append(deps, x.id("wfull", l, 0))
+				deps = append(deps, p.id(RoleWFull, l, 0))
 			}
 			if j > 1 {
-				deps = append(deps, x.id("block", l, j-1))
+				deps = append(deps, p.id(RoleBlock, l, j-1))
 			} else if l > 1 {
-				deps = append(deps, x.id("block", l-1, p.MicroBatches))
+				deps = append(deps, p.id(RoleBlock, l-1, p.MicroBatches))
 			}
-			add("block", l, j, sim.GPU, d.PreAttn+d.GPUAttn+d.PostAttn, "gpu-block", deps...)
+			b.add(RoleBlock, l, j, sim.GPU, d.PreAttn+d.GPUAttn+d.PostAttn, "gpu-block", deps...)
 			// New token K/V writes back to the CPU cache.
-			add("kvstore", l, j, sim.DtoH, d.KVStore, "kv-store", x.id("block", l, j))
+			b.add(RoleKVStore, l, j, sim.DtoH, d.KVStore, "kv-store", p.id(RoleBlock, l, j))
 		}
 		// Next layer's weights queue behind this layer's KV loads.
-		var wDeps []int
-		if d.DiskWhole > 0 {
-			add("disk", l+1, 0, sim.Disk, d.DiskWhole, "disk-read")
-			wDeps = append(wDeps, x.id("disk", l+1, 0))
-		}
-		add("wfull", l+1, 0, sim.HtoD, d.WeightWhole, "weights", wDeps...)
+		b.wholeLayer(l + 1)
 	}
-	return tasks
+	return b.tasks
 }
 
 // buildSerial emits the DeepSpeed-style schedule: the whole batch as a
 // single kernel sequence per layer, KV cache resident in GPU memory,
 // next layer's weights prefetched during compute.
 func buildSerial(p Plan) []sim.Task {
-	x := newIDs()
-	var tasks []sim.Task
+	b := builder{p: p}
 	d := p.D
 	for l := 1; l <= p.Layers; l++ {
-		var wDeps []int
-		if d.DiskWhole > 0 {
-			tasks = append(tasks, sim.Task{
-				ID: x.id("disk", l+1, 0), Name: taskName("disk", l+1, 0),
-				Kind: "disk-read", Lane: sim.Disk, Duration: d.DiskWhole,
-			})
-			wDeps = append(wDeps, x.id("disk", l+1, 0))
-		}
-		tasks = append(tasks, sim.Task{
-			ID: x.id("wfull", l+1, 0), Name: taskName("wfull", l+1, 0),
-			Kind: "weights", Lane: sim.HtoD, Duration: d.WeightWhole,
-			Deps: wDeps,
-		})
+		b.wholeLayer(l + 1)
 		for j := 1; j <= p.MicroBatches; j++ {
-			deps := []int{}
+			var deps []int
 			if l > 1 {
-				deps = append(deps, x.id("wfull", l, 0))
+				deps = append(deps, p.id(RoleWFull, l, 0))
 			}
 			if j > 1 {
-				deps = append(deps, x.id("block", l, j-1))
+				deps = append(deps, p.id(RoleBlock, l, j-1))
 			}
-			tasks = append(tasks, sim.Task{
-				ID: x.id("block", l, j), Name: taskName("block", l, j),
-				Kind: "gpu-block", Lane: sim.GPU,
-				Duration: d.PreAttn + d.GPUAttn + d.PostAttn,
-				Deps:     deps,
-			})
+			b.add(RoleBlock, l, j, sim.GPU, d.PreAttn+d.GPUAttn+d.PostAttn, "gpu-block", deps...)
 		}
 	}
-	return tasks
-}
-
-func taskName(role string, l, j int) string {
-	switch role {
-	case "wfull":
-		return roleLabel(role) + "(" + itoa(l) + ")"
-	default:
-		return roleLabel(role) + "(" + itoa(l) + "," + itoa(j) + ")"
-	}
-}
-
-func roleLabel(role string) string {
-	switch role {
-	case "pre":
-		return "PreAttn"
-	case "qkv":
-		return "QKVOff"
-	case "cattn":
-		return "CPUAttn"
-	case "loadh":
-		return "LoadH"
-	case "page":
-		return "WPage"
-	case "pin":
-		return "WPin"
-	case "wfull":
-		return "W"
-	case "post":
-		return "PostAttn"
-	case "kvload":
-		return "KVLoad"
-	case "kvstore":
-		return "KVStore"
-	case "block":
-		return "Block"
-	case "disk":
-		return "DiskRead"
-	}
-	return role
-}
-
-func itoa(v int) string {
-	if v == 0 {
-		return "0"
-	}
-	neg := v < 0
-	if neg {
-		v = -v
-	}
-	var buf [12]byte
-	i := len(buf)
-	for v > 0 {
-		i--
-		buf[i] = byte('0' + v%10)
-		v /= 10
-	}
-	if neg {
-		i--
-		buf[i] = '-'
-	}
-	return string(buf[i:])
+	return b.tasks
 }

@@ -15,8 +15,15 @@
 //   - Serial (DeepSpeed ZeRO-Inference-like): one micro-batch, KV
 //     resident on GPU, weights streamed with double-buffer prefetch.
 //
-// Builders emit tasks in issue order; the sim package's FIFO lanes then
-// reproduce each strategy's bubbles.
+// Builders emit tasks in issue order, and that order is part of the
+// schedule: the sim package's FIFO lanes reproduce each strategy's
+// bubbles from it, and the functional engine (internal/engine) submits
+// the CGOPipe graph to its lane goroutines in it. CGOPipe is defined
+// here once for both: the engine builds the graph for its own shape
+// (Plan.Lookahead, Plan.AttnPages, no durations), binds each task to
+// work by its Role, Layer and MB, and runs it every decode step, so what
+// the simulator predicts is the graph that runs — including the two
+// weight-buffer reuse hazards buildLookahead emits as dependencies.
 package schedule
 
 import (
@@ -71,6 +78,20 @@ type Plan struct {
 	Layers       int
 	MicroBatches int
 	D            Durations
+
+	// Lookahead overrides how many micro-batch slots ahead the
+	// CGOPipe-family strategies launch CPU attention; zero keeps the
+	// strategy's own (2 in Alg. 1).
+	Lookahead int
+	// AttnPages is how many leading weight pages of a layer the QKV
+	// projection reads, so which page pre-attention waits for; zero is
+	// the first. A layer moves as MicroBatches pages with the attention
+	// projections leading. Where a page is a MicroBatches-th of the
+	// whole layer, as in the paper, they fit the first; the functional
+	// engine pages only a layer's shared attention + router region
+	// (expert blocks have their own pager), so there they span most of
+	// the pages.
+	AttnPages int
 }
 
 // Validate reports an error for unusable plans.
@@ -104,27 +125,44 @@ func Build(s Strategy, p Plan) ([]sim.Task, error) {
 	return nil, fmt.Errorf("schedule: unknown strategy %q", s)
 }
 
-// ids hands out task IDs and remembers them by role/layer/micro-batch.
-type ids struct {
-	next int
-	m    map[string]int
+// The roles a task can play in a decode step. With Layer and MB (both
+// numbered from 1; layer Layers+1 is the next step's first layer, whose
+// weights this step streams, and a role that exists once per layer
+// carries MB 0) a role is the task's coordinate: the ID is arithmetic on
+// the three, and whoever executes the graph binds work by them.
+const (
+	RolePre     sim.Role = iota // GPU: layer norm + QKV projection
+	RoleQKV                     // DtoH: Q, K, V offload (D1)
+	RoleCPUAttn                 // CPU: attention core
+	RoleLoadH                   // HtoD: attention output back to the GPU (D2)
+	RolePost                    // GPU: O projection + MoE FFN
+	RolePage                    // HtoD: weight page MB of layer Layer (D3)
+	RolePin                     // Pin: the same page, CPU -> pinned staging
+	RoleDisk                    // Disk: the page's (MB 0: the layer's) disk-resident share
+	RoleWFull                   // HtoD: one layer's weights, monolithic
+	RoleKVLoad                  // HtoD: one micro-batch's KV cache (D4)
+	RoleKVStore                 // DtoH: the new token's K/V write-back
+	RoleBlock                   // GPU: fused pre-attention + attention + post-attention
+)
+
+// id is the ID of the task at (role, layer, mb), layer in 1..Layers+1
+// and mb in 0..MicroBatches, so a dependency can name a task the
+// builder has yet to emit.
+func (p Plan) id(r sim.Role, l, j int) int {
+	return (int(r)*(p.Layers+2)+l)*(p.MicroBatches+1) + j + 1
 }
 
-func newIDs() *ids { return &ids{m: make(map[string]int)} }
-
-func (x *ids) id(role string, l, j int) int {
-	k := fmt.Sprintf("%s/%d/%d", role, l, j)
-	if id, ok := x.m[k]; ok {
-		return id
-	}
-	x.next++
-	x.m[k] = x.next
-	return x.next
+// builder accumulates one step's tasks in issue order.
+type builder struct {
+	p     Plan
+	tasks []sim.Task
 }
 
-func (x *ids) lookup(role string, l, j int) (int, bool) {
-	id, ok := x.m[fmt.Sprintf("%s/%d/%d", role, l, j)]
-	return id, ok
+func (b *builder) add(r sim.Role, l, j int, lane sim.Lane, dur float64, kind string, deps ...int) {
+	b.tasks = append(b.tasks, sim.Task{
+		ID: b.p.id(r, l, j), Kind: kind, Role: r, Layer: l, MB: j,
+		Lane: lane, Duration: dur, Deps: deps,
+	})
 }
 
 // global index helpers: micro-batch slots are numbered 1..Layers*MB in

@@ -1,6 +1,7 @@
 package schedule
 
 import (
+	"fmt"
 	"testing"
 
 	"moelightning/internal/hardware"
@@ -257,4 +258,132 @@ func TestDiskTasksGateWeights(t *testing.T) {
 			t.Errorf("%s: disk-gated step (%v) not slower than diskless (%v)", s, res.Makespan, base.Makespan)
 		}
 	}
+}
+
+// BenchmarkBuild is the cost the engine pays once per pipeline: the
+// CGOPipe graph at the standing benchmark's wave shape.
+func BenchmarkBuild(b *testing.B) {
+	plan := Plan{Layers: 6, MicroBatches: 4}
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if _, err := Build(CGOPipe, plan); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// eachEnginePlan calls f with the CGOPipe graph of every plan the
+// functional engine can ask for: all-zero durations, its own look-ahead
+// and attention page count.
+func eachEnginePlan(t *testing.T, f func(name string, p Plan, tasks []sim.Task)) {
+	t.Helper()
+	for layers := 1; layers <= 6; layers++ {
+		for nb := 1; nb <= 5; nb++ {
+			for ahead := 1; ahead <= 3; ahead++ {
+				for attn := 1; attn <= nb; attn++ {
+					p := Plan{Layers: layers, MicroBatches: nb, Lookahead: ahead, AttnPages: attn}
+					tasks, err := Build(CGOPipe, p)
+					if err != nil {
+						t.Fatal(err)
+					}
+					f(fmt.Sprintf("%dx%d ahead %d attn %d", layers, nb, ahead, attn), p, tasks)
+				}
+			}
+		}
+	}
+}
+
+// TestEngineGraphsRun: no look-ahead, page count or shape deadlocks the
+// FIFO lanes, and a graph without durations is exactly the seven tasks
+// of every (layer, micro-batch) slot — no disk read.
+func TestEngineGraphsRun(t *testing.T) {
+	eachEnginePlan(t, func(name string, p Plan, tasks []sim.Task) {
+		res, err := sim.Run(tasks)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if err := res.Validate(tasks); err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if want := 7 * p.Layers * p.MicroBatches; len(tasks) != want {
+			t.Errorf("%s: %d tasks, want %d", name, len(tasks), want)
+		}
+		for _, task := range tasks {
+			if task.Role == RoleDisk {
+				t.Errorf("%s: %v emitted without a disk tier", name, task)
+			}
+		}
+	})
+}
+
+// TestEngineGraphsOrderBufferReuse is structural, not a timing: in the
+// happens-before closure of dependencies plus same-lane issue order —
+// all an executor with FIFO lanes guarantees — nothing is written into a
+// weight buffer slot while a task may still read it. The GPU double
+// buffer and the pinned staging each hold two layers, by layer parity.
+func TestEngineGraphsOrderBufferReuse(t *testing.T) {
+	eachEnginePlan(t, func(name string, p Plan, tasks []sim.Task) {
+		index := make(map[int]int, len(tasks))
+		for i, task := range tasks {
+			index[task.ID] = i
+		}
+		// after[i][k]: task k has finished before task i starts.
+		after := make([][]bool, len(tasks))
+		var visit func(i int) []bool
+		visit = func(i int) []bool {
+			if after[i] != nil {
+				return after[i]
+			}
+			after[i] = make([]bool, len(tasks))
+			preds := make([]int, 0, 4)
+			for _, d := range tasks[i].Deps {
+				preds = append(preds, index[d])
+			}
+			for k := i - 1; k >= 0; k-- {
+				if tasks[k].Lane == tasks[i].Lane {
+					preds = append(preds, k)
+					break
+				}
+			}
+			for _, k := range preds {
+				after[i][k] = true
+				for m, ok := range visit(k) {
+					if ok {
+						after[i][m] = true
+					}
+				}
+			}
+			return after[i]
+		}
+		ordered := func(first, then int) {
+			t.Helper()
+			if a, b := index[first], index[then]; !visit(b)[a] {
+				t.Fatalf("%s: %v may start before %v has finished", name, tasks[b], tasks[a])
+			}
+		}
+		nb := p.MicroBatches
+		attn := min(p.AttnPages, nb)
+		for l := 2; l <= p.Layers+1; l++ {
+			for pg := 1; pg <= nb; pg++ {
+				page := p.id(RolePage, l, pg)
+				// Layer l's pages land in the slot layer l-2 computed from.
+				for j := 1; j <= nb && l > 2; j++ {
+					ordered(p.id(RolePre, l-2, j), page)
+					ordered(p.id(RolePost, l-2, j), page)
+				}
+				// Its pin overwrites the staging slot page (l-2, pg) ships from.
+				if l > 3 {
+					ordered(p.id(RolePage, l-2, pg), p.id(RolePin, l, pg))
+				}
+				// Its consumers: the QKV projection reads the leading
+				// pages, post-attention the whole layer.
+				for j := 1; j <= nb && l <= p.Layers; j++ {
+					if pg <= attn {
+						ordered(page, p.id(RolePre, l, j))
+					}
+					ordered(page, p.id(RolePost, l, j))
+				}
+			}
+		}
+	})
 }

@@ -42,19 +42,39 @@ func (l Lane) String() string {
 // Lanes returns all lanes in order.
 func Lanes() []Lane { return []Lane{GPU, CPU, HtoD, DtoH, Pin, Disk} }
 
+// Role says what a task does within the schedule that emitted it. The
+// simulator does not interpret it; package schedule defines the values.
+type Role uint8
+
 // Task is one unit of work bound to a lane.
 type Task struct {
 	// ID must be unique and usable as a dependency reference.
 	ID int
-	// Name labels the task in traces, e.g. "PostAttn(3,1)".
+	// Name labels the task in errors, e.g. "warm-up"; a task without one
+	// is labelled by its kind and coordinates (String).
 	Name string
 	// Kind groups tasks for utilization breakdowns, e.g. "weights".
 	Kind string
-	Lane Lane
+	// Role, Layer and MB are the task's coordinates in its schedule: an
+	// executor binds work by them, and a measured span joins a modelled
+	// one on them. Carried into the spans untouched.
+	Role      Role
+	Layer, MB int
+	Lane      Lane
 	// Duration in seconds; zero-duration tasks are allowed (barriers).
 	Duration float64
 	// Deps lists task IDs that must finish before this task starts.
 	Deps []int
+}
+
+// String is the task's label: its Name, or "kind(layer,mb)" for a task
+// a schedule builder emitted without one (rendered only when asked for,
+// so building a graph formats nothing).
+func (t Task) String() string {
+	if t.Name != "" {
+		return t.Name
+	}
+	return fmt.Sprintf("%s(%d,%d)", t.Kind, t.Layer, t.MB)
 }
 
 // Span is an executed task with its scheduled interval.
@@ -129,20 +149,20 @@ func Run(tasks []Task) (Result, error) {
 	byID := make(map[int]int, n) // task ID -> index
 	for i, t := range tasks {
 		if t.Duration < 0 {
-			return res, fmt.Errorf("sim: task %q has negative duration", t.Name)
+			return res, fmt.Errorf("sim: task %q has negative duration", t)
 		}
 		if t.Lane < 0 || t.Lane >= numLanes {
-			return res, fmt.Errorf("sim: task %q has invalid lane %d", t.Name, int(t.Lane))
+			return res, fmt.Errorf("sim: task %q has invalid lane %d", t, int(t.Lane))
 		}
 		if _, dup := byID[t.ID]; dup {
-			return res, fmt.Errorf("sim: duplicate task ID %d (%q)", t.ID, t.Name)
+			return res, fmt.Errorf("sim: duplicate task ID %d (%q)", t.ID, t)
 		}
 		byID[t.ID] = i
 	}
 	for _, t := range tasks {
 		for _, d := range t.Deps {
 			if _, ok := byID[d]; !ok {
-				return res, fmt.Errorf("sim: task %q depends on unknown ID %d", t.Name, d)
+				return res, fmt.Errorf("sim: task %q depends on unknown ID %d", t, d)
 			}
 		}
 	}
@@ -213,7 +233,7 @@ func Run(tasks []Task) (Result, error) {
 func firstUnscheduled(tasks []Task, end []float64) string {
 	for i, t := range tasks {
 		if end[i] < 0 {
-			return t.Name
+			return t.String()
 		}
 	}
 	return ""

@@ -14,16 +14,16 @@ func (r Result) Validate(tasks []Task) error {
 	for _, t := range tasks {
 		s, ok := byID[t.ID]
 		if !ok {
-			return fmt.Errorf("sim: task %q missing from result", t.Name)
+			return fmt.Errorf("sim: task %q missing from result", t)
 		}
 		for _, d := range t.Deps {
 			ds, ok := byID[d]
 			if !ok {
-				return fmt.Errorf("sim: dependency %d of %q missing", d, t.Name)
+				return fmt.Errorf("sim: dependency %d of %q missing", d, t)
 			}
 			if s.Start < ds.End-1e-12 {
 				return fmt.Errorf("sim: %q starts at %g before dependency %q ends at %g",
-					t.Name, s.Start, ds.Task.Name, ds.End)
+					t, s.Start, ds.Task, ds.End)
 			}
 		}
 	}
@@ -31,8 +31,8 @@ func (r Result) Validate(tasks []Task) error {
 		for i := 1; i < len(spans); i++ {
 			if spans[i].Start < spans[i-1].End-1e-12 {
 				return fmt.Errorf("sim: lane %v: %q (start %g) overlaps %q (end %g)",
-					lane, spans[i].Task.Name, spans[i].Start,
-					spans[i-1].Task.Name, spans[i-1].End)
+					lane, spans[i].Task, spans[i].Start,
+					spans[i-1].Task, spans[i-1].End)
 			}
 		}
 	}
