@@ -22,9 +22,18 @@
 //     look-ahead, issue order and dependencies, weight-buffer reuse
 //     hazards included, are what schedule.Build emits for CGOPipe — the
 //     graph the simulator runs. NewPipeline builds it once for the
-//     pipeline's shape and binds it to Pipeline.runTask; decodeStep sets
-//     the step's inputs and runs it (laneSet, pipeline.go), allocating
-//     nothing for it.
+//     pipeline's shape, always with Plan.LayerFFN, and binds it to
+//     Pipeline.runTask; decodeStep sets the step's inputs and runs it
+//     (laneSet, pipeline.go), allocating nothing for it.
+//   - Post-attention (forward.go): postAttention is postRoute (O
+//     projection, residual, router; per group of rows, at a row offset)
+//     then expertFFN (every routed expert once over all rows). The
+//     reference and prefill call the composition; a decode step calls
+//     postRoute from post(l, j) for each micro-batch and expertFFN once
+//     from ffn(l), so a layer passes over an expert's weights once
+//     however many micro-batches route to it. Rows are independent and a
+//     token's experts accumulate in ascending id either way: the tokens
+//     are the reference's.
 //
 // The Server itself is four files: handle.go (the request handle),
 // admit.go (submit, overload gate, admission loop), wave.go (plan →
@@ -34,14 +43,15 @@
 //
 // Expert FFN blocks reach the GPU through paging.ExpertPager, and the
 // engine, not the pager, knows what runs next. Pipeline.beginLayer is
-// the one place they meet: when a layer's first expert work starts
-// (decode: the top of its first post-attention task, once the previous
-// layer's last has retired; prefill: the top of the layer) it announces
-// the layer and requests the next layer's predicted experts, load
-// descending, as many as half the pool holds and no more than the next
-// layer's rows x TopK — what it can route to; a one-sequence wave that
-// asked for all of them would keep the worker copying unread blocks
-// beside the lanes from start to finish. The pager then evicts in schedule order — the layer just
+// the one place they meet: when a layer starts (decode: the top of its
+// first post-attention task, once the previous layer's expert FFN has
+// retired and a micro-batch's worth of tasks before its own; prefill:
+// the top of the layer) it announces the layer and requests the next
+// layer's predicted experts, load descending, as many as half the pool
+// holds and no more than the next layer's rows x TopK — what it can
+// route to; a one-sequence wave that asked for all of them would keep
+// the worker copying unread blocks beside the lanes from start to
+// finish. The pager then evicts in schedule order — the layer just
 // finished first, the layer about to run last, LRU plus frequency only
 // inside a layer — lets no prefetch displace a block needed sooner than
 // the one it brings, and keeps a single pending request, so its worker
@@ -76,8 +86,10 @@
 // generation error, ErrWaveStalled). A handle never returns from a wave
 // to the queue.
 //
-// finished: terminal, entered exactly once through Handle.finish (a
-// second call is a no-op) by Server.finalize, which also folds the
-// outcome into the stats. A wave's busy time and wave count are folded
-// before its first handle finishes. A push after finish is dropped.
+// finished: terminal, entered exactly once through Handle.settle (a
+// second call is a no-op) by Server.finalize, which folds the outcome
+// into the stats and only then wakes the handle's waiters (Handle.wake):
+// whoever returns from Wait reads Stats that count the request. A
+// wave's busy time and wave count are folded before its first handle
+// finishes. A push after settle is dropped.
 package engine

@@ -30,11 +30,15 @@ func qkvViews(data []float32, n, q, kv int) (Q, K, V tensor.Mat) {
 // RMSNorm, one batched Q/K/V projection over the whole group, and
 // rotary embedding. x is [n, hidden], positions[i] is token i's
 // absolute position, qkv is the n*(qdim+2*kvdim) output buffer in
-// qkvViews layout.
-func preAttention(layout Layout, layer []float32, x tensor.Mat, positions []int, qkv []float32, scratch *ffnScratch) {
+// qkvViews layout. normedBuf is n*hidden floats of workspace the caller
+// owns: the reference and prefill lend their ffnScratch's norm rows,
+// which nothing else holds between their pre- and post-attention; a
+// decode step cannot, because pre(l, j+ahead) runs between postRoute's
+// write of those rows and expertFFN's read.
+func preAttention(layout Layout, layer []float32, x tensor.Mat, positions []int, qkv, normedBuf []float32) {
 	cfg := layout.cfg
 	n := x.Rows
-	normed := scratch.normedView(n)
+	normed := tensor.FromSlice(n, cfg.Hidden, normedBuf[:n*cfg.Hidden])
 	norm := layout.AttnNorm(layer)
 	for i := 0; i < n; i++ {
 		tensor.RMSNorm(normed.Row(i), x.Row(i), norm, 1e-5)
@@ -49,13 +53,13 @@ func preAttention(layout Layout, layer []float32, x tensor.Mat, positions []int,
 	}
 }
 
-// expertSource resolves expert FFN weights for postAttention. Acquire
+// expertSource resolves expert FFN weights for expertFFN. Acquire
 // pins expert e's projections in whatever memory serves the kernels —
 // the GPU residency pool for the pipeline, where a cold expert
 // demand-fetches synchronously so routing is never wrong, just slower;
 // the CPU layer region for the reference — and Release unpins them
 // once the expert's GEMM triple is done. An Acquire error (a paged
-// expert whose fetch failed past its retry budget) makes postAttention
+// expert whose fetch failed past its retry budget) makes expertFFN
 // skip the expert and record the failure in scratch; the caller maps
 // it onto the sequences routed to that expert. A failed Acquire is
 // never Released.
@@ -86,17 +90,93 @@ func (s residentExperts) Release(int) {}
 // a full layer region works too since the shared tensors are its
 // prefix); expert blocks come from the expertSource one at a time.
 //
-// Execution is expert-grouped: the whole group is routed first, token
-// indices are bucketed by chosen expert, and each expert with work runs
-// one [tokens_e, hidden] batched GEMM triple instead of tokens x topk
-// separate GEMVs. Per token the expert contributions accumulate in
-// ascending expert-id order independent of the grouping, so the result
-// is bit-identical for any batch shape.
+// It is postRoute followed by expertFFN over the same rows, and that is
+// the only definition: the reference calls it per token and prefill per
+// packed chunk (through the kernel hooks), while a decode step calls
+// the halves from two tasks — postRoute once per micro-batch, each at
+// its own row offset, then one expertFFN over all of them.
 //
 // It returns the expert indices chosen per token (in routing order) for
 // routing statistics; the slices are backed by scratch and only valid
 // until the next call.
 func postAttention(layout Layout, shared []float32, experts expertSource, attnOut, x tensor.Mat, scratch *ffnScratch) [][]int {
+	postRoute(layout, shared, attnOut, x, scratch, 0)
+	return expertFFN(layout, experts, x, scratch)
+}
+
+// postRoute is the per-group half of post-attention: O projection and
+// residual into x (in place), FFN norm, router logits, top-k and gate
+// weights for x's n rows. What expertFFN needs of it is left in
+// scratch rows [off, off+n) — normed, chosen, sel — so several groups
+// can route one after another into disjoint rows of one scratch and
+// meet in a single expertFFN. It owns exactly those rows (and the same
+// rows of proj and logits, which nothing reads afterwards): rows of
+// other groups are untouched.
+func postRoute(layout Layout, shared []float32, attnOut, x tensor.Mat, scratch *ffnScratch, off int) {
+	cfg := layout.cfg
+	n := x.Rows
+	if off+n > scratch.maxN {
+		panic(fmt.Sprintf("engine: rows %d..%d exceed scratch capacity %d", off, off+n, scratch.maxN))
+	}
+	h := cfg.Hidden
+
+	// O projection + residual, one GEMM for the whole group.
+	proj := tensor.FromSlice(n, h, scratch.proj[off*h:(off+n)*h])
+	tensor.MatMulTParallel(proj, attnOut, layout.Wo(shared))
+	for i := 0; i < n; i++ {
+		tensor.Add(x.Row(i), x.Row(i), proj.Row(i))
+	}
+
+	// FFN norm + batched router logits.
+	normed := tensor.FromSlice(n, h, scratch.normed[off*h:(off+n)*h])
+	norm := layout.FFNNorm(shared)
+	for i := 0; i < n; i++ {
+		tensor.RMSNorm(normed.Row(i), x.Row(i), norm, 1e-5)
+	}
+	logits := tensor.FromSlice(n, cfg.Experts, scratch.logits[off*cfg.Experts:(off+n)*cfg.Experts])
+	tensor.MatMulTParallel(logits, normed, layout.Router(shared))
+
+	// Route every token. The gate weight softmax runs over the top-k
+	// logits in routing order, exactly as the per-token path did
+	// (Mixtral renorm).
+	for i := 0; i < n; i++ {
+		row := logits.Row(i)
+		topk := tensor.TopKInto(scratch.chosen[off+i], row, cfg.TopK)
+		scratch.chosen[off+i] = topk
+		sel := scratch.sel[(off+i)*cfg.TopK : (off+i)*cfg.TopK+len(topk)]
+		for j, e := range topk {
+			sel[j] = row[e]
+		}
+		tensor.Softmax(sel)
+	}
+}
+
+// expertFFN is the expert half of post-attention over the n rows of x
+// that postRoute calls have routed into scratch rows [0, n):
+// y_t = sum_e w_te * down_e(SiLU(gate_e(t)) * up_e(t)), added into x in
+// place. It owns every scratch row and the buckets for the call.
+//
+// Execution is expert-grouped: row indices are bucketed by chosen
+// expert, and each expert with work is acquired ONCE and runs one
+// [tokens_e, hidden] batched GEMM triple instead of tokens x topk
+// separate GEMVs — a pass over an expert's matrices costs the same at
+// one row as at eight, so the fewer groups the rows arrive in, the fewer
+// passes. GEMM rows are independent, and per token the expert
+// contributions accumulate into ffnOut in ascending expert-id order
+// whatever other rows share the call, so the result is bit-identical
+// for any batch shape: a token alone (the reference), inside its
+// micro-batch, or among the rows of every micro-batch of a decode
+// layer.
+//
+// An expert whose weights cannot be acquired is skipped wholesale and
+// recorded in scratch.failedExperts: its tokens' outputs are wrong from
+// here on (a contribution is missing), so the caller must retire every
+// sequence routed to it — but tokens NOT routed to the failed expert
+// accumulate exactly the contributions they always did, in the same
+// order, so survivors stay bit-identical.
+//
+// It returns the expert indices chosen per row (in routing order).
+func expertFFN(layout Layout, experts expertSource, x tensor.Mat, scratch *ffnScratch) [][]int {
 	cfg := layout.cfg
 	n := x.Rows
 	if n > scratch.maxN {
@@ -104,53 +184,18 @@ func postAttention(layout Layout, shared []float32, experts expertSource, attnOu
 	}
 	h, h2 := cfg.Hidden, cfg.Intermediate
 
-	// O projection + residual, one GEMM for the whole group.
-	proj := tensor.FromSlice(n, h, scratch.proj[:n*h])
-	tensor.MatMulTParallel(proj, attnOut, layout.Wo(shared))
-	for i := 0; i < n; i++ {
-		tensor.Add(x.Row(i), x.Row(i), proj.Row(i))
-	}
-
-	// FFN norm + batched router logits.
-	normed := scratch.normedView(n)
-	norm := layout.FFNNorm(shared)
-	for i := 0; i < n; i++ {
-		tensor.RMSNorm(normed.Row(i), x.Row(i), norm, 1e-5)
-	}
-	logits := tensor.FromSlice(n, cfg.Experts, scratch.logits[:n*cfg.Experts])
-	tensor.MatMulTParallel(logits, normed, layout.Router(shared))
-
-	// Route every token, then bucket token indices by chosen expert.
-	// The gate weight softmax runs over the top-k logits in routing
-	// order, exactly as the per-token path did (Mixtral renorm).
 	for e := range scratch.bucketTok {
 		scratch.bucketTok[e] = scratch.bucketTok[e][:0]
 		scratch.bucketW[e] = scratch.bucketW[e][:0]
 	}
 	for i := 0; i < n; i++ {
-		row := logits.Row(i)
-		topk := tensor.TopKInto(scratch.chosen[i], row, cfg.TopK)
-		scratch.chosen[i] = topk
-		sel := scratch.sel[i*cfg.TopK : i*cfg.TopK+len(topk)]
-		for j, e := range topk {
-			sel[j] = row[e]
-		}
-		tensor.Softmax(sel)
-		for j, e := range topk {
+		for j, e := range scratch.chosen[i] {
 			scratch.bucketTok[e] = append(scratch.bucketTok[e], i)
-			scratch.bucketW[e] = append(scratch.bucketW[e], sel[j])
+			scratch.bucketW[e] = append(scratch.bucketW[e], scratch.sel[i*cfg.TopK+j])
 		}
 	}
 
-	// Expert FFN: y_t = sum_e w_te * down_e(SiLU(gate_e(t)) * up_e(t)),
-	// one batched GEMM triple per expert over its grouped tokens. An
-	// expert whose weights cannot be acquired is skipped wholesale and
-	// recorded in scratch.failedExperts: its tokens' outputs are wrong
-	// from here on (a contribution is missing), so the caller must
-	// retire every sequence routed to it — but tokens NOT routed to the
-	// failed expert accumulate exactly the contributions they always
-	// did, in the same ascending expert-id order, so survivors stay
-	// bit-identical.
+	normed := tensor.FromSlice(n, h, scratch.normed[:n*h])
 	scratch.failedExperts = scratch.failedExperts[:0]
 	scratch.expertErr = nil
 	ffnOut := tensor.FromSlice(n, h, scratch.ffnOut[:n*h])
@@ -194,12 +239,12 @@ func postAttention(layout Layout, shared []float32, experts expertSource, attnOu
 	return scratch.chosen[:n]
 }
 
-// ffnScratch is reusable workspace for pre/postAttention sized for
+// ffnScratch is reusable workspace for postRoute / expertFFN sized for
 // batches of up to maxN tokens, so the steady-state forward pass never
-// allocates.
+// allocates. normed, chosen and sel carry a row's routing from postRoute
+// to expertFFN.
 type ffnScratch struct {
-	maxN   int
-	hidden int
+	maxN int
 
 	proj, normed, ffnOut []float32 // maxN x hidden
 	logits               []float32 // maxN x experts
@@ -211,7 +256,7 @@ type ffnScratch struct {
 	xe, expProj          []float32   // maxN x hidden expert staging
 	gateAct, upAct       []float32   // maxN x intermediate
 
-	// failedExperts / expertErr record experts postAttention skipped
+	// failedExperts / expertErr record experts expertFFN skipped
 	// because Acquire failed (and the first such error), valid until
 	// the next call: the caller retires the sequences routed to them.
 	failedExperts []int
@@ -225,7 +270,6 @@ func newFFNScratch(layout Layout, maxN int) *ffnScratch {
 	cfg := layout.cfg
 	s := &ffnScratch{
 		maxN:       maxN,
-		hidden:     cfg.Hidden,
 		proj:       make([]float32, maxN*cfg.Hidden),
 		normed:     make([]float32, maxN*cfg.Hidden),
 		ffnOut:     make([]float32, maxN*cfg.Hidden),
@@ -248,11 +292,6 @@ func newFFNScratch(layout Layout, maxN int) *ffnScratch {
 		s.bucketW[e] = make([]float32, 0, maxN)
 	}
 	return s
-}
-
-// normedView is the [n, hidden] normalized-activation workspace.
-func (s *ffnScratch) normedView(n int) tensor.Mat {
-	return tensor.FromSlice(n, s.hidden, s.normed[:n*s.hidden])
 }
 
 // logitsFor computes the LM-head logits for one hidden state using the

@@ -2,6 +2,7 @@ package engine
 
 import (
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"moelightning/internal/memory"
@@ -13,7 +14,8 @@ import (
 // behind the expert-grouped rewrite: running a whole micro-batch
 // through postAttention must produce exactly the hidden states and
 // routing decisions of n independent single-token calls, because the
-// sequential reference engine runs the n=1 path.
+// sequential reference engine runs the n=1 path — and, for the decode
+// step, of postRoute per group followed by one expertFFN over them all.
 func TestPostAttentionBatchMatchesPerToken(t *testing.T) {
 	cfg := model.Tiny()
 	cpu := memory.NewArena("cpu", 1<<22)
@@ -63,6 +65,39 @@ func TestPostAttentionBatchMatchesPerToken(t *testing.T) {
 				}
 			}
 		}
+
+		// The decode step's shape: two groups route one after the other
+		// into their own rows of one scratch — the second group first, at
+		// a non-zero offset — and one expertFFN serves both. Each group
+		// must come out as postAttention leaves it alone.
+		if n < 2 {
+			continue
+		}
+		n1 := n / 2
+		xSplit := x.Clone()
+		splitScratch := newFFNScratch(layout, n)
+		group := func(m tensor.Mat, lo, hi int) tensor.Mat {
+			return tensor.FromSlice(hi-lo, m.Cols, m.Data[lo*m.Cols:hi*m.Cols])
+		}
+		postRoute(layout, layer, group(attn, n1, n), group(xSplit, n1, n), splitScratch, n1)
+		postRoute(layout, layer, group(attn, 0, n1), group(xSplit, 0, n1), splitScratch, 0)
+		splitChosen := expertFFN(layout, residentExperts{layout: layout, data: layer}, xSplit, splitScratch)
+		for _, g := range [][2]int{{0, n1}, {n1, n}} {
+			xAlone := group(x, g[0], g[1]).Clone()
+			chosen := postAttention(layout, layer, residentExperts{layout: layout, data: layer},
+				group(attn, g[0], g[1]), xAlone, newFFNScratch(layout, g[1]-g[0]))
+			for i := range chosen {
+				if !reflect.DeepEqual(chosen[i], splitChosen[g[0]+i]) {
+					t.Fatalf("n=%d rows %d..%d: row %d routes to %v alone, %v in the split call", n, g[0], g[1], i, chosen[i], splitChosen[g[0]+i])
+				}
+				for j := 0; j < cfg.Hidden; j++ {
+					if xAlone.At(i, j) != xSplit.At(g[0]+i, j) {
+						t.Fatalf("n=%d rows %d..%d: row %d dim %d: alone %v != routed at an offset, one expertFFN %v (must be bit-identical)",
+							n, g[0], g[1], i, j, xAlone.At(i, j), xSplit.At(g[0]+i, j))
+					}
+				}
+			}
+		}
 	}
 }
 
@@ -90,14 +125,14 @@ func TestPreAttentionBatchMatchesPerToken(t *testing.T) {
 			positions[i] = rng.Intn(40)
 		}
 		qkvBatch := make([]float32, n*(q+2*kv))
-		preAttention(layout, layer, x, positions, qkvBatch, newFFNScratch(layout, n))
+		preAttention(layout, layer, x, positions, qkvBatch, make([]float32, n*cfg.Hidden))
 		Qb, Kb, Vb := qkvViews(qkvBatch, n, q, kv)
 
-		tokScratch := newFFNScratch(layout, 1)
+		tokNormed := make([]float32, cfg.Hidden)
 		qkvTok := make([]float32, q+2*kv)
 		for i := 0; i < n; i++ {
 			xi := tensor.FromSlice(1, cfg.Hidden, x.Row(i))
-			preAttention(layout, layer, xi, positions[i:i+1], qkvTok, tokScratch)
+			preAttention(layout, layer, xi, positions[i:i+1], qkvTok, tokNormed)
 			Qt, Kt, Vt := qkvViews(qkvTok, 1, q, kv)
 			for j := range Qt.Data {
 				if Qt.Data[j] != Qb.At(i, j) {

@@ -166,7 +166,7 @@ func (h *Handle) Err() error {
 
 // push records and streams one token. Called only from the serving
 // goroutine; the buffered channel makes the send non-blocking. A push
-// after finish is dropped — an abandoned (watchdog-wedged) wave that
+// after settle is dropped — an abandoned (watchdog-wedged) wave that
 // later unwedges must not write into handles the watchdog failed.
 func (h *Handle) push(index, id int) {
 	now := time.Now()
@@ -200,22 +200,35 @@ func (h *Handle) canceled() bool {
 	}
 }
 
-func (h *Handle) finish(err error) {
+// settle enters the finished state: from here push drops tokens and Err
+// and Wait report err. It does not wake anyone — Done, Wait and a
+// Tokens range still block until wake — so the server can fold the
+// outcome into its stats first: a client that has seen its request
+// finish reads stats that count it. It reports whether this call
+// finished the handle; a second call changes nothing.
+func (h *Handle) settle(err error) bool {
 	h.mu.Lock()
+	defer h.mu.Unlock()
 	if h.finished {
-		h.mu.Unlock()
-		return
+		return false
 	}
 	h.finished = true
 	h.err = err
-	ch := h.tokens
-	if ch == nil {
+	if h.tokens == nil {
 		// Never streamed and no consumer asked yet: point Tokens() at the
 		// shared closed channel instead of allocating one to close.
 		h.tokens = closedTokens
 	}
+	return true
+}
+
+// wake closes the settled handle's channels. Call it once, after the
+// settle that returned true.
+func (h *Handle) wake() {
+	h.mu.Lock()
+	ch := h.tokens
 	h.mu.Unlock()
-	if ch != nil {
+	if ch != closedTokens {
 		close(ch)
 	}
 	close(h.done)

@@ -51,11 +51,11 @@ func BenchmarkKernelsExpertFFN(b *testing.B) {
 func BenchmarkKernelsExpertFFNSeedScalar(b *testing.B) {
 	layout, layer, attn, x := benchFFNSetup(b, 32)
 	pristine := append([]float32(nil), x.Data...)
-	scratch := newSeedScratch(layout)
+	scratch, rows := newSeedScratch(layout), newFFNScratch(layout, x.Rows)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		copy(x.Data, pristine)
-		seedPostAttention(layout, layer, residentExperts{layout: layout, data: layer}, attn, x, scratch)
+		seedPostAttention(layout, layer, residentExperts{layout: layout, data: layer}, attn, x, scratch, rows)
 	}
 }
 

@@ -21,16 +21,20 @@ import (
 // and channel-carried dependencies. The step's task graph is the one
 // schedule.Build emits for CGOPipe — the graph the simulator and the HRM
 // figures run — built once at construction for the pipeline's shape
-// (layers, micro-batches, look-ahead, attention pages; retirement empties
-// a micro-batch, it never removes a task) and bound to runTask; a step
-// only sets its inputs and runs it. Weights live in the CPU arena and
+// (layers, micro-batches, look-ahead, attention pages, the layer-wide
+// expert FFN; retirement empties a micro-batch, it never removes a task)
+// and bound to runTask; a step only sets its inputs and runs it.
+// Attention, the O projection and the router run per micro-batch; the
+// expert FFN runs once per layer over the rows of all of them (ffn(l)),
+// so a layer passes over each routed expert's weights once however the
+// wave is partitioned. Weights live in the CPU arena and
 // stream in two granularities: the shared attention/router region of
 // each layer moves through pinned staging into a double-buffered GPU
 // region, page by page, while expert FFN blocks move individually
 // through an ExpertPager that keeps a fixed-byte resident set on the
 // GPU. The engine tells the pager the schedule it already knows: as a
-// layer's first post-attention task starts — the previous layer's last
-// one has retired, so its blocks are free to go — it announces the
+// layer's first post-attention task starts — the previous layer's
+// expert FFN has retired, so its blocks are free to go — it announces the
 // layer and hands over the next layer's predicted experts (prefill does
 // the same once per layer). The pager evicts the layer furthest ahead
 // in the cyclic layer order first and its worker never holds more than
@@ -71,10 +75,15 @@ type Pipeline struct {
 	// before it submits the graph and read by the lane tasks: the virtual
 	// index of the step's layer 0 (step x Layers; buffer slots go by its
 	// parity, which flips between steps when Layers is odd), every
-	// sequence's position at step start, and the live row count.
+	// sequence's position at step start, the live row count, and where
+	// the live rows sit in the layer-wide post-attention workspaces
+	// (xPost, scratch): micro-batch j's sequences take rows rowOff[j]
+	// onwards in partition order, and row r belongs to sequence rowSeq[r].
 	vbase     int
 	positions []int
 	stepRows  int
+	rowOff    []int
+	rowSeq    []int
 
 	// Counters observable by tests and examples.
 	Counters Counters
@@ -93,12 +102,18 @@ type Pipeline struct {
 
 	// Steady-state decode workspaces, allocated once at build time so
 	// lane tasks never allocate. The GPU lane serializes its tasks, so
-	// pre- and post-attention share one x staging buffer each across
-	// all micro-batches; the CPU lane owns, per micro-batch slot,
-	// reusable block-view slices (zero-copy windows into the paged KV
-	// cache — float32 Mats or, under an Int8 cache, quantized QBlocks
-	// plus a headDim dequant row), score scratch and an attention item.
+	// pre-attention shares one x staging buffer, one position buffer and
+	// one set of norm rows across all micro-batches, each sized by the
+	// largest; post-attention's x rows and scratch are layer-wide, one
+	// row per sequence — post(l, j) fills micro-batch j's rows, ffn(l)
+	// reads them all — which is why pre-attention, which runs between
+	// the two, cannot borrow the scratch's norm rows. The CPU lane owns,
+	// per micro-batch slot, reusable block-view slices (zero-copy windows
+	// into the paged KV cache — float32 Mats or, under an Int8 cache,
+	// quantized QBlocks plus a headDim dequant row), score scratch and an
+	// attention item.
 	xPre, xPost      tensor.Mat
+	preNormed        []float32
 	posBuf           []int
 	blockK, blockV   [][]tensor.Mat
 	qblockK, qblockV [][]tensor.QBlock
@@ -111,12 +126,14 @@ type Pipeline struct {
 	// seqErr records per-sequence failures hit mid-step; GenerateStream
 	// retires the offenders at the next step boundary instead of failing
 	// the wave. During a step two lanes write it — the CPU lane on KV-pool
-	// exhaustion (runCPUAttn), the GPU lane on a failed expert fetch
-	// (runPostAttn) — and a sequence sits in one micro-batch, whose tasks
-	// the graph chains (cattn -> loadh -> post -> next layer's pre -> qkv
-	// -> cattn), so writes and reads of one element are ordered. The
-	// generation goroutine reads it after the step barrier; prefill, which
-	// is single-threaded, writes it too.
+	// exhaustion (runCPUAttn, for the sequences of its micro-batch), the
+	// GPU lane on a failed expert fetch (runExpertFFN, for rows of every
+	// micro-batch) — and the graph orders them: within a layer every
+	// cattn(l, j) precedes ffn(l) through cattn -> loadh -> post(l, j) ->
+	// ffn(l), and ffn(l) precedes every cattn(l+1, j) through ffn(l) ->
+	// pre(l+1, j) -> qkv -> cattn, so no element is written while another
+	// lane reads or writes it. The generation goroutine reads it after the
+	// step barrier; prefill, which is single-threaded, writes it too.
 	seqErr []error
 
 	scratch *ffnScratch
@@ -153,14 +170,17 @@ type Pipeline struct {
 }
 
 // kernels bundles the forward-pass implementations the lane tasks call.
+// route and ffn are the two halves of postAttention: prefill calls them
+// back to back over a packed chunk, decode from post(l, j) and ffn(l).
 type kernels struct {
-	preAttn  func(layout Layout, shared []float32, x tensor.Mat, positions []int, qkv []float32, scratch *ffnScratch)
-	postAttn func(layout Layout, shared []float32, experts expertSource, attnOut, x tensor.Mat, scratch *ffnScratch) [][]int
-	attend   func(items []tensor.AttnItem, nq, nkv, headDim int)
+	preAttn func(layout Layout, shared []float32, x tensor.Mat, positions []int, qkv, normed []float32)
+	route   func(layout Layout, shared []float32, attnOut, x tensor.Mat, scratch *ffnScratch, off int)
+	ffn     func(layout Layout, experts expertSource, x tensor.Mat, scratch *ffnScratch) [][]int
+	attend  func(items []tensor.AttnItem, nq, nkv, headDim int)
 }
 
 func defaultKernels() kernels {
-	return kernels{preAttn: preAttention, postAttn: postAttention, attend: tensor.AttendMany}
+	return kernels{preAttn: preAttention, route: postRoute, ffn: expertFFN, attend: tensor.AttendMany}
 }
 
 // Counters tallies data movement and kernel activity. Movement is
@@ -332,9 +352,12 @@ func NewPipeline(w *Weights, gpu, pinned, cacheArena *memory.Arena, numSeqs int,
 			maxMB = len(mb)
 		}
 	}
-	p.scratch = newFFNScratch(layout, maxMB)
+	p.scratch = newFFNScratch(layout, numSeqs)
+	p.xPost = tensor.NewMat(numSeqs, w.Cfg.Hidden)
+	p.rowOff = make([]int, nb)
+	p.rowSeq = make([]int, numSeqs)
 	p.xPre = tensor.NewMat(maxMB, w.Cfg.Hidden)
-	p.xPost = tensor.NewMat(maxMB, w.Cfg.Hidden)
+	p.preNormed = make([]float32, maxMB*w.Cfg.Hidden)
 	p.posBuf = make([]int, maxMB)
 	p.maxContext = cfg.MaxContext
 	if p.maxContext < 1 {
@@ -426,7 +449,7 @@ func NewPipeline(w *Weights, gpu, pinned, cacheArena *memory.Arena, numSeqs int,
 	}
 	graph, err := schedule.Build(schedule.CGOPipe, schedule.Plan{
 		Layers: w.Cfg.Layers, MicroBatches: nb,
-		Lookahead: cfg.Lookahead, AttnPages: p.attnPages(),
+		Lookahead: cfg.Lookahead, AttnPages: p.attnPages(), LayerFFN: true,
 	})
 	if err != nil {
 		return nil, err

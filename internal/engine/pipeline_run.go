@@ -219,7 +219,13 @@ func (p *Pipeline) decodeStep(step int) error {
 	for s := range p.positions {
 		p.positions[s] = p.cache.Len(s)
 	}
-	p.stepRows = p.liveRows() // fixed for the step: sequences retire between steps
+	// Fixed for the step (sequences retire between steps): the live rows
+	// and each one's place in the layer-wide post-attention workspaces.
+	p.stepRows = 0
+	for j, mb := range p.mbs {
+		p.rowOff[j] = p.stepRows
+		p.stepRows += copy(p.rowSeq[p.stepRows:], mb)
+	}
 	p.lanes.runStep()
 	return p.failed()
 }
@@ -228,9 +234,10 @@ func (p *Pipeline) decodeStep(step int) error {
 // CGOPipe builder does here, on the lane the builder put it on. The
 // builder numbers layers and micro-batches from 1 and calls the next
 // step's first layer Layers+1, so l may equal Layers for a page or a
-// pin. Everything a task needs beyond its coordinates — the step's
-// inputs, the micro-batch's current members — is read when it runs:
-// retirement replaces p.mbs[j] between steps.
+// pin; ffn, once per layer, carries micro-batch 0. Everything a task
+// needs beyond its coordinates — the step's inputs, the micro-batch's
+// current members — is read when it runs: retirement replaces p.mbs[j]
+// between steps.
 func (p *Pipeline) runTask(t *sim.Task) error {
 	l, j := t.Layer-1, t.MB-1
 	v := p.vbase + l // virtual layer: the weight buffers' slots go by its parity
@@ -249,18 +256,22 @@ func (p *Pipeline) runTask(t *sim.Task) error {
 		p.Counters.HtoDBytes.Add(floatBytes(p.attnGPU[j].Len()))
 	case schedule.RolePost:
 		if j == 0 {
-			// First expert work of the layer, and the previous layer's
-			// last post-attention has retired (the GPU lane runs posts in
-			// order): its blocks are now the pager's first victims, so
-			// this is the earliest the next layer's predicted experts can
-			// be fetched without displacing blocks still waiting to be
-			// used (the last layer wraps to layer 0 of the next step).
-			// Runs even when micro-batch 0 has emptied, on the GPU lane,
-			// the sole writer of the router statistics it reads.
+			// The layer's first post-attention: the previous layer's expert
+			// FFN has retired (the GPU lane runs in order), so its blocks
+			// are now the pager's first victims, and this layer's own FFN
+			// is a micro-batch's worth of tasks away — the earliest the
+			// next layer's predicted experts can be fetched without
+			// displacing blocks still waiting to be used (the last layer
+			// wraps to layer 0 of the next step), and the most time the
+			// copies get. Runs even when micro-batch 0 has emptied, on the
+			// GPU lane, the sole writer of the router statistics it reads.
 			p.beginLayer(l, p.stepRows)
 		}
 		p.Counters.GPUKernels.Add(1)
-		return p.runPostAttn(l, v, j)
+		p.runPostRoute(v, j)
+	case schedule.RoleFFN:
+		p.Counters.GPUKernels.Add(1)
+		p.runExpertFFN(l)
 	case schedule.RolePage:
 		return p.runPage(v, j)
 	case schedule.RolePin:
@@ -306,7 +317,7 @@ func (p *Pipeline) runPreAttn(v, j int) error {
 		copy(x.Row(i), p.hidden.Row(s))
 		pos[i] = p.positions[s]
 	}
-	p.kern.preAttn(p.layout, shared, x, pos, qkv, p.scratch)
+	p.kern.preAttn(p.layout, shared, x, pos, qkv, p.preNormed)
 	return nil
 }
 
@@ -375,36 +386,46 @@ func (p *Pipeline) scoresFor(i, ctx int) []float32 {
 	return p.scores[i][:ctx]
 }
 
-// runPostAttn executes O projection + MoE FFN for micro-batch j and
-// writes the updated hidden states back. The shared region comes from
-// the double buffer; expert blocks come from the pager, which
-// demand-fetches any miss synchronously so routing is always honored.
-func (p *Pipeline) runPostAttn(layer, v, j int) error {
+// runPostRoute is post(l, j): the O projection, residual and router for
+// micro-batch j, from the shared weights of virtual layer v in the
+// double buffer, into the micro-batch's rows of the layer-wide
+// workspaces (xPost, scratch). It writes nothing back: the hidden state
+// takes the rows once the layer's expert FFN has added to them.
+func (p *Pipeline) runPostRoute(v, j int) {
 	mb := p.mbs[j]
 	n := len(mb)
 	if n == 0 {
-		return nil
+		return
 	}
 	cfg := p.w.Cfg
-	shared := p.db.Slot(v).Data()
+	off := p.rowOff[j]
 	attn := tensor.FromSlice(n, cfg.QDim(), p.attnGPU[j].Data()[:n*cfg.QDim()])
-	x := tensor.FromSlice(n, cfg.Hidden, p.xPost.Data[:n*cfg.Hidden])
+	x := tensor.FromSlice(n, cfg.Hidden, p.xPost.Data[off*cfg.Hidden:(off+n)*cfg.Hidden])
 	for i, s := range mb {
 		copy(x.Row(i), p.hidden.Row(s))
 	}
+	p.kern.route(p.layout, p.db.Slot(v).Data(), attn, x, p.scratch, off)
+}
+
+// runExpertFFN is ffn(l): the layer's expert FFN over the step's live
+// rows, every micro-batch's together, and the write-back of the updated
+// hidden states. Expert blocks come from the pager, each routed expert
+// acquired once; a miss demand-fetches synchronously so routing is
+// always honored.
+func (p *Pipeline) runExpertFFN(layer int) {
+	cfg := p.w.Cfg
+	rows := p.rowSeq[:p.stepRows]
+	x := tensor.FromSlice(len(rows), cfg.Hidden, p.xPost.Data[:len(rows)*cfg.Hidden])
 	p.expSrc.layer = layer
-	chosen := p.kern.postAttn(p.layout, shared, &p.expSrc, attn, x, p.scratch)
+	chosen := p.kern.ffn(p.layout, &p.expSrc, x, p.scratch)
 	// An expert whose weights could not be fetched (past the pager's
-	// retry budget) fails exactly the sequences routed to it this
-	// micro-batch — marked before the writeback below so their corrupt
-	// rows never touch the hidden state. Writes to seqErr here (GPU
-	// lane) and in runCPUAttn (CPU lane) target the same element only
-	// through the task graph's cattn->post dependency chain, so they
-	// are ordered, never racing.
+	// retry budget) fails exactly the sequences routed to it, whichever
+	// micro-batch they sit in — marked before the writeback below so
+	// their corrupt rows never touch the hidden state.
 	if p.scratch.expertErr != nil {
-		p.failExpertRouted(layer, chosen, mb, p.scratch)
+		p.failExpertRouted(layer, chosen, rows, p.scratch)
 	}
-	for i, s := range mb {
+	for r, s := range rows {
 		// A sequence that exhausted the KV pool (or lost an expert)
 		// earlier this step carries stale rows: don't let them touch
 		// the hidden state or the expert-load statistics (it is retired
@@ -412,26 +433,25 @@ func (p *Pipeline) runPostAttn(layer, v, j int) error {
 		if p.seqErr[s] != nil {
 			continue
 		}
-		copy(p.hidden.Row(s), x.Row(i))
-		for _, e := range chosen[i] {
+		copy(p.hidden.Row(s), x.Row(r))
+		for _, e := range chosen[r] {
 			p.ExpertLoad[layer][e]++
 		}
 	}
-	return nil
 }
 
-// failExpertRouted marks seqErr for every sequence in mb whose routed
-// expert set intersects scratch.failedExperts: their FFN output is
-// missing a contribution, so they retire at the next step boundary
-// (decode) or are retired by the caller (prefill). Row i of the packed
-// batch belongs to mb[i] in decode; prefill passes its own row->seq
-// mapping via mb.
-func (p *Pipeline) failExpertRouted(layer int, chosen [][]int, mb []int, scratch *ffnScratch) {
+// failExpertRouted marks seqErr for every sequence whose routed expert
+// set intersects scratch.failedExperts: their FFN output is missing a
+// contribution, so they retire at the next step boundary (decode) or
+// are retired by the caller (prefill). Row i of the batch belongs to
+// sequence rowSeq[i]: the step's row map in decode, the packed chunk's
+// in prefill.
+func (p *Pipeline) failExpertRouted(layer int, chosen [][]int, rowSeq []int, scratch *ffnScratch) {
 	failed := make(map[int]bool, len(scratch.failedExperts))
 	for _, e := range scratch.failedExperts {
 		failed[e] = true
 	}
-	for i, s := range mb {
+	for i, s := range rowSeq {
 		if p.seqErr[s] != nil {
 			continue
 		}
@@ -516,7 +536,7 @@ func (p *Pipeline) liveRows() int {
 }
 
 // pagedExperts adapts the expert pager to the expertSource interface
-// postAttention consumes, for one real layer at a time.
+// expertFFN consumes, for one real layer at a time.
 type pagedExperts struct {
 	p     *Pipeline
 	layer int
@@ -525,7 +545,7 @@ type pagedExperts struct {
 func (s *pagedExperts) Acquire(e int) (gate, up, down tensor.Mat, err error) {
 	block, err := s.p.pager.Acquire(paging.ExpertKey{Layer: s.layer, Expert: e})
 	if err != nil {
-		// The caller (postAttention) skips the expert without touching
+		// The caller (expertFFN) skips the expert without touching
 		// the matrices or calling Release.
 		return tensor.Mat{}, tensor.Mat{}, tensor.Mat{}, err
 	}
@@ -572,19 +592,19 @@ func (p *Pipeline) beginLayer(layer, rows int) {
 // prefetchExperts hands the predicted expert sets of the given real
 // layers, in that order, to the pager's background worker. Per layer
 // that is at most half the residency pool, so prefetches for the next
-// layer never crowd out the experts the current layer is still using,
-// and at most rows x TopK blocks, all that a layer of `rows` token rows
-// can route to. Without the second limit a wave of one or two sequences
-// asks for every expert of every layer: its layers compute in less time
-// than those blocks take to copy, so the worker would copy flat out for
-// the whole wave, next to the lanes, blocks that are mostly never read.
-// Best effort — a block the worker does not reach in time, or that the
-// prediction left out, is covered by the demand-fetch fallback.
+// layer never crowd out the experts the current layer is still using —
+// nothing at all for a pool of one block, which the current layer's
+// first demand fetch would take back before the next layer could read
+// it — and at most rows x TopK blocks, all that a layer of `rows` token
+// rows can route to. Without the second limit a wave of one or two
+// sequences asks for every expert of every layer: its layers compute in
+// less time than those blocks take to copy, so the worker would copy
+// flat out for the whole wave, next to the lanes, blocks that are mostly
+// never read. Best effort — a block the worker does not reach in time,
+// or that the prediction left out, is covered by the demand-fetch
+// fallback.
 func (p *Pipeline) prefetchExperts(rows int, layers ...int) {
 	n := p.pager.Slots() / 2
-	if n < 1 {
-		n = 1
-	}
 	if n > p.w.Cfg.Experts {
 		n = p.w.Cfg.Experts
 	}

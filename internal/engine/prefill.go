@@ -26,7 +26,7 @@ type prefillSpan struct {
 // sized token-budget slices, so scratch is bounded by the chunk rather
 // than the wave — and each chunk issues exactly one preAttn QKV GEMM
 // batch over [chunkTokens, hidden] (per-token positions replace the
-// shared 0..n-1 slice) and one expert-grouped postAttn FFN pass that
+// shared 0..n-1 slice) and one route + expert-grouped FFN pass that
 // buckets tokens by expert ACROSS sequences, so a wave of short
 // prompts runs layers-many large GEMM triples instead of
 // numSeqs x layers skinny ones. Causal attention stays per-sequence
@@ -213,7 +213,7 @@ func (p *Pipeline) prefill(prompts [][]int) error {
 				rows = tensor.FromSlice(m, cfg.Hidden, xPack.Data[:m*cfg.Hidden])
 			}
 			qkv := qkvBuf[:m*(q+2*kv)]
-			p.kern.preAttn(layout, shared, rows, positions[:m], qkv, scratch)
+			p.kern.preAttn(layout, shared, rows, positions[:m], qkv, scratch.normed)
 			p.Counters.GPUKernels.Add(1) // the packed QKV launch
 			queries, keys, values := qkvViews(qkv, m, q, kv)
 
@@ -300,7 +300,8 @@ func (p *Pipeline) prefill(prompts [][]int) error {
 			// ride along (row independence keeps the survivors bit-exact)
 			// but are neither scattered back nor counted.
 			arows := tensor.FromSlice(m, q, attnOut.Data[:m*q])
-			chosen := p.kern.postAttn(layout, shared, &p.expSrc, arows, rows, scratch)
+			p.kern.route(layout, shared, arows, rows, scratch, 0)
+			chosen := p.kern.ffn(layout, &p.expSrc, rows, scratch)
 			// A failed expert fetch (past the pager's retry budget)
 			// fails exactly the sequences routed to it this chunk:
 			// retired on the spot, like an exhausted Append, before the

@@ -68,7 +68,7 @@ func seqPrefill(p *Pipeline, prompts [][]int) error {
 			n := len(prompt)
 			rows := tensor.FromSlice(n, cfg.Hidden, x.Data[rowOf[s]*cfg.Hidden:(rowOf[s]+n)*cfg.Hidden])
 			qkv := qkvBuf[:n*(q+2*kv)]
-			p.kern.preAttn(layout, shared, rows, positions[:n], qkv, scratch)
+			p.kern.preAttn(layout, shared, rows, positions[:n], qkv, scratch.normed)
 			queries, keys, values := qkvViews(qkv, n, q, kv)
 			arows := tensor.FromSlice(n, q, attnOut.Data[:n*q])
 
@@ -95,7 +95,8 @@ func seqPrefill(p *Pipeline, prompts [][]int) error {
 				item.KeyBlocks, item.ValueBlocks = []tensor.Mat{keys}, []tensor.Mat{values}
 			}
 			tensor.AttendCausalMany([]tensor.CausalItem{item}, cfg.QHeads, cfg.KVHeads, cfg.HeadDim)
-			chosen := p.kern.postAttn(layout, shared, &p.expSrc, arows, rows, scratch)
+			p.kern.route(layout, shared, arows, rows, scratch, 0)
+			chosen := p.kern.ffn(layout, &p.expSrc, rows, scratch)
 			for _, experts := range chosen {
 				for _, e := range experts {
 					p.ExpertLoad[l][e]++

@@ -140,7 +140,7 @@ func (r *Reference) step(s, token int) error {
 
 	for l := 0; l < cfg.Layers; l++ {
 		layer := r.w.Layers[l].Data()
-		preAttention(layout, layer, xm, positions[:], r.qkv, r.scratch)
+		preAttention(layout, layer, xm, positions[:], r.qkv, r.scratch.normed)
 		Q, K, V := qkvViews(r.qkv, 1, q, kv)
 		if err := r.cache.Append(s, l, K.Row(0), V.Row(0)); err != nil {
 			return err

@@ -12,6 +12,7 @@ import (
 	"moelightning/internal/kvcache"
 	"moelightning/internal/memory"
 	"moelightning/internal/model"
+	"moelightning/internal/tensor"
 	"moelightning/internal/workload"
 )
 
@@ -390,6 +391,145 @@ func TestPipelinePermanentFetchFailureRetiresAll(t *testing.T) {
 	}
 	if n := pl.Counters.ExpertPaging.FetchFailures.Load(); n == 0 {
 		t.Error("no fetch failures recorded under a permanent fault")
+	}
+	assertKVIdle(t, pl)
+}
+
+// failingExperts is an expertSource whose one expert cannot be fetched.
+type failingExperts struct {
+	expertSource
+	expert int
+	err    error
+}
+
+func (f failingExperts) Acquire(e int) (gate, up, down tensor.Mat, err error) {
+	if e == f.expert {
+		return tensor.Mat{}, tensor.Mat{}, tensor.Mat{}, f.err
+	}
+	return f.expertSource.Acquire(e)
+}
+
+// TestDecodeFetchFailureRetiresRoutedAcrossMicroBatches: ffn(l) serves
+// the rows of every micro-batch from one acquisition per expert, so an
+// expert that cannot be fetched in one decode layer fails exactly the
+// sequences routed to it there — whichever micro-batches they sit in —
+// with the tokens they had, and every other sequence finishes with the
+// reference's tokens. A clean run of the same wave says who is routed
+// where; the failing run must retire those sequences and no others.
+func TestDecodeFetchFailureRetiresRoutedAcrossMicroBatches(t *testing.T) {
+	cfg := streamModel()
+	const seqs, mu, gen = 8, 2, 7
+	const failStep, failLayer = 2, 3 // decode step 2 produces token index 3
+	cpu := memory.NewArena("cpu", 1<<22)
+	w, err := NewRandomWeights(cpu, cfg, 31)
+	if err != nil {
+		t.Fatal(err)
+	}
+	prompts := testPrompts(seqs, 3, 9, cfg.VocabSize)
+	ref, err := NewReference(w, memory.NewArena("rc", 1<<22), seqs, 64)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := ref.Generate(prompts, gen)
+	if err != nil {
+		t.Fatal(err)
+	}
+	errFetch := errors.New("injected: block unavailable")
+
+	// run generates the wave; at (failStep, failLayer) it records each
+	// sequence's routed experts and, with failExpert >= 0, fails that
+	// expert's acquisition.
+	run := func(failExpert int) (pl *Pipeline, got [][]int, routedAt [][]int) {
+		_, gpu, pinned, cacheArena := newTestArenas()
+		pl, err := NewPipeline(w, gpu, pinned, cacheArena, seqs, Config{MicroBatch: mu, MaxContext: 64})
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(pl.Close)
+		decodeCalls := -1 // ffn calls since prefill ended; the first sink call arms it
+		pl.kern.ffn = func(layout Layout, experts expertSource, x tensor.Mat, scratch *ffnScratch) [][]int {
+			if decodeCalls < 0 {
+				return expertFFN(layout, experts, x, scratch)
+			}
+			step, layer := decodeCalls/cfg.Layers, decodeCalls%cfg.Layers
+			decodeCalls++
+			if step != failStep || layer != failLayer {
+				return expertFFN(layout, experts, x, scratch)
+			}
+			if failExpert >= 0 {
+				experts = failingExperts{experts, failExpert, errFetch}
+			}
+			chosen := expertFFN(layout, experts, x, scratch)
+			routedAt = make([][]int, seqs)
+			for r, s := range pl.rowSeq[:len(chosen)] {
+				routedAt[s] = append([]int(nil), chosen[r]...)
+			}
+			return chosen
+		}
+		got, err = pl.GenerateStream(prompts, gen, func(_, _, _ int) {
+			if decodeCalls < 0 {
+				decodeCalls = 0
+			}
+		}, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return pl, got, routedAt
+	}
+
+	clean, got, routedAt := run(-1)
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("clean run diverges from the reference:\n got %v\nwant %v", got, want)
+	}
+	// Fail the expert most sequences route to at that layer.
+	rowsOf := make([]int, cfg.Experts)
+	for _, experts := range routedAt {
+		for _, e := range experts {
+			rowsOf[e]++
+		}
+	}
+	failExpert := 0
+	for e, n := range rowsOf {
+		if n > rowsOf[failExpert] {
+			failExpert = e
+		}
+	}
+	routed := make([]bool, seqs)
+	mbsHit := map[int]bool{}
+	for s, experts := range routedAt {
+		for _, e := range experts {
+			if e == failExpert {
+				routed[s] = true
+				mbsHit[s/mu] = true
+			}
+		}
+	}
+	if len(mbsHit) < 2 || rowsOf[failExpert] == seqs {
+		t.Fatalf("setup: expert %d is routed by %d of %d sequences in %d micro-batches; want some, not all, across micro-batches",
+			failExpert, rowsOf[failExpert], seqs, len(mbsHit))
+	}
+	assertKVIdle(t, clean)
+
+	pl, got, _ := run(failExpert)
+	for s := 0; s < seqs; s++ {
+		serr := pl.SeqErr(s)
+		if routed[s] {
+			if !errors.Is(serr, errFetch) {
+				t.Errorf("seq %d routed to the failed expert: error %v, want the fetch error", s, serr)
+			}
+			// Retired at the boundary after the failing step: the token of
+			// index failStep+1 never came.
+			if !reflect.DeepEqual(got[s], want[s][:failStep+1]) {
+				t.Errorf("seq %d (retired): tokens %v, want the reference's first %d %v", s, got[s], failStep+1, want[s][:failStep+1])
+			}
+			continue
+		}
+		if serr != nil {
+			t.Errorf("seq %d not routed to the failed expert retired: %v", s, serr)
+		}
+		if !reflect.DeepEqual(got[s], want[s]) {
+			t.Errorf("seq %d (survivor) diverges from the reference:\n got %v\nwant %v", s, got[s], want[s])
+		}
 	}
 	assertKVIdle(t, pl)
 }

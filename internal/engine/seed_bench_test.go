@@ -1,7 +1,8 @@
 package engine
 
 // The seed scalar forward path, preserved verbatim (modulo the QKV
-// buffer's block layout, which is plumbing) as the benchmark baseline
+// buffer's block layout and the split of post-attention at the router,
+// which are plumbing) as the benchmark baseline
 // for the expert-grouped rewrite: token-at-a-time GEMVs, per-call
 // allocations, O(n*k^2) top-k and sequential attention, exactly as the
 // engine shipped before the kernel subsystem landed.
@@ -110,12 +111,22 @@ func seedPreAttention(layout Layout, layer []float32, x tensor.Mat, positions []
 	}
 }
 
-func seedPostAttention(layout Layout, shared []float32, experts expertSource, attnOut, x tensor.Mat, scratch *seedScratch) [][]int {
+// seedPostAttention is the seed post-attention, token at a time: like
+// postAttention it is its two halves back to back, which is how the
+// pipeline's hooks call them.
+func seedPostAttention(layout Layout, shared []float32, experts expertSource, attnOut, x tensor.Mat, scratch *seedScratch, rows *ffnScratch) [][]int {
+	seedPostRoute(layout, shared, attnOut, x, scratch, rows, 0)
+	return seedExpertFFN(layout, experts, x, scratch, rows)
+}
+
+// seedPostRoute leaves each token's normed row, chosen experts and gate
+// weights in rows [off, off+n) of the pipeline's scratch, where
+// seedExpertFFN finds them; its own workspace stays one token wide.
+func seedPostRoute(layout Layout, shared []float32, attnOut, x tensor.Mat, scratch *seedScratch, rows *ffnScratch, off int) {
 	cfg := layout.cfg
 	wo := layout.Wo(shared)
 	router := layout.Router(shared)
 	norm := layout.FFNNorm(shared)
-	chosen := make([][]int, x.Rows)
 
 	for i := 0; i < x.Rows; i++ {
 		// O projection + residual.
@@ -124,25 +135,35 @@ func seedPostAttention(layout Layout, shared []float32, experts expertSource, at
 		tensor.Add(x.Row(i), x.Row(i), scratch.proj)
 
 		// FFN norm.
-		tensor.RMSNorm(scratch.normed, x.Row(i), norm, 1e-5)
-		nm := tensor.FromSlice(1, cfg.Hidden, scratch.normed)
+		normed := rows.normed[(off+i)*cfg.Hidden : (off+i+1)*cfg.Hidden]
+		tensor.RMSNorm(normed, x.Row(i), norm, 1e-5)
+		nm := tensor.FromSlice(1, cfg.Hidden, normed)
 
 		// Router: softmax over top-k logits, renormalized (Mixtral).
 		seedMatMulT(tensor.FromSlice(1, cfg.Experts, scratch.logits), nm, router)
 		topk := seedTopK(scratch.logits, cfg.TopK)
-		chosen[i] = topk
+		rows.chosen[off+i] = topk
 		copy(scratch.gateWeights, scratch.logits)
 		sel := make([]float32, len(topk))
 		for j, e := range topk {
 			sel[j] = scratch.gateWeights[e]
 		}
 		tensor.Softmax(sel)
+		copy(rows.sel[(off+i)*cfg.TopK:], sel)
+	}
+}
+
+func seedExpertFFN(layout Layout, experts expertSource, x tensor.Mat, scratch *seedScratch, rows *ffnScratch) [][]int {
+	cfg := layout.cfg
+	for i := 0; i < x.Rows; i++ {
+		nm := tensor.FromSlice(1, cfg.Hidden, rows.normed[i*cfg.Hidden:(i+1)*cfg.Hidden])
+		sel := rows.sel[i*cfg.TopK:]
 
 		// Expert FFN: y = sum_e w_e * down(SiLU(gate(t)) * up(t)).
 		for j := range scratch.ffnOut {
 			scratch.ffnOut[j] = 0
 		}
-		for j, e := range topk {
+		for j, e := range rows.chosen[i] {
 			gate, up, down, aerr := experts.Acquire(e)
 			if aerr != nil {
 				panic(aerr) // seed benches run on resident experts only
@@ -160,7 +181,7 @@ func seedPostAttention(layout Layout, shared []float32, experts expertSource, at
 		}
 		tensor.Add(x.Row(i), x.Row(i), scratch.ffnOut)
 	}
-	return chosen
+	return rows.chosen[:x.Rows]
 }
 
 // seedAttend runs the micro-batch's attention sequentially with
@@ -194,11 +215,14 @@ func seedAttend(items []tensor.AttnItem, nq, nkv, headDim int) {
 func newSeedKernels(layout Layout) kernels {
 	scratch := newSeedScratch(layout)
 	return kernels{
-		preAttn: func(layout Layout, shared []float32, x tensor.Mat, positions []int, qkv []float32, _ *ffnScratch) {
+		preAttn: func(layout Layout, shared []float32, x tensor.Mat, positions []int, qkv, _ []float32) {
 			seedPreAttention(layout, shared, x, positions, qkv)
 		},
-		postAttn: func(layout Layout, shared []float32, experts expertSource, attnOut, x tensor.Mat, _ *ffnScratch) [][]int {
-			return seedPostAttention(layout, shared, experts, attnOut, x, scratch)
+		route: func(layout Layout, shared []float32, attnOut, x tensor.Mat, rows *ffnScratch, off int) {
+			seedPostRoute(layout, shared, attnOut, x, scratch, rows, off)
+		},
+		ffn: func(layout Layout, experts expertSource, x tensor.Mat, rows *ffnScratch) [][]int {
+			return seedExpertFFN(layout, experts, x, scratch, rows)
 		},
 		attend: seedAttend,
 	}

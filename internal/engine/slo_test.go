@@ -193,7 +193,8 @@ func TestQueueCanceledHandleNeverBuffers(t *testing.T) {
 	}
 	// The shared channel is reused across such handles.
 	h2 := newHandle(workload.Request{ID: 8, PromptLen: 4, GenLen: 512}, nil, 512, SLO{})
-	h2.finish(ErrCanceled)
+	h2.settle(ErrCanceled)
+	h2.wake()
 	if h.Tokens() != h2.Tokens() {
 		t.Error("tokenless finished handles should share the closed channel")
 	}
@@ -202,17 +203,18 @@ func TestQueueCanceledHandleNeverBuffers(t *testing.T) {
 // TestTokensLazyAllocation: a streaming consumer still gets a buffer
 // sized to the effective generation length, so the engine's pushes
 // never block; and a handle whose Tokens() is never called still
-// finishes cleanly (finish closes only what was allocated).
+// finishes cleanly (wake closes only what was allocated).
 func TestTokensLazyAllocation(t *testing.T) {
 	h := newHandle(workload.Request{ID: 1, PromptLen: 4, GenLen: 9}, nil, 9, SLO{})
 	if cap(h.Tokens()) != 9 {
 		t.Fatalf("live handle buffer cap %d, want 9", cap(h.Tokens()))
 	}
-	// Unconsumed handle: pushes fill the buffer, finish closes it.
+	// Unconsumed handle: pushes fill the buffer, wake closes it.
 	h2 := newHandle(workload.Request{ID: 2, PromptLen: 4, GenLen: 2}, nil, 2, SLO{})
 	h2.push(0, 42)
 	h2.push(1, 43)
-	h2.finish(nil)
+	h2.settle(nil)
+	h2.wake()
 	var got []int
 	for tok := range h2.Tokens() {
 		got = append(got, tok.ID)

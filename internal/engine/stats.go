@@ -123,9 +123,13 @@ func observe(h *metrics.Histogram, d time.Duration) *metrics.Histogram {
 }
 
 // finalize finishes a handle and folds its outcome into the stats: the
-// single entry to the handle's finished state.
+// single entry to the handle's finished state. The handle settles
+// first, so the outcome read below is final; its waiters wake last, so
+// whoever returns from Wait finds the request in Stats.
 func (s *Server) finalize(h *Handle, err error) {
-	h.finish(err)
+	if h.settle(err) {
+		defer h.wake() // after the fold, and after s.mu is released
+	}
 	h.mu.Lock()
 	n := len(h.out)
 	ttft := h.firstTok.Sub(h.item.Submitted)

@@ -3,6 +3,7 @@ package engine
 import (
 	"errors"
 	"reflect"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -192,6 +193,38 @@ func TestServerAdmitsAcrossWaves(t *testing.T) {
 	}
 	if st.KVLeaks != 0 {
 		t.Errorf("end-of-wave KV audit found %d leaking waves", st.KVLeaks)
+	}
+}
+
+// TestStatsCoverRequestsThatFinished: a client that has returned from
+// Wait on its requests reads Stats that count every one of them — the
+// outcome is folded before the handle's waiters wake, not after. With
+// the fold after the wake, the last handle's Wait returned while its
+// Completed / GeneratedTokens were still to be added: under the race
+// detector this loop read a request short within its first ten rounds.
+func TestStatsCoverRequestsThatFinished(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
+	const genLen, perRound, rounds = 4, 4, 200 // serveQueue's requests ask for 4 tokens
+	srv := newSLOTestServer(t, ServeConfig{
+		Config:          Config{MicroBatch: 2, MaxContext: 32},
+		NumMicroBatches: 2, GenLen: genLen, CacheTokens: 256,
+	})
+	defer srv.Close()
+	for round := 1; round <= rounds; round++ {
+		hs, err := srv.SubmitBatch(serveQueue(perRound), nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, h := range hs {
+			if _, err := h.Wait(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		st := srv.Stats()
+		if st.Completed != perRound*round || st.GeneratedTokens != perRound*round*genLen {
+			t.Fatalf("round %d: every handle has finished, Stats read %d completed / %d tokens, want %d / %d",
+				round, st.Completed, st.GeneratedTokens, perRound*round, perRound*round*genLen)
+		}
 	}
 }
 

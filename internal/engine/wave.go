@@ -225,7 +225,7 @@ func (s *Server) generate(pl *Pipeline, waveNum int, wave []*Handle) (tokens [][
 	// Phase 2: the wave ignored the abort — it is wedged INSIDE a step.
 	// Abandon the pipeline goroutine (pl.Close would block on its lanes)
 	// and mark the server broken: the arenas belong to the wedged wave,
-	// so later submits and waves fail fast instead of hanging. finish()
+	// so later submits and waves fail fast instead of hanging. settle()
 	// and the push() guard keep the abandoned goroutine from touching
 	// the failed handles if it ever unwedges.
 	s.mu.Lock()

@@ -29,6 +29,19 @@ import "moelightning/internal/sim"
 //
 // Neither binds at the paper's settings: every figure and table prints
 // the makespans it printed without them.
+//
+// With Plan.LayerFFN the slots of a layer end in one ffn(l) task that
+// every pre(l+1, ·) waits for, so the look-ahead runs inside a layer
+// only: per layer the issue order is pre(l, 1..ahead), then for each j
+// loadh(l, j), the layer-l+1 weight transfer, post(l, j) and — while
+// j+ahead <= MB — the chain of slot (l, j+ahead), then ffn(l). Launching
+// pre(l+1, 1) ahead of post(l, last), as the paper's order does, would
+// put a task that waits for ffn(l) in front of the posts ffn(l) waits
+// for, on the same in-order lane: a deadlock. ffn(l) reads expert
+// weights and activations, no slot of either weight buffer, so both
+// hazards above are unchanged (the first is again implied by lane
+// order, at any look-ahead: pre(l, 1) now follows ffn(l-1), which
+// follows post(l-1, last)).
 func buildLookahead(p Plan, ahead int, paged bool) []sim.Task {
 	if p.Lookahead > 0 {
 		ahead = p.Lookahead
@@ -48,14 +61,19 @@ func buildLookahead(p Plan, ahead int, paged bool) []sim.Task {
 		l, j := p.slot(g)
 		var deps []int
 		if l > 1 {
-			// Hidden states come from the previous layer's post-attention;
+			// Hidden states come from the previous layer's post-attention
+			// (its layer-wide expert FFN under LayerFFN);
 			// the QKV projection reads the layer's leading pages (the
 			// attention projections lead the page order).
 			weights := p.id(RoleWFull, l, 0)
 			if paged {
 				weights = p.id(RolePage, l, attnPages)
 			}
-			deps = []int{p.id(RolePost, l-1, j), weights}
+			hidden := p.id(RolePost, l-1, j)
+			if p.LayerFFN {
+				hidden = p.id(RoleFFN, l-1, 0)
+			}
+			deps = []int{hidden, weights}
 		}
 		b.add(RolePre, l, j, sim.GPU, d.PreAttn, "pre-attn", deps...)
 		b.add(RoleQKV, l, j, sim.DtoH, d.QKVOff, "qkv-offload", p.id(RolePre, l, j))
@@ -101,8 +119,9 @@ func buildLookahead(p Plan, ahead int, paged bool) []sim.Task {
 			b.wholeLayer(l + 1)
 		}
 
-		// Post-attention (O projection + MoE FFN) needs the hidden
-		// states and the full layer weights.
+		// Post-attention (O projection + MoE FFN; under LayerFFN
+		// O projection + router) needs the hidden states and the full
+		// layer weights.
 		deps := []int{p.id(RoleLoadH, l, j)}
 		if l > 1 {
 			if paged {
@@ -114,9 +133,24 @@ func buildLookahead(p Plan, ahead int, paged bool) []sim.Task {
 		b.add(RolePost, l, j, sim.GPU, d.PostAttn, "post-attn", deps...)
 
 		// Launch the pre-attention chain `ahead` slots in advance
-		// (Alg. 1 lines 14-17).
-		if g2 := g + ahead; g2 <= total {
-			preSlot(g2)
+		// (Alg. 1 lines 14-17). A layer-wide FFN stops the look-ahead at
+		// the layer's last slot and restarts it behind ffn(l).
+		switch {
+		case !p.LayerFFN:
+			if g2 := g + ahead; g2 <= total {
+				preSlot(g2)
+			}
+		case j+ahead <= p.MicroBatches:
+			preSlot(g + ahead)
+		case j == p.MicroBatches:
+			posts := make([]int, p.MicroBatches)
+			for k := range posts {
+				posts[k] = p.id(RolePost, l, k+1)
+			}
+			b.add(RoleFFN, l, 0, sim.GPU, d.FFN, "expert-ffn", posts...)
+			for g2 := g + 1; g2 <= g+ahead && g2 <= total; g2++ {
+				preSlot(g2) // the next layer's prologue
+			}
 		}
 	}
 	return b.tasks

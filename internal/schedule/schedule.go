@@ -24,6 +24,14 @@
 // work by its Role, Layer and MB, and runs it every decode step, so what
 // the simulator predicts is the graph that runs — including the two
 // weight-buffer reuse hazards buildLookahead emits as dependencies.
+//
+// The engine's graph differs from the paper's in one plan input,
+// Plan.LayerFFN: the expert FFN leaves post-attention for one ffn(l)
+// task per layer over the rows of every micro-batch, and the look-ahead
+// stops at the layer boundary. The paper's figures model a GPU whose
+// micro-batch already fills the kernel and leave it unset; on a host
+// where a pass over an expert's weights costs the same at one row as at
+// eight, the pass count is what a decode step pays for.
 package schedule
 
 import (
@@ -53,7 +61,8 @@ func Strategies() []Strategy {
 // performance model for a concrete (model, hardware, workload, policy).
 type Durations struct {
 	PreAttn  float64 // GPU: layer-norm + QKV projection, one micro-batch
-	PostAttn float64 // GPU: O projection + MoE FFN (+ TP all-reduces), one micro-batch
+	PostAttn float64 // GPU: O projection + MoE FFN (+ TP all-reduces), one micro-batch; under Plan.LayerFFN O projection + router only
+	FFN      float64 // GPU: the expert FFN of one layer over every micro-batch's rows (Plan.LayerFFN only)
 	GPUAttn  float64 // GPU: attention core, one micro-batch (S4/Serial)
 	CPUAttn  float64 // CPU: attention core, one micro-batch
 
@@ -92,6 +101,19 @@ type Plan struct {
 	// (expert blocks have their own pager), so there they span most of
 	// the pages.
 	AttnPages int
+	// LayerFFN splits post-attention in two: post(l, j) keeps the
+	// per-micro-batch part (O projection, residual, router) and one
+	// ffn(l) task per layer, behind every post(l, ·), runs the expert FFN
+	// over all the layer's rows, so each routed expert's weights are
+	// passed over once a layer instead of once a micro-batch (MoE-Gen's
+	// module-based batching). pre(l+1, j) then waits for ffn(l), and the
+	// look-ahead stops at the layer boundary: no pre-attention chain of
+	// layer l+1 can start before ffn(l) has written the layer's hidden
+	// states. False is the paper's graph — its figures model a GPU whose
+	// micro-batch already fills the kernel, where a pass over the
+	// weights is not what a visit costs; the functional engine, whose
+	// decode GEMMs are a few rows each, always sets it.
+	LayerFFN bool
 }
 
 // Validate reports an error for unusable plans.
@@ -135,7 +157,7 @@ const (
 	RoleQKV                     // DtoH: Q, K, V offload (D1)
 	RoleCPUAttn                 // CPU: attention core
 	RoleLoadH                   // HtoD: attention output back to the GPU (D2)
-	RolePost                    // GPU: O projection + MoE FFN
+	RolePost                    // GPU: O projection + MoE FFN (under Plan.LayerFFN: O projection + router)
 	RolePage                    // HtoD: weight page MB of layer Layer (D3)
 	RolePin                     // Pin: the same page, CPU -> pinned staging
 	RoleDisk                    // Disk: the page's (MB 0: the layer's) disk-resident share
@@ -143,6 +165,7 @@ const (
 	RoleKVLoad                  // HtoD: one micro-batch's KV cache (D4)
 	RoleKVStore                 // DtoH: the new token's K/V write-back
 	RoleBlock                   // GPU: fused pre-attention + attention + post-attention
+	RoleFFN                     // GPU: one layer's expert FFN over every micro-batch's rows (MB 0; Plan.LayerFFN)
 )
 
 // id is the ID of the task at (role, layer, mb), layer in 1..Layers+1

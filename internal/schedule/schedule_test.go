@@ -1,7 +1,10 @@
 package schedule
 
 import (
+	"encoding/binary"
 	"fmt"
+	"hash/fnv"
+	"math"
 	"testing"
 
 	"moelightning/internal/hardware"
@@ -273,20 +276,23 @@ func BenchmarkBuild(b *testing.B) {
 }
 
 // eachEnginePlan calls f with the CGOPipe graph of every plan the
-// functional engine can ask for: all-zero durations, its own look-ahead
-// and attention page count.
+// functional engine can ask for — all-zero durations, its own look-ahead
+// and attention page count, the layer-wide expert FFN it runs — and of
+// the same plans with the paper's per-micro-batch FFN.
 func eachEnginePlan(t *testing.T, f func(name string, p Plan, tasks []sim.Task)) {
 	t.Helper()
-	for layers := 1; layers <= 6; layers++ {
-		for nb := 1; nb <= 5; nb++ {
-			for ahead := 1; ahead <= 3; ahead++ {
-				for attn := 1; attn <= nb; attn++ {
-					p := Plan{Layers: layers, MicroBatches: nb, Lookahead: ahead, AttnPages: attn}
-					tasks, err := Build(CGOPipe, p)
-					if err != nil {
-						t.Fatal(err)
+	for _, layerFFN := range []bool{false, true} {
+		for layers := 1; layers <= 6; layers++ {
+			for nb := 1; nb <= 5; nb++ {
+				for ahead := 1; ahead <= 3; ahead++ {
+					for attn := 1; attn <= nb; attn++ {
+						p := Plan{Layers: layers, MicroBatches: nb, Lookahead: ahead, AttnPages: attn, LayerFFN: layerFFN}
+						tasks, err := Build(CGOPipe, p)
+						if err != nil {
+							t.Fatal(err)
+						}
+						f(fmt.Sprintf("%dx%d ahead %d attn %d layer-ffn %v", layers, nb, ahead, attn, layerFFN), p, tasks)
 					}
-					f(fmt.Sprintf("%dx%d ahead %d attn %d", layers, nb, ahead, attn), p, tasks)
 				}
 			}
 		}
@@ -295,7 +301,8 @@ func eachEnginePlan(t *testing.T, f func(name string, p Plan, tasks []sim.Task))
 
 // TestEngineGraphsRun: no look-ahead, page count or shape deadlocks the
 // FIFO lanes, and a graph without durations is exactly the seven tasks
-// of every (layer, micro-batch) slot — no disk read.
+// of every (layer, micro-batch) slot, plus one ffn per layer when the
+// plan asks for it — no disk read.
 func TestEngineGraphsRun(t *testing.T) {
 	eachEnginePlan(t, func(name string, p Plan, tasks []sim.Task) {
 		res, err := sim.Run(tasks)
@@ -305,13 +312,26 @@ func TestEngineGraphsRun(t *testing.T) {
 		if err := res.Validate(tasks); err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
-		if want := 7 * p.Layers * p.MicroBatches; len(tasks) != want {
+		ffns, wantFFNs := 0, 0
+		if p.LayerFFN {
+			wantFFNs = p.Layers
+		}
+		if want := 7*p.Layers*p.MicroBatches + wantFFNs; len(tasks) != want {
 			t.Errorf("%s: %d tasks, want %d", name, len(tasks), want)
 		}
 		for _, task := range tasks {
 			if task.Role == RoleDisk {
 				t.Errorf("%s: %v emitted without a disk tier", name, task)
 			}
+			if task.Role == RoleFFN {
+				ffns++
+				if task.Lane != sim.GPU || task.MB != 0 {
+					t.Errorf("%s: %v on lane %v with MB %d, want the GPU lane and MB 0", name, task, task.Lane, task.MB)
+				}
+			}
+		}
+		if ffns != wantFFNs {
+			t.Errorf("%s: %d ffn tasks, want %d", name, ffns, wantFFNs)
 		}
 	})
 }
@@ -321,6 +341,8 @@ func TestEngineGraphsRun(t *testing.T) {
 // all an executor with FIFO lanes guarantees — nothing is written into a
 // weight buffer slot while a task may still read it. The GPU double
 // buffer and the pinned staging each hold two layers, by layer parity.
+// Under LayerFFN, ffn(l) gathers rows every post(l, ·) wrote and writes
+// the hidden states every pre(l+1, ·) reads.
 func TestEngineGraphsOrderBufferReuse(t *testing.T) {
 	eachEnginePlan(t, func(name string, p Plan, tasks []sim.Task) {
 		index := make(map[int]int, len(tasks))
@@ -385,5 +407,116 @@ func TestEngineGraphsOrderBufferReuse(t *testing.T) {
 				}
 			}
 		}
+		for l := 1; l <= p.Layers && p.LayerFFN; l++ {
+			for j := 1; j <= nb; j++ {
+				ordered(p.id(RolePost, l, j), p.id(RoleFFN, l, 0))
+				if l < p.Layers {
+					ordered(p.id(RoleFFN, l, 0), p.id(RolePre, l+1, j))
+				}
+			}
+		}
 	})
+}
+
+// benchShapeDurations are what a task costs at the standing benchmark's
+// decode shape (bench-moe-8x, 16 sequences as 4x4, top-2 of 8) by
+// ROADMAP's "Numbers on record", in microseconds: a pass over one
+// 448x128 expert matrix takes 21-24 us from L3 at 1, 2 and 4 rows alike,
+// so an expert visit (gate, up, down, SiLU, scatter) is ~70 us whatever
+// rows it serves; a micro-batch of 4 rows visits ~5.25 experts a layer,
+// the layer's 16 rows together visit 8. Attention reads ~50 tokens of KV
+// per sequence at ~1 GB/s; a weight page is a quarter of the 169 KB
+// shared region at ~11 GB/s.
+func benchShapeDurations(layerFFN bool) Durations {
+	const visit, routePart = 70, 10 // O projection, norm, router: a 128x128 and an 8x128 matrix
+	d := Durations{
+		PreAttn: 12, CPUAttn: 55, QKVOff: 1, HiddenLoad: 1, WeightPage: 4, PinPage: 4,
+		PostAttn: routePart + 5.25*visit,
+	}
+	if layerFFN {
+		d.PostAttn, d.FFN = routePart, 8*visit
+	}
+	return d
+}
+
+// TestLayerFFNPredictedFasterAtBenchShape: where a visit costs the same
+// at any row count the tile holds, the simulator prefers one ffn(l) per
+// layer to an FFN per micro-batch although the look-ahead no longer
+// crosses the layer boundary — the prediction the engine's measured
+// step is compared with (CHANGES.md, PR 22).
+func TestLayerFFNPredictedFasterAtBenchShape(t *testing.T) {
+	span := map[bool]float64{}
+	for _, layerFFN := range []bool{false, true} {
+		tasks, err := Build(CGOPipe, Plan{Layers: 6, MicroBatches: 4, AttnPages: 4, LayerFFN: layerFFN, D: benchShapeDurations(layerFFN)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := sim.Run(tasks)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := res.Validate(tasks); err != nil {
+			t.Fatal(err)
+		}
+		span[layerFFN] = res.Makespan
+		t.Logf("layer-wide FFN %v: makespan %.0f us, GPU busy %.0f us, CPU busy %.0f us",
+			layerFFN, res.Makespan, res.BusyTime(sim.GPU), res.BusyTime(sim.CPU))
+	}
+	if span[true] >= span[false] {
+		t.Errorf("layer-wide FFN predicted %.0f us a step, per-micro-batch FFN %.0f us: want the layer-wide FFN faster", span[true], span[false])
+	}
+}
+
+// TestPaperGraphsUnchanged: with LayerFFN unset Build emits the graphs
+// it emitted before the field existed, task for task — ids, roles,
+// lanes, durations, dependencies, issue order — for every engine plan
+// and, with durations and a disk tier, for all five strategies. The
+// figures and tables are simulations of these graphs. The digest was
+// taken at the commit before LayerFFN; a deliberate change to the
+// paper's schedules replaces it.
+func TestPaperGraphsUnchanged(t *testing.T) {
+	h := fnv.New64a()
+	digest := func(tasks []sim.Task) {
+		var buf [8]byte
+		put := func(v uint64) {
+			binary.LittleEndian.PutUint64(buf[:], v)
+			h.Write(buf[:])
+		}
+		for _, task := range tasks {
+			put(uint64(task.ID))
+			put(uint64(task.Role))
+			put(uint64(task.Layer))
+			put(uint64(task.MB))
+			put(uint64(task.Lane))
+			put(math.Float64bits(task.Duration))
+			h.Write([]byte(task.Kind))
+			put(uint64(len(task.Deps)))
+			for _, d := range task.Deps {
+				put(uint64(d))
+			}
+		}
+	}
+	eachEnginePlan(t, func(_ string, p Plan, tasks []sim.Task) {
+		if !p.LayerFFN {
+			digest(tasks)
+		}
+	})
+	d := testDurations()
+	disk := d
+	disk.DiskWhole, disk.DiskPage = 60, 15
+	for _, s := range Strategies() {
+		for _, p := range []Plan{
+			{Layers: 1, MicroBatches: 1, D: d}, {Layers: 3, MicroBatches: 4, D: d},
+			{Layers: 4, MicroBatches: 7, D: disk}, {Layers: 8, MicroBatches: 4, D: d},
+		} {
+			tasks, err := Build(s, p)
+			if err != nil {
+				t.Fatal(err)
+			}
+			digest(tasks)
+		}
+	}
+	if got, want := h.Sum64(), uint64(0x47bd21030709f10d); got != want {
+		t.Errorf("graphs without LayerFFN digest to %#x, want %#x", got, want)
+	}
 }
