@@ -423,7 +423,7 @@ func BenchmarkFunctionalServe(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		res, err := RunFunctional(TinyMoE(), reqs, FunctionalOptions{Seed: 1, GenLen: 6})
+		res, err := RunFunctional(TinyMoE(), reqs, FunctionalOptions{ServerConfig: ServerConfig{Seed: 1, GenLen: 6}})
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -4,17 +4,17 @@
 //
 //	moebench -exp fig7 [-settings S1,S2] [-gens 32,64,128,256]
 //	moebench -exp tab4 | tab5 | fig1 | fig4 | fig5 | fig6 | fig8 | fig9 | fig10
-//	moebench -exp serve   (streaming-server demo on the functional engine)
 //	moebench -exp slo     (open-loop traffic + SLO sweep -> BENCH_serve.json)
 //	moebench -exp all
 //
 // Each experiment prints the same rows/series the paper reports; see
-// EXPERIMENTS.md for the paper-vs-measured record. -exp slo drives the
-// live server with seeded Poisson and bursty arrival traces at several
-// load multiples, reports p50/p95/p99 TTFT/TPOT and goodput under
-// per-cohort SLOs, finds the saturation knee, and writes the standing
-// BENCH_serve.json (-json overrides the path; -exp serve also honors
-// -json for a machine-readable result).
+// CHANGES.md and ROADMAP.md, "Numbers on record", for the
+// paper-vs-measured record. -exp slo drives the live server with seeded
+// Poisson and bursty arrival traces at several load multiples, reports
+// p50/p95/p99 TTFT/TPOT and goodput under per-cohort SLOs, finds the
+// saturation knee, and writes the standing BENCH_serve.json (-json
+// overrides the path). The Submit / Tokens / Stats walk-through is
+// examples/quickstart.
 package main
 
 import (
@@ -36,12 +36,12 @@ import (
 )
 
 func main() {
-	exp := flag.String("exp", "all", "experiment id: fig1,fig4,fig5,fig6,fig7,fig8,fig9,fig10,tab4,tab5,disk,quant,sparsity,latency,serve,slo,calib,chaos,all")
+	exp := flag.String("exp", "all", "experiment id: fig1,fig4,fig5,fig6,fig7,fig8,fig9,fig10,tab4,tab5,disk,quant,sparsity,latency,slo,calib,chaos,all")
 	settings := flag.String("settings", "S1,S2,S6,S7", "comma-separated settings for fig7")
 	gens := flag.String("gens", "32,64,128,256", "comma-separated generation lengths")
-	kvdtype := flag.String("kvdtype", "f32", "KV cache codec for -exp serve/slo: f32 or int8")
-	sharedPrefix := flag.Bool("sharedprefix", true, "shared-prefix KV reuse for -exp serve/slo (refcounted blocks, copy-on-write)")
-	jsonPath := flag.String("json", "", "write a machine-readable result here (serve; slo defaults to BENCH_serve.json)")
+	kvdtype := flag.String("kvdtype", "f32", "KV cache codec for -exp slo: f32 or int8")
+	sharedPrefix := flag.Bool("sharedprefix", true, "shared-prefix KV reuse for -exp slo (refcounted blocks, copy-on-write)")
+	jsonPath := flag.String("json", "", "write the machine-readable result here (slo defaults to BENCH_serve.json, calib to BENCH_calib.json, chaos to BENCH_chaos.json)")
 	rps := flag.Float64("rps", 12, "base arrival rate for -exp slo scenarios")
 	requests := flag.Int("requests", 36, "requests per sweep point for -exp slo")
 	sweep := flag.String("sweep", "0.5,1,2", "comma-separated arrival-rate multiples for the -exp slo saturation sweep")
@@ -119,8 +119,6 @@ func main() {
 				return err
 			}
 			fmt.Print(experiments.RenderKVSparsity(rows))
-		case "serve":
-			return runServe(kvDtype, prefixMode(*sharedPrefix), *jsonPath)
 		case "slo":
 			path := *jsonPath
 			if path == "" {
@@ -165,7 +163,7 @@ func main() {
 
 	ids := []string{*exp}
 	if *exp == "all" {
-		ids = []string{"fig1", "fig4", "fig5", "fig6", "fig7", "fig8", "fig9", "fig10", "tab4", "tab5", "disk", "quant", "sparsity", "latency", "serve"}
+		ids = []string{"fig1", "fig4", "fig5", "fig6", "fig7", "fig8", "fig9", "fig10", "tab4", "tab5", "disk", "quant", "sparsity", "latency"}
 	}
 	for _, id := range ids {
 		fmt.Printf("==== %s ====\n", id)
@@ -182,121 +180,6 @@ func prefixMode(on bool) moelightning.SharedPrefixMode {
 		return moelightning.SharedPrefixOn
 	}
 	return moelightning.SharedPrefixOff
-}
-
-// runServe demonstrates the streaming serving API on the tiny
-// functional engine: continuous admission, per-token streams,
-// mid-generation cancellation, and TTFT/TPOT serving metrics.
-// -kvdtype int8 serves the same waves over the group-quantized paged
-// cache (~9/32 the KV footprint). The demo requests share a 16-token
-// system prompt, so with -sharedprefix (the default) every request
-// past the wave's first maps that prefix instead of prefilling it.
-func runServe(kvDtype moelightning.KVDtype, prefix moelightning.SharedPrefixMode, jsonPath string) error {
-	const genLen = 8
-	const sysPrompt = 16 // shared system-prompt tokens (one KV block)
-	srv, err := moelightning.NewServer(moelightning.ServerConfig{
-		Model:          moelightning.TinyMoE(),
-		Seed:           2024,
-		GenLen:         genLen,
-		KVDtype:        kvDtype,
-		SharedPrefixKV: prefix,
-	})
-	if err != nil {
-		return err
-	}
-	defer srv.Close()
-
-	reqs := make([]moelightning.Request, 6)
-	for i := range reqs {
-		reqs[i] = moelightning.Request{
-			ID: i + 1, PromptLen: sysPrompt + 4 + 3*i, GenLen: genLen,
-			PrefixID: 7, PrefixLen: sysPrompt,
-		}
-	}
-	handles, err := srv.SubmitBatch(context.Background(), reqs)
-	if err != nil {
-		return err
-	}
-
-	// One extra request is canceled after its first token: its sequence
-	// retires at the next decode-step boundary and its KV slot frees.
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	victim, err := srv.Submit(ctx, moelightning.Request{ID: 99, PromptLen: 10, GenLen: genLen})
-	if err != nil {
-		return err
-	}
-	if _, ok := <-victim.Tokens(); ok {
-		cancel()
-	}
-
-	table := &metrics.Table{Header: []string{"request", "prompt", "status", "tokens"}}
-	for _, h := range append(handles, victim) {
-		tokens, herr := h.Wait()
-		status := "completed"
-		if herr != nil {
-			status = "canceled"
-		}
-		table.Add(h.ID(), h.Request().PromptLen, status, fmt.Sprintf("%v", tokens))
-	}
-	fmt.Print(table.String())
-	st := srv.Stats()
-	fmt.Printf("kv %v: waves %d, deferred %d, canceled %d; prefill %d tokens at %.0f tok/s; %d tokens at %.0f tok/s; TTFT %v, TPOT %v\n",
-		kvDtype, st.Waves, st.Deferred, st.Canceled, st.PrefillTokens, st.PrefillTokensPerSecond,
-		st.GeneratedTokens, st.TokensPerSecond, st.AvgTTFT, st.AvgTPOT)
-	fmt.Printf("shared prefix: %d tokens mapped (hit ratio %.0f%%), %d copy-on-write copies\n",
-		st.PrefixHitTokens, 100*st.PrefixHitRatio, st.CowCopies)
-	warmHit := 0.0
-	if acq := st.ExpertHits + st.ExpertMisses; acq > 0 {
-		warmHit = 100 * float64(st.ExpertHits) / float64(acq)
-	}
-	fmt.Printf("movement: HtoD %.1f MiB, DtoH %.1f MiB, %d shared pages; expert weights %.1f MiB fetched, warm-hit %.0f%% (%d hits / %d misses)\n",
-		float64(st.HtoDBytes)/(1<<20), float64(st.DtoHBytes)/(1<<20), st.PagesMoved,
-		float64(st.WeightBytesFetched)/(1<<20), warmHit, st.ExpertHits, st.ExpertMisses)
-	if jsonPath != "" {
-		out := serveJSON{
-			Schema:          "moelightning/serve-demo/v1",
-			KVDtype:         kvDtype.String(),
-			Waves:           st.Waves,
-			Deferred:        st.Deferred,
-			Completed:       st.Completed,
-			Canceled:        st.Canceled,
-			GeneratedTokens: st.GeneratedTokens,
-			TokensPerSec:    st.TokensPerSecond,
-			PrefillTokens:   st.PrefillTokens,
-			PrefillPerSec:   st.PrefillTokensPerSecond,
-			TTFT:            traffic.DurationsMS(st.AvgTTFT, st.TTFTP50, st.TTFTP95, st.TTFTP99),
-			TPOT:            traffic.DurationsMS(st.AvgTPOT, st.TPOTP50, st.TPOTP95, st.TPOTP99),
-			PrefixHitTokens: st.PrefixHitTokens,
-			PrefixHitRatio:  st.PrefixHitRatio,
-			CowCopies:       st.CowCopies,
-		}
-		if err := traffic.WriteJSON(jsonPath, out); err != nil {
-			return err
-		}
-		fmt.Printf("wrote %s\n", jsonPath)
-	}
-	return nil
-}
-
-// serveJSON is -exp serve's machine-readable result (-json), sharing
-// the slo experiment's latency summary and writer.
-type serveJSON struct {
-	Schema          string            `json:"schema"`
-	KVDtype         string            `json:"kv_dtype"`
-	Waves           int               `json:"waves"`
-	Deferred        int               `json:"deferred"`
-	Completed       int               `json:"completed"`
-	Canceled        int               `json:"canceled"`
-	GeneratedTokens int               `json:"generated_tokens"`
-	TokensPerSec    float64           `json:"tokens_per_sec"`
-	PrefillTokens   int               `json:"prefill_tokens"`
-	PrefillPerSec   float64           `json:"prefill_tokens_per_sec"`
-	TTFT            traffic.LatencyMS `json:"ttft_ms"`
-	TPOT            traffic.LatencyMS `json:"tpot_ms"`
-	PrefixHitTokens int               `json:"prefix_hit_tokens"`
-	PrefixHitRatio  float64           `json:"prefix_hit_ratio"`
-	CowCopies       int64             `json:"cow_copies"`
 }
 
 // runSLO is the standing serve benchmark: seeded open-loop scenarios

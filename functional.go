@@ -15,44 +15,16 @@ type Request = workload.Request
 
 // FunctionalOptions parameterizes a functional-engine run: a real
 // (tiny-scale) MoE transformer executing CGOPipe with one goroutine per
-// hardware lane over explicit memory arenas.
+// hardware lane over explicit memory arenas. The options are the
+// server's own — RunFunctional sets Model and FixedGenLen itself —
+// plus Verify.
 type FunctionalOptions struct {
-	// Seed makes the synthetic weights deterministic.
-	Seed int64
-	// MicroBatchSize and NumMicroBatches shape each serving wave
-	// (Alg. 2 batching); defaults 2 and 2.
-	MicroBatchSize  int
-	NumMicroBatches int
-	// GenLen is tokens to generate per request; default 8.
-	GenLen int
-	// MaxContext bounds any sequence; default 128.
-	MaxContext int
-	// Lookahead is the pipeline's CPU-attention lookahead (Alg. 1's
-	// default of 2 when zero).
-	Lookahead int
-	// Vocab sizes the synthetic prompts derived from request IDs;
-	// default the model's vocabulary.
-	Vocab int
+	ServerConfig
 	// Verify re-runs every request on the sequential reference engine
 	// and errors out on any token mismatch. The reference reads a cache
 	// of the same KVDtype, so verification holds bit-exactly even with
 	// quantization on.
 	Verify bool
-	// KVDtype selects the KV cache codec: KVFloat32 (the zero value)
-	// or KVInt8 for the §3.3 group-quantized cache.
-	KVDtype KVDtype
-	// PrefillChunk bounds the wave-packed prefill's per-layer packed
-	// batch in prompt tokens (<= 0 selects the engine default).
-	PrefillChunk int
-	// ExpertResidencyBytes caps the GPU-resident expert-weight pool
-	// (<= 0 selects two layers' expert sets). Output is bit-identical
-	// for any value; a smaller pool just demand-fetches more.
-	ExpertResidencyBytes int
-	// SharedPrefixKV controls shared-prefix KV reuse (the zero value is
-	// SharedPrefixOn): requests declaring a common prefix share cache
-	// blocks and skip the matched prefill. Bit-identical either way —
-	// Verify holds with sharing on.
-	SharedPrefixKV SharedPrefixMode
 }
 
 // FunctionalResult reports a functional run: the server's final
@@ -77,21 +49,8 @@ func RunFunctional(cfg ModelConfig, requests []Request, opts FunctionalOptions) 
 	if len(requests) == 0 {
 		return FunctionalResult{}, fmt.Errorf("moelightning: empty request queue")
 	}
-	srv, err := NewServer(ServerConfig{
-		Model:                cfg,
-		Seed:                 opts.Seed,
-		MicroBatchSize:       opts.MicroBatchSize,
-		NumMicroBatches:      opts.NumMicroBatches,
-		GenLen:               opts.GenLen,
-		MaxContext:           opts.MaxContext,
-		Lookahead:            opts.Lookahead,
-		Vocab:                opts.Vocab,
-		FixedGenLen:          true,
-		KVDtype:              opts.KVDtype,
-		PrefillChunk:         opts.PrefillChunk,
-		ExpertResidencyBytes: opts.ExpertResidencyBytes,
-		SharedPrefixKV:       opts.SharedPrefixKV,
-	})
+	opts.Model, opts.FixedGenLen = cfg, true
+	srv, err := NewServer(opts.ServerConfig)
 	if err != nil {
 		return FunctionalResult{}, err
 	}

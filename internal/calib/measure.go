@@ -152,7 +152,7 @@ func (t *Table) measureAttend(cfg BuildConfig, dtype kvcache.DType, items, conte
 	m := cfg.Model
 	kvDim, qDim, headDim := m.KVDim(), m.QDim(), m.HeadDim
 	arena := memory.NewArena("calib-kv", 4*items*(context+16)*kvDim*2+1<<20)
-	cache, err := kvcache.New(arena, 1, kvDim, 16, items*(context+16), dtype)
+	cache, err := kvcache.New(arena, 1, kvDim, kvcache.DefaultBlockTokens, items*(context+16), dtype)
 	if err != nil {
 		return Entry{}, err
 	}
@@ -172,31 +172,20 @@ func (t *Table) measureAttend(cfg BuildConfig, dtype kvcache.DType, items, conte
 		}
 	}
 	itemsBuf := make([]tensor.AttnItem, items)
+	views := make([]kvcache.View, items)
 	for i := range itemsBuf {
-		it := &itemsBuf[i]
-		it.Out = make([]float32, qDim)
-		it.Q = make([]float32, qDim)
-		for j := range it.Q {
-			it.Q[j] = rng.Float32() - 0.5
+		q := make([]float32, qDim)
+		for j := range q {
+			q[j] = rng.Float32() - 0.5
 		}
-		if dtype == kvcache.Int8 {
-			it.KeyQBlocks, it.ValueQBlocks, _ = cache.QBlockView(i, 0, nil, nil)
-			it.Scores = make([]float32, (m.QHeads/m.KVHeads)*context)
-			it.RowScratch = make([]float32, headDim)
-		} else {
-			it.KeyBlocks, it.ValueBlocks, _ = cache.BlockView(i, 0, nil, nil)
-			it.Scores = make([]float32, context)
-		}
+		cache.View(i, 0, &views[i])
+		itemsBuf[i] = views[i].AttnItem(make([]float32, qDim), q)
 	}
 	secs := timeOp(t.minTime(cfg), func() { tensor.AttendMany(itemsBuf, m.QHeads, m.KVHeads, headDim) })
 
 	cost := m.AttnCost(items, context)
-	op := "attend-f32"
-	if dtype == kvcache.Int8 {
-		op = "attend-int8"
-	}
 	effC, effB := t.effOf(cost.FLOPs, cost.Bytes(), secs)
-	return Entry{Op: op, Tokens: items, Context: context, FLOPs: cost.FLOPs,
+	return Entry{Op: "attend-" + dtype.String(), Tokens: items, Context: context, FLOPs: cost.FLOPs,
 		Bytes: cost.Bytes(), Seconds: secs, EffCompute: effC, EffBandwidth: effB}, nil
 }
 

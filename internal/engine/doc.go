@@ -34,6 +34,12 @@
 //     however many micro-batches route to it. Rows are independent and a
 //     token's experts accumulate in ascending id either way: the tokens
 //     are the reference's.
+//   - The KV codec (internal/kvcache): F32 or Int8 is Config.KVDtype,
+//     handed to kvcache.New, and nothing in this package asks again.
+//     Prefill, the decode step's CPU attention and the reference read
+//     the cache through kvcache.View — Pipeline.views, one per
+//     sequence — which picks the block list, the scratch and so the
+//     kernel.
 //
 // The Server itself is four files: handle.go (the request handle),
 // admit.go (submit, overload gate, admission loop), wave.go (plan →

@@ -13,7 +13,12 @@ import (
 // float operations regardless of how many tokens share the call, so a
 // batch-n result matches n single-token calls bit for bit.
 
-const ropeTheta = 10000
+// The model's two fixed constants: the RoPE base and the epsilon of
+// every RMSNorm (layer norms and the final one).
+const (
+	ropeTheta = 10000
+	normEps   = 1e-5
+)
 
 // qkvViews splits a micro-batch QKV buffer into its three matrices.
 // The buffer holds the whole Q block [n, qdim], then the K block
@@ -41,7 +46,7 @@ func preAttention(layout Layout, layer []float32, x tensor.Mat, positions []int,
 	normed := tensor.FromSlice(n, cfg.Hidden, normedBuf[:n*cfg.Hidden])
 	norm := layout.AttnNorm(layer)
 	for i := 0; i < n; i++ {
-		tensor.RMSNorm(normed.Row(i), x.Row(i), norm, 1e-5)
+		tensor.RMSNorm(normed.Row(i), x.Row(i), norm, normEps)
 	}
 	Q, K, V := qkvViews(qkv, n, cfg.QDim(), cfg.KVDim())
 	tensor.MatMulTParallel(Q, normed, layout.Wq(layer))
@@ -131,7 +136,7 @@ func postRoute(layout Layout, shared []float32, attnOut, x tensor.Mat, scratch *
 	normed := tensor.FromSlice(n, h, scratch.normed[off*h:(off+n)*h])
 	norm := layout.FFNNorm(shared)
 	for i := 0; i < n; i++ {
-		tensor.RMSNorm(normed.Row(i), x.Row(i), norm, 1e-5)
+		tensor.RMSNorm(normed.Row(i), x.Row(i), norm, normEps)
 	}
 	logits := tensor.FromSlice(n, cfg.Experts, scratch.logits[off*cfg.Experts:(off+n)*cfg.Experts])
 	tensor.MatMulTParallel(logits, normed, layout.Router(shared))
@@ -297,7 +302,7 @@ func newFFNScratch(layout Layout, maxN int) *ffnScratch {
 // logitsFor computes the LM-head logits for one hidden state using the
 // tied embedding. normed is caller-owned scratch of len(hidden).
 func logitsFor(w *Weights, hidden, logits, normed []float32) {
-	tensor.RMSNorm(normed, hidden, w.FinalNorm, 1e-5)
+	tensor.RMSNorm(normed, hidden, w.FinalNorm, normEps)
 	tensor.MatMulTParallel(tensor.FromSlice(1, w.Cfg.VocabSize, logits),
 		tensor.FromSlice(1, len(hidden), normed), w.Embedding)
 }

@@ -107,21 +107,17 @@ type Pipeline struct {
 	// largest; post-attention's x rows and scratch are layer-wide, one
 	// row per sequence — post(l, j) fills micro-batch j's rows, ffn(l)
 	// reads them all — which is why pre-attention, which runs between
-	// the two, cannot borrow the scratch's norm rows. The CPU lane owns,
-	// per micro-batch slot, reusable block-view slices (zero-copy windows
-	// into the paged KV cache — float32 Mats or, under an Int8 cache,
-	// quantized QBlocks plus a headDim dequant row), score scratch and an
-	// attention item.
-	xPre, xPost      tensor.Mat
-	preNormed        []float32
-	posBuf           []int
-	blockK, blockV   [][]tensor.Mat
-	qblockK, qblockV [][]tensor.QBlock
-	qRow             [][]float32
-	qScoreGroup      int
-	scores           [][]float32
-	attnItems        []tensor.AttnItem
-	maxContext       int
+	// the two, cannot borrow the scratch's norm rows. Attention reads the
+	// paged KV cache through views, one per sequence: a zero-copy window
+	// onto the sequence's blocks at the layer in hand plus the scratch
+	// the cache's codec needs, refilled by prefill and then by the CPU
+	// lane, and grown to the sequence's longest context. attnItems is the
+	// CPU lane's batch, one item per micro-batch slot.
+	xPre, xPost tensor.Mat
+	preNormed   []float32
+	posBuf      []int
+	views       []kvcache.View
+	attnItems   []tensor.AttnItem
 
 	// seqErr records per-sequence failures hit mid-step; GenerateStream
 	// retires the offenders at the next step boundary instead of failing
@@ -280,19 +276,26 @@ func NewPipeline(w *Weights, gpu, pinned, cacheArena *memory.Arena, numSeqs int,
 	if numSeqs <= 0 {
 		return nil, fmt.Errorf("engine: non-positive sequence count %d", numSeqs)
 	}
-	if cfg.MicroBatch <= 0 && len(cfg.Partition) == 0 {
-		return nil, fmt.Errorf("engine: need a positive micro-batch size or an explicit partition")
-	}
-	if len(cfg.Partition) > 0 {
-		if err := validatePartition(cfg.Partition, numSeqs); err != nil {
-			return nil, err
+	// The MicroBatch shorthand is a partition too: consecutive chunks of
+	// μ sequences.
+	parts := cfg.Partition
+	if len(parts) == 0 {
+		if cfg.MicroBatch <= 0 {
+			return nil, fmt.Errorf("engine: need a positive micro-batch size or an explicit partition")
+		}
+		for s := 0; s < numSeqs; s += cfg.MicroBatch {
+			mb := make([]int, min(cfg.MicroBatch, numSeqs-s))
+			for i := range mb {
+				mb[i] = s + i
+			}
+			parts = append(parts, mb)
 		}
 	}
-	layout := w.Layout
-	nb := len(cfg.Partition)
-	if nb == 0 {
-		nb = (numSeqs + cfg.MicroBatch - 1) / cfg.MicroBatch
+	if err := validatePartition(parts, numSeqs); err != nil {
+		return nil, err
 	}
+	layout := w.Layout
+	nb := len(parts)
 
 	// The double buffer and staging carry only the shared
 	// attention/router prefix of each layer; expert FFN blocks page
@@ -329,22 +332,8 @@ func NewPipeline(w *Weights, gpu, pinned, cacheArena *memory.Arena, numSeqs int,
 		positions:  make([]int, numSeqs),
 		kern:       defaultKernels(),
 	}
-	if len(cfg.Partition) > 0 {
-		// retire assigns into p.mbs: copy, so the caller's partition stays.
-		p.mbs = append(p.mbs, cfg.Partition...)
-	} else {
-		for s := 0; s < numSeqs; s += cfg.MicroBatch {
-			hi := s + cfg.MicroBatch
-			if hi > numSeqs {
-				hi = numSeqs
-			}
-			mb := make([]int, 0, hi-s)
-			for i := s; i < hi; i++ {
-				mb = append(mb, i)
-			}
-			p.mbs = append(p.mbs, mb)
-		}
-	}
+	// retire assigns into p.mbs: copy, so the caller's partition stays.
+	p.mbs = append(p.mbs, parts...)
 
 	maxMB := 0
 	for _, mb := range p.mbs {
@@ -359,37 +348,8 @@ func NewPipeline(w *Weights, gpu, pinned, cacheArena *memory.Arena, numSeqs int,
 	p.xPre = tensor.NewMat(maxMB, w.Cfg.Hidden)
 	p.preNormed = make([]float32, maxMB*w.Cfg.Hidden)
 	p.posBuf = make([]int, maxMB)
-	p.maxContext = cfg.MaxContext
-	if p.maxContext < 1 {
-		p.maxContext = 1
-	}
-	// Per-slot CPU-attention scratch: one dtype's views are ever used,
-	// so only that dtype's slices are allocated. The quantized kernel
-	// scores a whole GQA group per dequantized row, so its score
-	// scratch carries one lane per query head of the group.
-	maxBlocks := (p.maxContext+cache.BlockTokens()-1)/cache.BlockTokens() + 1
-	p.scores = make([][]float32, maxMB)
+	p.views = make([]kvcache.View, numSeqs)
 	p.attnItems = make([]tensor.AttnItem, maxMB)
-	if cfg.KVDtype == kvcache.Int8 {
-		p.qblockK = make([][]tensor.QBlock, maxMB)
-		p.qblockV = make([][]tensor.QBlock, maxMB)
-		p.qRow = make([][]float32, maxMB)
-		p.qScoreGroup = w.Cfg.QHeads / w.Cfg.KVHeads
-		for i := 0; i < maxMB; i++ {
-			p.qblockK[i] = make([]tensor.QBlock, 0, maxBlocks)
-			p.qblockV[i] = make([]tensor.QBlock, 0, maxBlocks)
-			p.qRow[i] = make([]float32, w.Cfg.HeadDim)
-			p.scores[i] = make([]float32, p.qScoreGroup*p.maxContext)
-		}
-	} else {
-		p.blockK = make([][]tensor.Mat, maxMB)
-		p.blockV = make([][]tensor.Mat, maxMB)
-		for i := 0; i < maxMB; i++ {
-			p.blockK[i] = make([]tensor.Mat, 0, maxBlocks)
-			p.blockV[i] = make([]tensor.Mat, 0, maxBlocks)
-			p.scores[i] = make([]float32, p.maxContext)
-		}
-	}
 	p.seqErr = make([]error, numSeqs)
 
 	q, kv := w.Cfg.QDim(), w.Cfg.KVDim()

@@ -158,7 +158,7 @@ func (p *Pipeline) sampleNext(active []bool, next []int) {
 	n := 0
 	for s, on := range active {
 		if on {
-			tensor.RMSNorm(p.normedHead[n*cfg.Hidden:(n+1)*cfg.Hidden], p.hidden.Row(s), p.w.FinalNorm, 1e-5)
+			tensor.RMSNorm(p.normedHead[n*cfg.Hidden:(n+1)*cfg.Hidden], p.hidden.Row(s), p.w.FinalNorm, normEps)
 			n++
 		}
 	}
@@ -324,8 +324,8 @@ func (p *Pipeline) runPreAttn(v, j int) error {
 // runCPUAttn appends the offloaded K/V to the cache and computes
 // attention for the micro-batch on the CPU worker, reading the paged
 // cache in place: each sequence's context is a list of block views
-// (kvcache.BlockView) that the blockwise attention kernel walks
-// directly, with no gathered copy. Appends mutate the cache's
+// (kvcache.View) that the blockwise attention kernel walks directly,
+// with no gathered copy. Appends mutate the cache's
 // bookkeeping maps and stay serial; the attention itself fans out
 // across the micro-batch's sequences on the shared worker pool (each
 // sequence is an independent problem over read-only cache state).
@@ -355,35 +355,12 @@ func (p *Pipeline) runCPUAttn(layer, j int) error {
 			}
 			return err
 		}
-		if p.cache.DType() == kvcache.Int8 {
-			keys, values, ctx := p.cache.QBlockView(s, layer, p.qblockK[i][:0], p.qblockV[i][:0])
-			p.qblockK[i], p.qblockV[i] = keys, values
-			p.attnItems[live] = tensor.AttnItem{
-				Out: out[i*q : (i+1)*q], Q: Q.Row(i), Scores: p.scoresFor(i, p.qScoreGroup*ctx),
-				KeyQBlocks: keys, ValueQBlocks: values, RowScratch: p.qRow[i],
-			}
-		} else {
-			keys, values, ctx := p.cache.BlockView(s, layer, p.blockK[i][:0], p.blockV[i][:0])
-			p.blockK[i], p.blockV[i] = keys, values
-			p.attnItems[live] = tensor.AttnItem{
-				Out: out[i*q : (i+1)*q], Q: Q.Row(i), Scores: p.scoresFor(i, ctx),
-				KeyBlocks: keys, ValueBlocks: values,
-			}
-		}
+		p.cache.View(s, layer, &p.views[s])
+		p.attnItems[live] = p.views[s].AttnItem(out[i*q:(i+1)*q], Q.Row(i))
 		live++
 	}
 	p.kern.attend(p.attnItems[:live], cfg.QHeads, cfg.KVHeads, cfg.HeadDim)
 	return nil
-}
-
-// scoresFor returns micro-batch slot i's score scratch sized to ctx
-// tokens, growing the backing buffer in the rare case a sequence
-// outruns the configured MaxContext.
-func (p *Pipeline) scoresFor(i, ctx int) []float32 {
-	if ctx > len(p.scores[i]) {
-		p.scores[i] = make([]float32, 2*ctx)
-	}
-	return p.scores[i][:ctx]
 }
 
 // runPostRoute is post(l, j): the O projection, residual and router for

@@ -95,29 +95,6 @@ func (p *Pipeline) prefill(prompts [][]int) error {
 	spans := make([]prefillSpan, 0, len(prompts))
 	items := make([]tensor.CausalItem, 0, len(prompts))
 
-	// Per-sequence reusable zero-copy block-view slices over the paged
-	// cache (only the serving codec's kind is allocated).
-	quantized := p.cache.DType() == kvcache.Int8
-	var blockK, blockV [][]tensor.Mat
-	var qblockK, qblockV [][]tensor.QBlock
-	if quantized {
-		qblockK = make([][]tensor.QBlock, len(prompts))
-		qblockV = make([][]tensor.QBlock, len(prompts))
-	} else {
-		blockK = make([][]tensor.Mat, len(prompts))
-		blockV = make([][]tensor.Mat, len(prompts))
-	}
-	for s, prompt := range prompts {
-		maxBlocks := (len(prompt)+p.cache.BlockTokens()-1)/p.cache.BlockTokens() + 1
-		if quantized {
-			qblockK[s] = make([]tensor.QBlock, 0, maxBlocks)
-			qblockV[s] = make([]tensor.QBlock, 0, maxBlocks)
-		} else {
-			blockK[s] = make([]tensor.Mat, 0, maxBlocks)
-			blockV[s] = make([]tensor.Mat, 0, maxBlocks)
-		}
-	}
-
 	for s, prompt := range prompts {
 		for t := skip[s]; t < len(prompt); t++ {
 			copy(x.Row(rowOf[s]+t-skip[s]), p.w.Embedding.Row(prompt[t]))
@@ -278,19 +255,10 @@ func (p *Pipeline) prefill(prompts [][]int) error {
 					continue // starved mid-chunk: rows are dead from here on
 				}
 				n := sp.tokHi - sp.tokLo
-				it := tensor.CausalItem{
-					Out:      tensor.FromSlice(n, q, attnOut.Data[sp.off*q:(sp.off+n)*q]),
-					Queries:  tensor.FromSlice(n, q, queries.Data[sp.off*q:(sp.off+n)*q]),
-					StartPos: sp.tokLo,
-				}
-				if quantized {
-					qblockK[sp.seq], qblockV[sp.seq], _ = p.cache.QBlockView(sp.seq, l, qblockK[sp.seq][:0], qblockV[sp.seq][:0])
-					it.KeyQBlocks, it.ValueQBlocks = qblockK[sp.seq], qblockV[sp.seq]
-				} else {
-					blockK[sp.seq], blockV[sp.seq], _ = p.cache.BlockView(sp.seq, l, blockK[sp.seq][:0], blockV[sp.seq][:0])
-					it.KeyBlocks, it.ValueBlocks = blockK[sp.seq], blockV[sp.seq]
-				}
-				items = append(items, it)
+				p.cache.View(sp.seq, l, &p.views[sp.seq])
+				items = append(items, p.views[sp.seq].CausalItem(
+					tensor.FromSlice(n, q, attnOut.Data[sp.off*q:(sp.off+n)*q]),
+					tensor.FromSlice(n, q, queries.Data[sp.off*q:(sp.off+n)*q]), sp.tokLo))
 			}
 			tensor.AttendCausalMany(items, cfg.QHeads, cfg.KVHeads, cfg.HeadDim)
 

@@ -21,19 +21,14 @@ type Reference struct {
 	ExpertLoad [][]int64
 
 	// Preallocated per-step workspaces (decode is token-at-a-time, so
-	// one of each suffices). keyBlocks/valBlocks (or their quantized
-	// counterparts plus the headDim dequant row) are reusable zero-copy
-	// block-view slices over the paged cache; scores is the attention
-	// scratch.
-	scratch                *ffnScratch
-	qkv                    []float32
-	attnOut                tensor.Mat
-	keyBlocks, valBlocks   []tensor.Mat
-	qkeyBlocks, qvalBlocks []tensor.QBlock
-	qRow                   []float32
-	scores                 []float32
-	logits                 []float32
-	normedHead             []float32
+	// one of each suffices). view is the reusable zero-copy window onto
+	// the paged cache, with the attention scratch of the cache's codec.
+	scratch    *ffnScratch
+	qkv        []float32
+	attnOut    tensor.Mat
+	view       kvcache.View
+	logits     []float32
+	normedHead []float32
 }
 
 // NewReference builds a reference engine with its own float32 KV
@@ -47,16 +42,13 @@ func NewReference(w *Weights, cacheArena *memory.Arena, numSeqs, maxContext int)
 // kernel as the pipeline, so pipeline-vs-reference comparisons stay
 // bit-identical even with quantization on.
 func NewReferenceKV(w *Weights, cacheArena *memory.Arena, numSeqs, maxContext int, dtype kvcache.DType) (*Reference, error) {
-	cache, err := kvcache.New(cacheArena, w.Cfg.Layers, w.Cfg.KVDim(), 16, numSeqs*maxContext, dtype)
+	cache, err := kvcache.New(cacheArena, w.Cfg.Layers, w.Cfg.KVDim(), kvcache.DefaultBlockTokens, numSeqs*maxContext, dtype)
 	if err != nil {
 		return nil, err
 	}
 	load := make([][]int64, w.Cfg.Layers)
 	for i := range load {
 		load[i] = make([]int64, w.Cfg.Experts)
-	}
-	if maxContext < 1 {
-		maxContext = 1
 	}
 	q, kv := w.Cfg.QDim(), w.Cfg.KVDim()
 	r := &Reference{
@@ -67,12 +59,8 @@ func NewReferenceKV(w *Weights, cacheArena *memory.Arena, numSeqs, maxContext in
 		scratch:    newFFNScratch(w.Layout, 1),
 		qkv:        make([]float32, q+2*kv),
 		attnOut:    tensor.NewMat(1, q),
-		scores:     make([]float32, maxContext),
 		logits:     make([]float32, w.Cfg.VocabSize),
 		normedHead: make([]float32, w.Cfg.Hidden),
-	}
-	if dtype == kvcache.Int8 {
-		r.qRow = make([]float32, w.Cfg.HeadDim)
 	}
 	return r, nil
 }
@@ -132,9 +120,6 @@ func (r *Reference) step(s, token int) error {
 
 	pos := r.cache.Len(s)
 	q, kv := cfg.QDim(), cfg.KVDim()
-	if pos+1 > len(r.scores) {
-		r.scores = make([]float32, 2*(pos+1))
-	}
 	xm := tensor.FromSlice(1, cfg.Hidden, x)
 	positions := [1]int{pos}
 
@@ -145,21 +130,9 @@ func (r *Reference) step(s, token int) error {
 		if err := r.cache.Append(s, l, K.Row(0), V.Row(0)); err != nil {
 			return err
 		}
-		if r.cache.DType() == kvcache.Int8 {
-			keys, values, ctx := r.cache.QBlockView(s, l, r.qkeyBlocks[:0], r.qvalBlocks[:0])
-			r.qkeyBlocks, r.qvalBlocks = keys, values
-			need := ctx * cfg.QHeads / cfg.KVHeads // one score lane per query head of a GQA group
-			if need > len(r.scores) {
-				r.scores = make([]float32, 2*need)
-			}
-			tensor.AttendOneBlocksQ(r.attnOut.Row(0), Q.Row(0), keys, values,
-				cfg.QHeads, cfg.KVHeads, cfg.HeadDim, r.scores[:need], r.qRow)
-		} else {
-			keys, values, ctx := r.cache.BlockView(s, l, r.keyBlocks[:0], r.valBlocks[:0])
-			r.keyBlocks, r.valBlocks = keys, values
-			tensor.AttendOneBlocks(r.attnOut.Row(0), Q.Row(0), keys, values,
-				cfg.QHeads, cfg.KVHeads, cfg.HeadDim, r.scores[:ctx])
-		}
+		r.cache.View(s, l, &r.view)
+		item := [1]tensor.AttnItem{r.view.AttnItem(r.attnOut.Row(0), Q.Row(0))}
+		tensor.AttendMany(item[:], cfg.QHeads, cfg.KVHeads, cfg.HeadDim)
 		chosen := postAttention(layout, layer, residentExperts{layout: layout, data: layer}, r.attnOut, xm, r.scratch)
 		for _, e := range chosen[0] {
 			r.ExpertLoad[l][e]++

@@ -29,9 +29,3 @@ func NVMe(capacityGiB float64) Disk {
 		Eff:           0.8,
 	}
 }
-
-// WithDisk returns a copy of the spec with a disk tier attached.
-func (s Spec) WithDisk(d Disk) Spec {
-	s.Disk = d
-	return s
-}

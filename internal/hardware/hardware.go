@@ -136,13 +136,6 @@ func (s Spec) TotalGPUBandwidth() float64 {
 	return s.GPU.SustainedBandwidth() * float64(s.NumGPUs)
 }
 
-// TotalGPUFLOPSAt returns the aggregate sustained GPU FLOPS at micro-batch
-// mu. With tensor parallelism each GPU sees the full micro-batch (the
-// layer is sharded, not the batch), so saturation applies to mu directly.
-func (s Spec) TotalGPUFLOPSAt(mu int) float64 {
-	return s.GPU.FLOPSAt(mu) * float64(s.NumGPUs)
-}
-
 // TotalLinkBandwidth returns the aggregate CPU->GPU bandwidth. Each GPU
 // in the paper's multi-GPU settings hangs off its own PCIe root port, so
 // link bandwidth scales with GPU count.

@@ -62,9 +62,6 @@ func TestMultiGPUAggregates(t *testing.T) {
 	if s.TotalLinkBandwidth() != 4*s.Link.SustainedBandwidth() {
 		t.Error("TotalLinkBandwidth must scale with GPU count")
 	}
-	if s.TotalGPUFLOPSAt(32) != 4*s.GPU.FLOPSAt(32) {
-		t.Error("TotalGPUFLOPSAt must scale with GPU count")
-	}
 }
 
 func TestValidateRejectsBadSpecs(t *testing.T) {

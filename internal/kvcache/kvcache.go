@@ -25,6 +25,12 @@
 //     run within the codec's ~0.4% per-group error, but a quantized
 //     pipeline stays bit-identical to a quantized reference.
 //
+// Code that attends over the cache does not branch on the codec:
+// Cache.View points a reusable View at a stream through whichever of
+// the two methods applies, and the View's AttnItem and CausalItem hand
+// the tensor package an attention problem with that codec's block list
+// and scratch (view.go).
+//
 // # Shared prefixes: refcounts, the hash index, and copy-on-write
 //
 // Blocks are refcounted and content-addressed, so sequences whose
@@ -306,10 +312,6 @@ func (c *Cache) TokenBytes() int { return TokenBytes(c.kvDim, c.dtype) }
 // length; layers may transiently differ mid-step during pipelined
 // decode).
 func (c *Cache) Len(seq int) int { return c.length[seqLayer{seq, 0}] }
-
-// LayerLen returns the appended token count of one sequence at one
-// layer.
-func (c *Cache) LayerLen(seq, layer int) int { return c.length[seqLayer{seq, layer}] }
 
 // Append stores one token's K and V (each kvDim floats) for a sequence
 // at a layer, at that layer's next position, quantizing on write when

@@ -84,8 +84,8 @@ func TestLayerWisePrefillOrder(t *testing.T) {
 				t.Fatalf("layer %d pos %d: %v", l, pos, err)
 			}
 		}
-		if c.LayerLen(0, l) != 5 {
-			t.Fatalf("layer %d len = %d", l, c.LayerLen(0, l))
+		if _, _, n := c.BlockView(0, l, nil, nil); n != 5 {
+			t.Fatalf("layer %d len = %d", l, n)
 		}
 	}
 }

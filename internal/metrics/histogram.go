@@ -136,25 +136,3 @@ func (h *Histogram) Quantile(p float64) time.Duration {
 	}
 	return h.max
 }
-
-// Merge folds other into h. Both histograms must share the same bucket
-// shape (the NewLatencyHistogram preset guarantees it).
-func (h *Histogram) Merge(other *Histogram) error {
-	if len(h.bounds) != len(other.bounds) || (len(h.bounds) > 0 && h.bounds[0] != other.bounds[0]) {
-		return fmt.Errorf("metrics: merging histograms with different bucket shapes")
-	}
-	for i, c := range other.counts {
-		h.counts[i] += c
-	}
-	if other.total > 0 {
-		if h.total == 0 || other.min < h.min {
-			h.min = other.min
-		}
-		if other.max > h.max {
-			h.max = other.max
-		}
-	}
-	h.total += other.total
-	h.sum += other.sum
-	return nil
-}

@@ -62,30 +62,3 @@ func TestHistogramEmpty(t *testing.T) {
 		t.Error("empty histogram should read zero")
 	}
 }
-
-func TestHistogramMerge(t *testing.T) {
-	a, b, both := NewLatencyHistogram(), NewLatencyHistogram(), NewLatencyHistogram()
-	for i := 1; i <= 100; i++ {
-		d := time.Duration(i) * time.Millisecond
-		if i%2 == 0 {
-			a.Observe(d)
-		} else {
-			b.Observe(d)
-		}
-		both.Observe(d)
-	}
-	if err := a.Merge(b); err != nil {
-		t.Fatal(err)
-	}
-	if a.Count() != both.Count() || a.Mean() != both.Mean() || a.Max() != both.Max() {
-		t.Errorf("merge mismatch: count %d/%d mean %v/%v", a.Count(), both.Count(), a.Mean(), both.Mean())
-	}
-	for _, p := range []float64{0.5, 0.9, 0.99} {
-		if a.Quantile(p) != both.Quantile(p) {
-			t.Errorf("p%v: merged %v != direct %v", p, a.Quantile(p), both.Quantile(p))
-		}
-	}
-	if err := a.Merge(NewHistogram(time.Millisecond, 2, 8)); err == nil {
-		t.Error("merging different shapes should fail")
-	}
-}

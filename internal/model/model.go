@@ -171,12 +171,6 @@ func (c Config) KVBytesPerTokenLayer() float64 {
 	return 2 * float64(c.KVDim()) * c.KVDType.Bytes()
 }
 
-// KVBytesPerToken is the KV-cache footprint of one token across all
-// layers.
-func (c Config) KVBytesPerToken() float64 {
-	return c.KVBytesPerTokenLayer() * float64(c.Layers)
-}
-
 // HiddenBytes is the activation footprint of n tokens' hidden states.
 func (c Config) HiddenBytes(n int) int64 {
 	return int64(float64(n) * float64(c.Hidden) * c.WeightDType.Bytes())

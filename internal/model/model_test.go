@@ -59,9 +59,9 @@ func TestSharedExpertSplitCoversLayer(t *testing.T) {
 }
 
 func TestKVBytesPerToken(t *testing.T) {
-	// Mixtral 8x7B: 2 (K,V) * 8 heads * 128 dim * 2 bytes * 32 layers = 128 KiB.
-	if got := Mixtral8x7B().KVBytesPerToken(); got != 131072 {
-		t.Errorf("KV bytes/token = %v, want 131072", got)
+	// Mixtral 8x7B: 2 (K,V) * 8 heads * 128 dim * 2 bytes = 4 KiB a layer.
+	if got := Mixtral8x7B().KVBytesPerTokenLayer(); got != 4096 {
+		t.Errorf("KV bytes/token/layer = %v, want 4096", got)
 	}
 }
 

@@ -9,7 +9,7 @@ import (
 
 func diskInput() Input {
 	in := s1Input()
-	in.Spec = in.Spec.WithDisk(hardware.NVMe(512))
+	in.Spec.Disk = hardware.NVMe(512)
 	in.Spec.CPU.MemBytes = hardware.GiB(48) // model (~87 GiB) cannot fit
 	return in
 }

@@ -11,8 +11,8 @@ import (
 // derating constants plus the micro-batch kernel-saturation curve,
 // folded into an Eff pair relative to the spec's raw peaks. It
 // reproduces the pre-seam arithmetic exactly — gpuOpTime's
-// flops/TotalGPUFLOPSAt(mu) becomes flops/(rawPeak * eff.Compute) with
-// eff.Compute = EffFLOPS * mu/(mu+MicroBatchHalf).
+// flops/(NumGPUs * GPU.FLOPSAt(mu)) becomes flops/(rawPeak *
+// eff.Compute) with eff.Compute = EffFLOPS * mu/(mu+MicroBatchHalf).
 type specEfficiency struct {
 	spec hardware.Spec
 }

@@ -75,8 +75,9 @@ func (t LayerTimes) Critical() float64 {
 // gpuOpTime applies Eq. 8 on the GPU — max(flops/(P_peak*eff_c),
 // bytes/(B_peak*eff_b)) — plus the fixed kernel dispatch overhead. The
 // derating pair comes through the Efficiency seam: analytically it is
-// the spec's saturation curve (reproducing TotalGPUFLOPSAt exactly);
-// calibrated, it is a measured-table lookup for the op's shape.
+// the spec's saturation curve (reproducing NumGPUs x GPU.FLOPSAt(mu)
+// exactly); calibrated, it is a measured-table lookup for the op's
+// shape.
 func (e *Estimator) gpuOpTime(op roofline.OpClass, shape roofline.Shape, flops, bytes float64) float64 {
 	s := e.In.Spec
 	eff := e.eff.Efficiency(op, shape)

@@ -223,7 +223,7 @@ func TestNCandidates(t *testing.T) {
 // DRAM is plentiful.
 func TestOptimizerUsesDiskOnlyWhenNeeded(t *testing.T) {
 	small := s1Input()
-	small.Spec = small.Spec.WithDisk(hardware.NVMe(512))
+	small.Spec.Disk = hardware.NVMe(512)
 	small.Spec.CPU.MemBytes = hardware.GiB(48)
 	res, err := Optimize(small)
 	if err != nil {
@@ -234,7 +234,7 @@ func TestOptimizerUsesDiskOnlyWhenNeeded(t *testing.T) {
 	}
 
 	big := s1Input()
-	big.Spec = big.Spec.WithDisk(hardware.NVMe(512))
+	big.Spec.Disk = hardware.NVMe(512)
 	withDisk, err := Optimize(big)
 	if err != nil {
 		t.Fatal(err)

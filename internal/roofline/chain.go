@@ -70,27 +70,3 @@ func (c Chain) Attainable(exec int, intensity []float64) float64 {
 	}
 	return p
 }
-
-// BestLevel returns the execution level with the highest attainable
-// performance for the op, given that its data lives at level `home` and
-// executing at any level i <= home requires streaming from home.
-// Executing below home (i > home) is not modeled (data never moves
-// down for compute).
-func (c Chain) BestLevel(home int, intensity []float64) (level int, perf float64) {
-	perf = math.Inf(-1)
-	for i := home; i >= 0; i-- {
-		p := c.Attainable(i, intensity)
-		if p > perf {
-			perf, level = p, i
-		}
-	}
-	return level, perf
-}
-
-// TurningPoint generalizes Eq. 9 for a hop: the home-level intensity
-// below which moving the computation from level `from` up to level `to`
-// stops paying, i.e. where the path roof crosses the in-place roof.
-func (c Chain) TurningPoint(from, to int, intensity []float64) float64 {
-	inPlace := math.Min(c.Levels[from].PeakFLOPS, c.Levels[from].MemBandwidth*intensity[from])
-	return inPlace / c.PathBandwidth(from, to)
-}

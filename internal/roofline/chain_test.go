@@ -84,22 +84,24 @@ func TestBestLevelClimbsWithIntensity(t *testing.T) {
 	c := threeLevel()
 	// Data on CPU (home=1): low intensity stays on CPU, high moves to GPU.
 	low := []float64{5, 5, math.Inf(1)}
-	if lvl, _ := c.BestLevel(1, low); lvl != 1 {
-		t.Errorf("low-intensity op should stay on CPU, got level %d", lvl)
+	if c.Attainable(0, low) > c.Attainable(1, low) {
+		t.Errorf("low-intensity op should stay on CPU: GPU %v > CPU %v", c.Attainable(0, low), c.Attainable(1, low))
 	}
 	high := []float64{1e4, 1e4, math.Inf(1)}
-	if lvl, _ := c.BestLevel(1, high); lvl != 0 {
-		t.Errorf("high-intensity op should move to GPU, got level %d", lvl)
+	if c.Attainable(0, high) <= c.Attainable(1, high) {
+		t.Errorf("high-intensity op should move to GPU: GPU %v <= CPU %v", c.Attainable(0, high), c.Attainable(1, high))
 	}
 }
 
+// At the HRM's first turning point the chain's two placements tie: the
+// path roof from the CPU up crosses the in-place roof.
 func TestTurningPointMatchesHRMP1(t *testing.T) {
 	c := threeLevel()
 	h := HRM{Upper: c.Levels[0], Lower: c.Levels[1], CrossBandwidth: c.Cross[0]}
-	op := Op{IUpper: 7, ILower: 7}
-	want := h.P1At(op)
-	got := c.TurningPoint(1, 0, []float64{7, 7, math.Inf(1)})
-	if math.Abs(got-want) > 1e-9*want {
-		t.Errorf("chain turning point %v != HRM P1 %v", got, want)
+	p1 := h.P1At(Op{IUpper: 7, ILower: 7})
+	up := c.Attainable(0, []float64{math.Inf(1), p1, math.Inf(1)})
+	inPlace := c.Attainable(1, []float64{7, 7, math.Inf(1)})
+	if math.Abs(up-inPlace) > 1e-9*inPlace {
+		t.Errorf("at HRM P1 %v moving up attains %v, in place %v", p1, up, inPlace)
 	}
 }

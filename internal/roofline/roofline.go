@@ -41,12 +41,6 @@ func (r Roofline) Ridge() float64 {
 	return r.Level.PeakFLOPS / r.Level.MemBandwidth
 }
 
-// ComputeBound reports whether a computation of the given intensity is
-// compute-bound on this level.
-func (r Roofline) ComputeBound(intensity float64) bool {
-	return intensity >= r.Ridge()
-}
-
 // HRM is the two-level hierarchical model used throughout the paper:
 // computation may run at the Upper level (GPU) streaming from the Lower
 // level (CPU), or run directly at the Lower level.
@@ -121,23 +115,6 @@ func (h HRM) P2At(iUpper float64) float64 {
 		return math.Inf(1)
 	}
 	return math.Min(h.Upper.PeakFLOPS, h.Upper.MemBandwidth*iUpper) / h.CrossBandwidth
-}
-
-// BalancedLowerIntensity solves the balance point (Eq. 11)
-// B^i·I^i = B^{j,i}·I^j for I^j given I^i: the lower-level intensity at
-// which upper-memory traffic and link traffic take equal time.
-func (h HRM) BalancedLowerIntensity(iUpper float64) float64 {
-	if h.CrossBandwidth == 0 {
-		return math.Inf(1)
-	}
-	return h.Upper.MemBandwidth * iUpper / h.CrossBandwidth
-}
-
-// CrossBound reports whether the op, run on the upper level, is bound by
-// the cross-level link rather than upper memory or compute.
-func (h HRM) CrossBound(op Op) bool {
-	cross := h.CrossBandwidth * op.ILower
-	return cross < h.Upper.PeakFLOPS && cross < h.Upper.MemBandwidth*op.IUpper
 }
 
 // Validate reports an error for non-physical configurations.

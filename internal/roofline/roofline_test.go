@@ -22,9 +22,6 @@ func TestRooflineRidge(t *testing.T) {
 	if r.Ridge() != 10 {
 		t.Fatalf("ridge = %v, want 10", r.Ridge())
 	}
-	if !r.ComputeBound(20) || r.ComputeBound(5) {
-		t.Error("compute-bound classification wrong")
-	}
 	if r.Attainable(5) != 50 {
 		t.Errorf("attainable(5) = %v, want 50 (memory roof)", r.Attainable(5))
 	}
@@ -92,7 +89,7 @@ func TestTurningPointOrder(t *testing.T) {
 func TestBalancePoint(t *testing.T) {
 	h := testHRM()
 	iUpper := 7.0
-	iLower := h.BalancedLowerIntensity(iUpper)
+	iLower := h.P2At(iUpper) // under the upper memory roof, Eq. 10's turning point is Eq. 11's balance
 	// Eq. 11: B_i*I_i == B_ji*I_j at the balance point.
 	left := h.Upper.MemBandwidth * iUpper
 	right := h.CrossBandwidth * iLower
@@ -103,10 +100,10 @@ func TestBalancePoint(t *testing.T) {
 
 func TestCrossBound(t *testing.T) {
 	h := testHRM()
-	if !h.CrossBound(Op{IUpper: 100, ILower: 1}) {
+	if op := (Op{IUpper: 100, ILower: 1}); h.AttainableUpper(op) != h.CrossBandwidth*op.ILower {
 		t.Error("low lower-intensity op must be link-bound")
 	}
-	if h.CrossBound(Op{IUpper: 100, ILower: 1e9}) {
+	if op := (Op{IUpper: 100, ILower: 1e9}); h.AttainableUpper(op) == h.CrossBandwidth*op.ILower {
 		t.Error("huge lower-intensity op must not be link-bound")
 	}
 }

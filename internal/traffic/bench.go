@@ -37,13 +37,6 @@ func SummarizeLatency(h *metrics.Histogram) LatencyMS {
 	}
 }
 
-// DurationsMS converts engine-side percentile durations (e.g. from
-// ServerStats) into a LatencyMS.
-func DurationsMS(mean, p50, p95, p99 time.Duration) LatencyMS {
-	ms := func(d time.Duration) float64 { return float64(d) / float64(time.Millisecond) }
-	return LatencyMS{Mean: ms(mean), P50: ms(p50), P95: ms(p95), P99: ms(p99)}
-}
-
 // SweepPoint is one operating point of a saturation sweep: the scenario
 // at one arrival-rate multiple, measured end to end against a fresh
 // server.

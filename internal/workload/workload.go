@@ -13,7 +13,6 @@ package workload
 import (
 	"fmt"
 	"math/rand"
-	"sort"
 )
 
 // Request is one inference request.
@@ -33,9 +32,6 @@ type Request struct {
 	// meaningful only when PrefixID != 0).
 	PrefixLen int
 }
-
-// TotalLen is the final context length of the request.
-func (r Request) TotalLen() int { return r.PromptLen + r.GenLen }
 
 // Config describes a workload (Tab. 1, W; Tab. 3).
 type Config struct {
@@ -164,54 +160,4 @@ func (c Config) recenter(reqs []Request) {
 		}
 		reqs[i].PromptLen = p
 	}
-}
-
-// Stats summarizes a request set.
-type Stats struct {
-	Count                    int
-	AvgPrompt, MaxPrompt     int
-	MinPrompt, MedianPrompt  int
-	TotalPrompt, TotalGenLen int
-}
-
-// Summarize computes Stats for a request set.
-func Summarize(reqs []Request) Stats {
-	if len(reqs) == 0 {
-		return Stats{}
-	}
-	lens := make([]int, len(reqs))
-	s := Stats{Count: len(reqs), MinPrompt: reqs[0].PromptLen}
-	for i, r := range reqs {
-		lens[i] = r.PromptLen
-		s.TotalPrompt += r.PromptLen
-		s.TotalGenLen += r.GenLen
-		if r.PromptLen > s.MaxPrompt {
-			s.MaxPrompt = r.PromptLen
-		}
-		if r.PromptLen < s.MinPrompt {
-			s.MinPrompt = r.PromptLen
-		}
-	}
-	sort.Ints(lens)
-	s.AvgPrompt = s.TotalPrompt / len(reqs)
-	s.MedianPrompt = lens[len(lens)/2]
-	return s
-}
-
-// Pad returns a copy of reqs with every prompt padded to the maximum
-// prompt length in the set — FlexGen's request handling, and the paper's
-// MoE-Lightning (p) variant.
-func Pad(reqs []Request) []Request {
-	maxLen := 0
-	for _, r := range reqs {
-		if r.PromptLen > maxLen {
-			maxLen = r.PromptLen
-		}
-	}
-	out := make([]Request, len(reqs))
-	for i, r := range reqs {
-		r.PromptLen = maxLen
-		out[i] = r
-	}
-	return out
 }

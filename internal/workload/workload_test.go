@@ -24,18 +24,24 @@ func TestGenerateMatchesTable3Stats(t *testing.T) {
 		{Summarization(), 34, 1984},
 	} {
 		reqs := tc.cfg.Generate(1)
-		st := Summarize(reqs)
-		if st.Count != tc.cfg.NumRequests {
-			t.Errorf("%s: %d requests, want %d", tc.cfg.Name, st.Count, tc.cfg.NumRequests)
+		if len(reqs) != tc.cfg.NumRequests {
+			t.Fatalf("%s: %d requests, want %d", tc.cfg.Name, len(reqs), tc.cfg.NumRequests)
 		}
-		if diff := st.AvgPrompt - tc.cfg.AvgPrompt; diff > tc.avgTol || diff < -tc.avgTol {
-			t.Errorf("%s: avg prompt %d, want %d +- %d", tc.cfg.Name, st.AvgPrompt, tc.cfg.AvgPrompt, tc.avgTol)
+		total, maxPrompt, minPrompt := 0, 0, reqs[0].PromptLen
+		for _, r := range reqs {
+			total += r.PromptLen
+			maxPrompt = max(maxPrompt, r.PromptLen)
+			minPrompt = min(minPrompt, r.PromptLen)
 		}
-		if st.MaxPrompt > tc.wantMax {
-			t.Errorf("%s: max prompt %d exceeds s_max %d", tc.cfg.Name, st.MaxPrompt, tc.wantMax)
+		avg := total / len(reqs)
+		if diff := avg - tc.cfg.AvgPrompt; diff > tc.avgTol || diff < -tc.avgTol {
+			t.Errorf("%s: avg prompt %d, want %d +- %d", tc.cfg.Name, avg, tc.cfg.AvgPrompt, tc.avgTol)
 		}
-		if st.MinPrompt < tc.cfg.MinPrompt {
-			t.Errorf("%s: min prompt %d below floor %d", tc.cfg.Name, st.MinPrompt, tc.cfg.MinPrompt)
+		if maxPrompt > tc.wantMax {
+			t.Errorf("%s: max prompt %d exceeds s_max %d", tc.cfg.Name, maxPrompt, tc.wantMax)
+		}
+		if minPrompt < tc.cfg.MinPrompt {
+			t.Errorf("%s: min prompt %d below floor %d", tc.cfg.Name, minPrompt, tc.cfg.MinPrompt)
 		}
 	}
 }
@@ -61,45 +67,6 @@ func TestGenerateDeterministic(t *testing.T) {
 	}
 	if same {
 		t.Error("different seeds produced identical request sets")
-	}
-}
-
-func TestPad(t *testing.T) {
-	reqs := []Request{{ID: 0, PromptLen: 10, GenLen: 4}, {ID: 1, PromptLen: 30, GenLen: 4}}
-	padded := Pad(reqs)
-	if padded[0].PromptLen != 30 || padded[1].PromptLen != 30 {
-		t.Errorf("pad = %+v, want all prompts 30", padded)
-	}
-	if reqs[0].PromptLen != 10 {
-		t.Error("Pad must not mutate its input")
-	}
-	if padded[0].GenLen != 4 {
-		t.Error("Pad must preserve generation length")
-	}
-}
-
-func TestPadProperty(t *testing.T) {
-	f := func(lens []uint8) bool {
-		if len(lens) == 0 {
-			return true
-		}
-		reqs := make([]Request, len(lens))
-		max := 0
-		for i, l := range lens {
-			reqs[i] = Request{ID: i, PromptLen: int(l) + 1}
-			if int(l)+1 > max {
-				max = int(l) + 1
-			}
-		}
-		for _, r := range Pad(reqs) {
-			if r.PromptLen != max {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
 	}
 }
 
@@ -131,19 +98,6 @@ func TestValidateRejectsBadConfigs(t *testing.T) {
 		if cfg.Validate() == nil {
 			t.Errorf("%s: want validation error", name)
 		}
-	}
-}
-
-func TestSummarizeEmpty(t *testing.T) {
-	if st := Summarize(nil); st.Count != 0 {
-		t.Error("empty summary must be zero")
-	}
-}
-
-func TestRequestTotalLen(t *testing.T) {
-	r := Request{PromptLen: 5, GenLen: 3}
-	if r.TotalLen() != 8 {
-		t.Error("TotalLen")
 	}
 }
 

@@ -125,7 +125,7 @@ func TestRunFunctional(t *testing.T) {
 		{ID: 5, PromptLen: 7, GenLen: 4},
 	}
 	res, err := RunFunctional(TinyMoE(), reqs, FunctionalOptions{
-		Seed: 9, GenLen: 4, Verify: true,
+		ServerConfig: ServerConfig{Seed: 9, GenLen: 4}, Verify: true,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -161,12 +161,12 @@ func TestRunFunctionalInt8KV(t *testing.T) {
 		{ID: 3, PromptLen: 3, GenLen: 4},
 		{ID: 4, PromptLen: 6, GenLen: 4},
 	}
-	f32, err := RunFunctional(TinyMoE(), reqs, FunctionalOptions{Seed: 9, GenLen: 4})
+	f32, err := RunFunctional(TinyMoE(), reqs, FunctionalOptions{ServerConfig: ServerConfig{Seed: 9, GenLen: 4}})
 	if err != nil {
 		t.Fatal(err)
 	}
 	res, err := RunFunctional(TinyMoE(), reqs, FunctionalOptions{
-		Seed: 9, GenLen: 4, Verify: true, KVDtype: KVInt8,
+		ServerConfig: ServerConfig{Seed: 9, GenLen: 4, KVDtype: KVInt8}, Verify: true,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -204,13 +204,13 @@ func TestRunFunctionalSharedPrefix(t *testing.T) {
 		reqs[i] = Request{ID: i + 1, PromptLen: 36 + i, GenLen: 4, PrefixID: 11, PrefixLen: 32}
 	}
 	off, err := RunFunctional(TinyMoE(), reqs, FunctionalOptions{
-		Seed: 9, GenLen: 4, SharedPrefixKV: SharedPrefixOff,
+		ServerConfig: ServerConfig{Seed: 9, GenLen: 4, SharedPrefixKV: SharedPrefixOff},
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	on, err := RunFunctional(TinyMoE(), reqs, FunctionalOptions{
-		Seed: 9, GenLen: 4, Verify: true,
+		ServerConfig: ServerConfig{Seed: 9, GenLen: 4}, Verify: true,
 	})
 	if err != nil {
 		t.Fatal(err)

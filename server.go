@@ -87,8 +87,8 @@ var (
 )
 
 // ServerConfig parameterizes a long-lived functional serving instance.
-// The zero value plus a Model is usable: sizes default like
-// FunctionalOptions (2x2 waves, 8 tokens, 128 context).
+// The zero value plus a Model is usable: sizes default to 2x2 waves,
+// 8 tokens, 128 context.
 type ServerConfig struct {
 	// Model is the MoE architecture to serve. Like RunFunctional, the
 	// server executes real float32 math, so only tiny configs (TinyMoE)

@@ -26,7 +26,7 @@ func TestServerStreamMatchesRunFunctional(t *testing.T) {
 	const seed, genLen = 9, 4
 	reqs := serverRequests(6, genLen)
 
-	want, err := RunFunctional(TinyMoE(), reqs, FunctionalOptions{Seed: seed, GenLen: genLen, Verify: true})
+	want, err := RunFunctional(TinyMoE(), reqs, FunctionalOptions{ServerConfig: ServerConfig{Seed: seed, GenLen: genLen}, Verify: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -111,7 +111,7 @@ func TestServerCancellationMidGeneration(t *testing.T) {
 	// seed and requests.
 	later := serverRequests(4, genLen)
 	want, err := RunFunctional(TinyMoE(), later, FunctionalOptions{
-		Seed: seed, GenLen: genLen, MaxContext: 64, Verify: true,
+		ServerConfig: ServerConfig{Seed: seed, GenLen: genLen, MaxContext: 64}, Verify: true,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -142,7 +142,7 @@ func TestServerCancellationMidGeneration(t *testing.T) {
 func TestServerConcurrentSubmit(t *testing.T) {
 	const seed, genLen, workers, perWorker = 13, 4, 4, 3
 	all := serverRequests(workers*perWorker, genLen)
-	want, err := RunFunctional(TinyMoE(), all, FunctionalOptions{Seed: seed, GenLen: genLen, Verify: true})
+	want, err := RunFunctional(TinyMoE(), all, FunctionalOptions{ServerConfig: ServerConfig{Seed: seed, GenLen: genLen}, Verify: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -226,7 +226,7 @@ func TestNewServerRejectsBigModels(t *testing.T) {
 func TestFunctionalOptionPlumbing(t *testing.T) {
 	reqs := serverRequests(5, 4)
 	res, err := RunFunctional(TinyMoE(), reqs, FunctionalOptions{
-		Seed: 9, GenLen: 4, Lookahead: 3, Vocab: 101, Verify: true,
+		ServerConfig: ServerConfig{Seed: 9, GenLen: 4, Lookahead: 3, Vocab: 101}, Verify: true,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -238,7 +238,7 @@ func TestFunctionalOptionPlumbing(t *testing.T) {
 		t.Errorf("5 requests over 2x2 waves should defer at least one: %+v", res)
 	}
 	// A different vocab yields different prompts, hence different tokens.
-	other, err := RunFunctional(TinyMoE(), reqs, FunctionalOptions{Seed: 9, GenLen: 4, Verify: true})
+	other, err := RunFunctional(TinyMoE(), reqs, FunctionalOptions{ServerConfig: ServerConfig{Seed: 9, GenLen: 4}, Verify: true})
 	if err != nil {
 		t.Fatal(err)
 	}
