@@ -26,6 +26,7 @@ var uncalledExports = map[string]string{
 	"moelightning.SummarizationHELM": "facade preset (Tab. 3)",
 	"moelightning.RunFunctional":     "facade entry point: the closed-batch run the package doc names; the root tests' verified oracle",
 	"moelightning.System.Estimate":   "facade entry point: the model's throughput for a policy without a search",
+	"moelightning.System.Roofline":   "facade entry point: the HRM of the system's hardware, what hrmplot builds from the spec directly",
 	"moelightning.NewFaultInjector":  "facade constructor for ServerConfig.Faults; internal/chaos builds the injector directly",
 
 	// Called through an interface, never by name.
@@ -49,13 +50,6 @@ var uncalledExports = map[string]string{
 	"sim.Result.BubbleTime":     "ROADMAP item 5 applies it to measured steps",
 	"sim.Result.KindTime":       "ROADMAP item 5 applies it to measured steps",
 	"traffic.SimulateAdmission": "the only deterministic check that slack order beats FIFO and that shedding bounds TTFT (ROADMAP item 8)",
-
-	// The paper's definitions, reached only by their unit tests since the
-	// helpers above them went (ROADMAP item 8 lists them as what is left).
-	"roofline.Roofline.Attainable": "Eqs. 1-2, the single-level roofline the HRM extends",
-	"roofline.Roofline.Ridge":      "Eq. 3",
-	"roofline.Chain.Attainable":    "§3.2's n-level generalisation of Eq. 7",
-	"hardware.GPU.FLOPSAt":         "the kernel-saturation curve's definition; perfmodel's specEfficiency is the same curve relative to the raw peak",
 }
 
 // TestExportsHaveCallers is ROADMAP item 8's scan, kept as a test: every

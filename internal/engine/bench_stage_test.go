@@ -4,5 +4,5 @@ package engine
 // engine's own primeLayer path — shared region synchronously into the
 // double buffer, predicted expert set to the prefetcher. It replaces
 // the manual per-bench layer-load loops so every baseline exercises
-// exactly the load path GenerateStream's preload and prefill use.
+// exactly the load path the prompt phase's first pass uses.
 func stageLayer(p *Pipeline, v int) error { return p.primeLayer(v) }

@@ -47,9 +47,10 @@ type DecodeBenchResult struct {
 	ExpertHits, ExpertMisses, ExpertBytesFetched int64
 }
 
-// MeasureDecodeSteps prefills cfg.Seqs prompts, primes layer 0, runs
-// one warm-up step, then times cfg.Steps steady-state decode steps
-// through the full pipelined lane schedule (GPU, CPU, HtoD, DtoH).
+// MeasureDecodeSteps prefills cfg.Seqs prompts (the last prompt pass
+// pages layer 0 in), runs one warm-up step, then times cfg.Steps
+// steady-state decode steps through the full pipelined lane schedule
+// (GPU, CPU, HtoD, DtoH).
 func MeasureDecodeSteps(cfg BenchConfig) (DecodeBenchResult, error) {
 	var res DecodeBenchResult
 	if cfg.Steps <= 0 {
@@ -65,9 +66,6 @@ func MeasureDecodeSteps(cfg BenchConfig) (DecodeBenchResult, error) {
 	defer pl.Close()
 
 	if err := pl.prefill(prompts); err != nil {
-		return res, err
-	}
-	if err := pl.primeLayer(0); err != nil {
 		return res, err
 	}
 	if err := pl.decodeStep(0); err != nil { // warm-up
@@ -100,9 +98,10 @@ type PrefillBenchResult struct {
 	Seconds float64
 }
 
-// MeasurePrefill times the wave-packed prefill pass at the given chunk
-// size: per layer, all live prompt tokens pack into chunk-bounded
-// batches of one QKV GEMM + one expert-grouped FFN pass each.
+// MeasurePrefill times the prompt phase at the given chunk size: the
+// wave's prompt tokens run through the step graph in passes of at most
+// PrefillChunk rows, each layer of a pass one QKV GEMM per micro-batch
+// and one expert-grouped FFN over every row.
 func MeasurePrefill(cfg BenchConfig) (PrefillBenchResult, error) {
 	var res PrefillBenchResult
 	if cfg.PromptLen <= 0 {

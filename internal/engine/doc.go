@@ -1,6 +1,7 @@
 // Package engine is the functional MoE inference engine: a real (tiny-
-// scale) MoE transformer that executes prefill and CGOPipe decode over
-// explicit memory arenas, with one worker goroutine per hardware lane.
+// scale) MoE transformer that executes prefill and decode as passes of
+// the CGOPipe schedule over explicit memory arenas, with one worker
+// goroutine per hardware lane.
 // Its output is verified token-for-token against a sequential reference
 // implementation, demonstrating that the paper's schedule, paging and
 // memory management preserve model semantics.
@@ -18,28 +19,31 @@
 //     no-progress — shared with the traffic simulator.
 //   - ServerStats (stats.go): the counters. The server accumulates into
 //     one directly; ServeResult and the facade's results embed it.
-//   - The decode step's task graph (internal/schedule): roles, lanes,
+//   - The step's task graph (internal/schedule): roles, lanes,
 //     look-ahead, issue order and dependencies, weight-buffer reuse
 //     hazards included, are what schedule.Build emits for CGOPipe — the
 //     graph the simulator runs. NewPipeline builds it once for the
 //     pipeline's shape, always with Plan.LayerFFN, and binds it to
-//     Pipeline.runTask; decodeStep sets the step's inputs and runs it
-//     (laneSet, pipeline.go), allocating nothing for it.
+//     Pipeline.runTask (laneSet, pipeline.go). It is the only code that
+//     runs the model forward: the prompt phase is passes of it, each
+//     carrying up to PrefillChunk prompt tokens as rows (prefill.go
+//     plans them), and a decode step is a pass of one row per live
+//     sequence (decodeStep). A pass lays its rows out and runs the
+//     graph, and a decode step allocates nothing for it.
 //   - Post-attention (forward.go): postAttention is postRoute (O
 //     projection, residual, router; per group of rows, at a row offset)
 //     then expertFFN (every routed expert once over all rows). The
-//     reference and prefill call the composition; a decode step calls
-//     postRoute from post(l, j) for each micro-batch and expertFFN once
-//     from ffn(l), so a layer passes over an expert's weights once
-//     however many micro-batches route to it. Rows are independent and a
-//     token's experts accumulate in ascending id either way: the tokens
-//     are the reference's.
+//     reference calls the composition; a pass calls postRoute from
+//     post(l, j) for each micro-batch and expertFFN once from ffn(l), so
+//     a layer passes over an expert's weights once however many
+//     micro-batches route to it. Rows are independent and a token's
+//     experts accumulate in ascending id either way: the tokens are the
+//     reference's.
 //   - The KV codec (internal/kvcache): F32 or Int8 is Config.KVDtype,
 //     handed to kvcache.New, and nothing in this package asks again.
-//     Prefill, the decode step's CPU attention and the reference read
-//     the cache through kvcache.View — Pipeline.views, one per
-//     sequence — which picks the block list, the scratch and so the
-//     kernel.
+//     The CPU attention task and the reference read the cache through
+//     kvcache.View — Pipeline.views, one per sequence — which picks the
+//     block list, the scratch and so the kernel.
 //
 // The Server itself is four files: handle.go (the request handle),
 // admit.go (submit, overload gate, admission loop), wave.go (plan →
@@ -49,21 +53,24 @@
 //
 // Expert FFN blocks reach the GPU through paging.ExpertPager, and the
 // engine, not the pager, knows what runs next. Pipeline.beginLayer is
-// the one place they meet: when a layer starts (decode: the top of its
-// first post-attention task, once the previous layer's expert FFN has
-// retired and a micro-batch's worth of tasks before its own; prefill:
-// the top of the layer) it announces the layer and requests the next
-// layer's predicted experts, load descending, as many as half the pool
-// holds and no more than the next layer's rows x TopK — what it can
-// route to; a one-sequence wave that asked for all of them would keep
-// the worker copying unread blocks beside the lanes from start to
-// finish. The pager then evicts in schedule order — the layer just
+// the one place they meet, called from one issue point: the top of a
+// layer's first post-attention task, post(l, 0), once the previous
+// layer's expert FFN has retired and a micro-batch's worth of tasks
+// before its own, in prompt passes and decode steps alike. It announces
+// the layer and requests the next layer's predicted experts, load
+// descending, as many as half the pool holds and no more than the next
+// layer's rows x TopK — what it can route to (for the last layer, the
+// next pass's rows: after the last prompt pass, the decode step's live
+// rows); a one-sequence wave that asked for all of them would keep the
+// worker copying unread blocks beside the lanes from start to finish.
+// Only layer 0 before the first pass is staged outside the graph
+// (primeLayer). The pager then evicts in schedule order — the layer just
 // finished first, the layer about to run last, LRU plus frequency only
 // inside a layer — lets no prefetch displace a block needed sooner than
 // the one it brings, and keeps a single pending request, so its worker
 // is never more than one copy behind the schedule and Close waits for
 // that copy alone. With the default pool of two layers every block is
-// fetched once per decode step, off the GPU lane; whatever the pool, a
+// fetched once per pass, off the GPU lane; whatever the pool, a
 // block that is not there when a kernel asks is fetched on the spot, so
 // residency moves time and never tokens.
 //

@@ -148,20 +148,26 @@ func TestPipelineWeightTraffic(t *testing.T) {
 
 	nb := (seqs + mu - 1) / mu
 	sharedFloats := int64(pl.layout.SharedFloats())
-	// Prefill loads each layer's shared region once; setup preloads
-	// layer 0; each of the gen-1 decode steps streams every layer once.
+	// The prompt pass streams each layer's shared region once (layers 1
+	// to Layers-1, then the first decode step's layer 0); priming layer 0
+	// before it adds one more; each of the gen-1 decode steps streams
+	// every layer once.
 	wantPages := int64(cfg.Layers*nb) + int64(nb) + int64((gen-1)*cfg.Layers*nb)
 	if got := pl.Counters.PagesMoved.Load(); got != wantPages {
 		t.Errorf("pages moved = %d, want %d", got, wantPages)
 	}
 	wantWeightFloats := (int64(cfg.Layers) + 1 + int64((gen-1)*cfg.Layers)) * sharedFloats
-	// HtoD also carries the per-micro-batch attention outputs. The
-	// counters report bytes (4 per float32 element moved).
-	hidden := int64(0)
-	for _, r := range pl.attnGPU {
-		hidden += int64(r.Len())
+	// HtoD also carries the attention outputs: loadh moves every
+	// micro-batch's rows at every layer, one row of QDim floats per
+	// prompt token in the prompt pass and per sequence in each decode
+	// step (the transfer regions are sized by rows, and loadh copies the
+	// pass's). The counters report bytes (4 per float32 element moved).
+	promptTokens := 0
+	for _, prompt := range prompts {
+		promptTokens += len(prompt)
 	}
-	wantHtoD := 4 * (wantWeightFloats + hidden*int64((gen-1)*cfg.Layers))
+	attnFloats := int64(cfg.Layers*cfg.QDim()) * int64(promptTokens+(gen-1)*seqs)
+	wantHtoD := 4 * (wantWeightFloats + attnFloats)
 	if got := pl.Counters.HtoDBytes.Load(); got != wantHtoD {
 		t.Errorf("HtoD bytes = %d, want %d", got, wantHtoD)
 	}
@@ -200,12 +206,14 @@ func TestPipelineArenaDiscipline(t *testing.T) {
 
 	layout := NewLayout(cfg)
 	q, kv := cfg.QDim(), cfg.KVDim()
-	nb := 2
+	// The row workspaces hold the largest pass: a prompt pass of up to
+	// DefaultPrefillChunk rows, capped by the KV pool's 4 x 64 tokens.
+	rows := min(DefaultPrefillChunk, 4*64)
 	slots := layout.ResidencySlots(0)
 	want := 2*layout.SharedFloats() + // double buffer (shared region only)
 		slots*layout.ExpertFloats() + // expert pager resident set
-		4*cfg.Hidden + // hidden states
-		nb*2*(q+2*kv) + nb*2*q // per-micro-batch QKV and attention buffers
+		rows*cfg.Hidden + // the pass's hidden states
+		rows*(q+2*kv) + rows*q // QKV and attention transfer rows
 	if got := gpu.Used(); got != want {
 		t.Errorf("GPU arena used = %d floats, want %d", got, want)
 	}

@@ -219,12 +219,14 @@ func TestSmallWavePrefetchesOnlyRoutableBlocks(t *testing.T) {
 	}
 }
 
-// TestPrefillHandoffEvictsOldestLayerFirst: when prefill reaches the
-// last layer it has the layer before it and the last layer's prefetched
-// blocks resident; making room for layer 0 — the first decode step's —
+// TestPrefillHandoffEvictsOldestLayerFirst: when the last prompt pass
+// reaches the last layer it has the layer before it and the last
+// layer's prefetched blocks resident; making room for layer 0 — the
+// first decode step's, requested from the last layer's post-attention —
 // must take the finished layer's blocks, not the last layer's that are
 // about to be used. Each layer's FFN is held until the next layer's
-// prefetch has landed, so the state is the same on every run.
+// prefetch has landed, so the state is the same on every run. Nothing
+// stages layer 0 between the phases, so this is the whole hand-off.
 func TestPrefillHandoffEvictsOldestLayerFirst(t *testing.T) {
 	cfg := streamModel()
 	const seqs = 4
@@ -267,24 +269,9 @@ func TestPrefillHandoffEvictsOldestLayerFirst(t *testing.T) {
 	if err := pl.prefill(testPrompts(seqs, 3, 7, cfg.VocabSize)); err != nil {
 		t.Fatal(err)
 	}
-	check := func(when string) {
-		t.Helper()
-		if a, b, c := resident(L-2), resident(L-1), resident(0); a != 0 || b != E || c != E {
-			t.Fatalf("%s: resident blocks of layers %d / %d / 0 = %d / %d / %d, want 0 / %d / %d",
-				when, L-2, L-1, a, b, c, E, E)
-		}
-	}
-	check("after prefill")
-
-	// GenerateStream's preload finds layer 0 already staged: nothing moves.
-	evicted := pl.Counters.ExpertPaging.Evicted.Load()
-	if err := pl.primeLayer(0); err != nil {
-		t.Fatal(err)
-	}
-	waitLayer(0)
-	check("after the decode preload")
-	if got := pl.Counters.ExpertPaging.Evicted.Load(); got != evicted {
-		t.Fatalf("the decode preload evicted %d blocks, want 0", got-evicted)
+	if a, b, c := resident(L-2), resident(L-1), resident(0); a != 0 || b != E || c != E {
+		t.Fatalf("after prefill: resident blocks of layers %d / %d / 0 = %d / %d / %d, want 0 / %d / %d",
+			L-2, L-1, a, b, c, E, E)
 	}
 }
 

@@ -36,10 +36,10 @@ func qkvViews(data []float32, n, q, kv int) (Q, K, V tensor.Mat) {
 // rotary embedding. x is [n, hidden], positions[i] is token i's
 // absolute position, qkv is the n*(qdim+2*kvdim) output buffer in
 // qkvViews layout. normedBuf is n*hidden floats of workspace the caller
-// owns: the reference and prefill lend their ffnScratch's norm rows,
-// which nothing else holds between their pre- and post-attention; a
-// decode step cannot, because pre(l, j+ahead) runs between postRoute's
-// write of those rows and expertFFN's read.
+// owns: the reference lends its ffnScratch's norm rows, which nothing
+// else holds between its pre- and post-attention; a pass of the
+// pipeline's graph cannot, because pre(l, j+ahead) runs between
+// postRoute's write of those rows and expertFFN's read.
 func preAttention(layout Layout, layer []float32, x tensor.Mat, positions []int, qkv, normedBuf []float32) {
 	cfg := layout.cfg
 	n := x.Rows
@@ -96,10 +96,10 @@ func (s residentExperts) Release(int) {}
 // prefix); expert blocks come from the expertSource one at a time.
 //
 // It is postRoute followed by expertFFN over the same rows, and that is
-// the only definition: the reference calls it per token and prefill per
-// packed chunk (through the kernel hooks), while a decode step calls
-// the halves from two tasks — postRoute once per micro-batch, each at
-// its own row offset, then one expertFFN over all of them.
+// the only definition: the reference calls it per token, while a pass
+// of the pipeline — prompt or decode — calls the halves from two tasks:
+// postRoute once per micro-batch, each at its own row offset, then one
+// expertFFN over all of them.
 //
 // It returns the expert indices chosen per token (in routing order) for
 // routing statistics; the slices are backed by scratch and only valid
@@ -170,7 +170,7 @@ func postRoute(layout Layout, shared []float32, attnOut, x tensor.Mat, scratch *
 // contributions accumulate into ffnOut in ascending expert-id order
 // whatever other rows share the call, so the result is bit-identical
 // for any batch shape: a token alone (the reference), inside its
-// micro-batch, or among the rows of every micro-batch of a decode
+// micro-batch, or among the rows of every micro-batch of a pass's
 // layer.
 //
 // An expert whose weights cannot be acquired is skipped wholesale and

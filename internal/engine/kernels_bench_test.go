@@ -107,10 +107,7 @@ func benchDecodeStep(b *testing.B, seed bool, dtype kvcache.DType, residencyByte
 		if seed {
 			pl.kern = newSeedKernels(pl.layout)
 		}
-		if err := pl.prefill(prompts); err != nil {
-			b.Fatal(err)
-		}
-		if err := stageLayer(pl, 0); err != nil {
+		if err := pl.prefill(prompts); err != nil { // its last pass pages layer 0 in
 			b.Fatal(err)
 		}
 		base := pl.Counters.ExpertPaging.BytesFetched.Load()

@@ -16,14 +16,16 @@ import (
 	"moelightning/internal/tensor"
 )
 
-// Pipeline is the CGOPipe functional engine: decode steps execute
-// Alg. 1 with one worker goroutine per lane (GPU, CPU, HtoD, DtoH, Pin)
-// and channel-carried dependencies. The step's task graph is the one
-// schedule.Build emits for CGOPipe — the graph the simulator and the HRM
-// figures run — built once at construction for the pipeline's shape
-// (layers, micro-batches, look-ahead, attention pages, the layer-wide
-// expert FFN; retirement empties a micro-batch, it never removes a task)
-// and bound to runTask; a step only sets its inputs and runs it.
+// Pipeline is the CGOPipe functional engine: it executes Alg. 1 with
+// one worker goroutine per lane (GPU, CPU, HtoD, DtoH, Pin) and
+// channel-carried dependencies. The task graph is the one schedule.Build
+// emits for CGOPipe — the graph the simulator and the HRM figures run —
+// built once at construction for the pipeline's shape (layers,
+// micro-batches, look-ahead, attention pages, the layer-wide expert FFN;
+// retirement empties a micro-batch, it never removes a task) and bound
+// to runTask. Both phases are passes of that one graph: a prompt pass
+// carries up to PrefillChunk prompt tokens as rows, a decode step one
+// row per live sequence, and a pass only sets its rows and runs it.
 // Attention, the O projection and the router run per micro-batch; the
 // expert FFN runs once per layer over the rows of all of them (ffn(l)),
 // so a layer passes over each routed expert's weights once however the
@@ -35,8 +37,8 @@ import (
 // GPU. The engine tells the pager the schedule it already knows: as a
 // layer's first post-attention task starts — the previous layer's
 // expert FFN has retired, so its blocks are free to go — it announces the
-// layer and hands over the next layer's predicted experts (prefill does
-// the same once per layer). The pager evicts the layer furthest ahead
+// layer and hands over the next layer's predicted experts, in prompt
+// passes and decode steps alike. The pager evicts the layer furthest ahead
 // in the cyclic layer order first and its worker never holds more than
 // that one request, so each block crosses once per pass through the
 // layers, behind the layer's GEMMs rather than on the GPU lane, and a
@@ -57,33 +59,46 @@ type Pipeline struct {
 	pager   *paging.ExpertPager
 	cache   *kvcache.Cache
 
-	// hidden is the GPU-resident [numSeqs, hidden] state.
+	// hidden is the GPU-resident residual stream of the pass in flight,
+	// one row per token row of the pass.
 	hidden tensor.Mat
 
 	// Micro-batch partition: mbs[j] lists sequence indices.
 	mbs [][]int
 
-	// Per-micro-batch transfer buffers (GPU and CPU sides).
-	qkvGPU, qkvCPU   []memory.Region
-	attnGPU, attnCPU []memory.Region
+	// The transfer buffers (GPU and CPU sides), one row per token row of
+	// the pass: micro-batch j's rows start at rowOff[j], as in hidden.
+	qkvGPU, qkvCPU   memory.Region
+	attnGPU, attnCPU memory.Region
 
 	lanes  *laneSet
 	closed bool
 	used   bool
 
-	// The inputs of the decode step in flight, written by decodeStep
-	// before it submits the graph and read by the lane tasks: the virtual
-	// index of the step's layer 0 (step x Layers; buffer slots go by its
-	// parity, which flips between steps when Layers is odd), every
-	// sequence's position at step start, the live row count, and where
-	// the live rows sit in the layer-wide post-attention workspaces
-	// (xPost, scratch): micro-batch j's sequences take rows rowOff[j]
-	// onwards in partition order, and row r belongs to sequence rowSeq[r].
-	vbase     int
-	positions []int
-	stepRows  int
-	rowOff    []int
-	rowSeq    []int
+	// The inputs of the pass in flight, written before the graph is
+	// submitted and read by the lane tasks: the virtual index of the
+	// pass's layer 0 (pass number x Layers; buffer slots go by its
+	// parity, which flips between passes when Layers is odd), and the
+	// rows. Sequence s computes positions [spanLo[s], spanHi[s]), one row
+	// each; micro-batch j's sequences take rows rowOff[j] onwards in
+	// partition order (rowOff[len(mbs)] is the pass's row count), and row
+	// r is position rowPos[r] of sequence rowSeq[r]. nextRows is how many
+	// rows the pass after this one routes, what the last layer's expert
+	// prefetch is sized by.
+	vbase          int
+	spanLo, spanHi []int
+	rowOff         []int
+	rowSeq, rowPos []int
+	nextRows       int
+
+	// The wave's prompts, the shared prefix each sequence maps from its
+	// donor instead of computing (planPrefixReuse), each sequence's next
+	// input token once its prompt is done (the greedy sample of its last
+	// row), and how many prompt passes ran before decode.
+	prompts     [][]int
+	skip, donor []int
+	next        []int
+	passes      int
 
 	// Counters observable by tests and examples.
 	Counters Counters
@@ -91,7 +106,7 @@ type Pipeline struct {
 	// PrefillTokens and PrefillDuration report the wave's prompt phase:
 	// how many prompt tokens completed prefill (a sequence retired by
 	// prefill-time KV exhaustion contributes none) and the wall-clock
-	// the packed pass took. Valid once Generate/GenerateStream has run
+	// its passes took. Valid once Generate/GenerateStream has run
 	// prefill; the server folds them into ServerStats' prefill
 	// throughput.
 	PrefillTokens   int
@@ -100,49 +115,51 @@ type Pipeline struct {
 	// ExpertLoad counts expert selections per layer.
 	ExpertLoad [][]int64
 
-	// Steady-state decode workspaces, allocated once at build time so
-	// lane tasks never allocate. The GPU lane serializes its tasks, so
-	// pre-attention shares one x staging buffer, one position buffer and
-	// one set of norm rows across all micro-batches, each sized by the
-	// largest; post-attention's x rows and scratch are layer-wide, one
-	// row per sequence — post(l, j) fills micro-batch j's rows, ffn(l)
-	// reads them all — which is why pre-attention, which runs between
-	// the two, cannot borrow the scratch's norm rows. Attention reads the
-	// paged KV cache through views, one per sequence: a zero-copy window
-	// onto the sequence's blocks at the layer in hand plus the scratch
-	// the cache's codec needs, refilled by prefill and then by the CPU
-	// lane, and grown to the sequence's longest context. attnItems is the
-	// CPU lane's batch, one item per micro-batch slot.
-	xPre, xPost tensor.Mat
+	// Row workspaces, allocated once at build time for the largest pass
+	// so lane tasks never allocate. The GPU lane serializes its tasks, so
+	// pre-attention reads its micro-batch's rows of hidden in place and
+	// shares one set of norm rows across all micro-batches;
+	// post-attention's x rows and scratch are layer-wide like hidden —
+	// post(l, j) fills micro-batch j's rows, ffn(l) reads them all — which
+	// is why pre-attention, which runs between the two, cannot borrow the
+	// scratch's norm rows. Attention reads the paged KV cache through
+	// views, one per sequence: a zero-copy window onto the sequence's
+	// blocks at the layer in hand plus the scratch the cache's codec
+	// needs, refilled by the CPU lane and grown to the sequence's longest
+	// context. attnItems and causalItems are the CPU lane's batch, one
+	// item per sequence of a micro-batch: a one-row span (every decode
+	// row) attends as a single token, a longer prompt span causally.
+	xPost       tensor.Mat
 	preNormed   []float32
-	posBuf      []int
 	views       []kvcache.View
 	attnItems   []tensor.AttnItem
+	causalItems []tensor.CausalItem
 
-	// seqErr records per-sequence failures hit mid-step; GenerateStream
-	// retires the offenders at the next step boundary instead of failing
-	// the wave. During a step two lanes write it — the CPU lane on KV-pool
-	// exhaustion (runCPUAttn, for the sequences of its micro-batch), the
-	// GPU lane on a failed expert fetch (runExpertFFN, for rows of every
+	// seqErr records per-sequence failures hit mid-pass; the offenders
+	// retire at the pass boundary instead of failing the wave. During a
+	// pass two lanes write it — the CPU lane on KV-pool exhaustion
+	// (runCPUAttn, for the sequences of its micro-batch), the GPU lane on
+	// a failed expert fetch (runExpertFFN, for rows of every
 	// micro-batch) — and the graph orders them: within a layer every
 	// cattn(l, j) precedes ffn(l) through cattn -> loadh -> post(l, j) ->
 	// ffn(l), and ffn(l) precedes every cattn(l+1, j) through ffn(l) ->
 	// pre(l+1, j) -> qkv -> cattn, so no element is written while another
 	// lane reads or writes it. The generation goroutine reads it after the
-	// step barrier; prefill, which is single-threaded, writes it too.
+	// pass barrier.
 	seqErr []error
 
 	scratch *ffnScratch
-	// The LM head's workspaces, one row per sequence: live rows are
-	// normed into normedHead, packed, and meet the embedding in one GEMM.
+	// The LM head's workspaces, one row per sequence: the rows that emit
+	// a token are normed into normedHead, packed, and meet the embedding
+	// in one GEMM.
 	logits, normedHead []float32
 	prefillChunk       int
 	sharedPrefix       bool
 
 	// expSrc adapts the pager to the expertSource the kernels consume,
-	// one real layer at a time. The GPU lane and the single-threaded
-	// prefill are each serial, so one reusable instance suffices.
-	// predBuf and keyBuf are the prefetch-prediction workspaces.
+	// one real layer at a time. The GPU lane is serial, so one reusable
+	// instance suffices. predBuf and keyBuf are the prefetch-prediction
+	// workspaces.
 	expSrc  pagedExperts
 	predBuf []int
 	keyBuf  []paging.ExpertKey
@@ -157,8 +174,8 @@ type Pipeline struct {
 	// wired into the cache and pager hooks at build time); nil injects
 	// nothing. abortCh/abortOnce/abortReason implement cooperative wave
 	// abort: Abort closes the channel, GenerateStream notices at the
-	// next prefill-layer or decode-step boundary (and injected stalls
-	// wake immediately), and the generation returns the abort reason.
+	// next pass boundary (and injected stalls wake immediately), and the
+	// generation returns the abort reason.
 	faults      *faults.Injector
 	abortCh     chan struct{}
 	abortOnce   sync.Once
@@ -166,8 +183,8 @@ type Pipeline struct {
 }
 
 // kernels bundles the forward-pass implementations the lane tasks call.
-// route and ffn are the two halves of postAttention: prefill calls them
-// back to back over a packed chunk, decode from post(l, j) and ffn(l).
+// route and ffn are the two halves of postAttention, called from
+// post(l, j) and ffn(l).
 type kernels struct {
 	preAttn func(layout Layout, shared []float32, x tensor.Mat, positions []int, qkv, normed []float32)
 	route   func(layout Layout, shared []float32, attnOut, x tensor.Mat, scratch *ffnScratch, off int)
@@ -181,9 +198,12 @@ func defaultKernels() kernels {
 
 // Counters tallies data movement and kernel activity. Movement is
 // counted in bytes, not elements, so the numbers stay truthful when KV
-// rows are int8+scale rather than float32. HtoDBytes/PinBytes/
-// PagesMoved cover the scheduled-lane traffic (shared weight pages and
-// attention activations); expert weight blocks move through the pager
+// rows are int8+scale rather than float32: DtoHBytes is the K/V the
+// offload writes into the CPU cache, the cache's bytes per token for
+// every appended row. HtoDBytes/PinBytes/PagesMoved cover the
+// scheduled-lane traffic (shared weight pages and attention
+// activations); GPUKernels counts the graph's GPU tasks, CPUAttns its
+// attention tasks. Expert weight blocks move through the pager
 // and are tallied separately in ExpertPaging, whose byte count is
 // deterministic ((Misses+Prefetched) * block bytes) even though the
 // hit/prefetch split depends on prefetch timing.
@@ -224,14 +244,13 @@ type Config struct {
 	// bit-exact) or kvcache.Int8 (§3.3 group quantization — ~9/32 the
 	// cache footprint, attention dequantizes rows in place).
 	KVDtype kvcache.DType
-	// PrefillChunk bounds the wave-packed prefill's per-layer packed
-	// batch — and with it the prefill QKV/attention/FFN scratch — to
-	// this many prompt tokens: the wave's tokens stream through each
-	// layer in PrefillChunk-sized slices instead of sizing scratch by
-	// the wave's total. <= 0 selects DefaultPrefillChunk. Chunking never
-	// changes results: every kernel is row-independent and attention
-	// reads each token's own cached prefix, so the output is
-	// bit-identical for any chunk size.
+	// PrefillChunk is one pass's token budget: the prompt phase runs the
+	// wave's prompt tokens through the step graph in passes of at most
+	// this many rows (fewer if the KV pool holds fewer), and the row
+	// workspaces are sized by it instead of by the wave's total. <= 0
+	// selects DefaultPrefillChunk. Chunking never changes results: every
+	// kernel is row-independent and attention reads each token's own
+	// cached prefix, so the output is bit-identical for any chunk size.
 	PrefillChunk int
 	// SharedPrefix enables shared-prefix KV reuse during prefill:
 	// sequences of a wave whose prompts open with identical tokens map
@@ -259,15 +278,15 @@ type Config struct {
 	ExpertResidencyBytes int
 	// Faults optionally threads a deterministic fault injector through
 	// the pipeline's seams: expert-pager fetches, KV block allocation,
-	// and the prefill-layer / decode-step stall points. Nil injects
-	// nothing and costs nothing.
+	// and the stall point at every pass boundary. Nil injects nothing
+	// and costs nothing.
 	Faults *faults.Injector
 }
 
-// DefaultPrefillChunk is the prefill token budget used when
+// DefaultPrefillChunk is the prompt pass's token budget used when
 // Config.PrefillChunk is unset: large enough that typical waves pack
-// into one GEMM batch per layer, small enough to bound prefill scratch
-// for long-prompt waves.
+// into one pass, small enough to bound the row workspaces for
+// long-prompt waves.
 const DefaultPrefillChunk = 1024
 
 // NewPipeline assembles the engine over explicit arenas. numSeqs is the
@@ -317,21 +336,40 @@ func NewPipeline(w *Weights, gpu, pinned, cacheArena *memory.Arena, numSeqs int,
 		return nil, err
 	}
 
-	hiddenRegion, err := gpu.Alloc(numSeqs * w.Cfg.Hidden)
-	if err != nil {
-		return nil, err
-	}
-
+	// The row workspaces are sized once for the largest pass: a decode
+	// step's row per sequence, or a prompt pass's token budget — which
+	// never needs more rows than the KV pool holds tokens.
 	p := &Pipeline{
 		w: w, layout: layout,
 		gpuArena: gpu, pinnedArena: pinned,
 		db: db, staging: staging, cache: cache,
-		hidden:     tensor.FromSlice(numSeqs, w.Cfg.Hidden, hiddenRegion.Data()),
-		logits:     make([]float32, numSeqs*w.Cfg.VocabSize),
-		normedHead: make([]float32, numSeqs*w.Cfg.Hidden),
-		positions:  make([]int, numSeqs),
-		kern:       defaultKernels(),
+		logits:       make([]float32, numSeqs*w.Cfg.VocabSize),
+		normedHead:   make([]float32, numSeqs*w.Cfg.Hidden),
+		kern:         defaultKernels(),
+		sharedPrefix: cfg.SharedPrefix,
+		prefillChunk: cfg.PrefillChunk,
 	}
+	if p.prefillChunk <= 0 {
+		p.prefillChunk = DefaultPrefillChunk
+	}
+	rows := max(numSeqs, min(p.prefillChunk, numSeqs*cfg.MaxContext))
+	p.prefillChunk = min(p.prefillChunk, rows)
+	q, kv := w.Cfg.QDim(), w.Cfg.KVDim()
+	var hiddenRegion memory.Region
+	for _, r := range []struct {
+		dst   *memory.Region
+		arena *memory.Arena
+		n     int
+	}{
+		{&hiddenRegion, gpu, rows * w.Cfg.Hidden},
+		{&p.qkvGPU, gpu, rows * (q + 2*kv)}, {&p.attnGPU, gpu, rows * q},
+		{&p.qkvCPU, pinned, rows * (q + 2*kv)}, {&p.attnCPU, pinned, rows * q},
+	} {
+		if *r.dst, err = r.arena.Alloc(r.n); err != nil {
+			return nil, err
+		}
+	}
+	p.hidden = tensor.FromSlice(rows, w.Cfg.Hidden, hiddenRegion.Data())
 	// retire assigns into p.mbs: copy, so the caller's partition stays.
 	p.mbs = append(p.mbs, parts...)
 
@@ -341,41 +379,19 @@ func NewPipeline(w *Weights, gpu, pinned, cacheArena *memory.Arena, numSeqs int,
 			maxMB = len(mb)
 		}
 	}
-	p.scratch = newFFNScratch(layout, numSeqs)
-	p.xPost = tensor.NewMat(numSeqs, w.Cfg.Hidden)
-	p.rowOff = make([]int, nb)
-	p.rowSeq = make([]int, numSeqs)
-	p.xPre = tensor.NewMat(maxMB, w.Cfg.Hidden)
-	p.preNormed = make([]float32, maxMB*w.Cfg.Hidden)
-	p.posBuf = make([]int, maxMB)
+	p.scratch = newFFNScratch(layout, rows)
+	p.xPost = tensor.NewMat(rows, w.Cfg.Hidden)
+	p.preNormed = make([]float32, rows*w.Cfg.Hidden)
+	p.rowOff = make([]int, nb+1)
+	p.rowSeq = make([]int, rows)
+	p.rowPos = make([]int, rows)
+	p.spanLo = make([]int, numSeqs)
+	p.spanHi = make([]int, numSeqs)
+	p.next = make([]int, numSeqs)
 	p.views = make([]kvcache.View, numSeqs)
-	p.attnItems = make([]tensor.AttnItem, maxMB)
+	p.attnItems = make([]tensor.AttnItem, 0, maxMB)
+	p.causalItems = make([]tensor.CausalItem, 0, maxMB)
 	p.seqErr = make([]error, numSeqs)
-
-	q, kv := w.Cfg.QDim(), w.Cfg.KVDim()
-	for _, mb := range p.mbs {
-		n := len(mb)
-		qg, err := gpu.Alloc(n * (q + 2*kv))
-		if err != nil {
-			return nil, err
-		}
-		ag, err := gpu.Alloc(n * q)
-		if err != nil {
-			return nil, err
-		}
-		qc, err := pinned.Alloc(n * (q + 2*kv))
-		if err != nil {
-			return nil, err
-		}
-		ac, err := pinned.Alloc(n * q)
-		if err != nil {
-			return nil, err
-		}
-		p.qkvGPU = append(p.qkvGPU, qg)
-		p.qkvCPU = append(p.qkvCPU, qc)
-		p.attnGPU = append(p.attnGPU, ag)
-		p.attnCPU = append(p.attnCPU, ac)
-	}
 
 	p.ExpertLoad = make([][]int64, w.Cfg.Layers)
 	for i := range p.ExpertLoad {
@@ -393,7 +409,7 @@ func NewPipeline(w *Weights, gpu, pinned, cacheArena *memory.Arena, numSeqs int,
 	}
 	p.expSrc = pagedExperts{p: p}
 	p.predBuf = make([]int, 0, w.Cfg.Experts)
-	p.keyBuf = make([]paging.ExpertKey, 0, 2*w.Cfg.Experts) // prefill's first request carries two layers
+	p.keyBuf = make([]paging.ExpertKey, 0, w.Cfg.Experts)
 
 	p.abortCh = make(chan struct{})
 	if cfg.Faults != nil {
@@ -402,11 +418,6 @@ func NewPipeline(w *Weights, gpu, pinned, cacheArena *memory.Arena, numSeqs int,
 		p.pager.SetFetchFault(cfg.Faults.ExpertFetch)
 	}
 
-	p.sharedPrefix = cfg.SharedPrefix
-	p.prefillChunk = cfg.PrefillChunk
-	if p.prefillChunk <= 0 {
-		p.prefillChunk = DefaultPrefillChunk
-	}
 	graph, err := schedule.Build(schedule.CGOPipe, schedule.Plan{
 		Layers: w.Cfg.Layers, MicroBatches: nb,
 		Lookahead: cfg.Lookahead, AttnPages: p.attnPages(), LayerFFN: true,
@@ -447,11 +458,10 @@ var errWaveAborted = errors.New("engine: wave aborted")
 
 // Abort requests cooperative cancellation of the in-flight generation:
 // GenerateStream returns err (or a generic abort error when nil) at
-// the next prefill-layer or decode-step boundary, and any injected
-// stall wakes immediately. Safe to call from any goroutine, more than
-// once; the first reason wins. It cannot interrupt a lane task that is
-// truly wedged mid-run — that is the server watchdog's grace-period
-// case.
+// the next pass boundary, and any injected stall wakes immediately.
+// Safe to call from any goroutine, more than once; the first reason
+// wins. It cannot interrupt a lane task that is truly wedged mid-run —
+// that is the server watchdog's grace-period case.
 func (p *Pipeline) Abort(err error) {
 	p.abortOnce.Do(func() {
 		if err == nil {
@@ -485,7 +495,7 @@ func (p *Pipeline) stallPoint() {
 // it after a wave drains so KVIdle can verify the pool returned to its
 // initial free count.
 func (p *Pipeline) ReleaseAll() {
-	for s := 0; s < p.hidden.Rows; s++ {
+	for s := range p.seqErr {
 		p.cache.Release(s)
 	}
 }
@@ -521,8 +531,8 @@ func validatePartition(parts [][]int, n int) error {
 	return nil
 }
 
-// laneSet executes one decode step's task graph with one worker
-// goroutine per lane. The graph is bound once, at construction: tasks
+// laneSet executes the step's task graph, one pass at a time, with one
+// worker goroutine per lane. The graph is bound once, at construction: tasks
 // keeps the builder's order, which is Alg. 1's issue order, and every
 // dependency id becomes an edge carrying one buffered token a step — a
 // task's ready channel has its in-degree as capacity, a finishing task

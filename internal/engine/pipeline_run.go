@@ -13,17 +13,17 @@ import (
 	"moelightning/internal/tensor"
 )
 
-// Generate runs layer-wise prefill over the prompts followed by genLen
+// Generate runs the prompt phase over the prompts followed by genLen
 // greedy decode steps under the CGOPipe pipeline, returning the
 // generated token IDs per sequence.
 func (p *Pipeline) Generate(prompts [][]int, genLen int) ([][]int, error) {
 	return p.GenerateStream(prompts, genLen, nil, nil)
 }
 
-// StepSink receives a generated token the moment the decode step that
-// produced it completes: seq is the pipeline sequence index, index the
-// token's position in that sequence's output, token the token id. It is
-// called from the generation goroutine, in ascending (index, seq) order.
+// StepSink receives a generated token the moment the pass that produced
+// it completes: seq is the pipeline sequence index, index the token's
+// position in that sequence's output, token the token id. It is called
+// from the generation goroutine, in ascending (index, seq) order.
 type StepSink func(seq, index, token int)
 
 // StopFunc is polled at every decode-step boundary for each live
@@ -36,10 +36,13 @@ type StepSink func(seq, index, token int)
 type StopFunc func(seq, emitted int) bool
 
 // GenerateStream is Generate with serving hooks: sink (may be nil)
-// observes each token as soon as its decode step completes, well before
-// the wave's final step; stop (may be nil) cancels individual sequences
-// mid-generation at step boundaries. Retired sequences return the tokens
-// emitted before retirement.
+// observes each token as soon as the pass that produced it completes —
+// the first once the prompt phase is over, the rest one decode step
+// each, well before the wave's final step; stop (may be nil) cancels
+// individual sequences mid-generation at step boundaries. Both phases
+// are passes of the one bound step graph (prefill.go plans the prompt
+// passes, decodeStep the decode ones). Retired sequences return the
+// tokens emitted before retirement.
 func (p *Pipeline) GenerateStream(prompts [][]int, genLen int, sink StepSink, stop StopFunc) ([][]int, error) {
 	if p.closed {
 		return nil, fmt.Errorf("engine: pipeline is closed")
@@ -48,8 +51,8 @@ func (p *Pipeline) GenerateStream(prompts [][]int, genLen int, sink StepSink, st
 		return nil, fmt.Errorf("engine: pipeline already generated; build a fresh one per batch (the KV cache is single-shot)")
 	}
 	p.used = true
-	if len(prompts) != p.hidden.Rows {
-		return nil, fmt.Errorf("engine: %d prompts for a %d-sequence pipeline", len(prompts), p.hidden.Rows)
+	if len(prompts) != len(p.seqErr) {
+		return nil, fmt.Errorf("engine: %d prompts for a %d-sequence pipeline", len(prompts), len(p.seqErr))
 	}
 	prefillStart := time.Now()
 	err := p.prefill(prompts)
@@ -59,13 +62,12 @@ func (p *Pipeline) GenerateStream(prompts [][]int, genLen int, sink StepSink, st
 	}
 
 	out := make([][]int, len(prompts))
-	next := make([]int, len(prompts))
 	active := make([]bool, len(prompts))
 	live := 0
 	for s := range prompts {
-		// A sequence that exhausted the KV pool during prefill was
-		// already retired there (SeqErr reports it); it emits no tokens
-		// and the wave carries on with the survivors.
+		// A sequence that failed during prefill was retired at its pass
+		// boundary (SeqErr reports it); it emits no tokens and the wave
+		// carries on with the survivors.
 		if p.seqErr[s] != nil {
 			continue
 		}
@@ -75,23 +77,17 @@ func (p *Pipeline) GenerateStream(prompts [][]int, genLen int, sink StepSink, st
 	if live == 0 {
 		return out, nil
 	}
-	p.sampleNext(active, next)
 
-	// Preload layer 0 before the first decode step: the shared region
-	// lands synchronously in GPU slot 0 and layer 0's predicted experts
-	// (hot from prefill's router statistics) go to the prefetcher.
-	if err := p.primeLayer(0); err != nil {
-		return nil, err
-	}
-
+	// No preload: the last prompt pass paged layer 0 in for the first
+	// decode step and asked the prefetcher for its experts.
 	for t := 0; t < genLen; t++ {
 		for s := range prompts {
 			if !active[s] {
 				continue
 			}
-			out[s] = append(out[s], next[s])
+			out[s] = append(out[s], p.next[s])
 			if sink != nil {
-				sink(s, t, next[s])
+				sink(s, t, p.next[s])
 			}
 		}
 		if t == genLen-1 {
@@ -111,26 +107,13 @@ func (p *Pipeline) GenerateStream(prompts [][]int, genLen int, sink StepSink, st
 				break
 			}
 		}
-		// Embed this step's tokens into the hidden state (GPU side).
-		for s, tok := range next {
-			if active[s] {
-				copy(p.hidden.Row(s), p.w.Embedding.Row(tok))
-			}
-		}
-		// Fault seam + cooperative abort, both at the step boundary: a
-		// fired stall blocks here (woken early by Abort), and an abort
-		// requested by the watchdog ends the wave before the next step.
-		p.stallPoint()
-		if aerr := p.abortedErr(); aerr != nil {
-			return nil, aerr
-		}
 		if err := p.decodeStep(t); err != nil {
 			return nil, err
 		}
 		// Retire sequences that hit KV-pool exhaustion during the step
 		// before their stale hidden state can emit a token: the failure
 		// is per-request (surfaced via SeqErr), the wave continues, and
-		// the retirement frees the offender's blocks for the survivors.
+		// the retirement takes the offender out of its micro-batch.
 		for s := range prompts {
 			if active[s] && p.seqErr[s] != nil {
 				p.retire(s)
@@ -141,7 +124,7 @@ func (p *Pipeline) GenerateStream(prompts [][]int, genLen int, sink StepSink, st
 		if live == 0 {
 			break
 		}
-		p.sampleNext(active, next)
+		p.sampleNext()
 	}
 	// Decode-time writes into shared history (multi-turn continuations)
 	// may copy-on-write after prefill counted; refresh the tally.
@@ -149,28 +132,40 @@ func (p *Pipeline) GenerateStream(prompts [][]int, genLen int, sink StepSink, st
 	return out, nil
 }
 
-// sampleNext writes the greedy next token of every active sequence into
-// next: the live hidden rows are normed into a packed buffer and meet
-// the tied embedding in one GEMM. GEMM rows are independent, so each
-// token is the one reference.go's row-by-row logitsFor picks.
-func (p *Pipeline) sampleNext(active []bool, next []int) {
+// sampleNext writes into p.next the greedy next token of every sequence
+// whose row in the pass just run emits one: a row at or past its
+// prompt's last token — every row of a decode step, a prompt's last row
+// — of a sequence that did not fail in the pass. Those rows are normed
+// into a packed buffer and meet the tied embedding in one GEMM. GEMM
+// rows are independent, so each token is the one reference.go's
+// row-by-row logitsFor picks.
+func (p *Pipeline) sampleNext() {
 	cfg := p.w.Cfg
+	rows := p.rowSeq[:p.rowOff[len(p.mbs)]]
 	n := 0
-	for s, on := range active {
-		if on {
-			tensor.RMSNorm(p.normedHead[n*cfg.Hidden:(n+1)*cfg.Hidden], p.hidden.Row(s), p.w.FinalNorm, normEps)
+	for r, s := range rows {
+		if p.emits(r, s) {
+			tensor.RMSNorm(p.normedHead[n*cfg.Hidden:(n+1)*cfg.Hidden], p.hidden.Row(r), p.w.FinalNorm, normEps)
 			n++
 		}
+	}
+	if n == 0 {
+		return
 	}
 	logits := tensor.FromSlice(n, cfg.VocabSize, p.logits[:n*cfg.VocabSize])
 	tensor.MatMulTParallel(logits, tensor.FromSlice(n, cfg.Hidden, p.normedHead[:n*cfg.Hidden]), p.w.Embedding)
 	n = 0
-	for s, on := range active {
-		if on {
-			next[s] = tensor.ArgMax(logits.Row(n))
+	for r, s := range rows {
+		if p.emits(r, s) {
+			p.next[s] = tensor.ArgMax(logits.Row(n))
 			n++
 		}
 	}
+}
+
+// emits reports whether row r, of sequence s, produces s's next token.
+func (p *Pipeline) emits(r, s int) bool {
+	return p.seqErr[s] == nil && p.rowPos[r] >= len(p.prompts[s])-1
 }
 
 // SeqErr returns the terminal error of one sequence from the last
@@ -187,12 +182,11 @@ func (p *Pipeline) SeqErr(s int) error {
 
 // retire removes sequence s from its micro-batch and releases its KV
 // blocks back to the cache pool. The micro-batch count — and with it the
-// task-graph shape and per-step weight-page traffic — is unchanged; an
-// emptied micro-batch simply computes nothing. Called from two places,
-// both with no lane task in flight: between decode steps (cancellation
-// and mid-decode exhaustion) and from the single-threaded prefill when
-// an Append exhausts the pool — mutating p.mbs is only safe under that
-// condition.
+// task-graph shape and per-pass weight-page traffic — is unchanged; an
+// emptied micro-batch simply computes nothing. Called only at a pass
+// boundary, with no lane task in flight: between decode steps
+// (cancellation and mid-step failures) and between prompt passes —
+// mutating p.mbs is only safe under that condition.
 func (p *Pipeline) retire(s int) {
 	for j, mb := range p.mbs {
 		for i, v := range mb {
@@ -208,52 +202,90 @@ func (p *Pipeline) retire(s int) {
 	}
 }
 
-// decodeStep executes Alg. 1 for one token position: every micro-batch
-// through every layer, with the pipeline's five lanes overlapped. The
-// graph was bound at construction; a step sets its inputs, runs it, and
-// returns when the step completes (synchronous step boundary).
-func (p *Pipeline) decodeStep(step int) error {
-	p.vbase = step * p.w.Cfg.Layers // the preloaded layer 0 sits in the slot of this parity
-	// Positions captured at step start; every sequence appends one
-	// token per layer during the step.
-	for s := range p.positions {
-		p.positions[s] = p.cache.Len(s)
-	}
-	// Fixed for the step (sequences retire between steps): the live rows
-	// and each one's place in the layer-wide post-attention workspaces.
-	p.stepRows = 0
+// layRows lays the next pass's rows out from every live sequence's span
+// [spanLo, spanHi) — micro-batch j's rows from rowOff[j] on, in
+// partition order, one per position — and embeds each row's token into
+// hidden: a prompt token, or past the prompt the sequence's next token.
+func (p *Pipeline) layRows() {
+	n := 0
 	for j, mb := range p.mbs {
-		p.rowOff[j] = p.stepRows
-		p.stepRows += copy(p.rowSeq[p.stepRows:], mb)
+		p.rowOff[j] = n
+		for _, s := range mb {
+			for t := p.spanLo[s]; t < p.spanHi[s]; t++ {
+				tok := p.next[s]
+				if t < len(p.prompts[s]) {
+					tok = p.prompts[s][t]
+				}
+				p.rowSeq[n], p.rowPos[n] = s, t
+				copy(p.hidden.Row(n), p.w.Embedding.Row(tok))
+				n++
+			}
+		}
 	}
+	p.rowOff[len(p.mbs)] = n
+}
+
+// runPass runs pass k of the wave — prompt passes first, then one per
+// decode step — over the rows the caller laid out: every micro-batch
+// through every layer, with the pipeline's five lanes overlapped. The
+// graph was bound at construction; a pass sets its weight-buffer base,
+// runs it, and returns when the pass completes (synchronous pass
+// boundary).
+func (p *Pipeline) runPass(k int) error {
+	// Fault seam + cooperative abort, both at the pass boundary: a fired
+	// stall blocks here (woken early by Abort), and an abort requested by
+	// the watchdog ends the wave before the next pass.
+	p.stallPoint()
+	if aerr := p.abortedErr(); aerr != nil {
+		return aerr
+	}
+	p.vbase = k * p.w.Cfg.Layers // the previous pass paged this pass's layer 0 into the slot of its parity
 	p.lanes.runStep()
 	return p.failed()
+}
+
+// decodeStep executes Alg. 1 for one token position: each live sequence
+// contributes one row, its next token at its next position.
+func (p *Pipeline) decodeStep(step int) error {
+	for _, mb := range p.mbs {
+		for _, s := range mb {
+			p.spanLo[s] = p.cache.Len(s)
+			p.spanHi[s] = p.spanLo[s] + 1
+		}
+	}
+	p.layRows()
+	p.nextRows = p.rowOff[len(p.mbs)] // sequences retire between steps: at most this many
+	return p.runPass(p.passes + step)
 }
 
 // runTask is the engine's side of the graph: what each role of the
 // CGOPipe builder does here, on the lane the builder put it on. The
 // builder numbers layers and micro-batches from 1 and calls the next
-// step's first layer Layers+1, so l may equal Layers for a page or a
+// pass's first layer Layers+1, so l may equal Layers for a page or a
 // pin; ffn, once per layer, carries micro-batch 0. Everything a task
-// needs beyond its coordinates — the step's inputs, the micro-batch's
+// needs beyond its coordinates — the pass's rows, the micro-batch's
 // current members — is read when it runs: retirement replaces p.mbs[j]
-// between steps.
+// between passes.
 func (p *Pipeline) runTask(t *sim.Task) error {
 	l, j := t.Layer-1, t.MB-1
 	v := p.vbase + l // virtual layer: the weight buffers' slots go by its parity
+	cfg := p.w.Cfg
 	switch t.Role {
 	case schedule.RolePre:
 		p.Counters.GPUKernels.Add(1)
-		return p.runPreAttn(v, j)
+		p.runPreAttn(v, j)
 	case schedule.RoleQKV:
-		memory.Copy(p.qkvCPU[j], p.qkvGPU[j])
-		p.Counters.DtoHBytes.Add(floatBytes(p.qkvGPU[j].Len()))
+		// Counted where it lands: the K/V bytes the cache stores, at the
+		// append.
+		w := cfg.QDim() + 2*cfg.KVDim()
+		memory.Copy(p.rowsOf(p.qkvCPU, w, j), p.rowsOf(p.qkvGPU, w, j))
 	case schedule.RoleCPUAttn:
 		p.Counters.CPUAttns.Add(1)
 		return p.runCPUAttn(l, j)
 	case schedule.RoleLoadH:
-		memory.Copy(p.attnGPU[j], p.attnCPU[j])
-		p.Counters.HtoDBytes.Add(floatBytes(p.attnGPU[j].Len()))
+		dst := p.rowsOf(p.attnGPU, cfg.QDim(), j)
+		memory.Copy(dst, p.rowsOf(p.attnCPU, cfg.QDim(), j))
+		p.Counters.HtoDBytes.Add(floatBytes(dst.Len()))
 	case schedule.RolePost:
 		if j == 0 {
 			// The layer's first post-attention: the previous layer's expert
@@ -262,10 +294,19 @@ func (p *Pipeline) runTask(t *sim.Task) error {
 			// is a micro-batch's worth of tasks away — the earliest the
 			// next layer's predicted experts can be fetched without
 			// displacing blocks still waiting to be used (the last layer
-			// wraps to layer 0 of the next step), and the most time the
+			// wraps to layer 0 of the next pass), and the most time the
 			// copies get. Runs even when micro-batch 0 has emptied, on the
 			// GPU lane, the sole writer of the router statistics it reads.
-			p.beginLayer(l, p.stepRows)
+			// The one place the schedule meets the pager, in prompt passes
+			// and decode steps alike.
+			rows := p.rowOff[len(p.mbs)]
+			if l == cfg.Layers-1 {
+				// Layer 0 is the next pass's, sized by the rows that pass
+				// routes: after the last prompt pass, the decode step's live
+				// rows, not this pass's token count.
+				rows = p.nextRows
+			}
+			p.beginLayer(l, rows)
 		}
 		p.Counters.GPUKernels.Add(1)
 		p.runPostRoute(v, j)
@@ -280,6 +321,17 @@ func (p *Pipeline) runTask(t *sim.Task) error {
 		return fmt.Errorf("engine: no binding for role %d", t.Role)
 	}
 	return nil
+}
+
+// rowsOf is micro-batch j's rows of a row-major transfer region whose
+// rows are width floats.
+func (p *Pipeline) rowsOf(r memory.Region, width, j int) memory.Region {
+	return r.Slice(p.rowOff[j]*width, p.rowOff[j+1]*width)
+}
+
+// rowRange is rows [lo, hi) of m.
+func rowRange(m tensor.Mat, lo, hi int) tensor.Mat {
+	return tensor.FromSlice(hi-lo, m.Cols, m.Data[lo*m.Cols:hi*m.Cols])
 }
 
 // attnPages returns how many leading pages cover the attention
@@ -297,102 +349,118 @@ func (p *Pipeline) attnPages() int {
 	return table.NumPages
 }
 
-// runPreAttn executes the pre-attention kernel for micro-batch j using
-// the GPU-resident weights of virtual layer v. The x staging buffer and
-// position buffer are pipeline-owned: GPU-lane tasks are serialized, so
-// sharing them across micro-batches is race-free.
-func (p *Pipeline) runPreAttn(v, j int) error {
-	mb := p.mbs[j]
-	n := len(mb)
-	if n == 0 {
-		return nil // every sequence of this micro-batch was retired
+// runPreAttn executes the pre-attention kernel for micro-batch j's rows
+// using the GPU-resident weights of virtual layer v, reading the rows of
+// hidden in place. The norm rows are pipeline-owned: GPU-lane tasks are
+// serialized, so sharing them across micro-batches is race-free.
+func (p *Pipeline) runPreAttn(v, j int) {
+	lo, hi := p.rowOff[j], p.rowOff[j+1]
+	if lo == hi {
+		return // every sequence of this micro-batch was retired, or is done with its prompt
 	}
-	shared := p.db.Slot(v).Data()
 	cfg := p.w.Cfg
-	q, kv := cfg.QDim(), cfg.KVDim()
-	qkv := p.qkvGPU[j].Data()[:n*(q+2*kv)]
-	x := tensor.FromSlice(n, cfg.Hidden, p.xPre.Data[:n*cfg.Hidden])
-	pos := p.posBuf[:n]
-	for i, s := range mb {
-		copy(x.Row(i), p.hidden.Row(s))
-		pos[i] = p.positions[s]
-	}
-	p.kern.preAttn(p.layout, shared, x, pos, qkv, p.preNormed)
-	return nil
+	qkv := p.rowsOf(p.qkvGPU, cfg.QDim()+2*cfg.KVDim(), j).Data()
+	p.kern.preAttn(p.layout, p.db.Slot(v).Data(), rowRange(p.hidden, lo, hi), p.rowPos[lo:hi], qkv, p.preNormed)
 }
 
-// runCPUAttn appends the offloaded K/V to the cache and computes
-// attention for the micro-batch on the CPU worker, reading the paged
-// cache in place: each sequence's context is a list of block views
-// (kvcache.View) that the blockwise attention kernel walks directly,
-// with no gathered copy. Appends mutate the cache's
-// bookkeeping maps and stay serial; the attention itself fans out
-// across the micro-batch's sequences on the shared worker pool (each
-// sequence is an independent problem over read-only cache state).
+// runCPUAttn appends the micro-batch's offloaded K/V to the cache and
+// computes its attention on the CPU worker, reading the paged cache in
+// place: each sequence's context is a list of block views
+// (kvcache.View) that the blockwise kernels walk directly, with no
+// gathered copy. A sequence's rows are its span of the pass: one row in
+// a decode step, attended as a single token; a run of prompt tokens,
+// each attending causally over its cached prefix. Appends mutate the
+// cache's bookkeeping maps and stay serial; the attention itself fans
+// out across the micro-batch's tokens on the shared worker pool (each
+// is an independent problem over read-only cache state).
 //
 // A sequence whose Append exhausts the block pool is marked in seqErr
-// and skipped for the rest of the step rather than failing the wave;
-// GenerateStream retires it at the step boundary.
+// and skipped for the rest of the pass rather than failing the wave.
+// Its blocks go back to the pool at once — the CPU lane is the cache's
+// only user during a pass — so the sequences after it can still append;
+// it retires at the pass boundary.
 func (p *Pipeline) runCPUAttn(layer, j int) error {
-	mb := p.mbs[j]
-	n := len(mb)
-	if n == 0 {
+	lo, hi := p.rowOff[j], p.rowOff[j+1]
+	if lo == hi {
 		return nil
 	}
 	cfg := p.w.Cfg
 	q, kv := cfg.QDim(), cfg.KVDim()
-	Q, K, V := qkvViews(p.qkvCPU[j].Data()[:n*(q+2*kv)], n, q, kv)
-	out := p.attnCPU[j].Data()
-	live := 0
-	for i, s := range mb {
-		if p.seqErr[s] != nil {
-			continue // failed earlier this step; retired at the boundary
+	Q, K, V := qkvViews(p.rowsOf(p.qkvCPU, q+2*kv, j).Data(), hi-lo, q, kv)
+	out := tensor.FromSlice(hi-lo, q, p.rowsOf(p.attnCPU, q, j).Data())
+	items, causal := p.attnItems[:0], p.causalItems[:0]
+	r := 0
+	for _, s := range p.mbs[j] {
+		r0, n := r, p.spanHi[s]-p.spanLo[s]
+		r += n
+		if n == 0 || p.seqErr[s] != nil {
+			continue // failed earlier this pass; retired at the boundary
 		}
-		if err := p.cache.Append(s, layer, K.Row(i), V.Row(i)); err != nil {
-			if errors.Is(err, kvcache.ErrOutOfBlocks) {
-				p.seqErr[s] = err
-				continue
+		if err := p.appendSpan(s, layer, K, V, r0, n); err != nil {
+			if !errors.Is(err, kvcache.ErrOutOfBlocks) {
+				return err
 			}
-			return err
+			p.seqErr[s] = err
+			p.cache.Release(s)
+			continue
 		}
 		p.cache.View(s, layer, &p.views[s])
-		p.attnItems[live] = p.views[s].AttnItem(out[i*q:(i+1)*q], Q.Row(i))
-		live++
+		if n == 1 {
+			items = append(items, p.views[s].AttnItem(out.Row(r0), Q.Row(r0)))
+		} else {
+			causal = append(causal, p.views[s].CausalItem(rowRange(out, r0, r0+n), rowRange(Q, r0, r0+n), p.spanLo[s]))
+		}
 	}
-	p.kern.attend(p.attnItems[:live], cfg.QHeads, cfg.KVHeads, cfg.HeadDim)
+	p.kern.attend(items, cfg.QHeads, cfg.KVHeads, cfg.HeadDim)
+	tensor.AttendCausalMany(causal, cfg.QHeads, cfg.KVHeads, cfg.HeadDim)
+	return nil
+}
+
+// appendSpan appends rows [r0, r0+n) of K and V, sequence s's span of
+// the pass, to its cache stream at one layer (the cache quantizes on
+// write under an Int8 codec). A span that opens at the sequence's first
+// computed token first maps its planned shared prefix in: its donor
+// precedes it in issue order (planPrefixReuse) and the CPU lane runs
+// cattn in issue order, so the donor's rows of this layer are all
+// appended by now and its full blocks are indexable.
+func (p *Pipeline) appendSpan(s, layer int, K, V tensor.Mat, r0, n int) error {
+	if p.skip[s] > 0 && p.spanLo[s] == p.skip[s] {
+		if err := p.attachPrefix(s, layer); err != nil {
+			return err
+		}
+	}
+	for r := r0; r < r0+n; r++ {
+		if err := p.cache.Append(s, layer, K.Row(r), V.Row(r)); err != nil {
+			return err
+		}
+		p.Counters.DtoHBytes.Add(int64(p.cache.TokenBytes()))
+	}
 	return nil
 }
 
 // runPostRoute is post(l, j): the O projection, residual and router for
-// micro-batch j, from the shared weights of virtual layer v in the
-// double buffer, into the micro-batch's rows of the layer-wide
-// workspaces (xPost, scratch). It writes nothing back: the hidden state
-// takes the rows once the layer's expert FFN has added to them.
+// micro-batch j's rows, from the shared weights of virtual layer v in
+// the double buffer, into the same rows of the layer-wide workspaces
+// (xPost, scratch). It writes nothing back: hidden takes the rows once
+// the layer's expert FFN has added to them.
 func (p *Pipeline) runPostRoute(v, j int) {
-	mb := p.mbs[j]
-	n := len(mb)
-	if n == 0 {
+	lo, hi := p.rowOff[j], p.rowOff[j+1]
+	if lo == hi {
 		return
 	}
-	cfg := p.w.Cfg
-	off := p.rowOff[j]
-	attn := tensor.FromSlice(n, cfg.QDim(), p.attnGPU[j].Data()[:n*cfg.QDim()])
-	x := tensor.FromSlice(n, cfg.Hidden, p.xPost.Data[off*cfg.Hidden:(off+n)*cfg.Hidden])
-	for i, s := range mb {
-		copy(x.Row(i), p.hidden.Row(s))
-	}
-	p.kern.route(p.layout, p.db.Slot(v).Data(), attn, x, p.scratch, off)
+	x := rowRange(p.xPost, lo, hi)
+	copy(x.Data, rowRange(p.hidden, lo, hi).Data)
+	attn := tensor.FromSlice(hi-lo, p.w.Cfg.QDim(), p.rowsOf(p.attnGPU, p.w.Cfg.QDim(), j).Data())
+	p.kern.route(p.layout, p.db.Slot(v).Data(), attn, x, p.scratch, lo)
 }
 
-// runExpertFFN is ffn(l): the layer's expert FFN over the step's live
-// rows, every micro-batch's together, and the write-back of the updated
-// hidden states. Expert blocks come from the pager, each routed expert
-// acquired once; a miss demand-fetches synchronously so routing is
-// always honored.
+// runExpertFFN is ffn(l): the layer's expert FFN over the pass's rows,
+// every micro-batch's together, and the write-back into hidden. Expert
+// blocks come from the pager, each routed expert acquired once; a miss
+// demand-fetches synchronously so routing is always honored.
 func (p *Pipeline) runExpertFFN(layer int) {
-	cfg := p.w.Cfg
-	rows := p.rowSeq[:p.stepRows]
-	x := tensor.FromSlice(len(rows), cfg.Hidden, p.xPost.Data[:len(rows)*cfg.Hidden])
+	rows := p.rowSeq[:p.rowOff[len(p.mbs)]]
+	x := rowRange(p.xPost, 0, len(rows))
 	p.expSrc.layer = layer
 	chosen := p.kern.ffn(p.layout, &p.expSrc, x, p.scratch)
 	// An expert whose weights could not be fetched (past the pager's
@@ -400,39 +468,38 @@ func (p *Pipeline) runExpertFFN(layer int) {
 	// micro-batch they sit in — marked before the writeback below so
 	// their corrupt rows never touch the hidden state.
 	if p.scratch.expertErr != nil {
-		p.failExpertRouted(layer, chosen, rows, p.scratch)
+		p.failExpertRouted(layer, chosen)
 	}
 	for r, s := range rows {
 		// A sequence that exhausted the KV pool (or lost an expert)
-		// earlier this step carries stale rows: don't let them touch
+		// earlier this pass carries stale rows: don't let them touch
 		// the hidden state or the expert-load statistics (it is retired
-		// at the step boundary).
+		// at the pass boundary).
 		if p.seqErr[s] != nil {
 			continue
 		}
-		copy(p.hidden.Row(s), x.Row(r))
+		copy(p.hidden.Row(r), x.Row(r))
 		for _, e := range chosen[r] {
 			p.ExpertLoad[layer][e]++
 		}
 	}
 }
 
-// failExpertRouted marks seqErr for every sequence whose routed expert
-// set intersects scratch.failedExperts: their FFN output is missing a
-// contribution, so they retire at the next step boundary (decode) or
-// are retired by the caller (prefill). Row i of the batch belongs to
-// sequence rowSeq[i]: the step's row map in decode, the packed chunk's
-// in prefill.
-func (p *Pipeline) failExpertRouted(layer int, chosen [][]int, rowSeq []int, scratch *ffnScratch) {
+// failExpertRouted marks seqErr for every sequence with a row routed to
+// an expert of scratch.failedExperts: its FFN output is missing a
+// contribution, so it retires at the pass boundary. Row r of the pass
+// belongs to sequence rowSeq[r].
+func (p *Pipeline) failExpertRouted(layer int, chosen [][]int) {
+	scratch := p.scratch
 	failed := make(map[int]bool, len(scratch.failedExperts))
 	for _, e := range scratch.failedExperts {
 		failed[e] = true
 	}
-	for i, s := range rowSeq {
+	for r, s := range p.rowSeq[:len(chosen)] {
 		if p.seqErr[s] != nil {
 			continue
 		}
-		for _, e := range chosen[i] {
+		for _, e := range chosen[r] {
 			if failed[e] {
 				p.seqErr[s] = fmt.Errorf("engine: expert %d weights unavailable (layer %d): %w", e, layer, scratch.expertErr)
 				break
@@ -455,8 +522,7 @@ func (p *Pipeline) runPin(v, pg int) error {
 
 // runPage ships page pg of virtual layer v from pinned staging into the
 // GPU double buffer. Every shipped page counts toward PagesMoved here,
-// so the async decode path and the synchronous loads agree on page
-// accounting.
+// so the lanes and the synchronous prime agree on page accounting.
 func (p *Pipeline) runPage(v, pg int) error {
 	src := p.staging.PageRegion(v, pg)
 	dst := p.db.PageRegion(v, pg)
@@ -471,12 +537,15 @@ func (p *Pipeline) realLayer(v int) int {
 	return v % p.w.Cfg.Layers
 }
 
-// loadSharedSync copies virtual layer v's shared region into the double
-// buffer through staging, synchronously, via the same runPin/runPage
-// steps the decode lanes schedule (setup and prefill use it).
-func (p *Pipeline) loadSharedSync(v int) error {
-	table := p.db.Table()
-	for pg := 0; pg < table.NumPages; pg++ {
+// primeLayer stages virtual layer v before the first pass, the one
+// layer no pass pages in: its shared region lands synchronously in the
+// double buffer through staging, via the same runPin/runPage steps the
+// lanes schedule, and its predicted expert set, for the rows laid out
+// for that pass, goes to the prefetcher. Every later layer, the next
+// pass's layer 0 included, is paged in by the graph. The benchmark
+// baselines share this path.
+func (p *Pipeline) primeLayer(v int) error {
+	for pg := 0; pg < p.db.Table().NumPages; pg++ {
 		if err := p.runPin(v, pg); err != nil {
 			return err
 		}
@@ -484,26 +553,13 @@ func (p *Pipeline) loadSharedSync(v int) error {
 			return err
 		}
 	}
-	return nil
-}
-
-// primeLayer stages virtual layer v the way the engine does between
-// phases: the shared region lands synchronously and the layer's
-// predicted expert set goes to the prefetcher (after prefill the pager
-// still has the last layer announced, so what makes room is the layer
-// before it). GenerateStream's preload and the benchmark baselines
-// share this path.
-func (p *Pipeline) primeLayer(v int) error {
-	if err := p.loadSharedSync(v); err != nil {
-		return err
-	}
-	p.prefetchExperts(p.liveRows(), p.realLayer(v))
+	p.prefetchExperts(p.rowOff[len(p.mbs)], p.realLayer(v))
 	return nil
 }
 
 // liveRows is the number of sequences still generating: the token rows
-// every layer of a decode step routes. Micro-batches only change
-// between steps and inside the single-threaded prefill.
+// every layer of a decode step routes. Micro-batches only change at
+// pass boundaries.
 func (p *Pipeline) liveRows() int {
 	n := 0
 	for _, mb := range p.mbs {
@@ -538,7 +594,7 @@ func (s *pagedExperts) Release(e int) {
 // most-frequently-routed first per the cumulative router statistics
 // (ties and the cold start resolve to ascending id). The returned slice
 // is p.predBuf; callers don't retain it. An insertion sort in place: it
-// runs on the GPU lane once per layer per step and must not allocate.
+// runs on the GPU lane once per layer per pass and must not allocate.
 func (p *Pipeline) predictExperts(layer, n int) []int {
 	load := p.ExpertLoad[layer]
 	ids := p.predBuf[:0]
@@ -559,28 +615,27 @@ func (p *Pipeline) predictExperts(layer, n int) []int {
 
 // beginLayer tells the pager real layer `layer` starts computing and
 // hands it the next layer's predicted experts (the last layer wraps to
-// layer 0), for a next layer of `rows` token rows. Decode calls it once
-// per layer per step, prefill once per layer.
+// layer 0), for a next layer of `rows` token rows. post(l, 0) calls it,
+// once per layer per pass.
 func (p *Pipeline) beginLayer(layer, rows int) {
 	p.pager.BeginLayer(layer, p.w.Cfg.Layers)
 	p.prefetchExperts(rows, p.realLayer(layer+1))
 }
 
-// prefetchExperts hands the predicted expert sets of the given real
-// layers, in that order, to the pager's background worker. Per layer
-// that is at most half the residency pool, so prefetches for the next
-// layer never crowd out the experts the current layer is still using —
-// nothing at all for a pool of one block, which the current layer's
-// first demand fetch would take back before the next layer could read
-// it — and at most rows x TopK blocks, all that a layer of `rows` token
-// rows can route to. Without the second limit a wave of one or two
-// sequences asks for every expert of every layer: its layers compute in
-// less time than those blocks take to copy, so the worker would copy
-// flat out for the whole wave, next to the lanes, blocks that are mostly
-// never read. Best effort — a block the worker does not reach in time,
-// or that the prediction left out, is covered by the demand-fetch
-// fallback.
-func (p *Pipeline) prefetchExperts(rows int, layers ...int) {
+// prefetchExperts hands real layer `layer`'s predicted expert set to
+// the pager's background worker. That is at most half the residency
+// pool, so prefetches for the next layer never crowd out the experts the
+// current layer is still using — nothing at all for a pool of one block,
+// which the current layer's first demand fetch would take back before
+// the next layer could read it — and at most rows x TopK blocks, all
+// that a layer of `rows` token rows can route to. Without the second
+// limit a wave of one or two sequences asks for every expert of every
+// layer: its layers compute in less time than those blocks take to copy,
+// so the worker would copy flat out for the whole wave, next to the
+// lanes, blocks that are mostly never read. Best effort — a block the
+// worker does not reach in time, or that the prediction left out, is
+// covered by the demand-fetch fallback.
+func (p *Pipeline) prefetchExperts(rows, layer int) {
 	n := p.pager.Slots() / 2
 	if n > p.w.Cfg.Experts {
 		n = p.w.Cfg.Experts
@@ -589,10 +644,8 @@ func (p *Pipeline) prefetchExperts(rows int, layers ...int) {
 		n = routable
 	}
 	keys := p.keyBuf[:0]
-	for _, layer := range layers {
-		for _, e := range p.predictExperts(layer, n) {
-			keys = append(keys, paging.ExpertKey{Layer: layer, Expert: e})
-		}
+	for _, e := range p.predictExperts(layer, n) {
+		keys = append(keys, paging.ExpertKey{Layer: layer, Expert: e})
 	}
 	p.keyBuf = keys
 	p.pager.Prefetch(keys...)

@@ -146,10 +146,18 @@ func TestSeqPrefillBaselineStillExact(t *testing.T) {
 	if err := pl2.prefill(prompts); err != nil {
 		t.Fatal(err)
 	}
-	for s := range prompts {
+	// The 63 prompt tokens are one pass, laid out in sequence order (the
+	// micro-batches are consecutive), so sequence s's last token is the
+	// row after every earlier prompt's tokens and its own but one.
+	if pl2.passes != 1 {
+		t.Fatalf("%d prompt passes, want 1", pl2.passes)
+	}
+	last := -1
+	for s, prompt := range prompts {
+		last += len(prompt)
 		for i, v := range pl.hidden.Row(s) {
-			if v != pl2.hidden.Row(s)[i] {
-				t.Fatalf("seq %d hidden[%d]: baseline %g != packed %g", s, i, v, pl2.hidden.Row(s)[i])
+			if v != pl2.hidden.Row(last)[i] {
+				t.Fatalf("seq %d hidden[%d]: baseline %g != packed %g", s, i, v, pl2.hidden.Row(last)[i])
 			}
 		}
 	}

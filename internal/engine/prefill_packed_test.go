@@ -30,60 +30,103 @@ func mixedPrompts(vocab int) [][]int {
 // decisions — across mixed prompt lengths (1 token to multi-block)
 // under both KV codecs, for chunk sizes from one packed batch down to
 // budgets far smaller than the longest prompt.
+//
+// The second case maps a shared prefix across micro-batches: four
+// prompts open with the same 32 tokens, and the partition puts sequence
+// 0, the first request to carry them, in a later micro-batch than
+// sequences 1 and 2, which issue first and so donate; chunks of 1, 5
+// and 16 rows split the donor's 38-token prompt across passes. A mapped
+// token is never routed, so the expected load is the reference's less
+// the prefix's routing, once per follower.
 func TestPackedPrefillBitIdenticalMixedLengths(t *testing.T) {
 	cfg := model.Tiny()
-	for _, dtype := range []kvcache.DType{kvcache.F32, kvcache.Int8} {
-		for _, chunk := range []int{0, 1, 5, 16, 63} {
-			cpu := memory.NewArena("cpu", 1<<22)
-			w, err := NewRandomWeights(cpu, cfg, 27)
-			if err != nil {
-				t.Fatal(err)
-			}
-			prompts := mixedPrompts(cfg.VocabSize)
+	for _, tc := range []struct {
+		prompts   [][]int
+		partition [][]int
+		followers int // sequences that map the 32-token prefix
+	}{
+		{prompts: mixedPrompts(cfg.VocabSize)},
+		{
+			prompts:   PromptsFromRequests(prefixRequests(4, 7, 32, []int{8, 6, 4, 9}), cfg.VocabSize),
+			partition: [][]int{{1, 2}, {0, 3}}, followers: 3,
+		},
+	} {
+		for _, dtype := range []kvcache.DType{kvcache.F32, kvcache.Int8} {
+			for _, chunk := range []int{0, 1, 5, 16, 63} {
+				cpu := memory.NewArena("cpu", 1<<22)
+				w, err := NewRandomWeights(cpu, cfg, 27)
+				if err != nil {
+					t.Fatal(err)
+				}
+				prompts := tc.prompts
 
-			ref, err := NewReferenceKV(w, memory.NewArena("rc", 1<<22), len(prompts), 64, dtype)
-			if err != nil {
-				t.Fatal(err)
-			}
-			want, err := ref.Generate(prompts, 4)
-			if err != nil {
-				t.Fatal(err)
-			}
+				ref, err := NewReferenceKV(w, memory.NewArena("rc", 1<<22), len(prompts), 64, dtype)
+				if err != nil {
+					t.Fatal(err)
+				}
+				want, err := ref.Generate(prompts, 4)
+				if err != nil {
+					t.Fatal(err)
+				}
+				load := ref.ExpertLoad
+				if tc.followers > 0 {
+					pre, err := NewReferenceKV(w, memory.NewArena("rp", 1<<22), 1, 64, dtype)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if _, err := pre.Generate([][]int{prompts[0][:32]}, 1); err != nil {
+						t.Fatal(err)
+					}
+					for l := range load {
+						for e := range load[l] {
+							load[l][e] -= int64(tc.followers) * pre.ExpertLoad[l][e]
+						}
+					}
+				}
 
-			gpu := memory.NewArena("gpu", 1<<22)
-			pinned := memory.NewArena("pinned", 1<<22)
-			cacheArena := memory.NewArena("cache", 1<<22)
-			pl, err := NewPipeline(w, gpu, pinned, cacheArena, len(prompts),
-				Config{MicroBatch: 2, MaxContext: 64, KVDtype: dtype, PrefillChunk: chunk})
-			if err != nil {
-				t.Fatal(err)
-			}
-			got, err := pl.Generate(prompts, 4)
-			if err != nil {
+				gpu := memory.NewArena("gpu", 1<<22)
+				pinned := memory.NewArena("pinned", 1<<22)
+				cacheArena := memory.NewArena("cache", 1<<22)
+				pl, err := NewPipeline(w, gpu, pinned, cacheArena, len(prompts),
+					Config{MicroBatch: 2, Partition: tc.partition, MaxContext: 64, KVDtype: dtype,
+						PrefillChunk: chunk, SharedPrefix: tc.followers > 0})
+				if err != nil {
+					t.Fatal(err)
+				}
+				got, err := pl.Generate(prompts, 4)
+				if err != nil {
+					pl.Close()
+					t.Fatalf("dtype %v chunk %d: %v", dtype, chunk, err)
+				}
+				if !reflect.DeepEqual(got, want) {
+					pl.Close()
+					t.Fatalf("dtype %v chunk %d: packed prefill diverged from reference\n got %v\nwant %v",
+						dtype, chunk, got, want)
+				}
+				if hits := pl.Counters.PrefixHitTokens.Load(); hits != int64(32*tc.followers) {
+					pl.Close()
+					t.Fatalf("dtype %v chunk %d: %d prefix hits, want %d", dtype, chunk, hits, 32*tc.followers)
+				}
+				if !reflect.DeepEqual(pl.ExpertLoad, load) {
+					pl.Close()
+					t.Fatalf("dtype %v chunk %d: expert load diverged", dtype, chunk)
+				}
 				pl.Close()
-				t.Fatalf("dtype %v chunk %d: %v", dtype, chunk, err)
 			}
-			if !reflect.DeepEqual(got, want) {
-				pl.Close()
-				t.Fatalf("dtype %v chunk %d: packed prefill diverged from reference\n got %v\nwant %v",
-					dtype, chunk, got, want)
-			}
-			if !reflect.DeepEqual(pl.ExpertLoad, ref.ExpertLoad) {
-				pl.Close()
-				t.Fatalf("dtype %v chunk %d: expert load diverged", dtype, chunk)
-			}
-			pl.Close()
 		}
 	}
 }
 
 // TestPackedPrefillCountsPackedKernels: the GPUKernels counter must
-// report launched packed kernels — one QKV batch plus one FFN pass per
-// (layer, chunk) — not a per-sequence count.
+// report the graph's GPU tasks — per prompt pass, Layers x (nb pre +
+// nb post + 1 ffn) — not a per-sequence count. Five prompts in
+// micro-batches of 2 are nb = 3, so a pass is 4 x (3 + 3 + 1) = 28
+// kernels, and the 63 prompt tokens take ceil(63 / chunk) passes.
 func TestPackedPrefillCountsPackedKernels(t *testing.T) {
 	cfg := model.Tiny()
+	const nb = 3
 	for _, tc := range []struct {
-		chunk, wantChunks int
+		chunk, wantPasses int
 	}{
 		{0, 1},  // default budget packs the whole 63-token wave
 		{63, 1}, // exact fit
@@ -104,10 +147,10 @@ func TestPackedPrefillCountsPackedKernels(t *testing.T) {
 		if err := pl.prefill(prompts); err != nil {
 			t.Fatal(err)
 		}
-		want := int64(2 * cfg.Layers * tc.wantChunks)
+		want := int64(cfg.Layers * (2*nb + 1) * tc.wantPasses)
 		if got := pl.Counters.GPUKernels.Load(); got != want {
-			t.Errorf("chunk %d: GPUKernels = %d, want %d (2 per layer per packed chunk)",
-				tc.chunk, got, want)
+			t.Errorf("chunk %d: GPUKernels = %d, want %d (%d per pass)",
+				tc.chunk, got, want, cfg.Layers*(2*nb+1))
 		}
 		if pl.PrefillTokens != 63 {
 			t.Errorf("chunk %d: PrefillTokens = %d, want 63", tc.chunk, pl.PrefillTokens)
@@ -117,12 +160,22 @@ func TestPackedPrefillCountsPackedKernels(t *testing.T) {
 }
 
 // TestPackedPrefillExhaustionMidChunk: KV-pool exhaustion inside a
-// packed chunk must retire only the starved sequence — its rows masked
-// out of subsequent packed batches, its blocks released — while the
-// survivors stay bit-identical to the reference, even when the chunk
-// budget splits the offending prompt across several packed batches.
+// prompt pass must retire only the starved sequence — its rows riding
+// along unwritten until the pass boundary, its blocks released — while
+// the survivors stay bit-identical to the reference, even when the
+// chunk budget splits a prompt across several passes.
+//
+// Who starves is decided by block-allocation order. The pool holds 12
+// blocks; the prompts of 17, 10 and 10 tokens need 2 + 1 + 1 a layer.
+// In one pass the layers run in order, so layers 0-2 take all 12 and
+// sequence 0's first append at layer 3 finds the pool empty. With 8-row
+// passes the prompts run chunk-outer: rows 0-15 (sequence 0's first
+// block, 4 blocks over the layers), rows 16-23 (sequence 0's second
+// block and sequence 1's, 8 more) and then rows 24-31, where sequence
+// 2's first append at layer 0 finds the pool empty.
 func TestPackedPrefillExhaustionMidChunk(t *testing.T) {
-	for _, chunk := range []int{0, 8} {
+	for _, tc := range []struct{ chunk, offender int }{{0, 0}, {8, 2}} {
+		chunk := tc.chunk
 		w, gpu, pinned, cacheArena, _, prompts, want := prefillExhaustionFixture(t)
 		pl, err := NewPipeline(w, gpu, pinned, cacheArena, 3,
 			Config{MicroBatch: 3, MaxContext: 16, PrefillChunk: chunk})
@@ -134,15 +187,19 @@ func TestPackedPrefillExhaustionMidChunk(t *testing.T) {
 			pl.Close()
 			t.Fatalf("chunk %d: prefill exhaustion failed the whole wave: %v", chunk, err)
 		}
-		if serr := pl.SeqErr(0); !errors.Is(serr, kvcache.ErrOutOfBlocks) {
+		if serr := pl.SeqErr(tc.offender); !errors.Is(serr, kvcache.ErrOutOfBlocks) {
 			pl.Close()
-			t.Fatalf("chunk %d: SeqErr(0) = %v, want ErrOutOfBlocks", chunk, serr)
+			t.Fatalf("chunk %d: SeqErr(%d) = %v, want ErrOutOfBlocks", chunk, tc.offender, serr)
 		}
-		if len(got[0]) != 0 {
+		if len(got[tc.offender]) != 0 {
 			pl.Close()
-			t.Fatalf("chunk %d: offender emitted %v despite failing in prefill", chunk, got[0])
+			t.Fatalf("chunk %d: offender emitted %v despite failing in prefill", chunk, got[tc.offender])
 		}
-		for s := 1; s < 3; s++ {
+		survivorTokens := 0
+		for s := 0; s < 3; s++ {
+			if s == tc.offender {
+				continue
+			}
 			if serr := pl.SeqErr(s); serr != nil {
 				pl.Close()
 				t.Fatalf("chunk %d: survivor %d has error %v", chunk, s, serr)
@@ -151,13 +208,14 @@ func TestPackedPrefillExhaustionMidChunk(t *testing.T) {
 				pl.Close()
 				t.Fatalf("chunk %d: survivor %d diverged: %v vs %v", chunk, s, got[s], want[s])
 			}
+			survivorTokens += len(prompts[s])
 		}
 		// Survivors never starved: only their prompt tokens count as
 		// prefilled.
-		if pl.PrefillTokens != len(prompts[1])+len(prompts[2]) {
+		if pl.PrefillTokens != survivorTokens {
 			pl.Close()
 			t.Fatalf("chunk %d: PrefillTokens = %d, want %d (survivors only)",
-				chunk, pl.PrefillTokens, len(prompts[1])+len(prompts[2]))
+				chunk, pl.PrefillTokens, survivorTokens)
 		}
 		pl.Close()
 	}

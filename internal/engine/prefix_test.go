@@ -53,13 +53,21 @@ func TestPrefillSharedPrefixBitIdentical(t *testing.T) {
 				t.Fatal(err)
 			}
 
-			var hits [2]int64
-			for i, shared := range []bool{false, true} {
+			var hits [3]int64
+			for i, pc := range []Config{
+				{MicroBatch: 2},
+				{MicroBatch: 2, SharedPrefix: true},
+				// Sequence 0 in a later micro-batch than sequences 1 and 2,
+				// which issue first and so donate, and a 16-token budget that
+				// splits the donor's prompt across passes.
+				{Partition: [][]int{{1, 2}, {0, 3}}, SharedPrefix: true, PrefillChunk: 16},
+			} {
+				shared := pc.SharedPrefix
+				pc.MaxContext, pc.KVDtype = 64, dtype
 				gpu := memory.NewArena("gpu", 1<<22)
 				pinned := memory.NewArena("pinned", 1<<22)
 				cacheArena := memory.NewArena("cache", 1<<22)
-				pl, err := NewPipeline(w, gpu, pinned, cacheArena, 4,
-					Config{MicroBatch: 2, MaxContext: 64, KVDtype: dtype, SharedPrefix: shared})
+				pl, err := NewPipeline(w, gpu, pinned, cacheArena, 4, pc)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -81,8 +89,10 @@ func TestPrefillSharedPrefixBitIdentical(t *testing.T) {
 			// Three followers each skip at least the 32 aligned prefix
 			// tokens (the LCP can extend past the declared prefix if
 			// suffix streams coincide — still correct, just more hits).
-			if hits[1] < 3*32 {
-				t.Errorf("sharing on mapped %d tokens, want >= %d", hits[1], 3*32)
+			for _, h := range hits[1:] {
+				if h < 3*32 {
+					t.Errorf("sharing on mapped %d tokens, want >= %d", h, 3*32)
+				}
 			}
 		})
 	}

@@ -27,9 +27,10 @@ func assertKVIdle(t *testing.T, pl *Pipeline) {
 }
 
 // stallGate builds an injector that blocks the wave at its first stall
-// point (prefill layer 0) until release is called; reached closes when
-// the wave arrives at the stall. Deterministic hold-at-boundary control
-// for tests that need the server's queue state frozen mid-wave.
+// point (before the first prompt pass) until release is called; reached
+// closes when the wave arrives at the stall. Deterministic
+// hold-at-boundary control for tests that need the server's queue state
+// frozen mid-wave.
 func stallGate() (inj *faults.Injector, reached <-chan struct{}, release func()) {
 	gate := make(chan struct{})
 	r := make(chan struct{})

@@ -203,8 +203,8 @@ func (s *Server) generate(pl *Pipeline, waveNum int, wave []*Handle) (tokens [][
 		return res.tokens, false, res.err
 	case <-timer.C:
 	}
-	// Phase 1: cooperative abort. The pipeline checks the abort at
-	// decode-step and prefill-layer boundaries (and mid-stall), so a
+	// Phase 1: cooperative abort. The pipeline checks the abort at every
+	// pass boundary, prompt pass or decode step (and mid-stall), so a
 	// slow-but-alive wave returns promptly with the abort error.
 	werr := fmt.Errorf("engine: wave %d exceeded the %v watchdog: %w",
 		waveNum, s.cfg.WaveTimeout, ErrWaveStalled)

@@ -22,11 +22,11 @@
 //     on a chosen allocation ordinal instead of requiring a test to
 //     actually fill the pool.
 //   - Wave latency stalls (Stall): the pipeline calls the stall point
-//     at every prefill layer boundary and before every decode step. A
-//     fired stall blocks — for StallFor, or until the test-controlled
-//     Gate closes — and is always interruptible by the pipeline's
-//     abort channel, so the server's wave watchdog can cut a stalled
-//     wave loose.
+//     once per pass of its step graph, before every prompt pass and
+//     every decode step. A fired stall blocks — for StallFor, or until
+//     the test-controlled Gate closes — and is always interruptible by
+//     the pipeline's abort channel, so the server's wave watchdog can
+//     cut a stalled wave loose.
 //
 // A nil *Injector is inert: every seam calls its methods
 // unconditionally and a nil receiver fires nothing, so production

@@ -106,16 +106,6 @@ func (g GPU) SustainedBandwidth() float64 { return g.MemBandwidth * g.EffBandwid
 // SustainedFLOPS returns the derated peak FLOPS at large micro-batch.
 func (g GPU) SustainedFLOPS() float64 { return g.PeakFLOPS * g.EffFLOPS }
 
-// FLOPSAt returns the sustained FLOPS achievable at micro-batch size mu,
-// applying the kernel saturation curve p*mu/(mu+half).
-func (g GPU) FLOPSAt(mu int) float64 {
-	if mu <= 0 {
-		return 0
-	}
-	m := float64(mu)
-	return g.SustainedFLOPS() * m / (m + g.MicroBatchHalf)
-}
-
 // SustainedBandwidth returns the derated DRAM bandwidth.
 func (c CPU) SustainedBandwidth() float64 { return c.MemBandwidth * c.EffBandwidth }
 

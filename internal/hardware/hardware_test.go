@@ -1,9 +1,6 @@
 package hardware
 
-import (
-	"testing"
-	"testing/quick"
-)
+import "testing"
 
 func TestPresetsValidate(t *testing.T) {
 	for name, spec := range Presets() {
@@ -24,30 +21,6 @@ func TestSustainedBelowPeak(t *testing.T) {
 		if spec.Link.SustainedBandwidth() > spec.Link.Bandwidth {
 			t.Errorf("%s: sustained link bandwidth above peak", name)
 		}
-	}
-}
-
-func TestFLOPSAtSaturation(t *testing.T) {
-	g := T4()
-	if g.FLOPSAt(0) != 0 {
-		t.Error("FLOPSAt(0) must be 0")
-	}
-	// Monotone increasing toward the sustained rate.
-	prev := 0.0
-	for _, mu := range []int{1, 4, 16, 64, 256, 4096} {
-		v := g.FLOPSAt(mu)
-		if v <= prev {
-			t.Fatalf("FLOPSAt not increasing at mu=%d", mu)
-		}
-		if v > g.SustainedFLOPS() {
-			t.Fatalf("FLOPSAt(%d) above sustained", mu)
-		}
-		prev = v
-	}
-	// At mu == MicroBatchHalf, exactly half the sustained rate.
-	half := g.FLOPSAt(int(g.MicroBatchHalf))
-	if diff := half/g.SustainedFLOPS() - 0.5; diff > 1e-9 || diff < -1e-9 {
-		t.Errorf("FLOPSAt(half) = %v of sustained, want 0.5", half/g.SustainedFLOPS())
 	}
 }
 
@@ -94,20 +67,6 @@ func TestUnitHelpers(t *testing.T) {
 	}
 	if TFLOPS(1) != 1e12 {
 		t.Error("TFLOPS")
-	}
-}
-
-func TestFLOPSAtMonotoneProperty(t *testing.T) {
-	g := L4()
-	f := func(a, b uint16) bool {
-		x, y := int(a), int(b)
-		if x > y {
-			x, y = y, x
-		}
-		return g.FLOPSAt(x) <= g.FLOPSAt(y)
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
 	}
 }
 

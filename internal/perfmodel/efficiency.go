@@ -9,10 +9,9 @@ import (
 // specEfficiency is the analytic EfficiencyModel the estimator uses
 // when the Input carries no measured table: the spec's published
 // derating constants plus the micro-batch kernel-saturation curve,
-// folded into an Eff pair relative to the spec's raw peaks. It
-// reproduces the pre-seam arithmetic exactly — gpuOpTime's
-// flops/(NumGPUs * GPU.FLOPSAt(mu)) becomes flops/(rawPeak *
-// eff.Compute) with eff.Compute = EffFLOPS * mu/(mu+MicroBatchHalf).
+// folded into an Eff pair relative to the spec's raw peaks: gpuOpTime
+// divides flops by rawPeak * eff.Compute with eff.Compute = EffFLOPS *
+// mu/(mu+MicroBatchHalf), the sustained rate at micro-batch mu.
 type specEfficiency struct {
 	spec hardware.Spec
 }

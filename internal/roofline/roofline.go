@@ -1,9 +1,10 @@
-// Package roofline implements the classical Roofline Model (§3.1) and
-// the paper's Hierarchical Roofline Model (HRM, §3.2): attainable
-// performance bounds for computations that execute at one memory level
-// while streaming data from another, the turning points P1/P2 (Eqs. 9
-// and 10) that mark where offloading stops paying off, and the balance
-// point (Eq. 11) the policy optimizer drives the system toward.
+// Package roofline implements the paper's Hierarchical Roofline Model
+// (HRM, §3.2), its two-level extension of the classical Roofline Model
+// (§3.1): attainable performance bounds for computations that execute at
+// one memory level while streaming data from another, the turning points
+// P1/P2 (Eqs. 9 and 10) that mark where offloading stops paying off, and
+// the balance point (Eq. 11) the policy optimizer drives the system
+// toward.
 //
 // Levels follow the paper's convention: level i is the GPU (fast, small)
 // and level j is the CPU (slower, large); B^{j,i} is the CPU->GPU link.
@@ -21,24 +22,6 @@ type Level struct {
 	PeakFLOPS float64
 	// MemBandwidth is B^i_peak in bytes/s.
 	MemBandwidth float64
-}
-
-// Roofline is the classical single-level model.
-type Roofline struct {
-	Level Level
-}
-
-// Attainable returns min(P_peak, B_peak * I) — Eqs. 1 and 2.
-func (r Roofline) Attainable(intensity float64) float64 {
-	return math.Min(r.Level.PeakFLOPS, r.Level.MemBandwidth*intensity)
-}
-
-// Ridge returns the critical intensity Ī = P_peak / B_peak (Eq. 3).
-func (r Roofline) Ridge() float64 {
-	if r.Level.MemBandwidth == 0 {
-		return math.Inf(1)
-	}
-	return r.Level.PeakFLOPS / r.Level.MemBandwidth
 }
 
 // HRM is the two-level hierarchical model used throughout the paper:

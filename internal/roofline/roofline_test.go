@@ -17,19 +17,6 @@ func testHRM() HRM {
 	}
 }
 
-func TestRooflineRidge(t *testing.T) {
-	r := Roofline{Level: Level{PeakFLOPS: 100, MemBandwidth: 10}}
-	if r.Ridge() != 10 {
-		t.Fatalf("ridge = %v, want 10", r.Ridge())
-	}
-	if r.Attainable(5) != 50 {
-		t.Errorf("attainable(5) = %v, want 50 (memory roof)", r.Attainable(5))
-	}
-	if r.Attainable(1000) != 100 {
-		t.Errorf("attainable(1000) = %v, want 100 (compute roof)", r.Attainable(1000))
-	}
-}
-
 func TestHRMValidate(t *testing.T) {
 	if err := testHRM().Validate(); err != nil {
 		t.Fatal(err)
@@ -83,6 +70,51 @@ func TestTurningPointOrder(t *testing.T) {
 	op = Op{IUpper: iUpper, ILower: p1 * 4}
 	if _, onUpper := h.Best(op); !onUpper {
 		t.Error("above P1 the op should move to the upper level")
+	}
+}
+
+// TestChainReducesToHRM: §3.2's n-level chain at n = 2 is the HRM. Its
+// roof for executing at level 0 is min(P^0, B^0 I^0, B^{1,0} I^1) and
+// for executing where the data lives min(P^1, B^1 I^1); AttainableUpper
+// and AttainableLower must be exactly those.
+func TestChainReducesToHRM(t *testing.T) {
+	h := testHRM()
+	for _, i := range []float64{0.1, 1, 10, 100, 1e5} {
+		op := Op{IUpper: i, ILower: i}
+		up := math.Min(h.Upper.PeakFLOPS, math.Min(h.Upper.MemBandwidth*i, h.CrossBandwidth*i))
+		if got := h.AttainableUpper(op); math.Abs(got-up) > 1e-6*up {
+			t.Fatalf("at I=%v: AttainableUpper %v != chain roof %v", i, got, up)
+		}
+		down := math.Min(h.Lower.PeakFLOPS, h.Lower.MemBandwidth*i)
+		if got := h.AttainableLower(op); math.Abs(got-down) > 1e-6*down {
+			t.Fatalf("at I=%v: AttainableLower %v != chain roof %v", i, got, down)
+		}
+	}
+}
+
+// TestBestLevelClimbsWithIntensity: an op whose data lives on the CPU
+// stays there at low intensity and moves to the GPU at high intensity.
+func TestBestLevelClimbsWithIntensity(t *testing.T) {
+	h := testHRM()
+	if perf, onUpper := h.Best(Op{IUpper: 5, ILower: 5}); onUpper {
+		t.Errorf("low-intensity op should stay on CPU, moved up at %v", perf)
+	}
+	if perf, onUpper := h.Best(Op{IUpper: 1e4, ILower: 1e4}); !onUpper {
+		t.Errorf("high-intensity op should move to GPU, stayed at %v", perf)
+	}
+}
+
+// TestTurningPointMatchesHRMP1: at the first turning point the two
+// placements tie. An op whose upper-level traffic is free (I^i = inf)
+// and whose lower intensity is P1 attains, moved up, what the op of
+// intensity 7 attains in place.
+func TestTurningPointMatchesHRMP1(t *testing.T) {
+	h := testHRM()
+	p1 := h.P1At(Op{IUpper: 7, ILower: 7})
+	up := h.AttainableUpper(Op{IUpper: math.Inf(1), ILower: p1})
+	inPlace := h.AttainableLower(Op{IUpper: 7, ILower: 7})
+	if math.Abs(up-inPlace) > 1e-9*inPlace {
+		t.Errorf("at HRM P1 %v moving up attains %v, in place %v", p1, up, inPlace)
 	}
 }
 

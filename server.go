@@ -125,8 +125,9 @@ type ServerConfig struct {
 	// KVDtype selects the KV cache codec: KVFloat32 (the zero value)
 	// or KVInt8 for the §3.3 group-quantized cache.
 	KVDtype KVDtype
-	// PrefillChunk bounds the wave-packed prefill's per-layer packed
-	// batch in prompt tokens (<= 0 selects the engine default).
+	// PrefillChunk is one prompt pass's token budget: the prompt phase
+	// runs in passes of at most this many prompt tokens (<= 0 selects
+	// the engine default).
 	PrefillChunk int
 	// ExpertResidencyBytes caps the GPU-resident expert-weight pool the
 	// engine's pager keeps warm (rounded down to whole expert blocks,
