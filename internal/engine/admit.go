@@ -13,14 +13,14 @@ import (
 	"moelightning/internal/workload"
 )
 
-// Server is the long-lived serving engine: weights and arenas are built
-// once and persist across waves. Submit admits requests at any time; the
-// admission loop re-runs the Alg. 2 batcher over (deferred + newly
-// arrived) requests at every wave boundary and streams each token to its
-// handle as the producing decode step completes.
+// Server is the long-lived serving engine: one pipeline, built over the
+// host's arenas once, runs every wave. Submit admits requests at any
+// time; the admission loop re-runs the Alg. 2 batcher over (deferred +
+// newly arrived) requests at every wave boundary and streams each token
+// to its handle as the producing decode step completes.
 type Server struct {
-	host *Host
-	cfg  ServeConfig
+	pl  *Pipeline
+	cfg ServeConfig
 
 	submitCh chan []*Handle
 	closeCh  chan struct{}
@@ -39,8 +39,8 @@ type Server struct {
 	busy, prefillTime time.Duration
 	ttft, tpot        *metrics.Histogram
 	// broken is set when a wedged wave forces the watchdog to abandon
-	// the pipeline: the arenas are unrecoverable, so every later submit
-	// and wave fails fast with this error.
+	// the pipeline: it is unrecoverable, so every later submit and wave
+	// fails fast with this error, and nothing closes it.
 	broken error
 }
 
@@ -65,8 +65,10 @@ func batchConfig(cfg ServeConfig, kvDim int) batching.Config {
 }
 
 // NewServer builds the serving engine over a host and starts its
-// admission loop. The host's weights persist; its GPU, pinned and cache
-// arenas are reset between waves.
+// admission loop. It resets the host's GPU, pinned and cache arenas and
+// carves them, once, into the one pipeline every wave runs on:
+// MicroBatch x NumMicroBatches sequences, a full wave. A host that
+// cannot hold it fails here, not at a wave.
 func NewServer(host *Host, cfg ServeConfig) (*Server, error) {
 	if cfg.Vocab <= 0 {
 		cfg.Vocab = host.W.Cfg.VocabSize
@@ -74,15 +76,19 @@ func NewServer(host *Host, cfg ServeConfig) (*Server, error) {
 	if cfg.GenLen < 0 {
 		return nil, fmt.Errorf("engine: negative GenLen %d", cfg.GenLen)
 	}
-	if cfg.Partition != nil {
-		return nil, fmt.Errorf("engine: ServeConfig.Partition must be nil: every wave's partition comes from the batcher")
-	}
 	if err := batchConfig(cfg, host.W.Cfg.KVDim()).Validate(); err != nil {
 		return nil, err
 	}
+	host.GPU.Reset()
+	host.Pinned.Reset()
+	host.Cache.Reset()
+	pl, err := NewPipeline(host.W, host.GPU, host.Pinned, host.Cache, cfg.MicroBatch*cfg.NumMicroBatches, cfg.Config)
+	if err != nil {
+		return nil, fmt.Errorf("engine: host cannot hold a %dx%d wave: %w", cfg.NumMicroBatches, cfg.MicroBatch, err)
+	}
 	s := &Server{
-		host: host,
-		cfg:  cfg,
+		pl:  pl,
+		cfg: cfg,
 		// Buffered so a burst of concurrent Submits does not serialize on
 		// the loop while a wave runs; a full buffer only blocks the
 		// submitter, never loses a batch.
@@ -218,7 +224,7 @@ func (s *Server) admitCheckLocked(hs []*Handle) error {
 // demands for admission-failure and no-progress diagnostics: enough to
 // identify WHICH requests were refused and what they asked for.
 func (s *Server) describeHandles(hs []*Handle) string {
-	m := s.host.W.Cfg
+	m := s.pl.w.Cfg
 	tokBytes := kvcache.TokenBytes(m.KVDim(), s.cfg.KVDtype) * m.Layers
 	var b strings.Builder
 	fmt.Fprintf(&b, "%d request(s):", len(hs))
@@ -263,9 +269,15 @@ func (s *Server) Close() error {
 
 // loop is the admission loop: block until work (or close) arrives, admit
 // everything queued at the wave boundary, reap canceled queued requests,
-// and run one wave over (deferred + newly arrived) requests.
+// and run one wave over (deferred + newly arrived) requests. It owns the
+// pipeline and closes it on the way out, unless a wedged wave holds it.
 func (s *Server) loop() {
 	defer close(s.doneCh)
+	defer func() {
+		if s.broken == nil { // written on this goroutine alone (generate)
+			s.pl.Close()
+		}
+	}()
 	var pending []*Handle
 	closing := false
 	for {

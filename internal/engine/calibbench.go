@@ -18,9 +18,8 @@ import (
 // BenchConfig parameterizes one measurement: a seeded model, Seqs
 // prompts of PromptLen tokens each, and the engine Config to run them
 // under. The harness owns the run's shape: it derives MaxContext from
-// PromptLen and Steps and splits Seqs evenly, so a set MaxContext or
-// Partition is rejected; a non-positive MicroBatch runs all Seqs as one
-// micro-batch.
+// PromptLen and Steps, so a set MaxContext is rejected, and splits Seqs
+// evenly; a non-positive MicroBatch runs all Seqs as one micro-batch.
 type BenchConfig struct {
 	// Model is the architecture to run (tiny scale only — the harness
 	// executes real float32 math).
@@ -148,13 +147,10 @@ func MeasureServe(m model.Config, seed int64, queue []workload.Request, cfg Serv
 // buildBenchPipeline builds a host for the model (sized like a
 // server's) and a pipeline plus synthetic prompts over it.
 func buildBenchPipeline(cfg BenchConfig, maxContext int) (*Pipeline, [][]int, error) {
-	if cfg.MaxContext != 0 || cfg.Partition != nil {
-		return nil, nil, errors.New("engine: BenchConfig derives MaxContext and Partition; leave them unset")
+	if cfg.MaxContext != 0 {
+		return nil, nil, errors.New("engine: BenchConfig derives MaxContext; leave it unset")
 	}
 	cfg.MaxContext = maxContext
-	if cfg.MicroBatch <= 0 {
-		cfg.MicroBatch = cfg.Seqs
-	}
 	host, err := NewHost(cfg.Model, cfg.Seed, cfg.Seqs, maxContext, cfg.ExpertResidencyBytes)
 	if err != nil {
 		return nil, nil, err

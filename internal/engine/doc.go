@@ -11,7 +11,8 @@
 // Each concept has one definition; everything else passes it through.
 //
 //   - Config (pipeline.go): every engine option. ServeConfig embeds it
-//     and the server hands the embedded value to NewPipeline unchanged.
+//     and the server hands the embedded value to NewPipeline unchanged,
+//     once per server.
 //   - Host / NewHost (host.go): weights plus GPU / pinned / KV arena
 //     sizing, for every caller that builds an engine.
 //   - AdmissionPolicy, PlanWave (admission.go): queue bounds and the
@@ -22,9 +23,10 @@
 //   - The step's task graph (internal/schedule): roles, lanes,
 //     look-ahead, issue order and dependencies, weight-buffer reuse
 //     hazards included, are what schedule.Build emits for CGOPipe — the
-//     graph the simulator runs. NewPipeline builds it once for the
-//     pipeline's shape, always with Plan.LayerFFN, and binds it to
-//     Pipeline.runTask (laneSet, pipeline.go). It is the only code that
+//     graph the simulator runs. It is built for a run's micro-batch
+//     count, always with Plan.LayerFFN, and bound to Pipeline.runTask
+//     (laneSet, pipeline.go) — again only when a run's count differs
+//     from the one bound (Pipeline.begin). It is the only code that
 //     runs the model forward: the prompt phase is passes of it, each
 //     carrying up to PrefillChunk prompt tokens as rows (prefill.go
 //     plans them), and a decode step is a pass of one row per live
@@ -46,8 +48,9 @@
 //     block list, the scratch and so the kernel.
 //
 // The Server itself is four files: handle.go (the request handle),
-// admit.go (submit, overload gate, admission loop), wave.go (plan →
-// build → run under the watchdog → audit → finalize) and stats.go.
+// admit.go (submit, overload gate, admission loop), wave.go (plan → run
+// on the server's pipeline under the watchdog → audit → finalize) and
+// stats.go.
 //
 // # The expert weight stream
 //
@@ -95,8 +98,8 @@
 // wave's stop function retires it (GenLen reached, cancel, TPOT guard).
 // It leaves only to finished: nil on success, ErrCanceled,
 // ErrDeadlineExceeded (TPOT guard), a request-scoped error (KV
-// exhaustion, failed expert fetch) or the wave's error (build failure,
-// generation error, ErrWaveStalled). A handle never returns from a wave
+// exhaustion, failed expert fetch) or the wave's error (generation
+// error, ErrWaveStalled). A handle never returns from a wave
 // to the queue.
 //
 // finished: terminal, entered exactly once through Handle.settle (a

@@ -229,8 +229,8 @@ func TestPipelineRejectsBadConfig(t *testing.T) {
 	if _, err := NewPipeline(w, gpu, pinned, cacheArena, 0, Config{MicroBatch: 2}); err == nil {
 		t.Error("want error for zero sequences")
 	}
-	if _, err := NewPipeline(w, gpu, pinned, cacheArena, 4, Config{MicroBatch: 0}); err == nil {
-		t.Error("want error for zero micro-batch")
+	if _, err := NewPipeline(w, gpu, pinned, cacheArena, 4, Config{MicroBatch: 2}); err == nil {
+		t.Error("want error for zero context")
 	}
 }
 

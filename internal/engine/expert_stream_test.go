@@ -77,7 +77,7 @@ func TestExpertStreamFetchesEachBlockOnce(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			n, pcfg := seqs, Config{MicroBatch: mu, MaxContext: 64, ExpertResidencyBytes: tc.residency}
 			if tc.partition != nil {
-				n, pcfg.Partition = 5, tc.partition
+				n = 5
 			}
 			_, gpu, pinned, cacheArena := newTestArenas()
 			pl, err := NewPipeline(w, gpu, pinned, cacheArena, n, pcfg)
@@ -115,7 +115,7 @@ func TestExpertStreamFetchesEachBlockOnce(t *testing.T) {
 			if tc.retireAfter > 0 {
 				stop = func(seq, emitted int) bool { return seq < mu && emitted >= tc.retireAfter }
 			}
-			got, err := pl.GenerateStream(prompts[:n], gen, sink, stop)
+			got, err := pl.Run(prompts[:n], tc.partition, gen, sink, stop)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -53,26 +53,41 @@ func TestCacheExhaustionSurfacesError(t *testing.T) {
 	}
 }
 
-// TestPipelineSingleShot: a second Generate on the same pipeline is
-// rejected (the KV cache already holds the first batch).
-func TestPipelineSingleShot(t *testing.T) {
+// TestPipelineRunsAgain: a pipeline runs run after run. A second
+// Generate of the same prompts, after a smaller run in fewer
+// micro-batches (a re-bound graph) and on the cache, pager residency
+// and router statistics the earlier runs left, returns the first run's
+// tokens and leaves the KV pool idle.
+func TestPipelineRunsAgain(t *testing.T) {
 	cfg := model.Tiny()
 	cpu, gpu, pinned, cacheArena := newTestArenas()
 	w, err := NewRandomWeights(cpu, cfg, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
-	pl, err := NewPipeline(w, gpu, pinned, cacheArena, 2, Config{MicroBatch: 2, MaxContext: 32})
+	pl, err := NewPipeline(w, gpu, pinned, cacheArena, 2, Config{MicroBatch: 1, MaxContext: 32})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer pl.Close()
 	prompts := testPrompts(2, 3, 4, cfg.VocabSize)
-	if _, err := pl.Generate(prompts, 3); err != nil {
+	first, err := pl.Generate(prompts, 3)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := pl.Generate(prompts, 3); err == nil {
-		t.Fatal("second Generate accepted")
+	if _, err := pl.Generate(prompts[1:], 2); err != nil {
+		t.Fatal(err)
+	}
+	again, err := pl.Generate(prompts, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(again, first) {
+		t.Errorf("a later run diverges from the first:\n got %v\nwant %v", again, first)
+	}
+	pl.ReleaseAll()
+	if err := pl.KVIdle(); err != nil {
+		t.Error(err)
 	}
 }
 

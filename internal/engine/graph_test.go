@@ -82,13 +82,13 @@ func TestRetirementLeavesCallersPartition(t *testing.T) {
 		t.Fatal(err)
 	}
 	partition := [][]int{{3, 0}, {1}, {4, 2}}
-	pl, err := NewPipeline(w, gpu, pinned, cacheArena, 5, Config{MaxContext: 64, Partition: partition})
+	pl, err := NewPipeline(w, gpu, pinned, cacheArena, 5, Config{MaxContext: 64})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer pl.Close()
 	stop := func(seq, emitted int) bool { return (seq == 1 || seq == 4) && emitted >= 2 }
-	got, err := pl.GenerateStream(testPrompts(5, 3, 8, cfg.VocabSize), 5, nil, stop)
+	got, err := pl.Run(testPrompts(5, 3, 8, cfg.VocabSize), partition, 5, nil, stop)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -7,9 +7,8 @@ import (
 )
 
 // Host is the memory a functional engine runs in: the CPU-resident
-// weights plus the GPU, pinned-staging and KV-cache arenas every
-// pipeline is built over. The weights persist; a server resets the
-// three arenas between waves.
+// weights plus the GPU, pinned-staging and KV-cache arenas a pipeline
+// is built over. A server carves the arenas into its one pipeline once.
 type Host struct {
 	W                  *Weights
 	GPU, Pinned, Cache *memory.Arena

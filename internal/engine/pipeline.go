@@ -1,6 +1,8 @@
 package engine
 
 import (
+	"cmp"
+	"context"
 	"errors"
 	"fmt"
 	"sync"
@@ -20,12 +22,15 @@ import (
 // one worker goroutine per lane (GPU, CPU, HtoD, DtoH, Pin) and
 // channel-carried dependencies. The task graph is the one schedule.Build
 // emits for CGOPipe — the graph the simulator and the HRM figures run —
-// built once at construction for the pipeline's shape (layers,
-// micro-batches, look-ahead, attention pages, the layer-wide expert FFN;
-// retirement empties a micro-batch, it never removes a task) and bound
-// to runTask. Both phases are passes of that one graph: a prompt pass
-// carries up to PrefillChunk prompt tokens as rows, a decode step one
-// row per live sequence, and a pass only sets its rows and runs it.
+// bound to runTask for a run's shape (layers, micro-batches, look-ahead,
+// attention pages, the layer-wide expert FFN; retirement empties a
+// micro-batch, it never removes a task) and bound again only when a
+// run's micro-batch count differs from the last one's. Both phases are
+// passes of that one graph: a prompt pass carries up to PrefillChunk
+// prompt tokens as rows, a decode step one row per live sequence, and a
+// pass only sets its rows and runs it. Built once for a capacity of
+// sequences, a pipeline runs runs of up to that many, one at a time;
+// only a run's own state is reset between them (begin).
 // Attention, the O projection and the router run per micro-batch; the
 // expert FFN runs once per layer over the rows of all of them (ffn(l)),
 // so a layer passes over each routed expert's weights once however the
@@ -51,20 +56,20 @@ type Pipeline struct {
 	w      *Weights
 	layout Layout
 
-	gpuArena    *memory.Arena
-	pinnedArena *memory.Arena
-
-	db      *paging.DoubleBuffer
-	staging *paging.Staging
-	pager   *paging.ExpertPager
-	cache   *kvcache.Cache
+	// db (GPU) and staging (pinned) carry the shared weights in pages of
+	// table, one page per micro-batch of the bound graph.
+	db, staging *paging.DoubleBuffer
+	table       paging.PageTable
+	pager       *paging.ExpertPager
+	cache       *kvcache.Cache
 
 	// hidden is the GPU-resident residual stream of the pass in flight,
 	// one row per token row of the pass.
 	hidden tensor.Mat
 
-	// Micro-batch partition: mbs[j] lists sequence indices.
-	mbs [][]int
+	// The run's micro-batch partition: mbs[j] lists sequence indices.
+	mbs                   [][]int
+	microBatch, lookahead int
 
 	// The transfer buffers (GPU and CPU sides), one row per token row of
 	// the pass: micro-batch j's rows start at rowOff[j], as in hidden.
@@ -73,7 +78,6 @@ type Pipeline struct {
 
 	lanes  *laneSet
 	closed bool
-	used   bool
 
 	// The inputs of the pass in flight, written before the graph is
 	// submitted and read by the lane tasks: the virtual index of the
@@ -91,7 +95,7 @@ type Pipeline struct {
 	rowSeq, rowPos []int
 	nextRows       int
 
-	// The wave's prompts, the shared prefix each sequence maps from its
+	// The run's prompts, the shared prefix each sequence maps from its
 	// donor instead of computing (planPrefixReuse), each sequence's next
 	// input token once its prompt is done (the greedy sample of its last
 	// row), and how many prompt passes ran before decode.
@@ -103,16 +107,16 @@ type Pipeline struct {
 	// Counters observable by tests and examples.
 	Counters Counters
 
-	// PrefillTokens and PrefillDuration report the wave's prompt phase:
-	// how many prompt tokens completed prefill (a sequence retired by
-	// prefill-time KV exhaustion contributes none) and the wall-clock
-	// its passes took. Valid once Generate/GenerateStream has run
-	// prefill; the server folds them into ServerStats' prefill
-	// throughput.
+	// PrefillTokens and PrefillDuration report the last run's prompt
+	// phase: how many prompt tokens completed prefill (a sequence retired
+	// by prefill-time KV exhaustion contributes none) and the wall-clock
+	// its passes took. Valid once a run has run prefill; the server folds
+	// them into ServerStats' prefill throughput.
 	PrefillTokens   int
 	PrefillDuration time.Duration
 
-	// ExpertLoad counts expert selections per layer.
+	// ExpertLoad counts expert selections per layer, cumulative over
+	// runs: the prefetch prediction reads it.
 	ExpertLoad [][]int64
 
 	// Row workspaces, allocated once at build time for the largest pass
@@ -168,18 +172,17 @@ type Pipeline struct {
 	// scalar implementations to measure the optimized paths' speedup.
 	kern kernels
 
-	err atomic.Value
+	// err is the run's first lane-task error.
+	err atomic.Pointer[error]
 
 	// faults is the optional injector consulted at the stall seam (and
 	// wired into the cache and pager hooks at build time); nil injects
-	// nothing. abortCh/abortOnce/abortReason implement cooperative wave
-	// abort: Abort closes the channel, GenerateStream notices at the
-	// next pass boundary (and injected stalls wake immediately), and the
-	// generation returns the abort reason.
-	faults      *faults.Injector
-	abortCh     chan struct{}
-	abortOnce   sync.Once
-	abortReason error
+	// nothing. aborted/cancel implement cooperative abort: Abort cancels
+	// aborted with its reason, the run notices at the next pass boundary
+	// (and injected stalls wake immediately) and returns the reason.
+	faults  *faults.Injector
+	aborted context.Context
+	cancel  context.CancelCauseFunc
 }
 
 // kernels bundles the forward-pass implementations the lane tasks call.
@@ -235,11 +238,6 @@ type Config struct {
 	// Lookahead is how many micro-batches ahead CPU attention launches
 	// (<= 0: Alg. 1's 2).
 	Lookahead int
-	// Partition optionally supplies an explicit micro-batch partition
-	// (lists of sequence indices), e.g. from the Alg. 2 batcher; when
-	// set it overrides MicroBatch-based chunking. Every sequence index
-	// in [0, numSeqs) must appear exactly once.
-	Partition [][]int
 	// KVDtype selects the KV cache codec: kvcache.F32 (the zero value;
 	// bit-exact) or kvcache.Int8 (§3.3 group quantization — ~9/32 the
 	// cache footprint, attention dequantizes rows in place).
@@ -289,45 +287,24 @@ type Config struct {
 // long-prompt waves.
 const DefaultPrefillChunk = 1024
 
-// NewPipeline assembles the engine over explicit arenas. numSeqs is the
-// decode batch N; sequences are partitioned into ⌈N/μ⌉ micro-batches.
+// NewPipeline assembles the engine over explicit arenas for a capacity
+// of numSeqs sequences: a run carries up to that many. Generate chunks
+// its prompts into micro-batches of cfg.MicroBatch (<= 0: one
+// micro-batch), and the pipeline starts bound for numSeqs so chunked.
 func NewPipeline(w *Weights, gpu, pinned, cacheArena *memory.Arena, numSeqs int, cfg Config) (*Pipeline, error) {
 	if numSeqs <= 0 {
 		return nil, fmt.Errorf("engine: non-positive sequence count %d", numSeqs)
 	}
-	// The MicroBatch shorthand is a partition too: consecutive chunks of
-	// μ sequences.
-	parts := cfg.Partition
-	if len(parts) == 0 {
-		if cfg.MicroBatch <= 0 {
-			return nil, fmt.Errorf("engine: need a positive micro-batch size or an explicit partition")
-		}
-		for s := 0; s < numSeqs; s += cfg.MicroBatch {
-			mb := make([]int, min(cfg.MicroBatch, numSeqs-s))
-			for i := range mb {
-				mb[i] = s + i
-			}
-			parts = append(parts, mb)
-		}
-	}
-	if err := validatePartition(parts, numSeqs); err != nil {
-		return nil, err
-	}
 	layout := w.Layout
-	nb := len(parts)
 
 	// The double buffer and staging carry only the shared
 	// attention/router prefix of each layer; expert FFN blocks page
 	// individually through the ExpertPager below.
-	table, err := paging.NewPageTable(layout.SharedFloats(), nb)
+	db, err := paging.NewDoubleBuffer(gpu, layout.SharedFloats())
 	if err != nil {
 		return nil, err
 	}
-	db, err := paging.NewDoubleBuffer(gpu, table)
-	if err != nil {
-		return nil, err
-	}
-	staging, err := paging.NewStaging(pinned, table)
+	staging, err := paging.NewDoubleBuffer(pinned, layout.SharedFloats())
 	if err != nil {
 		return nil, err
 	}
@@ -341,8 +318,8 @@ func NewPipeline(w *Weights, gpu, pinned, cacheArena *memory.Arena, numSeqs int,
 	// never needs more rows than the KV pool holds tokens.
 	p := &Pipeline{
 		w: w, layout: layout,
-		gpuArena: gpu, pinnedArena: pinned,
 		db: db, staging: staging, cache: cache,
+		microBatch: cfg.MicroBatch, lookahead: cfg.Lookahead,
 		logits:       make([]float32, numSeqs*w.Cfg.VocabSize),
 		normedHead:   make([]float32, numSeqs*w.Cfg.Hidden),
 		kern:         defaultKernels(),
@@ -370,27 +347,19 @@ func NewPipeline(w *Weights, gpu, pinned, cacheArena *memory.Arena, numSeqs int,
 		}
 	}
 	p.hidden = tensor.FromSlice(rows, w.Cfg.Hidden, hiddenRegion.Data())
-	// retire assigns into p.mbs: copy, so the caller's partition stays.
-	p.mbs = append(p.mbs, parts...)
 
-	maxMB := 0
-	for _, mb := range p.mbs {
-		if len(mb) > maxMB {
-			maxMB = len(mb)
-		}
-	}
 	p.scratch = newFFNScratch(layout, rows)
 	p.xPost = tensor.NewMat(rows, w.Cfg.Hidden)
 	p.preNormed = make([]float32, rows*w.Cfg.Hidden)
-	p.rowOff = make([]int, nb+1)
+	p.rowOff = make([]int, numSeqs+1)
 	p.rowSeq = make([]int, rows)
 	p.rowPos = make([]int, rows)
 	p.spanLo = make([]int, numSeqs)
 	p.spanHi = make([]int, numSeqs)
 	p.next = make([]int, numSeqs)
 	p.views = make([]kvcache.View, numSeqs)
-	p.attnItems = make([]tensor.AttnItem, 0, maxMB)
-	p.causalItems = make([]tensor.CausalItem, 0, maxMB)
+	p.attnItems = make([]tensor.AttnItem, 0, numSeqs)
+	p.causalItems = make([]tensor.CausalItem, 0, numSeqs)
 	p.seqErr = make([]error, numSeqs)
 
 	p.ExpertLoad = make([][]int64, w.Cfg.Layers)
@@ -411,22 +380,70 @@ func NewPipeline(w *Weights, gpu, pinned, cacheArena *memory.Arena, numSeqs int,
 	p.predBuf = make([]int, 0, w.Cfg.Experts)
 	p.keyBuf = make([]paging.ExpertKey, 0, w.Cfg.Experts)
 
-	p.abortCh = make(chan struct{})
+	p.armAbort()
 	if cfg.Faults != nil {
 		p.faults = cfg.Faults
 		cache.SetAllocHook(cfg.Faults.KVAlloc)
 		p.pager.SetFetchFault(cfg.Faults.ExpertFetch)
 	}
-
-	graph, err := schedule.Build(schedule.CGOPipe, schedule.Plan{
-		Layers: w.Cfg.Layers, MicroBatches: nb,
-		Lookahead: cfg.Lookahead, AttnPages: p.attnPages(), LayerFFN: true,
-	})
-	if err != nil {
+	if err := p.begin(nil, numSeqs); err != nil {
+		p.pager.Close()
 		return nil, err
 	}
-	p.lanes = newLaneSet(graph, p.runTask, p.fail)
 	return p, nil
+}
+
+// begin readies the pipeline for a run of n sequences in the given
+// micro-batches (nil: Generate's, consecutive runs of Config.MicroBatch
+// or, when that is not positive, one). It releases the last run's
+// sequences and resets the run's state (spans, rows and next tokens are
+// laid afresh by every pass). When the micro-batch count differs from
+// the bound graph's, it splits the shared weights into that many pages
+// and binds the lanes to the graph schedule.Build emits for it. The
+// partition is copied: retirement assigns into p.mbs.
+func (p *Pipeline) begin(partition [][]int, n int) error {
+	if n <= 0 || n > len(p.next) {
+		return fmt.Errorf("engine: %d sequences for a pipeline of %d", n, len(p.next))
+	}
+	if partition == nil {
+		size := cmp.Or(max(p.microBatch, 0), n)
+		for s := 0; s < n; s += size {
+			mb := make([]int, min(size, n-s))
+			for i := range mb {
+				mb[i] = s + i
+			}
+			partition = append(partition, mb)
+		}
+	}
+	if err := validatePartition(partition, n); err != nil {
+		return err
+	}
+	if nb := len(partition); nb != len(p.mbs) {
+		table, err := paging.NewPageTable(p.layout.SharedFloats(), nb)
+		if err != nil {
+			return err
+		}
+		graph, err := schedule.Build(schedule.CGOPipe, schedule.Plan{
+			Layers: p.w.Cfg.Layers, MicroBatches: nb,
+			Lookahead: p.lookahead, AttnPages: attnPages(table, p.layout.AttnFloats()), LayerFFN: true,
+		})
+		if err != nil {
+			return err
+		}
+		if p.lanes != nil {
+			p.lanes.close()
+		}
+		p.table = table
+		p.lanes = newLaneSet(graph, p.runTask, p.fail)
+	}
+	p.ReleaseAll()
+	p.mbs = append(p.mbs[:0], partition...)
+	p.rowOff = p.rowOff[:len(partition)+1]
+	p.seqErr = p.seqErr[:n]
+	clear(p.seqErr)
+	p.passes, p.PrefillTokens, p.PrefillDuration = 0, 0, 0
+	p.err.Store(nil)
+	return nil
 }
 
 // Close shuts the worker goroutines down (the five lanes and the
@@ -436,19 +453,20 @@ func (p *Pipeline) Close() {
 	if !p.closed {
 		p.lanes.close()
 		p.pager.Close()
+		p.cancel(errWaveAborted)
 		p.closed = true
 	}
 }
 
 func (p *Pipeline) fail(err error) {
 	if err != nil {
-		p.err.CompareAndSwap(nil, err)
+		p.err.CompareAndSwap(nil, &err)
 	}
 }
 
 func (p *Pipeline) failed() error {
-	if v := p.err.Load(); v != nil {
-		return v.(error)
+	if e := p.err.Load(); e != nil {
+		return *e
 	}
 	return nil
 }
@@ -456,43 +474,41 @@ func (p *Pipeline) failed() error {
 // errWaveAborted is the abort reason when Abort is called with nil.
 var errWaveAborted = errors.New("engine: wave aborted")
 
-// Abort requests cooperative cancellation of the in-flight generation:
-// GenerateStream returns err (or a generic abort error when nil) at
-// the next pass boundary, and any injected stall wakes immediately.
-// Safe to call from any goroutine, more than once; the first reason
-// wins. It cannot interrupt a lane task that is truly wedged mid-run —
-// that is the server watchdog's grace-period case.
+// Abort requests cooperative cancellation of the run in flight: the run
+// returns err (or a generic abort error when nil) at the next pass
+// boundary, and any injected stall wakes immediately. Safe to call from
+// any goroutine, more than once; the first reason wins. It holds until
+// armAbort arms a fresh one, which the server does before every wave.
+// It cannot interrupt a lane task that is truly wedged mid-run — that
+// is the server watchdog's grace-period case.
 func (p *Pipeline) Abort(err error) {
-	p.abortOnce.Do(func() {
-		if err == nil {
-			err = errWaveAborted
-		}
-		p.abortReason = err // written before close: the happens-before edge for abortedErr
-		close(p.abortCh)
-	})
+	if err == nil {
+		err = errWaveAborted
+	}
+	p.cancel(err)
 }
 
-// abortedErr returns the abort reason once Abort has fired, else nil.
-func (p *Pipeline) abortedErr() error {
-	select {
-	case <-p.abortCh:
-		return p.abortReason
-	default:
-		return nil
+// armAbort replaces the abort with an unfired one. Called with no run
+// in flight, on the goroutine that then starts the run and alone calls
+// Abort, so an abort meant for one run never lands on another's.
+func (p *Pipeline) armAbort() {
+	if p.cancel != nil {
+		p.cancel(errWaveAborted) // releases the last arming; its run is over
 	}
+	p.aborted, p.cancel = context.WithCancelCause(context.Background())
 }
 
 // stallPoint consults the fault injector's latency seam; a fired stall
 // blocks here (interruptibly — an Abort wakes it).
 func (p *Pipeline) stallPoint() {
 	if p.faults != nil {
-		p.faults.Stall(p.abortCh)
+		p.faults.Stall(p.aborted.Done())
 	}
 }
 
 // ReleaseAll releases every sequence's cache blocks (idempotent — a
 // sequence already retired or released is a no-op). The server calls
-// it after a wave drains so KVIdle can verify the pool returned to its
+// it after each wave so KVIdle can verify the pool returned to its
 // initial free count.
 func (p *Pipeline) ReleaseAll() {
 	for s := range p.seqErr {
@@ -502,7 +518,7 @@ func (p *Pipeline) ReleaseAll() {
 
 // KVIdle verifies the pipeline's KV cache is back to its freshly-built
 // state (every block free, no refcounts, empty prefix index): the
-// wave-end leak check.
+// run-end leak check.
 func (p *Pipeline) KVIdle() error { return p.cache.CheckIdle() }
 
 // validatePartition checks an explicit micro-batch partition covers

@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"time"
@@ -35,24 +36,30 @@ type StepSink func(seq, index, token int)
 // former batch-mates.
 type StopFunc func(seq, emitted int) bool
 
-// GenerateStream is Generate with serving hooks: sink (may be nil)
+// GenerateStream is Generate with serving hooks: Run over the prompts
+// chunked into micro-batches of Config.MicroBatch.
+func (p *Pipeline) GenerateStream(prompts [][]int, genLen int, sink StepSink, stop StopFunc) ([][]int, error) {
+	return p.Run(prompts, nil, genLen, sink, stop)
+}
+
+// Run generates for one run of up to the pipeline's capacity of
+// sequences: prompts[s] is sequence s, and partition lists the
+// micro-batches as sequence indices, each exactly once (the Alg. 2
+// batcher's placement; nil is Generate's chunks). sink (may be nil)
 // observes each token as soon as the pass that produced it completes —
 // the first once the prompt phase is over, the rest one decode step
-// each, well before the wave's final step; stop (may be nil) cancels
+// each, well before the run's final step; stop (may be nil) cancels
 // individual sequences mid-generation at step boundaries. Both phases
 // are passes of the one bound step graph (prefill.go plans the prompt
 // passes, decodeStep the decode ones). Retired sequences return the
-// tokens emitted before retirement.
-func (p *Pipeline) GenerateStream(prompts [][]int, genLen int, sink StepSink, stop StopFunc) ([][]int, error) {
+// tokens emitted before retirement. Its sequences keep their KV blocks
+// until ReleaseAll or the next run.
+func (p *Pipeline) Run(prompts, partition [][]int, genLen int, sink StepSink, stop StopFunc) ([][]int, error) {
 	if p.closed {
 		return nil, fmt.Errorf("engine: pipeline is closed")
 	}
-	if p.used {
-		return nil, fmt.Errorf("engine: pipeline already generated; build a fresh one per batch (the KV cache is single-shot)")
-	}
-	p.used = true
-	if len(prompts) != len(p.seqErr) {
-		return nil, fmt.Errorf("engine: %d prompts for a %d-sequence pipeline", len(prompts), len(p.seqErr))
+	if err := p.begin(partition, len(prompts)); err != nil {
+		return nil, err
 	}
 	prefillStart := time.Now()
 	err := p.prefill(prompts)
@@ -169,10 +176,10 @@ func (p *Pipeline) emits(r, s int) bool {
 }
 
 // SeqErr returns the terminal error of one sequence from the last
-// generation: nil for sequences that completed (or were stopped via
+// run: nil for sequences that completed (or were stopped via
 // StopFunc), or the kvcache.ErrOutOfBlocks-wrapping error that retired
-// it mid-wave — during prefill (it emits no tokens) or mid-decode.
-// Valid once Generate/GenerateStream has returned.
+// it mid-run — during prefill (it emits no tokens) or mid-decode.
+// Valid once Run has returned.
 func (p *Pipeline) SeqErr(s int) error {
 	if s < 0 || s >= len(p.seqErr) {
 		return nil
@@ -225,10 +232,10 @@ func (p *Pipeline) layRows() {
 	p.rowOff[len(p.mbs)] = n
 }
 
-// runPass runs pass k of the wave — prompt passes first, then one per
+// runPass runs pass k of the run — prompt passes first, then one per
 // decode step — over the rows the caller laid out: every micro-batch
 // through every layer, with the pipeline's five lanes overlapped. The
-// graph was bound at construction; a pass sets its weight-buffer base,
+// graph was bound before the run; a pass sets its weight-buffer base,
 // runs it, and returns when the pass completes (synchronous pass
 // boundary).
 func (p *Pipeline) runPass(k int) error {
@@ -236,7 +243,7 @@ func (p *Pipeline) runPass(k int) error {
 	// stall blocks here (woken early by Abort), and an abort requested by
 	// the watchdog ends the wave before the next pass.
 	p.stallPoint()
-	if aerr := p.abortedErr(); aerr != nil {
+	if aerr := context.Cause(p.aborted); aerr != nil {
 		return aerr
 	}
 	p.vbase = k * p.w.Cfg.Layers // the previous pass paged this pass's layer 0 into the slot of its parity
@@ -334,11 +341,9 @@ func rowRange(m tensor.Mat, lo, hi int) tensor.Mat {
 	return tensor.FromSlice(hi-lo, m.Cols, m.Data[lo*m.Cols:hi*m.Cols])
 }
 
-// attnPages returns how many leading pages cover the attention
-// projections (what pre-attention must wait for).
-func (p *Pipeline) attnPages() int {
-	table := p.db.Table()
-	need := p.layout.AttnFloats()
+// attnPages returns how many leading pages of table cover the need
+// floats of attention projections (what pre-attention must wait for).
+func attnPages(table paging.PageTable, need int) int {
 	covered := 0
 	for pg := 0; pg < table.NumPages; pg++ {
 		covered += table.PageSize(pg)
@@ -512,9 +517,9 @@ func (p *Pipeline) failExpertRouted(layer int, chosen [][]int) {
 // memory into pinned staging.
 func (p *Pipeline) runPin(v, pg int) error {
 	layer := p.realLayer(v)
-	lo, hi := p.db.Table().PageBounds(pg)
+	lo, hi := p.table.PageBounds(pg)
 	src := p.w.Layers[layer].Slice(lo, hi)
-	dst := p.staging.PageRegion(v, pg)
+	dst := p.staging.PageRegion(p.table, v, pg)
 	memory.Copy(dst, src)
 	p.Counters.PinBytes.Add(floatBytes(dst.Len()))
 	return nil
@@ -524,8 +529,8 @@ func (p *Pipeline) runPin(v, pg int) error {
 // GPU double buffer. Every shipped page counts toward PagesMoved here,
 // so the lanes and the synchronous prime agree on page accounting.
 func (p *Pipeline) runPage(v, pg int) error {
-	src := p.staging.PageRegion(v, pg)
-	dst := p.db.PageRegion(v, pg)
+	src := p.staging.PageRegion(p.table, v, pg)
+	dst := p.db.PageRegion(p.table, v, pg)
 	memory.Copy(dst, src)
 	p.Counters.HtoDBytes.Add(floatBytes(dst.Len()))
 	p.Counters.PagesMoved.Add(1)
@@ -545,7 +550,7 @@ func (p *Pipeline) realLayer(v int) int {
 // pass's layer 0 included, is paged in by the graph. The benchmark
 // baselines share this path.
 func (p *Pipeline) primeLayer(v int) error {
-	for pg := 0; pg < p.db.Table().NumPages; pg++ {
+	for pg := 0; pg < p.table.NumPages; pg++ {
 		if err := p.runPin(v, pg); err != nil {
 			return err
 		}

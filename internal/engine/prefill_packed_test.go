@@ -88,12 +88,12 @@ func TestPackedPrefillBitIdenticalMixedLengths(t *testing.T) {
 				pinned := memory.NewArena("pinned", 1<<22)
 				cacheArena := memory.NewArena("cache", 1<<22)
 				pl, err := NewPipeline(w, gpu, pinned, cacheArena, len(prompts),
-					Config{MicroBatch: 2, Partition: tc.partition, MaxContext: 64, KVDtype: dtype,
+					Config{MicroBatch: 2, MaxContext: 64, KVDtype: dtype,
 						PrefillChunk: chunk, SharedPrefix: tc.followers > 0})
 				if err != nil {
 					t.Fatal(err)
 				}
-				got, err := pl.Generate(prompts, 4)
+				got, err := pl.Run(prompts, tc.partition, 4, nil, nil)
 				if err != nil {
 					pl.Close()
 					t.Fatalf("dtype %v chunk %d: %v", dtype, chunk, err)

@@ -54,24 +54,27 @@ func TestPrefillSharedPrefixBitIdentical(t *testing.T) {
 			}
 
 			var hits [3]int64
-			for i, pc := range []Config{
-				{MicroBatch: 2},
-				{MicroBatch: 2, SharedPrefix: true},
+			for i, pc := range []struct {
+				Config
+				partition [][]int
+			}{
+				{Config: Config{MicroBatch: 2}},
+				{Config: Config{MicroBatch: 2, SharedPrefix: true}},
 				// Sequence 0 in a later micro-batch than sequences 1 and 2,
 				// which issue first and so donate, and a 16-token budget that
 				// splits the donor's prompt across passes.
-				{Partition: [][]int{{1, 2}, {0, 3}}, SharedPrefix: true, PrefillChunk: 16},
+				{Config: Config{SharedPrefix: true, PrefillChunk: 16}, partition: [][]int{{1, 2}, {0, 3}}},
 			} {
 				shared := pc.SharedPrefix
 				pc.MaxContext, pc.KVDtype = 64, dtype
 				gpu := memory.NewArena("gpu", 1<<22)
 				pinned := memory.NewArena("pinned", 1<<22)
 				cacheArena := memory.NewArena("cache", 1<<22)
-				pl, err := NewPipeline(w, gpu, pinned, cacheArena, 4, pc)
+				pl, err := NewPipeline(w, gpu, pinned, cacheArena, 4, pc.Config)
 				if err != nil {
 					t.Fatal(err)
 				}
-				got, err := pl.Generate(prompts, gen)
+				got, err := pl.Run(prompts, pc.partition, gen, nil, nil)
 				if err != nil {
 					pl.Close()
 					t.Fatal(err)

@@ -271,8 +271,9 @@ func TestTPOTGuardRetiresHopelessSequence(t *testing.T) {
 
 // TestWaveWatchdogFailsStalledWave: a wave stalled indefinitely at a
 // boundary is cut loose by the watchdog through the cooperative abort —
-// its request fails with ErrWaveStalled, the KV audit stays clean, and
-// Close returns (with the wave error) instead of hanging.
+// its request fails with ErrWaveStalled, the KV audit stays clean, the
+// next wave on the same server runs normally, and Close returns (with
+// the stalled wave's error) instead of hanging.
 func TestWaveWatchdogFailsStalledWave(t *testing.T) {
 	cfg := model.Tiny()
 	cpu, gpu, pinned, cacheArena := newTestArenas()
@@ -296,12 +297,28 @@ func TestWaveWatchdogFailsStalledWave(t *testing.T) {
 	if _, herr := h.Wait(); !errors.Is(herr, ErrWaveStalled) {
 		t.Fatalf("stalled wave request: want ErrWaveStalled, got %v", herr)
 	}
+	// The stall ends; the next wave runs on the same pipeline under a
+	// freshly armed abort, so it completes with the reference's tokens.
+	close(gate)
+	req := workload.Request{ID: 2, PromptLen: 5}
+	h2, err := srv.Submit(req, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, herr := h2.Wait()
+	if herr != nil {
+		t.Fatalf("wave after the stalled one: %v", herr)
+	}
+	if want := refTokens(t, w, []workload.Request{req}, 32, 2); !reflect.DeepEqual(got, want[0]) {
+		t.Errorf("wave after the stalled one: got %v, want %v", got, want[0])
+	}
 	if cerr := srv.Close(); !errors.Is(cerr, ErrWaveStalled) {
 		t.Fatalf("Close: want ErrWaveStalled, got %v", cerr)
 	}
 	st := srv.Stats()
-	if st.WaveTimeouts != 1 || st.Failed != 1 || st.KVLeaks != 0 {
-		t.Errorf("stats: timeouts %d failed %d leaks %d, want 1/1/0", st.WaveTimeouts, st.Failed, st.KVLeaks)
+	if st.WaveTimeouts != 1 || st.Failed != 1 || st.Completed != 1 || st.KVLeaks != 0 {
+		t.Errorf("stats: timeouts %d failed %d completed %d leaks %d, want 1/1/1/0",
+			st.WaveTimeouts, st.Failed, st.Completed, st.KVLeaks)
 	}
 	// The failed wave held the engine until the watchdog fired: that is
 	// busy time, or TokensPerSecond and the SLO-aware drain projection
@@ -607,13 +624,16 @@ func TestCancelMidPrefillPreservesSharedPrefix(t *testing.T) {
 	}
 	const genLen = 4
 	inj, reached, release := stallGate()
-	s := &Server{
-		host: &Host{W: w, GPU: gpu, Pinned: pinned, Cache: cacheArena},
-		cfg: ServeConfig{
-			Config:          Config{MicroBatch: 2, MaxContext: 64, SharedPrefix: true, Faults: inj},
-			NumMicroBatches: 1, GenLen: genLen, CacheTokens: 200, Vocab: cfg.VocabSize,
-		},
+	// The loop stays idle (nothing is submitted): the test drives the
+	// wave core on its own goroutine.
+	s, err := NewServer(&Host{W: w, GPU: gpu, Pinned: pinned, Cache: cacheArena}, ServeConfig{
+		Config:          Config{MicroBatch: 2, MaxContext: 64, SharedPrefix: true, Faults: inj},
+		NumMicroBatches: 1, GenLen: genLen, CacheTokens: 200, Vocab: cfg.VocabSize,
+	})
+	if err != nil {
+		t.Fatal(err)
 	}
+	defer s.Close()
 	reqA := workload.Request{ID: 1, PromptLen: 20, PrefixID: 7, PrefixLen: 16}
 	reqB := workload.Request{ID: 2, PromptLen: 21, PrefixID: 7, PrefixLen: 16}
 	cancelA := make(chan struct{})

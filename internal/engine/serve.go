@@ -12,11 +12,10 @@ import (
 // pipeline's own Config plus the admission policy plus the knobs only
 // the serving loop has; no engine option is restated here.
 type ServeConfig struct {
-	// Config is handed to every wave's pipeline as is, with the wave's
-	// placement filled in as Partition (NewServer rejects a preset one).
-	// Its MicroBatch is Alg. 2's ubs: the maximum requests per
-	// micro-batch. KVDtype and SharedPrefix also shape the batcher's
-	// byte budget and prefix discount.
+	// Config is handed as is to the server's one pipeline, which runs
+	// every wave in the batcher's placement. Its MicroBatch is Alg. 2's
+	// ubs: the maximum requests per micro-batch. KVDtype and SharedPrefix
+	// also shape the batcher's byte budget and prefix discount.
 	Config
 	// AdmissionPolicy orders and bounds the pending queue.
 	AdmissionPolicy

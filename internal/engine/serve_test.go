@@ -3,6 +3,7 @@ package engine
 import (
 	"reflect"
 	"runtime"
+	"strings"
 	"testing"
 
 	"moelightning/internal/memory"
@@ -19,7 +20,9 @@ func serveQueue(n int) []workload.Request {
 }
 
 // TestServeMatchesReference: every request served in waves must produce
-// exactly the tokens the sequential reference produces for it.
+// exactly the tokens the sequential reference produces for it, on the
+// server's one pipeline, whose counters the stats read without
+// double-counting a wave.
 func TestServeMatchesReference(t *testing.T) {
 	cfg := model.Tiny()
 	cpu, gpu, pinned, cacheArena := newTestArenas()
@@ -27,7 +30,7 @@ func TestServeMatchesReference(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	queue := serveQueue(10)
+	queue := serveQueue(9)
 	const genLen = 4
 
 	res, err := Serve(&Host{W: w, GPU: gpu, Pinned: pinned, Cache: cacheArena}, queue, ServeConfig{
@@ -61,6 +64,37 @@ func TestServeMatchesReference(t *testing.T) {
 		if !reflect.DeepEqual(res.Outputs[r.ID], want[i]) {
 			t.Errorf("request %d: serve %v != reference %v", r.ID, res.Outputs[r.ID], want[i])
 		}
+	}
+
+	// The 9 requests run as 4 + 4 + 1 in 2, 2 and 1 micro-batches
+	// (PlanWave over 2x2). Each wave runs one prompt pass (its prompts
+	// are far under PrefillChunk) and genLen-1 decode steps: genLen
+	// passes. A wave of nb micro-batches primes layer 0 in nb pages and
+	// every pass pages Layers more layers (its layers 1..L-1 and the next
+	// pass's layer 0), nb pages each, so
+	//   PagesMoved = sum over waves of nb x (1 + Layers x genLen).
+	// A layer's nb pages are its shared floats whatever nb is, and loadh
+	// moves QDim floats per row per layer — a row per prompt token, then
+	// one per sequence per decode step — so
+	//   HtoDBytes = 4 x (SharedFloats x sum over waves of (1 + Layers x genLen)
+	//               + Layers x QDim x (prompt tokens + (genLen-1) x requests)).
+	waveMBs := []int{2, 2, 1}
+	if res.Waves != len(waveMBs) {
+		t.Fatalf("%d waves, want %d", res.Waves, len(waveMBs))
+	}
+	var pages, promptTokens int64
+	for _, nb := range waveMBs {
+		pages += int64(nb * (1 + cfg.Layers*genLen))
+	}
+	for _, p := range prompts {
+		promptTokens += int64(len(p))
+	}
+	layerLoads := int64(len(waveMBs) * (1 + cfg.Layers*genLen))
+	rows := promptTokens + int64((genLen-1)*len(queue))
+	htod := 4 * (int64(NewLayout(cfg).SharedFloats())*layerLoads + int64(cfg.Layers*cfg.QDim())*rows)
+	if res.KVLeaks != 0 || res.PagesMoved != pages || res.HtoDBytes != htod {
+		t.Errorf("KV leaks %d, pages moved %d, HtoD bytes %d; want 0, %d, %d",
+			res.KVLeaks, res.PagesMoved, res.HtoDBytes, pages, htod)
 	}
 }
 
@@ -116,13 +150,13 @@ func TestPipelineExplicitPartition(t *testing.T) {
 	partition := [][]int{{3, 0}, {1}, {4, 2}}
 
 	pl, err := NewPipeline(w, gpu, pinned, cacheArena, 5, Config{
-		MaxContext: 64, Partition: partition,
+		MaxContext: 64,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer pl.Close()
-	got, err := pl.Generate(prompts, 5)
+	got, err := pl.Run(prompts, partition, 5, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -153,8 +187,14 @@ func TestPartitionValidation(t *testing.T) {
 		{{0, 5}},         // out of range
 		{{0}},            // incomplete cover (n=3)
 	}
+	pl, err := NewPipeline(w, gpu, pinned, cacheArena, 3, Config{MaxContext: 16})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer pl.Close()
+	prompts := testPrompts(3, 3, 4, cfg.VocabSize)
 	for i, part := range bad {
-		if _, err := NewPipeline(w, gpu, pinned, cacheArena, 3, Config{MaxContext: 16, Partition: part}); err == nil {
+		if _, err := pl.Run(prompts, part, 2, nil, nil); err == nil {
 			t.Errorf("case %d: bad partition accepted", i)
 		}
 	}
@@ -185,13 +225,15 @@ func TestServeConfigRestatesNoEngineOption(t *testing.T) {
 		}
 	}
 	check(sc)
+	// A host sized for one short sequence cannot hold a 4x4 wave of
+	// long ones: NewServer refuses it before any wave runs.
 	host, err := NewHost(model.Tiny(), 1, 1, 16, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	preset := ServeConfig{Config: Config{MicroBatch: 1, MaxContext: 16, Partition: [][]int{{0}}}, NumMicroBatches: 1, CacheTokens: 16}
-	if _, err := NewServer(host, preset); err == nil {
-		t.Error("NewServer accepted a preset Partition")
+	undersized := ServeConfig{Config: Config{MicroBatch: 4, MaxContext: 8192}, NumMicroBatches: 4, CacheTokens: 8192}
+	if _, err := NewServer(host, undersized); err == nil || !strings.Contains(err.Error(), "exhausted") {
+		t.Errorf("NewServer on an undersized host: want arena exhaustion, got %v", err)
 	}
 }
 
@@ -300,6 +342,7 @@ func TestStatsCoverFinishedWave(t *testing.T) {
 			case <-h.Done():
 				done = true
 			default:
+				srv.Stats() // the pipeline's counters, read while its lanes write them
 				runtime.Gosched()
 			}
 		}

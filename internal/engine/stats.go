@@ -83,11 +83,18 @@ type ServerStats struct {
 	ExpertHits, ExpertMisses int64
 }
 
-// Stats snapshots the server's serving metrics.
+// Stats snapshots the server's serving metrics. The data-movement,
+// paging and fault totals are the pipeline's own cumulative counters,
+// read in place.
 func (s *Server) Stats() ServerStats {
+	c, ep := &s.pl.Counters, &s.pl.Counters.ExpertPaging
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	st := s.stats
+	st.HtoDBytes, st.DtoHBytes, st.PagesMoved = c.HtoDBytes.Load(), c.DtoHBytes.Load(), c.PagesMoved.Load()
+	st.WeightBytesFetched, st.ExpertHits, st.ExpertMisses = ep.BytesFetched.Load(), ep.Hits.Load(), ep.Misses.Load()
+	st.FaultRetries, st.FaultFailures = ep.FetchRetries.Load(), ep.FetchFailures.Load()
+	st.PrefixHitTokens, st.CowCopies = int(c.PrefixHitTokens.Load()), c.CowCopies.Load()
 	if s.ttft != nil {
 		st.AvgTTFT = s.ttft.Mean()
 		st.TTFTP50 = s.ttft.Quantile(0.50)

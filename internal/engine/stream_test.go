@@ -278,13 +278,16 @@ func TestServerNoProgressGuard(t *testing.T) {
 	}
 	// One micro-batch of one request per wave: the longest prompt is
 	// always placed and everything else aborted.
-	s := &Server{
-		host: &Host{W: w, GPU: gpu, Pinned: pinned, Cache: cacheArena},
-		cfg: ServeConfig{
-			Config:          Config{MicroBatch: 1, MaxContext: 64},
-			NumMicroBatches: 1, GenLen: 2, CacheTokens: 64, Vocab: cfg.VocabSize,
-		},
+	// The loop stays idle (nothing is submitted): the test drives the
+	// wave core on its own goroutine.
+	s, err := NewServer(&Host{W: w, GPU: gpu, Pinned: pinned, Cache: cacheArena}, ServeConfig{
+		Config:          Config{MicroBatch: 1, MaxContext: 64},
+		NumMicroBatches: 1, GenLen: 2, CacheTokens: 64, Vocab: cfg.VocabSize,
+	})
+	if err != nil {
+		t.Fatal(err)
 	}
+	defer s.Close()
 	starved := newHandle(workload.Request{ID: 1, PromptLen: 5, GenLen: 2}, nil, 2, SLO{})
 	big1 := newHandle(workload.Request{ID: 2, PromptLen: 9, GenLen: 2}, nil, 2, SLO{})
 	big2 := newHandle(workload.Request{ID: 3, PromptLen: 9, GenLen: 2}, nil, 2, SLO{})

@@ -8,17 +8,18 @@ import (
 )
 
 // runWave plans one wave over the pending requests (PlanWave), runs the
-// placed ones through a pipeline, and returns the deferred remainder in
-// the order it heads the next boundary's queue. Every handle it does
-// not return is finished (completed, canceled or failed). Time spent
-// from dispatch on is busy time however the wave ends.
+// placed ones on the server's pipeline, and returns the deferred
+// remainder in the order it heads the next boundary's queue. Every
+// handle it does not return is finished (completed, canceled or
+// failed). Time spent from dispatch on is busy time however the wave
+// ends.
 func (s *Server) runWave(pending []*Handle) []*Handle {
 	s.mu.Lock()
 	broken := s.broken
 	s.mu.Unlock()
 	if broken != nil {
-		// A wedged wave already abandoned the arenas: no further wave can
-		// run. Fail everything still pending with the watchdog's error.
+		// A wedged wave still holds the pipeline: no further wave can run.
+		// Fail everything still pending with the watchdog's error.
 		s.failAll(pending, broken)
 		return nil
 	}
@@ -26,7 +27,7 @@ func (s *Server) runWave(pending []*Handle) []*Handle {
 	for i, h := range pending {
 		items[i] = h.item
 	}
-	plan, err := PlanWave(items, time.Now(), s.cfg.AdmissionPolicy, batchConfig(s.cfg, s.host.W.Cfg.KVDim()))
+	plan, err := PlanWave(items, time.Now(), s.cfg.AdmissionPolicy, batchConfig(s.cfg, s.pl.w.Cfg.KVDim()))
 	if err != nil {
 		s.failAll(pending, err)
 		return nil
@@ -36,7 +37,7 @@ func (s *Server) runWave(pending []*Handle) []*Handle {
 		return nil
 	}
 	// The wave's sequences are the placed handles in placement order;
-	// the pipeline's partition indexes into that order.
+	// the run's partition indexes into that order.
 	var wave []*Handle
 	partition := make([][]int, len(plan.MicroBatches))
 	for j, mb := range plan.MicroBatches {
@@ -91,22 +92,17 @@ func (s *Server) runWave(pending []*Handle) []*Handle {
 	return deferred
 }
 
-// execWave runs one planned wave end to end — build the pipeline,
-// generate under the watchdog, close and audit it, fold its counters —
-// and returns each handle's terminal error (nil for a completed
+// execWave runs one planned wave end to end — run it on the server's
+// pipeline under the watchdog, audit the KV pool, fold its prompt phase
+// — and returns each handle's terminal error (nil for a completed
 // request) for the caller to finalize. A non-nil error means the wave
 // as a whole failed.
 func (s *Server) execWave(waveNum int, wave []*Handle, partition [][]int) ([]error, error) {
-	pl, err := s.buildPipeline(len(wave), partition)
-	if err != nil {
-		return nil, fmt.Errorf("engine: wave %d: %w", waveNum, err)
-	}
-	tokens, abandoned, gerr := s.generate(pl, waveNum, wave)
+	tokens, abandoned, gerr := s.generate(waveNum, wave, partition)
 	if abandoned {
 		return nil, gerr
 	}
-	pl.Close() // stops the lanes and the expert prefetcher (waiting out a copy in flight) first, so the counters below are final
-	s.auditWave(pl, waveNum)
+	s.auditWave(waveNum)
 	if gerr != nil {
 		return nil, fmt.Errorf("engine: wave %d: %w", waveNum, gerr)
 	}
@@ -116,12 +112,12 @@ func (s *Server) execWave(waveNum int, wave []*Handle, partition [][]int) ([]err
 		hopeless := h.tpotHopeless
 		h.mu.Unlock()
 		switch {
-		case pl.SeqErr(i) != nil:
+		case s.pl.SeqErr(i) != nil:
 			// Request-scoped failure: the sequence hit KV-pool exhaustion
 			// or an unrecoverable expert fetch and was retired (its blocks
 			// went back to the survivors), so only this request fails; the
 			// wave and its other requests are unaffected.
-			outcomes[i] = fmt.Errorf("engine: wave %d: request %d: %w", waveNum, h.ID(), pl.SeqErr(i))
+			outcomes[i] = fmt.Errorf("engine: wave %d: request %d: %w", waveNum, h.ID(), s.pl.SeqErr(i))
 		case hopeless:
 			s.mu.Lock()
 			s.stats.DeadlineDropped++
@@ -135,26 +131,14 @@ func (s *Server) execWave(waveNum int, wave []*Handle, partition [][]int) ([]err
 	return outcomes, nil
 }
 
-// buildPipeline is the one place the serving path constructs an
-// engine: it reclaims the host's wave arenas and builds a pipeline for
-// numSeqs sequences from the server's engine Config and the wave's
-// partition.
-func (s *Server) buildPipeline(numSeqs int, partition [][]int) (*Pipeline, error) {
-	s.host.GPU.Reset()
-	s.host.Pinned.Reset()
-	s.host.Cache.Reset()
-	cfg := s.cfg.Config
-	cfg.Partition = partition
-	return NewPipeline(s.host.W, s.host.GPU, s.host.Pinned, s.host.Cache, numSeqs, cfg)
-}
-
 // generate streams the wave's tokens to its handles under the watchdog:
-// GenerateStream executes in its own goroutine so a stall (a stuck
-// fetch, a wedged kernel) cannot hang the admission loop — and Close()
-// with it — forever. abandoned reports that the wave ignored the abort
-// and was left behind with the server marked broken; err is then the
-// error to fail its handles with, and the pipeline must not be touched.
-func (s *Server) generate(pl *Pipeline, waveNum int, wave []*Handle) (tokens [][]int, abandoned bool, err error) {
+// the run executes in its own goroutine so a stall (a stuck fetch, a
+// wedged kernel) cannot hang the admission loop — and Close() with it —
+// forever. abandoned reports that the wave ignored the abort and was
+// left behind with the server marked broken; err is then the error to
+// fail its handles with, and the pipeline must not be touched again.
+func (s *Server) generate(waveNum int, wave []*Handle, partition [][]int) (tokens [][]int, abandoned bool, err error) {
+	pl := s.pl
 	reqs := make([]workload.Request, len(wave))
 	for i, h := range wave {
 		reqs[i] = h.item.Req
@@ -188,8 +172,11 @@ func (s *Server) generate(pl *Pipeline, waveNum int, wave []*Handle) (tokens [][
 		err    error
 	}
 	resCh := make(chan waveResult, 1)
+	// Armed here, before the run starts, on the goroutine that alone
+	// aborts it: the watchdog's abort lands on this wave, never a stale one.
+	pl.armAbort()
 	go func() {
-		toks, gerr := pl.GenerateStream(prompts, s.cfg.GenLen, sink, stop)
+		toks, gerr := pl.Run(prompts, partition, s.cfg.GenLen, sink, stop)
 		resCh <- waveResult{toks, gerr}
 	}()
 	if s.cfg.WaveTimeout <= 0 {
@@ -224,7 +211,7 @@ func (s *Server) generate(pl *Pipeline, waveNum int, wave []*Handle) (tokens [][
 	}
 	// Phase 2: the wave ignored the abort — it is wedged INSIDE a step.
 	// Abandon the pipeline goroutine (pl.Close would block on its lanes)
-	// and mark the server broken: the arenas belong to the wedged wave,
+	// and mark the server broken: the pipeline belongs to the wedged wave,
 	// so later submits and waves fail fast instead of hanging. settle()
 	// and the push() guard keep the abandoned goroutine from touching
 	// the failed handles if it ever unwedges.
@@ -238,14 +225,19 @@ func (s *Server) generate(pl *Pipeline, waveNum int, wave []*Handle) (tokens [][
 	return nil, true, werr
 }
 
-// auditWave is the end-of-wave KV audit and counter fold. Every
+// auditWave is the end-of-wave KV audit and prompt-phase fold. Every
 // sequence must have released its blocks (completion, retirement and
-// the abort path all do; ReleaseAll is a no-op then): a leak would
-// silently shrink every later wave.
-func (s *Server) auditWave(pl *Pipeline, waveNum int) {
+// the abort path all do; ReleaseAll is a no-op then). A leak is counted
+// and the cache reset to empty, so it costs this wave alone instead of
+// shrinking every later one. The pipeline's counters are cumulative
+// and Stats reads them in place; only the run's own prompt phase folds.
+func (s *Server) auditWave(waveNum int) {
+	pl := s.pl
 	pl.ReleaseAll()
 	lerr := pl.KVIdle()
-	c, ep := &pl.Counters, &pl.Counters.ExpertPaging
+	if lerr != nil {
+		pl.cache.Reset()
+	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if lerr != nil {
@@ -254,16 +246,6 @@ func (s *Server) auditWave(pl *Pipeline, waveNum int) {
 			s.firstErr = fmt.Errorf("engine: wave %d: %w", waveNum, lerr)
 		}
 	}
-	s.stats.HtoDBytes += c.HtoDBytes.Load()
-	s.stats.DtoHBytes += c.DtoHBytes.Load()
-	s.stats.PagesMoved += c.PagesMoved.Load()
-	s.stats.WeightBytesFetched += ep.BytesFetched.Load()
-	s.stats.ExpertHits += ep.Hits.Load()
-	s.stats.ExpertMisses += ep.Misses.Load()
-	s.stats.FaultRetries += ep.FetchRetries.Load()
-	s.stats.FaultFailures += ep.FetchFailures.Load()
 	s.stats.PrefillTokens += pl.PrefillTokens
-	s.stats.PrefixHitTokens += int(c.PrefixHitTokens.Load())
-	s.stats.CowCopies += c.CowCopies.Load()
 	s.prefillTime += pl.PrefillDuration
 }

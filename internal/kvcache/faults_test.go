@@ -7,7 +7,8 @@ import (
 
 // TestCheckIdleDetectsLeaksAndRecovers: CheckIdle flags live streams /
 // held blocks while a sequence is appended, and passes again once the
-// sequence — prefix index included — is released.
+// sequence — prefix index included — is released, or, after a leak no
+// release can return, once the cache is Reset.
 func TestCheckIdleDetectsLeaksAndRecovers(t *testing.T) {
 	const layers, dim, block = 2, 4, 4
 	c := newCache(t, layers, dim, block, 32)
@@ -30,6 +31,29 @@ func TestCheckIdleDetectsLeaksAndRecovers(t *testing.T) {
 	c.Release(0)
 	if err := c.CheckIdle(); err != nil {
 		t.Fatalf("cache not idle after releasing its only sequence: %v", err)
+	}
+
+	// A leak: a live indexed sequence plus a block out of the pool that
+	// no stream holds.
+	for l := 0; l < layers; l++ {
+		for pos := 0; pos < block; pos++ {
+			if err := c.Append(1, l, vec(dim, 1), vec(dim, 2)); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	c.IndexPrefix(1, 0, tokens)
+	c.takeBlock()
+	if err := c.CheckIdle(); err == nil {
+		t.Fatal("CheckIdle passed with a leaked block")
+	}
+	free := c.FreeBlocks()
+	c.Reset()
+	if err := c.CheckIdle(); err != nil {
+		t.Fatalf("cache not idle after Reset: %v", err)
+	}
+	if c.FreeBlocks() != free+1+layers || c.Len(1) != 0 {
+		t.Errorf("after Reset: %d free blocks, want %d; sequence 1 holds %d tokens", c.FreeBlocks(), free+1+layers, c.Len(1))
 	}
 }
 

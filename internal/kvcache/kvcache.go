@@ -133,11 +133,11 @@ type Cache struct {
 	groups     int
 	rowFloats  int
 
-	pool      []*block // free blocks
-	numBlocks int      // total physical blocks (pool + assigned)
-	arena     *memory.Arena
-	blocks    map[seqLayer][]*block
-	length    map[seqLayer]int // tokens appended per sequence per layer
+	pool   []*block // free blocks
+	all    []block  // every physical block (pool + assigned), in New's pool order
+	arena  *memory.Arena
+	blocks map[seqLayer][]*block
+	length map[seqLayer]int // tokens appended per sequence per layer
 
 	// prefix is the content-addressed block index: chain hash of all
 	// tokens through a full block, per layer, to the physical block
@@ -230,16 +230,32 @@ func New(arena *memory.Arena, layers, kvDim, blockTokens, capacityTokens int, dt
 		c.groups = tensor.QGroups(kvDim, GroupSize)
 		c.rowFloats = c.packedCols + c.groups
 	}
-	numBlocks := (capacityTokens + blockTokens - 1) / blockTokens * layers
-	for i := 0; i < numBlocks; i++ {
+	c.all = make([]block, (capacityTokens+blockTokens-1)/blockTokens*layers)
+	for i := range c.all {
 		r, err := arena.Alloc(c.blockFloats())
 		if err != nil {
-			return nil, fmt.Errorf("kvcache: preallocating block %d of %d: %w", i, numBlocks, err)
+			return nil, fmt.Errorf("kvcache: preallocating block %d of %d: %w", i, len(c.all), err)
 		}
-		c.pool = append(c.pool, &block{region: r})
+		c.all[i].region = r
 	}
-	c.numBlocks = numBlocks
+	c.Reset()
 	return c, nil
+}
+
+// Reset returns the cache to the state New leaves it in (the
+// copy-on-write tally, cumulative, stays): every block free and
+// unreferenced, no streams, an empty prefix index. It is the recovery
+// from a failed CheckIdle, so a leak costs one wave, not every later one.
+func (c *Cache) Reset() {
+	c.pool = c.pool[:0]
+	for i := range c.all {
+		b := &c.all[i]
+		b.refs, b.indexed = 0, false
+		c.pool = append(c.pool, b)
+	}
+	clear(c.blocks)
+	clear(c.length)
+	clear(c.prefix)
 }
 
 // takeBlock pops a free block and resets its sharing state to a fresh
@@ -459,8 +475,8 @@ func (c *Cache) Release(seq int) {
 
 // UsedBlocks returns the number of distinct physical blocks currently
 // assigned to at least one sequence. A block shared by many sequences
-// counts once — this is the pool-capacity view, numBlocks-FreeBlocks.
-func (c *Cache) UsedBlocks() int { return c.numBlocks - len(c.pool) }
+// counts once — this is the pool-capacity view, all blocks less FreeBlocks.
+func (c *Cache) UsedBlocks() int { return len(c.all) - len(c.pool) }
 
 // CowCopies returns the cumulative number of copy-on-write block
 // copies performed since the cache was built.
@@ -480,9 +496,9 @@ func (c *Cache) SetAllocHook(hook func() error) { c.allocHook = hook }
 // stale stream, a dangling index entry — so serving tests can assert
 // leak-freedom after a drain.
 func (c *Cache) CheckIdle() error {
-	if len(c.pool) != c.numBlocks {
+	if len(c.pool) != len(c.all) {
 		return fmt.Errorf("kvcache: %d of %d blocks leaked (%d free)",
-			c.numBlocks-len(c.pool), c.numBlocks, len(c.pool))
+			len(c.all)-len(c.pool), len(c.all), len(c.pool))
 	}
 	for i, b := range c.pool {
 		if b.refs != 0 {

@@ -53,27 +53,21 @@ func (t PageTable) PageSize(p int) int {
 	return hi - lo
 }
 
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}
-
-// DoubleBuffer is the GPU-side weight region of A.1: two layer-sized
-// slots; while slot (l mod 2) serves layer l's kernels, pages for layer
-// l+1 land in the other slot.
+// DoubleBuffer is a two-slot layer region (A.1, Fig. 11). On the GPU,
+// slot (l mod 2) serves layer l's kernels while layer l+1's pages land
+// in the other; in pinned staging, the CPU->pinned copy of layer l+1
+// overlaps the pinned->GPU DMA of layer l's remaining pages. The page
+// split is the caller's PageTable, so buffers carved once serve any
+// page count.
 type DoubleBuffer struct {
 	slots [2]memory.Region
-	table PageTable
 }
 
-// NewDoubleBuffer carves 2 x layer slots out of the GPU arena.
-func NewDoubleBuffer(gpu *memory.Arena, table PageTable) (*DoubleBuffer, error) {
+// NewDoubleBuffer carves two slots of layerFloats out of an arena.
+func NewDoubleBuffer(arena *memory.Arena, layerFloats int) (*DoubleBuffer, error) {
 	var db DoubleBuffer
-	db.table = table
 	for i := range db.slots {
-		r, err := gpu.Alloc(table.LayerFloats)
+		r, err := arena.Alloc(layerFloats)
 		if err != nil {
 			return nil, fmt.Errorf("paging: slot %d: %w", i, err)
 		}
@@ -87,39 +81,8 @@ func (db *DoubleBuffer) Slot(layer int) memory.Region {
 	return db.slots[layer%2]
 }
 
-// PageRegion returns the destination region of page p for layer l.
-func (db *DoubleBuffer) PageRegion(layer, page int) memory.Region {
-	lo, hi := db.table.PageBounds(page)
+// PageRegion returns the region of page p of layer l under table t.
+func (db *DoubleBuffer) PageRegion(t PageTable, layer, page int) memory.Region {
+	lo, hi := t.PageBounds(page)
 	return db.Slot(layer).Slice(lo, hi)
-}
-
-// Table returns the page table.
-func (db *DoubleBuffer) Table() PageTable { return db.table }
-
-// Staging is the pinned-memory staging area: two layer-sized slots so
-// the CPU->pinned copy of layer l+1 overlaps the pinned->GPU DMA of
-// layer l's remaining pages (Fig. 11).
-type Staging struct {
-	slots [2]memory.Region
-	table PageTable
-}
-
-// NewStaging carves the pinned slots out of the pinned arena.
-func NewStaging(pinned *memory.Arena, table PageTable) (*Staging, error) {
-	var st Staging
-	st.table = table
-	for i := range st.slots {
-		r, err := pinned.Alloc(table.LayerFloats)
-		if err != nil {
-			return nil, fmt.Errorf("paging: pinned slot %d: %w", i, err)
-		}
-		st.slots[i] = r
-	}
-	return &st, nil
-}
-
-// PageRegion returns the pinned region of page p for layer l.
-func (st *Staging) PageRegion(layer, page int) memory.Region {
-	lo, hi := st.table.PageBounds(page)
-	return st.slots[layer%2].Slice(lo, hi)
 }

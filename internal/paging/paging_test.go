@@ -67,8 +67,7 @@ func TestPageBoundsPanicsOutOfRange(t *testing.T) {
 
 func TestDoubleBufferAlternatesSlots(t *testing.T) {
 	gpu := memory.NewArena("gpu", 1000)
-	tb, _ := NewPageTable(100, 4)
-	db, err := NewDoubleBuffer(gpu, tb)
+	db, err := NewDoubleBuffer(gpu, 100)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -87,22 +86,26 @@ func TestDoubleBufferAlternatesSlots(t *testing.T) {
 	}
 }
 
+// TestPageRegionWritesLandInSlot: pages tile the slot under whichever
+// table the caller pages with, so one buffer follows the page count.
 func TestPageRegionWritesLandInSlot(t *testing.T) {
 	gpu := memory.NewArena("gpu", 1000)
-	tb, _ := NewPageTable(100, 4)
-	db, _ := NewDoubleBuffer(gpu, tb)
-	for p := 0; p < 4; p++ {
-		r := db.PageRegion(3, p)
-		for i := range r.Data() {
-			r.Data()[i] = float32(p)
+	db, _ := NewDoubleBuffer(gpu, 100)
+	for _, pages := range []int{4, 3} {
+		tb, _ := NewPageTable(100, pages)
+		for p := 0; p < pages; p++ {
+			r := db.PageRegion(tb, 3, p)
+			for i := range r.Data() {
+				r.Data()[i] = float32(p)
+			}
 		}
-	}
-	slot := db.Slot(3).Data()
-	for p := 0; p < 4; p++ {
-		lo, hi := tb.PageBounds(p)
-		for i := lo; i < hi; i++ {
-			if slot[i] != float32(p) {
-				t.Fatalf("slot[%d] = %v, want page %d", i, slot[i], p)
+		slot := db.Slot(3).Data()
+		for p := 0; p < pages; p++ {
+			lo, hi := tb.PageBounds(p)
+			for i := lo; i < hi; i++ {
+				if slot[i] != float32(p) {
+					t.Fatalf("%d pages: slot[%d] = %v, want page %d", pages, i, slot[i], p)
+				}
 			}
 		}
 	}
@@ -111,20 +114,20 @@ func TestPageRegionWritesLandInSlot(t *testing.T) {
 func TestStaging(t *testing.T) {
 	pinned := memory.NewArena("pinned", 1000)
 	tb, _ := NewPageTable(100, 4)
-	st, err := NewStaging(pinned, tb)
+	st, err := NewDoubleBuffer(pinned, tb.LayerFloats)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if pinned.Used() != 200 {
 		t.Fatalf("staging used %d floats, want 200", pinned.Used())
 	}
-	a := st.PageRegion(0, 1)
-	b := st.PageRegion(1, 1)
+	a := st.PageRegion(tb, 0, 1)
+	b := st.PageRegion(tb, 1, 1)
 	a.Data()[0] = 5
 	if b.Data()[0] == 5 {
 		t.Fatal("staging slots alias")
 	}
-	c := st.PageRegion(2, 1)
+	c := st.PageRegion(tb, 2, 1)
 	if c.Data()[0] != 5 {
 		t.Fatal("staging slot parity broken")
 	}
@@ -132,8 +135,7 @@ func TestStaging(t *testing.T) {
 
 func TestDoubleBufferOOM(t *testing.T) {
 	gpu := memory.NewArena("gpu", 50)
-	tb, _ := NewPageTable(100, 4)
-	if _, err := NewDoubleBuffer(gpu, tb); err == nil {
+	if _, err := NewDoubleBuffer(gpu, 100); err == nil {
 		t.Fatal("want arena exhaustion")
 	}
 }
@@ -148,13 +150,13 @@ func TestEndToEndPagedCopy(t *testing.T) {
 		layer.Data()[i] = float32(i)
 	}
 	tb, _ := NewPageTable(100, 7)
-	st, _ := NewStaging(pinned, tb)
-	db, _ := NewDoubleBuffer(gpu, tb)
+	st, _ := NewDoubleBuffer(pinned, tb.LayerFloats)
+	db, _ := NewDoubleBuffer(gpu, tb.LayerFloats)
 	const v = 5
 	for p := 0; p < tb.NumPages; p++ {
 		lo, hi := tb.PageBounds(p)
-		memory.Copy(st.PageRegion(v, p), layer.Slice(lo, hi))
-		memory.Copy(db.PageRegion(v, p), st.PageRegion(v, p))
+		memory.Copy(st.PageRegion(tb, v, p), layer.Slice(lo, hi))
+		memory.Copy(db.PageRegion(tb, v, p), st.PageRegion(tb, v, p))
 	}
 	for i, got := range db.Slot(v).Data() {
 		if got != float32(i) {

@@ -255,18 +255,14 @@ func TestFunctionalOptionPlumbing(t *testing.T) {
 
 // TestServerConfigCoversEngineConfig: the flat public ServerConfig is
 // the one hand-written mapping left above the engine, so every engine
-// knob must have a counterpart there — all of engine.Config except the
-// two the server decides itself (the micro-batch size has its serving
-// name, the partition comes from the batcher).
+// knob must have a counterpart there — all of engine.Config, some under
+// their serving names.
 func TestServerConfigCoversEngineConfig(t *testing.T) {
 	public := reflect.TypeOf(ServerConfig{})
 	renamed := map[string]string{"MicroBatch": "MicroBatchSize", "SharedPrefix": "SharedPrefixKV"}
 	ec := reflect.TypeOf(engine.Config{})
 	for i := 0; i < ec.NumField(); i++ {
 		name := ec.Field(i).Name
-		if name == "Partition" {
-			continue
-		}
 		if to, ok := renamed[name]; ok {
 			name = to
 		}
