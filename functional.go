@@ -74,9 +74,10 @@ func RunFunctional(cfg ModelConfig, requests []Request, opts FunctionalOptions) 
 	out.ServerStats = srv.Stats()
 
 	if opts.Verify {
-		// srv.cfg is the serving path's effective configuration, so the
-		// reference re-derives exactly the prompts the server used.
-		prompts := engine.PromptsFromRequests(requests, srv.cfg.Vocab)
+		// The server derives prompts over the model's vocabulary and srv.cfg
+		// is its effective configuration: the reference re-derives exactly
+		// the prompts the server used.
+		prompts := engine.PromptsFromRequests(requests, srv.host.W.Cfg.VocabSize)
 		ref, err := engine.NewReferenceKV(srv.host.W, memory.NewArena("ref", srv.host.Cache.Capacity()), len(requests), srv.cfg.MaxContext, srv.cfg.KVDtype)
 		if err != nil {
 			return out, err

@@ -188,7 +188,6 @@ func Run(cfg Config) (Report, error) {
 		NumMicroBatches:    numMicro,
 		GenLen:             genLen,
 		CacheTokens:        microBatch * maxContext,
-		Vocab:              m.VocabSize,
 		HonorRequestGenLen: true,
 		EnforceDeadlines:   true,
 		WaveTimeout:        cfg.WaveTimeout,

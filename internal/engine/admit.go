@@ -70,9 +70,6 @@ func batchConfig(cfg ServeConfig, kvDim int) batching.Config {
 // MicroBatch x NumMicroBatches sequences, a full wave. A host that
 // cannot hold it fails here, not at a wave.
 func NewServer(host *Host, cfg ServeConfig) (*Server, error) {
-	if cfg.Vocab <= 0 {
-		cfg.Vocab = host.W.Cfg.VocabSize
-	}
 	if cfg.GenLen < 0 {
 		return nil, fmt.Errorf("engine: negative GenLen %d", cfg.GenLen)
 	}

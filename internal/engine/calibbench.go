@@ -46,9 +46,10 @@ type DecodeBenchResult struct {
 	ExpertHits, ExpertMisses, ExpertBytesFetched int64
 }
 
-// MeasureDecodeSteps prefills cfg.Seqs prompts (the last prompt pass
-// pages layer 0 in), runs one warm-up step, then times cfg.Steps
-// steady-state decode steps through the full pipelined lane schedule
+// MeasureDecodeSteps runs the prompt phase over cfg.Seqs prompts (a
+// one-token run: its last pass pages layer 0 in), runs one warm-up step,
+// then times cfg.Steps steady-state decode steps — passes, planned and
+// run, the LM head excluded — through the full pipelined lane schedule
 // (GPU, CPU, HtoD, DtoH).
 func MeasureDecodeSteps(cfg BenchConfig) (DecodeBenchResult, error) {
 	var res DecodeBenchResult
@@ -64,10 +65,10 @@ func MeasureDecodeSteps(cfg BenchConfig) (DecodeBenchResult, error) {
 	}
 	defer pl.Close()
 
-	if err := pl.prefill(prompts); err != nil {
+	if _, err := pl.Run(prompts, nil, 1, nil, nil); err != nil {
 		return res, err
 	}
-	if err := pl.decodeStep(0); err != nil { // warm-up
+	if err := pl.pass(); err != nil { // warm-up
 		return res, err
 	}
 	paging := &pl.Counters.ExpertPaging
@@ -75,8 +76,8 @@ func MeasureDecodeSteps(cfg BenchConfig) (DecodeBenchResult, error) {
 	bytes0 := paging.BytesFetched.Load()
 
 	start := time.Now()
-	for t := 1; t <= cfg.Steps; t++ {
-		if err := pl.decodeStep(t); err != nil {
+	for range cfg.Steps {
+		if err := pl.pass(); err != nil {
 			return res, err
 		}
 	}
@@ -112,11 +113,10 @@ func MeasurePrefill(cfg BenchConfig) (PrefillBenchResult, error) {
 	}
 	defer pl.Close()
 
-	start := time.Now()
-	if err := pl.prefill(prompts); err != nil {
+	if _, err := pl.Run(prompts, nil, 1, nil, nil); err != nil {
 		return res, err
 	}
-	res.Seconds = time.Since(start).Seconds()
+	res.Seconds = pl.PrefillDuration.Seconds()
 	res.Tokens = pl.PrefillTokens
 	return res, nil
 }

@@ -27,11 +27,13 @@
 //     count, always with Plan.LayerFFN, and bound to Pipeline.runTask
 //     (laneSet, pipeline.go) — again only when a run's count differs
 //     from the one bound (Pipeline.begin). It is the only code that
-//     runs the model forward: the prompt phase is passes of it, each
-//     carrying up to PrefillChunk prompt tokens as rows (prefill.go
-//     plans them), and a decode step is a pass of one row per live
-//     sequence (decodeStep). A pass lays its rows out and runs the
-//     graph, and a decode step allocates nothing for it.
+//     runs the model forward: Pipeline.Run drives every pass through one
+//     entry, Pipeline.pass, whose one planner (plan) gives a prompt pass
+//     up to PrefillChunk prompt tokens as rows and a decode step one row
+//     per live sequence, from each sequence's own progress; one epilogue
+//     follows every pass. prefill.go keeps prefix-reuse planning and the
+//     prompt-phase totals. A pass lays its rows out and runs the graph,
+//     and a decode step allocates nothing for it.
 //   - Post-attention (forward.go): postAttention is postRoute (O
 //     projection, residual, router; per group of rows, at a row offset)
 //     then expertFFN (every routed expert once over all rows). The

@@ -266,7 +266,7 @@ func TestPrefillHandoffEvictsOldestLayerFirst(t *testing.T) {
 		return expertFFN(layout, experts, x, scratch)
 	}
 
-	if err := pl.prefill(testPrompts(seqs, 3, 7, cfg.VocabSize)); err != nil {
+	if _, err := pl.Run(testPrompts(seqs, 3, 7, cfg.VocabSize), nil, 1, nil, nil); err != nil {
 		t.Fatal(err)
 	}
 	if a, b, c := resident(L-2), resident(L-1), resident(0); a != 0 || b != E || c != E {

@@ -32,7 +32,8 @@ func TestBoundGraphStepAllocatesNothing(t *testing.T) {
 	}
 }
 
-// TestDecodeStepAllocations: a warm decode step at the standing
+// TestDecodeStepAllocations: a warm decode step — one pass after the
+// prompt phase, planned and run, the LM head excluded — at the standing
 // benchmark's wave shape (bench-moe-8x, 16 sequences as 4x4). What is
 // left is the pager's per-block bookkeeping, the attention fan-out and
 // ParallelFor; building the graph every step cost ~890 more.
@@ -53,18 +54,13 @@ func TestDecodeStepAllocations(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer pl.Close()
-	if err := pl.prefill(prompts); err != nil {
+	if _, err := pl.Run(prompts, nil, 1, nil, nil); err != nil {
 		t.Fatal(err)
 	}
-	if err := pl.primeLayer(0); err != nil {
-		t.Fatal(err)
-	}
-	step := 0
 	allocs := testing.AllocsPerRun(steps, func() {
-		if err := pl.decodeStep(step); err != nil {
+		if err := pl.pass(); err != nil {
 			t.Fatal(err)
 		}
-		step++
 	})
 	if allocs > 200 {
 		t.Errorf("a warm decode step allocates %.0f objects, want <= 200", allocs)

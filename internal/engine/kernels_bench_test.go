@@ -71,8 +71,9 @@ func benchModel() model.Config {
 	return cfg
 }
 
-// benchDecodeStep times steady-state CGOPipe decode steps (prefill and
-// the LM head excluded) over seqs sequences in seqs/mu micro-batches.
+// benchDecodeStep times steady-state CGOPipe decode steps — passes after
+// the prompt phase, each planned and run; the prompt phase and the LM
+// head excluded — over seqs sequences in seqs/mu micro-batches.
 // residencyBytes sizes the expert-weight resident set (0 = the default
 // two-layer working set); decode-phase expert paging traffic is
 // reported as MiB/step so cold-vs-warm comparisons can attribute the
@@ -107,13 +108,13 @@ func benchDecodeStep(b *testing.B, seed bool, dtype kvcache.DType, residencyByte
 		if seed {
 			pl.kern = newSeedKernels(pl.layout)
 		}
-		if err := pl.prefill(prompts); err != nil { // its last pass pages layer 0 in
+		if _, err := pl.Run(prompts, nil, 1, nil, nil); err != nil { // its last pass pages layer 0 in
 			b.Fatal(err)
 		}
 		base := pl.Counters.ExpertPaging.BytesFetched.Load()
 		b.StartTimer()
 		for t := 0; t < steps; t++ {
-			if err := pl.decodeStep(t); err != nil {
+			if err := pl.pass(); err != nil {
 				b.Fatal(err)
 			}
 		}

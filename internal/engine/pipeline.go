@@ -26,9 +26,10 @@ import (
 // attention pages, the layer-wide expert FFN; retirement empties a
 // micro-batch, it never removes a task) and bound again only when a
 // run's micro-batch count differs from the last one's. Both phases are
-// passes of that one graph: a prompt pass carries up to PrefillChunk
-// prompt tokens as rows, a decode step one row per live sequence, and a
-// pass only sets its rows and runs it. Built once for a capacity of
+// passes of that one graph, driven by one loop (Run) through one entry
+// (pass): one planner gives a prompt pass up to PrefillChunk prompt
+// tokens as rows and a decode step one row per live sequence, and a pass
+// only sets its rows and runs the graph. Built once for a capacity of
 // sequences, a pipeline runs runs of up to that many, one at a time;
 // only a run's own state is reset between them (begin).
 // Attention, the O projection and the router run per micro-batch; the
@@ -98,7 +99,7 @@ type Pipeline struct {
 	// The run's prompts, the shared prefix each sequence maps from its
 	// donor instead of computing (planPrefixReuse), each sequence's next
 	// input token once its prompt is done (the greedy sample of its last
-	// row), and how many prompt passes ran before decode.
+	// row), and how many passes the run has run, prompt passes first.
 	prompts     [][]int
 	skip, donor []int
 	next        []int
@@ -110,8 +111,8 @@ type Pipeline struct {
 	// PrefillTokens and PrefillDuration report the last run's prompt
 	// phase: how many prompt tokens completed prefill (a sequence retired
 	// by prefill-time KV exhaustion contributes none) and the wall-clock
-	// its passes took. Valid once a run has run prefill; the server folds
-	// them into ServerStats' prefill throughput.
+	// its passes took. Valid once a run's prompt phase is over; the
+	// server folds them into ServerStats' prefill throughput.
 	PrefillTokens   int
 	PrefillDuration time.Duration
 
@@ -386,22 +387,24 @@ func NewPipeline(w *Weights, gpu, pinned, cacheArena *memory.Arena, numSeqs int,
 		cache.SetAllocHook(cfg.Faults.KVAlloc)
 		p.pager.SetFetchFault(cfg.Faults.ExpertFetch)
 	}
-	if err := p.begin(nil, numSeqs); err != nil {
+	if err := p.begin(make([][]int, numSeqs), nil); err != nil {
 		p.pager.Close()
 		return nil, err
 	}
 	return p, nil
 }
 
-// begin readies the pipeline for a run of n sequences in the given
+// begin readies the pipeline for a run of the prompts in the given
 // micro-batches (nil: Generate's, consecutive runs of Config.MicroBatch
 // or, when that is not positive, one). It releases the last run's
-// sequences and resets the run's state (spans, rows and next tokens are
-// laid afresh by every pass). When the micro-batch count differs from
-// the bound graph's, it splits the shared weights into that many pages
-// and binds the lanes to the graph schedule.Build emits for it. The
-// partition is copied: retirement assigns into p.mbs.
-func (p *Pipeline) begin(partition [][]int, n int) error {
+// sequences and resets the run's state: each sequence's span starts
+// past its planned shared prefix (planPrefixReuse), and rows and next
+// tokens are laid afresh by every pass. When the micro-batch count
+// differs from the bound graph's, it splits the shared weights into that
+// many pages and binds the lanes to the graph schedule.Build emits for
+// it. The partition is copied: retirement assigns into p.mbs.
+func (p *Pipeline) begin(prompts, partition [][]int) error {
+	n := len(prompts)
 	if n <= 0 || n > len(p.next) {
 		return fmt.Errorf("engine: %d sequences for a pipeline of %d", n, len(p.next))
 	}
@@ -443,6 +446,9 @@ func (p *Pipeline) begin(partition [][]int, n int) error {
 	clear(p.seqErr)
 	p.passes, p.PrefillTokens, p.PrefillDuration = 0, 0, 0
 	p.err.Store(nil)
+	p.prompts = prompts
+	p.skip, p.donor = p.planPrefixReuse(prompts)
+	copy(p.spanHi, p.skip)
 	return nil
 }
 

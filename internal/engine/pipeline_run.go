@@ -21,10 +21,15 @@ func (p *Pipeline) Generate(prompts [][]int, genLen int) ([][]int, error) {
 	return p.GenerateStream(prompts, genLen, nil, nil)
 }
 
-// StepSink receives a generated token the moment the pass that produced
-// it completes: seq is the pipeline sequence index, index the token's
-// position in that sequence's output, token the token id. It is called
-// from the generation goroutine, in ascending (index, seq) order.
+// StepSink receives each generated token: seq is the pipeline sequence
+// index, index the token's position in that sequence's output, token the
+// token id. It is called from the generation goroutine, in ascending
+// (index, seq) order. Every sequence's index 0 arrives once the prompt
+// phase is over — a prompt that ends in an early prompt pass holds its
+// first token until the last prompt pass completes — so the first call
+// marks the end of the prompt phase (bench/wave.go times the phase by
+// it); each later index arrives as the decode step that produced it
+// completes.
 type StepSink func(seq, index, token int)
 
 // StopFunc is polled at every decode-step boundary for each live
@@ -46,95 +51,90 @@ func (p *Pipeline) GenerateStream(prompts [][]int, genLen int, sink StepSink, st
 // sequences: prompts[s] is sequence s, and partition lists the
 // micro-batches as sequence indices, each exactly once (the Alg. 2
 // batcher's placement; nil is Generate's chunks). sink (may be nil)
-// observes each token as soon as the pass that produced it completes —
-// the first once the prompt phase is over, the rest one decode step
-// each, well before the run's final step; stop (may be nil) cancels
-// individual sequences mid-generation at step boundaries. Both phases
-// are passes of the one bound step graph (prefill.go plans the prompt
-// passes, decodeStep the decode ones). Retired sequences return the
-// tokens emitted before retirement. Its sequences keep their KV blocks
-// until ReleaseAll or the next run.
+// observes the tokens as StepSink says, well before the run's final
+// step; stop (may be nil) cancels individual sequences mid-generation
+// at step boundaries. Run is begin plus one loop of pass() — one planner
+// lays out every pass, prompt pass or decode step — each followed by one
+// epilogue: the sequences that failed in the pass retire, then the rows
+// that end a prompt or decode sample; once the prompt phase is over it
+// also records the phase's totals (once), emits a token per live
+// sequence and, unless that was the last, polls stop. Retired sequences
+// return the tokens emitted before retirement. Its sequences keep their
+// KV blocks until ReleaseAll or the next run.
 func (p *Pipeline) Run(prompts, partition [][]int, genLen int, sink StepSink, stop StopFunc) ([][]int, error) {
 	if p.closed {
 		return nil, fmt.Errorf("engine: pipeline is closed")
 	}
-	if err := p.begin(partition, len(prompts)); err != nil {
+	for s, prompt := range prompts {
+		if len(prompt) == 0 {
+			return nil, fmt.Errorf("engine: empty prompt for sequence %d", s)
+		}
+	}
+	if err := p.begin(prompts, partition); err != nil {
 		return nil, err
 	}
-	prefillStart := time.Now()
-	err := p.prefill(prompts)
-	p.PrefillDuration = time.Since(prefillStart)
-	if err != nil {
-		return nil, err
-	}
-
 	out := make([][]int, len(prompts))
-	active := make([]bool, len(prompts))
-	live := 0
-	for s := range prompts {
-		// A sequence that failed during prefill was retired at its pass
-		// boundary (SeqErr reports it); it emits no tokens and the wave
-		// carries on with the survivors.
-		if p.seqErr[s] != nil {
+	retired, live := make([]bool, len(prompts)), len(prompts)
+	retire := func(s int) {
+		if !retired[s] {
+			p.retire(s)
+			retired[s] = true
+			live--
+		}
+	}
+	start := time.Now()
+	// t is the output index the next emission fills: 0 until the prompt
+	// phase is over.
+	for t := 0; live > 0; {
+		if err := p.pass(); err != nil {
+			if t == 0 {
+				p.PrefillDuration = time.Since(start)
+			}
+			return nil, err
+		}
+		// Pass boundary: retire the sequences that failed in the pass (KV
+		// exhaustion, a lost expert) before their stale hidden state can
+		// emit a token. The failure is per-request (surfaced via SeqErr), the
+		// wave carries on with the survivors, and a sequence that failed in
+		// a prompt pass emits no tokens at all.
+		for s, err := range p.seqErr {
+			if err != nil {
+				retire(s)
+			}
+		}
+		p.sampleNext()
+		if p.prompting() {
 			continue
 		}
-		active[s] = true
-		live++
-	}
-	if live == 0 {
-		return out, nil
-	}
-
-	// No preload: the last prompt pass paged layer 0 in for the first
-	// decode step and asked the prefetcher for its experts.
-	for t := 0; t < genLen; t++ {
-		for s := range prompts {
-			if !active[s] {
-				continue
-			}
-			out[s] = append(out[s], p.next[s])
-			if sink != nil {
-				sink(s, t, p.next[s])
-			}
+		if t == 0 {
+			p.promptTotals(time.Since(start))
 		}
-		if t == genLen-1 {
+		if t < genLen {
+			for s := range out {
+				if !retired[s] {
+					out[s] = append(out[s], p.next[s])
+					if sink != nil {
+						sink(s, t, p.next[s])
+					}
+				}
+			}
+			t++
+		}
+		if t >= genLen {
 			break
 		}
 		// Step boundary: retire canceled or individually-finished
 		// sequences before the next decode step touches them.
 		if stop != nil {
-			for s := range prompts {
-				if active[s] && stop(s, len(out[s])) {
-					p.retire(s)
-					active[s] = false
-					live--
+			for s := range out {
+				if !retired[s] && stop(s, len(out[s])) {
+					retire(s)
 				}
 			}
-			if live == 0 {
-				break
-			}
 		}
-		if err := p.decodeStep(t); err != nil {
-			return nil, err
-		}
-		// Retire sequences that hit KV-pool exhaustion during the step
-		// before their stale hidden state can emit a token: the failure
-		// is per-request (surfaced via SeqErr), the wave continues, and
-		// the retirement takes the offender out of its micro-batch.
-		for s := range prompts {
-			if active[s] && p.seqErr[s] != nil {
-				p.retire(s)
-				active[s] = false
-				live--
-			}
-		}
-		if live == 0 {
-			break
-		}
-		p.sampleNext()
 	}
 	// Decode-time writes into shared history (multi-turn continuations)
-	// may copy-on-write after prefill counted; refresh the tally.
+	// may copy-on-write after the prompt phase counted; refresh the tally.
 	p.Counters.CowCopies.Store(p.cache.CowCopies())
 	return out, nil
 }
@@ -191,9 +191,8 @@ func (p *Pipeline) SeqErr(s int) error {
 // blocks back to the cache pool. The micro-batch count — and with it the
 // task-graph shape and per-pass weight-page traffic — is unchanged; an
 // emptied micro-batch simply computes nothing. Called only at a pass
-// boundary, with no lane task in flight: between decode steps
-// (cancellation and mid-step failures) and between prompt passes —
-// mutating p.mbs is only safe under that condition.
+// boundary, with no lane task in flight (Run's epilogue: cancellation and
+// mid-pass failures) — mutating p.mbs is only safe under that condition.
 func (p *Pipeline) retire(s int) {
 	for j, mb := range p.mbs {
 		for i, v := range mb {
@@ -209,15 +208,75 @@ func (p *Pipeline) retire(s int) {
 	}
 }
 
-// layRows lays the next pass's rows out from every live sequence's span
-// [spanLo, spanHi) — micro-batch j's rows from rowOff[j] on, in
-// partition order, one per position — and embeds each row's token into
-// hidden: a prompt token, or past the prompt the sequence's next token.
-func (p *Pipeline) layRows() {
-	n := 0
+// plan lays out the run's next pass, prompt pass or decode step: the
+// one planner of both. Walking the live sequences in issue order —
+// micro-batch order, then order within the micro-batch — each continues
+// from spanHi. While any live prompt has tokens left, each continues its
+// prompt until the pass holds prefillChunk rows, so the passes slice the
+// wave's prompt tokens in issue order and no sequence starts before every
+// sequence ahead of it has finished its prompt; a sequence whose prompt
+// is done waits, so no decode row joins a prompt pass. Otherwise each
+// takes one row, its next token at its next position: a decode step.
+// Micro-batch j's rows run from rowOff[j] on, in partition order, one per
+// position, and each embeds its token into hidden: a prompt token, or
+// past the prompt the sequence's next token.
+//
+// The prompt phase is thus passes of the bound step graph (the zigzag
+// order of §4): each carries up to PrefillChunk of the wave's prompt
+// tokens as rows, each with its own position and owning sequence, and
+// runs every layer over them exactly as a decode step runs its one row
+// per sequence: a QKV GEMM batch per micro-batch, K/V offloaded to the
+// CPU cache (prefill KV offloading, §4) and causal attention over each
+// sequence's cached prefix on the CPU lane, the router per micro-batch,
+// and one expert-grouped FFN per layer that buckets tokens by expert
+// ACROSS sequences — so a wave of short prompts runs large GEMM triples
+// instead of numSeqs x layers skinny ones. All kernels are
+// row-independent and accumulate in fixed k-ascending /
+// expert-id-ascending order, so the packed shapes are bit-identical to
+// the sequence-at-a-time pass — and to reference.go — under both codecs
+// and any chunk size.
+//
+// A prompt longer than one pass runs chunk-outer and layer-inner: the
+// next pass continues it, every layer again. That is bit-identical too,
+// because rows are independent and each token's causal attention reads
+// the prefix earlier passes cached; what it costs is one more sweep of
+// every layer's expert weights per pass.
+//
+// A sequence that exhausts the KV block pool or loses an expert mid-pass
+// is marked in seqErr, and its rows ride along without write-back or
+// counting, in prompt passes as in decode (a KV failure hands its blocks
+// back at once). It retires at the pass boundary, never with lanes
+// running: prefill fails only the offending request, never the wave.
+//
+// With SharedPrefix enabled, sequences whose prompts open with the same
+// tokens as one earlier in issue order skip the matched prefix
+// entirely: begin starts their spans past it, and at the follower's
+// first computed token the donor's cache blocks are mapped in place
+// (refcount++, zero copies, zero FLOPs). Attention reads the shared
+// prefix through the same block views as everything else; because the
+// donor's K/V rows for a prefix token depend only on (token id,
+// position), the mapped rows are bit-identical to the rows the follower
+// would have computed, so sharing changes no output bit under either
+// codec.
+//
+// After every pass Run samples (sampleNext): a prompt whose last token
+// was in the pass takes its first token from that row, which seeds its
+// decode.
+func (p *Pipeline) plan() {
+	prompting := p.prompting()
+	budget, rest, live, n := p.prefillChunk, 0, 0, 0
 	for j, mb := range p.mbs {
 		p.rowOff[j] = n
 		for _, s := range mb {
+			p.spanLo[s] = p.spanHi[s]
+			take := 1
+			if prompting {
+				left := len(p.prompts[s]) - p.spanLo[s]
+				take = min(left, budget)
+				budget -= take
+				rest += left - take
+			}
+			p.spanHi[s] = p.spanLo[s] + take
 			for t := p.spanLo[s]; t < p.spanHi[s]; t++ {
 				tok := p.next[s]
 				if t < len(p.prompts[s]) {
@@ -227,18 +286,47 @@ func (p *Pipeline) layRows() {
 				copy(p.hidden.Row(n), p.w.Embedding.Row(tok))
 				n++
 			}
+			live++
 		}
 	}
 	p.rowOff[len(p.mbs)] = n
+	// The pass after this one routes what is left of the prompts or, after
+	// the last prompt pass, a decode step's row per live sequence (some
+	// may retire at the boundary: at most this many).
+	p.nextRows = min(rest, p.prefillChunk)
+	if rest == 0 {
+		p.nextRows = live
+	}
 }
 
-// runPass runs pass k of the run — prompt passes first, then one per
-// decode step — over the rows the caller laid out: every micro-batch
-// through every layer, with the pipeline's five lanes overlapped. The
-// graph was bound before the run; a pass sets its weight-buffer base,
-// runs it, and returns when the pass completes (synchronous pass
-// boundary).
-func (p *Pipeline) runPass(k int) error {
+// prompting reports whether a live sequence has prompt tokens left:
+// whether the run is still in its prompt phase.
+func (p *Pipeline) prompting() bool {
+	for _, mb := range p.mbs {
+		for _, s := range mb {
+			if p.spanHi[s] < len(p.prompts[s]) {
+				return true
+			}
+		}
+	}
+	return false
+}
+
+// pass plans the run's next pass and runs it: every micro-batch through
+// every layer over the rows plan laid out, with the pipeline's five lanes
+// overlapped. The graph was bound before the run; a pass sets its
+// weight-buffer base, runs it, and returns when the pass completes
+// (synchronous pass boundary). Only layer 0 of the run's first pass is
+// staged outside the graph (primeLayer): every pass pages in the next
+// one's layer 0 and asks the prefetcher for its experts, so the first
+// decode step needs no preload either.
+func (p *Pipeline) pass() error {
+	p.plan()
+	if p.passes == 0 {
+		if err := p.primeLayer(0); err != nil {
+			return err
+		}
+	}
 	// Fault seam + cooperative abort, both at the pass boundary: a fired
 	// stall blocks here (woken early by Abort), and an abort requested by
 	// the watchdog ends the wave before the next pass.
@@ -246,23 +334,10 @@ func (p *Pipeline) runPass(k int) error {
 	if aerr := context.Cause(p.aborted); aerr != nil {
 		return aerr
 	}
-	p.vbase = k * p.w.Cfg.Layers // the previous pass paged this pass's layer 0 into the slot of its parity
+	p.vbase = p.passes * p.w.Cfg.Layers // the previous pass paged this pass's layer 0 into the slot of its parity
+	p.passes++
 	p.lanes.runStep()
 	return p.failed()
-}
-
-// decodeStep executes Alg. 1 for one token position: each live sequence
-// contributes one row, its next token at its next position.
-func (p *Pipeline) decodeStep(step int) error {
-	for _, mb := range p.mbs {
-		for _, s := range mb {
-			p.spanLo[s] = p.cache.Len(s)
-			p.spanHi[s] = p.spanLo[s] + 1
-		}
-	}
-	p.layRows()
-	p.nextRows = p.rowOff[len(p.mbs)] // sequences retire between steps: at most this many
-	return p.runPass(p.passes + step)
 }
 
 // runTask is the engine's side of the graph: what each role of the
@@ -560,17 +635,6 @@ func (p *Pipeline) primeLayer(v int) error {
 	}
 	p.prefetchExperts(p.rowOff[len(p.mbs)], p.realLayer(v))
 	return nil
-}
-
-// liveRows is the number of sequences still generating: the token rows
-// every layer of a decode step routes. Micro-batches only change at
-// pass boundaries.
-func (p *Pipeline) liveRows() int {
-	n := 0
-	for _, mb := range p.mbs {
-		n += len(mb)
-	}
-	return n
 }
 
 // pagedExperts adapts the expert pager to the expertSource interface

@@ -2,119 +2,27 @@ package engine
 
 import (
 	"fmt"
+	"time"
 
 	"moelightning/internal/kvcache"
 )
 
-// prefill runs the prompt phase as passes of the bound step graph (the
-// zigzag order of §4): each pass carries up to PrefillChunk of the
-// wave's prompt tokens as rows — micro-batch j's from rowOff[j] on, each
-// with its own position and owning sequence — and runs every layer over
-// them exactly as a decode step runs its one row per sequence: a QKV
-// GEMM batch per micro-batch, K/V offloaded to the CPU cache (prefill KV
-// offloading, §4) and causal attention over each sequence's cached
-// prefix on the CPU lane, the router per micro-batch, and one
-// expert-grouped FFN per layer that buckets tokens by expert ACROSS
-// sequences — so a wave of short prompts runs large GEMM triples
-// instead of numSeqs x layers skinny ones. All kernels are
-// row-independent and accumulate in fixed k-ascending /
-// expert-id-ascending order, so the packed shapes are bit-identical to
-// the sequence-at-a-time pass — and to reference.go — under both codecs
-// and any chunk size.
-//
-// A prompt longer than one pass runs chunk-outer and layer-inner: the
-// next pass continues it, every layer again. That is bit-identical too,
-// because rows are independent and each token's causal attention reads
-// the prefix earlier passes cached; what it costs is one more sweep of
-// every layer's expert weights per pass.
-//
-// A sequence that exhausts the KV block pool or loses an expert mid-pass
-// is marked in seqErr, and its rows ride along without write-back or
-// counting, as in decode (a KV failure hands its blocks back at once).
-// It retires at the pass boundary, never with lanes running: prefill
-// fails only the offending request, never the wave.
-//
-// With SharedPrefix enabled, sequences whose prompts open with the same
-// tokens as one earlier in issue order skip the matched prefix
-// entirely: at the follower's first computed token the donor's cache
-// blocks are mapped in place (refcount++, zero copies, zero FLOPs), and
-// its rows start there. Attention reads the shared prefix through the
-// same block views as everything else; because the donor's K/V rows for
-// a prefix token depend only on (token id, position), the mapped rows
-// are bit-identical to the rows the follower would have computed, so
-// sharing changes no output bit under either codec.
-//
-// Each pass ends with the epilogue that seeds decode: a prompt whose
-// last token was in the pass samples its first token from that row.
-func (p *Pipeline) prefill(prompts [][]int) error {
-	for s, prompt := range prompts {
-		if len(prompt) == 0 {
-			return fmt.Errorf("engine: empty prompt for sequence %d", s)
-		}
-	}
-	p.prompts = prompts
-	p.skip, p.donor = p.planPrefixReuse(prompts)
-	copy(p.spanHi, p.skip) // where each sequence's first pass starts
-	for k := 0; p.planPass(); k++ {
-		if k == 0 {
-			if err := p.primeLayer(0); err != nil {
-				return err
-			}
-		}
-		if err := p.runPass(k); err != nil {
-			return err
-		}
-		p.passes = k + 1
-		for s, err := range p.seqErr {
-			if err != nil {
-				p.retire(s) // a no-op for sequences retired at an earlier boundary
-			}
-		}
-		p.sampleNext()
-	}
-
-	// PrefillTokens counts tokens actually computed; prefix-mapped tokens
-	// land in PrefixHitTokens instead.
+// promptTotals records the run's prompt phase once its last pass has
+// sampled: the wall-clock its passes took and, over the sequences that
+// survived it, the tokens computed. PrefillTokens counts tokens actually
+// computed; prefix-mapped tokens land in PrefixHitTokens instead.
+func (p *Pipeline) promptTotals(took time.Duration) {
 	prefilled, reused := 0, 0
-	for s, prompt := range prompts {
+	for s, prompt := range p.prompts {
 		if p.seqErr[s] != nil {
 			continue
 		}
 		prefilled += len(prompt) - p.skip[s]
 		reused += p.skip[s]
 	}
-	p.PrefillTokens = prefilled
+	p.PrefillTokens, p.PrefillDuration = prefilled, took
 	p.Counters.PrefixHitTokens.Add(int64(reused))
 	p.Counters.CowCopies.Store(p.cache.CowCopies())
-	return nil
-}
-
-// planPass lays out the next prompt pass and reports whether it has any
-// rows. Walking the live sequences in issue order — micro-batch order,
-// then order within the micro-batch — each continues its prompt where
-// the last pass stopped until the pass holds prefillChunk rows, so the
-// passes slice the wave's prompt tokens in issue order and no sequence
-// starts before every sequence ahead of it has finished its prompt.
-func (p *Pipeline) planPass() bool {
-	budget, rest := p.prefillChunk, 0
-	for _, mb := range p.mbs {
-		for _, s := range mb {
-			p.spanLo[s] = p.spanHi[s]
-			left := len(p.prompts[s]) - p.spanLo[s]
-			take := min(left, budget)
-			p.spanHi[s] = p.spanLo[s] + take
-			budget -= take
-			rest += left - take
-		}
-	}
-	p.layRows()
-	// The pass after this one routes what is left of the prompts or,
-	// after the last prompt pass, the decode step's row per live sequence.
-	p.nextRows = min(rest, p.prefillChunk)
-	if rest == 0 {
-		p.nextRows = p.liveRows()
-	}
-	return p.rowOff[len(p.mbs)] > 0
 }
 
 // planPrefixReuse pairs each sequence with the sequence ahead of it in

@@ -143,7 +143,7 @@ func TestSeqPrefillBaselineStillExact(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer pl2.Close()
-	if err := pl2.prefill(prompts); err != nil {
+	if _, err := pl2.Run(prompts, nil, 1, nil, nil); err != nil {
 		t.Fatal(err)
 	}
 	// The 63 prompt tokens are one pass, laid out in sequence order (the
@@ -228,7 +228,7 @@ func benchPrefill(b *testing.B, packed, seedKernels bool) {
 		}
 		b.StartTimer()
 		if packed {
-			err = pl.prefill(prompts)
+			_, err = pl.Run(prompts, nil, 1, nil, nil)
 		} else {
 			err = seqPrefill(pl, prompts)
 		}

@@ -144,7 +144,7 @@ func TestPackedPrefillCountsPackedKernels(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := pl.prefill(prompts); err != nil {
+		if _, err := pl.Run(prompts, nil, 1, nil, nil); err != nil {
 			t.Fatal(err)
 		}
 		want := int64(cfg.Layers * (2*nb + 1) * tc.wantPasses)

@@ -499,7 +499,7 @@ func BenchmarkPrefillSharedPrefix(b *testing.B) {
 			b.Fatal(err)
 		}
 		b.StartTimer()
-		err = pl.prefill(prompts)
+		_, err = pl.Run(prompts, nil, 1, nil, nil)
 		b.StopTimer()
 		if err != nil {
 			b.Fatal(err)

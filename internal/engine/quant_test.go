@@ -176,7 +176,7 @@ func TestQuantizedMovementCountersAreBytes(t *testing.T) {
 			t.Fatal(err)
 		}
 		prompts := testPrompts(2, 4, 4, cfg.VocabSize)
-		if err := pl.prefill(prompts); err != nil {
+		if _, err := pl.Run(prompts, nil, 1, nil, nil); err != nil {
 			t.Fatal(err)
 		}
 		perToken := kvcache.TokenBytes(cfg.KVDim(), dtype)

@@ -628,7 +628,7 @@ func TestCancelMidPrefillPreservesSharedPrefix(t *testing.T) {
 	// wave core on its own goroutine.
 	s, err := NewServer(&Host{W: w, GPU: gpu, Pinned: pinned, Cache: cacheArena}, ServeConfig{
 		Config:          Config{MicroBatch: 2, MaxContext: 64, SharedPrefix: true, Faults: inj},
-		NumMicroBatches: 1, GenLen: genLen, CacheTokens: 200, Vocab: cfg.VocabSize,
+		NumMicroBatches: 1, GenLen: genLen, CacheTokens: 200,
 	})
 	if err != nil {
 		t.Fatal(err)

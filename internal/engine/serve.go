@@ -28,8 +28,6 @@ type ServeConfig struct {
 	// bytes at the serving codec's kvcache.TokenBytes rate, so an int8
 	// wave admits ~32/9 the context of the identical float32 config.
 	CacheTokens int
-	// Vocab sizes the synthetic prompts derived from request IDs.
-	Vocab int
 	// HonorRequestGenLen lets a request's own GenLen (when 0 < GenLen <
 	// the wave's GenLen) end it early, retiring its sequence and freeing
 	// its KV blocks mid-wave. Off, every request generates exactly

@@ -17,9 +17,6 @@ func newSLOTestServer(t *testing.T, cfg ServeConfig) *Server {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if cfg.Vocab == 0 {
-		cfg.Vocab = mcfg.VocabSize
-	}
 	srv, err := NewServer(&Host{W: w, GPU: gpu, Pinned: pinned, Cache: cacheArena}, cfg)
 	if err != nil {
 		t.Fatal(err)

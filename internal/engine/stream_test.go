@@ -14,60 +14,111 @@ import (
 )
 
 // TestGenerateStreamEmitsIncrementally: the sink sees every token in
-// ascending (index, seq) order, and the first token arrives while the
-// KV cache is still at prompt length — i.e. before any decode step of
-// the wave has run, let alone the final one.
+// ascending (index, seq) order, and index 0 arrives exactly when the
+// prompt phase is over — every prompt cached and nothing more, before
+// any decode step of the wave has run, let alone the final one — even
+// for a prompt that ended passes earlier.
+//
+// The pass count is read off PagesMoved: a pass pages its layers 1 to
+// Layers-1 and the next pass's layer 0 (Layers x nb pages, nb the
+// micro-batch count, one page each) and the run's first layer 0 is
+// primed (nb more), so after P passes it reads nb x (1 + Layers x P).
+// At the first sink call P is the prompt passes; at return it adds
+// gen - 1 decode steps (index 0 comes from the last prompt pass), however
+// many sequences retired along the way. An early token reads fewer pages
+// at the first call, an extra pass more at return, and a decode row in a
+// prompt pass a cache past its prompt.
 func TestGenerateStreamEmitsIncrementally(t *testing.T) {
 	cfg := model.Tiny()
-	cpu, gpu, pinned, cacheArena := newTestArenas()
-	w, err := NewRandomWeights(cpu, cfg, 42)
+	const seqs, gen, nb = 4, 6, 2
+	prompts := testPrompts(seqs, 3, 7, cfg.VocabSize) // 3, 4, 5 and 6 tokens
+	w, err := NewRandomWeights(memory.NewArena("cpu", 1<<22), cfg, 42)
 	if err != nil {
 		t.Fatal(err)
 	}
-	const seqs, gen = 4, 6
-	prompts := testPrompts(seqs, 3, 7, cfg.VocabSize)
-
-	pl, err := NewPipeline(w, gpu, pinned, cacheArena, seqs, Config{MicroBatch: 2, MaxContext: 64})
+	ref, err := NewReference(w, memory.NewArena("rc", 1<<22), seqs, 64)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer pl.Close()
-
-	type event struct{ seq, index, token int }
-	var events []event
-	cacheLenAtFirst := -1
-	sink := func(seq, index, token int) {
-		if len(events) == 0 {
-			cacheLenAtFirst = pl.cache.Len(seq)
-		}
-		events = append(events, event{seq, index, token})
-	}
-	out, err := pl.GenerateStream(prompts, gen, sink, nil)
+	want, err := ref.Generate(prompts, gen)
 	if err != nil {
 		t.Fatal(err)
 	}
+	for _, tc := range []struct {
+		name                string
+		chunk, promptPasses int
+		partition           [][]int
+		stopSeq, stopAfter  int // stopSeq retires once it has emitted stopAfter tokens
+	}{
+		{name: "one prompt pass", promptPasses: 1, stopSeq: -1},
+		// Issue order 2, 0, 3, 1 in passes of 5 prompt tokens: 2's five,
+		// then 0's three and 3's first two, then 3's last four and 1's
+		// first, then 1's last three. Sequence 2's prompt ends in the first
+		// pass; its first token waits for the fourth.
+		{name: "chunked", chunk: 5, promptPasses: 4, partition: [][]int{{2, 0}, {3, 1}}, stopSeq: 1, stopAfter: 2},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			_, gpu, pinned, cacheArena := newTestArenas()
+			pl, err := NewPipeline(w, gpu, pinned, cacheArena, seqs, Config{MicroBatch: 2, MaxContext: 64, PrefillChunk: tc.chunk})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer pl.Close()
 
-	if len(events) != seqs*gen {
-		t.Fatalf("sink saw %d events, want %d", len(events), seqs*gen)
+			type event struct{ seq, index, token int }
+			var events []event
+			var cacheLens []int
+			pagesAtFirst := int64(-1)
+			sink := func(seq, index, token int) {
+				if len(events) == 0 {
+					pagesAtFirst = pl.Counters.PagesMoved.Load()
+					for s := range prompts {
+						cacheLens = append(cacheLens, pl.cache.Len(s))
+					}
+				}
+				events = append(events, event{seq, index, token})
+			}
+			stop := func(seq, emitted int) bool { return seq == tc.stopSeq && emitted >= tc.stopAfter }
+			out, err := pl.Run(prompts, tc.partition, gen, sink, stop)
+			if err != nil {
+				t.Fatal(err)
+			}
+
+			var order []event
+			for index := 0; index < gen; index++ {
+				for s := 0; s < seqs; s++ {
+					if s != tc.stopSeq || index < tc.stopAfter {
+						order = append(order, event{s, index, 0})
+					}
+				}
+			}
+			if len(events) != len(order) {
+				t.Fatalf("sink saw %d events, want %d", len(events), len(order))
+			}
+			for i, e := range events {
+				if e.seq != order[i].seq || e.index != order[i].index {
+					t.Fatalf("event %d = (seq %d, index %d), want (seq %d, index %d)",
+						i, e.seq, e.index, order[i].seq, order[i].index)
+				}
+				if out[e.seq][e.index] != e.token || e.token != want[e.seq][e.index] {
+					t.Fatalf("event %d token %d: output %d, reference %d", i, e.token, out[e.seq][e.index], want[e.seq][e.index])
+				}
+			}
+			for s, n := range cacheLens {
+				if n != len(prompts[s]) {
+					t.Errorf("seq %d: first token emitted at cache len %d, want prompt len %d", s, n, len(prompts[s]))
+				}
+			}
+			layers := int64(cfg.Layers)
+			if want := nb * (1 + layers*int64(tc.promptPasses)); pagesAtFirst != want {
+				t.Errorf("first token after %d pages moved, want %d (%d prompt passes)", pagesAtFirst, want, tc.promptPasses)
+			}
+			if got, want := pl.Counters.PagesMoved.Load(), nb*(1+layers*int64(tc.promptPasses+gen-1)); got != want {
+				t.Errorf("%d pages moved by the run's end, want %d (%d prompt passes + %d decode steps)", got, want, tc.promptPasses, gen-1)
+			}
+			assertKVIdle(t, pl)
+		})
 	}
-	for i, e := range events {
-		wantSeq, wantIndex := i%seqs, i/seqs
-		if e.seq != wantSeq || e.index != wantIndex {
-			t.Fatalf("event %d = (seq %d, index %d), want (seq %d, index %d)",
-				i, e.seq, e.index, wantSeq, wantIndex)
-		}
-		if out[e.seq][e.index] != e.token {
-			t.Fatalf("event %d token %d != output %d", i, e.token, out[e.seq][e.index])
-		}
-	}
-	// The first sequence's final context is prompt + gen - 1 appended
-	// tokens; at first emission it must still be at prompt length.
-	finalLen := len(prompts[events[0].seq]) + gen - 1
-	if cacheLenAtFirst != len(prompts[events[0].seq]) {
-		t.Errorf("first token emitted at cache len %d, want prompt len %d (final %d)",
-			cacheLenAtFirst, len(prompts[events[0].seq]), finalLen)
-	}
-	assertKVIdle(t, pl)
 }
 
 // TestStopRetiresSequenceAndFreesKV: stopping one sequence
@@ -282,7 +333,7 @@ func TestServerNoProgressGuard(t *testing.T) {
 	// wave core on its own goroutine.
 	s, err := NewServer(&Host{W: w, GPU: gpu, Pinned: pinned, Cache: cacheArena}, ServeConfig{
 		Config:          Config{MicroBatch: 1, MaxContext: 64},
-		NumMicroBatches: 1, GenLen: 2, CacheTokens: 64, Vocab: cfg.VocabSize,
+		NumMicroBatches: 1, GenLen: 2, CacheTokens: 64,
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -143,7 +143,7 @@ func (s *Server) generate(waveNum int, wave []*Handle, partition [][]int) (token
 	for i, h := range wave {
 		reqs[i] = h.item.Req
 	}
-	prompts := PromptsFromRequests(reqs, s.cfg.Vocab)
+	prompts := PromptsFromRequests(reqs, pl.w.Cfg.VocabSize)
 	sink := func(seq, index, token int) { wave[seq].push(index, token) }
 	stop := func(seq, emitted int) bool {
 		h := wave[seq]

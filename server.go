@@ -115,9 +115,6 @@ type ServerConfig struct {
 	// per-token rate, so a KVInt8 server admits ~32/9 the context of
 	// the identical KVFloat32 one.
 	CacheTokens int
-	// Vocab sizes the synthetic prompts derived from request IDs;
-	// default the model's vocabulary.
-	Vocab int
 	// FixedGenLen makes every request generate exactly GenLen tokens
 	// regardless of its own Request.GenLen — the classic closed-batch
 	// behavior RunFunctional preserves.
@@ -236,10 +233,6 @@ func NewServer(cfg ServerConfig) (*Server, error) {
 		return nil, fmt.Errorf("moelightning: %s has %d parameters; the functional engine is for tiny configs (use TinyMoE)",
 			cfg.Model.Name, cfg.Model.TotalParams())
 	}
-	vocab := cfg.Vocab
-	if vocab <= 0 {
-		vocab = cfg.Model.VocabSize
-	}
 	ecfg := engine.ServeConfig{
 		Config: engine.Config{
 			MicroBatch:           cfg.MicroBatchSize,
@@ -260,7 +253,6 @@ func NewServer(cfg ServerConfig) (*Server, error) {
 		NumMicroBatches:    cfg.NumMicroBatches,
 		GenLen:             cfg.GenLen,
 		CacheTokens:        cfg.CacheTokens,
-		Vocab:              vocab,
 		HonorRequestGenLen: !cfg.FixedGenLen,
 		SLOAwareShed:       cfg.SLOAwareShed,
 		EnforceDeadlines:   cfg.EnforceDeadlines,
