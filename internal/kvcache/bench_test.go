@@ -56,13 +56,14 @@ func BenchmarkBlockwiseAttend(b *testing.B) {
 	kb := make([]tensor.Mat, 0, benchCtx/benchBlock+1)
 	vb := make([]tensor.Mat, 0, benchCtx/benchBlock+1)
 	out := make([]float32, benchNQ*benchHeadDim)
-	scores := make([]float32, benchCtx)
+	const group = benchNQ / benchNKV // one score lane per query head of a GQA group
+	scores := make([]float32, group*benchCtx)
 	b.SetBytes(int64(2 * benchCtx * kvDim * 4))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		var ctx int
 		kb, vb, ctx = c.BlockView(0, 0, kb[:0], vb[:0])
-		tensor.AttendOneBlocks(out, q, kb, vb, benchNQ, benchNKV, benchHeadDim, scores[:ctx])
+		tensor.AttendOneBlocks(out, q, kb, vb, benchNQ, benchNKV, benchHeadDim, scores[:group*ctx])
 	}
 }
 
@@ -75,7 +76,7 @@ func BenchmarkBlockwiseAttendQuantKV(b *testing.B) {
 	kb := make([]tensor.QBlock, 0, benchCtx/benchBlock+1)
 	vb := make([]tensor.QBlock, 0, benchCtx/benchBlock+1)
 	out := make([]float32, benchNQ*benchHeadDim)
-	const group = benchNQ / benchNKV // the kernel scores a GQA group per dequantized row
+	const group = benchNQ / benchNKV
 	scores := make([]float32, group*benchCtx)
 	rowBuf := make([]float32, benchHeadDim)
 	b.SetBytes(int64(2 * benchCtx * (kvDim + 4*tensor.QGroups(kvDim, GroupSize))))

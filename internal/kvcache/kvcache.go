@@ -16,7 +16,7 @@
 //     ([blockTokens, ceil(kvDim/32)] float32, one scale per 32-value
 //     group). Append quantizes on write; QBlockView exposes the
 //     context as []tensor.QBlock views that tensor.AttendOneBlocksQ
-//     walks in place, dequantizing one head-slice row at a time — the
+//     walks in place, dequantizing a few head-slice rows at a time — the
 //     float32 context is never materialized. A token costs
 //     ceil(kvDim/4)+ceil(kvDim/32) floats per half instead of kvDim
 //     (9/32 of float32 when kvDim is a multiple of 32), so the same

@@ -5,7 +5,7 @@ import "moelightning/internal/tensor"
 // View is a reusable window onto one (sequence, layer) stream for
 // attention: the stream's block list under the cache's codec plus the
 // scratch attention over it needs. It is the one place the codec picks
-// a block-view method, a score layout and a kernel, so callers attend
+// a block-view method and a kernel, so callers attend
 // over an F32 and an Int8 cache with the same code. The zero value is
 // ready; Cache.View refills it in place and it grows to the longest
 // context it has held, so a warm refill allocates nothing. The block
@@ -16,9 +16,6 @@ type View struct {
 	qkeys, qvalues []tensor.QBlock
 	ctx, kvDim     int
 	scores         []float32
-	// row is the quantized kernel's dequant scratch: one head slice of a
-	// row, at most kvDim values.
-	row []float32
 }
 
 // View points v at the sequence's cached context at one layer, as
@@ -31,28 +28,22 @@ func (c *Cache) View(seq, layer int, v *View) {
 		return
 	}
 	v.qkeys, v.qvalues, v.ctx = c.QBlockView(seq, layer, v.qkeys, v.qvalues)
-	if len(v.row) < c.kvDim {
-		v.row = make([]float32, c.kvDim)
-	}
 }
 
 // AttnItem is the single-token attention problem of query q (all query
-// heads) over the viewed context, written to out. The quantized kernel
-// scores a whole GQA group per dequantized row, one score lane per
-// query head of the group — len(q)/kvDim of them, both being a head
-// count times the head dimension.
+// heads) over the viewed context, written to out. Attention scores a
+// whole GQA group per key under either codec, one score lane per query
+// head of the group — len(q)/kvDim of them, both being a head count
+// times the head dimension.
 func (v *View) AttnItem(out, q []float32) tensor.AttnItem {
-	need := v.ctx
-	if len(v.qkeys) > 0 {
-		need *= len(q) / v.kvDim
-	}
+	need := v.ctx * (len(q) / v.kvDim)
 	if need > len(v.scores) {
 		v.scores = make([]float32, 2*need)
 	}
 	return tensor.AttnItem{
 		Out: out, Q: q, Scores: v.scores[:need],
 		KeyBlocks: v.keys, ValueBlocks: v.values,
-		KeyQBlocks: v.qkeys, ValueQBlocks: v.qvalues, RowScratch: v.row,
+		KeyQBlocks: v.qkeys, ValueQBlocks: v.qvalues,
 	}
 }
 

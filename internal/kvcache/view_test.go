@@ -46,7 +46,7 @@ func TestViewMatchesHandBuiltItems(t *testing.T) {
 				}
 			}
 			// By hand, the way every caller did before the view: the codec
-			// picks the block-view method, the fields and the score layout.
+			// picks the block-view method and the fields.
 			var one tensor.AttnItem
 			var many tensor.CausalItem
 			if dtype == Int8 {
@@ -56,7 +56,7 @@ func TestViewMatchesHandBuiltItems(t *testing.T) {
 				many = tensor.CausalItem{KeyQBlocks: k, ValueQBlocks: val}
 			} else {
 				k, val, ctx := c.BlockView(seq, 0, nil, nil)
-				one = tensor.AttnItem{KeyBlocks: k, ValueBlocks: val, Scores: make([]float32, ctx)}
+				one = tensor.AttnItem{KeyBlocks: k, ValueBlocks: val, Scores: make([]float32, group*ctx)}
 				many = tensor.CausalItem{KeyBlocks: k, ValueBlocks: val}
 			}
 

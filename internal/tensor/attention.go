@@ -6,67 +6,225 @@ import "math"
 //   - q is one token's query vector, nq heads x headDim;
 //   - keys/values are the cached context, one row per token, each row
 //     nkv heads x headDim;
-//   - GQA shares each KV head across nq/nkv query heads;
-//   - the context may arrive flat (one Mat) or paged (a list of block
-//     Mats in token order). Both paths compute every score, the
-//     softmax and the weighted sum in the same k-ascending order, so
-//     the blockwise kernels are bit-identical to the flat ones.
+//   - GQA shares each KV head across a group of nq/nkv query heads;
+//   - the context may arrive flat (one Mat), paged (a list of block
+//     Mats in token order) or paged and int8-quantized (QBlocks).
+//
+// Every representation runs one body, attend: per KV head, score the
+// group's query heads against each key (a GEMM element: one accumulator
+// over headDim in ascending order), scale, one softmax per head over the
+// whole context, then the weighted sum of the values (one accumulator
+// per output element over t in ascending order, as Axpy). Blocks are
+// walked in place; the representations differ only in how a block's
+// head slice is read (kvBlocks.chunk), so the blockwise and quantized
+// kernels are bit-identical to the flat one over the same values.
 
-// attnScores computes scores[i] = <qh, keys.Row(i)[kv head slice]> *
-// scale for every row of keys. Two keys are kept in flight per
-// iteration: head dimensions are short, so a single dot product is
-// latency-bound on its accumulation chain. Each score's own
-// accumulation order is a single ascending chain either way.
-func attnScores(scores, qh []float32, keys Mat, kvh, headDim int, scale float32) {
-	ctx := keys.Rows
-	t := 0
-	for ; t+2 <= ctx; t += 2 {
-		k0 := keys.Row(t)[kvh*headDim : (kvh+1)*headDim]
-		k1 := keys.Row(t + 1)[kvh*headDim : (kvh+1)*headDim]
-		var s0, s1 float32
-		for i, qv := range qh {
-			s0 += qv * k0[i]
-			s1 += qv * k1[i]
-		}
-		scores[t], scores[t+1] = s0*scale, s1*scale
+// attnStackDim is the widest head the attention scratch holds on the
+// stack: 128, the widest head of every model preset. The vector kernels
+// run up to it; a wider head runs the Go kernels.
+const attnStackDim = 128
+
+// attnScratch is one attention call's stack scratch: the query panel the
+// score kernel reads (up to eight heads, k-major: panel[i*8+g] is head
+// g's element i, as matMulTVec lays out a rows stripe), rows of decoded
+// (int8) or gathered (short float32 block) head slices, and an 8x8 score
+// tile for chunks shorter than the score kernel's eight columns.
+type attnScratch struct {
+	panel [attnStackDim * 8]float32
+	rows  [attnStackDim * 8]float32
+	tile  [8 * 8]float32
+}
+
+// kvBlocks is one operand of attention — a context's keys or its values
+// — as float32 blocks (f) or int8 blocks (q), one of them empty.
+type kvBlocks struct {
+	f []Mat
+	q []QBlock
+}
+
+// blocksOf picks an item's representation: quantized blocks win.
+func blocksOf(f []Mat, q []QBlock) kvBlocks {
+	if len(q) > 0 {
+		return kvBlocks{q: q}
 	}
-	for ; t < ctx; t++ {
-		kRow := keys.Row(t)[kvh*headDim : (kvh+1)*headDim]
-		scores[t] = Dot(qh, kRow) * scale
+	return kvBlocks{f: f}
+}
+
+func (s kvBlocks) count() int { return len(s.f) + len(s.q) }
+
+func (s kvBlocks) tokens() int { return BlocksRows(s.f) + QBlocksRows(s.q) }
+
+func (s kvBlocks) blockRows(b int) int {
+	if len(s.q) > 0 {
+		return s.q[b].Rows
+	}
+	return s.f[b].Rows
+}
+
+// prefix returns views of the first n rows, appended to dst's emptied
+// lists (see BlocksPrefix).
+func (s kvBlocks) prefix(dst kvBlocks, n int) kvBlocks {
+	return kvBlocks{f: BlocksPrefix(dst.f[:0], s.f, n), q: QBlocksPrefix(dst.q[:0], s.q, n)}
+}
+
+// chunk returns rows [t, t+n) of block b's head slice [lo, lo+headDim),
+// row r at x[r*ld:], n >= 1 — the one place the codecs differ. Float32
+// rows are read in place, the rest of the block at once; int8 rows are
+// decoded into buf, as many as it holds.
+func (s kvBlocks) chunk(b, t, lo, headDim int, buf []float32) (x []float32, ld, n int) {
+	if len(s.q) == 0 {
+		m := s.f[b]
+		return m.Data[t*m.Cols+lo:], m.Cols, m.Rows - t
+	}
+	qb := s.q[b]
+	n = min(qb.Rows-t, len(buf)/headDim)
+	for r := 0; r < n; r++ {
+		DequantizeRowSlice(buf[r*headDim:], qb.RowCodes(t+r), qb.RowScales(t+r), lo, lo+headDim, qb.Group)
+	}
+	return buf, headDim, n
+}
+
+// attend is single-token GQA attention, out = softmax(q K^T / sqrt(d))
+// V, over any representation of the context. scores is scratch of
+// length >= (nq/nkv)*ctx, one ctx-long lane per query head of a group;
+// rowBuf is int8 decode scratch of length >= headDim, read only when a
+// head is wider than the stack's 8*attnStackDim decode rows. Each is
+// allocated when short.
+func attend(out, q []float32, keys, values kvBlocks, nq, nkv, headDim int, scores, rowBuf []float32) {
+	ctx := keys.tokens()
+	group := nq / nkv
+	if len(scores) < group*ctx {
+		scores = make([]float32, group*ctx)
+	}
+	var ws attnScratch
+	buf := ws.rows[:]
+	if headDim > len(buf) {
+		if len(rowBuf) < headDim {
+			rowBuf = make([]float32, headDim)
+		}
+		buf = rowBuf
+	}
+	vec := useAVX2 && headDim%8 == 0 && headDim <= attnStackDim
+	scale := float32(1 / math.Sqrt(float64(headDim)))
+	for kvh := 0; kvh < nkv; kvh++ {
+		// The score kernel's lanes hold eight query heads: a larger group
+		// is attended eight heads at a time.
+		for g := 0; g < group; g += 8 {
+			h, hn := kvh*group+g, min(8, group-g)
+			attendHeads(out[h*headDim:(h+hn)*headDim], q[h*headDim:(h+hn)*headDim], keys, values,
+				kvh*headDim, headDim, ctx, scores[:hn*ctx], scale, vec, &ws, buf)
+		}
 	}
 }
 
-// attnCombine accumulates oh += scores[i] * values.Row(i)[kv head
-// slice] over the rows of values, in ascending row order.
-func attnCombine(oh, scores []float32, values Mat, kvh, headDim int) {
-	for t := 0; t < values.Rows; t++ {
-		vRow := values.Row(t)[kvh*headDim : (kvh+1)*headDim]
-		Axpy(scores[t], vRow, oh)
+// attendHeads attends the query heads q (rows of headDim, all sharing
+// the KV head whose slice starts at column lo) into out, with scores
+// holding one ctx-long lane per head.
+func attendHeads(out, q []float32, keys, values kvBlocks, lo, headDim, ctx int, scores []float32,
+	scale float32, vec bool, ws *attnScratch, buf []float32) {
+	hn := len(q) / headDim
+	if vec {
+		for g := 0; g < hn; g++ {
+			lane := ws.panel[g:]
+			for i, v := range q[g*headDim : (g+1)*headDim] {
+				lane[i*8] = v
+			}
+		}
+	}
+	base := 0
+	for b := range keys.count() {
+		for t, rows := 0, keys.blockRows(b); t < rows; {
+			x, ld, n := keys.chunk(b, t, lo, headDim, buf)
+			if vec {
+				scoresVec(scores[base:], ctx, hn, x, ld, n, headDim, ws)
+			} else {
+				scoresGo(scores[base:], ctx, q, x, ld, n, headDim)
+			}
+			t, base = t+n, base+n
+		}
+	}
+	for i := range scores {
+		scores[i] *= scale
+	}
+	for g := 0; g < hn; g++ {
+		Softmax(scores[g*ctx : (g+1)*ctx])
+	}
+	clear(out)
+	base = 0
+	for b := range values.count() {
+		for t, rows := 0, values.blockRows(b); t < rows; {
+			x, ld, n := values.chunk(b, t, lo, headDim, buf)
+			if vec {
+				combineVec(out, scores[base:], ctx, x, ld, n, headDim)
+			} else {
+				combineGo(out, scores[base:], ctx, x, ld, n, headDim)
+			}
+			t, base = t+n, base+n
+		}
+	}
+}
+
+// scoresGo is the score step's definition: s[g*ctx+r] = <q_g, x_r> for
+// each query head g and chunk row r, one Dot each.
+func scoresGo(s []float32, ctx int, q, x []float32, ld, n, headDim int) {
+	hn := len(q) / headDim
+	for r := 0; r < n; r++ {
+		row := x[r*ld : r*ld+headDim]
+		for g := 0; g < hn; g++ {
+			s[g*ctx+r] = Dot(q[g*headDim:(g+1)*headDim], row)
+		}
+	}
+}
+
+// scoresVec is scoresGo on the GEMM tile: lanes across the query heads
+// in ws.panel, eight chunk rows a block, dst row g at s[g*ctx:].
+func scoresVec(s []float32, ctx, hn int, x []float32, ld, n, headDim int, ws *attnScratch) {
+	if n < 8 {
+		// Fewer rows than the tile's columns: gather them where eight rows
+		// are readable (an int8 chunk is there already) and score into
+		// the tile.
+		for r := 0; r < n; r++ {
+			copy(ws.rows[r*headDim:(r+1)*headDim], x[r*ld:r*ld+headDim])
+		}
+		gemmPanel8AVX2(&ws.tile[0], 8, hn, &ws.panel[0], headDim, &ws.rows[0], headDim, 1)
+		for g := 0; g < hn; g++ {
+			copy(s[g*ctx:g*ctx+n], ws.tile[g*8:g*8+n])
+		}
+		return
+	}
+	gemmPanel8AVX2(&s[0], ctx, hn, &ws.panel[0], headDim, &x[0], ld, n/8)
+	if n%8 != 0 {
+		// The last eight rows: the overlap is written again, same bits.
+		gemmPanel8AVX2(&s[n-8], ctx, hn, &ws.panel[0], headDim, &x[(n-8)*ld], ld, 1)
+	}
+}
+
+// combineGo is the combine step's definition: out_g += p[g*ctx+r] * x_r
+// for each chunk row r in ascending order.
+func combineGo(out, p []float32, ctx int, x []float32, ld, n, headDim int) {
+	hn := len(out) / headDim
+	for r := 0; r < n; r++ {
+		row := x[r*ld : r*ld+headDim]
+		for g := 0; g < hn; g++ {
+			Axpy(p[g*ctx+r], row, out[g*headDim:(g+1)*headDim])
+		}
+	}
+}
+
+// combineVec is combineGo on the AVX2 combine kernel, four heads a call.
+func combineVec(out, p []float32, ctx int, x []float32, ld, n, headDim int) {
+	hn := len(out) / headDim
+	for g := 0; g < hn; g += 4 {
+		attnCombineAVX2(&out[g*headDim], headDim, min(4, hn-g), &p[g*ctx], ctx, &x[0], ld, n, headDim)
 	}
 }
 
 // AttendOne computes single-token GQA attention: out = softmax(q K^T /
 // sqrt(d)) V over ctx cached tokens. keys and values are [ctx,
 // nkv*headDim]; out must be nq*headDim long. scores is scratch of
-// length >= ctx (allocated when nil).
+// length >= (nq/nkv)*ctx (allocated when short).
 func AttendOne(out, q []float32, keys, values Mat, nq, nkv, headDim int, scores []float32) {
-	ctx := keys.Rows
-	if scores == nil || len(scores) < ctx {
-		scores = make([]float32, ctx)
-	}
-	group := nq / nkv
-	scale := float32(1 / math.Sqrt(float64(headDim)))
-	for h := 0; h < nq; h++ {
-		kvh := h / group
-		qh := q[h*headDim : (h+1)*headDim]
-		attnScores(scores[:ctx], qh, keys, kvh, headDim, scale)
-		Softmax(scores[:ctx])
-		oh := out[h*headDim : (h+1)*headDim]
-		for i := range oh {
-			oh[i] = 0
-		}
-		attnCombine(oh, scores[:ctx], values, kvh, headDim)
-	}
+	AttendOneBlocks(out, q, []Mat{keys}, []Mat{values}, nq, nkv, headDim, scores)
 }
 
 // BlocksRows returns the total row (token) count of a block list.
@@ -81,37 +239,23 @@ func BlocksRows(blocks []Mat) int {
 // AttendOneBlocks is AttendOne over a paged context: keys[b] and
 // values[b] are the b-th block's rows, in token order (the last block
 // may be partial). It walks the block list in place — no gathered
-// copy — computing scores block by block into one contiguous buffer,
-// one softmax over the whole context, and the weighted sum in the
-// same ascending token order, so the output is bit-identical to
-// AttendOne over the gathered context. scores is scratch of length >=
-// the total context (allocated when nil).
+// copy — and is bit-identical to AttendOne over the gathered context.
+// scores is scratch of length >= (nq/nkv)*ctx, one lane per query head
+// of a GQA group (allocated when short).
 func AttendOneBlocks(out, q []float32, keys, values []Mat, nq, nkv, headDim int, scores []float32) {
-	ctx := BlocksRows(keys)
-	if scores == nil || len(scores) < ctx {
-		scores = make([]float32, ctx)
-	}
-	group := nq / nkv
-	scale := float32(1 / math.Sqrt(float64(headDim)))
-	for h := 0; h < nq; h++ {
-		kvh := h / group
-		qh := q[h*headDim : (h+1)*headDim]
-		base := 0
-		for _, kb := range keys {
-			attnScores(scores[base:base+kb.Rows], qh, kb, kvh, headDim, scale)
-			base += kb.Rows
-		}
-		Softmax(scores[:ctx])
-		oh := out[h*headDim : (h+1)*headDim]
-		for i := range oh {
-			oh[i] = 0
-		}
-		base = 0
-		for _, vb := range values {
-			attnCombine(oh, scores[base:base+vb.Rows], vb, kvh, headDim)
-			base += vb.Rows
-		}
-	}
+	attend(out, q, kvBlocks{f: keys}, kvBlocks{f: values}, nq, nkv, headDim, scores, nil)
+}
+
+// AttendOneBlocksQ is AttendOneBlocks over a quantized paged context:
+// keys[b]/values[b] are the b-th block's int8 halves. Each KV head's
+// slice of a row is decoded once, a few rows at a time into stack
+// scratch, and serves every query head of its group; the float32
+// context is never materialized. Given identical dequantized values
+// the output is bit-identical to AttendOneBlocks. scores is as there;
+// rowBuf is headDim scratch read only when a head is wider than the
+// stack's 8*attnStackDim decode rows. Each is allocated when short.
+func AttendOneBlocksQ(out, q []float32, keys, values []QBlock, nq, nkv, headDim int, scores, rowBuf []float32) {
+	attend(out, q, kvBlocks{q: keys}, kvBlocks{q: values}, nq, nkv, headDim, scores, rowBuf)
 }
 
 // AttnItem is one independent single-token attention problem for
@@ -119,12 +263,12 @@ func AttendOneBlocks(out, q []float32, keys, values []Mat, nq, nkv, headDim int,
 // (Keys/Values), paged (KeyBlocks/ValueBlocks — the zero-copy path
 // over a paged KV cache) or paged and int8-quantized (KeyQBlocks/
 // ValueQBlocks, which win over both — attention dequantizes rows on
-// the fly). Scores is optional per-item scratch: length >= the context
-// for the flat and paged paths, >= (nq/nkv)*ctx for the quantized path
-// (one score lane per query head of a GQA group). RowScratch is
-// optional headDim scratch for the quantized path. Each is allocated
-// when nil or undersized; pass adequately sized scratch for zero-alloc
-// steady state.
+// the fly). Scores is optional per-item scratch of length >=
+// (nq/nkv)*ctx for every representation (one score lane per query head
+// of a GQA group). RowScratch is optional headDim scratch the quantized
+// path decodes into when a head is wider than its stack rows. Each
+// is allocated when nil or undersized; pass adequately sized scratch
+// for zero-alloc steady state.
 type AttnItem struct {
 	Out, Q, Scores           []float32
 	Keys, Values             Mat
@@ -150,9 +294,17 @@ func (it *AttnItem) attend(nq, nkv, headDim int) {
 // problems, fanned out across the default worker pool one item at a
 // time (items are coarse-grained: each is O(ctx * nq * headDim) work).
 // Bit-identical to solving each item sequentially, whether its context
-// is flat or paged.
+// is flat or paged. Where the pool would run every item inline the
+// items run here, so a caller passing sized scratch allocates nothing.
 func AttendMany(items []AttnItem, nq, nkv, headDim int) {
-	Default().ParallelFor(len(items), 1, func(lo, hi int) {
+	pool := Default()
+	if pool.Workers() == 1 || len(items) == 1 {
+		for i := range items {
+			items[i].attend(nq, nkv, headDim)
+		}
+		return
+	}
+	pool.ParallelFor(len(items), 1, func(lo, hi int) {
 		for i := lo; i < hi; i++ {
 			items[i].attend(nq, nkv, headDim)
 		}
@@ -259,17 +411,14 @@ func AttendCausalMany(items []CausalItem, nq, nkv, headDim int) {
 	group := nq / nkv
 	pool.ParallelFor(len(bounds)-1, 1, func(clo, chi int) {
 		lo, hi := bounds[clo], bounds[chi]
-		// Per-worker scratch, sized once for the chunk's worst token
-		// (the quantized score layout covers the float32 one).
+		// Per-worker scratch, sized once for the chunk's worst token.
 		scores := make([]float32, group*maxCtx)
-		rowBuf := make([]float32, headDim)
-		kp := make([]Mat, 0, maxBlocks)
-		vp := make([]Mat, 0, maxBlocks)
-		qkp := make([]QBlock, 0, maxBlocks)
-		qvp := make([]QBlock, 0, maxBlocks)
+		kp := kvBlocks{f: make([]Mat, 0, maxBlocks), q: make([]QBlock, 0, maxBlocks)}
+		vp := kvBlocks{f: make([]Mat, 0, maxBlocks), q: make([]QBlock, 0, maxBlocks)}
 		base := 0
 		for i := range items {
 			it := &items[i]
+			keys, values := blocksOf(it.KeyBlocks, it.KeyQBlocks), blocksOf(it.ValueBlocks, it.ValueQBlocks)
 			n := it.Queries.Rows
 			a, b := lo-base, hi-base
 			base += n
@@ -281,17 +430,8 @@ func AttendCausalMany(items []CausalItem, nq, nkv, headDim int) {
 			}
 			for t := a; t < b; t++ {
 				ctx := it.StartPos + t + 1
-				if len(it.KeyQBlocks) > 0 {
-					qkp = QBlocksPrefix(qkp[:0], it.KeyQBlocks, ctx)
-					qvp = QBlocksPrefix(qvp[:0], it.ValueQBlocks, ctx)
-					AttendOneBlocksQ(it.Out.Row(t), it.Queries.Row(t), qkp, qvp,
-						nq, nkv, headDim, scores[:group*ctx], rowBuf)
-				} else {
-					kp = BlocksPrefix(kp[:0], it.KeyBlocks, ctx)
-					vp = BlocksPrefix(vp[:0], it.ValueBlocks, ctx)
-					AttendOneBlocks(it.Out.Row(t), it.Queries.Row(t), kp, vp,
-						nq, nkv, headDim, scores[:ctx])
-				}
+				kp, vp = keys.prefix(kp, ctx), values.prefix(vp, ctx)
+				attend(it.Out.Row(t), it.Queries.Row(t), kp, vp, nq, nkv, headDim, scores[:group*ctx], nil)
 			}
 			if base >= hi {
 				break

@@ -2,14 +2,18 @@
 
 package tensor
 
-// useAVX2 selects the vector tile in matMulTBlock. It is set once from
-// CPUID; only tests assign it afterwards, to run both tiles on one host.
+// useAVX2 selects the vector kernels: the GEMM tile in matMulTBlock and
+// attention's score and combine kernels. It is set once from CPUID; only
+// tests assign it afterwards, to run both kernel sets on one host.
 var useAVX2 = cpuHasAVX2()
 
 func cpuHasAVX2() bool
 
 //go:noescape
 func gemmPanel8AVX2(dst *float32, ldd, rows int, panel *float32, k int, b *float32, ldb, nblk int)
+
+//go:noescape
+func attnCombineAVX2(o *float32, ldo, heads int, p *float32, ldp int, v *float32, ldv, n, dim int)
 
 // matMulTVec computes as much of the dst block rows [lo, hi) x cols
 // [jlo, jhi) as the AVX2 tile covers — whole blocks of eight columns —

@@ -140,3 +140,159 @@ next:
 	JNZ  block
 	VZEROUPPER
 	RET
+
+// One head's step over sixteen (eight) lanes: a += p * v[t], with v[t]
+// in Y8 (and Y9), the product rounded before the sum.
+#define HEAD16(paddr, a0, a1) \
+	VBROADCASTSS paddr, Y10; \
+	VMULPS       Y8, Y10, Y11; \
+	VADDPS       Y11, a0, a0; \
+	VMULPS       Y9, Y10, Y10; \
+	VADDPS       Y10, a1, a1
+
+#define HEAD8(paddr, a0) \
+	VBROADCASTSS paddr, Y10; \
+	VMULPS       Y8, Y10, Y10; \
+	VADDPS       Y10, a0, a0
+
+// func attnCombineAVX2(o *float32, ldo, heads int, p *float32, ldp int, v *float32, ldv, n, dim int)
+//
+// For heads (1 to 4) output rows and n rows of v computes
+//
+//	o[h*ldo + i] += p[h*ldp + t] * v[t*ldv + i]
+//
+// for i < dim, t ascending — each element one accumulator, as in Axpy.
+// Lanes run across i, sixteen at a time and then eight; dim must be a
+// multiple of 8, n at least 1. Each output row is loaded and stored
+// once per lane block, each v row read once for all heads. The head
+// count is tested inside the step, where the branches always go the
+// same way; one CMPQ $2 serves the "one head" and "two heads" exits,
+// as vector instructions leave the flags alone.
+TEXT ·attnCombineAVX2(SB), NOSPLIT, $0-72
+	MOVQ o+0(FP), DI
+	MOVQ ldo+8(FP), R8
+	MOVQ heads+16(FP), R9
+	MOVQ p+24(FP), SI
+	MOVQ ldp+32(FP), R10
+	MOVQ v+40(FP), BX
+	MOVQ ldv+48(FP), R12
+	MOVQ dim+64(FP), CX
+	SHLQ $2, R8             // output row stride in bytes
+	SHLQ $2, R10            // p head stride in bytes
+	LEAQ (R10)(R10*2), R11  // three p heads
+	SHLQ $2, R12            // v row stride in bytes
+
+wide:
+	CMPQ    CX, $16
+	JLT     narrow
+	LEAQ    (DI)(R8*2), AX  // output rows 2 and 3
+	VMOVUPS (DI), Y0
+	VMOVUPS 32(DI), Y1
+	CMPQ    R9, $2
+	JLT     wrun
+	VMOVUPS (DI)(R8*1), Y2
+	VMOVUPS 32(DI)(R8*1), Y3
+	JEQ     wrun
+	VMOVUPS (AX), Y4
+	VMOVUPS 32(AX), Y5
+	CMPQ    R9, $4
+	JLT     wrun
+	VMOVUPS (AX)(R8*1), Y6
+	VMOVUPS 32(AX)(R8*1), Y7
+
+wrun:
+	MOVQ SI, AX
+	MOVQ BX, DX
+	MOVQ n+56(FP), R13
+
+wstep:
+	VMOVUPS (DX), Y8
+	VMOVUPS 32(DX), Y9
+	HEAD16((AX), Y0, Y1)
+	CMPQ    R9, $2
+	JLT     wnext
+	HEAD16((AX)(R10*1), Y2, Y3)
+	JEQ     wnext
+	HEAD16((AX)(R10*2), Y4, Y5)
+	CMPQ    R9, $4
+	JLT     wnext
+	HEAD16((AX)(R11*1), Y6, Y7)
+
+wnext:
+	ADDQ $4, AX
+	ADDQ R12, DX
+	DECQ R13
+	JNZ  wstep
+
+	LEAQ    (DI)(R8*2), AX
+	VMOVUPS Y0, (DI)
+	VMOVUPS Y1, 32(DI)
+	CMPQ    R9, $2
+	JLT     wdone
+	VMOVUPS Y2, (DI)(R8*1)
+	VMOVUPS Y3, 32(DI)(R8*1)
+	JEQ     wdone
+	VMOVUPS Y4, (AX)
+	VMOVUPS Y5, 32(AX)
+	CMPQ    R9, $4
+	JLT     wdone
+	VMOVUPS Y6, (AX)(R8*1)
+	VMOVUPS Y7, 32(AX)(R8*1)
+
+wdone:
+	ADDQ $64, DI
+	ADDQ $64, BX
+	SUBQ $16, CX
+	JMP  wide
+
+narrow:
+	TESTQ   CX, CX
+	JZ      done
+	LEAQ    (DI)(R8*2), AX
+	VMOVUPS (DI), Y0
+	CMPQ    R9, $2
+	JLT     nrun
+	VMOVUPS (DI)(R8*1), Y2
+	JEQ     nrun
+	VMOVUPS (AX), Y4
+	CMPQ    R9, $4
+	JLT     nrun
+	VMOVUPS (AX)(R8*1), Y6
+
+nrun:
+	MOVQ SI, AX
+	MOVQ BX, DX
+	MOVQ n+56(FP), R13
+
+nstep:
+	VMOVUPS (DX), Y8
+	HEAD8((AX), Y0)
+	CMPQ    R9, $2
+	JLT     nnext
+	HEAD8((AX)(R10*1), Y2)
+	JEQ     nnext
+	HEAD8((AX)(R10*2), Y4)
+	CMPQ    R9, $4
+	JLT     nnext
+	HEAD8((AX)(R11*1), Y6)
+
+nnext:
+	ADDQ $4, AX
+	ADDQ R12, DX
+	DECQ R13
+	JNZ  nstep
+
+	LEAQ    (DI)(R8*2), AX
+	VMOVUPS Y0, (DI)
+	CMPQ    R9, $2
+	JLT     done
+	VMOVUPS Y2, (DI)(R8*1)
+	JEQ     done
+	VMOVUPS Y4, (AX)
+	CMPQ    R9, $4
+	JLT     done
+	VMOVUPS Y6, (AX)(R8*1)
+
+done:
+	VZEROUPPER
+	RET

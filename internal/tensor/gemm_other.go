@@ -4,9 +4,19 @@ package tensor
 
 // useAVX2 is always false off amd64, and under the race detector: it
 // cannot see what assembly reads and writes, so a -race build runs the
-// Go tile and every GEMM access stays visible to it (and every kernel
-// is slowed alike, which the calibration test's timings rely on). The Go
-// tile in matMulTBlock is then the only kernel.
+// Go kernels and every GEMM and attention access stays visible to it
+// (and every kernel is slowed alike, which the calibration test's
+// timings rely on). The Go tile in matMulTBlock and attention's Go
+// score and combine loops are then the only kernels.
 var useAVX2 = false
 
 func matMulTVec(dst, a, bT Mat, lo, hi, jlo, jhi int) int { return jlo }
+
+// The vector kernels' stubs: attention calls them only when useAVX2.
+func gemmPanel8AVX2(dst *float32, ldd, rows int, panel *float32, k int, b *float32, ldb, nblk int) {
+	panic("tensor: no AVX2 kernels in this build")
+}
+
+func attnCombineAVX2(o *float32, ldo, heads int, p *float32, ldp int, v *float32, ldv, n, dim int) {
+	panic("tensor: no AVX2 kernels in this build")
+}

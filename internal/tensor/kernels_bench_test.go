@@ -63,6 +63,52 @@ func BenchmarkKernelsMatMulTRows(b *testing.B) {
 	}
 }
 
+// BenchmarkKernelsAttend is one decode token's attention at the bench
+// model's head geometry (8 query heads, 2 KV heads, head dim 16) over a
+// paged context of 16-token blocks, float32 and int8, on the vector
+// kernels and on Go, at the context lengths of a short decode, a long
+// one and a prefill prompt. GB/s counts the K and V bytes read.
+func BenchmarkKernelsAttend(b *testing.B) {
+	const nq, nkv, headDim, block = 8, 2, 16, 16
+	kvDim := nkv * headDim
+	for _, int8KV := range []bool{false, true} {
+		for _, ctx := range []int{24, 64, 384} {
+			for _, vector := range []bool{true, false} {
+				name := fmt.Sprintf("f32/ctx=%d/vector=%v", ctx, vector)
+				rowBytes := 4 * kvDim
+				if int8KV {
+					name = fmt.Sprintf("int8/ctx=%d/vector=%v", ctx, vector)
+					rowBytes = 4 * (PackedCols(kvDim) + QGroups(kvDim, QGroupSize))
+				}
+				b.Run(name, func(b *testing.B) {
+					if vector && !useAVX2 {
+						b.Skip("no AVX2 kernels in this build")
+					}
+					was := SetVectorTile(vector)
+					defer SetVectorTile(was)
+					rng := rand.New(rand.NewSource(4))
+					keys, values := randMat(rng, ctx, kvDim), randMat(rng, ctx, kvDim)
+					it := AttnItem{
+						Q: randMat(rng, 1, nq*headDim).Data, Out: make([]float32, nq*headDim),
+						Scores: make([]float32, nq/nkv*ctx), RowScratch: make([]float32, headDim),
+					}
+					if int8KV {
+						it.KeyQBlocks, it.ValueQBlocks = quantBlocks(keys, block), quantBlocks(values, block)
+					} else {
+						it.KeyBlocks, it.ValueBlocks = blockify(keys, block), blockify(values, block)
+					}
+					items := []AttnItem{it}
+					b.ResetTimer()
+					for i := 0; i < b.N; i++ {
+						AttendMany(items, nq, nkv, headDim)
+					}
+					b.ReportMetric(float64(2*ctx*rowBytes)*float64(b.N)/b.Elapsed().Seconds()/1e9, "GB/s")
+				})
+			}
+		}
+	}
+}
+
 func BenchmarkKernelsSiLUMul(b *testing.B) {
 	rng := rand.New(rand.NewSource(2))
 	gate := make([]float32, 4096)

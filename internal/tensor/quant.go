@@ -92,8 +92,12 @@ func qcode(codes []float32, i int) int8 {
 // DequantizeRowSlice decodes columns [lo, hi) of one quantized row into
 // dst[0:hi-lo]: dst[i-lo] = code(i) * scale(i/group).
 func DequantizeRowSlice(dst, codes, scales []float32, lo, hi, group int) {
-	for i := lo; i < hi; i++ {
-		dst[i-lo] = float32(qcode(codes, i)) * scales[i/group]
+	for i := lo; i < hi; {
+		g := i / group
+		s, end := scales[g], min(hi, (g+1)*group)
+		for ; i < end; i++ {
+			dst[i-lo] = float32(qcode(codes, i)) * s
+		}
 	}
 }
 
@@ -152,61 +156,4 @@ func QBlocksPrefix(dst, blocks []QBlock, n int) []QBlock {
 		n -= rows
 	}
 	return dst
-}
-
-// AttendOneBlocksQ is AttendOneBlocks over a quantized paged context:
-// keys[b]/values[b] are the b-th block's int8 halves. The kv heads
-// drive the outer loop: each K (and V) row's head slice dequantizes
-// into rowBuf exactly once and serves all nq/nkv query heads sharing
-// that kv head — the GQA group factor of redundant dequant work the
-// query-head-outer order would do — and the float32 context is never
-// materialized. scores is scratch of length >= (nq/nkv)*ctx (one lane
-// per query head of a group; allocated when nil), rowBuf of length >=
-// headDim. Each score is still its own single ascending accumulation
-// chain and each output head its own t-ascending weighted sum, so
-// given identical dequantized values the output is bit-identical to
-// AttendOneBlocks: same per-score chains, one softmax per head over
-// the whole context, same k-ascending combine.
-func AttendOneBlocksQ(out, q []float32, keys, values []QBlock, nq, nkv, headDim int, scores, rowBuf []float32) {
-	ctx := QBlocksRows(keys)
-	group := nq / nkv
-	if scores == nil || len(scores) < group*ctx {
-		scores = make([]float32, group*ctx)
-	}
-	if len(rowBuf) < headDim {
-		rowBuf = make([]float32, headDim)
-	}
-	scale := float32(1 / math.Sqrt(float64(headDim)))
-	for kvh := 0; kvh < nkv; kvh++ {
-		lo, hi := kvh*headDim, (kvh+1)*headDim
-		base := 0
-		for _, kb := range keys {
-			for t := 0; t < kb.Rows; t++ {
-				DequantizeRowSlice(rowBuf, kb.RowCodes(t), kb.RowScales(t), lo, hi, kb.Group)
-				for g := 0; g < group; g++ {
-					qh := q[(kvh*group+g)*headDim : (kvh*group+g+1)*headDim]
-					scores[g*ctx+base+t] = Dot(qh, rowBuf[:headDim]) * scale
-				}
-			}
-			base += kb.Rows
-		}
-		for g := 0; g < group; g++ {
-			Softmax(scores[g*ctx : g*ctx+ctx])
-			oh := out[(kvh*group+g)*headDim : (kvh*group+g+1)*headDim]
-			for i := range oh {
-				oh[i] = 0
-			}
-		}
-		base = 0
-		for _, vb := range values {
-			for t := 0; t < vb.Rows; t++ {
-				DequantizeRowSlice(rowBuf, vb.RowCodes(t), vb.RowScales(t), lo, hi, vb.Group)
-				for g := 0; g < group; g++ {
-					oh := out[(kvh*group+g)*headDim : (kvh*group+g+1)*headDim]
-					Axpy(scores[g*ctx+base+t], rowBuf[:headDim], oh)
-				}
-			}
-			base += vb.Rows
-		}
-	}
 }

@@ -5,15 +5,21 @@
 // row-major slices. Kernels are deterministic by construction: every
 // variant of an operation computes each output element with the same
 // accumulation order, so tiled, parallel and batched paths agree bit
-// for bit with their scalar counterparts at any worker count. For the
-// GEMM the invariant is: one accumulator per output element walking k
-// in ascending order, the multiply and the add rounded separately. The
-// Go tile in matMulTBlock is that definition; on amd64 with AVX2 an
-// assembly tile (gemm_amd64.s) puts eight such elements side by side in
-// one register — never an FMA, never a sum across lanes — and is tested
-// identical to the Go tile, which every other host and every -race
-// build runs. Modeling the performance of full-size models remains the
-// job of the perfmodel/sim packages.
+// for bit with their scalar counterparts at any worker count. The
+// invariant: one accumulator per output element, walking its reduction
+// in ascending order, the multiply and the add rounded separately
+// (`s += float32(a*b)`). For the GEMM the reduction is over k; in
+// attention a score is a GEMM element (a query head against one key's
+// head slice, over headDim) and a combine element is one accumulator
+// over the context positions t, as Axpy. The Go loops (matMulTBlock,
+// Dot, Axpy) are the definition; on amd64 with AVX2 the assembly
+// kernels (gemm_amd64.s) put eight such elements side by side in one
+// register — lanes across output rows for the GEMM and across query
+// heads for attention scores, across headDim for the combine; never an
+// FMA, never a sum across lanes — and are tested identical to the Go
+// loops, which every other host and every -race build runs. Softmax,
+// SiLU and quantization are scalar Go. Modeling the performance of
+// full-size models remains the job of the perfmodel/sim packages.
 package tensor
 
 import (
@@ -191,19 +197,21 @@ func matMulTBlock(dst, a, bT Mat, lo, hi, jlo, jhi int) {
 	}
 }
 
-// Dot returns the inner product of two equal-length vectors.
+// Dot returns the inner product of two equal-length vectors: one
+// accumulator in ascending order, each product rounded before the sum
+// (the conversion forbids a fused multiply-add, as in matMulTBlock).
 func Dot(a, b []float32) float32 {
 	var sum float32
 	for i, v := range a {
-		sum += v * b[i]
+		sum += float32(v * b[i])
 	}
 	return sum
 }
 
-// Axpy computes y += alpha * x.
+// Axpy computes y += alpha * x, the product rounded before the sum.
 func Axpy(alpha float32, x, y []float32) {
 	for i, v := range x {
-		y[i] += alpha * v
+		y[i] += float32(alpha * v)
 	}
 }
 
