@@ -22,7 +22,8 @@
 //     one directly; ServeResult and the facade's results embed it.
 //   - The step's task graph (internal/schedule): roles, lanes,
 //     look-ahead, issue order and dependencies, weight-buffer reuse
-//     hazards included, are what schedule.Build emits for CGOPipe — the
+//     hazards and the expert weight stream included, are what
+//     schedule.Build emits for CGOPipe — the
 //     graph the simulator runs. It is built for a run's micro-batch
 //     count, always with Plan.LayerFFN, and bound to Pipeline.runTask
 //     (laneSet, pipeline.go) — again only when a run's count differs
@@ -57,25 +58,24 @@
 // # The expert weight stream
 //
 // Expert FFN blocks reach the GPU through paging.ExpertPager, and the
-// engine, not the pager, knows what runs next. Pipeline.beginLayer is
-// the one place they meet, called from one issue point: the top of a
-// layer's first post-attention task, post(l, 0), once the previous
-// layer's expert FFN has retired and a micro-batch's worth of tasks
-// before its own, in prompt passes and decode steps alike. It announces
-// the layer and requests the next layer's predicted experts, load
-// descending, as many as half the pool holds and no more than the next
-// layer's rows x TopK — what it can route to (for the last layer, the
-// next pass's rows: after the last prompt pass, the decode step's live
-// rows); a one-sequence wave that asked for all of them would keep the
-// worker copying unread blocks beside the lanes from start to finish.
-// Only layer 0 before the first pass is staged outside the graph
-// (primeLayer). The pager then evicts in schedule order — the layer just
+// engine, not the pager, knows what runs next: the copies are tasks of
+// the step graph. A layer's first post-attention task, post(l, 0),
+// announces the layer to the pager (BeginLayer) once the previous
+// layer's expert FFN has retired. Behind it, one expert share per
+// micro-batch, experts(l+1, j) on the Pin lane, fetches the j-th part of
+// the next layer's predicted experts (fetchExperts): load descending, as
+// many as half the pool holds and no more than the next layer's rows x
+// TopK — what it can route to (for the last layer, the next pass's rows:
+// after the last prompt pass, the decode step's live rows). The copy runs
+// inside the task, on the lane's goroutine; ffn(l+1) waits for the last
+// share, so every predicted block has landed when the layer's FFN asks
+// for it, and when a copy runs is a fact of the graph the simulator
+// schedules. Only layer 0 before the first pass is fetched outside the
+// graph (primeLayer). The pager evicts in schedule order — the layer just
 // finished first, the layer about to run last, LRU plus frequency only
-// inside a layer — lets no prefetch displace a block needed sooner than
-// the one it brings, and keeps a single pending request, so its worker
-// is never more than one copy behind the schedule and Close waits for
-// that copy alone. With the default pool of two layers every block is
-// fetched once per pass, off the GPU lane; whatever the pool, a
+// inside a layer — and lets no prefetch displace a block needed sooner
+// than the one it brings. With the default pool of two layers every
+// block is fetched once per pass, off the GPU lane; whatever the pool, a
 // block that is not there when a kernel asks is fetched on the spot, so
 // residency moves time and never tokens.
 //

@@ -172,10 +172,8 @@ func TestPipelineWeightTraffic(t *testing.T) {
 		t.Errorf("HtoD bytes = %d, want %d", got, wantHtoD)
 	}
 
-	// Expert traffic: Close first so in-flight prefetches have landed,
-	// then every fetched block must account for exactly one block of
-	// bytes, and a run this size must both hit and fetch.
-	pl.Close()
+	// Expert traffic: every fetched block must account for exactly one
+	// block of bytes, and a run this size must both hit and fetch.
 	ep := &pl.Counters.ExpertPaging
 	fetched := ep.Misses.Load() + ep.Prefetched.Load()
 	if want := 4 * int64(pl.layout.ExpertFloats()) * fetched; ep.BytesFetched.Load() != want {

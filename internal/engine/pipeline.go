@@ -40,19 +40,20 @@ import (
 // each layer moves through pinned staging into a double-buffered GPU
 // region, page by page, while expert FFN blocks move individually
 // through an ExpertPager that keeps a fixed-byte resident set on the
-// GPU. The engine tells the pager the schedule it already knows: as a
-// layer's first post-attention task starts — the previous layer's
-// expert FFN has retired, so its blocks are free to go — it announces the
-// layer and hands over the next layer's predicted experts, in prompt
-// passes and decode steps alike. The pager evicts the layer furthest ahead
-// in the cyclic layer order first and its worker never holds more than
-// that one request, so each block crosses once per pass through the
-// layers, behind the layer's GEMMs rather than on the GPU lane, and a
-// larger pool keeps the layers coming up soonest resident across steps.
-// A routed-to expert that is not resident demand-fetches synchronously
-// (bit-identical output for any residency size). Attention runs on the
-// CPU worker against the CPU-resident paged KV cache; everything else
-// runs on the GPU worker, which only ever reads GPU-arena memory.
+// GPU. Those copies are tasks of the graph too: a layer's first
+// post-attention task announces the layer to the pager — the previous
+// layer's expert FFN has retired, so its blocks are free to go — and then
+// one expert share per micro-batch on the Pin lane fetches its part of the
+// next layer's predicted experts, which that layer's ffn waits for, in
+// prompt passes and decode steps alike. The pager evicts the layer
+// furthest ahead in the cyclic layer order first, so each block crosses
+// once per pass through the layers, behind the layer's GEMMs rather than
+// on the GPU lane, and a larger pool keeps the layers coming up soonest
+// resident across steps. A routed-to expert that is not resident
+// demand-fetches synchronously (bit-identical output for any residency
+// size). Attention runs on the CPU worker against the CPU-resident paged
+// KV cache; everything else runs on the GPU worker, which only ever
+// reads GPU-arena memory.
 type Pipeline struct {
 	w      *Weights
 	layout Layout
@@ -163,8 +164,8 @@ type Pipeline struct {
 
 	// expSrc adapts the pager to the expertSource the kernels consume,
 	// one real layer at a time. The GPU lane is serial, so one reusable
-	// instance suffices. predBuf and keyBuf are the prefetch-prediction
-	// workspaces.
+	// instance suffices. predBuf and keyBuf are the expert shares'
+	// prediction workspaces, owned by the Pin lane (fetchExperts).
 	expSrc  pagedExperts
 	predBuf []int
 	keyBuf  []paging.ExpertKey
@@ -207,10 +208,10 @@ func defaultKernels() kernels {
 // every appended row. HtoDBytes/PinBytes/PagesMoved cover the
 // scheduled-lane traffic (shared weight pages and attention
 // activations); GPUKernels counts the graph's GPU tasks, CPUAttns its
-// attention tasks. Expert weight blocks move through the pager
-// and are tallied separately in ExpertPaging, whose byte count is
-// deterministic ((Misses+Prefetched) * block bytes) even though the
-// hit/prefetch split depends on prefetch timing.
+// attention tasks. Expert weight blocks move through the pager — on the
+// Pin lane as the graph's expert shares, on the GPU lane as demand
+// fetches — and are tallied separately in ExpertPaging, never in
+// PinBytes or HtoDBytes; its bytes are (Misses+Prefetched) * block bytes.
 type Counters struct {
 	HtoDBytes, DtoHBytes, PinBytes   atomic.Int64
 	PagesMoved, GPUKernels, CPUAttns atomic.Int64
@@ -261,19 +262,17 @@ type Config struct {
 	// ExpertResidencyBytes caps the GPU-resident expert-weight pool:
 	// the pager keeps this many bytes of expert FFN blocks resident
 	// (rounded down to whole blocks, minimum one). <= 0 selects two
-	// layers' expert sets — the computing layer plus the one being
-	// prefetched behind it. That is the size at which every expert block
-	// is fetched exactly once per decode step and none of it on the GPU
-	// lane, provided a layer computes for as long as the next layer's
-	// blocks take to copy. A wave of one or two sequences does not, and
-	// is not asked to try: a layer's request stops at rows x TopK
-	// blocks, all its rows can route to, and a routed block the
-	// prediction left out is a demand fetch of the same bytes. More
-	// keeps the layers coming up soonest resident across steps; less
-	// turns the difference into demand fetches. Output is bit-identical
-	// for ANY value: a routed-to expert that is not resident
-	// demand-fetches synchronously, so a small budget only costs time,
-	// never correctness.
+	// layers' expert sets — the computing layer plus the one the Pin
+	// lane's expert shares fetch behind it. That is the size at which
+	// every expert block is fetched exactly once per decode step and none
+	// of it on the GPU lane. A layer's shares stop at rows x TopK blocks,
+	// all its rows can route to, so a wave of one or two sequences copies
+	// no block it cannot read, and a routed block the prediction left out
+	// is a demand fetch of the same bytes. More keeps the layers coming up
+	// soonest resident across steps; less turns the difference into
+	// demand fetches. Output is bit-identical for ANY value: a routed-to
+	// expert that is not resident demand-fetches synchronously, so a
+	// small budget only costs time, never correctness.
 	ExpertResidencyBytes int
 	// Faults optionally threads a deterministic fault injector through
 	// the pipeline's seams: expert-pager fetches, KV block allocation,
@@ -388,7 +387,6 @@ func NewPipeline(w *Weights, gpu, pinned, cacheArena *memory.Arena, numSeqs int,
 		p.pager.SetFetchFault(cfg.Faults.ExpertFetch)
 	}
 	if err := p.begin(make([][]int, numSeqs), nil); err != nil {
-		p.pager.Close()
 		return nil, err
 	}
 	return p, nil
@@ -452,13 +450,11 @@ func (p *Pipeline) begin(prompts, partition [][]int) error {
 	return nil
 }
 
-// Close shuts the worker goroutines down (the five lanes and the
-// expert prefetcher, which drops the requests it has not started). The
-// pipeline is unusable afterwards.
+// Close shuts the lane goroutines down. The pipeline is unusable
+// afterwards.
 func (p *Pipeline) Close() {
 	if !p.closed {
 		p.lanes.close()
-		p.pager.Close()
 		p.cancel(errWaveAborted)
 		p.closed = true
 	}

@@ -318,8 +318,8 @@ func (p *Pipeline) prompting() bool {
 // weight-buffer base, runs it, and returns when the pass completes
 // (synchronous pass boundary). Only layer 0 of the run's first pass is
 // staged outside the graph (primeLayer): every pass pages in the next
-// one's layer 0 and asks the prefetcher for its experts, so the first
-// decode step needs no preload either.
+// one's layer 0 and fetches its predicted experts, so the first decode
+// step needs no preload either.
 func (p *Pipeline) pass() error {
 	p.plan()
 	if p.passes == 0 {
@@ -343,11 +343,11 @@ func (p *Pipeline) pass() error {
 // runTask is the engine's side of the graph: what each role of the
 // CGOPipe builder does here, on the lane the builder put it on. The
 // builder numbers layers and micro-batches from 1 and calls the next
-// pass's first layer Layers+1, so l may equal Layers for a page or a
-// pin; ffn, once per layer, carries micro-batch 0. Everything a task
-// needs beyond its coordinates — the pass's rows, the micro-batch's
-// current members — is read when it runs: retirement replaces p.mbs[j]
-// between passes.
+// pass's first layer Layers+1, so l may equal Layers for a page, a pin
+// or an expert share; ffn, once per layer, carries micro-batch 0.
+// Everything a task needs beyond its coordinates — the pass's rows, the
+// micro-batch's current members — is read when it runs: retirement
+// replaces p.mbs[j] between passes.
 func (p *Pipeline) runTask(t *sim.Task) error {
 	l, j := t.Layer-1, t.MB-1
 	v := p.vbase + l // virtual layer: the weight buffers' slots go by its parity
@@ -371,30 +371,27 @@ func (p *Pipeline) runTask(t *sim.Task) error {
 	case schedule.RolePost:
 		if j == 0 {
 			// The layer's first post-attention: the previous layer's expert
-			// FFN has retired (the GPU lane runs in order), so its blocks
-			// are now the pager's first victims, and this layer's own FFN
-			// is a micro-batch's worth of tasks away — the earliest the
-			// next layer's predicted experts can be fetched without
-			// displacing blocks still waiting to be used (the last layer
-			// wraps to layer 0 of the next pass), and the most time the
-			// copies get. Runs even when micro-batch 0 has emptied, on the
-			// GPU lane, the sole writer of the router statistics it reads.
-			// The one place the schedule meets the pager, in prompt passes
-			// and decode steps alike.
-			rows := p.rowOff[len(p.mbs)]
-			if l == cfg.Layers-1 {
-				// Layer 0 is the next pass's, sized by the rows that pass
-				// routes: after the last prompt pass, the decode step's live
-				// rows, not this pass's token count.
-				rows = p.nextRows
-			}
-			p.beginLayer(l, rows)
+			// FFN has retired (the GPU lane runs in order), so announcing
+			// this layer makes that layer's blocks the pager's first
+			// victims. Every expert share of the next layer waits for this
+			// task, so none displaces a block still waiting to be used. Runs
+			// even when micro-batch 0 has emptied.
+			p.pager.BeginLayer(l, cfg.Layers)
 		}
 		p.Counters.GPUKernels.Add(1)
 		p.runPostRoute(v, j)
 	case schedule.RoleFFN:
 		p.Counters.GPUKernels.Add(1)
 		p.runExpertFFN(l)
+	case schedule.RoleExperts:
+		// Layer l's blocks, l == Layers being the next pass's layer 0,
+		// sized by the rows that pass routes: after the last prompt pass,
+		// the decode step's live rows, not this pass's token count.
+		rows := p.rowOff[len(p.mbs)]
+		if l == cfg.Layers {
+			rows = p.nextRows
+		}
+		p.fetchExperts(p.realLayer(l), rows, j, len(p.mbs))
 	case schedule.RolePage:
 		return p.runPage(v, j)
 	case schedule.RolePin:
@@ -620,10 +617,10 @@ func (p *Pipeline) realLayer(v int) int {
 // primeLayer stages virtual layer v before the first pass, the one
 // layer no pass pages in: its shared region lands synchronously in the
 // double buffer through staging, via the same runPin/runPage steps the
-// lanes schedule, and its predicted expert set, for the rows laid out
-// for that pass, goes to the prefetcher. Every later layer, the next
-// pass's layer 0 included, is paged in by the graph. The benchmark
-// baselines share this path.
+// lanes schedule, and so does its predicted expert set, for the rows laid
+// out for that pass, as one share. Every later layer, the next pass's
+// layer 0 included, is paged in by the graph. The benchmark baselines
+// share this path.
 func (p *Pipeline) primeLayer(v int) error {
 	for pg := 0; pg < p.table.NumPages; pg++ {
 		if err := p.runPin(v, pg); err != nil {
@@ -633,7 +630,7 @@ func (p *Pipeline) primeLayer(v int) error {
 			return err
 		}
 	}
-	p.prefetchExperts(p.rowOff[len(p.mbs)], p.realLayer(v))
+	p.fetchExperts(p.realLayer(v), p.rowOff[len(p.mbs)], 0, 1)
 	return nil
 }
 
@@ -663,7 +660,7 @@ func (s *pagedExperts) Release(e int) {
 // most-frequently-routed first per the cumulative router statistics
 // (ties and the cold start resolve to ascending id). The returned slice
 // is p.predBuf; callers don't retain it. An insertion sort in place: it
-// runs on the GPU lane once per layer per pass and must not allocate.
+// runs on the Pin lane once per expert share and must not allocate.
 func (p *Pipeline) predictExperts(layer, n int) []int {
 	load := p.ExpertLoad[layer]
 	ids := p.predBuf[:0]
@@ -682,38 +679,24 @@ func (p *Pipeline) predictExperts(layer, n int) []int {
 	return ids
 }
 
-// beginLayer tells the pager real layer `layer` starts computing and
-// hands it the next layer's predicted experts (the last layer wraps to
-// layer 0), for a next layer of `rows` token rows. post(l, 0) calls it,
-// once per layer per pass.
-func (p *Pipeline) beginLayer(layer, rows int) {
-	p.pager.BeginLayer(layer, p.w.Cfg.Layers)
-	p.prefetchExperts(rows, p.realLayer(layer+1))
-}
-
-// prefetchExperts hands real layer `layer`'s predicted expert set to
-// the pager's background worker. That is at most half the residency
-// pool, so prefetches for the next layer never crowd out the experts the
-// current layer is still using — nothing at all for a pool of one block,
-// which the current layer's first demand fetch would take back before
-// the next layer could read it — and at most rows x TopK blocks, all
-// that a layer of `rows` token rows can route to. Without the second
-// limit a wave of one or two sequences asks for every expert of every
-// layer: its layers compute in less time than those blocks take to copy,
-// so the worker would copy flat out for the whole wave, next to the
-// lanes, blocks that are mostly never read. Best effort — a block the
-// worker does not reach in time, or that the prediction left out, is
-// covered by the demand-fetch fallback.
-func (p *Pipeline) prefetchExperts(rows, layer int) {
-	n := p.pager.Slots() / 2
-	if n > p.w.Cfg.Experts {
-		n = p.w.Cfg.Experts
-	}
-	if routable := rows * p.w.Cfg.TopK; n > routable {
-		n = routable
-	}
+// fetchExperts fetches share `share` of `shares` of real layer `layer`'s
+// predicted expert set into the pager, on the calling goroutine: the
+// experts(l, j) task on the Pin lane, or primeLayer with one share. The
+// set is at most half the residency pool, so the next layer's blocks
+// never crowd out the experts the current layer is still using — nothing
+// at all for a pool of one block, which the current layer's first demand
+// fetch would take back before the next layer could read it — and at
+// most rows x TopK blocks, all that a layer of `rows` token rows can
+// route to. Without the second limit a wave of one or two sequences
+// would copy every expert of every layer, blocks that are mostly never
+// read. A block the prediction left out, or that the pager passes over,
+// is covered by the demand-fetch fallback. predBuf and keyBuf belong to
+// the Pin lane; ffn(l) waits for the layer's last share, so every share
+// reads ExpertLoad[layer] before the FFN adds to it.
+func (p *Pipeline) fetchExperts(layer, rows, share, shares int) {
+	n := min(p.pager.Slots()/2, p.w.Cfg.Experts, rows*p.w.Cfg.TopK)
 	keys := p.keyBuf[:0]
-	for _, e := range p.predictExperts(layer, n) {
+	for _, e := range p.predictExperts(layer, n)[share*n/shares : (share+1)*n/shares] {
 		keys = append(keys, paging.ExpertKey{Layer: layer, Expert: e})
 	}
 	p.keyBuf = keys

@@ -23,12 +23,12 @@ type ExpertKey struct {
 // read.
 type Stats struct {
 	// Hits counts Acquires served from the resident set — including
-	// blocks whose prefetch was still in flight (the fetch was already
-	// off the critical path when the kernel asked). Misses counts
-	// Acquires that found nothing and demand-fetched synchronously.
+	// blocks whose prefetch another goroutine still had in flight.
+	// Misses counts Acquires that found nothing and demand-fetched
+	// synchronously.
 	Hits, Misses atomic.Int64
-	// Prefetched counts blocks the background worker fetched; Evicted
-	// counts resident blocks displaced to make room.
+	// Prefetched counts blocks Prefetch fetched; Evicted counts resident
+	// blocks displaced to make room.
 	Prefetched, Evicted atomic.Int64
 	// BytesFetched is the fast-memory weight traffic of every block
 	// fetch, demand or prefetch (each block moves CPU -> pinned -> fast
@@ -41,7 +41,7 @@ type Stats struct {
 }
 
 // Source resolves a key to the block's CPU home region. It must be safe
-// to call from the prefetch worker concurrently with compute.
+// to call from the goroutines that Acquire and Prefetch concurrently.
 type Source func(k ExpertKey) memory.Region
 
 // expertEntry is the pager's bookkeeping for one resident (or loading)
@@ -59,9 +59,11 @@ type expertEntry struct {
 // ExpertPager keeps a fixed-size resident set of expert weight blocks
 // in fast memory: Acquire pins a block (demand-fetching synchronously
 // on a miss, so callers always get correct data — a small residency
-// only ever costs time), Release unpins it, and Prefetch hands keys to
-// a persistent background worker that stages them through pinned memory
-// while compute runs.
+// only ever costs time), Release unpins it, and Prefetch stages keys
+// through pinned memory on the calling goroutine. The pager starts no
+// goroutine of its own: when a copy runs is the caller's schedule, and
+// the engine runs them as tasks of its step graph, on the Pin lane, while
+// its GPU lane computes.
 //
 // Eviction follows the schedule the caller announces. Layers are
 // visited in a fixed cyclic order, and BeginLayer says which one starts
@@ -96,26 +98,14 @@ type ExpertPager struct {
 	// layers; cycle 0 means none was announced yet.
 	cur, cycle int
 
-	// pending[next:] are the prefetch requests the worker has not
-	// started. Prefetch replaces them, the worker pops one at a time
-	// until closed is set, and wake signals the worker that pending or
-	// closed changed.
-	pending []ExpertKey
-	next    int
-	closed  bool
-	wake    *sync.Cond
-
 	// fault, when set, is consulted inside every fetch attempt; a
 	// non-nil return fails that attempt (fetch retries with backoff
 	// before giving up). Install it before serving traffic.
 	fault func() error
-
-	wg sync.WaitGroup
 }
 
 // NewExpertPager carves numSlots expert-sized slots (plus matching
-// pinned staging) out of the arenas and starts the prefetch worker.
-// stats may be nil.
+// pinned staging) out of the arenas. stats may be nil.
 func NewExpertPager(fast, pinned *memory.Arena, expertFloats, numSlots int, src Source, stats *Stats) (*ExpertPager, error) {
 	if expertFloats <= 0 || numSlots <= 0 {
 		return nil, fmt.Errorf("paging: invalid expert pager %d floats / %d slots", expertFloats, numSlots)
@@ -129,7 +119,6 @@ func NewExpertPager(fast, pinned *memory.Arena, expertFloats, numSlots int, src 
 		stats:   stats,
 		entries: make(map[ExpertKey]*expertEntry, numSlots),
 	}
-	p.wake = sync.NewCond(&p.mu)
 	for i := 0; i < numSlots; i++ {
 		r, err := fast.Alloc(expertFloats)
 		if err != nil {
@@ -143,24 +132,17 @@ func NewExpertPager(fast, pinned *memory.Arena, expertFloats, numSlots int, src 
 		p.staging = append(p.staging, st)
 		p.free = append(p.free, i)
 	}
-	p.wg.Add(1)
-	go p.worker()
 	return p, nil
 }
 
 // Slots returns the residency pool size in blocks.
 func (p *ExpertPager) Slots() int { return len(p.slots) }
 
-// Close stops the prefetch worker. Requests it has not started are
-// discarded — they are for layers that will never run — so Close waits
-// for at most the one copy in flight. Prefetch is a no-op afterwards.
-func (p *ExpertPager) Close() {
-	p.mu.Lock()
-	p.closed = true
-	p.wake.Signal()
-	p.mu.Unlock()
-	p.wg.Wait()
-}
+// Close does nothing: the pager starts no goroutine and holds nothing
+// that needs releasing. It stays because the standing benchmark's
+// paging probes (bench/probes.go) call it, until ROADMAP item 7 revises
+// that frozen code.
+func (p *ExpertPager) Close() {}
 
 // BeginLayer announces that layer `layer`, of a model whose layers are
 // visited cyclically 0..layers-1, starts computing: from now on its
@@ -185,8 +167,8 @@ func (p *ExpertPager) aheadLocked(layer int) int {
 // consulted inside every fetch attempt: a non-nil return fails that
 // attempt, and fetch retries with capped exponential backoff before
 // abandoning the fetch. Install it before the first Acquire/Prefetch;
-// the hook must be safe to call from the prefetch worker concurrently
-// with compute.
+// the hook must be safe to call from the goroutines that Acquire and
+// Prefetch concurrently.
 func (p *ExpertPager) SetFetchFault(hook func() error) {
 	p.mu.Lock()
 	p.fault = hook
@@ -236,35 +218,36 @@ func (p *ExpertPager) Acquire(k ExpertKey) ([]float32, error) {
 			p.mu.Lock()
 			continue
 		}
-		e := &expertEntry{slot: slot, loading: true, ready: make(chan struct{}), refs: 1, freq: 1, tick: p.tick}
-		p.entries[k] = e
 		p.stats.Misses.Add(1)
+		err := p.loadLocked(k, slot, 1)
 		p.mu.Unlock()
-
-		err := p.fetch(k, slot)
-
-		p.mu.Lock()
 		if err != nil {
-			p.dropFailedLocked(k, e, err)
-			p.mu.Unlock()
 			return nil, err
 		}
-		e.loading = false
-		close(e.ready)
-		p.mu.Unlock()
 		return p.slots[slot].Data(), nil
 	}
 }
 
-// dropFailedLocked unwinds a failed fetch: the entry leaves the table,
-// its slot returns to the free list, and waiters blocked on ready see
-// the error (written before the close). Callers hold p.mu.
-func (p *ExpertPager) dropFailedLocked(k ExpertKey, e *expertEntry, err error) {
-	e.err = err
+// loadLocked enters k as loading into the claimed slot, pinned refs
+// times, and fetches it with p.mu released, so Acquires of other keys
+// proceed and Acquires of k wait on its ready channel. A failed fetch is
+// unwound: the entry leaves the table, its slot returns to the free list,
+// and waiters see the error (written before ready closes). Callers hold
+// p.mu, and hold it again when it returns.
+func (p *ExpertPager) loadLocked(k ExpertKey, slot, refs int) error {
+	e := &expertEntry{slot: slot, loading: true, ready: make(chan struct{}), refs: refs, freq: 1, tick: p.tick}
+	p.entries[k] = e
+	p.mu.Unlock()
+	err := p.fetch(k, slot)
+	p.mu.Lock()
+	if err != nil {
+		e.err = err
+		delete(p.entries, k)
+		p.free = append(p.free, slot)
+	}
 	e.loading = false
-	delete(p.entries, k)
-	p.free = append(p.free, e.slot)
 	close(e.ready)
+	return err
 }
 
 // Release unpins a block acquired with Acquire.
@@ -285,65 +268,29 @@ func (p *ExpertPager) Resident(k ExpertKey) bool {
 	return ok && !e.loading
 }
 
-// Prefetch replaces the set of blocks the background worker should
-// bring in next, in order, best effort. Requests from an earlier call
-// that the worker has not started are dropped: the caller prefetches
-// one layer ahead, so they are for a layer that is already computing
-// (where a miss demand-fetches) and fetching them late would only
-// displace live blocks. Keys already resident or in flight are skipped
-// by the worker, as is a key that could only land by evicting a block
-// needed sooner. Never blocks the caller.
+// Prefetch brings keys into the resident set, in order, on the calling
+// goroutine, and returns once each has landed or been passed over: a key
+// already resident or in flight is skipped, as is one that could only
+// land by evicting a block needed sooner, or whose fetch fails (best
+// effort — a routed-to key that did not land is demand-fetched by
+// Acquire, which surfaces the error if the fault persists). The engine
+// calls it from its Pin lane, one share of the next layer's predicted
+// blocks per task, so the copies are tasks of the step graph.
 func (p *ExpertPager) Prefetch(keys ...ExpertKey) {
 	p.mu.Lock()
-	if !p.closed {
-		p.pending, p.next = append(p.pending[:0], keys...), 0
-		p.wake.Signal()
-	}
-	p.mu.Unlock()
-}
-
-// worker is the persistent prefetch goroutine (the pool.go idiom:
-// spawned once, no goroutine per request). Each request claims a slot
-// under the lock, then copies outside it, so fetches overlap whatever
-// compute is running.
-func (p *ExpertPager) worker() {
-	defer p.wg.Done()
-	p.mu.Lock()
 	defer p.mu.Unlock()
-	for {
-		for p.next == len(p.pending) && !p.closed {
-			p.wake.Wait()
-		}
-		if p.closed {
-			return
-		}
-		k := p.pending[p.next]
-		p.next++
+	for _, k := range keys {
 		if _, ok := p.entries[k]; ok {
-			continue // already resident or in flight
+			continue
 		}
 		p.tick++
 		slot, ok := p.takeSlotLocked(p.aheadLocked(k.Layer))
 		if !ok {
-			continue // nothing this block may displace; a miss will cover it
-		}
-		e := &expertEntry{slot: slot, loading: true, ready: make(chan struct{}), freq: 1, tick: p.tick}
-		p.entries[k] = e
-		p.mu.Unlock()
-
-		err := p.fetch(k, slot)
-
-		p.mu.Lock()
-		if err != nil {
-			// Best-effort path: drop the entry and move on; a routed-to
-			// miss will demand-fetch (and surface the error) if the fault
-			// persists.
-			p.dropFailedLocked(k, e, err)
 			continue
 		}
-		p.stats.Prefetched.Add(1)
-		e.loading = false
-		close(e.ready)
+		if p.loadLocked(k, slot, 0) == nil {
+			p.stats.Prefetched.Add(1)
+		}
 	}
 }
 

@@ -1,11 +1,6 @@
 package paging
 
-import (
-	"testing"
-	"time"
-
-	"moelightning/internal/memory"
-)
+import "testing"
 
 // layerKeys returns layer l's n expert keys in id order.
 func layerKeys(l, n int) []ExpertKey {
@@ -17,14 +12,13 @@ func layerKeys(l, n int) []ExpertKey {
 }
 
 // sweep walks the layers once the way the engine does: announce the
-// layer, prefetch the next one (wrapping), let the prefetch land, then
-// use every block of the announced layer.
+// layer, prefetch the next one (wrapping) — landed when Prefetch
+// returns — then use every block of the announced layer.
 func sweep(t *testing.T, p *ExpertPager, layers, experts int) {
 	t.Helper()
 	for l := 0; l < layers; l++ {
 		p.BeginLayer(l, layers)
 		p.Prefetch(layerKeys((l+1)%layers, experts)...)
-		waitIdle(t, p)
 		for _, k := range layerKeys(l, experts) {
 			checkBlock(t, k, mustAcquire(t, p, k))
 			p.Release(k)
@@ -70,7 +64,6 @@ func TestPrefetchNeverDisplacesSoonerBlock(t *testing.T) {
 	checkBlock(t, cur, mustAcquire(t, p, cur))
 	p.Release(cur)
 	p.Prefetch(next)
-	waitIdle(t, p)
 	if !p.Resident(cur) || p.Resident(next) || stats.Evicted.Load() != 0 {
 		t.Fatalf("a prefetch for layer %d displaced a block of the announced layer %d", next.Layer, cur.Layer)
 	}
@@ -78,7 +71,6 @@ func TestPrefetchNeverDisplacesSoonerBlock(t *testing.T) {
 	// The same block once its layer has finished is the first to go.
 	p.BeginLayer(next.Layer, layers)
 	p.Prefetch(ExpertKey{Layer: 3})
-	waitIdle(t, p)
 	if p.Resident(cur) || !p.Resident(ExpertKey{Layer: 3}) {
 		t.Fatal("a prefetch did not displace a block of the layer just finished")
 	}
@@ -99,93 +91,4 @@ func TestNoEvictionWhenEverythingFits(t *testing.T) {
 	if got, want := stats.BytesFetched.Load(), int64(layers*experts*4*floats); got != want {
 		t.Fatalf("fetched %d bytes, want %d (every block once, ever)", got, want)
 	}
-}
-
-// gatedSource wraps src so every lookup first reports on entered and
-// then waits for one token on gate: the test holds the worker inside a
-// fetch for as long as it likes.
-func gatedSource(src Source) (gated Source, entered chan ExpertKey, gate chan struct{}) {
-	entered = make(chan ExpertKey, 64) // more than any test here fetches: the worker never blocks reporting
-	gate = make(chan struct{})
-	return func(k ExpertKey) memory.Region {
-		entered <- k
-		<-gate
-		return src(k)
-	}, entered, gate
-}
-
-// TestPrefetchReplacesPending: a second Prefetch drops what the worker
-// had not started of the first, so the worker can never run behind the
-// schedule by more than the one copy in flight.
-func TestPrefetchReplacesPending(t *testing.T) {
-	var stats Stats
-	const experts, floats = 8, 16
-	src, entered, gate := gatedSource(testSource(t, 2, experts, floats))
-	p := newTestPager(t, floats, 2*experts, src, &stats)
-
-	a, b := layerKeys(0, experts), layerKeys(1, experts)
-	p.Prefetch(a...)
-	if k := <-entered; k != a[0] {
-		t.Fatalf("worker started on %v, want %v", k, a[0])
-	}
-	p.Prefetch(b...) // a[1:] has not started: replaced
-	close(gate)
-	waitIdle(t, p)
-
-	for _, k := range b {
-		if !p.Resident(k) {
-			t.Fatalf("%v of the replacing set did not land", k)
-		}
-	}
-	for _, k := range a[1:] {
-		if p.Resident(k) {
-			t.Fatalf("%v of the replaced set was fetched", k)
-		}
-	}
-	if got, want := stats.Prefetched.Load(), int64(1+len(b)); got != want {
-		t.Fatalf("prefetched = %d, want %d (the copy in flight plus the replacing set)", got, want)
-	}
-	checkByteIdentity(t, &stats, floats)
-}
-
-// TestCloseDiscardsPending: Close waits for the copy in flight and for
-// nothing else — requests the worker had not started are for layers
-// that will never run.
-func TestCloseDiscardsPending(t *testing.T) {
-	var stats Stats
-	const experts, floats = 8, 16
-	src, entered, gate := gatedSource(testSource(t, 1, experts, floats))
-	p := newTestPager(t, floats, experts, src, &stats)
-
-	keys := layerKeys(0, experts)
-	p.Prefetch(keys...)
-	<-entered
-
-	closed := make(chan struct{})
-	go func() {
-		p.Close()
-		close(closed)
-	}()
-	select {
-	case <-closed:
-		t.Fatal("Close returned with a copy still in flight")
-	case <-time.After(10 * time.Millisecond):
-	}
-	gate <- struct{}{} // exactly one lookup may proceed; a second fetch would block forever
-	select {
-	case <-closed:
-	case <-time.After(5 * time.Second):
-		t.Fatal("Close waited for more than the copy in flight")
-	}
-
-	if got, want := stats.BytesFetched.Load(), int64(4*floats); got != want {
-		t.Fatalf("fetched %d bytes across Close, want %d (the one copy in flight)", got, want)
-	}
-	checkByteIdentity(t, &stats, floats)
-	for _, k := range keys[1:] {
-		if p.Resident(k) {
-			t.Fatalf("%v was fetched after Close", k)
-		}
-	}
-	p.Prefetch(keys...) // a no-op on a closed pager, not a panic
 }

@@ -4,7 +4,6 @@ import (
 	"math/rand"
 	"sync"
 	"testing"
-	"time"
 
 	"moelightning/internal/memory"
 )
@@ -63,7 +62,6 @@ func newTestPager(t testing.TB, floats, slots int, src Source, stats *Stats) *Ex
 	if err != nil {
 		t.Fatal(err)
 	}
-	t.Cleanup(p.Close)
 	return p
 }
 
@@ -146,15 +144,6 @@ func TestExpertPagerPrefetchBecomesHit(t *testing.T) {
 
 	keys := []ExpertKey{{Layer: 0, Expert: 0}, {Layer: 0, Expert: 3}, {Layer: 1, Expert: 1}}
 	p.Prefetch(keys...)
-	deadline := time.Now().Add(5 * time.Second)
-	for _, k := range keys {
-		for !p.Resident(k) {
-			if time.Now().After(deadline) {
-				t.Fatalf("prefetch of %v never landed", k)
-			}
-			time.Sleep(time.Millisecond)
-		}
-	}
 	if got := stats.Prefetched.Load(); got != int64(len(keys)) {
 		t.Fatalf("prefetched = %d, want %d", got, len(keys))
 	}
@@ -167,6 +156,46 @@ func TestExpertPagerPrefetchBecomesHit(t *testing.T) {
 	}
 	if got, want := stats.BytesFetched.Load(), int64(4*64*len(keys)); got != want {
 		t.Fatalf("bytes fetched = %d, want %d", got, want)
+	}
+}
+
+// TestPrefetchIsSynchronous: Prefetch returns with every requested key
+// that may land resident, and passes over the rest — a duplicate, a key
+// already resident, and one that could only land by displacing a block
+// needed sooner — so the byte identity holds the moment it returns.
+func TestPrefetchIsSynchronous(t *testing.T) {
+	var stats Stats
+	const layers, floats = 4, 16
+	p := newTestPager(t, floats, 3, testSource(t, layers, 2, floats), &stats)
+
+	cur := ExpertKey{Layer: 1}
+	p.BeginLayer(cur.Layer, layers)
+	checkBlock(t, cur, mustAcquire(t, p, cur))
+	p.Release(cur)
+
+	next0, next1, later := ExpertKey{Layer: 2}, ExpertKey{Layer: 2, Expert: 1}, ExpertKey{Layer: 3}
+	p.Prefetch(next0, next0, cur, next1, later)
+	for _, k := range []ExpertKey{cur, next0, next1} {
+		if !p.Resident(k) {
+			t.Fatalf("%v is not resident when Prefetch returns", k)
+		}
+	}
+	if p.Resident(later) {
+		t.Fatalf("%v landed by displacing a block needed sooner", later)
+	}
+	if got := stats.Prefetched.Load(); got != 2 {
+		t.Fatalf("prefetched = %d, want 2 (the duplicate and the resident key skipped)", got)
+	}
+	if got := stats.Evicted.Load(); got != 0 {
+		t.Fatalf("evicted = %d, want 0", got)
+	}
+	checkByteIdentity(t, &stats, floats)
+	for _, k := range []ExpertKey{next0, next1} {
+		checkBlock(t, k, mustAcquire(t, p, k))
+		p.Release(k)
+	}
+	if got := stats.Misses.Load(); got != 1 {
+		t.Fatalf("misses = %d, want 1 (the announced layer's block, before any prefetch)", got)
 	}
 }
 
@@ -228,29 +257,7 @@ func TestExpertPagerConcurrent(t *testing.T) {
 	default:
 	}
 
-	waitIdle(t, p) // the worker has decided every request: the byte invariant is final
-	checkByteIdentity(t, &stats, floats)
-}
-
-// waitIdle returns once the prefetch worker has nothing left to start
-// and no fetch is in flight. The worker pops a request and claims its
-// slot under one hold of the lock, so seeing both at once means every
-// request handed over so far has landed, failed or been passed over.
-func waitIdle(t *testing.T, p *ExpertPager) {
-	t.Helper()
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		p.mu.Lock()
-		idle := p.next == len(p.pending) && p.anyLoadingLocked() == nil
-		p.mu.Unlock()
-		if idle {
-			return
-		}
-		if time.Now().After(deadline) {
-			t.Fatal("prefetch worker never went idle")
-		}
-		time.Sleep(100 * time.Microsecond)
-	}
+	checkByteIdentity(t, &stats, floats) // every Prefetch and Acquire has returned: no fetch is in flight
 }
 
 // checkByteIdentity asserts the accounting identity every block fetch

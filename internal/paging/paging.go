@@ -3,6 +3,12 @@
 // micro-batches in the pipeline), staged CPU -> pinned -> GPU, and the
 // GPU holds a double-buffered region of two layer slots so the next
 // layer's pages arrive while the current layer computes (Fig. 11).
+//
+// Expert FFN blocks page individually through ExpertPager: a fixed-size
+// resident set with refcount pinning, eviction in the schedule order the
+// caller announces, a demand fetch on a miss and a Prefetch that copies
+// on the caller's goroutine. Nothing in the package starts a goroutine:
+// every copy runs where its caller's schedule puts it.
 package paging
 
 import (

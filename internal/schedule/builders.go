@@ -42,6 +42,30 @@ import "moelightning/internal/sim"
 // hazards above are unchanged (the first is again implied by lane
 // order, at any look-ahead: pre(l, 1) now follows ffn(l-1), which
 // follows post(l-1, last)).
+//
+// Under LayerFFN the expert blocks ffn(l+1) reads are tasks as well:
+// experts(l+1, j), issued last among slot (l, j)'s tasks, stages the
+// j-th share of layer l+1's predicted blocks. Every share waits for
+// post(l, 1), which announces layer l to the engine's pager, so the
+// blocks a share displaces are those of the layer just finished;
+// ffn(l+1) waits for the last share (and through lane order for all of
+// them), so its predicted blocks have landed and the router statistics
+// the shares read are not yet written. The last layer's shares are for
+// layer Layers+1, the next pass's first, as its pages are.
+//
+// They run on the Pin lane, one per micro-batch: at the standing
+// benchmark's decode shape (benchShapeDurations: eight 59 us blocks a
+// layer) that leaves the simulated step unchanged at 1, 2 and 4
+// micro-batches (3834 / 4164 / 4824 us), while the same shares on HtoD
+// queue in front of loadh — Fig. 6's S2 bubble — and lengthen it by 28%
+// at 2 micro-batches and 26% at 4, and one task per layer on Pin by 41%
+// at 4. A share follows the slot's look-ahead pin, not post(l, j) at
+// once, because a share in front of a pin holds it, and with it the page
+// it stages and, on HtoD, the loadh behind that page: the simulator does
+// not see that at the modelled 118 us a share, but on the 2-vCPU bench
+// host, where a share's copies contend with the lanes and take 160-250
+// us, that order made the bench-shape decode step (16 sequences as 4x4)
+// 17-20% slower than this one.
 func buildLookahead(p Plan, ahead int, paged bool) []sim.Task {
 	if p.Lookahead > 0 {
 		ahead = p.Lookahead
@@ -143,14 +167,22 @@ func buildLookahead(p Plan, ahead int, paged bool) []sim.Task {
 		case j+ahead <= p.MicroBatches:
 			preSlot(g + ahead)
 		case j == p.MicroBatches:
-			posts := make([]int, p.MicroBatches)
-			for k := range posts {
-				posts[k] = p.id(RolePost, l, k+1)
+			ffnDeps := make([]int, p.MicroBatches, p.MicroBatches+1)
+			for k := range ffnDeps {
+				ffnDeps[k] = p.id(RolePost, l, k+1)
 			}
-			b.add(RoleFFN, l, 0, sim.GPU, d.FFN, "expert-ffn", posts...)
+			if l > 1 {
+				ffnDeps = append(ffnDeps, p.id(RoleExperts, l, p.MicroBatches))
+			}
+			b.add(RoleFFN, l, 0, sim.GPU, d.FFN, "expert-ffn", ffnDeps...)
 			for g2 := g + 1; g2 <= g+ahead && g2 <= total; g2++ {
 				preSlot(g2) // the next layer's prologue
 			}
+		}
+		if p.LayerFFN {
+			// The j-th share of layer l+1's expert blocks, behind every pin
+			// issued so far; ffn(l+1) waits for the last.
+			b.add(RoleExperts, l+1, j, sim.Pin, d.ExpertShare, "experts", p.id(RolePost, l, 1))
 		}
 	}
 	return b.tasks

@@ -31,7 +31,12 @@
 // stops at the layer boundary. The paper's figures model a GPU whose
 // micro-batch already fills the kernel and leave it unset; on a host
 // where a pass over an expert's weights costs the same at one row as at
-// eight, the pass count is what a decode step pays for.
+// eight, the pass count is what a decode step pays for. The same input
+// puts the expert weight stream in the graph: the engine keeps a
+// resident set of expert blocks apart from the paged shared region, and
+// the next layer's predicted blocks move as one Pin-lane share per
+// micro-batch (RoleExperts) that the layer's ffn waits for, so the
+// simulator sees those copies as tasks with a duration.
 package schedule
 
 import (
@@ -75,6 +80,7 @@ type Durations struct {
 	WeightWhole float64 // HtoD: one layer's streamed weights, monolithic
 	PinPage     float64 // Pin: CPU -> pinned staging, one page
 	PinWhole    float64 // Pin: CPU -> pinned staging, one layer
+	ExpertShare float64 // Pin: one micro-batch's share of a layer's expert blocks, both hops (Plan.LayerFFN only)
 
 	// DiskPage / DiskWhole are the disk -> CPU read times for the
 	// disk-resident weight share (zero without a disk tier, §C).
@@ -109,9 +115,12 @@ type Plan struct {
 	// module-based batching). pre(l+1, j) then waits for ffn(l), and the
 	// look-ahead stops at the layer boundary: no pre-attention chain of
 	// layer l+1 can start before ffn(l) has written the layer's hidden
-	// states. False is the paper's graph — its figures model a GPU whose
-	// micro-batch already fills the kernel, where a pass over the
-	// weights is not what a visit costs; the functional engine, whose
+	// states. The expert blocks ffn(l+1) reads then stream as tasks too:
+	// one experts(l+1, j) share per micro-batch on the Pin lane, behind
+	// post(l, 1), and ffn(l+1) waits for the last. False is the paper's
+	// graph — its figures model a GPU whose micro-batch already fills the
+	// kernel, where a pass over the weights is not what a visit costs, and
+	// count expert weights in the pages; the functional engine, whose
 	// decode GEMMs are a few rows each, always sets it.
 	LayerFFN bool
 }
@@ -166,6 +175,7 @@ const (
 	RoleKVStore                 // DtoH: the new token's K/V write-back
 	RoleBlock                   // GPU: fused pre-attention + attention + post-attention
 	RoleFFN                     // GPU: one layer's expert FFN over every micro-batch's rows (MB 0; Plan.LayerFFN)
+	RoleExperts                 // Pin: share MB of layer Layer's predicted expert blocks, CPU -> pinned -> GPU (Plan.LayerFFN)
 )
 
 // id is the ID of the task at (role, layer, mb), layer in 1..Layers+1

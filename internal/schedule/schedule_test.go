@@ -301,8 +301,9 @@ func eachEnginePlan(t *testing.T, f func(name string, p Plan, tasks []sim.Task))
 
 // TestEngineGraphsRun: no look-ahead, page count or shape deadlocks the
 // FIFO lanes, and a graph without durations is exactly the seven tasks
-// of every (layer, micro-batch) slot, plus one ffn per layer when the
-// plan asks for it — no disk read.
+// of every (layer, micro-batch) slot, plus, when the plan asks for the
+// layer-wide FFN, one ffn per layer and one expert share per slot on the
+// Pin lane — no disk read.
 func TestEngineGraphsRun(t *testing.T) {
 	eachEnginePlan(t, func(name string, p Plan, tasks []sim.Task) {
 		res, err := sim.Run(tasks)
@@ -312,26 +313,31 @@ func TestEngineGraphsRun(t *testing.T) {
 		if err := res.Validate(tasks); err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
-		ffns, wantFFNs := 0, 0
+		ffns, wantFFNs, shares, wantShares := 0, 0, 0, 0
 		if p.LayerFFN {
-			wantFFNs = p.Layers
+			wantFFNs, wantShares = p.Layers, p.Layers*p.MicroBatches
 		}
-		if want := 7*p.Layers*p.MicroBatches + wantFFNs; len(tasks) != want {
+		if want := 7*p.Layers*p.MicroBatches + wantFFNs + wantShares; len(tasks) != want {
 			t.Errorf("%s: %d tasks, want %d", name, len(tasks), want)
 		}
 		for _, task := range tasks {
-			if task.Role == RoleDisk {
+			switch task.Role {
+			case RoleDisk:
 				t.Errorf("%s: %v emitted without a disk tier", name, task)
-			}
-			if task.Role == RoleFFN {
+			case RoleFFN:
 				ffns++
 				if task.Lane != sim.GPU || task.MB != 0 {
 					t.Errorf("%s: %v on lane %v with MB %d, want the GPU lane and MB 0", name, task, task.Lane, task.MB)
 				}
+			case RoleExperts:
+				shares++
+				if task.Lane != sim.Pin {
+					t.Errorf("%s: %v on lane %v, want the Pin lane", name, task, task.Lane)
+				}
 			}
 		}
-		if ffns != wantFFNs {
-			t.Errorf("%s: %d ffn tasks, want %d", name, ffns, wantFFNs)
+		if ffns != wantFFNs || shares != wantShares {
+			t.Errorf("%s: %d ffn tasks and %d expert shares, want %d and %d", name, ffns, shares, wantFFNs, wantShares)
 		}
 	})
 }
@@ -342,7 +348,10 @@ func TestEngineGraphsRun(t *testing.T) {
 // weight buffer slot while a task may still read it. The GPU double
 // buffer and the pinned staging each hold two layers, by layer parity.
 // Under LayerFFN, ffn(l) gathers rows every post(l, ·) wrote and writes
-// the hidden states every pre(l+1, ·) reads.
+// the hidden states every pre(l+1, ·) reads; and layer l+1's expert
+// shares start once post(l, 1) has announced layer l and all finish
+// before ffn(l+1): its predicted blocks have landed, and the router
+// statistics the shares read are not yet written by it.
 func TestEngineGraphsOrderBufferReuse(t *testing.T) {
 	eachEnginePlan(t, func(name string, p Plan, tasks []sim.Task) {
 		index := make(map[int]int, len(tasks))
@@ -410,8 +419,10 @@ func TestEngineGraphsOrderBufferReuse(t *testing.T) {
 		for l := 1; l <= p.Layers && p.LayerFFN; l++ {
 			for j := 1; j <= nb; j++ {
 				ordered(p.id(RolePost, l, j), p.id(RoleFFN, l, 0))
+				ordered(p.id(RolePost, l, 1), p.id(RoleExperts, l+1, j))
 				if l < p.Layers {
 					ordered(p.id(RoleFFN, l, 0), p.id(RolePre, l+1, j))
+					ordered(p.id(RoleExperts, l+1, j), p.id(RoleFFN, l+1, 0))
 				}
 			}
 		}
@@ -426,8 +437,10 @@ func TestEngineGraphsOrderBufferReuse(t *testing.T) {
 // rows it serves; a micro-batch of 4 rows visits ~5.25 experts a layer,
 // the layer's 16 rows together visit 8. Attention reads ~50 tokens of KV
 // per sequence at ~1 GB/s; a weight page is a quarter of the 169 KB
-// shared region at ~11 GB/s.
-func benchShapeDurations(layerFFN bool) Durations {
+// shared region at ~11 GB/s. An expert block costs 59 us for both hops
+// (672 KiB twice at the 11.7 GB/s paging.miss_fetch_gbs probe), and a
+// layer fetches its 8 blocks as one share per micro-batch.
+func benchShapeDurations(layerFFN bool, microBatches int) Durations {
 	const visit, routePart = 70, 10 // O projection, norm, router: a 128x128 and an 8x128 matrix
 	d := Durations{
 		PreAttn: 12, CPUAttn: 55, QKVOff: 1, HiddenLoad: 1, WeightPage: 4, PinPage: 4,
@@ -435,8 +448,42 @@ func benchShapeDurations(layerFFN bool) Durations {
 	}
 	if layerFFN {
 		d.PostAttn, d.FFN = routePart, 8*visit
+		d.ExpertShare = 8 * 59 / float64(microBatches)
 	}
 	return d
+}
+
+// TestExpertSharesHiddenOnPinLane: at the bench shape the expert copies
+// cost the step nothing in the simulator — one share per micro-batch on
+// the Pin lane runs under the layer's GEMMs at 1, 2 and 4 micro-batches,
+// and the makespan equals the one with free copies.
+func TestExpertSharesHiddenOnPinLane(t *testing.T) {
+	for _, mb := range []int{1, 2, 4} {
+		span := map[bool]float64{}
+		for _, copies := range []bool{false, true} {
+			d := benchShapeDurations(true, mb)
+			if !copies {
+				d.ExpertShare = 0
+			}
+			tasks, err := Build(CGOPipe, Plan{Layers: 6, MicroBatches: mb, AttnPages: mb, LayerFFN: true, D: d})
+			if err != nil {
+				t.Fatal(err)
+			}
+			res, err := sim.Run(tasks)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := res.Validate(tasks); err != nil {
+				t.Fatal(err)
+			}
+			span[copies] = res.Makespan
+		}
+		t.Logf("%d micro-batches: makespan %.0f us, %.0f us with free expert copies", mb, span[true], span[false])
+		if span[true] != span[false] {
+			t.Errorf("%d micro-batches: makespan %.0f us with %.0f us expert shares, %.0f us without: want them hidden",
+				mb, span[true], 8*59/float64(mb), span[false])
+		}
+	}
 }
 
 // TestLayerFFNPredictedFasterAtBenchShape: where a visit costs the same
@@ -447,7 +494,7 @@ func benchShapeDurations(layerFFN bool) Durations {
 func TestLayerFFNPredictedFasterAtBenchShape(t *testing.T) {
 	span := map[bool]float64{}
 	for _, layerFFN := range []bool{false, true} {
-		tasks, err := Build(CGOPipe, Plan{Layers: 6, MicroBatches: 4, AttnPages: 4, LayerFFN: layerFFN, D: benchShapeDurations(layerFFN)})
+		tasks, err := Build(CGOPipe, Plan{Layers: 6, MicroBatches: 4, AttnPages: 4, LayerFFN: layerFFN, D: benchShapeDurations(layerFFN, 4)})
 		if err != nil {
 			t.Fatal(err)
 		}
