@@ -15,15 +15,17 @@ import (
 // TestEngineTokensSameOnBothTiles is what "tokens identical to the
 // scalar engine" rests on: a packed-prefill + decode run through the
 // pipelined engine yields the same tokens with the vector kernels (the
-// AVX2 GEMM tile and attention's score and combine kernels) off and on,
-// and both equal the sequential reference. It lives here, as an
-// external test of tensor, because only this package can flip the
-// kernels. Two models: odd-moe, where no width is a multiple of eight,
-// so every projection mixes vector blocks with a Go-tile column tail and
-// attention (head dim 10) runs Go on both sides; and gqa-moe, with
-// bench-moe-8x's heads (8 query heads over 2 KV heads of 16), where
-// attention runs the vector kernels — under float32 and int8 KV, with
-// prompts longer than a prompt pass.
+// AVX2 GEMM tile, attention's score and combine kernels, and exp32's
+// lanes in Softmax and SiLUMul) off and on, and both equal the
+// sequential reference. It lives here, as an external test of tensor,
+// because only this package can flip the kernels. Two models: odd-moe,
+// where no width is a multiple of eight, so every projection mixes
+// vector blocks with a Go-tile column tail, SiLUMul over an odd number
+// of 100-wide rows ends in a Go tail, and attention's scores and combine
+// (head dim 10) run Go on both sides; and gqa-moe, with bench-moe-8x's
+// heads (8 query heads over 2 KV heads of 16), where attention runs the
+// vector kernels — under float32 and int8 KV, with prompts longer than a
+// prompt pass.
 func TestEngineTokensSameOnBothTiles(t *testing.T) {
 	detected := tensor.SetVectorTile(false)
 	defer tensor.SetVectorTile(detected)

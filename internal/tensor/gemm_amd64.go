@@ -2,9 +2,12 @@
 
 package tensor
 
-// useAVX2 selects the vector kernels: the GEMM tile in matMulTBlock and
-// attention's score and combine kernels. It is set once from CPUID; only
-// tests assign it afterwards, to run both kernel sets on one host.
+import "math"
+
+// useAVX2 selects the vector kernels: the GEMM tile in matMulTBlock,
+// attention's score and combine kernels, and exp32's lanes in Softmax
+// and SiLUMul. It is set once from CPUID; only tests assign it
+// afterwards, to run both kernel sets on one host.
 var useAVX2 = cpuHasAVX2()
 
 func cpuHasAVX2() bool
@@ -14,6 +17,44 @@ func gemmPanel8AVX2(dst *float32, ldd, rows int, panel *float32, k int, b *float
 
 //go:noescape
 func attnCombineAVX2(o *float32, ldo, heads int, p *float32, ldp int, v *float32, ldv, n, dim int)
+
+// The exp kernels (exp_amd64.s) take n elements, a positive multiple of
+// eight, and compute exp32 eight lanes at a time.
+
+// maxAVX2 returns m replaced by any strictly greater x[i].
+//
+//go:noescape
+func maxAVX2(x *float32, n int, m float32) float32
+
+// expSubAVX2 sets x[i] = exp32(x[i] - m) and adds float64(x[i]) to
+// part[i%8], in ascending i.
+//
+//go:noescape
+func expSubAVX2(x *float32, n int, m float32, part *[8]float64)
+
+// scaleAVX2 sets x[i] *= s.
+//
+//go:noescape
+func scaleAVX2(x *float32, n int, s float32)
+
+// siluMulAVX2 sets dst[i] = gate[i] / (1 + exp32(-gate[i])) * up[i].
+//
+//go:noescape
+func siluMulAVX2(dst, gate, up *float32, n int)
+
+// expLanes is exp32's constants with each row repeated across eight
+// lanes, for the exp kernels' memory operands: exp_amd64.s reads row i
+// at byte offset 32*i, so the order here is part of the kernels.
+var expLanes = func() (t [13][8]float32) {
+	signBit := math.Float32frombits(1 << 31) // -0: XOR with it negates
+	for i, c := range [...]float32{expLo, expHi, log2e, ln2Hi, ln2Lo,
+		expP0, expP1, expP2, expP3, expP4, expP5, 1, signBit} {
+		for j := range t[i] {
+			t[i][j] = c
+		}
+	}
+	return t
+}()
 
 // matMulTVec computes as much of the dst block rows [lo, hi) x cols
 // [jlo, jhi) as the AVX2 tile covers — whole blocks of eight columns —

@@ -73,42 +73,71 @@ func BenchmarkKernelsAttend(b *testing.B) {
 	kvDim := nkv * headDim
 	for _, int8KV := range []bool{false, true} {
 		for _, ctx := range []int{24, 64, 384} {
-			for _, vector := range []bool{true, false} {
-				name := fmt.Sprintf("f32/ctx=%d/vector=%v", ctx, vector)
-				rowBytes := 4 * kvDim
-				if int8KV {
-					name = fmt.Sprintf("int8/ctx=%d/vector=%v", ctx, vector)
-					rowBytes = 4 * (PackedCols(kvDim) + QGroups(kvDim, QGroupSize))
-				}
-				b.Run(name, func(b *testing.B) {
-					if vector && !useAVX2 {
-						b.Skip("no AVX2 kernels in this build")
-					}
-					was := SetVectorTile(vector)
-					defer SetVectorTile(was)
-					rng := rand.New(rand.NewSource(4))
-					keys, values := randMat(rng, ctx, kvDim), randMat(rng, ctx, kvDim)
-					it := AttnItem{
-						Q: randMat(rng, 1, nq*headDim).Data, Out: make([]float32, nq*headDim),
-						Scores: make([]float32, nq/nkv*ctx), RowScratch: make([]float32, headDim),
-					}
-					if int8KV {
-						it.KeyQBlocks, it.ValueQBlocks = quantBlocks(keys, block), quantBlocks(values, block)
-					} else {
-						it.KeyBlocks, it.ValueBlocks = blockify(keys, block), blockify(values, block)
-					}
-					items := []AttnItem{it}
-					b.ResetTimer()
-					for i := 0; i < b.N; i++ {
-						AttendMany(items, nq, nkv, headDim)
-					}
-					b.ReportMetric(float64(2*ctx*rowBytes)*float64(b.N)/b.Elapsed().Seconds()/1e9, "GB/s")
-				})
+			prefix := fmt.Sprintf("f32/ctx=%d/", ctx)
+			rowBytes := 4 * kvDim
+			if int8KV {
+				prefix = fmt.Sprintf("int8/ctx=%d/", ctx)
+				rowBytes = 4 * (PackedCols(kvDim) + QGroups(kvDim, QGroupSize))
 			}
+			vectorRun(b, prefix, func(b *testing.B) {
+				rng := rand.New(rand.NewSource(4))
+				keys, values := randMat(rng, ctx, kvDim), randMat(rng, ctx, kvDim)
+				it := AttnItem{
+					Q: randMat(rng, 1, nq*headDim).Data, Out: make([]float32, nq*headDim),
+					Scores: make([]float32, nq/nkv*ctx), RowScratch: make([]float32, headDim),
+				}
+				if int8KV {
+					it.KeyQBlocks, it.ValueQBlocks = quantBlocks(keys, block), quantBlocks(values, block)
+				} else {
+					it.KeyBlocks, it.ValueBlocks = blockify(keys, block), blockify(values, block)
+				}
+				items := []AttnItem{it}
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					AttendMany(items, nq, nkv, headDim)
+				}
+				b.ReportMetric(float64(2*ctx*rowBytes)*float64(b.N)/b.Elapsed().Seconds()/1e9, "GB/s")
+			})
 		}
 	}
 }
 
+// vectorRun runs f as one sub-benchmark per kernel set, the vector
+// kernels on (skipped where the build has none) and off.
+func vectorRun(b *testing.B, prefix string, f func(b *testing.B)) {
+	for _, vector := range []bool{true, false} {
+		b.Run(fmt.Sprintf("%svector=%v", prefix, vector), func(b *testing.B) {
+			if vector && !useAVX2 {
+				b.Skip("no AVX2 kernels in this build")
+			}
+			was := SetVectorTile(vector)
+			defer SetVectorTile(was)
+			f(b)
+		})
+	}
+}
+
+// BenchmarkKernelsSoftmax is one attention row's softmax at the context
+// lengths BenchmarkKernelsAttend runs, scores in [-8, 8); each call
+// starts from a fresh copy of the row.
+func BenchmarkKernelsSoftmax(b *testing.B) {
+	for _, ctx := range []int{24, 64, 384} {
+		rng := rand.New(rand.NewSource(5))
+		src, x := make([]float32, ctx), make([]float32, ctx)
+		for i := range src {
+			src[i] = rng.Float32()*16 - 8
+		}
+		vectorRun(b, fmt.Sprintf("ctx=%d/", ctx), func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				copy(x, src)
+				Softmax(x)
+			}
+		})
+	}
+}
+
+// BenchmarkKernelsSiLUMul is the expert FFN's activation over 4096
+// values, on the vector kernels and on Go.
 func BenchmarkKernelsSiLUMul(b *testing.B) {
 	rng := rand.New(rand.NewSource(2))
 	gate := make([]float32, 4096)
@@ -118,10 +147,11 @@ func BenchmarkKernelsSiLUMul(b *testing.B) {
 		gate[i] = rng.Float32() - 0.5
 		up[i] = rng.Float32() - 0.5
 	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		SiLUMul(dst, gate, up)
-	}
+	vectorRun(b, "", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			SiLUMul(dst, gate, up)
+		}
+	})
 }
 
 func BenchmarkKernelsTopK(b *testing.B) {

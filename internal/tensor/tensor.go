@@ -17,9 +17,15 @@
 // register — lanes across output rows for the GEMM and across query
 // heads for attention scores, across headDim for the combine; never an
 // FMA, never a sum across lanes — and are tested identical to the Go
-// loops, which every other host and every -race build runs. Softmax,
-// SiLU and quantization are scalar Go. Modeling the performance of
-// full-size models remains the job of the perfmodel/sim packages.
+// loops, which every other host and every -race build runs. The
+// exponential in Softmax and SiLUMul is exp32 (exp.go), one float32
+// function defined in Go step by step, each multiply and add rounded on
+// its own; its AVX2 lanes (exp_amd64.s) run the same steps eight
+// elements at a time and are tested identical to it, and Softmax states
+// its float64 sum as eight strided parts so lanes can hold them. Nothing
+// here calls math.Exp. Quantization is scalar Go. Modeling the
+// performance of full-size models remains the job of the perfmodel/sim
+// packages.
 package tensor
 
 import (
@@ -232,45 +238,6 @@ func RMSNorm(dst, x, weight []float32, eps float32) {
 	inv := float32(1 / math.Sqrt(ss/float64(len(x))+float64(eps)))
 	for i, v := range x {
 		dst[i] = v * inv * weight[i]
-	}
-}
-
-// Softmax computes an in-place numerically stable softmax.
-func Softmax(x []float32) {
-	if len(x) == 0 {
-		return
-	}
-	max := x[0]
-	for _, v := range x[1:] {
-		if v > max {
-			max = v
-		}
-	}
-	var sum float64
-	for i, v := range x {
-		e := math.Exp(float64(v - max))
-		x[i] = float32(e)
-		sum += e
-	}
-	inv := float32(1 / sum)
-	for i := range x {
-		x[i] *= inv
-	}
-}
-
-// SiLU computes x * sigmoid(x) elementwise in place.
-func SiLU(x []float32) {
-	for i, v := range x {
-		x[i] = v / (1 + float32(math.Exp(float64(-v))))
-	}
-}
-
-// SiLUMul computes dst = silu(gate) * up elementwise, fusing the MoE
-// FFN activation into one pass. dst may alias gate or up. Bit-identical
-// to SiLU(gate) followed by an elementwise multiply.
-func SiLUMul(dst, gate, up []float32) {
-	for i, v := range gate {
-		dst[i] = v / (1 + float32(math.Exp(float64(-v)))) * up[i]
 	}
 }
 
