@@ -187,16 +187,18 @@ func TestPipelineWeightTraffic(t *testing.T) {
 	}
 }
 
-// TestPipelineArenaDiscipline verifies the GPU arena never grows beyond
-// what the memory model budgeted (double buffer + activations + hidden).
+// TestPipelineArenaDiscipline verifies that a pipeline on a NewHost at
+// the default residency takes exactly what the memory model budgeted:
+// on the GPU the double buffer, the expert pool, hidden states and
+// transfer rows; in pinned memory the double buffer's staging and the
+// transfer rows alone, since expert blocks cross in one copy.
 func TestPipelineArenaDiscipline(t *testing.T) {
 	cfg := model.Tiny()
-	cpu, gpu, pinned, cacheArena := newTestArenas()
-	w, err := NewRandomWeights(cpu, cfg, 3)
+	host, err := NewHost(cfg, 3, 4, 64, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	pl, err := NewPipeline(w, gpu, pinned, cacheArena, 4, Config{MicroBatch: 2, MaxContext: 64})
+	pl, err := NewPipeline(host.W, host.GPU, host.Pinned, host.Cache, 4, Config{MicroBatch: 2, MaxContext: 64})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -207,13 +209,17 @@ func TestPipelineArenaDiscipline(t *testing.T) {
 	// The row workspaces hold the largest pass: a prompt pass of up to
 	// DefaultPrefillChunk rows, capped by the KV pool's 4 x 64 tokens.
 	rows := min(DefaultPrefillChunk, 4*64)
-	slots := layout.ResidencySlots(0)
+	// QKV and attention transfer rows, one set on each side of the link.
+	transfer := rows*(q+2*kv) + rows*q
 	want := 2*layout.SharedFloats() + // double buffer (shared region only)
-		slots*layout.ExpertFloats() + // expert pager resident set
+		layout.ResidencySlots(0)*layout.ExpertFloats() + // expert pager resident set
 		rows*cfg.Hidden + // the pass's hidden states
-		rows*(q+2*kv) + rows*q // QKV and attention transfer rows
-	if got := gpu.Used(); got != want {
+		transfer
+	if got := host.GPU.Used(); got != want {
 		t.Errorf("GPU arena used = %d floats, want %d", got, want)
+	}
+	if got, want := host.Pinned.Used(), 2*layout.SharedFloats()+transfer; got != want {
+		t.Errorf("pinned arena used = %d floats, want %d (no expert staging)", got, want)
 	}
 }
 

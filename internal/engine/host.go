@@ -21,23 +21,23 @@ const arenaSlack = 4 << 20
 // NewHost builds seeded weights and sizes the arenas for pipelines of up
 // to waveSeqs sequences of maxContext tokens — the one place that
 // sizing lives. The GPU and pinned arenas each hold the double-buffered
-// shared region (within 2 layers' floats) plus the expert residency
-// pool (and its per-slot pinned staging) for residencyBytes
-// (Config.ExpertResidencyBytes; <= 0 is the two-layer default); the
-// cache arena holds K and V for every sequence twice over, float32
-// regardless of codec, so a Reference over the same arena size always
-// fits too.
+// shared region (within 2 layers' floats) and the activation rows; the
+// GPU arena also holds the expert residency pool for residencyBytes
+// (Config.ExpertResidencyBytes; <= 0 is the two-layer default), which
+// expert blocks reach in one copy from the CPU arena. The cache arena
+// holds K and V for every sequence twice over, float32 regardless of
+// codec, so a Reference over the same arena size always fits too.
 func NewHost(m model.Config, seed int64, waveSeqs, maxContext, residencyBytes int) (*Host, error) {
 	layout := NewLayout(m)
-	weightFloats := 2*layout.LayerFloats() + layout.ResidencySlots(residencyBytes)*layout.ExpertFloats() + arenaSlack
+	bufferFloats := 2*layout.LayerFloats() + arenaSlack
 	w, err := NewRandomWeights(memory.NewArena("cpu", m.Layers*layout.LayerFloats()+arenaSlack), m, seed)
 	if err != nil {
 		return nil, err
 	}
 	return &Host{
 		W:      w,
-		GPU:    memory.NewArena("gpu", weightFloats),
-		Pinned: memory.NewArena("pinned", weightFloats),
+		GPU:    memory.NewArena("gpu", bufferFloats+layout.ResidencySlots(residencyBytes)*layout.ExpertFloats()),
+		Pinned: memory.NewArena("pinned", bufferFloats),
 		Cache:  memory.NewArena("kvcache", 2*waveSeqs*maxContext*m.KVDim()*2+arenaSlack),
 	}, nil
 }

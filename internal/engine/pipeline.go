@@ -368,7 +368,7 @@ func NewPipeline(w *Weights, gpu, pinned, cacheArena *memory.Arena, numSeqs int,
 	}
 
 	slots := layout.ResidencySlots(cfg.ExpertResidencyBytes)
-	p.pager, err = paging.NewExpertPager(gpu, pinned, layout.ExpertFloats(), slots,
+	p.pager, err = paging.NewExpertPager(gpu, nil, layout.ExpertFloats(), slots,
 		func(k paging.ExpertKey) memory.Region {
 			lo, hi := layout.ExpertBounds(k.Expert)
 			return w.Layers[k.Layer].Slice(lo, hi)

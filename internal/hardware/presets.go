@@ -143,9 +143,10 @@ func DualA100() Spec {
 
 // Host describes the machine the functional engine actually runs on:
 // both "GPU" and "CPU" levels are the host's core pool and DRAM, and
-// the "link" is a memcpy through the pinned staging arena. The peaks
-// are *nominal* — cores x 32 GFLOP/s (an 8-lane FMA at 2 GHz) and a
-// 16 GB/s DRAM stream per level — deliberately what a spec sheet
+// the "link" is a memcpy: through the pinned staging arena for the
+// shared weights, straight into a resident slot for an expert block.
+// The peaks are *nominal* — cores x 32 GFLOP/s (an 8-lane FMA at 2 GHz)
+// and a 16 GB/s DRAM stream per level — deliberately what a spec sheet
 // would claim, not what scalar Go kernels sustain. That gap is the
 // point: predictions from this spec's analytic curve miss the real
 // engine by an order of magnitude, and internal/calib's measured

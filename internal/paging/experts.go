@@ -31,8 +31,8 @@ type Stats struct {
 	// blocks displaced to make room.
 	Prefetched, Evicted atomic.Int64
 	// BytesFetched is the fast-memory weight traffic of every block
-	// fetch, demand or prefetch (each block moves CPU -> pinned -> fast
-	// memory once per fetch; the bytes are counted once).
+	// fetch, demand or prefetch: each fetch copies the block once, from
+	// its CPU home into its fast-memory slot.
 	BytesFetched atomic.Int64
 	// FetchRetries counts fetch attempts that failed transiently and
 	// were retried (with capped exponential backoff); FetchFailures
@@ -59,8 +59,11 @@ type expertEntry struct {
 // ExpertPager keeps a fixed-size resident set of expert weight blocks
 // in fast memory: Acquire pins a block (demand-fetching synchronously
 // on a miss, so callers always get correct data — a small residency
-// only ever costs time), Release unpins it, and Prefetch stages keys
-// through pinned memory on the calling goroutine. The pager starts no
+// only ever costs time), Release unpins it, and Prefetch copies keys in
+// on the calling goroutine. A fetch is one copy, from the block's CPU
+// home straight into its slot: a slot is written only by the single
+// fetch that claimed it, and nobody reads it until that fetch has
+// landed, so fetches need no lock and no staging. The pager starts no
 // goroutine of its own: when a copy runs is the caller's schedule, and
 // the engine runs them as tasks of its step graph, on the Pin lane, while
 // its GPU lane computes.
@@ -80,14 +83,10 @@ type expertEntry struct {
 // through the layers. Until a layer is announced every block ties and
 // the rule is the in-layer one alone.
 type ExpertPager struct {
-	floats  int
-	src     Source
-	stats   *Stats
-	slots   []memory.Region // fast-memory residency slots
-	staging []memory.Region // pinned staging, one per slot: a slot is
-	// only ever filled by the single fetch that claimed it, so
-	// per-slot staging makes demand fetches and prefetches race-free
-	// without sharing.
+	floats int
+	src    Source
+	stats  *Stats
+	slots  []memory.Region // fast-memory residency slots
 
 	mu      sync.Mutex
 	entries map[ExpertKey]*expertEntry
@@ -104,8 +103,11 @@ type ExpertPager struct {
 	fault func() error
 }
 
-// NewExpertPager carves numSlots expert-sized slots (plus matching
-// pinned staging) out of the arenas. stats may be nil.
+// NewExpertPager carves numSlots expert-sized slots out of the fast
+// arena. stats may be nil. pinned is ignored (nil is fine): a fetch
+// copies straight into its slot. The parameter stays because the
+// standing benchmark's paging probes (bench/probes.go) pass it, until
+// ROADMAP item 7 revises that frozen code.
 func NewExpertPager(fast, pinned *memory.Arena, expertFloats, numSlots int, src Source, stats *Stats) (*ExpertPager, error) {
 	if expertFloats <= 0 || numSlots <= 0 {
 		return nil, fmt.Errorf("paging: invalid expert pager %d floats / %d slots", expertFloats, numSlots)
@@ -124,12 +126,7 @@ func NewExpertPager(fast, pinned *memory.Arena, expertFloats, numSlots int, src 
 		if err != nil {
 			return nil, fmt.Errorf("paging: expert slot %d: %w", i, err)
 		}
-		st, err := pinned.Alloc(expertFloats)
-		if err != nil {
-			return nil, fmt.Errorf("paging: expert staging %d: %w", i, err)
-		}
 		p.slots = append(p.slots, r)
-		p.staging = append(p.staging, st)
 		p.free = append(p.free, i)
 	}
 	return p, nil
@@ -304,11 +301,11 @@ const (
 	fetchBackoffCap  = 400 * time.Microsecond
 )
 
-// fetch stages block k into slot through the slot's pinned staging.
-// The slot was claimed by this fetch alone, so no lock is held across
-// the copies. Injected (or real) per-attempt failures retry with
-// capped exponential backoff; exhausting the budget abandons the
-// fetch with an error naming the block.
+// fetch copies block k from its CPU home into slot, once. The slot was
+// claimed by this fetch alone, so no lock is held across the copy.
+// Injected (or real) per-attempt failures retry with capped
+// exponential backoff; exhausting the budget abandons the fetch with an
+// error naming the block.
 func (p *ExpertPager) fetch(k ExpertKey, slot int) error {
 	p.mu.Lock()
 	fault := p.fault
@@ -330,8 +327,7 @@ func (p *ExpertPager) fetch(k ExpertKey, slot int) error {
 				continue
 			}
 		}
-		memory.Copy(p.staging[slot], p.src(k))
-		memory.Copy(p.slots[slot], p.staging[slot])
+		memory.Copy(p.slots[slot], p.src(k))
 		p.stats.BytesFetched.Add(4 * int64(p.floats))
 		return nil
 	}

@@ -56,9 +56,7 @@ func mustAcquire(t *testing.T, p *ExpertPager, k ExpertKey) []float32 {
 
 func newTestPager(t testing.TB, floats, slots int, src Source, stats *Stats) *ExpertPager {
 	t.Helper()
-	fast := memory.NewArena("fast", slots*floats)
-	pinned := memory.NewArena("pinned", slots*floats)
-	p, err := NewExpertPager(fast, pinned, floats, slots, src, stats)
+	p, err := NewExpertPager(memory.NewArena("fast", slots*floats), nil, floats, slots, src, stats)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -83,6 +81,39 @@ func TestExpertPagerDemandFetchThenHit(t *testing.T) {
 	}
 	if got, want := stats.BytesFetched.Load(), int64(4*32); got != want {
 		t.Fatalf("bytes fetched = %d, want %d (one block)", got, want)
+	}
+}
+
+// TestExpertPagerCopiesStraightIntoSlots: a fetch is one copy from the
+// CPU home into the slot, so the pager takes nothing from the pinned
+// arena — it builds over one of zero capacity and leaves it empty — and
+// a demand fetch, a prefetch and a demand fetch that retries past a
+// transient fault each land the block and count its bytes once.
+func TestExpertPagerCopiesStraightIntoSlots(t *testing.T) {
+	var stats Stats
+	const floats = 32
+	pinned := memory.NewArena("pinned", 0)
+	p, err := NewExpertPager(memory.NewArena("fast", 3*floats), pinned, floats, 3, testSource(t, 1, 3, floats), &stats)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if pinned.Used() != 0 {
+		t.Fatalf("pinned arena used %d floats, want 0", pinned.Used())
+	}
+	demand, prefetched, retried := ExpertKey{Expert: 0}, ExpertKey{Expert: 1}, ExpertKey{Expert: 2}
+	checkBlock(t, demand, mustAcquire(t, p, demand))
+	p.Release(demand)
+	p.Prefetch(prefetched)
+	checkBlock(t, prefetched, mustAcquire(t, p, prefetched))
+	p.Release(prefetched)
+	p.SetFetchFault(countdownFault(1))
+	checkBlock(t, retried, mustAcquire(t, p, retried))
+	p.Release(retried)
+	if got := stats.FetchRetries.Load(); got != 1 {
+		t.Fatalf("fetch retries = %d, want 1", got)
+	}
+	if got, want := stats.BytesFetched.Load(), int64(3*4*floats); got != want {
+		t.Fatalf("bytes fetched = %d, want %d (three blocks)", got, want)
 	}
 }
 
@@ -289,15 +320,14 @@ func TestExpertPagerAcquirePastSlotsPanics(t *testing.T) {
 
 func TestExpertPagerRejectsBadConfig(t *testing.T) {
 	fast := memory.NewArena("fast", 64)
-	pinned := memory.NewArena("pinned", 64)
 	src := func(ExpertKey) memory.Region { panic("unused") }
-	if _, err := NewExpertPager(fast, pinned, 0, 2, src, nil); err == nil {
+	if _, err := NewExpertPager(fast, nil, 0, 2, src, nil); err == nil {
 		t.Error("want error for zero block size")
 	}
-	if _, err := NewExpertPager(fast, pinned, 16, 0, src, nil); err == nil {
+	if _, err := NewExpertPager(fast, nil, 16, 0, src, nil); err == nil {
 		t.Error("want error for zero slots")
 	}
-	if _, err := NewExpertPager(fast, pinned, 64, 2, src, nil); err == nil {
+	if _, err := NewExpertPager(fast, nil, 64, 2, src, nil); err == nil {
 		t.Error("want arena exhaustion error")
 	}
 }

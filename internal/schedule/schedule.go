@@ -80,7 +80,7 @@ type Durations struct {
 	WeightWhole float64 // HtoD: one layer's streamed weights, monolithic
 	PinPage     float64 // Pin: CPU -> pinned staging, one page
 	PinWhole    float64 // Pin: CPU -> pinned staging, one layer
-	ExpertShare float64 // Pin: one micro-batch's share of a layer's expert blocks, both hops (Plan.LayerFFN only)
+	ExpertShare float64 // Pin: one micro-batch's share of a layer's expert blocks, one copy each (Plan.LayerFFN only)
 
 	// DiskPage / DiskWhole are the disk -> CPU read times for the
 	// disk-resident weight share (zero without a disk tier, §C).
@@ -175,7 +175,7 @@ const (
 	RoleKVStore                 // DtoH: the new token's K/V write-back
 	RoleBlock                   // GPU: fused pre-attention + attention + post-attention
 	RoleFFN                     // GPU: one layer's expert FFN over every micro-batch's rows (MB 0; Plan.LayerFFN)
-	RoleExperts                 // Pin: share MB of layer Layer's predicted expert blocks, CPU -> pinned -> GPU (Plan.LayerFFN)
+	RoleExperts                 // Pin: share MB of layer Layer's predicted expert blocks, CPU -> GPU slot (Plan.LayerFFN)
 )
 
 // id is the ID of the task at (role, layer, mb), layer in 1..Layers+1

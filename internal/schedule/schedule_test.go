@@ -437,18 +437,20 @@ func TestEngineGraphsOrderBufferReuse(t *testing.T) {
 // rows it serves; a micro-batch of 4 rows visits ~5.25 experts a layer,
 // the layer's 16 rows together visit 8. Attention reads ~50 tokens of KV
 // per sequence at ~1 GB/s; a weight page is a quarter of the 169 KB
-// shared region at ~11 GB/s. An expert block costs 59 us for both hops
-// (672 KiB twice at the 11.7 GB/s paging.miss_fetch_gbs probe), and a
-// layer fetches its 8 blocks as one share per micro-batch.
+// shared region at ~11 GB/s. An expert block is one copy of 672 KiB,
+// ~30 us: the paging.miss_fetch_gbs probe read 11.7 GB/s of block bytes,
+// 59 us a block, while each fetch copied the block twice. A layer
+// fetches its 8 blocks as one share per micro-batch.
 func benchShapeDurations(layerFFN bool, microBatches int) Durations {
 	const visit, routePart = 70, 10 // O projection, norm, router: a 128x128 and an 8x128 matrix
+	const block = 30
 	d := Durations{
 		PreAttn: 12, CPUAttn: 55, QKVOff: 1, HiddenLoad: 1, WeightPage: 4, PinPage: 4,
 		PostAttn: routePart + 5.25*visit,
 	}
 	if layerFFN {
 		d.PostAttn, d.FFN = routePart, 8*visit
-		d.ExpertShare = 8 * 59 / float64(microBatches)
+		d.ExpertShare = 8 * block / float64(microBatches)
 	}
 	return d
 }
@@ -481,7 +483,7 @@ func TestExpertSharesHiddenOnPinLane(t *testing.T) {
 		t.Logf("%d micro-batches: makespan %.0f us, %.0f us with free expert copies", mb, span[true], span[false])
 		if span[true] != span[false] {
 			t.Errorf("%d micro-batches: makespan %.0f us with %.0f us expert shares, %.0f us without: want them hidden",
-				mb, span[true], 8*59/float64(mb), span[false])
+				mb, span[true], benchShapeDurations(true, mb).ExpertShare, span[false])
 		}
 	}
 }
