@@ -55,8 +55,9 @@ type Config struct {
 	// boundaries (default off: 0).
 	StallEvery int
 	StallFor   time.Duration
-	// WaveTimeout arms the server's wave watchdog (default 30s — a
-	// backstop, not expected to fire at tiny-engine speeds).
+	// WaveTimeout is the server's per-wave deadline (default 30s — a
+	// backstop, not expected to fire at tiny-engine speeds unless stalls
+	// longer than it are injected).
 	WaveTimeout time.Duration
 	// MaxQueuedRequests bounds the server's pending set (default 16),
 	// so the bursty trace exercises overload shedding.

@@ -38,10 +38,6 @@ type Server struct {
 	stats             ServerStats
 	busy, prefillTime time.Duration
 	ttft, tpot        *metrics.Histogram
-	// broken is set when a wedged wave forces the watchdog to abandon
-	// the pipeline: it is unrecoverable, so every later submit and wave
-	// fails fast with this error, and nothing closes it.
-	broken error
 }
 
 // batchConfig builds the Alg. 2 configuration for a server: the KV
@@ -157,11 +153,6 @@ func (s *Server) SubmitBatchSLO(reqs []workload.Request, slos []SLO, cancel <-ch
 		s.mu.Unlock()
 		return nil, ErrServerClosed
 	}
-	if s.broken != nil {
-		err := s.broken
-		s.mu.Unlock()
-		return nil, err
-	}
 	// Overload control: bound the pending set before the batch enters
 	// it. The whole batch is admitted or shed atomically.
 	if err := s.admitCheckLocked(hs); err != nil {
@@ -267,14 +258,10 @@ func (s *Server) Close() error {
 // loop is the admission loop: block until work (or close) arrives, admit
 // everything queued at the wave boundary, reap canceled queued requests,
 // and run one wave over (deferred + newly arrived) requests. It owns the
-// pipeline and closes it on the way out, unless a wedged wave holds it.
+// pipeline and closes it on the way out.
 func (s *Server) loop() {
 	defer close(s.doneCh)
-	defer func() {
-		if s.broken == nil { // written on this goroutine alone (generate)
-			s.pl.Close()
-		}
-	}()
+	defer s.pl.Close()
 	var pending []*Handle
 	closing := false
 	for {

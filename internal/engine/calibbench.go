@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"context"
 	"errors"
 	"time"
 
@@ -65,10 +66,11 @@ func MeasureDecodeSteps(cfg BenchConfig) (DecodeBenchResult, error) {
 	}
 	defer pl.Close()
 
-	if _, err := pl.Run(prompts, nil, 1, nil, nil); err != nil {
+	ctx := context.Background()
+	if _, err := pl.Run(ctx, prompts, nil, 1, nil, nil); err != nil {
 		return res, err
 	}
-	if err := pl.pass(); err != nil { // warm-up
+	if err := pl.pass(ctx); err != nil { // warm-up
 		return res, err
 	}
 	paging := &pl.Counters.ExpertPaging
@@ -77,7 +79,7 @@ func MeasureDecodeSteps(cfg BenchConfig) (DecodeBenchResult, error) {
 
 	start := time.Now()
 	for range cfg.Steps {
-		if err := pl.pass(); err != nil {
+		if err := pl.pass(ctx); err != nil {
 			return res, err
 		}
 	}
@@ -113,7 +115,7 @@ func MeasurePrefill(cfg BenchConfig) (PrefillBenchResult, error) {
 	}
 	defer pl.Close()
 
-	if _, err := pl.Run(prompts, nil, 1, nil, nil); err != nil {
+	if _, err := pl.Run(context.Background(), prompts, nil, 1, nil, nil); err != nil {
 		return res, err
 	}
 	res.Seconds = pl.PrefillDuration.Seconds()

@@ -52,8 +52,8 @@
 //
 // The Server itself is four files: handle.go (the request handle),
 // admit.go (submit, overload gate, admission loop), wave.go (plan → run
-// on the server's pipeline under the watchdog → audit → finalize) and
-// stats.go.
+// on the server's pipeline under the wave's deadline → audit → finalize,
+// one call on the admission loop's goroutine) and stats.go.
 //
 // # The expert weight stream
 //
@@ -94,7 +94,7 @@
 // to finished with ErrCanceled (canceled while queued),
 // ErrDeadlineExceeded (TTFT budget expired in the queue), ErrNoProgress
 // (deferred with the same set twice running), a no-fit or batcher
-// error, or the watchdog's error on a broken server.
+// error, or the error of the wave that deferred it.
 //
 // in wave: owns one pipeline sequence; push streams its tokens and the
 // wave's stop function retires it (GenLen reached, cancel, TPOT guard).

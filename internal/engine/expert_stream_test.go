@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"context"
 	"reflect"
 	"testing"
 
@@ -113,7 +114,7 @@ func TestExpertStreamFetchesEachBlockOnce(t *testing.T) {
 			if tc.retireAfter > 0 {
 				stop = func(seq, emitted int) bool { return seq < mu && emitted >= tc.retireAfter }
 			}
-			got, err := pl.Run(prompts[:n], tc.partition, gen, sink, stop)
+			got, err := pl.Run(context.Background(), prompts[:n], tc.partition, gen, sink, stop)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -241,7 +242,7 @@ func TestPrefillHandoffEvictsOldestLayerFirst(t *testing.T) {
 	}
 	defer pl.Close()
 
-	if _, err := pl.Run(testPrompts(seqs, 3, 7, cfg.VocabSize), nil, 1, nil, nil); err != nil {
+	if _, err := pl.Run(context.Background(), testPrompts(seqs, 3, 7, cfg.VocabSize), nil, 1, nil, nil); err != nil {
 		t.Fatal(err)
 	}
 	L, E := cfg.Layers, cfg.Experts

@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"context"
 	"reflect"
 	"testing"
 
@@ -54,11 +55,11 @@ func TestDecodeStepAllocations(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer pl.Close()
-	if _, err := pl.Run(prompts, nil, 1, nil, nil); err != nil {
+	if _, err := pl.Run(context.Background(), prompts, nil, 1, nil, nil); err != nil {
 		t.Fatal(err)
 	}
 	allocs := testing.AllocsPerRun(steps, func() {
-		if err := pl.pass(); err != nil {
+		if err := pl.pass(context.Background()); err != nil {
 			t.Fatal(err)
 		}
 	})
@@ -84,7 +85,7 @@ func TestRetirementLeavesCallersPartition(t *testing.T) {
 	}
 	defer pl.Close()
 	stop := func(seq, emitted int) bool { return (seq == 1 || seq == 4) && emitted >= 2 }
-	got, err := pl.Run(testPrompts(5, 3, 8, cfg.VocabSize), partition, 5, nil, stop)
+	got, err := pl.Run(context.Background(), testPrompts(5, 3, 8, cfg.VocabSize), partition, 5, nil, stop)
 	if err != nil {
 		t.Fatal(err)
 	}

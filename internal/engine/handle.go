@@ -35,11 +35,10 @@ var ErrOverloaded = errors.New("engine: server overloaded")
 // step were free. Tokens generated before the drop are still returned.
 var ErrDeadlineExceeded = errors.New("engine: deadline exceeded")
 
-// ErrWaveStalled reports a wave that exceeded the server's watchdog
-// timeout. Its requests fail with this error; if the wave also ignored
-// the cooperative abort, the server marks itself broken (the wedged
-// pipeline still owns the arenas) and fails all later submits fast.
-var ErrWaveStalled = errors.New("engine: wave stalled past watchdog timeout")
+// ErrWaveStalled reports a wave that ran past ServeConfig.WaveTimeout:
+// its run ends at the next pass boundary and its requests fail with this
+// error. The next wave runs under a deadline of its own.
+var ErrWaveStalled = errors.New("engine: wave stalled")
 
 // Token is one streamed generation event.
 type Token struct {
@@ -166,8 +165,9 @@ func (h *Handle) Err() error {
 
 // push records and streams one token. Called only from the serving
 // goroutine; the buffered channel makes the send non-blocking. A push
-// after settle is dropped — an abandoned (watchdog-wedged) wave that
-// later unwedges must not write into handles the watchdog failed.
+// after settle is dropped: a finished handle's tokens and channel never
+// change (an invariant check — a wave finalizes its handles only after
+// its run has returned).
 func (h *Handle) push(index, id int) {
 	now := time.Now()
 	h.mu.Lock()

@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 
@@ -108,13 +109,13 @@ func benchDecodeStep(b *testing.B, seed bool, dtype kvcache.DType, residencyByte
 		if seed {
 			pl.kern = newSeedKernels(pl.layout)
 		}
-		if _, err := pl.Run(prompts, nil, 1, nil, nil); err != nil { // its last pass pages layer 0 in
+		if _, err := pl.Run(context.Background(), prompts, nil, 1, nil, nil); err != nil { // its last pass pages layer 0 in
 			b.Fatal(err)
 		}
 		base := pl.Counters.ExpertPaging.BytesFetched.Load()
 		b.StartTimer()
 		for t := 0; t < steps; t++ {
-			if err := pl.pass(); err != nil {
+			if err := pl.pass(context.Background()); err != nil {
 				b.Fatal(err)
 			}
 		}

@@ -2,8 +2,6 @@ package engine
 
 import (
 	"cmp"
-	"context"
-	"errors"
 	"fmt"
 	"sync"
 	"sync/atomic"
@@ -179,12 +177,8 @@ type Pipeline struct {
 
 	// faults is the optional injector consulted at the stall seam (and
 	// wired into the cache and pager hooks at build time); nil injects
-	// nothing. aborted/cancel implement cooperative abort: Abort cancels
-	// aborted with its reason, the run notices at the next pass boundary
-	// (and injected stalls wake immediately) and returns the reason.
-	faults  *faults.Injector
-	aborted context.Context
-	cancel  context.CancelCauseFunc
+	// nothing.
+	faults *faults.Injector
 }
 
 // kernels bundles the forward-pass implementations the lane tasks call.
@@ -276,8 +270,8 @@ type Config struct {
 	ExpertResidencyBytes int
 	// Faults optionally threads a deterministic fault injector through
 	// the pipeline's seams: expert-pager fetches, KV block allocation,
-	// and the stall point at every pass boundary. Nil injects nothing
-	// and costs nothing.
+	// and the stall point at every pass boundary, which wakes when the
+	// run's context is done. Nil injects nothing and costs nothing.
 	Faults *faults.Injector
 }
 
@@ -380,7 +374,6 @@ func NewPipeline(w *Weights, gpu, pinned, cacheArena *memory.Arena, numSeqs int,
 	p.predBuf = make([]int, 0, w.Cfg.Experts)
 	p.keyBuf = make([]paging.ExpertKey, 0, w.Cfg.Experts)
 
-	p.armAbort()
 	if cfg.Faults != nil {
 		p.faults = cfg.Faults
 		cache.SetAllocHook(cfg.Faults.KVAlloc)
@@ -455,7 +448,6 @@ func (p *Pipeline) begin(prompts, partition [][]int) error {
 func (p *Pipeline) Close() {
 	if !p.closed {
 		p.lanes.close()
-		p.cancel(errWaveAborted)
 		p.closed = true
 	}
 }
@@ -471,41 +463,6 @@ func (p *Pipeline) failed() error {
 		return *e
 	}
 	return nil
-}
-
-// errWaveAborted is the abort reason when Abort is called with nil.
-var errWaveAborted = errors.New("engine: wave aborted")
-
-// Abort requests cooperative cancellation of the run in flight: the run
-// returns err (or a generic abort error when nil) at the next pass
-// boundary, and any injected stall wakes immediately. Safe to call from
-// any goroutine, more than once; the first reason wins. It holds until
-// armAbort arms a fresh one, which the server does before every wave.
-// It cannot interrupt a lane task that is truly wedged mid-run — that
-// is the server watchdog's grace-period case.
-func (p *Pipeline) Abort(err error) {
-	if err == nil {
-		err = errWaveAborted
-	}
-	p.cancel(err)
-}
-
-// armAbort replaces the abort with an unfired one. Called with no run
-// in flight, on the goroutine that then starts the run and alone calls
-// Abort, so an abort meant for one run never lands on another's.
-func (p *Pipeline) armAbort() {
-	if p.cancel != nil {
-		p.cancel(errWaveAborted) // releases the last arming; its run is over
-	}
-	p.aborted, p.cancel = context.WithCancelCause(context.Background())
-}
-
-// stallPoint consults the fault injector's latency seam; a fired stall
-// blocks here (interruptibly — an Abort wakes it).
-func (p *Pipeline) stallPoint() {
-	if p.faults != nil {
-		p.faults.Stall(p.aborted.Done())
-	}
 }
 
 // ReleaseAll releases every sequence's cache blocks (idempotent — a

@@ -44,7 +44,7 @@ type StopFunc func(seq, emitted int) bool
 // GenerateStream is Generate with serving hooks: Run over the prompts
 // chunked into micro-batches of Config.MicroBatch.
 func (p *Pipeline) GenerateStream(prompts [][]int, genLen int, sink StepSink, stop StopFunc) ([][]int, error) {
-	return p.Run(prompts, nil, genLen, sink, stop)
+	return p.Run(context.Background(), prompts, nil, genLen, sink, stop)
 }
 
 // Run generates for one run of up to the pipeline's capacity of
@@ -61,7 +61,20 @@ func (p *Pipeline) GenerateStream(prompts [][]int, genLen int, sink StepSink, st
 // sequence and, unless that was the last, polls stop. Retired sequences
 // return the tokens emitted before retirement. Its sequences keep their
 // KV blocks until ReleaseAll or the next run.
-func (p *Pipeline) Run(prompts, partition [][]int, genLen int, sink StepSink, stop StopFunc) ([][]int, error) {
+//
+// ctx bounds the run: once it is done, Run returns context.Cause(ctx) at
+// the next pass boundary, and an injected stall wakes at once. That is
+// enough to end any run, because every other wait reachable from a pass
+// is bounded: lane tasks are kernels and memory copies; an expert fetch
+// retries at most 4 times with backoff capped at 400 µs; Acquire waits
+// only on a fetch in flight and panics rather than waits when every slot
+// is pinned; the KV alloc hook returns an error; sink and stop must not
+// block (the server's push into a buffered channel, a TPOT check under
+// the handle's lock); and the lanes wait only on the builder's graph,
+// which schedule's TestEngineGraphsRun runs to completion on in-order
+// lanes for every shape. A run that did not end would be a bug, not a
+// condition to recover from.
+func (p *Pipeline) Run(ctx context.Context, prompts, partition [][]int, genLen int, sink StepSink, stop StopFunc) ([][]int, error) {
 	if p.closed {
 		return nil, fmt.Errorf("engine: pipeline is closed")
 	}
@@ -86,7 +99,7 @@ func (p *Pipeline) Run(prompts, partition [][]int, genLen int, sink StepSink, st
 	// t is the output index the next emission fills: 0 until the prompt
 	// phase is over.
 	for t := 0; live > 0; {
-		if err := p.pass(); err != nil {
+		if err := p.pass(ctx); err != nil {
 			if t == 0 {
 				p.PrefillDuration = time.Since(start)
 			}
@@ -320,19 +333,18 @@ func (p *Pipeline) prompting() bool {
 // staged outside the graph (primeLayer): every pass pages in the next
 // one's layer 0 and fetches its predicted experts, so the first decode
 // step needs no preload either.
-func (p *Pipeline) pass() error {
+func (p *Pipeline) pass(ctx context.Context) error {
 	p.plan()
 	if p.passes == 0 {
 		if err := p.primeLayer(0); err != nil {
 			return err
 		}
 	}
-	// Fault seam + cooperative abort, both at the pass boundary: a fired
-	// stall blocks here (woken early by Abort), and an abort requested by
-	// the watchdog ends the wave before the next pass.
-	p.stallPoint()
-	if aerr := context.Cause(p.aborted); aerr != nil {
-		return aerr
+	// The pass boundary: a fired stall blocks here until it ends or ctx is
+	// done, and a done ctx ends the run before the pass.
+	p.faults.Stall(ctx.Done())
+	if err := context.Cause(ctx); err != nil {
+		return err
 	}
 	p.vbase = p.passes * p.w.Cfg.Layers // the previous pass paged this pass's layer 0 into the slot of its parity
 	p.passes++

@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"context"
 	"errors"
 	"testing"
 
@@ -143,7 +144,7 @@ func TestSeqPrefillBaselineStillExact(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer pl2.Close()
-	if _, err := pl2.Run(prompts, nil, 1, nil, nil); err != nil {
+	if _, err := pl2.Run(context.Background(), prompts, nil, 1, nil, nil); err != nil {
 		t.Fatal(err)
 	}
 	// The 63 prompt tokens are one pass, laid out in sequence order (the
@@ -228,7 +229,7 @@ func benchPrefill(b *testing.B, packed, seedKernels bool) {
 		}
 		b.StartTimer()
 		if packed {
-			_, err = pl.Run(prompts, nil, 1, nil, nil)
+			_, err = pl.Run(context.Background(), prompts, nil, 1, nil, nil)
 		} else {
 			err = seqPrefill(pl, prompts)
 		}

@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"context"
 	"errors"
 	"reflect"
 	"testing"
@@ -93,7 +94,7 @@ func TestPackedPrefillBitIdenticalMixedLengths(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				got, err := pl.Run(prompts, tc.partition, 4, nil, nil)
+				got, err := pl.Run(context.Background(), prompts, tc.partition, 4, nil, nil)
 				if err != nil {
 					pl.Close()
 					t.Fatalf("dtype %v chunk %d: %v", dtype, chunk, err)
@@ -144,7 +145,7 @@ func TestPackedPrefillCountsPackedKernels(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := pl.Run(prompts, nil, 1, nil, nil); err != nil {
+		if _, err := pl.Run(context.Background(), prompts, nil, 1, nil, nil); err != nil {
 			t.Fatal(err)
 		}
 		want := int64(cfg.Layers * (2*nb + 1) * tc.wantPasses)

@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"context"
 	"errors"
 	"reflect"
 	"sync"
@@ -74,7 +75,7 @@ func TestPrefillSharedPrefixBitIdentical(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				got, err := pl.Run(prompts, pc.partition, gen, nil, nil)
+				got, err := pl.Run(context.Background(), prompts, pc.partition, gen, nil, nil)
 				if err != nil {
 					pl.Close()
 					t.Fatal(err)
@@ -499,7 +500,7 @@ func BenchmarkPrefillSharedPrefix(b *testing.B) {
 			b.Fatal(err)
 		}
 		b.StartTimer()
-		_, err = pl.Run(prompts, nil, 1, nil, nil)
+		_, err = pl.Run(context.Background(), prompts, nil, 1, nil, nil)
 		b.StopTimer()
 		if err != nil {
 			b.Fatal(err)

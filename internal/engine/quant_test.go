@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"context"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -176,7 +177,7 @@ func TestQuantizedMovementCountersAreBytes(t *testing.T) {
 			t.Fatal(err)
 		}
 		prompts := testPrompts(2, 4, 4, cfg.VocabSize)
-		if _, err := pl.Run(prompts, nil, 1, nil, nil); err != nil {
+		if _, err := pl.Run(context.Background(), prompts, nil, 1, nil, nil); err != nil {
 			t.Fatal(err)
 		}
 		perToken := kvcache.TokenBytes(cfg.KVDim(), dtype)

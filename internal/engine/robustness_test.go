@@ -3,6 +3,7 @@ package engine
 import (
 	"errors"
 	"reflect"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -270,10 +271,10 @@ func TestTPOTGuardRetiresHopelessSequence(t *testing.T) {
 }
 
 // TestWaveWatchdogFailsStalledWave: a wave stalled indefinitely at a
-// boundary is cut loose by the watchdog through the cooperative abort —
-// its request fails with ErrWaveStalled, the KV audit stays clean, the
-// next wave on the same server runs normally, and Close returns (with
-// the stalled wave's error) instead of hanging.
+// boundary ends when its WaveTimeout deadline wakes the stall — its
+// request fails with ErrWaveStalled, the KV audit stays clean, the next
+// wave on the same server runs normally, and Close returns (with the
+// stalled wave's error) instead of hanging.
 func TestWaveWatchdogFailsStalledWave(t *testing.T) {
 	cfg := model.Tiny()
 	cpu, gpu, pinned, cacheArena := newTestArenas()
@@ -298,7 +299,7 @@ func TestWaveWatchdogFailsStalledWave(t *testing.T) {
 		t.Fatalf("stalled wave request: want ErrWaveStalled, got %v", herr)
 	}
 	// The stall ends; the next wave runs on the same pipeline under a
-	// freshly armed abort, so it completes with the reference's tokens.
+	// deadline of its own, so it completes with the reference's tokens.
 	close(gate)
 	req := workload.Request{ID: 2, PromptLen: 5}
 	h2, err := srv.Submit(req, nil)
@@ -320,7 +321,7 @@ func TestWaveWatchdogFailsStalledWave(t *testing.T) {
 		t.Errorf("stats: timeouts %d failed %d completed %d leaks %d, want 1/1/1/0",
 			st.WaveTimeouts, st.Failed, st.Completed, st.KVLeaks)
 	}
-	// The failed wave held the engine until the watchdog fired: that is
+	// The failed wave held the engine until its deadline passed: that is
 	// busy time, or TokensPerSecond and the SLO-aware drain projection
 	// overstate the rate after any failed wave.
 	srv.mu.Lock()
@@ -328,6 +329,94 @@ func TestWaveWatchdogFailsStalledWave(t *testing.T) {
 	srv.mu.Unlock()
 	if busy < 50*time.Millisecond {
 		t.Errorf("busy time %v after a wave that ran into its 50ms watchdog", busy)
+	}
+}
+
+// TestWaveDeadlineDiesWithItsWave: each wave runs under a WaveTimeout of
+// its own. A wave that finishes inside its deadline leaves nothing armed,
+// so a later wave, dispatched after that deadline would have passed,
+// completes with the reference's tokens and no timeout is counted.
+func TestWaveDeadlineDiesWithItsWave(t *testing.T) {
+	cfg := model.Tiny()
+	cpu, gpu, pinned, cacheArena := newTestArenas()
+	w, err := NewRandomWeights(cpu, cfg, 37)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const timeout = 250 * time.Millisecond
+	srv, err := NewServer(&Host{W: w, GPU: gpu, Pinned: pinned, Cache: cacheArena}, ServeConfig{
+		Config:          Config{MicroBatch: 1, MaxContext: 32},
+		NumMicroBatches: 1, GenLen: 2, CacheTokens: 64, WaveTimeout: timeout,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, req := range []workload.Request{{ID: 1, PromptLen: 4}, {ID: 2, PromptLen: 5}} {
+		if i > 0 {
+			time.Sleep(timeout + 50*time.Millisecond) // past the first wave's deadline
+		}
+		h, err := srv.Submit(req, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, herr := h.Wait()
+		if herr != nil {
+			t.Fatalf("wave %d: %v", i+1, herr)
+		}
+		if want := refTokens(t, w, []workload.Request{req}, 32, 2); !reflect.DeepEqual(got, want[0]) {
+			t.Errorf("wave %d: got %v, want %v", i+1, got, want[0])
+		}
+	}
+	if err := srv.Close(); err != nil {
+		t.Fatalf("Close: %v", err)
+	}
+	if st := srv.Stats(); st.WaveTimeouts != 0 || st.Completed != 2 {
+		t.Errorf("stats: timeouts %d completed %d, want 0/2", st.WaveTimeouts, st.Completed)
+	}
+}
+
+// TestCloseLeavesNoGoroutine: Close returns only after the admission loop
+// and the pipeline's lane workers have exited, after a wave that
+// completed and after one that ran past its WaveTimeout alike.
+func TestCloseLeavesNoGoroutine(t *testing.T) {
+	cfg := model.Tiny()
+	tensor.Default() // the kernels' process-wide worker pool lives on by design
+	for _, stalled := range []bool{false, true} {
+		cpu, gpu, pinned, cacheArena := newTestArenas()
+		w, err := NewRandomWeights(cpu, cfg, 38)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sc := ServeConfig{
+			Config:          Config{MicroBatch: 1, MaxContext: 32},
+			NumMicroBatches: 1, GenLen: 2, CacheTokens: 64,
+		}
+		if stalled {
+			// The stalled-wave test's setup: the gate never opens, so only
+			// the deadline ends the wave.
+			sc.Faults = faults.New(faults.Config{StallEvery: 1, Gate: make(chan struct{})})
+			sc.WaveTimeout = 50 * time.Millisecond
+		}
+		base := runtime.NumGoroutine()
+		srv, err := NewServer(&Host{W: w, GPU: gpu, Pinned: pinned, Cache: cacheArena}, sc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		h, err := srv.Submit(workload.Request{ID: 1, PromptLen: 4}, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, herr := h.Wait(); stalled && !errors.Is(herr, ErrWaveStalled) || !stalled && herr != nil {
+			t.Fatalf("stalled=%v: wave error %v", stalled, herr)
+		}
+		srv.Close() // its error is the wave's, checked above
+		n := runtime.NumGoroutine()
+		for deadline := time.Now().Add(time.Second); n > base && time.Now().Before(deadline); n = runtime.NumGoroutine() {
+			time.Sleep(5 * time.Millisecond)
+		}
+		if n > base {
+			t.Errorf("stalled=%v: %d goroutines after Close, %d before NewServer", stalled, n, base)
+		}
 	}
 }
 

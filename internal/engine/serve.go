@@ -47,10 +47,9 @@ type ServeConfig struct {
 	// already exceeds their whole TPOT budget (ErrDeadlineExceeded),
 	// through the normal stop path — survivors stay bit-identical.
 	TPOTGuard bool
-	// WaveTimeout arms the wave watchdog: a wave running longer is asked
-	// to abort cooperatively; one that ignores the abort for another
-	// WaveTimeout+1s is abandoned and the server marks itself broken
-	// (ErrWaveStalled). 0 disables the watchdog.
+	// WaveTimeout is each wave's deadline: a wave running longer ends at
+	// its next pass boundary and its requests fail with ErrWaveStalled.
+	// 0 sets no deadline.
 	WaveTimeout time.Duration
 }
 

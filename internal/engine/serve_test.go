@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"context"
 	"reflect"
 	"runtime"
 	"strings"
@@ -156,7 +157,7 @@ func TestPipelineExplicitPartition(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer pl.Close()
-	got, err := pl.Run(prompts, partition, 5, nil, nil)
+	got, err := pl.Run(context.Background(), prompts, partition, 5, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -194,7 +195,7 @@ func TestPartitionValidation(t *testing.T) {
 	defer pl.Close()
 	prompts := testPrompts(3, 3, 4, cfg.VocabSize)
 	for i, part := range bad {
-		if _, err := pl.Run(prompts, part, 2, nil, nil); err == nil {
+		if _, err := pl.Run(context.Background(), prompts, part, 2, nil, nil); err == nil {
 			t.Errorf("case %d: bad partition accepted", i)
 		}
 	}

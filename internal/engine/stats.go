@@ -59,7 +59,7 @@ type ServerStats struct {
 	// Submit by overload control (never admitted, not in Submitted);
 	// DeadlineDropped counts admitted requests dropped by deadline
 	// enforcement (queued past their TTFT budget, or retired by the TPOT
-	// guard); WaveTimeouts counts waves that tripped the watchdog;
+	// guard); WaveTimeouts counts waves that ran past WaveTimeout;
 	// KVLeaks counts waves whose end-of-wave KV-pool audit found blocks
 	// not returned to the free list.
 	Shed, DeadlineDropped, WaveTimeouts, KVLeaks int

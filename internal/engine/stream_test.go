@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"context"
 	"errors"
 	"reflect"
 	"runtime"
@@ -79,7 +80,7 @@ func TestGenerateStreamEmitsIncrementally(t *testing.T) {
 				events = append(events, event{seq, index, token})
 			}
 			stop := func(seq, emitted int) bool { return seq == tc.stopSeq && emitted >= tc.stopAfter }
-			out, err := pl.Run(prompts, tc.partition, gen, sink, stop)
+			out, err := pl.Run(context.Background(), prompts, tc.partition, gen, sink, stop)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -10,11 +10,12 @@
 //
 //   - Expert-pager fetches (ExpertFetch): the pager consults the hook
 //     inside every block fetch — demand fetches on the compute path
-//     and background prefetches alike. A fired fault makes that fetch
-//     attempt fail; the pager retries with capped exponential backoff
-//     and, if the fault persists past the retry budget, surfaces an
-//     error that retires only the sequences routed to the failed
-//     expert (the engine's per-sequence isolation path).
+//     and the prefetches the step graph runs on its Pin lane alike. A
+//     fired fault makes that fetch attempt fail; the pager retries with
+//     capped exponential backoff and, if the fault persists past the
+//     retry budget, surfaces an error that retires only the sequences
+//     routed to the failed expert (the engine's per-sequence isolation
+//     path).
 //   - KV block allocation (KVAlloc): the cache consults the hook on
 //     every physical block allocation. A fired fault makes the
 //     allocation behave exactly like pool exhaustion, driving the
@@ -24,9 +25,9 @@
 //   - Wave latency stalls (Stall): the pipeline calls the stall point
 //     once per pass of its step graph, before every prompt pass and
 //     every decode step. A fired stall blocks — for StallFor, or until
-//     the test-controlled Gate closes — and is always interruptible by
-//     the pipeline's abort channel, so the server's wave watchdog can
-//     cut a stalled wave loose.
+//     the test-controlled Gate closes — and always wakes when the run's
+//     context is done, so a wave's deadline (the server's WaveTimeout)
+//     ends a stalled wave.
 //
 // A nil *Injector is inert: every seam calls its methods
 // unconditionally and a nil receiver fires nothing, so production
@@ -70,7 +71,7 @@ type Config struct {
 	// StallFor is how long a fired stall blocks when no Gate is set.
 	StallFor time.Duration
 	// Gate, when non-nil, makes every fired stall block until the
-	// channel closes (or the abort channel fires) instead of sleeping
+	// channel closes (or the run's context is done) instead of sleeping
 	// StallFor — deterministic control for tests that need a wave held
 	// exactly at a boundary.
 	Gate <-chan struct{}
@@ -168,8 +169,9 @@ func (i *Injector) KVAlloc() error {
 
 // Stall is the wave latency seam: at every Nth stall point it blocks —
 // until the Gate closes when one is configured, else for StallFor —
-// returning early if abort closes first. abort may be nil.
-func (i *Injector) Stall(abort <-chan struct{}) {
+// returning early if done closes first (the run's ctx.Done()). done may
+// be nil.
+func (i *Injector) Stall(done <-chan struct{}) {
 	if i == nil {
 		return
 	}
@@ -190,7 +192,7 @@ func (i *Injector) Stall(abort <-chan struct{}) {
 	if gate != nil {
 		select {
 		case <-gate:
-		case <-abort:
+		case <-done:
 		}
 		return
 	}
@@ -201,7 +203,7 @@ func (i *Injector) Stall(abort <-chan struct{}) {
 	defer t.Stop()
 	select {
 	case <-t.C:
-	case <-abort:
+	case <-done:
 	}
 }
 

@@ -80,9 +80,9 @@ var (
 	// enforcement: TTFT budget expired while queued, or the TPOT guard
 	// judged its decode pace irrecoverable.
 	ErrDeadlineExceeded = engine.ErrDeadlineExceeded
-	// ErrWaveStalled reports a wave that tripped the WaveTimeout
-	// watchdog; a wave that also ignores the cooperative abort marks the
-	// server broken and later submits fail fast with this error.
+	// ErrWaveStalled reports a wave that ran past WaveTimeout: its
+	// requests fail with it, and the next wave runs under its own
+	// deadline.
 	ErrWaveStalled = engine.ErrWaveStalled
 )
 
@@ -167,9 +167,9 @@ type ServerConfig struct {
 	// longer meet their TPOT budget, bit-identically for survivors.
 	EnforceDeadlines bool
 	TPOTGuard        bool
-	// WaveTimeout arms the wave watchdog (ErrWaveStalled): a stalled
-	// wave is cooperatively aborted, and a wedged one is abandoned so
-	// Close never hangs. 0 disables the watchdog.
+	// WaveTimeout is each wave's deadline (ErrWaveStalled): a stalled
+	// wave ends at its next pass boundary, so Close never waits on it
+	// for long. 0 sets no deadline.
 	WaveTimeout time.Duration
 	// Faults threads a deterministic fault injector (NewFaultInjector)
 	// through every wave's pipeline. Nil — the default — injects
