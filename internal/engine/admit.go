@@ -2,7 +2,6 @@ package engine
 
 import (
 	"fmt"
-	"runtime"
 	"strings"
 	"sync"
 	"time"
@@ -14,21 +13,25 @@ import (
 )
 
 // Server is the long-lived serving engine: one pipeline, built over the
-// host's arenas once, runs every wave. Submit admits requests at any
-// time; the admission loop re-runs the Alg. 2 batcher over (deferred +
-// newly arrived) requests at every wave boundary and streams each token
-// to its handle as the producing decode step completes.
+// host's arenas once, runs every wave. Submit appends requests to the
+// server's queue at any time and never waits on a wave; the admission
+// loop takes the whole queue at every wave boundary, re-runs the Alg. 2
+// batcher over (deferred + newly arrived) requests and streams each
+// token to its handle as the producing decode step completes.
 type Server struct {
 	pl  *Pipeline
 	cfg ServeConfig
 
-	submitCh chan []*Handle
-	closeCh  chan struct{}
-	doneCh   chan struct{}
+	// wake rouses the admission loop after a Submit or Close: one slot
+	// and a non-blocking send, so a wake-up already pending stands for
+	// any number of later ones. done closes when the loop has exited.
+	wake, done chan struct{}
 
-	mu       sync.Mutex
-	closed   bool
-	inflight int // submits past the closed check, not yet enqueued
+	mu     sync.Mutex
+	closed bool
+	// queue is what was submitted since the loop last took it, in
+	// arrival order; a batch is appended whole under one hold of mu.
+	queue    []*Handle
 	firstErr error
 	// stats is the ServerStats snapshot accumulated in place (its
 	// QueuedRequests / QueuedTokens are the overload-control ledger);
@@ -64,7 +67,9 @@ func batchConfig(cfg ServeConfig, kvDim int) batching.Config {
 // admission loop. It resets the host's GPU, pinned and cache arenas and
 // carves them, once, into the one pipeline every wave runs on:
 // MicroBatch x NumMicroBatches sequences, a full wave. A host that
-// cannot hold it fails here, not at a wave.
+// cannot hold it fails here, not at a wave. The loop is the server's
+// one goroutine besides the pipeline's lanes; Submit only appends to
+// the queue it reads.
 func NewServer(host *Host, cfg ServeConfig) (*Server, error) {
 	if cfg.GenLen < 0 {
 		return nil, fmt.Errorf("engine: negative GenLen %d", cfg.GenLen)
@@ -80,14 +85,10 @@ func NewServer(host *Host, cfg ServeConfig) (*Server, error) {
 		return nil, fmt.Errorf("engine: host cannot hold a %dx%d wave: %w", cfg.NumMicroBatches, cfg.MicroBatch, err)
 	}
 	s := &Server{
-		pl:  pl,
-		cfg: cfg,
-		// Buffered so a burst of concurrent Submits does not serialize on
-		// the loop while a wave runs; a full buffer only blocks the
-		// submitter, never loses a batch.
-		submitCh: make(chan []*Handle, 64),
-		closeCh:  make(chan struct{}),
-		doneCh:   make(chan struct{}),
+		pl:   pl,
+		cfg:  cfg,
+		wake: make(chan struct{}, 1),
+		done: make(chan struct{}),
 	}
 	go s.loop()
 	return s, nil
@@ -132,13 +133,19 @@ func (s *Server) SubmitBatch(reqs []workload.Request, cancel <-chan struct{}) ([
 }
 
 // SubmitBatchSLO is SubmitBatch with a per-request SLO. slos may be nil
-// (no targets) or must match reqs in length.
+// (no targets) or must match reqs in length. A batch holding a request
+// without a prompt token is rejected whole, before anything is counted.
 func (s *Server) SubmitBatchSLO(reqs []workload.Request, slos []SLO, cancel <-chan struct{}) ([]*Handle, error) {
 	if len(reqs) == 0 {
 		return nil, fmt.Errorf("engine: empty request batch")
 	}
 	if slos != nil && len(slos) != len(reqs) {
 		return nil, fmt.Errorf("engine: %d SLOs for %d requests", len(slos), len(reqs))
+	}
+	for _, r := range reqs {
+		if r.PromptLen < 1 {
+			return nil, fmt.Errorf("engine: request %d: prompt length %d, want at least 1", r.ID, r.PromptLen)
+		}
 	}
 	hs := make([]*Handle, len(reqs))
 	for i, r := range reqs {
@@ -165,16 +172,21 @@ func (s *Server) SubmitBatchSLO(reqs []workload.Request, slos []SLO, cancel <-ch
 		s.stats.QueuedRequests++
 		s.stats.QueuedTokens += h.qtokens
 	}
-	// The inflight count keeps the loop alive until this send lands,
-	// even if Close races in between: a batch accepted here is always
-	// served, never stranded.
-	s.inflight++
+	// In the queue before the lock goes: a Close that follows finds the
+	// batch there, and the loop serves it before it exits.
+	s.stats.Submitted += len(hs)
+	s.queue = append(s.queue, hs...)
 	s.mu.Unlock()
-	s.submitCh <- hs
-	s.mu.Lock()
-	s.inflight--
-	s.mu.Unlock()
+	s.rouse()
 	return hs, nil
+}
+
+// rouse wakes the admission loop without waiting for it.
+func (s *Server) rouse() {
+	select {
+	case s.wake <- struct{}{}:
+	default: // a wake-up is already pending
+	}
 }
 
 // admitCheckLocked is the overload-control gate: the policy's hard
@@ -244,45 +256,33 @@ func (s *Server) dequeueLocked(h *Handle) {
 // until the drain completes and is safe to call more than once.
 func (s *Server) Close() error {
 	s.mu.Lock()
-	if !s.closed {
-		s.closed = true
-		close(s.closeCh)
-	}
+	s.closed = true
 	s.mu.Unlock()
-	<-s.doneCh
+	s.rouse()
+	<-s.done
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return s.firstErr
 }
 
-// loop is the admission loop: block until work (or close) arrives, admit
-// everything queued at the wave boundary, reap canceled queued requests,
-// and run one wave over (deferred + newly arrived) requests. It owns the
+// loop is the admission loop. At every wave boundary it takes the whole
+// queue, reaps canceled and expired requests, and runs one wave over
+// (deferred + newly arrived) requests; with nothing pending it exits if
+// the server is closed and otherwise sleeps until woken. It owns the
 // pipeline and closes it on the way out.
 func (s *Server) loop() {
-	defer close(s.doneCh)
+	defer close(s.done)
 	defer s.pl.Close()
 	var pending []*Handle
-	closing := false
 	for {
-		if !closing && len(pending) == 0 {
-			select {
-			case hs := <-s.submitCh:
-				pending = append(pending, s.admit(hs)...)
-			case <-s.closeCh:
-				closing = true
-			}
-		}
-		if !closing {
-			select {
-			case <-s.closeCh:
-				closing = true
-			default:
-			}
-		}
-		// Wave-boundary admission: pick up everything queued right now,
-		// including submits that raced Close.
-		pending = s.drainSubmits(pending)
+		// The queue and the closed flag are read under one hold of mu: a
+		// Submit that passed the closed check has appended by then, so
+		// closed with nothing pending means nothing was accepted unserved.
+		s.mu.Lock()
+		pending = append(pending, s.queue...)
+		s.queue = nil
+		closed := s.closed
+		s.mu.Unlock()
 		// Reap requests canceled — or already past their TTFT deadline —
 		// while still queued. Deadline enforcement at the wave boundary
 		// fails a request BEFORE any prefill is wasted on it: a request
@@ -308,52 +308,15 @@ func (s *Server) loop() {
 			live = append(live, h)
 		}
 		pending = live
-		if len(pending) == 0 {
-			if closing {
-				// Exit handshake. Read inflight BEFORE draining: a
-				// sender enqueues before decrementing, so inflight==0
-				// here means every accepted batch already sits in the
-				// buffer and the drain below sees it. inflight>0 means
-				// a Submit that passed the closed check is mid-send —
-				// yield and re-check rather than stranding its handles
-				// (or blocking on a channel it may never send to again).
-				s.mu.Lock()
-				inflight := s.inflight
-				s.mu.Unlock()
-				pending = s.drainSubmits(pending)
-				if len(pending) == 0 {
-					if inflight == 0 {
-						return
-					}
-					runtime.Gosched()
-				}
-			}
-			continue
-		}
-		pending = s.runWave(pending)
-	}
-}
-
-// drainSubmits appends every batch already sitting in the submit buffer
-// to pending, counting it into the stats, without blocking.
-func (s *Server) drainSubmits(pending []*Handle) []*Handle {
-	for {
-		select {
-		case hs := <-s.submitCh:
-			pending = append(pending, s.admit(hs)...)
+		switch {
+		case len(pending) > 0:
+			pending = s.runWave(pending)
+		case closed:
+			return
 		default:
-			return pending
+			<-s.wake
 		}
 	}
-}
-
-// admit counts a submitted batch into the stats as it enters the
-// pending set.
-func (s *Server) admit(hs []*Handle) []*Handle {
-	s.mu.Lock()
-	s.stats.Submitted += len(hs)
-	s.mu.Unlock()
-	return hs
 }
 
 func (s *Server) failAll(hs []*Handle, err error) {

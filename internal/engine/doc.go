@@ -51,7 +51,8 @@
 //     block list, the scratch and so the kernel.
 //
 // The Server itself is four files: handle.go (the request handle),
-// admit.go (submit, overload gate, admission loop), wave.go (plan → run
+// admit.go (submit into the locked queue, overload gate, admission
+// loop), wave.go (plan → run
 // on the server's pipeline under the wave's deadline → audit → finalize,
 // one call on the admission loop's goroutine) and stats.go.
 //
@@ -82,15 +83,20 @@
 // # The handle state machine
 //
 // A Handle is in one of three states, and every transition is taken by
-// the serving goroutine (Submit only creates the handle):
+// the serving goroutine (Submit only creates the handle and appends it
+// to the server's queue):
 //
 //	queued ──PlanWave places it──▶ in wave ──finalize──▶ finished
 //	  │  ▲                                                  ▲
 //	  │  └── PlanWave passes it over: Deferrals++ ──────────│── (stays queued)
 //	  └── reaped or failed before any wave ─────────────────┘
 //
-// queued: counted against the queue bounds from Submit until the handle
-// dispatches into a wave or finishes. It leaves by dispatch, or straight
+// queued: counted in Submitted at Submit, under the same hold of the
+// server's lock that appends it to the queue, and against the queue
+// bounds from then until the handle dispatches into a wave or finishes.
+// The admission loop takes the whole queue at every wave boundary; a
+// handle it defers waits in the loop's own pending set, still counted
+// against the bounds. It leaves by dispatch, or straight
 // to finished with ErrCanceled (canceled while queued),
 // ErrDeadlineExceeded (TTFT budget expired in the queue), ErrNoProgress
 // (deferred with the same set twice running), a no-fit or batcher

@@ -6,6 +6,7 @@ import (
 	"runtime"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -410,14 +411,169 @@ func TestCloseLeavesNoGoroutine(t *testing.T) {
 			t.Fatalf("stalled=%v: wave error %v", stalled, herr)
 		}
 		srv.Close() // its error is the wave's, checked above
-		n := runtime.NumGoroutine()
-		for deadline := time.Now().Add(time.Second); n > base && time.Now().Before(deadline); n = runtime.NumGoroutine() {
-			time.Sleep(5 * time.Millisecond)
-		}
-		if n > base {
+		if n := goroutinesAfter(base); n > base {
 			t.Errorf("stalled=%v: %d goroutines after Close, %d before NewServer", stalled, n, base)
 		}
 	}
+}
+
+// goroutinesAfter waits up to a second for the goroutine count to fall
+// back to base and returns the last count read.
+func goroutinesAfter(base int) int {
+	n := runtime.NumGoroutine()
+	for deadline := time.Now().Add(time.Second); n > base && time.Now().Before(deadline); n = runtime.NumGoroutine() {
+		time.Sleep(5 * time.Millisecond)
+	}
+	return n
+}
+
+// TestServerSubmitNeverWaitsOnAWave: Submit only appends to the
+// server's queue, so a hundred arrivals behind a wave held at its stall
+// point all return at once — counted as submitted and queued — and are
+// served once the wave moves on.
+func TestServerSubmitNeverWaitsOnAWave(t *testing.T) {
+	cfg := model.Tiny()
+	cpu, gpu, pinned, cacheArena := newTestArenas()
+	w, err := NewRandomWeights(cpu, cfg, 39)
+	if err != nil {
+		t.Fatal(err)
+	}
+	inj, reached, release := stallGate()
+	defer release()
+	srv, err := NewServer(&Host{W: w, GPU: gpu, Pinned: pinned, Cache: cacheArena}, ServeConfig{
+		Config:          Config{MicroBatch: 4, MaxContext: 32, Faults: inj},
+		NumMicroBatches: 2, GenLen: 2, CacheTokens: 128,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	first, err := srv.Submit(workload.Request{ID: 0, PromptLen: 4}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitCh(t, reached, "wave to reach the stall point")
+	const n = 100
+	hs := make([]*Handle, 0, n+1)
+	var returned atomic.Int32
+	submitted := make(chan struct{})
+	go func() {
+		defer close(submitted)
+		for i := 1; i <= n; i++ {
+			h, err := srv.Submit(workload.Request{ID: i, PromptLen: 3 + i%5}, nil)
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			hs = append(hs, h)
+			returned.Add(1)
+		}
+	}()
+	select {
+	case <-submitted:
+	case <-time.After(2 * time.Second):
+		got := returned.Load()
+		release()
+		<-submitted
+		t.Fatalf("Submit blocked behind a running wave: %d of %d returned in 2 s", got, n)
+	}
+	if st := srv.Stats(); st.Submitted != n+1 || st.QueuedRequests != n {
+		t.Errorf("while the wave is held: submitted %d, queued %d; want %d, %d", st.Submitted, st.QueuedRequests, n+1, n)
+	}
+	release()
+	if err := srv.Close(); err != nil {
+		t.Fatalf("Close: %v", err)
+	}
+	for _, h := range append(hs, first) {
+		if _, herr := h.Wait(); herr != nil {
+			t.Errorf("request %d: %v", h.ID(), herr)
+		}
+	}
+	if st := srv.Stats(); st.Completed != n+1 || st.QueuedRequests != 0 {
+		t.Errorf("after Close: completed %d, queued %d; want %d, 0", st.Completed, st.QueuedRequests, n+1)
+	}
+}
+
+// TestServerCloseRacesSubmit: Submits from eight goroutines race Close.
+// Each returns ErrServerClosed or a handle that has finished by the time
+// Close returns; every accepted request is counted once and served, and
+// the server leaves no goroutine behind.
+func TestServerCloseRacesSubmit(t *testing.T) {
+	cfg := model.Tiny()
+	tensor.Default() // the kernels' process-wide worker pool lives on by design
+	cpu, gpu, pinned, cacheArena := newTestArenas()
+	w, err := NewRandomWeights(cpu, cfg, 40)
+	if err != nil {
+		t.Fatal(err)
+	}
+	base := runtime.NumGoroutine()
+	srv, err := NewServer(&Host{W: w, GPU: gpu, Pinned: pinned, Cache: cacheArena}, ServeConfig{
+		Config:          Config{MicroBatch: 4, MaxContext: 32},
+		NumMicroBatches: 2, GenLen: 2, CacheTokens: 128,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Each worker submits until the server refuses; Close comes once every
+	// worker has one request in, so it lands among running submitters.
+	const workers, most = 8, 1000
+	var (
+		mu       sync.Mutex
+		accepted []*Handle
+		refused  int
+		wg, in   sync.WaitGroup
+	)
+	for g := 0; g < workers; g++ {
+		wg.Add(1)
+		in.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < most; i++ {
+				h, err := srv.Submit(workload.Request{ID: g*most + i, PromptLen: 3 + i%5}, nil)
+				if i == 0 {
+					in.Done()
+				}
+				if errors.Is(err, ErrServerClosed) {
+					mu.Lock()
+					refused++
+					mu.Unlock()
+					return
+				}
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				mu.Lock()
+				accepted = append(accepted, h)
+				mu.Unlock()
+				runtime.Gosched()
+			}
+		}()
+	}
+	in.Wait()
+	closeErr := srv.Close()
+	wg.Wait()
+	if closeErr != nil {
+		t.Errorf("Close: %v", closeErr)
+	}
+	for _, h := range accepted {
+		select {
+		case <-h.Done():
+		default:
+			t.Fatalf("request %d accepted but not finished when Close returned", h.ID())
+		}
+		if herr := h.Err(); herr != nil {
+			t.Errorf("request %d: %v", h.ID(), herr)
+		}
+	}
+	st := srv.Stats()
+	if st.Submitted != len(accepted) || st.Submitted != st.Completed+st.Canceled+st.Failed {
+		t.Errorf("accepted %d, submitted %d, completed %d + canceled %d + failed %d",
+			len(accepted), st.Submitted, st.Completed, st.Canceled, st.Failed)
+	}
+	if n := goroutinesAfter(base); n > base {
+		t.Errorf("%d goroutines after Close, %d before NewServer", n, base)
+	}
+	t.Logf("%d submits accepted, %d workers refused by Close", len(accepted), refused)
 }
 
 // TestPipelineAbsorbsTransientFetchFaults: expert-fetch faults within

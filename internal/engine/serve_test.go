@@ -138,6 +138,54 @@ func TestServeRejectsImpossibleRequest(t *testing.T) {
 	}
 }
 
+// TestServerRejectsEmptyPrompt: a request without a prompt token is
+// refused at Submit — with its batch-mate, since a batch is admitted
+// whole — naming the request, and leaves no trace: nothing counted,
+// queued or run. A good request after it is served with the reference's
+// tokens and Close reports no error.
+func TestServerRejectsEmptyPrompt(t *testing.T) {
+	cfg := model.Tiny()
+	cpu, gpu, pinned, cacheArena := newTestArenas()
+	w, err := NewRandomWeights(cpu, cfg, 13)
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv, err := NewServer(&Host{W: w, GPU: gpu, Pinned: pinned, Cache: cacheArena}, ServeConfig{
+		Config:          Config{MicroBatch: 2, MaxContext: 32},
+		NumMicroBatches: 1, GenLen: 3, CacheTokens: 64,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, n := range []int{0, -1} {
+		hs, err := srv.SubmitBatch([]workload.Request{{ID: 1, PromptLen: 4}, {ID: 2, PromptLen: n}}, nil)
+		if err == nil || hs != nil {
+			t.Fatalf("PromptLen %d: accepted (%d handles)", n, len(hs))
+		}
+		if !strings.Contains(err.Error(), "request 2") {
+			t.Errorf("PromptLen %d: error does not name the request: %v", n, err)
+		}
+	}
+	if st := srv.Stats(); st.Submitted != 0 || st.Shed != 0 || st.QueuedRequests != 0 || st.QueuedTokens != 0 {
+		t.Errorf("a refused batch left a trace: %+v", st)
+	}
+	good := workload.Request{ID: 3, PromptLen: 5}
+	h, err := srv.Submit(good, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, herr := h.Wait()
+	if herr != nil {
+		t.Fatalf("good request failed: %v", herr)
+	}
+	if want := refTokens(t, w, []workload.Request{good}, 32, 3); !reflect.DeepEqual(got, want[0]) {
+		t.Errorf("tokens %v, reference %v", got, want[0])
+	}
+	if err := srv.Close(); err != nil {
+		t.Errorf("Close: %v", err)
+	}
+}
+
 // TestPipelineExplicitPartition: uneven Alg. 2-style partitions work and
 // match the reference.
 func TestPipelineExplicitPartition(t *testing.T) {

@@ -210,11 +210,11 @@ func (c *ServerConfig) defaults() {
 
 // Server is the long-lived streaming inference API over the functional
 // CGOPipe engine. NewServer builds weights and memory arenas once;
-// Submit admits requests at any time and returns a Handle whose
-// Tokens() channel carries tokens as decode steps complete; an
-// admission loop re-runs the Alg. 2 batcher over (deferred + newly
-// arrived) requests at every wave boundary; Close drains and shuts
-// down.
+// Submit admits requests at any time, without waiting on a running
+// wave, and returns a Handle whose Tokens() channel carries tokens as
+// decode steps complete; an admission loop re-runs the Alg. 2 batcher
+// over (deferred + newly arrived) requests at every wave boundary;
+// Close drains and shuts down.
 type Server struct {
 	host *engine.Host
 	eng  *engine.Server
