@@ -12,6 +12,7 @@ import (
 
 	"moelightning"
 	"moelightning/internal/engine"
+	"moelightning/internal/kvcache"
 	"moelightning/internal/memory"
 	"moelightning/internal/workload"
 )
@@ -54,7 +55,8 @@ func main() {
 	}
 
 	// Verify against the sequential reference.
-	ref, err := engine.NewReference(host.W, memory.NewArena("refcache", host.Cache.Capacity()), len(prompts), maxContext)
+	refArena := memory.NewArena("refcache", kvcache.ArenaFloats(cfg.Layers, cfg.KVDim(), len(prompts)*maxContext))
+	ref, err := engine.NewReferenceKV(host.W, refArena, len(prompts), maxContext, kvcache.F32)
 	if err != nil {
 		log.Fatal(err)
 	}

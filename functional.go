@@ -6,6 +6,7 @@ import (
 	"slices"
 
 	"moelightning/internal/engine"
+	"moelightning/internal/kvcache"
 	"moelightning/internal/memory"
 	"moelightning/internal/workload"
 )
@@ -78,7 +79,8 @@ func RunFunctional(cfg ModelConfig, requests []Request, opts FunctionalOptions) 
 		// is its effective configuration: the reference re-derives exactly
 		// the prompts the server used.
 		prompts := engine.PromptsFromRequests(requests, srv.host.W.Cfg.VocabSize)
-		ref, err := engine.NewReferenceKV(srv.host.W, memory.NewArena("ref", srv.host.Cache.Capacity()), len(requests), srv.cfg.MaxContext, srv.cfg.KVDtype)
+		arena := memory.NewArena("ref", kvcache.ArenaFloats(cfg.Layers, cfg.KVDim(), len(requests)*srv.cfg.MaxContext))
+		ref, err := engine.NewReferenceKV(srv.host.W, arena, len(requests), srv.cfg.MaxContext, srv.cfg.KVDtype)
 		if err != nil {
 			return out, err
 		}

@@ -26,12 +26,9 @@ type Config struct {
 	// unset.
 	CacheTokens int
 	// TokenBytes and CacheBytes, when both set, switch the capacity
-	// check (Alg. 2 l.9) from tokens to bytes: every prompt or
-	// generated token costs TokenBytes of cache (the codec-dependent
-	// kvcache.TokenBytes payload), budgeted against CacheBytes per
-	// micro-batch. The same arena budget therefore admits ~32/9 the
-	// context under an int8 KV codec that it would under float32 —
-	// quantized waves batch bigger instead of just fitting longer.
+	// check (Alg. 2 l.9) from tokens to bytes: a token costs TokenBytes
+	// (kvcache.TokenBytes, codec-dependent) of CacheBytes per
+	// micro-batch, so an int8 KV codec admits ~32/9 the context.
 	TokenBytes int
 	CacheBytes int
 	// SharedPrefix makes the capacity check charge only NEW tokens for
@@ -44,21 +41,44 @@ type Config struct {
 	// prompt total (it feeds compute-balance metrics, not capacity).
 	SharedPrefix bool
 	// BlockTokens is the KV cache's tokens-per-block geometry; required
-	// when SharedPrefix is set.
+	// when SharedPrefix is set. Under the byte budget a request is then
+	// charged whole blocks, as the paged cache hands them out.
 	BlockTokens int
 }
 
 // byteAware reports whether the capacity check runs in bytes.
 func (c Config) byteAware() bool { return c.TokenBytes > 0 && c.CacheBytes > 0 }
 
-// overBudget reports whether a micro-batch of the given final token
-// count (prompt + generation room) exceeds the KV budget.
-func (c Config) overBudget(tokens int) bool {
-	if c.byteAware() {
-		return tokens*c.TokenBytes > c.CacheBytes
+// cost is one request's charge against its micro-batch's KV budget,
+// for its prompt less the shared-prefix discount plus GenLen: in whole
+// blocks of bytes, in bytes without a block geometry, or in tokens.
+func (c Config) cost(promptLen, discount int) int {
+	tokens := promptLen - discount + c.GenLen
+	switch {
+	case !c.byteAware():
+		return tokens
+	case c.BlockTokens > 0:
+		return (tokens + c.BlockTokens - 1) / c.BlockTokens * c.BlockTokens * c.TokenBytes
 	}
-	return tokens > c.CacheTokens
+	return tokens * c.TokenBytes
 }
+
+// overBudget reports whether a micro-batch's spent cost exceeds the
+// KV budget.
+func (c Config) overBudget(spent int) bool {
+	if c.byteAware() {
+		return spent > c.CacheBytes
+	}
+	return spent > c.CacheTokens
+}
+
+// Cost is what a request of promptLen prompt tokens and no shared
+// prefix charges its micro-batch's KV budget.
+func (c Config) Cost(promptLen int) int { return c.cost(promptLen, 0) }
+
+// Fits reports whether such a request fits an empty micro-batch; one
+// that does not can never be placed.
+func (c Config) Fits(promptLen int) bool { return !c.overBudget(c.Cost(promptLen)) }
 
 // Validate reports malformed configs.
 func (c Config) Validate() error {
@@ -85,11 +105,6 @@ type MicroBatch struct {
 	Requests []workload.Request
 	// PromptTokens is the total prompt length of the micro-batch.
 	PromptTokens int
-}
-
-// Tokens is the total final token count (prompt + generation).
-func (m MicroBatch) Tokens(genLen int) int {
-	return m.PromptTokens + len(m.Requests)*genLen
 }
 
 // Batch partitions the queue per Alg. 2, returning the formed
@@ -125,19 +140,20 @@ func batchInOrder(queue []workload.Request, cfg Config) (batches []MicroBatch, a
 	}
 	// partitions under construction, and their token sums (Alg. 2 l.1-3).
 	// sums carries real prompt tokens (reported in MicroBatch); charged
-	// carries capacity-relevant tokens — identical unless SharedPrefix
-	// discounts a matched prefix.
+	// carries prompt tokens less any SharedPrefix discount, for the
+	// least-loaded pick; spent is the capacity check's cost.
 	parts := make([][]workload.Request, cfg.NumMicroBatches)
 	sums := make([]int, cfg.NumMicroBatches)
 	charged := make([]int, cfg.NumMicroBatches)
+	spent := make([]int, cfg.NumMicroBatches)
 	live := make([]int, 0, cfg.NumMicroBatches) // indices of open partitions
 	for i := range parts {
 		parts[i] = make([]workload.Request, 0, cfg.MicroBatchSize)
 		live = append(live, i)
 	}
-	// seen tracks, per prefix id, the longest declared prefix already
-	// placed anywhere in the round — the wave's cache is shared across
-	// micro-batches, so a follower's discount is partition-independent.
+	// seen tracks, per prefix id, the longest prefix a request placed in
+	// the round (any partition: the wave's cache is shared) can lend: its
+	// declared prefix short of its last token, the most the engine maps.
 	var seen map[int]int
 	if cfg.SharedPrefix {
 		seen = make(map[int]int)
@@ -155,22 +171,22 @@ func batchInOrder(queue []workload.Request, cfg Config) (batches []MicroBatch, a
 				idx = i
 			}
 		}
-		// Capacity check (l.9): prompt tokens so far + this prompt +
-		// generation room for every request including this one —
-		// counted in bytes at the codec's per-token rate when the
-		// byte-aware budget is set, in tokens otherwise. A shared-prefix
-		// match charges only the unshared tail of the prompt.
-		charge := req.PromptLen - cfg.prefixDiscount(req, seen)
-		if cfg.overBudget(charged[idx] + charge + (1+len(parts[idx]))*cfg.GenLen) {
+		// Capacity check (l.9): what the partition has spent plus this
+		// request's prompt and generation room. A shared-prefix match
+		// charges only the unshared tail of the prompt.
+		discount := cfg.prefixDiscount(req, seen)
+		cost := cfg.cost(req.PromptLen, discount)
+		if cfg.overBudget(spent[idx] + cost) {
 			aborted = append(aborted, req) // l.10
 			continue
 		}
 		parts[idx] = append(parts[idx], req) // l.12-13
 		sums[idx] += req.PromptLen
-		charged[idx] += charge
+		charged[idx] += req.PromptLen - discount
+		spent[idx] += cost
 		if cfg.SharedPrefix && req.PrefixID != 0 {
-			if eff := min(req.PrefixLen, req.PromptLen); eff > seen[req.PrefixID] {
-				seen[req.PrefixID] = eff
+			if lend := min(req.PrefixLen, req.PromptLen-1); lend > seen[req.PrefixID] {
+				seen[req.PrefixID] = lend
 			}
 		}
 		if len(parts[idx]) == cfg.MicroBatchSize { // l.14-18

@@ -17,6 +17,12 @@ func reqs(lens ...int) []workload.Request {
 	return out
 }
 
+// finalTokens is a micro-batch's final token count (prompt +
+// generation), what the token budget bounds.
+func finalTokens(m MicroBatch, genLen int) int {
+	return m.PromptTokens + len(m.Requests)*genLen
+}
+
 func TestBalancedPartition(t *testing.T) {
 	cfg := Config{NumMicroBatches: 2, MicroBatchSize: 2, GenLen: 0, CacheTokens: 1000}
 	batches, aborted, err := Batch(reqs(100, 90, 10, 20), cfg)
@@ -148,6 +154,56 @@ func TestByteBudgetAdmitsMore(t *testing.T) {
 	}
 }
 
+// TestByteBudgetChargesWholeBlocks: with a block geometry the byte
+// budget charges each request the whole blocks the paged cache will
+// hand it. Prompts of 32 and 31 tokens with 8 generated each need 3
+// blocks apiece (39 and 38 tokens), 6 blocks = 96 tokens of an
+// 80-token budget, so the second defers; counted in tokens (79) both
+// would place. Fits is the same test on an empty micro-batch.
+func TestByteBudgetChargesWholeBlocks(t *testing.T) {
+	const f32Bytes = 128
+	tokens := Config{NumMicroBatches: 1, MicroBatchSize: 2, GenLen: 8, TokenBytes: f32Bytes, CacheBytes: 80 * f32Bytes}
+	blocks := tokens
+	blocks.BlockTokens = 16
+	if _, aborted, err := Batch(reqs(32, 31), tokens); err != nil || len(aborted) != 0 {
+		t.Fatalf("token-exact charge: aborted %d (%v), want 0", len(aborted), err)
+	}
+	batches, aborted, err := Batch(reqs(32, 31), blocks)
+	if err != nil || len(batches) != 1 || len(batches[0].Requests) != 1 || len(aborted) != 1 {
+		t.Fatalf("block charge: batches %+v aborted %d (%v), want 1 placed, 1 aborted", batches, len(aborted), err)
+	}
+	if got, want := blocks.Cost(31), 48*f32Bytes; got != want {
+		t.Errorf("Cost(31) = %d, want %d (3 blocks)", got, want)
+	}
+	// 72 + 8 is 5 blocks, the whole budget; 73 + 8 needs a sixth.
+	if !blocks.Fits(72) || blocks.Fits(73) {
+		t.Errorf("Fits(72), Fits(73) = %v, %v; want true, false", blocks.Fits(72), blocks.Fits(73))
+	}
+}
+
+// TestSharedPrefixLendsAllButLastToken: a placed request lends at most
+// its prompt less its last token, which it always computes itself, so
+// a follower's discount never exceeds what the engine maps whichever
+// of the two it issues first.
+func TestSharedPrefixLendsAllButLastToken(t *testing.T) {
+	cfg := Config{NumMicroBatches: 1, MicroBatchSize: 2, GenLen: 8, TokenBytes: 128, CacheBytes: 64 * 128,
+		SharedPrefix: true, BlockTokens: 16}
+	// Request 0 is all prefix (32 + 8 tokens, 3 blocks): it lends 31,
+	// one block. The follower (40 + 8 tokens, 3 blocks) is charged 2:
+	// 5 blocks, past a 4-block budget that a 2-block discount would meet.
+	queue := []workload.Request{
+		{ID: 0, PromptLen: 32, PrefixID: 5, PrefixLen: 32},
+		{ID: 1, PromptLen: 40, PrefixID: 5, PrefixLen: 32},
+	}
+	if _, aborted, err := BatchOrdered(queue, cfg); err != nil || len(aborted) != 1 {
+		t.Fatalf("aborted %d (%v), want the follower", len(aborted), err)
+	}
+	cfg.CacheBytes = 80 * 128
+	if _, aborted, err := BatchOrdered(queue, cfg); err != nil || len(aborted) != 0 {
+		t.Fatalf("aborted %d (%v) at 5 blocks, want 0", len(aborted), err)
+	}
+}
+
 func TestInputNotMutated(t *testing.T) {
 	in := reqs(5, 50, 10)
 	cfg := Config{NumMicroBatches: 2, MicroBatchSize: 2, GenLen: 1, CacheTokens: 1000}
@@ -183,7 +239,7 @@ func TestBatchProperties(t *testing.T) {
 			if len(b.Requests) > cfg.MicroBatchSize {
 				return false
 			}
-			if b.Tokens(cfg.GenLen) > cfg.CacheTokens {
+			if finalTokens(b, cfg.GenLen) > cfg.CacheTokens {
 				return false
 			}
 			sum := 0
@@ -293,8 +349,8 @@ func TestBatchOrderedSameCapacitySemantics(t *testing.T) {
 		if len(mb.Requests) > cfg.MicroBatchSize {
 			t.Fatalf("micro-batch over size: %d", len(mb.Requests))
 		}
-		if mb.Tokens(cfg.GenLen) > cfg.CacheTokens {
-			t.Fatalf("micro-batch over budget: %d tokens", mb.Tokens(cfg.GenLen))
+		if finalTokens(mb, cfg.GenLen) > cfg.CacheTokens {
+			t.Fatalf("micro-batch over budget: %d tokens", finalTokens(mb, cfg.GenLen))
 		}
 		seen += len(mb.Requests)
 	}

@@ -151,7 +151,7 @@ func (t *Table) measureGEMM(cfg BuildConfig, tokens int) Entry {
 func (t *Table) measureAttend(cfg BuildConfig, dtype kvcache.DType, items, context int) (Entry, error) {
 	m := cfg.Model
 	kvDim, qDim, headDim := m.KVDim(), m.QDim(), m.HeadDim
-	arena := memory.NewArena("calib-kv", 4*items*(context+16)*kvDim*2+1<<20)
+	arena := memory.NewArena("calib-kv", kvcache.ArenaFloats(1, kvDim, items*(context+16)))
 	cache, err := kvcache.New(arena, 1, kvDim, kvcache.DefaultBlockTokens, items*(context+16), dtype)
 	if err != nil {
 		return Entry{}, err

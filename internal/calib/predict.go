@@ -69,16 +69,14 @@ func (sc Scenario) KVCodec() perfmodel.KVCodec {
 // ServeConfig is the ready-to-run engine configuration for the
 // scenario.
 func (sc Scenario) ServeConfig() engine.ServeConfig {
-	maxContext := engine.ContextBound(sc.PromptLen, sc.GenLen)
 	return engine.ServeConfig{
 		Config: engine.Config{
 			MicroBatch: sc.Mu,
-			MaxContext: maxContext,
+			MaxContext: engine.ContextBound(sc.PromptLen, sc.GenLen),
 			KVDtype:    sc.KVDtype,
 		},
 		NumMicroBatches: sc.NumMicroBatches,
 		GenLen:          sc.GenLen,
-		CacheTokens:     2 * sc.Mu * maxContext,
 	}
 }
 

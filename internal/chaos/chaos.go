@@ -25,6 +25,7 @@ import (
 
 	"moelightning/internal/engine"
 	"moelightning/internal/faults"
+	"moelightning/internal/kvcache"
 	"moelightning/internal/memory"
 	"moelightning/internal/model"
 	"moelightning/internal/traffic"
@@ -188,7 +189,6 @@ func Run(cfg Config) (Report, error) {
 		},
 		NumMicroBatches:    numMicro,
 		GenLen:             genLen,
-		CacheTokens:        microBatch * maxContext,
 		HonorRequestGenLen: true,
 		EnforceDeadlines:   true,
 		WaveTimeout:        cfg.WaveTimeout,
@@ -291,8 +291,8 @@ func referenceTokens(w *engine.Weights, req workload.Request, vocab, maxContext,
 		return nil, nil
 	}
 	prompts := engine.PromptsFromRequests([]workload.Request{req}, vocab)
-	arena := memory.NewArena("chaos-ref", 4*maxContext*w.Cfg.KVDim()*w.Cfg.Layers+1<<16)
-	ref, err := engine.NewReference(w, arena, 1, maxContext)
+	arena := memory.NewArena("chaos-ref", kvcache.ArenaFloats(w.Cfg.Layers, w.Cfg.KVDim(), maxContext))
+	ref, err := engine.NewReferenceKV(w, arena, 1, maxContext, kvcache.F32)
 	if err != nil {
 		return nil, err
 	}

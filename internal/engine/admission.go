@@ -27,8 +27,8 @@ func (s SLO) IsZero() bool { return s.TTFT == 0 && s.TPOT == 0 }
 // AdmissionPolicy.StarvationWaves is unset. Together with BatchOrdered's
 // place-first-request-first behavior it bounds starvation: a request
 // deferred this many times is the first dealt to an empty micro-batch
-// at the next wave boundary, so it is admitted then unless it can fit
-// no micro-batch at all (which fails it outright instead).
+// at the next wave boundary, so it is admitted then: the server refuses
+// at Submit any request an empty micro-batch cannot hold.
 const DefaultStarvationWaves = 3
 
 // AdmissionPolicy is the queueing policy of a serving loop: how the
@@ -151,7 +151,7 @@ func AdmissionOrder(items []AdmissionItem, now time.Time, starvationWaves int) [
 type WavePlan struct {
 	// MicroBatches lists the formed micro-batches, each the indices of
 	// its requests in placement order. Empty means no pending request
-	// fits any micro-batch: the caller fails the whole queue.
+	// fits an empty micro-batch; the server never asks about one.
 	MicroBatches [][]int
 	// Deferred lists the requests passed over, in the batcher's abort
 	// order — the order they keep at the head of the next boundary's

@@ -21,6 +21,8 @@ import (
 type Server struct {
 	pl  *Pipeline
 	cfg ServeConfig
+	// bc is the Alg. 2 configuration; its KV budget is the pool's.
+	bc batching.Config
 
 	// wake rouses the admission loop after a Submit or Close: one slot
 	// and a non-blocking send, so a wake-up already pending stands for
@@ -43,26 +45,6 @@ type Server struct {
 	ttft, tpot        *metrics.Histogram
 }
 
-// batchConfig builds the Alg. 2 configuration for a server: the KV
-// term is budgeted in BYTES — CacheTokens float32-token-equivalents of
-// per-micro-batch arena capacity, spent at the serving codec's
-// kvcache.TokenBytes rate — so an int8 wave admits ~32/9 the context
-// of the identical float32 config instead of leaving the arena's
-// headroom idle. For a float32 codec the byte check reduces exactly to
-// the classic token check.
-func batchConfig(cfg ServeConfig, kvDim int) batching.Config {
-	return batching.Config{
-		NumMicroBatches: cfg.NumMicroBatches,
-		MicroBatchSize:  cfg.MicroBatch,
-		GenLen:          cfg.GenLen,
-		CacheTokens:     cfg.CacheTokens,
-		TokenBytes:      kvcache.TokenBytes(kvDim, cfg.KVDtype),
-		CacheBytes:      cfg.CacheTokens * kvcache.TokenBytes(kvDim, kvcache.F32),
-		SharedPrefix:    cfg.SharedPrefix,
-		BlockTokens:     kvcache.DefaultBlockTokens,
-	}
-}
-
 // NewServer builds the serving engine over a host and starts its
 // admission loop. It resets the host's GPU, pinned and cache arenas and
 // carves them, once, into the one pipeline every wave runs on:
@@ -74,7 +56,17 @@ func NewServer(host *Host, cfg ServeConfig) (*Server, error) {
 	if cfg.GenLen < 0 {
 		return nil, fmt.Errorf("engine: negative GenLen %d", cfg.GenLen)
 	}
-	if err := batchConfig(cfg, host.W.Cfg.KVDim()).Validate(); err != nil {
+	kvDim := host.W.Cfg.KVDim()
+	bc := batching.Config{
+		NumMicroBatches: cfg.NumMicroBatches,
+		MicroBatchSize:  cfg.MicroBatch,
+		GenLen:          cfg.GenLen,
+		TokenBytes:      kvcache.TokenBytes(kvDim, cfg.KVDtype),
+		CacheBytes:      cfg.MicroBatch * cfg.MaxContext * kvcache.TokenBytes(kvDim, kvcache.F32),
+		SharedPrefix:    cfg.SharedPrefix,
+		BlockTokens:     kvcache.DefaultBlockTokens,
+	}
+	if err := bc.Validate(); err != nil {
 		return nil, err
 	}
 	host.GPU.Reset()
@@ -87,6 +79,7 @@ func NewServer(host *Host, cfg ServeConfig) (*Server, error) {
 	s := &Server{
 		pl:   pl,
 		cfg:  cfg,
+		bc:   bc,
 		wake: make(chan struct{}, 1),
 		done: make(chan struct{}),
 	}
@@ -134,7 +127,8 @@ func (s *Server) SubmitBatch(reqs []workload.Request, cancel <-chan struct{}) ([
 
 // SubmitBatchSLO is SubmitBatch with a per-request SLO. slos may be nil
 // (no targets) or must match reqs in length. A batch holding a request
-// without a prompt token is rejected whole, before anything is counted.
+// without a prompt token, or one no micro-batch's KV budget holds, is
+// rejected whole, before anything is counted.
 func (s *Server) SubmitBatchSLO(reqs []workload.Request, slos []SLO, cancel <-chan struct{}) ([]*Handle, error) {
 	if len(reqs) == 0 {
 		return nil, fmt.Errorf("engine: empty request batch")
@@ -145,6 +139,10 @@ func (s *Server) SubmitBatchSLO(reqs []workload.Request, slos []SLO, cancel <-ch
 	for _, r := range reqs {
 		if r.PromptLen < 1 {
 			return nil, fmt.Errorf("engine: request %d: prompt length %d, want at least 1", r.ID, r.PromptLen)
+		}
+		if !s.bc.Fits(r.PromptLen) {
+			return nil, fmt.Errorf("engine: request %d: %d prompt + %d gen tokens exceed a micro-batch's KV budget (MicroBatch %d x MaxContext %d float32 tokens)",
+				r.ID, r.PromptLen, s.cfg.GenLen, s.cfg.MicroBatch, s.cfg.MaxContext)
 		}
 	}
 	hs := make([]*Handle, len(reqs))
@@ -220,12 +218,11 @@ func (s *Server) admitCheckLocked(hs []*Handle) error {
 	return nil
 }
 
-// describeHandles names a handle group's requests and their token/byte
-// demands for admission-failure and no-progress diagnostics: enough to
-// identify WHICH requests were refused and what they asked for.
+// describeHandles names a handle group's requests and the KV blocks
+// admission charges them, for admission-failure and no-progress
+// diagnostics: enough to identify WHICH requests were refused and what
+// they asked for.
 func (s *Server) describeHandles(hs []*Handle) string {
-	m := s.pl.w.Cfg
-	tokBytes := kvcache.TokenBytes(m.KVDim(), s.cfg.KVDtype) * m.Layers
 	var b strings.Builder
 	fmt.Fprintf(&b, "%d request(s):", len(hs))
 	for i, h := range hs {
@@ -233,8 +230,8 @@ func (s *Server) describeHandles(hs []*Handle) string {
 			fmt.Fprintf(&b, " …(+%d more)", len(hs)-i)
 			break
 		}
-		fmt.Fprintf(&b, " id %d (%d prompt + %d gen tokens, %d KV bytes)",
-			h.ID(), h.item.Req.PromptLen, h.genLen, h.qtokens*tokBytes)
+		fmt.Fprintf(&b, " id %d (%d prompt + %d gen tokens, %d KV blocks)", h.ID(), h.item.Req.PromptLen,
+			s.cfg.GenLen, s.bc.Cost(h.item.Req.PromptLen)/(s.bc.BlockTokens*s.bc.TokenBytes))
 	}
 	return b.String()
 }

@@ -15,6 +15,9 @@
 //     once per server.
 //   - Host / NewHost (host.go): weights plus GPU / pinned / KV arena
 //     sizing, for every caller that builds an engine.
+//   - KV capacity: Config.MaxContext float32 tokens a sequence slot,
+//     made the pool and its arena by kvcache.PoolTokens / ArenaFloats and
+//     each micro-batch's Alg. 2 budget (NewServer), in whole blocks.
 //   - AdmissionPolicy, PlanWave (admission.go): queue bounds and the
 //     wave-boundary decision — ordering, Alg. 2 placement, deferral,
 //     no-progress — shared with the traffic simulator.

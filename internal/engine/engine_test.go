@@ -5,6 +5,7 @@ import (
 	"reflect"
 	"testing"
 
+	"moelightning/internal/kvcache"
 	"moelightning/internal/memory"
 	"moelightning/internal/model"
 	"moelightning/internal/workload"
@@ -62,7 +63,7 @@ func TestPipelineMatchesReference(t *testing.T) {
 			prompts := testPrompts(tc.seqs, 3, 9, cfg.VocabSize)
 
 			refArena := memory.NewArena("refcache", 1<<22)
-			ref, err := NewReference(w, refArena, tc.seqs, 64)
+			ref, err := NewReferenceKV(w, refArena, tc.seqs, 64, kvcache.F32)
 			if err != nil {
 				t.Fatalf("reference: %v", err)
 			}
@@ -100,7 +101,7 @@ func TestPipelineExpertLoadMatchesReference(t *testing.T) {
 	}
 	prompts := testPrompts(4, 4, 7, cfg.VocabSize)
 
-	ref, err := NewReference(w, memory.NewArena("rc", 1<<22), 4, 64)
+	ref, err := NewReferenceKV(w, memory.NewArena("rc", 1<<22), 4, 64, kvcache.F32)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -5,6 +5,7 @@ import (
 	"reflect"
 	"testing"
 
+	"moelightning/internal/kvcache"
 	"moelightning/internal/memory"
 	"moelightning/internal/model"
 	"moelightning/internal/paging"
@@ -46,7 +47,7 @@ func TestExpertStreamFetchesEachBlockOnce(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ref, err := NewReference(w, memory.NewArena("rc", 1<<22), seqs, 64)
+	ref, err := NewReferenceKV(w, memory.NewArena("rc", 1<<22), seqs, 64, kvcache.F32)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -185,7 +186,7 @@ func TestSmallWavePrefetchesOnlyRoutableBlocks(t *testing.T) {
 	}
 	for _, seqs := range []int{1, 2} {
 		prompts := testPrompts(seqs, 5, 12, cfg.VocabSize)
-		ref, err := NewReference(w, memory.NewArena("rc", 1<<22), seqs, 64)
+		ref, err := NewReferenceKV(w, memory.NewArena("rc", 1<<22), seqs, 64, kvcache.F32)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -6,6 +6,7 @@ import (
 	"reflect"
 	"testing"
 
+	"moelightning/internal/faults"
 	"moelightning/internal/kvcache"
 	"moelightning/internal/memory"
 	"moelightning/internal/model"
@@ -133,7 +134,7 @@ func TestPipelineRandomShapesMatchReference(t *testing.T) {
 		}
 		prompts := testPrompts(seqs, 2+rng.Intn(4), 6+rng.Intn(6), cfg.VocabSize)
 
-		ref, err := NewReference(w, memory.NewArena("rc", 1<<22), seqs, 64)
+		ref, err := NewReferenceKV(w, memory.NewArena("rc", 1<<22), seqs, 64, kvcache.F32)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -181,7 +182,7 @@ func exhaustionFixture(t *testing.T) (w *Weights, gpu, pinned, cacheArena *memor
 		{ID: 0, PromptLen: 15}, {ID: 1, PromptLen: 10}, {ID: 2, PromptLen: 10},
 	}
 	prompts = PromptsFromRequests(reqs, cfg.VocabSize)
-	ref, err := NewReference(w, memory.NewArena("rc", 1<<22), 3, 64)
+	ref, err := NewReferenceKV(w, memory.NewArena("rc", 1<<22), 3, 64, kvcache.F32)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -238,19 +239,37 @@ func TestCacheExhaustionRetiresOnlyOffender(t *testing.T) {
 	}
 }
 
-// TestServerFailsOnlyExhaustedRequest runs the same scenario through
-// the streaming server: the exhausted request's handle fails with the
-// out-of-blocks error, the survivors complete with reference-identical
-// tokens, and the wave itself (and Close) reports no error.
-func TestServerFailsOnlyExhaustedRequest(t *testing.T) {
-	w, gpu, pinned, cacheArena, reqs, _, want := exhaustionFixture(t)
-	srv, err := NewServer(&Host{W: w, GPU: gpu, Pinned: pinned, Cache: cacheArena}, ServeConfig{
-		Config:          Config{MicroBatch: 3, MaxContext: 16},
-		NumMicroBatches: 1, GenLen: exhaustionGenLen, CacheTokens: 100,
+// exhaustionServer serves an exhaustion fixture's requests from a
+// server whose admission budget holds them all (its pool is the 6
+// blocks a layer of MaxContext 32, not the fixture's 3), so the
+// offender's failure is the fault injector's: block allocation number
+// failAt finds the pool "empty", through the same path a full pool
+// takes. The fixture's prompts claim 12 blocks in layer order before
+// the 13th allocation.
+func exhaustionServer(t *testing.T, w *Weights, gpu, pinned *memory.Arena, failAt int) *Server {
+	t.Helper()
+	const maxContext = 32
+	cache := memory.NewArena("cache", kvcache.ArenaFloats(w.Cfg.Layers, w.Cfg.KVDim(), 3*maxContext))
+	srv, err := NewServer(&Host{W: w, GPU: gpu, Pinned: pinned, Cache: cache}, ServeConfig{
+		Config:          Config{MicroBatch: 3, MaxContext: maxContext, Faults: faults.New(faults.Config{KVAllocFailAt: []int{failAt}})},
+		NumMicroBatches: 1, GenLen: exhaustionGenLen,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
+	return srv
+}
+
+// TestServerFailsOnlyExhaustedRequest runs the same scenario through
+// the streaming server: the exhausted request's handle fails with the
+// out-of-blocks error, the survivors complete with reference-identical
+// tokens, and the wave itself (and Close) reports no error. The
+// server's admission never places more than its pool holds, so the
+// offender's block (the first decode-time allocation) is failed by
+// injection.
+func TestServerFailsOnlyExhaustedRequest(t *testing.T) {
+	w, gpu, pinned, _, reqs, _, want := exhaustionFixture(t)
+	srv := exhaustionServer(t, w, gpu, pinned, 13)
 	hs, err := srv.SubmitBatch(reqs, nil)
 	if err != nil {
 		t.Fatal(err)
@@ -304,7 +323,7 @@ func prefillExhaustionFixture(t *testing.T) (w *Weights, gpu, pinned, cacheArena
 		{ID: 0, PromptLen: 17}, {ID: 1, PromptLen: 10}, {ID: 2, PromptLen: 10},
 	}
 	prompts = PromptsFromRequests(reqs, cfg.VocabSize)
-	ref, err := NewReference(w, memory.NewArena("rc", 1<<22), 3, 64)
+	ref, err := NewReferenceKV(w, memory.NewArena("rc", 1<<22), 3, 64, kvcache.F32)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -356,16 +375,13 @@ func TestPrefillExhaustionRetiresOnlyOffender(t *testing.T) {
 // scenario through the streaming server: the starved request's handle
 // fails with ErrOutOfBlocks and zero tokens, the survivors complete
 // with reference-identical tokens, and the wave itself (and Close)
-// reports no error.
+// reports no error. As above, the offender's allocation is failed by
+// injection.
 func TestServerFailsOnlyPrefillExhaustedRequest(t *testing.T) {
-	w, gpu, pinned, cacheArena, reqs, _, want := prefillExhaustionFixture(t)
-	srv, err := NewServer(&Host{W: w, GPU: gpu, Pinned: pinned, Cache: cacheArena}, ServeConfig{
-		Config:          Config{MicroBatch: 3, MaxContext: 16},
-		NumMicroBatches: 1, GenLen: exhaustionGenLen, CacheTokens: 100,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
+	w, gpu, pinned, _, reqs, _, want := prefillExhaustionFixture(t)
+	// Layers 0-2 take 4 blocks each; the 13th allocation is the long
+	// prompt's first at layer 3.
+	srv := exhaustionServer(t, w, gpu, pinned, 13)
 	hs, err := srv.SubmitBatch(reqs, nil)
 	if err != nil {
 		t.Fatal(err)

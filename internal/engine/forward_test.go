@@ -5,6 +5,7 @@ import (
 	"reflect"
 	"testing"
 
+	"moelightning/internal/kvcache"
 	"moelightning/internal/memory"
 	"moelightning/internal/model"
 	"moelightning/internal/tensor"
@@ -164,7 +165,7 @@ func TestPipelineBitIdenticalHiddenStates(t *testing.T) {
 	const seqs, gen = 5, 6
 	prompts := testPrompts(seqs, 3, 8, cfg.VocabSize)
 
-	ref, err := NewReference(w, memory.NewArena("rc", 1<<22), seqs, 64)
+	ref, err := NewReferenceKV(w, memory.NewArena("rc", 1<<22), seqs, 64, kvcache.F32)
 	if err != nil {
 		t.Fatal(err)
 	}

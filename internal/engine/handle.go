@@ -89,9 +89,6 @@ var closedTokens = func() chan Token {
 }()
 
 func newHandle(req workload.Request, cancel <-chan struct{}, genLen int, slo SLO) *Handle {
-	if genLen < 0 {
-		genLen = 0
-	}
 	return &Handle{
 		item:    AdmissionItem{Req: req, Submitted: time.Now(), SLO: slo},
 		cancel:  cancel,

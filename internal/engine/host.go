@@ -25,8 +25,8 @@ const arenaSlack = 4 << 20
 // GPU arena also holds the expert residency pool for residencyBytes
 // (Config.ExpertResidencyBytes; <= 0 is the two-layer default), which
 // expert blocks reach in one copy from the CPU arena. The cache arena
-// holds K and V for every sequence twice over, float32 regardless of
-// codec, so a Reference over the same arena size always fits too.
+// is kvcache.ArenaFloats for waveSeqs x maxContext float32 tokens: the
+// pool a pipeline of that shape builds under any codec, exactly.
 func NewHost(m model.Config, seed int64, waveSeqs, maxContext, residencyBytes int) (*Host, error) {
 	layout := NewLayout(m)
 	bufferFloats := 2*layout.LayerFloats() + arenaSlack
@@ -38,15 +38,14 @@ func NewHost(m model.Config, seed int64, waveSeqs, maxContext, residencyBytes in
 		W:      w,
 		GPU:    memory.NewArena("gpu", bufferFloats+layout.ResidencySlots(residencyBytes)*layout.ExpertFloats()),
 		Pinned: memory.NewArena("pinned", bufferFloats),
-		Cache:  memory.NewArena("kvcache", 2*waveSeqs*maxContext*m.KVDim()*2+arenaSlack),
+		Cache:  memory.NewArena("kvcache", kvcache.ArenaFloats(m.Layers, m.KVDim(), waveSeqs*maxContext)),
 	}, nil
 }
 
 // ContextBound is the MaxContext that serves prompt+gen tokens per
-// sequence: the KV pool carves numSeqs*MaxContext tokens into
-// kvcache.DefaultBlockTokens-token blocks and every sequence occupies
-// whole blocks, so the bound is rounded to block granularity with two
-// blocks of headroom.
+// sequence: the KV pool and the admission budget both count whole
+// kvcache.DefaultBlockTokens-token blocks, so the bound is rounded to
+// block granularity with two blocks of headroom.
 func ContextBound(prompt, gen int) int {
 	const b = kvcache.DefaultBlockTokens
 	return (prompt+gen)/b*b + 2*b

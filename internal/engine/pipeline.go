@@ -229,7 +229,7 @@ func floatBytes(n int) int64 { return int64(n) * 4 }
 type Config struct {
 	// MicroBatch is μ: sequences per micro-batch.
 	MicroBatch int
-	// MaxContext bounds per-sequence context for cache sizing.
+	// MaxContext is a sequence slot's KV pool share in float32 tokens.
 	MaxContext int
 	// Lookahead is how many micro-batches ahead CPU attention launches
 	// (<= 0: Alg. 1's 2).
@@ -302,14 +302,16 @@ func NewPipeline(w *Weights, gpu, pinned, cacheArena *memory.Arena, numSeqs int,
 	if err != nil {
 		return nil, err
 	}
-	cache, err := kvcache.New(cacheArena, w.Cfg.Layers, w.Cfg.KVDim(), kvcache.DefaultBlockTokens, numSeqs*cfg.MaxContext, cfg.KVDtype)
+	q, kv := w.Cfg.QDim(), w.Cfg.KVDim()
+	pool := kvcache.PoolTokens(kv, numSeqs*cfg.MaxContext, cfg.KVDtype)
+	cache, err := kvcache.New(cacheArena, w.Cfg.Layers, kv, kvcache.DefaultBlockTokens, pool, cfg.KVDtype)
 	if err != nil {
 		return nil, err
 	}
 
 	// The row workspaces are sized once for the largest pass: a decode
-	// step's row per sequence, or a prompt pass's token budget — which
-	// never needs more rows than the KV pool holds tokens.
+	// step's row per sequence, or a prompt pass's token budget — capped
+	// at the sequences' float32-token share of the KV pool.
 	p := &Pipeline{
 		w: w, layout: layout,
 		db: db, staging: staging, cache: cache,
@@ -325,7 +327,6 @@ func NewPipeline(w *Weights, gpu, pinned, cacheArena *memory.Arena, numSeqs int,
 	}
 	rows := max(numSeqs, min(p.prefillChunk, numSeqs*cfg.MaxContext))
 	p.prefillChunk = min(p.prefillChunk, rows)
-	q, kv := w.Cfg.QDim(), w.Cfg.KVDim()
 	var hiddenRegion memory.Region
 	for _, r := range []struct {
 		dst   *memory.Region

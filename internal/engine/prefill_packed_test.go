@@ -235,8 +235,8 @@ func TestServeReportsPrefillThroughput(t *testing.T) {
 		{ID: 0, PromptLen: 4}, {ID: 1, PromptLen: 7}, {ID: 2, PromptLen: 5},
 	}
 	res, err := Serve(&Host{W: w, GPU: gpu, Pinned: pinned, Cache: cacheArena}, reqs, ServeConfig{
-		Config:          Config{MicroBatch: 2, MaxContext: 32},
-		NumMicroBatches: 2, GenLen: 3, CacheTokens: 200,
+		Config:          Config{MicroBatch: 2, MaxContext: 100},
+		NumMicroBatches: 2, GenLen: 3,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -252,8 +252,8 @@ func TestServeReportsPrefillThroughput(t *testing.T) {
 // TestInt8WavesBatchMoreSequences: the byte-aware batcher's end-to-end
 // effect. Four long-prompt requests overflow a float32 wave's KV
 // budget (two waves, two deferrals) but fit one int8 wave outright —
-// the same CacheTokens budget spent at the quantized per-token byte
-// rate admits ~32/9 the context.
+// the same MicroBatch x MaxContext budget spent in quantized blocks
+// admits ~32/9 the context.
 func TestInt8WavesBatchMoreSequences(t *testing.T) {
 	cfg := model.Tiny()
 	reqs := []workload.Request{
@@ -267,8 +267,8 @@ func TestInt8WavesBatchMoreSequences(t *testing.T) {
 			t.Fatal(err)
 		}
 		res, err := Serve(&Host{W: w, GPU: gpu, Pinned: pinned, Cache: cacheArena}, reqs, ServeConfig{
-			Config:          Config{MicroBatch: 4, MaxContext: 64, KVDtype: dtype},
-			NumMicroBatches: 1, GenLen: 5, CacheTokens: 100,
+			Config:          Config{MicroBatch: 4, MaxContext: 25, KVDtype: dtype},
+			NumMicroBatches: 1, GenLen: 5,
 		})
 		if err != nil {
 			t.Fatalf("dtype %v: %v", dtype, err)
@@ -285,12 +285,13 @@ func TestInt8WavesBatchMoreSequences(t *testing.T) {
 	}
 	f32 := run(kvcache.F32)
 	int8 := run(kvcache.Int8)
-	// f32: 40+5=45 fits, 80+10=90 fits, 120+15 > 100 defers -> 2 waves.
+	// f32: 45 tokens is 3 blocks, 48 tokens; 48 fits the 4 x 25 = 100
+	// token budget, 96 fits, 144 > 100 defers -> 2 waves.
 	if f32.Waves != 2 || f32.Deferred != 2 {
 		t.Errorf("f32 waves/deferred = %d/%d, want 2/2", f32.Waves, f32.Deferred)
 	}
-	// int8: the same 100-token budget in bytes covers ~320 quantized
-	// tokens, so all four requests batch into one wave.
+	// int8: the same 100-token budget in bytes covers 20 quantized
+	// blocks, so all four requests (12 blocks) batch into one wave.
 	if int8.Waves != 1 || int8.Deferred != 0 {
 		t.Errorf("int8 waves/deferred = %d/%d, want 1/0 (byte-aware batching)", int8.Waves, int8.Deferred)
 	}

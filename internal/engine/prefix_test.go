@@ -307,7 +307,7 @@ func TestPrefillSharedPrefixFollowerExhaustion(t *testing.T) {
 	prompts := [][]int{prefix, hog, small}
 	const gen = 4
 
-	ref, err := NewReference(w, memory.NewArena("rc", 1<<22), 3, 64)
+	ref, err := NewReferenceKV(w, memory.NewArena("rc", 1<<22), 3, 64, kvcache.F32)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -367,8 +367,8 @@ func TestServeSharedPrefixWave(t *testing.T) {
 			t.Fatal(err)
 		}
 		res, err := Serve(&Host{W: w, GPU: gpu, Pinned: pinned, Cache: cacheArena}, reqs, ServeConfig{
-			Config:          Config{MicroBatch: 2, MaxContext: 32, SharedPrefix: shared},
-			NumMicroBatches: 2, GenLen: 4, CacheTokens: 100,
+			Config:          Config{MicroBatch: 2, MaxContext: 50, SharedPrefix: shared},
+			NumMicroBatches: 2, GenLen: 4,
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -403,8 +403,8 @@ func TestConcurrentSubmitSharedPrefix(t *testing.T) {
 		t.Fatal(err)
 	}
 	srv, err := NewServer(&Host{W: w, GPU: gpu, Pinned: pinned, Cache: cacheArena}, ServeConfig{
-		Config:          Config{MicroBatch: 4, MaxContext: 64, SharedPrefix: true},
-		NumMicroBatches: 2, GenLen: 4, CacheTokens: 200,
+		Config:          Config{MicroBatch: 4, MaxContext: 50, SharedPrefix: true},
+		NumMicroBatches: 2, GenLen: 4,
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -2,6 +2,7 @@ package engine
 
 import (
 	"context"
+	"errors"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -71,7 +72,7 @@ func TestQuantizedTokensNearFloat32Reference(t *testing.T) {
 	}
 	const seqs, gen = 4, 8
 	prompts := testPrompts(seqs, 5, 12, cfg.VocabSize)
-	ref, err := NewReference(w, memory.NewArena("rc", 1<<22), seqs, 64)
+	ref, err := NewReferenceKV(w, memory.NewArena("rc", 1<<22), seqs, 64, kvcache.F32)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -106,11 +107,12 @@ func TestQuantizedTokensNearFloat32Reference(t *testing.T) {
 }
 
 // TestQuantizedCacheFitsTwiceTheSequences: the acceptance scenario at
-// engine scale. A cache arena sized exactly for 3 float32 sequences
-// cannot even construct a 6-sequence float32 pipeline, while an Int8
-// pipeline runs 6 sequences to completion in the same arena — with no
-// per-sequence exhaustion and tokens bit-identical to the quantized
-// reference.
+// engine scale. Six sequences at MaxContext 8 ask for a pool of 48
+// float32 tokens, 3 blocks a layer: an arena sized exactly for 3
+// one-block sequences. Under float32, sequences starve; an Int8
+// pipeline re-cuts the same arena into 9 blocks a layer and runs all 6
+// to completion — with no per-sequence exhaustion and tokens
+// bit-identical to the quantized reference.
 func TestQuantizedCacheFitsTwiceTheSequences(t *testing.T) {
 	cfg := model.Tiny()
 	cpu := memory.NewArena("cpu", 1<<22)
@@ -118,18 +120,35 @@ func TestQuantizedCacheFitsTwiceTheSequences(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	const maxContext, gen = 16, 5
+	const maxContext, gen = 8, 5
 	blockFloats := 16 * cfg.KVDim() * 2
 	arenaFloats := 3 * cfg.Layers * blockFloats // exactly 3 f32 sequences
+	if got := kvcache.ArenaFloats(cfg.Layers, cfg.KVDim(), 6*maxContext); got != arenaFloats {
+		t.Fatalf("ArenaFloats = %d, want %d", got, arenaFloats)
+	}
+	prompts := testPrompts(6, 6, 11, cfg.VocabSize)
 
 	gpu := memory.NewArena("gpu", 1<<22)
 	pinned := memory.NewArena("pinned", 1<<22)
-	if _, err := NewPipeline(w, gpu, pinned, memory.NewArena("cache", arenaFloats), 6,
-		Config{MicroBatch: 3, MaxContext: maxContext}); err == nil {
+	f32, err := NewPipeline(w, gpu, pinned, memory.NewArena("cache", arenaFloats), 6,
+		Config{MicroBatch: 3, MaxContext: maxContext})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := f32.Generate(prompts, gen); err != nil {
+		t.Fatal(err)
+	}
+	starved := 0
+	for s := 0; s < 6; s++ {
+		if errors.Is(f32.SeqErr(s), kvcache.ErrOutOfBlocks) {
+			starved++
+		}
+	}
+	f32.Close()
+	if starved == 0 {
 		t.Fatal("6 float32 sequences fit an arena sized for 3 — capacity test is vacuous")
 	}
 
-	prompts := testPrompts(6, 6, 11, cfg.VocabSize)
 	ref, err := NewReferenceKV(w, memory.NewArena("rc", 1<<22), 6, 64, kvcache.Int8)
 	if err != nil {
 		t.Fatal(err)

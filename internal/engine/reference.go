@@ -31,18 +31,14 @@ type Reference struct {
 	normedHead []float32
 }
 
-// NewReference builds a reference engine with its own float32 KV
-// cache.
-func NewReference(w *Weights, cacheArena *memory.Arena, numSeqs, maxContext int) (*Reference, error) {
-	return NewReferenceKV(w, cacheArena, numSeqs, maxContext, kvcache.F32)
-}
-
-// NewReferenceKV is NewReference with an explicit KV cache codec. A
-// quantized reference reads the cache through the same dequant-aware
-// kernel as the pipeline, so pipeline-vs-reference comparisons stay
-// bit-identical even with quantization on.
+// NewReferenceKV builds a reference engine with its own KV cache under
+// the given codec. A quantized reference reads the cache through the
+// same dequant-aware kernel as the pipeline, so pipeline-vs-reference
+// comparisons stay bit-identical even with quantization on.
 func NewReferenceKV(w *Weights, cacheArena *memory.Arena, numSeqs, maxContext int, dtype kvcache.DType) (*Reference, error) {
-	cache, err := kvcache.New(cacheArena, w.Cfg.Layers, w.Cfg.KVDim(), kvcache.DefaultBlockTokens, numSeqs*maxContext, dtype)
+	q, kv := w.Cfg.QDim(), w.Cfg.KVDim()
+	pool := kvcache.PoolTokens(kv, numSeqs*maxContext, dtype)
+	cache, err := kvcache.New(cacheArena, w.Cfg.Layers, kv, kvcache.DefaultBlockTokens, pool, dtype)
 	if err != nil {
 		return nil, err
 	}
@@ -50,7 +46,6 @@ func NewReferenceKV(w *Weights, cacheArena *memory.Arena, numSeqs, maxContext in
 	for i := range load {
 		load[i] = make([]int64, w.Cfg.Experts)
 	}
-	q, kv := w.Cfg.QDim(), w.Cfg.KVDim()
 	r := &Reference{
 		w:          w,
 		cache:      cache,

@@ -58,7 +58,7 @@ func waitCh(t *testing.T, ch <-chan struct{}, what string) {
 func refTokens(t *testing.T, w *Weights, reqs []workload.Request, maxContext, genLen int) [][]int {
 	t.Helper()
 	prompts := PromptsFromRequests(reqs, w.Cfg.VocabSize)
-	ref, err := NewReference(w, memory.NewArena("rc", 1<<22), len(reqs), maxContext)
+	ref, err := NewReferenceKV(w, memory.NewArena("rc", 1<<22), len(reqs), maxContext, kvcache.F32)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -82,9 +82,9 @@ func TestServerShedsAtRequestBound(t *testing.T) {
 	}
 	inj, reached, release := stallGate()
 	srv, err := NewServer(&Host{W: w, GPU: gpu, Pinned: pinned, Cache: cacheArena}, ServeConfig{
-		Config:          Config{MicroBatch: 1, MaxContext: 32, Faults: inj},
+		Config:          Config{MicroBatch: 1, MaxContext: 64, Faults: inj},
 		AdmissionPolicy: AdmissionPolicy{MaxQueuedRequests: 2},
-		NumMicroBatches: 1, GenLen: 2, CacheTokens: 64,
+		NumMicroBatches: 1, GenLen: 2,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -142,9 +142,9 @@ func TestServerShedsAtTokenBound(t *testing.T) {
 		t.Fatal(err)
 	}
 	srv, err := NewServer(&Host{W: w, GPU: gpu, Pinned: pinned, Cache: cacheArena}, ServeConfig{
-		Config:          Config{MicroBatch: 1, MaxContext: 32},
+		Config:          Config{MicroBatch: 1, MaxContext: 64},
 		AdmissionPolicy: AdmissionPolicy{MaxQueuedTokens: 10},
-		NumMicroBatches: 1, GenLen: 4, CacheTokens: 64,
+		NumMicroBatches: 1, GenLen: 4,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -177,8 +177,8 @@ func TestServerDropsExpiredTTFTDeadline(t *testing.T) {
 	}
 	inj, reached, release := stallGate()
 	srv, err := NewServer(&Host{W: w, GPU: gpu, Pinned: pinned, Cache: cacheArena}, ServeConfig{
-		Config:          Config{MicroBatch: 1, MaxContext: 32, Faults: inj},
-		NumMicroBatches: 1, GenLen: 3, CacheTokens: 64, EnforceDeadlines: true,
+		Config:          Config{MicroBatch: 1, MaxContext: 64, Faults: inj},
+		NumMicroBatches: 1, GenLen: 3, EnforceDeadlines: true,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -230,8 +230,8 @@ func TestTPOTGuardRetiresHopelessSequence(t *testing.T) {
 	// the 1ns budget below is provably blown by the second token.
 	inj := faults.New(faults.Config{StallEvery: 1, StallFor: 2 * time.Millisecond})
 	srv, err := NewServer(&Host{W: w, GPU: gpu, Pinned: pinned, Cache: cacheArena}, ServeConfig{
-		Config:          Config{MicroBatch: 2, MaxContext: 32, Faults: inj},
-		NumMicroBatches: 1, GenLen: genLen, CacheTokens: 128, TPOTGuard: true,
+		Config:          Config{MicroBatch: 2, MaxContext: 64, Faults: inj},
+		NumMicroBatches: 1, GenLen: genLen, TPOTGuard: true,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -286,8 +286,8 @@ func TestWaveWatchdogFailsStalledWave(t *testing.T) {
 	gate := make(chan struct{}) // never closed: the stall never ends on its own
 	inj := faults.New(faults.Config{StallEvery: 1, Gate: gate})
 	srv, err := NewServer(&Host{W: w, GPU: gpu, Pinned: pinned, Cache: cacheArena}, ServeConfig{
-		Config:          Config{MicroBatch: 1, MaxContext: 32, Faults: inj},
-		NumMicroBatches: 1, GenLen: 2, CacheTokens: 64, WaveTimeout: 50 * time.Millisecond,
+		Config:          Config{MicroBatch: 1, MaxContext: 64, Faults: inj},
+		NumMicroBatches: 1, GenLen: 2, WaveTimeout: 50 * time.Millisecond,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -346,8 +346,8 @@ func TestWaveDeadlineDiesWithItsWave(t *testing.T) {
 	}
 	const timeout = 250 * time.Millisecond
 	srv, err := NewServer(&Host{W: w, GPU: gpu, Pinned: pinned, Cache: cacheArena}, ServeConfig{
-		Config:          Config{MicroBatch: 1, MaxContext: 32},
-		NumMicroBatches: 1, GenLen: 2, CacheTokens: 64, WaveTimeout: timeout,
+		Config:          Config{MicroBatch: 1, MaxContext: 64},
+		NumMicroBatches: 1, GenLen: 2, WaveTimeout: timeout,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -389,8 +389,8 @@ func TestCloseLeavesNoGoroutine(t *testing.T) {
 			t.Fatal(err)
 		}
 		sc := ServeConfig{
-			Config:          Config{MicroBatch: 1, MaxContext: 32},
-			NumMicroBatches: 1, GenLen: 2, CacheTokens: 64,
+			Config:          Config{MicroBatch: 1, MaxContext: 64},
+			NumMicroBatches: 1, GenLen: 2,
 		}
 		if stalled {
 			// The stalled-wave test's setup: the gate never opens, so only
@@ -442,7 +442,7 @@ func TestServerSubmitNeverWaitsOnAWave(t *testing.T) {
 	defer release()
 	srv, err := NewServer(&Host{W: w, GPU: gpu, Pinned: pinned, Cache: cacheArena}, ServeConfig{
 		Config:          Config{MicroBatch: 4, MaxContext: 32, Faults: inj},
-		NumMicroBatches: 2, GenLen: 2, CacheTokens: 128,
+		NumMicroBatches: 2, GenLen: 2,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -508,7 +508,7 @@ func TestServerCloseRacesSubmit(t *testing.T) {
 	base := runtime.NumGoroutine()
 	srv, err := NewServer(&Host{W: w, GPU: gpu, Pinned: pinned, Cache: cacheArena}, ServeConfig{
 		Config:          Config{MicroBatch: 4, MaxContext: 32},
-		NumMicroBatches: 2, GenLen: 2, CacheTokens: 128,
+		NumMicroBatches: 2, GenLen: 2,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -689,7 +689,7 @@ func TestDecodeFetchFailureRetiresRoutedAcrossMicroBatches(t *testing.T) {
 		t.Fatal(err)
 	}
 	prompts := testPrompts(seqs, 3, 9, cfg.VocabSize)
-	ref, err := NewReference(w, memory.NewArena("rc", 1<<22), seqs, 64)
+	ref, err := NewReferenceKV(w, memory.NewArena("rc", 1<<22), seqs, 64, kvcache.F32)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -811,8 +811,8 @@ func TestServerForcedKVExhaustionFailsOnlyVictim(t *testing.T) {
 	const genLen = 3
 	inj := faults.New(faults.Config{KVAllocFailAt: []int{5}})
 	srv, err := NewServer(&Host{W: w, GPU: gpu, Pinned: pinned, Cache: cacheArena}, ServeConfig{
-		Config:          Config{MicroBatch: 3, MaxContext: 16, Faults: inj},
-		NumMicroBatches: 1, GenLen: genLen, CacheTokens: 96,
+		Config:          Config{MicroBatch: 3, MaxContext: 32, Faults: inj},
+		NumMicroBatches: 1, GenLen: genLen,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -872,8 +872,8 @@ func TestCancelMidPrefillPreservesSharedPrefix(t *testing.T) {
 	// The loop stays idle (nothing is submitted): the test drives the
 	// wave core on its own goroutine.
 	s, err := NewServer(&Host{W: w, GPU: gpu, Pinned: pinned, Cache: cacheArena}, ServeConfig{
-		Config:          Config{MicroBatch: 2, MaxContext: 64, SharedPrefix: true, Faults: inj},
-		NumMicroBatches: 1, GenLen: genLen, CacheTokens: 200,
+		Config:          Config{MicroBatch: 2, MaxContext: 100, SharedPrefix: true, Faults: inj},
+		NumMicroBatches: 1, GenLen: genLen,
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -14,8 +14,8 @@ import (
 type ServeConfig struct {
 	// Config is handed as is to the server's one pipeline, which runs
 	// every wave in the batcher's placement. Its MicroBatch is Alg. 2's
-	// ubs: the maximum requests per micro-batch. KVDtype and SharedPrefix
-	// also shape the batcher's byte budget and prefix discount.
+	// ubs: the maximum requests per micro-batch. MaxContext, KVDtype and
+	// SharedPrefix also shape the batcher's KV budget and prefix discount.
 	Config
 	// AdmissionPolicy orders and bounds the pending queue.
 	AdmissionPolicy
@@ -23,11 +23,6 @@ type ServeConfig struct {
 	NumMicroBatches int
 	// GenLen is tokens to generate per request.
 	GenLen int
-	// CacheTokens is the per-micro-batch KV budget, in float32-token
-	// equivalents of arena capacity: the Alg. 2 batcher spends it in
-	// bytes at the serving codec's kvcache.TokenBytes rate, so an int8
-	// wave admits ~32/9 the context of the identical float32 config.
-	CacheTokens int
 	// HonorRequestGenLen lets a request's own GenLen (when 0 < GenLen <
 	// the wave's GenLen) end it early, retiring its sequence and freeing
 	// its KV blocks mid-wave. Off, every request generates exactly

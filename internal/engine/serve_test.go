@@ -7,6 +7,8 @@ import (
 	"strings"
 	"testing"
 
+	"moelightning/internal/faults"
+	"moelightning/internal/kvcache"
 	"moelightning/internal/memory"
 	"moelightning/internal/model"
 	"moelightning/internal/workload"
@@ -35,8 +37,8 @@ func TestServeMatchesReference(t *testing.T) {
 	const genLen = 4
 
 	res, err := Serve(&Host{W: w, GPU: gpu, Pinned: pinned, Cache: cacheArena}, queue, ServeConfig{
-		Config:          Config{MicroBatch: 2, MaxContext: 32},
-		NumMicroBatches: 2, GenLen: genLen, CacheTokens: 256,
+		Config:          Config{MicroBatch: 2, MaxContext: 128},
+		NumMicroBatches: 2, GenLen: genLen,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -53,7 +55,7 @@ func TestServeMatchesReference(t *testing.T) {
 
 	// Reference: each request independently.
 	prompts := PromptsFromRequests(queue, cfg.VocabSize)
-	ref, err := NewReference(w, memory.NewArena("rc", 1<<22), len(queue), 64)
+	ref, err := NewReferenceKV(w, memory.NewArena("rc", 1<<22), len(queue), 64, kvcache.F32)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -108,8 +110,8 @@ func TestServeSingleWave(t *testing.T) {
 		t.Fatal(err)
 	}
 	res, err := Serve(&Host{W: w, GPU: gpu, Pinned: pinned, Cache: cacheArena}, serveQueue(4), ServeConfig{
-		Config:          Config{MicroBatch: 2, MaxContext: 32},
-		NumMicroBatches: 2, GenLen: 3, CacheTokens: 512,
+		Config:          Config{MicroBatch: 2, MaxContext: 256},
+		NumMicroBatches: 2, GenLen: 3,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -130,8 +132,8 @@ func TestServeRejectsImpossibleRequest(t *testing.T) {
 	}
 	queue := []workload.Request{{ID: 1, PromptLen: 100, GenLen: 4}}
 	_, err = Serve(&Host{W: w, GPU: gpu, Pinned: pinned, Cache: cacheArena}, queue, ServeConfig{
-		Config:          Config{MicroBatch: 1, MaxContext: 128},
-		NumMicroBatches: 1, GenLen: 4, CacheTokens: 50,
+		Config:          Config{MicroBatch: 1, MaxContext: 50},
+		NumMicroBatches: 1, GenLen: 4,
 	})
 	if err == nil {
 		t.Fatal("impossible request accepted")
@@ -152,7 +154,7 @@ func TestServerRejectsEmptyPrompt(t *testing.T) {
 	}
 	srv, err := NewServer(&Host{W: w, GPU: gpu, Pinned: pinned, Cache: cacheArena}, ServeConfig{
 		Config:          Config{MicroBatch: 2, MaxContext: 32},
-		NumMicroBatches: 1, GenLen: 3, CacheTokens: 64,
+		NumMicroBatches: 1, GenLen: 3,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -186,6 +188,65 @@ func TestServerRejectsEmptyPrompt(t *testing.T) {
 	}
 }
 
+// TestServerRejectsUnplaceableRequest: a request too long for even an
+// empty micro-batch's KV budget (MicroBatch x MaxContext float32
+// tokens, charged in whole blocks of prompt + the wave's GenLen) is
+// refused at Submit with its batch-mates, naming it and counting
+// nothing — it no longer waits a wave boundary and then fails every
+// request beside it and the server's Close. At the facade's default
+// shape the budget is 2 x 128 = 256 tokens: a 248-token prompt plus 8
+// fills 16 blocks exactly, 249 needs a 17th. The good requests complete
+// with the reference's tokens and Close reports no error.
+func TestServerRejectsUnplaceableRequest(t *testing.T) {
+	cfg := model.Tiny()
+	cpu, gpu, pinned, cacheArena := newTestArenas()
+	w, err := NewRandomWeights(cpu, cfg, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const maxContext, genLen = 128, 8
+	srv, err := NewServer(&Host{W: w, GPU: gpu, Pinned: pinned, Cache: cacheArena}, ServeConfig{
+		Config:          Config{MicroBatch: 2, MaxContext: maxContext, SharedPrefix: true},
+		NumMicroBatches: 2, GenLen: genLen, HonorRequestGenLen: true,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	good := []workload.Request{{ID: 1, PromptLen: 12}, {ID: 2, PromptLen: 248}, {ID: 3, PromptLen: 30}}
+	for _, n := range []int{249, 300} {
+		hs, err := srv.SubmitBatch([]workload.Request{good[0], {ID: 7, PromptLen: n}}, nil)
+		if err == nil || hs != nil {
+			t.Fatalf("PromptLen %d: accepted (%d handles)", n, len(hs))
+		}
+		if !strings.Contains(err.Error(), "request 7") {
+			t.Errorf("PromptLen %d: error does not name the request: %v", n, err)
+		}
+	}
+	if st := srv.Stats(); st.Submitted != 0 || st.Shed != 0 || st.QueuedRequests != 0 || st.QueuedTokens != 0 {
+		t.Errorf("a refused batch left a trace: %+v", st)
+	}
+	hs, err := srv.SubmitBatch(good, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := refTokens(t, w, good, 2*maxContext, genLen)
+	for i, h := range hs {
+		got, herr := h.Wait()
+		if herr != nil {
+			t.Fatalf("request %d failed: %v", h.ID(), herr)
+		}
+		if !reflect.DeepEqual(got, want[i]) {
+			t.Errorf("request %d: tokens %v, reference %v", h.ID(), got, want[i])
+		}
+	}
+	if err := srv.Close(); err != nil {
+		t.Errorf("Close: %v", err)
+	}
+	if st := srv.Stats(); st.Submitted != len(good) || st.Completed != len(good) {
+		t.Errorf("submitted %d completed %d, want %d", st.Submitted, st.Completed, len(good))
+	}
+}
+
 // TestPipelineExplicitPartition: uneven Alg. 2-style partitions work and
 // match the reference.
 func TestPipelineExplicitPartition(t *testing.T) {
@@ -210,7 +271,7 @@ func TestPipelineExplicitPartition(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	ref, err := NewReference(w, memory.NewArena("rc", 1<<22), 5, 64)
+	ref, err := NewReferenceKV(w, memory.NewArena("rc", 1<<22), 5, 64, kvcache.F32)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -280,7 +341,7 @@ func TestServeConfigRestatesNoEngineOption(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	undersized := ServeConfig{Config: Config{MicroBatch: 4, MaxContext: 8192}, NumMicroBatches: 4, CacheTokens: 8192}
+	undersized := ServeConfig{Config: Config{MicroBatch: 4, MaxContext: 8192}, NumMicroBatches: 4}
 	if _, err := NewServer(host, undersized); err == nil || !strings.Contains(err.Error(), "exhausted") {
 		t.Errorf("NewServer on an undersized host: want arena exhaustion, got %v", err)
 	}
@@ -305,7 +366,7 @@ func counters(st ServerStats) ServerStats {
 func TestStatsConservation(t *testing.T) {
 	cfg := ServeConfig{
 		Config:          Config{MicroBatch: 2, MaxContext: 32},
-		NumMicroBatches: 1, GenLen: 3, CacheTokens: 64,
+		NumMicroBatches: 1, GenLen: 3,
 	}
 	newHost := func() *Host {
 		host, err := NewHost(model.Tiny(), 11, 2, 32, 0)
@@ -314,7 +375,11 @@ func TestStatsConservation(t *testing.T) {
 		}
 		return host
 	}
-	srv, err := NewServer(newHost(), cfg)
+	// The first server's first KV block allocation is failed by
+	// injection: a request that fails in its wave.
+	faulty := cfg
+	faulty.Faults = faults.New(faults.Config{KVAllocFailAt: []int{1}})
+	srv, err := NewServer(newHost(), faulty)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -327,7 +392,7 @@ func TestStatsConservation(t *testing.T) {
 	if _, err := srv.Submit(workload.Request{ID: 1, PromptLen: 4}, canceled); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := srv.Submit(workload.Request{ID: 2, PromptLen: 500}, nil); err != nil { // fits no micro-batch
+	if _, err := srv.Submit(workload.Request{ID: 2, PromptLen: 8}, nil); err != nil {
 		t.Fatal(err)
 	}
 	srv.Close()
@@ -375,7 +440,7 @@ func TestStatsCoverFinishedWave(t *testing.T) {
 	}
 	srv, err := NewServer(host, ServeConfig{
 		Config:          Config{MicroBatch: 1, MaxContext: 32},
-		NumMicroBatches: 1, GenLen: 3, CacheTokens: 32,
+		NumMicroBatches: 1, GenLen: 3,
 	})
 	if err != nil {
 		t.Fatal(err)

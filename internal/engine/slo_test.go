@@ -48,9 +48,9 @@ func TestAdmissionOrderDeterministic(t *testing.T) {
 // defer forever.
 func TestServerSLOAwareStarvationBound(t *testing.T) {
 	srv := newSLOTestServer(t, ServeConfig{
-		Config:          Config{MicroBatch: 2, MaxContext: 40},
+		Config:          Config{MicroBatch: 2, MaxContext: 20},
 		AdmissionPolicy: AdmissionPolicy{SLOAware: true, StarvationWaves: 2},
-		NumMicroBatches: 1, GenLen: 2, CacheTokens: 40,
+		NumMicroBatches: 1, GenLen: 2,
 	})
 
 	// The long request fills most of one micro-batch's 40-token budget
@@ -98,9 +98,9 @@ func TestServerSLOAwareStarvationBound(t *testing.T) {
 // back filled after an SLO-aware run.
 func TestServerSLOStatsPopulated(t *testing.T) {
 	srv := newSLOTestServer(t, ServeConfig{
-		Config:          Config{MicroBatch: 2, MaxContext: 32},
+		Config:          Config{MicroBatch: 2, MaxContext: 64},
 		AdmissionPolicy: AdmissionPolicy{SLOAware: true},
-		NumMicroBatches: 2, GenLen: 4, CacheTokens: 128,
+		NumMicroBatches: 2, GenLen: 4,
 	})
 	var handles []*Handle
 	for i := 0; i < 6; i++ {
@@ -139,9 +139,9 @@ func TestServerSLOStatsPopulated(t *testing.T) {
 // counted as a TTFT miss, not silently met.
 func TestSLOMissAccounting(t *testing.T) {
 	srv := newSLOTestServer(t, ServeConfig{
-		Config:          Config{MicroBatch: 1, MaxContext: 32},
+		Config:          Config{MicroBatch: 1, MaxContext: 64},
 		AdmissionPolicy: AdmissionPolicy{SLOAware: true},
-		NumMicroBatches: 1, GenLen: 3, CacheTokens: 64,
+		NumMicroBatches: 1, GenLen: 3,
 	})
 	h, err := srv.SubmitSLO(workload.Request{ID: 1, PromptLen: 4, GenLen: 3},
 		SLO{TTFT: time.Nanosecond}, nil)
@@ -167,7 +167,7 @@ func TestSLOMissAccounting(t *testing.T) {
 func TestQueueCanceledHandleNeverBuffers(t *testing.T) {
 	srv := newSLOTestServer(t, ServeConfig{
 		Config:          Config{MicroBatch: 2, MaxContext: 1024},
-		NumMicroBatches: 1, GenLen: 512, CacheTokens: 2048,
+		NumMicroBatches: 1, GenLen: 512,
 	})
 	canceled := make(chan struct{})
 	close(canceled)
@@ -226,8 +226,8 @@ func TestTokensLazyAllocation(t *testing.T) {
 // path never blocks on a full or unconsumed channel).
 func TestCancelMidWaveDoesNotStall(t *testing.T) {
 	srv := newSLOTestServer(t, ServeConfig{
-		Config:          Config{MicroBatch: 2, MaxContext: 32},
-		NumMicroBatches: 1, GenLen: 8, CacheTokens: 128,
+		Config:          Config{MicroBatch: 2, MaxContext: 64},
+		NumMicroBatches: 1, GenLen: 8,
 	})
 	cancel := make(chan struct{})
 	h, err := srv.Submit(workload.Request{ID: 1, PromptLen: 4, GenLen: 8}, cancel)

@@ -12,10 +12,10 @@ import (
 // copies it and fills in the derived fields (means, percentiles,
 // ratios, rates).
 type ServerStats struct {
-	// Request accounting: admitted (counted at Submit; shed and refused
-	// requests are not), finished successfully, canceled, and failed
-	// (wave error / impossible to place). Once Close returns, Submitted
-	// == Completed + Canceled + Failed.
+	// Request accounting: admitted (counted at Submit; shed requests and
+	// ones no micro-batch holds are refused there), finished, canceled,
+	// and failed (wave error, deadline, starvation). Once Close returns,
+	// Submitted == Completed + Canceled + Failed.
 	Submitted, Completed, Canceled, Failed int
 	// Waves is how many pipeline waves completed; Deferred counts
 	// requests pushed to a later wave at least once (Alg. 2's aborted

@@ -9,6 +9,7 @@ import (
 	"testing"
 	"time"
 
+	"moelightning/internal/kvcache"
 	"moelightning/internal/memory"
 	"moelightning/internal/model"
 	"moelightning/internal/workload"
@@ -37,7 +38,7 @@ func TestGenerateStreamEmitsIncrementally(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ref, err := NewReference(w, memory.NewArena("rc", 1<<22), seqs, 64)
+	ref, err := NewReferenceKV(w, memory.NewArena("rc", 1<<22), seqs, 64, kvcache.F32)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -136,7 +137,7 @@ func TestStopRetiresSequenceAndFreesKV(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ref, err := NewReference(w, memory.NewArena("rc", 1<<22), seqs, 64)
+	ref, err := NewReferenceKV(w, memory.NewArena("rc", 1<<22), seqs, 64, kvcache.F32)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -188,8 +189,8 @@ func TestServerAdmitsAcrossWaves(t *testing.T) {
 	}
 	const genLen = 4
 	srv, err := NewServer(&Host{W: w, GPU: gpu, Pinned: pinned, Cache: cacheArena}, ServeConfig{
-		Config:          Config{MicroBatch: 2, MaxContext: 32},
-		NumMicroBatches: 2, GenLen: genLen, CacheTokens: 256,
+		Config:          Config{MicroBatch: 2, MaxContext: 128},
+		NumMicroBatches: 2, GenLen: genLen,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -216,7 +217,7 @@ func TestServerAdmitsAcrossWaves(t *testing.T) {
 	}
 
 	prompts := PromptsFromRequests(queue, cfg.VocabSize)
-	ref, err := NewReference(w, memory.NewArena("rc", 1<<22), len(queue), 64)
+	ref, err := NewReferenceKV(w, memory.NewArena("rc", 1<<22), len(queue), 64, kvcache.F32)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -258,8 +259,8 @@ func TestStatsCoverRequestsThatFinished(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
 	const genLen, perRound, rounds = 4, 4, 200 // serveQueue's requests ask for 4 tokens
 	srv := newSLOTestServer(t, ServeConfig{
-		Config:          Config{MicroBatch: 2, MaxContext: 32},
-		NumMicroBatches: 2, GenLen: genLen, CacheTokens: 256,
+		Config:          Config{MicroBatch: 2, MaxContext: 128},
+		NumMicroBatches: 2, GenLen: genLen,
 	})
 	defer srv.Close()
 	for round := 1; round <= rounds; round++ {
@@ -290,8 +291,8 @@ func TestServerCanceledWhileQueued(t *testing.T) {
 		t.Fatal(err)
 	}
 	srv, err := NewServer(&Host{W: w, GPU: gpu, Pinned: pinned, Cache: cacheArena}, ServeConfig{
-		Config:          Config{MicroBatch: 2, MaxContext: 32},
-		NumMicroBatches: 1, GenLen: 3, CacheTokens: 128,
+		Config:          Config{MicroBatch: 2, MaxContext: 64},
+		NumMicroBatches: 1, GenLen: 3,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -334,7 +335,7 @@ func TestServerNoProgressGuard(t *testing.T) {
 	// wave core on its own goroutine.
 	s, err := NewServer(&Host{W: w, GPU: gpu, Pinned: pinned, Cache: cacheArena}, ServeConfig{
 		Config:          Config{MicroBatch: 1, MaxContext: 64},
-		NumMicroBatches: 1, GenLen: 2, CacheTokens: 64,
+		NumMicroBatches: 1, GenLen: 2,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -380,8 +381,8 @@ func TestServerSubmitCloseRace(t *testing.T) {
 			t.Fatal(err)
 		}
 		srv, err := NewServer(&Host{W: w, GPU: gpu, Pinned: pinned, Cache: cacheArena}, ServeConfig{
-			Config:          Config{MicroBatch: 2, MaxContext: 16},
-			NumMicroBatches: 2, GenLen: 2, CacheTokens: 128,
+			Config:          Config{MicroBatch: 2, MaxContext: 64},
+			NumMicroBatches: 2, GenLen: 2,
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -439,8 +440,8 @@ func TestServerHonorsRequestGenLen(t *testing.T) {
 	}
 	const waveGen = 6
 	srv, err := NewServer(&Host{W: w, GPU: gpu, Pinned: pinned, Cache: cacheArena}, ServeConfig{
-		Config:          Config{MicroBatch: 2, MaxContext: 64},
-		NumMicroBatches: 1, GenLen: waveGen, CacheTokens: 256, HonorRequestGenLen: true,
+		Config:          Config{MicroBatch: 2, MaxContext: 128},
+		NumMicroBatches: 1, GenLen: waveGen, HonorRequestGenLen: true,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -458,7 +459,7 @@ func TestServerHonorsRequestGenLen(t *testing.T) {
 	}
 
 	prompts := PromptsFromRequests(queue, cfg.VocabSize)
-	ref, err := NewReference(w, memory.NewArena("rc", 1<<22), len(queue), 64)
+	ref, err := NewReferenceKV(w, memory.NewArena("rc", 1<<22), len(queue), 64, kvcache.F32)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -9,7 +9,8 @@ import (
 	"moelightning/internal/workload"
 )
 
-// runWave plans one wave over the pending requests (PlanWave), runs the
+// runWave plans one wave over the pending requests (PlanWave; each fits
+// an empty micro-batch, so the plan places at least one), runs the
 // placed ones on the server's pipeline under the wave's deadline, audits
 // the KV pool and finalizes every placed handle, and returns the
 // deferred remainder in the order it heads the next boundary's queue.
@@ -21,13 +22,9 @@ func (s *Server) runWave(pending []*Handle) []*Handle {
 	for i, h := range pending {
 		items[i] = h.item
 	}
-	plan, err := PlanWave(items, time.Now(), s.cfg.AdmissionPolicy, batchConfig(s.cfg, s.pl.w.Cfg.KVDim()))
+	plan, err := PlanWave(items, time.Now(), s.cfg.AdmissionPolicy, s.bc)
 	if err != nil {
 		s.failAll(pending, err)
-		return nil
-	}
-	if len(plan.MicroBatches) == 0 {
-		s.failAll(pending, fmt.Errorf("engine: no request fits any micro-batch: %s", s.describeHandles(pending)))
 		return nil
 	}
 	// The wave's sequences are the placed handles in placement order;

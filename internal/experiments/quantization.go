@@ -95,7 +95,7 @@ func MeasuredQuantization() []MeasuredQuantRow {
 		}
 		res, err := engine.MeasureServe(cfg, 7, queue, engine.ServeConfig{
 			Config:          engine.Config{MicroBatch: 2, MaxContext: 64, KVDtype: dt},
-			NumMicroBatches: 2, GenLen: 16, CacheTokens: 256,
+			NumMicroBatches: 2, GenLen: 16,
 		})
 		if err != nil {
 			row.Err = err

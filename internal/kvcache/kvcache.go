@@ -19,11 +19,12 @@
 //     walks in place, dequantizing a few head-slice rows at a time — the
 //     float32 context is never materialized. A token costs
 //     ceil(kvDim/4)+ceil(kvDim/32) floats per half instead of kvDim
-//     (9/32 of float32 when kvDim is a multiple of 32), so the same
-//     arena holds ~3.5x the context. Enable it when the KV cache, not
-//     compute, bounds batch size: decoded tokens drift from the f32
-//     run within the codec's ~0.4% per-group error, but a quantized
-//     pipeline stays bit-identical to a quantized reference.
+//     (9/32 of float32 when kvDim is a multiple of 32). A pool's
+//     capacity is float32-token bytes (PoolTokens, ArenaFloats), so an
+//     Int8 pool holds ~3.5x the tokens in the same arena. Enable it when
+//     the KV cache, not compute, bounds batch size: decoded tokens drift
+//     from the f32 run within the codec's ~0.4% per-group error, but a
+//     quantized pipeline stays bit-identical to a quantized reference.
 //
 // Code that attends over the cache does not branch on the codec:
 // Cache.View points a reusable View at a stream through whichever of
@@ -203,6 +204,20 @@ func (c *Cache) halfFloats() int { return c.blockTokens * c.rowFloats }
 // scalesOff is the offset of the scale region within an Int8 half.
 func (c *Cache) scalesOff() int { return c.blockTokens * c.packedCols }
 
+// PoolTokens is a layer's capacity, in tokens, of the pool that holds
+// f32Tokens float32 tokens' bytes under dtype: the float32 pool's
+// blocks (rounded up) re-cut into the codec's (rounded down).
+func PoolTokens(kvDim, f32Tokens int, dtype DType) int {
+	f32Blocks := (f32Tokens + DefaultBlockTokens - 1) / DefaultBlockTokens
+	return f32Blocks * TokenBytes(kvDim, F32) / TokenBytes(kvDim, dtype) * DefaultBlockTokens
+}
+
+// ArenaFloats is the arena that pool takes over layers under any codec:
+// the F32 pool's floats, which no re-cut exceeds.
+func ArenaFloats(layers, kvDim, f32Tokens int) int {
+	return layers * PoolTokens(kvDim, f32Tokens, F32) * 2 * kvDim
+}
+
 // New builds a cache drawing from the given arena, pre-allocating
 // capacityTokens worth of blocks per layer, stored under the given
 // dtype's codec.
@@ -224,11 +239,10 @@ func New(arena *memory.Arena, layers, kvDim, blockTokens, capacityTokens int, dt
 		prefix:      make(map[prefixKey]*block),
 		arena:       arena,
 	}
-	c.rowFloats = kvDim
+	c.rowFloats = TokenBytes(kvDim, dtype) / 8
 	if dtype == Int8 {
 		c.packedCols = tensor.PackedCols(kvDim)
 		c.groups = tensor.QGroups(kvDim, GroupSize)
-		c.rowFloats = c.packedCols + c.groups
 	}
 	c.all = make([]block, (capacityTokens+blockTokens-1)/blockTokens*layers)
 	for i := range c.all {
@@ -311,14 +325,14 @@ func (c *Cache) DType() DType { return c.dtype }
 
 // TokenBytes returns the stored payload of one token at one layer
 // (both halves) in bytes under a codec: 2*kvDim*4 for F32, 2*(kvDim
-// codes + 4 bytes per group scale) for Int8. This is what an offload
-// transfer of the token actually ships, and what movement counters
-// should account.
+// codes packed four to a float32 word + 4 bytes per group scale) for
+// Int8. This is what an offload transfer of the token actually ships,
+// what movement counters should account, and what pool capacity counts.
 func TokenBytes(kvDim int, dtype DType) int {
 	if dtype == Int8 {
-		return 2 * (kvDim + 4*tensor.QGroups(kvDim, GroupSize))
+		return 8 * (tensor.PackedCols(kvDim) + tensor.QGroups(kvDim, GroupSize))
 	}
-	return 2 * kvDim * 4
+	return 8 * kvDim
 }
 
 // TokenBytes returns the cache's own per-token, per-layer payload.

@@ -30,9 +30,6 @@ func NewArena(name string, capacity int) *Arena {
 // Name returns the arena's label.
 func (a *Arena) Name() string { return a.name }
 
-// Capacity returns the arena size in floats.
-func (a *Arena) Capacity() int { return len(a.data) }
-
 // Used returns the floats allocated so far.
 func (a *Arena) Used() int {
 	a.mu.Lock()

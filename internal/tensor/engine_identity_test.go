@@ -69,7 +69,7 @@ func TestEngineTokensSameOnBothTiles(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		ref, err := engine.NewReferenceKV(host.W, memory.NewArena("refcache", host.Cache.Capacity()), len(prompts), maxContext, dtype)
+		ref, err := engine.NewReferenceKV(host.W, memory.NewArena("refcache", kvcache.ArenaFloats(m.Layers, m.KVDim(), len(prompts)*maxContext)), len(prompts), maxContext, dtype)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -18,7 +18,7 @@ func newTestServer(t *testing.T, sloAware bool) (*engine.Server, model.Config) {
 	srv, err := engine.NewServer(host, engine.ServeConfig{
 		Config:          engine.Config{MicroBatch: 2, MaxContext: 64},
 		AdmissionPolicy: engine.AdmissionPolicy{SLOAware: sloAware},
-		NumMicroBatches: 2, GenLen: 10, CacheTokens: 128,
+		NumMicroBatches: 2, GenLen: 10,
 		HonorRequestGenLen: true,
 	})
 	if err != nil {

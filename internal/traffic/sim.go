@@ -10,7 +10,7 @@ import (
 // SimConfig parameterizes a virtual-time admission simulation.
 type SimConfig struct {
 	// Batch is the wave shape (identical role to the live server's
-	// batchConfig output).
+	// Alg. 2 configuration).
 	Batch batching.Config
 	// AdmissionPolicy is the live server's queueing policy, applied
 	// verbatim: FIFO or deadline-slack ordering, the starvation bound,
@@ -48,8 +48,8 @@ type SimReport struct {
 	// Dropped lists requests failed by the no-progress guard (they
 	// could not fit any wave two boundaries running).
 	Dropped []int
-	// Shed lists requests rejected by overload control at arrival (the
-	// live server's ErrOverloaded): never queued, never admitted.
+	// Shed lists requests rejected at arrival, by overload control (the
+	// live server's ErrOverloaded) or for fitting no micro-batch.
 	Shed []int
 }
 
@@ -66,8 +66,8 @@ type SimReport struct {
 // x PerDecodeStep), every admitted request's first token lands at the
 // end of prefill, and arrivals during the wave queue for the next
 // boundary. As in the server, a deferred set that repeats identically
-// across two boundaries is dropped (those requests count as failed), as
-// is an entire queue that fits no micro-batch at all.
+// across two boundaries is dropped (those requests count as failed),
+// and a request no empty micro-batch holds is refused at arrival.
 func SimulateAdmission(trace Trace, cfg SimConfig) (SimReport, error) {
 	if err := trace.validate(); err != nil {
 		return SimReport{}, err
@@ -109,25 +109,22 @@ func SimulateAdmission(trace Trace, cfg SimConfig) (SimReport, error) {
 		for ; next < len(trace.Events) && trace.Events[next].At <= clock; next++ {
 			ev := trace.Events[next]
 			// Overload control at arrival, exactly where the live server
-			// sheds: a full queue fails the request fast instead of letting
-			// it age toward a blown deadline.
-			if policy.QueueBound(len(pending), 0, 1, 0) != nil {
+			// sheds or refuses: a full queue fails the request fast instead
+			// of letting it age toward a blown deadline.
+			if policy.QueueBound(len(pending), 0, 1, 0) != nil || !cfg.Batch.Fits(ev.Request.PromptLen) {
 				failed[ev.Request.ID] = true
 				rep.Shed = append(rep.Shed, ev.Request.ID)
 				continue
 			}
 			pending = append(pending, engine.AdmissionItem{Req: ev.Request, Submitted: base.Add(ev.At), SLO: ev.SLO})
 		}
+		if len(pending) == 0 {
+			continue // every arrival was refused
+		}
 
 		plan, err := engine.PlanWave(pending, base.Add(clock), policy, cfg.Batch)
 		if err != nil {
 			return SimReport{}, err
-		}
-		if len(plan.MicroBatches) == 0 {
-			// Nothing fits: the live server fails the whole queue.
-			drop(pending)
-			pending = nil
-			continue
 		}
 		// The wave occupies [clock, clock+prefill+decode); first tokens
 		// land at the end of prefill.

@@ -128,6 +128,28 @@ func TestSimMatchesEngineOrdering(t *testing.T) {
 	}
 }
 
+// TestSimRefusesUnplaceableArrival: as the live server refuses at
+// Submit a request no empty micro-batch holds, the simulator sheds it at
+// arrival — alone at its boundary it forms no wave — and serves the rest.
+func TestSimRefusesUnplaceableArrival(t *testing.T) {
+	events := []Event{
+		{At: 0, Cohort: "a", Request: workload.Request{ID: 1, PromptLen: 100, GenLen: 4}},
+		{At: time.Second, Cohort: "a", Request: workload.Request{ID: 2, PromptLen: 8, GenLen: 4}},
+	}
+	rep, err := SimulateAdmission(Trace{Scenario: "x", Events: events}, SimConfig{
+		Batch: batching.Config{NumMicroBatches: 1, MicroBatchSize: 1, GenLen: 4, CacheTokens: 64},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(rep.Shed, []int{1}) || len(rep.Dropped) != 0 {
+		t.Errorf("shed %v dropped %v, want request 1 shed", rep.Shed, rep.Dropped)
+	}
+	if len(rep.Waves) != 1 || !reflect.DeepEqual(rep.Waves[0].Admitted, []int{2}) {
+		t.Errorf("waves %+v, want one wave of request 2", rep.Waves)
+	}
+}
+
 // p95TTFT is the 95th-percentile TTFT over a report's admitted
 // requests (sorted nearest-rank on the deterministic simulated values).
 func p95TTFT(t *testing.T, rep SimReport) time.Duration {

@@ -9,16 +9,16 @@ import (
 // ServerConfigForPolicy maps an optimizer policy onto a ready-to-run
 // ServerConfig for the functional engine: the policy's micro-batch
 // shape becomes the wave shape, the workload's prompt/generation
-// lengths size the context bound (engine.ContextBound), and the KV budget is
-// denominated so the Alg. 2 batcher admits the whole batch at the
-// chosen codec. The result is what `policysearch` prints and what the
-// calibration scenarios serve under.
+// lengths size the context bound (engine.ContextBound), which is also
+// each sequence's share of the Alg. 2 KV budget, so the batcher admits
+// a whole micro-batch of the workload's longest requests. The result
+// is what `policysearch` prints and what the calibration scenarios
+// serve under.
 func ServerConfigForPolicy(m ModelConfig, p Policy, w WorkloadConfig, kv KVDtype) ServerConfig {
 	prompt := w.MaxPrompt
 	if prompt <= 0 {
 		prompt = w.AvgPrompt
 	}
-	maxContext := engine.ContextBound(prompt, w.GenLen)
 	numMB := p.MicroBatches()
 	if numMB <= 0 {
 		numMB = 1
@@ -28,8 +28,7 @@ func ServerConfigForPolicy(m ModelConfig, p Policy, w WorkloadConfig, kv KVDtype
 		MicroBatchSize:  p.Mu,
 		NumMicroBatches: numMB,
 		GenLen:          w.GenLen,
-		MaxContext:      maxContext,
-		CacheTokens:     2 * p.Mu * maxContext,
+		MaxContext:      engine.ContextBound(prompt, w.GenLen),
 		KVDtype:         kv,
 		// The optimizer's throughput estimate assumes the closed-batch
 		// schedule: every admitted request runs the full wave length.
@@ -42,8 +41,8 @@ func ServerConfigForPolicy(m ModelConfig, p Policy, w WorkloadConfig, kv KVDtype
 // the preset you searched for).
 func FormatServerConfig(c ServerConfig) string {
 	return fmt.Sprintf(
-		"moelightning.ServerConfig{Model: <model>, MicroBatchSize: %d, NumMicroBatches: %d, GenLen: %d, MaxContext: %d, CacheTokens: %d, KVDtype: %s, FixedGenLen: %v}",
-		c.MicroBatchSize, c.NumMicroBatches, c.GenLen, c.MaxContext, c.CacheTokens,
+		"moelightning.ServerConfig{Model: <model>, MicroBatchSize: %d, NumMicroBatches: %d, GenLen: %d, MaxContext: %d, KVDtype: %s, FixedGenLen: %v}",
+		c.MicroBatchSize, c.NumMicroBatches, c.GenLen, c.MaxContext,
 		kvdtypeLiteral(c.KVDtype), c.FixedGenLen)
 }
 

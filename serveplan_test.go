@@ -2,6 +2,8 @@ package moelightning
 
 import (
 	"context"
+	"reflect"
+	"regexp"
 	"runtime"
 	"strings"
 	"testing"
@@ -86,6 +88,18 @@ func TestFormatServerConfigIsCopyPasteable(t *testing.T) {
 	} {
 		if !strings.Contains(s, want) {
 			t.Errorf("formatted config missing %q:\n%s", want, s)
+		}
+	}
+	// Every key of the literal is a ServerConfig field, so the printed
+	// config compiles after a field is removed or renamed.
+	public := reflect.TypeOf(ServerConfig{})
+	keys := regexp.MustCompile(`(\w+):`).FindAllStringSubmatch(s, -1)
+	if len(keys) == 0 {
+		t.Fatalf("no fields in the formatted config:\n%s", s)
+	}
+	for _, k := range keys {
+		if _, ok := public.FieldByName(k[1]); !ok {
+			t.Errorf("formatted config names %s, which is not a ServerConfig field:\n%s", k[1], s)
 		}
 	}
 }

@@ -104,17 +104,14 @@ type ServerConfig struct {
 	// FixedGenLen is set, a request whose own GenLen is shorter stops
 	// early and frees its KV slot for the next wave.
 	GenLen int
-	// MaxContext bounds any sequence; default 128.
+	// MaxContext is each sequence slot's share of the KV cache in
+	// float32 tokens; default 128. It sizes admission too: a micro-batch
+	// holds MicroBatchSize x MaxContext, charged in whole cache blocks,
+	// and Submit refuses a request an empty micro-batch cannot hold.
 	MaxContext int
 	// Lookahead is the pipeline's CPU-attention lookahead (Alg. 1's
 	// default of 2 when zero).
 	Lookahead int
-	// CacheTokens is the per-micro-batch KV budget in float32-token
-	// equivalents of arena capacity; default MicroBatchSize *
-	// MaxContext. The batcher spends it in bytes at the KVDtype codec's
-	// per-token rate, so a KVInt8 server admits ~32/9 the context of
-	// the identical KVFloat32 one.
-	CacheTokens int
 	// FixedGenLen makes every request generate exactly GenLen tokens
 	// regardless of its own Request.GenLen — the classic closed-batch
 	// behavior RunFunctional preserves.
@@ -203,9 +200,6 @@ func (c *ServerConfig) defaults() {
 	if c.MaxContext <= 0 {
 		c.MaxContext = 128
 	}
-	if c.CacheTokens <= 0 {
-		c.CacheTokens = c.MicroBatchSize * c.MaxContext
-	}
 }
 
 // Server is the long-lived streaming inference API over the functional
@@ -252,7 +246,6 @@ func NewServer(cfg ServerConfig) (*Server, error) {
 		},
 		NumMicroBatches:    cfg.NumMicroBatches,
 		GenLen:             cfg.GenLen,
-		CacheTokens:        cfg.CacheTokens,
 		HonorRequestGenLen: !cfg.FixedGenLen,
 		SLOAwareShed:       cfg.SLOAwareShed,
 		EnforceDeadlines:   cfg.EnforceDeadlines,

@@ -4,11 +4,13 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math/rand"
 	"reflect"
 	"sync"
 	"testing"
 
 	"moelightning/internal/engine"
+	"moelightning/internal/kvcache"
 )
 
 func serverRequests(n, genLen int) []Request {
@@ -210,6 +212,124 @@ func TestServerLifecycle(t *testing.T) {
 	}
 	if err := srv.Close(); err != nil {
 		t.Fatalf("second close: %v", err)
+	}
+}
+
+// TestNewServerHoldsItsWave: the host's KV arena is the pool the
+// server builds, layers included, so the benchmark's model at a 4x4
+// wave and MaxContext 2048 constructs under both codecs.
+func TestNewServerHoldsItsWave(t *testing.T) {
+	m := ModelConfig{
+		Name: "bench-moe-8x", Layers: 6, Hidden: 128, Intermediate: 448,
+		QHeads: 8, KVHeads: 2, HeadDim: 16, Experts: 8, TopK: 2,
+		VocabSize: 512, WeightDType: TinyMoE().WeightDType, KVDType: TinyMoE().KVDType,
+	}
+	for _, kv := range []KVDtype{KVFloat32, KVInt8} {
+		srv, err := NewServer(ServerConfig{Model: m, MicroBatchSize: 4, NumMicroBatches: 4, MaxContext: 2048, KVDtype: kv})
+		if err != nil {
+			t.Fatalf("%v: %v", kv, err)
+		}
+		if err := srv.Close(); err != nil {
+			t.Fatalf("%v: close: %v", kv, err)
+		}
+	}
+}
+
+// TestServerAdmissionNeverExhaustsPool: admission's budget is the KV
+// pool's, block for block, so a placed wave never runs out of blocks.
+// Seeded random queues, and the cases that once admitted past the pool
+// (the int8 byte rate over a token-counted pool; token counts over
+// whole blocks; a prefix discount larger than the engine maps), run
+// through NewServer under both codecs, with
+// prefix sharing and per-request generation lengths on and off: every
+// request completes.
+func TestServerAdmissionNeverExhaustsPool(t *testing.T) {
+	type scenario struct {
+		name string
+		cfg  ServerConfig
+		reqs []Request
+	}
+	scenarios := []scenario{
+		{"int8-rate", ServerConfig{Seed: 3}, []Request{
+			{ID: 1, PromptLen: 200, GenLen: 8}, {ID: 2, PromptLen: 200, GenLen: 8},
+			{ID: 3, PromptLen: 200, GenLen: 8}, {ID: 4, PromptLen: 200, GenLen: 8}}},
+		{"whole-blocks", ServerConfig{Seed: 3, MicroBatchSize: 2, NumMicroBatches: 1, MaxContext: 40, GenLen: 8},
+			[]Request{{ID: 1, PromptLen: 32}, {ID: 2, PromptLen: 31}}},
+		// Placed 1, 2, 3 (FIFO) but issued 1, 3, 2: micro-batch [1 3]
+		// fills first. Request 2 is all prefix, so the engine maps only
+		// the 31 tokens ahead of its last one from request 3, and 3 may
+		// be charged for no more than that.
+		{"prefix-order", ServerConfig{Seed: 3, MaxContext: 24, SLOAware: true}, []Request{
+			{ID: 1, PromptLen: 20}, {ID: 2, PromptLen: 32, PrefixID: 5, PrefixLen: 32},
+			{ID: 3, PromptLen: 40, PrefixID: 5, PrefixLen: 32}}},
+	}
+	// blocks is how many KV blocks an empty micro-batch's budget buys
+	// under a codec: the test's own statement of the block charge.
+	m := TinyMoE()
+	blocks := func(cfg ServerConfig, kv KVDtype) int {
+		return cfg.MicroBatchSize * cfg.MaxContext * kvcache.TokenBytes(m.KVDim(), KVFloat32) /
+			(kvcache.DefaultBlockTokens * kvcache.TokenBytes(m.KVDim(), kv))
+	}
+	rng := rand.New(rand.NewSource(1))
+	for i := 0; i < 3; i++ {
+		cfg := ServerConfig{Seed: int64(i), MicroBatchSize: 1 + rng.Intn(3), NumMicroBatches: 1 + rng.Intn(2),
+			MaxContext: 16 + rng.Intn(40), GenLen: 1 + rng.Intn(12)}
+		reqs := make([]Request, 3+rng.Intn(6))
+		for j := range reqs {
+			// The longest prompt an empty micro-batch holds: a third of
+			// them draw up to int8's, the rest up to float32's.
+			kv := KVFloat32
+			if rng.Intn(3) == 0 {
+				kv = KVInt8
+			}
+			longest := blocks(cfg, kv)*kvcache.DefaultBlockTokens - cfg.GenLen
+			r := Request{ID: j + 1, PromptLen: 1 + rng.Intn(longest), GenLen: rng.Intn(cfg.GenLen + 3)}
+			if rng.Intn(2) == 0 {
+				r.PrefixID, r.PrefixLen = 1+rng.Intn(2), rng.Intn(r.PromptLen+8)
+			}
+			reqs[j] = r
+		}
+		scenarios = append(scenarios, scenario{fmt.Sprintf("random-%d", i), cfg, reqs})
+	}
+	for _, sc := range scenarios {
+		for _, kv := range []KVDtype{KVFloat32, KVInt8} {
+			for _, prefix := range []SharedPrefixMode{SharedPrefixOn, SharedPrefixOff} {
+				for _, fixed := range []bool{false, true} {
+					cfg := sc.cfg
+					cfg.Model, cfg.KVDtype, cfg.SharedPrefixKV, cfg.FixedGenLen = m, kv, prefix, fixed
+					cfg.defaults()
+					name := fmt.Sprintf("%s/%v/shared=%v/fixed=%v", sc.name, kv, prefix == SharedPrefixOn, fixed)
+					// The requests an empty micro-batch holds (Submit
+					// refuses the rest), as one batch.
+					var queue []Request
+					for _, r := range sc.reqs {
+						need := (r.PromptLen + cfg.GenLen + kvcache.DefaultBlockTokens - 1) / kvcache.DefaultBlockTokens
+						if need <= blocks(cfg, kv) {
+							queue = append(queue, r)
+						}
+					}
+					srv, err := NewServer(cfg)
+					if err != nil {
+						t.Fatalf("%s: %v", name, err)
+					}
+					hs, err := srv.SubmitBatch(context.Background(), queue)
+					if err != nil {
+						t.Fatalf("%s: %v", name, err)
+					}
+					for _, h := range hs {
+						if _, err := h.Wait(); err != nil {
+							t.Errorf("%s: request %d: %v", name, h.ID(), err)
+						}
+					}
+					if err := srv.Close(); err != nil {
+						t.Errorf("%s: Close: %v", name, err)
+					}
+					if st := srv.Stats(); st.Completed != st.Submitted || st.Submitted != len(queue) {
+						t.Errorf("%s: completed %d of %d submitted, %d queued", name, st.Completed, st.Submitted, len(queue))
+					}
+				}
+			}
+		}
 	}
 }
 
