@@ -22,14 +22,14 @@ type SLO struct {
 // IsZero reports whether the SLO carries no targets.
 func (s SLO) IsZero() bool { return s.TTFT == 0 && s.TPOT == 0 }
 
-// DefaultStarvationWaves is how many consecutive deferrals promote a
-// request to the front of the slack-ordered admission queue when
-// AdmissionPolicy.StarvationWaves is unset. Together with BatchOrdered's
-// place-first-request-first behavior it bounds starvation: a request
-// deferred this many times is the first dealt to an empty micro-batch
-// at the next wave boundary, so it is admitted then: the server refuses
-// at Submit any request an empty micro-batch cannot hold.
-const DefaultStarvationWaves = 3
+// starvationWaves is how many consecutive deferrals promote a request
+// to the front of the slack-ordered admission queue. Together with
+// BatchOrdered's place-first-request-first behavior it bounds
+// starvation: a request deferred this many times is the first dealt to
+// an empty micro-batch at the next wave boundary, so it is admitted
+// then (the server refuses at Submit any request an empty micro-batch
+// cannot hold).
+const starvationWaves = 3
 
 // AdmissionPolicy is the queueing policy of a serving loop: how the
 // pending queue is ordered at a wave boundary and how large it may
@@ -43,34 +43,24 @@ type AdmissionPolicy struct {
 	// to deadline-slack order: at every wave boundary the (deferred +
 	// newly arrived) queue is sorted most-urgent-first (AdmissionOrder)
 	// and placed by batching.BatchOrdered, so when capacity runs out it
-	// is the slack-rich requests that defer. Off, admission is exactly
-	// the classic length-sorted Alg. 2 pass.
+	// is the slack-rich requests that defer — but none more than three
+	// boundaries running. Off, admission is exactly the classic
+	// length-sorted Alg. 2 pass.
 	SLOAware bool
-	// StarvationWaves bounds starvation under SLO-aware admission: a
-	// request deferred this many consecutive wave boundaries jumps to
-	// the front of the admission order (<= 0 selects
-	// DefaultStarvationWaves). Ignored without SLOAware.
-	StarvationWaves int
-	// MaxQueuedRequests / MaxQueuedTokens bound the admitted-but-not-yet-
-	// dispatched set: an arrival that would push past either bound fails
-	// fast with ErrOverloaded instead of queueing toward a blown
-	// deadline. <= 0 disables the bound.
+	// MaxQueuedRequests bounds the admitted-but-not-yet-dispatched set:
+	// an arrival that would push past it fails fast with ErrOverloaded
+	// instead of queueing toward a blown deadline. <= 0 disables the
+	// bound.
 	MaxQueuedRequests int
-	MaxQueuedTokens   int
 }
 
 // QueueBound is the hard overload gate: it rejects (ErrOverloaded) an
-// arrival of reqs requests weighing tokens prompt+generation tokens
-// when admitting it would push a queue already holding queuedReqs /
-// queuedTokens past a configured bound.
-func (p AdmissionPolicy) QueueBound(queuedReqs, queuedTokens, reqs, tokens int) error {
+// arrival of reqs requests when admitting it would push a queue already
+// holding queuedReqs past MaxQueuedRequests.
+func (p AdmissionPolicy) QueueBound(queuedReqs, reqs int) error {
 	if n := p.MaxQueuedRequests; n > 0 && queuedReqs+reqs > n {
 		return fmt.Errorf("%w: %d queued requests + %d exceed MaxQueuedRequests %d",
 			ErrOverloaded, queuedReqs, reqs, n)
-	}
-	if n := p.MaxQueuedTokens; n > 0 && queuedTokens+tokens > n {
-		return fmt.Errorf("%w: %d queued tokens + %d exceed MaxQueuedTokens %d",
-			ErrOverloaded, queuedTokens, tokens, n)
 	}
 	return nil
 }
@@ -89,11 +79,6 @@ type AdmissionItem struct {
 	// Deferrals counts how many wave boundaries have already passed the
 	// request over.
 	Deferrals int
-	// DeferredWith is the size of the deferred set the previous boundary
-	// put this request in (0: new, or placed since). PlanWave maintains
-	// it for the no-progress guard: a deferred set repeats exactly when
-	// every member was last deferred with a set of the same size.
-	DeferredWith int
 }
 
 // slack is the time remaining until the request's TTFT deadline: the
@@ -117,10 +102,7 @@ func (it AdmissionItem) slack(now time.Time) time.Duration {
 //
 // Ties break by submission time, then by input index, so the order is
 // deterministic for any input.
-func AdmissionOrder(items []AdmissionItem, now time.Time, starvationWaves int) []int {
-	if starvationWaves <= 0 {
-		starvationWaves = DefaultStarvationWaves
-	}
+func AdmissionOrder(items []AdmissionItem, now time.Time) []int {
 	order := make([]int, len(items))
 	for i := range order {
 		order[i] = i
@@ -155,27 +137,23 @@ type WavePlan struct {
 	MicroBatches [][]int
 	// Deferred lists the requests passed over, in the batcher's abort
 	// order — the order they keep at the head of the next boundary's
-	// queue.
+	// queue. They wait for a later boundary: each fits an empty
+	// micro-batch, so one with room always comes.
 	Deferred []int
-	// NoProgress reports that Deferred is exactly the set the previous
-	// boundary deferred: those requests are starved and would defer
-	// forever, so the caller fails them (ErrNoProgress) instead.
-	NoProgress bool
 }
 
 // PlanWave decides one wave boundary: it orders the pending items
 // (arrival order, or most-urgent-first under policy.SLOAware), runs the
-// Alg. 2 placement over them, maps the batcher's placement back onto
-// item indices, and judges the no-progress guard. It has no clock and
-// no state of its own — now and the items' deferral history are inputs —
-// so the same queue always yields the same plan. The one thing it
-// writes is that history: each deferred item's Deferrals and
-// DeferredWith are advanced in place, ready for the next boundary.
+// Alg. 2 placement over them and maps the batcher's placement back onto
+// item indices. It has no clock and no state of its own — now and the
+// items' deferral counts are inputs — so the same queue always yields
+// the same plan. The one thing it writes is those counts: each deferred
+// item's Deferrals is advanced in place, ready for the next boundary.
 // Nothing is counted when no request fits at all.
 func PlanWave(items []AdmissionItem, now time.Time, policy AdmissionPolicy, bc batching.Config) (WavePlan, error) {
 	var order []int
 	if policy.SLOAware {
-		order = AdmissionOrder(items, now, policy.StarvationWaves)
+		order = AdmissionOrder(items, now)
 	} else {
 		order = make([]int, len(items))
 		for i := range order {
@@ -215,15 +193,10 @@ func PlanWave(items []AdmissionItem, now time.Time, policy AdmissionPolicy, bc b
 		}
 		plan.MicroBatches = append(plan.MicroBatches, group)
 	}
-	plan.NoProgress = len(aborted) > 0
 	for _, r := range aborted {
 		idx := take(r.ID)
 		plan.Deferred = append(plan.Deferred, idx)
-		if items[idx].DeferredWith != len(aborted) {
-			plan.NoProgress = false
-		}
 		items[idx].Deferrals++
-		items[idx].DeferredWith = len(aborted)
 	}
 	return plan, nil
 }

@@ -11,8 +11,8 @@ import (
 )
 
 // TestPlanWave pins the wave-boundary decision the live server and the
-// traffic simulator share: ordering, placement mapping, deferral
-// bookkeeping and the no-progress verdict, one row per rule.
+// traffic simulator share: ordering, placement mapping and deferral
+// bookkeeping, one row per rule.
 func TestPlanWave(t *testing.T) {
 	base := time.Unix(0, 0)
 	item := func(id, prompt int) AdmissionItem {
@@ -22,14 +22,14 @@ func TestPlanWave(t *testing.T) {
 		it.SLO = SLO{TTFT: ttft}
 		return it
 	}
-	deferred := func(it AdmissionItem, deferrals, with int) AdmissionItem {
-		it.Deferrals, it.DeferredWith = deferrals, with
+	deferred := func(it AdmissionItem, deferrals int) AdmissionItem {
+		it.Deferrals = deferrals
 		return it
 	}
 	shape := func(numMB, size, cache int) batching.Config {
 		return batching.Config{NumMicroBatches: numMB, MicroBatchSize: size, GenLen: 2, CacheTokens: cache}
 	}
-	slack := AdmissionPolicy{SLOAware: true, StarvationWaves: 3}
+	slack := AdmissionPolicy{SLOAware: true}
 
 	later := item(4, 4)
 	later.Submitted = base.Add(time.Millisecond)
@@ -39,19 +39,17 @@ func TestPlanWave(t *testing.T) {
 		items  []AdmissionItem
 		policy AdmissionPolicy
 		bc     batching.Config
-		// want: micro-batches and deferred set as item indices, the
-		// no-progress verdict, and each deferred item's history
-		// {Deferrals, DeferredWith} after the plan.
-		mbs        [][]int
-		deferred   []int
-		noProgress bool
-		history    [][2]int
+		// want: micro-batches and deferred set as item indices, and each
+		// deferred item's Deferrals after the plan.
+		mbs       [][]int
+		deferred  []int
+		deferrals []int
 	}{
 		{
 			name:  "fifo places longest prompts first and defers the rest",
 			items: []AdmissionItem{item(1, 5), item(2, 9), item(3, 7)},
 			bc:    shape(1, 2, 64),
-			mbs:   [][]int{{1, 2}}, deferred: []int{0}, history: [][2]int{{1, 1}},
+			mbs:   [][]int{{1, 2}}, deferred: []int{0}, deferrals: []int{1},
 		},
 		{
 			// Starved first, then ascending TTFT slack, then the
@@ -62,7 +60,7 @@ func TestPlanWave(t *testing.T) {
 				item(2, 4),
 				slo(item(3, 4), 100*time.Millisecond),
 				later,
-				deferred(slo(item(5, 4), 10*time.Second), 5, 0),
+				deferred(slo(item(5, 4), 10*time.Second), 5),
 				slo(item(6, 4), 500*time.Millisecond),
 			},
 			policy: slack,
@@ -73,56 +71,34 @@ func TestPlanWave(t *testing.T) {
 			name:  "duplicate ids map back first come first placed",
 			items: []AdmissionItem{item(7, 5), item(7, 5), item(8, 9)},
 			bc:    shape(1, 2, 64),
-			mbs:   [][]int{{2, 0}}, deferred: []int{1}, history: [][2]int{{1, 1}},
+			mbs:   [][]int{{2, 0}}, deferred: []int{1}, deferrals: []int{1},
 		},
 		{
 			// 24+2 fits a 40-token micro-batch alone or with one short
 			// request; the shorts' blown 1ms budgets outrank its 10s.
 			name: "slack defers the slack-rich request",
 			items: []AdmissionItem{
-				deferred(slo(item(1, 24), 10*time.Second), 1, 3),
+				deferred(slo(item(1, 24), 10*time.Second), 2),
 				slo(item(2, 6), time.Millisecond), slo(item(3, 6), time.Millisecond),
 			},
-			policy: AdmissionPolicy{SLOAware: true, StarvationWaves: 2},
+			policy: slack,
 			bc:     shape(1, 2, 40),
-			mbs:    [][]int{{1, 2}}, deferred: []int{0}, history: [][2]int{{2, 1}},
+			mbs:    [][]int{{1, 2}}, deferred: []int{0}, deferrals: []int{3},
 		},
 		{
 			name: "starvation bound promotes it ahead of any deadline",
 			items: []AdmissionItem{
-				deferred(slo(item(1, 24), 10*time.Second), 2, 3),
+				deferred(slo(item(1, 24), 10*time.Second), 3),
 				slo(item(2, 6), time.Millisecond), slo(item(3, 6), time.Millisecond),
 			},
-			policy: AdmissionPolicy{SLOAware: true, StarvationWaves: 2},
+			policy: slack,
 			bc:     shape(1, 2, 40),
-			mbs:    [][]int{{0, 1}}, deferred: []int{2}, history: [][2]int{{1, 1}},
+			mbs:    [][]int{{0, 1}}, deferred: []int{2}, deferrals: []int{1},
 		},
 		{
 			name:  "nothing fits: empty plan, no deferral counted",
 			items: []AdmissionItem{item(1, 100), item(2, 90)},
 			bc:    shape(2, 2, 40),
-		},
-		{
-			name:  "same deferred set twice running is no progress",
-			items: []AdmissionItem{deferred(item(1, 5), 1, 1), item(2, 9)},
-			bc:    shape(1, 1, 64),
-			mbs:   [][]int{{1}}, deferred: []int{0}, noProgress: true, history: [][2]int{{2, 1}},
-		},
-		{
-			// Identity, not value: a new arrival equal to a starved
-			// request defers normally on first sight.
-			name:  "fresh look-alike of a starved request is not starved",
-			items: []AdmissionItem{item(1, 5), item(2, 9)},
-			bc:    shape(1, 1, 64),
-			mbs:   [][]int{{1}}, deferred: []int{0}, history: [][2]int{{1, 1}},
-		},
-		{
-			// Its partner from the previous boundary's deferred pair left
-			// the queue (canceled): the set changed, so no verdict yet.
-			name:  "a shrunken deferred set is a different set",
-			items: []AdmissionItem{deferred(item(1, 5), 1, 2), item(2, 9)},
-			bc:    shape(1, 1, 64),
-			mbs:   [][]int{{1}}, deferred: []int{0}, history: [][2]int{{2, 1}},
 		},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
@@ -134,14 +110,11 @@ func TestPlanWave(t *testing.T) {
 			if !reflect.DeepEqual(plan.MicroBatches, tc.mbs) || !reflect.DeepEqual(plan.Deferred, tc.deferred) {
 				t.Fatalf("plan %v deferred %v, want %v deferred %v", plan.MicroBatches, plan.Deferred, tc.mbs, tc.deferred)
 			}
-			if plan.NoProgress != tc.noProgress {
-				t.Errorf("NoProgress = %v, want %v", plan.NoProgress, tc.noProgress)
-			}
 			isDeferred := make(map[int]bool)
 			for k, i := range plan.Deferred {
 				isDeferred[i] = true
-				if got := [2]int{tc.items[i].Deferrals, tc.items[i].DeferredWith}; got != tc.history[k] {
-					t.Errorf("deferred item %d history %v, want %v", i, got, tc.history[k])
+				if got := tc.items[i].Deferrals; got != tc.deferrals[k] {
+					t.Errorf("deferred item %d has %d deferrals, want %d", i, got, tc.deferrals[k])
 				}
 			}
 			for i := range tc.items {
@@ -151,26 +124,53 @@ func TestPlanWave(t *testing.T) {
 			}
 		})
 	}
+
+	// Two tight-deadline shorts arrive at every boundary and outrank the
+	// 24-token request's 10s slack, yet a deferred request waits for its
+	// turn: three boundaries pass it over, and the bound places it at
+	// the fourth.
+	t.Run("steady arrivals defer a slack-rich request three times, then place it", func(t *testing.T) {
+		carried := []AdmissionItem{slo(item(1, 24), 10*time.Second)}
+		for b := 1; b <= 4; b++ {
+			items := append(carried, slo(item(10*b, 6), time.Millisecond), slo(item(10*b+1, 6), time.Millisecond))
+			plan, err := PlanWave(items, base, slack, shape(1, 2, 40))
+			if err != nil {
+				t.Fatal(err)
+			}
+			wantMBs, wantDeferred := [][]int{{1, 2}}, []int{0}
+			if b == 4 {
+				wantMBs, wantDeferred = [][]int{{0, 1}}, []int{2}
+			}
+			if !reflect.DeepEqual(plan.MicroBatches, wantMBs) || !reflect.DeepEqual(plan.Deferred, wantDeferred) {
+				t.Fatalf("boundary %d: plan %v deferred %v, want %v deferred %v",
+					b, plan.MicroBatches, plan.Deferred, wantMBs, wantDeferred)
+			}
+			if b < 4 && items[0].Deferrals != b {
+				t.Fatalf("boundary %d: long request has %d deferrals, want %d", b, items[0].Deferrals, b)
+			}
+			carried = nil
+			for _, i := range plan.Deferred {
+				carried = append(carried, items[i])
+			}
+		}
+	})
 }
 
-// TestQueueBound: each bound alone rejects exactly the arrival that
-// would cross it, and a zero bound is no bound.
+// TestQueueBound: the bound rejects exactly the arrival that would
+// cross it, and a zero bound is no bound.
 func TestQueueBound(t *testing.T) {
 	for _, tc := range []struct {
-		policy                     AdmissionPolicy
-		qReqs, qTokens, reqs, toks int
-		shed                       bool
+		policy      AdmissionPolicy
+		queued, add int
+		shed        bool
 	}{
-		{AdmissionPolicy{}, 1000, 1 << 20, 10, 1 << 10, false},
-		{AdmissionPolicy{MaxQueuedRequests: 3}, 2, 0, 1, 0, false},
-		{AdmissionPolicy{MaxQueuedRequests: 3}, 2, 0, 2, 0, true},
-		{AdmissionPolicy{MaxQueuedTokens: 100}, 50, 60, 1, 40, false},
-		{AdmissionPolicy{MaxQueuedTokens: 100}, 0, 60, 1, 41, true},
+		{AdmissionPolicy{}, 1000, 10, false},
+		{AdmissionPolicy{MaxQueuedRequests: 3}, 2, 1, false},
+		{AdmissionPolicy{MaxQueuedRequests: 3}, 2, 2, true},
 	} {
-		err := tc.policy.QueueBound(tc.qReqs, tc.qTokens, tc.reqs, tc.toks)
+		err := tc.policy.QueueBound(tc.queued, tc.add)
 		if (err != nil) != tc.shed || (err != nil && !errors.Is(err, ErrOverloaded)) {
-			t.Errorf("%+v with %d/%d queued + %d/%d: err %v, want shed %v",
-				tc.policy, tc.qReqs, tc.qTokens, tc.reqs, tc.toks, err, tc.shed)
+			t.Errorf("%+v with %d queued + %d: err %v, want shed %v", tc.policy, tc.queued, tc.add, err, tc.shed)
 		}
 	}
 }

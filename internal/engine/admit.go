@@ -36,7 +36,7 @@ type Server struct {
 	queue    []*Handle
 	firstErr error
 	// stats is the ServerStats snapshot accumulated in place (its
-	// QueuedRequests / QueuedTokens are the overload-control ledger);
+	// QueuedRequests is what the queue bound reads);
 	// the rest is what Stats derives its rates, means and percentiles
 	// from: time spent in waves and in prefill, and the latency
 	// histograms (lazily allocated).
@@ -160,10 +160,10 @@ func (s *Server) SubmitBatchSLO(reqs []workload.Request, slos []SLO, cancel <-ch
 	}
 	// Overload control: bound the pending set before the batch enters
 	// it. The whole batch is admitted or shed atomically.
-	if err := s.admitCheckLocked(hs); err != nil {
+	if err := s.cfg.QueueBound(s.stats.QueuedRequests, len(hs)); err != nil {
 		s.stats.Shed += len(hs)
 		s.mu.Unlock()
-		return nil, err
+		return nil, fmt.Errorf("%w: shed %s", err, s.describeHandles(hs))
 	}
 	for _, h := range hs {
 		h.queued = true
@@ -187,41 +187,9 @@ func (s *Server) rouse() {
 	}
 }
 
-// admitCheckLocked is the overload-control gate: the policy's hard
-// queue bounds, and — under SLOAwareShed, once the server has a
-// measured generation rate — a shed of any batch whose projected queue
-// drain time already exceeds every one of its requests' TTFT budgets (a
-// request with no TTFT budget never sheds this way). Callers hold s.mu.
-func (s *Server) admitCheckLocked(hs []*Handle) error {
-	tok := 0
-	for _, h := range hs {
-		tok += h.qtokens
-	}
-	if err := s.cfg.QueueBound(s.stats.QueuedRequests, s.stats.QueuedTokens, len(hs), tok); err != nil {
-		return fmt.Errorf("%w: shed %s", err, s.describeHandles(hs))
-	}
-	if s.cfg.SLOAwareShed && s.busy > 0 && s.stats.GeneratedTokens > 0 {
-		rate := float64(s.stats.GeneratedTokens) / s.busy.Seconds()
-		drain := time.Duration(float64(s.stats.QueuedTokens+tok) / rate * float64(time.Second))
-		shedAll := true
-		for _, h := range hs {
-			if h.item.SLO.TTFT <= 0 || drain <= h.item.SLO.TTFT {
-				shedAll = false
-				break
-			}
-		}
-		if shedAll {
-			return fmt.Errorf("%w: projected queue drain %v (%.0f tok/s over %d queued tokens) exceeds every TTFT budget of %s",
-				ErrOverloaded, drain.Round(time.Millisecond), rate, s.stats.QueuedTokens+tok, s.describeHandles(hs))
-		}
-	}
-	return nil
-}
-
 // describeHandles names a handle group's requests and the KV blocks
-// admission charges them, for admission-failure and no-progress
-// diagnostics: enough to identify WHICH requests were refused and what
-// they asked for.
+// admission charges them, for the overload diagnostic: enough to
+// identify WHICH requests were refused and what they asked for.
 func (s *Server) describeHandles(hs []*Handle) string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "%d request(s):", len(hs))
@@ -236,9 +204,9 @@ func (s *Server) describeHandles(hs []*Handle) string {
 	return b.String()
 }
 
-// dequeueLocked releases a handle's claim on the queue bounds: called
-// when it dispatches into a wave or finishes while queued. Idempotent;
-// callers hold s.mu.
+// dequeueLocked takes a handle out of the queue gauges: called when it
+// dispatches into a wave or finishes while queued. Idempotent; callers
+// hold s.mu.
 func (s *Server) dequeueLocked(h *Handle) {
 	if !h.queued {
 		return

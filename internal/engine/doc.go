@@ -18,9 +18,9 @@
 //   - KV capacity: Config.MaxContext float32 tokens a sequence slot,
 //     made the pool and its arena by kvcache.PoolTokens / ArenaFloats and
 //     each micro-batch's Alg. 2 budget (NewServer), in whole blocks.
-//   - AdmissionPolicy, PlanWave (admission.go): queue bounds and the
-//     wave-boundary decision — ordering, Alg. 2 placement, deferral,
-//     no-progress — shared with the traffic simulator.
+//   - AdmissionPolicy, PlanWave (admission.go): the queue bound and the
+//     wave-boundary decision — ordering, Alg. 2 placement, deferral —
+//     shared with the traffic simulator.
 //   - ServerStats (stats.go): the counters. The server accumulates into
 //     one directly; ServeResult and the facade's results embed it.
 //   - The step's task graph (internal/schedule): roles, lanes,
@@ -96,14 +96,15 @@
 //
 // queued: counted in Submitted at Submit, under the same hold of the
 // server's lock that appends it to the queue, and against the queue
-// bounds from then until the handle dispatches into a wave or finishes.
+// bound from then until the handle dispatches into a wave or finishes.
 // The admission loop takes the whole queue at every wave boundary; a
 // handle it defers waits in the loop's own pending set, still counted
-// against the bounds. It leaves by dispatch, or straight
-// to finished with ErrCanceled (canceled while queued),
-// ErrDeadlineExceeded (TTFT budget expired in the queue), ErrNoProgress
-// (deferred with the same set twice running), a no-fit or batcher
-// error, or the error of the wave that deferred it.
+// against the bound, for a boundary with room — one comes, because
+// Submit refuses any request an empty micro-batch cannot hold. It
+// leaves by dispatch, or straight to finished with ErrCanceled
+// (canceled while queued), ErrDeadlineExceeded (TTFT budget expired in
+// the queue), a batcher error, or the error of the wave that deferred
+// it.
 //
 // in wave: owns one pipeline sequence; push streams its tokens and the
 // wave's stop function retires it (GenLen reached, cancel, TPOT guard).

@@ -16,16 +16,10 @@ var ErrCanceled = errors.New("engine: request canceled")
 // ErrServerClosed reports a Submit against a closed server.
 var ErrServerClosed = errors.New("engine: server closed")
 
-// ErrNoProgress reports that the batcher aborted the exact same request
-// set in two consecutive waves: those requests are being starved and
-// would defer forever, so they are failed instead of looped.
-var ErrNoProgress = errors.New("engine: batcher made no progress (same request set aborted twice in a row)")
-
 // ErrOverloaded reports a Submit rejected by overload control: the
-// pending queue is at its configured request or token bound (or, under
-// SLO-aware shedding, projected to drain too slowly for the batch's
-// TTFT budgets). The request was never admitted — fail fast and let the
-// client retry or re-route instead of queueing toward a blown deadline.
+// pending queue is at its MaxQueuedRequests bound. The request was
+// never admitted — fail fast and let the client retry or re-route
+// instead of queueing toward a blown deadline.
 var ErrOverloaded = errors.New("engine: server overloaded")
 
 // ErrDeadlineExceeded reports a request dropped by deadline
@@ -53,17 +47,18 @@ type Token struct {
 // every legal transition.
 type Handle struct {
 	// item is the handle's admission view — request, submission time,
-	// SLO and deferral history — exactly what PlanWave orders and
-	// places. Req, Submitted and SLO are immutable after Submit; the
-	// deferral history belongs to the serving goroutine.
+	// SLO and deferral count — exactly what PlanWave orders and places.
+	// Req, Submitted and SLO are immutable after Submit; the deferral
+	// count belongs to the serving goroutine.
 	item   AdmissionItem
 	cancel <-chan struct{}
 	genLen int // effective generation length for this request
-	// qtokens is prompt + effective gen tokens: the queue-bound weight.
+	// qtokens is prompt + effective gen tokens: its weight in the
+	// QueuedTokens gauge.
 	qtokens int
 
-	// queued marks the handle as counted against the server's queue
-	// bounds. Guarded by the SERVER's mu (it moves with the stats'
+	// queued marks the handle as counted in the server's queue gauges.
+	// Guarded by the SERVER's mu (it moves with the stats'
 	// QueuedRequests / QueuedTokens), not h.mu.
 	queued bool
 

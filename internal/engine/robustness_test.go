@@ -132,38 +132,6 @@ func TestServerShedsAtRequestBound(t *testing.T) {
 	}
 }
 
-// TestServerShedsAtTokenBound: MaxQueuedTokens rejects a request whose
-// prompt+gen demand alone exceeds the bound, before anything queues.
-func TestServerShedsAtTokenBound(t *testing.T) {
-	cfg := model.Tiny()
-	cpu, gpu, pinned, cacheArena := newTestArenas()
-	w, err := NewRandomWeights(cpu, cfg, 32)
-	if err != nil {
-		t.Fatal(err)
-	}
-	srv, err := NewServer(&Host{W: w, GPU: gpu, Pinned: pinned, Cache: cacheArena}, ServeConfig{
-		Config:          Config{MicroBatch: 1, MaxContext: 64},
-		AdmissionPolicy: AdmissionPolicy{MaxQueuedTokens: 10},
-		NumMicroBatches: 1, GenLen: 4,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	_, derr := srv.Submit(workload.Request{ID: 9, PromptLen: 20}, nil)
-	if !errors.Is(derr, ErrOverloaded) {
-		t.Fatalf("want ErrOverloaded, got %v", derr)
-	}
-	if !strings.Contains(derr.Error(), "MaxQueuedTokens") || !strings.Contains(derr.Error(), "id 9") {
-		t.Errorf("shed error does not name the bound and request: %v", derr)
-	}
-	if err := srv.Close(); err != nil {
-		t.Fatalf("Close: %v", err)
-	}
-	if st := srv.Stats(); st.Shed != 1 || st.Submitted != 0 {
-		t.Errorf("stats: %+v", st)
-	}
-}
-
 // TestServerDropsExpiredTTFTDeadline: a request whose TTFT budget
 // expires while queued behind a held wave is failed with
 // ErrDeadlineExceeded at the wave boundary — before any prefill is
@@ -271,12 +239,12 @@ func TestTPOTGuardRetiresHopelessSequence(t *testing.T) {
 	}
 }
 
-// TestWaveWatchdogFailsStalledWave: a wave stalled indefinitely at a
+// TestWaveDeadlineFailsStalledWave: a wave stalled indefinitely at a
 // boundary ends when its WaveTimeout deadline wakes the stall — its
 // request fails with ErrWaveStalled, the KV audit stays clean, the next
 // wave on the same server runs normally, and Close returns (with the
 // stalled wave's error) instead of hanging.
-func TestWaveWatchdogFailsStalledWave(t *testing.T) {
+func TestWaveDeadlineFailsStalledWave(t *testing.T) {
 	cfg := model.Tiny()
 	cpu, gpu, pinned, cacheArena := newTestArenas()
 	w, err := NewRandomWeights(cpu, cfg, 35)
@@ -285,9 +253,16 @@ func TestWaveWatchdogFailsStalledWave(t *testing.T) {
 	}
 	gate := make(chan struct{}) // never closed: the stall never ends on its own
 	inj := faults.New(faults.Config{StallEvery: 1, Gate: gate})
+	// Every wave gets this deadline, the healthy one after the stall
+	// too: under the race detector even a one-request wave can run past
+	// 50ms.
+	timeout := 50 * time.Millisecond
+	if raceEnabled {
+		timeout = 500 * time.Millisecond
+	}
 	srv, err := NewServer(&Host{W: w, GPU: gpu, Pinned: pinned, Cache: cacheArena}, ServeConfig{
 		Config:          Config{MicroBatch: 1, MaxContext: 64, Faults: inj},
-		NumMicroBatches: 1, GenLen: 2, WaveTimeout: 50 * time.Millisecond,
+		NumMicroBatches: 1, GenLen: 2, WaveTimeout: timeout,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -323,13 +298,13 @@ func TestWaveWatchdogFailsStalledWave(t *testing.T) {
 			st.WaveTimeouts, st.Failed, st.Completed, st.KVLeaks)
 	}
 	// The failed wave held the engine until its deadline passed: that is
-	// busy time, or TokensPerSecond and the SLO-aware drain projection
-	// overstate the rate after any failed wave.
+	// busy time, or TokensPerSecond overstates the rate after any failed
+	// wave.
 	srv.mu.Lock()
 	busy := srv.busy
 	srv.mu.Unlock()
-	if busy < 50*time.Millisecond {
-		t.Errorf("busy time %v after a wave that ran into its 50ms watchdog", busy)
+	if busy < timeout {
+		t.Errorf("busy time %v after a wave that ran into its %v deadline", busy, timeout)
 	}
 }
 

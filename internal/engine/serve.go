@@ -29,11 +29,6 @@ type ServeConfig struct {
 	// GenLen tokens — the classic closed-batch behavior Serve and
 	// RunFunctional keep.
 	HonorRequestGenLen bool
-	// SLOAwareShed adds a projection-based shed on top of the hard
-	// queue bounds: once the server has a measured generation rate, a
-	// batch whose projected queue drain time exceeds every one of its
-	// TTFT budgets is rejected with ErrOverloaded at Submit.
-	SLOAwareShed bool
 	// EnforceDeadlines fails queued requests whose TTFT budget has
 	// already expired at the wave boundary (ErrDeadlineExceeded), before
 	// any prefill is wasted on them.

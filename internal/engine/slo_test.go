@@ -2,6 +2,7 @@ package engine
 
 import (
 	"errors"
+	"reflect"
 	"testing"
 	"time"
 
@@ -32,8 +33,8 @@ func TestAdmissionOrderDeterministic(t *testing.T) {
 	for i := range items {
 		items[i] = AdmissionItem{Submitted: base, SLO: SLO{TTFT: time.Duration(1+i%3) * time.Second}}
 	}
-	a := AdmissionOrder(items, base, 0)
-	b := AdmissionOrder(items, base, 0)
+	a := AdmissionOrder(items, base)
+	b := AdmissionOrder(items, base)
 	for i := range a {
 		if a[i] != b[i] {
 			t.Fatalf("non-deterministic order: %v vs %v", a, b)
@@ -42,55 +43,65 @@ func TestAdmissionOrderDeterministic(t *testing.T) {
 }
 
 // TestServerSLOAwareStarvationBound is the live starvation regression:
-// a long-prompt request with a loose deadline, deferred wave after wave
-// by a stream of tight-deadline short requests, must still be admitted
-// once it hits the starvation bound — not fail with ErrNoProgress, not
-// defer forever.
+// a long-prompt request with a loose deadline, passed over wave after
+// wave by tight-deadline short requests that keep arriving, waits for
+// its turn and is placed once it hits the starvation bound — never
+// failed, never deferred forever. The test drives the wave core itself,
+// so two fresh arrivals join the queue at every boundary.
 func TestServerSLOAwareStarvationBound(t *testing.T) {
 	srv := newSLOTestServer(t, ServeConfig{
 		Config:          Config{MicroBatch: 2, MaxContext: 20},
-		AdmissionPolicy: AdmissionPolicy{SLOAware: true, StarvationWaves: 2},
+		AdmissionPolicy: AdmissionPolicy{SLOAware: true},
 		NumMicroBatches: 1, GenLen: 2,
 	})
+	defer srv.Close()
 
 	// The long request fills most of one micro-batch's 40-token budget
-	// (24 + 2 gen = 26): it fits alone but not alongside two short
-	// requests. The shorts' blown-1ms TTFTs always sort ahead of its
-	// 10s slack, so pure slack ordering would defer it until the queue
-	// drains; the starvation bound must admit it sooner. One SubmitBatch
-	// keeps the whole queue in the first wave's admission round.
-	reqs := []workload.Request{{ID: 1, PromptLen: 24, GenLen: 2}}
-	slos := []SLO{{TTFT: 10 * time.Second}}
-	for i := 0; i < 8; i++ {
-		reqs = append(reqs, workload.Request{ID: 10 + i, PromptLen: 6, GenLen: 2})
-		slos = append(slos, SLO{TTFT: time.Millisecond})
-	}
-	handles, err := srv.SubmitBatchSLO(reqs, slos, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := srv.Close(); err != nil {
-		t.Fatal(err)
-	}
-	long := handles[0]
-	for _, h := range handles {
-		if _, err := h.Wait(); err != nil {
-			t.Fatalf("request %d failed: %v", h.ID(), err)
+	// (24 + 2 gen = 26): it fits alone or beside one short request, not
+	// beside two. The shorts' blown-1ms TTFTs always sort ahead of its
+	// 10s slack until it has been deferred three times.
+	longReq := workload.Request{ID: 1, PromptLen: 24, GenLen: 2}
+	long := newHandle(longReq, nil, 2, SLO{TTFT: 10 * time.Second})
+	pending := []*Handle{long}
+	var shorts []*Handle
+	for b := 1; b <= 4; b++ {
+		for k := 0; k < 2; k++ {
+			h := newHandle(workload.Request{ID: 10*b + k, PromptLen: 6, GenLen: 2}, nil, 2, SLO{TTFT: time.Millisecond})
+			shorts = append(shorts, h)
+			pending = append(pending, h)
+		}
+		pending = srv.runWave(pending)
+		select {
+		case <-long.Done():
+			if b < 4 {
+				t.Fatalf("boundary %d: long request finished before the bound placed it: %v", b, long.Err())
+			}
+		default:
+			if b == 4 {
+				t.Fatalf("long request still queued after boundary 4, %d deferrals", long.item.Deferrals)
+			}
 		}
 	}
-	st := srv.Stats()
-	if st.Completed != 9 {
-		t.Errorf("completed %d of 9", st.Completed)
+	for len(pending) > 0 {
+		pending = srv.runWave(pending)
 	}
-	if long.item.Deferrals == 0 {
-		t.Error("long request was never deferred — the test exerted no pressure")
+	got, err := long.Wait()
+	if err != nil {
+		t.Fatalf("long request: %v", err)
 	}
-	// The bound: the long request defers at most StarvationWaves times —
-	// at that count the next boundary promotes it to the front of the
-	// admission order, and as the only starved request it is placed into
-	// an empty micro-batch first, so it cannot be passed over again.
-	if long.item.Deferrals > 2 {
-		t.Errorf("long request deferred %d times with StarvationWaves=2", long.item.Deferrals)
+	if want := refTokens(t, srv.pl.w, []workload.Request{longReq}, 32, 2); !reflect.DeepEqual(got, want[0]) {
+		t.Errorf("long request: got %v, want %v", got, want[0])
+	}
+	if long.item.Deferrals != 3 {
+		t.Errorf("long request deferred %d times, want 3", long.item.Deferrals)
+	}
+	for _, h := range shorts {
+		if _, err := h.Wait(); err != nil {
+			t.Errorf("request %d failed: %v", h.ID(), err)
+		}
+	}
+	if st := srv.Stats(); st.Completed != 9 || st.MaxDeferrals != 3 {
+		t.Errorf("stats: completed %d of 9, max deferrals %d, want 3", st.Completed, st.MaxDeferrals)
 	}
 }
 

@@ -14,8 +14,8 @@ import (
 type ServerStats struct {
 	// Request accounting: admitted (counted at Submit; shed requests and
 	// ones no micro-batch holds are refused there), finished, canceled,
-	// and failed (wave error, deadline, starvation). Once Close returns,
-	// Submitted == Completed + Canceled + Failed.
+	// and failed (wave error, deadline, request-scoped fault). Once Close
+	// returns, Submitted == Completed + Canceled + Failed.
 	Submitted, Completed, Canceled, Failed int
 	// Waves is how many pipeline waves completed; Deferred counts
 	// requests pushed to a later wave at least once (Alg. 2's aborted
@@ -69,9 +69,11 @@ type ServerStats struct {
 	// absorbed by retry, and fetches that failed past the retry budget
 	// (each such failure retires the sequences routed to that expert).
 	FaultRetries, FaultFailures int64
-	// QueuedRequests / QueuedTokens are the CURRENT queue-bound usage
-	// (admitted, not yet dispatched into a wave; deferred handles stay
-	// counted until they dispatch or finish), not totals.
+	// QueuedRequests / QueuedTokens are gauges, not totals: the requests
+	// admitted and not yet dispatched into a wave (deferred handles stay
+	// counted until they dispatch or finish), and their prompt +
+	// generation tokens. MaxQueuedRequests bounds the first; the second
+	// bounds nothing.
 	QueuedRequests, QueuedTokens int
 	// TokensPerSecond is generation throughput over busy (in-wave) time,
 	// failed waves included.

@@ -318,11 +318,12 @@ func TestServerCanceledWhileQueued(t *testing.T) {
 	}
 }
 
-// TestServerNoProgressGuard exercises the starvation guard directly on
-// the wave core: a request the batcher aborts in two consecutive waves
-// (while other requests keep it from the "cannot fit any micro-batch"
-// error) fails with ErrNoProgress instead of deferring forever.
-func TestServerNoProgressGuard(t *testing.T) {
+// TestServerDeferredRequestWaitsForRoom drives the wave core under
+// FIFO admission: a short request that Alg. 2's length sort passes over
+// in two consecutive waves, each time behind a longer arrival, stays
+// queued and is placed at the first wave with room, with the
+// reference's tokens.
+func TestServerDeferredRequestWaitsForRoom(t *testing.T) {
 	cfg := model.Tiny()
 	cpu, gpu, pinned, cacheArena := newTestArenas()
 	w, err := NewRandomWeights(cpu, cfg, 5)
@@ -330,7 +331,7 @@ func TestServerNoProgressGuard(t *testing.T) {
 		t.Fatal(err)
 	}
 	// One micro-batch of one request per wave: the longest prompt is
-	// always placed and everything else aborted.
+	// always placed and everything else deferred.
 	// The loop stays idle (nothing is submitted): the test drives the
 	// wave core on its own goroutine.
 	s, err := NewServer(&Host{W: w, GPU: gpu, Pinned: pinned, Cache: cacheArena}, ServeConfig{
@@ -341,30 +342,32 @@ func TestServerNoProgressGuard(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer s.Close()
-	starved := newHandle(workload.Request{ID: 1, PromptLen: 5, GenLen: 2}, nil, 2, SLO{})
-	big1 := newHandle(workload.Request{ID: 2, PromptLen: 9, GenLen: 2}, nil, 2, SLO{})
-	big2 := newHandle(workload.Request{ID: 3, PromptLen: 9, GenLen: 2}, nil, 2, SLO{})
+	shortReq := workload.Request{ID: 1, PromptLen: 5, GenLen: 2}
+	short := newHandle(shortReq, nil, 2, SLO{})
+	pending := []*Handle{short}
+	for wave := 1; wave <= 2; wave++ {
+		big := newHandle(workload.Request{ID: 1 + wave, PromptLen: 9, GenLen: 2}, nil, 2, SLO{})
+		pending = s.runWave(append(pending, big))
+		if len(pending) != 1 || pending[0] != short {
+			t.Fatalf("wave %d should defer the short request, got %v (short: %v)", wave, pending, short.Err())
+		}
+		if _, err := big.Wait(); err != nil {
+			t.Fatalf("wave %d placed request failed: %v", wave, err)
+		}
+	}
 
-	pending := s.runWave([]*Handle{starved, big1})
-	if len(pending) != 1 || pending[0] != starved {
-		t.Fatalf("wave 1 should defer the short request, got %v", pending)
+	// Nothing longer arrives: the third wave has room for it.
+	if pending = s.runWave(pending); len(pending) != 0 {
+		t.Fatalf("wave 3 should place the short request, deferred %d", len(pending))
 	}
-	if _, err := big1.Wait(); err != nil {
-		t.Fatalf("wave 1 placed request failed: %v", err)
+	got, err := short.Wait()
+	if err != nil {
+		t.Fatalf("deferred request: %v", err)
 	}
-
-	// A new long arrival starves the deferred request a second time.
-	pending = s.runWave(append(pending, big2))
-	if len(pending) != 0 {
-		t.Fatalf("wave 2 should not defer anything, got %d", len(pending))
+	if want := refTokens(t, w, []workload.Request{shortReq}, 64, 2); !reflect.DeepEqual(got, want[0]) {
+		t.Errorf("deferred request: got %v, want %v", got, want[0])
 	}
-	if _, err := big2.Wait(); err != nil {
-		t.Fatalf("wave 2 placed request failed: %v", err)
-	}
-	if _, err := starved.Wait(); !errors.Is(err, ErrNoProgress) {
-		t.Fatalf("starved request: want ErrNoProgress, got %v", err)
-	}
-	if st := s.Stats(); st.Failed != 1 || st.Completed != 2 {
+	if st := s.Stats(); st.Failed != 0 || st.Completed != 3 || st.MaxDeferrals != 2 {
 		t.Errorf("stats: %+v", st)
 	}
 }

@@ -41,25 +41,20 @@ func (s *Server) runWave(pending []*Handle) []*Handle {
 	s.mu.Lock()
 	for k, i := range plan.Deferred {
 		h := pending[i]
-		// Take over the deferral PlanWave counted. Only these two fields
-		// ever change after Submit: clients may read the rest (ID,
-		// Request) from any goroutine.
-		h.item.Deferrals, h.item.DeferredWith = items[i].Deferrals, items[i].DeferredWith
+		// Take over the deferral PlanWave counted. Only this field ever
+		// changes after Submit: clients may read the rest (ID, Request)
+		// from any goroutine.
+		h.item.Deferrals = items[i].Deferrals
 		s.stats.MaxDeferrals = max(s.stats.MaxDeferrals, h.item.Deferrals)
 		deferred[k] = h
 	}
 	waveNum := s.stats.Waves + 1
-	// The wave's handles leave the queue bounds now — they occupy wave
+	// The wave's handles leave the queue now — they occupy wave
 	// capacity, not queue capacity. Deferred handles stay counted.
 	for _, h := range wave {
 		s.dequeueLocked(h)
 	}
 	s.mu.Unlock()
-	if plan.NoProgress {
-		// Starved: fail them instead of deferring forever.
-		s.failAll(deferred, fmt.Errorf("%w: %s", ErrNoProgress, s.describeHandles(deferred)))
-		deferred = nil
-	}
 
 	start := time.Now()
 	reqs := make([]workload.Request, len(wave))

@@ -1,6 +1,7 @@
 package traffic
 
 import (
+	"errors"
 	"fmt"
 	"sort"
 	"sync"
@@ -132,7 +133,7 @@ func Run(submit SubmitFunc, trace Trace, cfg RunConfig) (Report, error) {
 			tpotH.Observe(r.TPOT)
 			ch[1].Observe(r.TPOT)
 		}
-		if !r.SLO.IsZero() {
+		if !r.SLO.IsZero() && !errors.Is(r.Err, engine.ErrCanceled) {
 			rep.SLORequests++
 			missTTFT := r.Err != nil || (r.SLO.TTFT > 0 && (r.Tokens == 0 || r.TTFT > r.SLO.TTFT))
 			missTPOT := r.SLO.TPOT > 0 && r.Tokens > 1 && r.TPOT > r.SLO.TPOT

@@ -1,6 +1,7 @@
 package traffic
 
 import (
+	"errors"
 	"testing"
 
 	"moelightning/internal/engine"
@@ -106,5 +107,32 @@ func TestRunSpeedup(t *testing.T) {
 	}
 	if rep.Elapsed.Seconds() > tr.Span().Seconds() {
 		t.Errorf("50x playback took %v for a %v trace", rep.Elapsed, tr.Span())
+	}
+}
+
+// TestRunExcludesCanceledFromSLO: a request its client cancels is
+// neither met nor missed, as in the server's own Stats. The cancel
+// channel is closed before the request arrives, so the server reaps it
+// at the next wave boundary.
+func TestRunExcludesCanceledFromSLO(t *testing.T) {
+	srv, _ := newTestServer(t, false)
+	defer srv.Close()
+	tr, err := PoissonChat(1, 1).Generate(7)
+	if err != nil {
+		t.Fatal(err)
+	}
+	canceled := make(chan struct{})
+	close(canceled)
+	rep, err := Run(func(req workload.Request, slo SLO) (*engine.Handle, error) {
+		return srv.SubmitSLO(req, slo, canceled)
+	}, tr, RunConfig{Speed: 50})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if r := rep.Results[0]; !errors.Is(r.Err, engine.ErrCanceled) || r.SLO.IsZero() {
+		t.Fatalf("want a canceled SLO-bearing request, got err %v, SLO %+v", r.Err, r.SLO)
+	}
+	if rep.SLORequests != 0 || rep.SLOMissTTFT != 0 {
+		t.Errorf("canceled request judged: %d SLO requests, %d TTFT misses", rep.SLORequests, rep.SLOMissTTFT)
 	}
 }

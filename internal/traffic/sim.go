@@ -13,9 +13,9 @@ type SimConfig struct {
 	// Alg. 2 configuration).
 	Batch batching.Config
 	// AdmissionPolicy is the live server's queueing policy, applied
-	// verbatim: FIFO or deadline-slack ordering, the starvation bound,
-	// and the overload bound that sheds an arrival at admission (never
-	// queued, a TTFT miss if it carried an SLO).
+	// verbatim: FIFO or deadline-slack ordering, and the overload bound
+	// that sheds an arrival at admission (never queued, a TTFT miss if
+	// it carried an SLO).
 	engine.AdmissionPolicy
 	// PerPromptToken and PerDecodeStep are the virtual cost model: a
 	// wave's prefill takes admitted-prompt-tokens x PerPromptToken, and
@@ -40,14 +40,11 @@ type SimReport struct {
 	Waves []SimWave
 	// TTFT maps request ID to its simulated time-to-first-token.
 	TTFT map[int]time.Duration
-	// SLO accounting over SLO-bearing requests (dropped = TTFT miss).
+	// SLO accounting over SLO-bearing requests (shed = TTFT miss).
 	SLORequests, SLOMet, SLOMissTTFT, SLOMissTPOT int
 	// MaxDeferrals is the worst per-request deferral count observed —
 	// the measured starvation bound.
 	MaxDeferrals int
-	// Dropped lists requests failed by the no-progress guard (they
-	// could not fit any wave two boundaries running).
-	Dropped []int
 	// Shed lists requests rejected at arrival, by overload control (the
 	// live server's ErrOverloaded) or for fitting no micro-batch.
 	Shed []int
@@ -65,9 +62,9 @@ type SimReport struct {
 // prefill (admitted prompt tokens x PerPromptToken) plus decode (GenLen
 // x PerDecodeStep), every admitted request's first token lands at the
 // end of prefill, and arrivals during the wave queue for the next
-// boundary. As in the server, a deferred set that repeats identically
-// across two boundaries is dropped (those requests count as failed),
-// and a request no empty micro-batch holds is refused at arrival.
+// boundary. As in the server, a request no empty micro-batch holds is
+// refused at arrival, and a deferred request waits for a boundary with
+// room: every arrival is either shed or admitted.
 func SimulateAdmission(trace Trace, cfg SimConfig) (SimReport, error) {
 	if err := trace.validate(); err != nil {
 		return SimReport{}, err
@@ -89,13 +86,6 @@ func SimulateAdmission(trace Trace, cfg SimConfig) (SimReport, error) {
 	// so the simulation is a pure function of the trace.
 	base := time.Unix(0, 0)
 	rep := SimReport{TTFT: make(map[int]time.Duration)}
-	failed := make(map[int]bool) // shed or dropped: never got a first token
-	drop := func(items []engine.AdmissionItem) {
-		for _, it := range items {
-			failed[it.Req.ID] = true
-			rep.Dropped = append(rep.Dropped, it.Req.ID)
-		}
-	}
 
 	next := 0 // first event not yet arrived
 	var pending []engine.AdmissionItem
@@ -111,8 +101,7 @@ func SimulateAdmission(trace Trace, cfg SimConfig) (SimReport, error) {
 			// Overload control at arrival, exactly where the live server
 			// sheds or refuses: a full queue fails the request fast instead
 			// of letting it age toward a blown deadline.
-			if policy.QueueBound(len(pending), 0, 1, 0) != nil || !cfg.Batch.Fits(ev.Request.PromptLen) {
-				failed[ev.Request.ID] = true
+			if policy.QueueBound(len(pending), 1) != nil || !cfg.Batch.Fits(ev.Request.PromptLen) {
 				rep.Shed = append(rep.Shed, ev.Request.ID)
 				continue
 			}
@@ -149,23 +138,19 @@ func SimulateAdmission(trace Trace, cfg SimConfig) (SimReport, error) {
 			rep.MaxDeferrals = max(rep.MaxDeferrals, pending[i].Deferrals)
 		}
 		rep.Waves = append(rep.Waves, wave)
-		if plan.NoProgress {
-			drop(deferred)
-			deferred = nil
-		}
 		pending = deferred
 		clock = wave.End
 	}
 
 	// Judge SLOs: an admitted request's TTFT is simulated; TPOT is the
-	// cost model's constant decode cadence. Dropped requests miss TTFT.
+	// cost model's constant decode cadence. Shed requests miss TTFT.
 	for _, ev := range trace.Events {
 		if ev.SLO.IsZero() {
 			continue
 		}
 		rep.SLORequests++
 		ttft, admitted := rep.TTFT[ev.Request.ID]
-		missTTFT := !admitted || failed[ev.Request.ID] || (ev.SLO.TTFT > 0 && ttft > ev.SLO.TTFT)
+		missTTFT := !admitted || (ev.SLO.TTFT > 0 && ttft > ev.SLO.TTFT)
 		missTPOT := ev.SLO.TPOT > 0 && ev.Request.GenLen > 1 && perStep > ev.SLO.TPOT
 		if missTTFT {
 			rep.SLOMissTTFT++

@@ -72,9 +72,8 @@ var (
 	// ErrServerClosed reports a Submit against a closed server.
 	ErrServerClosed = engine.ErrServerClosed
 	// ErrOverloaded reports a Submit rejected by overload control: the
-	// pending queue is at its configured bound (MaxQueuedRequests /
-	// MaxQueuedTokens, or the SLO-aware drain projection). The request
-	// was never admitted; fail fast and retry or re-route.
+	// pending queue is at its MaxQueuedRequests bound. The request was
+	// never admitted; fail fast and retry or re-route.
 	ErrOverloaded = engine.ErrOverloaded
 	// ErrDeadlineExceeded reports a request dropped by deadline
 	// enforcement: TTFT budget expired while queued, or the TPOT guard
@@ -132,14 +131,11 @@ type ServerConfig struct {
 	// SLOAware switches wave-boundary admission from FIFO-with-deferral
 	// to deadline-slack order: the (deferred + newly arrived) queue is
 	// sorted most-urgent-first at every boundary, so when capacity runs
-	// out it is the slack-rich requests that defer. Off, admission is
-	// the classic length-sorted Alg. 2 pass.
+	// out it is the slack-rich requests that defer. Starvation is
+	// bounded at 3: a request deferred three consecutive boundaries
+	// jumps to the front of the order and is placed at the next one.
+	// Off, admission is the classic length-sorted Alg. 2 pass.
 	SLOAware bool
-	// StarvationWaves bounds starvation under SLO-aware admission: a
-	// request deferred this many consecutive boundaries jumps to the
-	// front of the admission order (<= 0 selects the engine default of
-	// 3). Ignored without SLOAware.
-	StarvationWaves int
 	// SharedPrefixKV controls shared-prefix KV reuse (default on, the
 	// zero value): requests of a wave whose prompts open with identical
 	// tokens — e.g. a common system prompt declared via
@@ -149,15 +145,10 @@ type ServerConfig struct {
 	// Output is bit-identical with sharing on or off; set
 	// SharedPrefixOff to spend the extra FLOPs and cache anyway.
 	SharedPrefixKV SharedPrefixMode
-	// MaxQueuedRequests / MaxQueuedTokens bound the admitted-but-not-
-	// yet-dispatched set: a Submit that would push past either bound
-	// fails fast with ErrOverloaded. <= 0 disables the bound.
+	// MaxQueuedRequests bounds the admitted-but-not-yet-dispatched set:
+	// a Submit that would push past it fails fast with ErrOverloaded.
+	// <= 0 disables the bound.
 	MaxQueuedRequests int
-	MaxQueuedTokens   int
-	// SLOAwareShed sheds a submission (ErrOverloaded) when the queue's
-	// projected drain time — from the server's measured generation rate
-	// — already exceeds every TTFT budget the submission carries.
-	SLOAwareShed bool
 	// EnforceDeadlines fails queued requests whose TTFT budget expired
 	// before a wave picked them up (ErrDeadlineExceeded), sparing the
 	// prefill; TPOTGuard retires decoding sequences whose pace can no
@@ -240,14 +231,11 @@ func NewServer(cfg ServerConfig) (*Server, error) {
 		},
 		AdmissionPolicy: engine.AdmissionPolicy{
 			SLOAware:          cfg.SLOAware,
-			StarvationWaves:   cfg.StarvationWaves,
 			MaxQueuedRequests: cfg.MaxQueuedRequests,
-			MaxQueuedTokens:   cfg.MaxQueuedTokens,
 		},
 		NumMicroBatches:    cfg.NumMicroBatches,
 		GenLen:             cfg.GenLen,
 		HonorRequestGenLen: !cfg.FixedGenLen,
-		SLOAwareShed:       cfg.SLOAwareShed,
 		EnforceDeadlines:   cfg.EnforceDeadlines,
 		TPOTGuard:          cfg.TPOTGuard,
 		WaveTimeout:        cfg.WaveTimeout,
