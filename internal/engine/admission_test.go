@@ -96,6 +96,18 @@ func TestPlanWave(t *testing.T) {
 			mbs:    [][]int{{0, 1}}, deferred: []int{2}, deferrals: []int{1},
 		},
 		{
+			// Identity, not value: a new arrival equal to the starved
+			// request above defers normally on first sight.
+			name: "fresh look-alike of a starved request is not starved",
+			items: []AdmissionItem{
+				slo(item(1, 24), 10*time.Second),
+				slo(item(2, 6), time.Millisecond), slo(item(3, 6), time.Millisecond),
+			},
+			policy: slack,
+			bc:     shape(1, 2, 40),
+			mbs:    [][]int{{1, 2}}, deferred: []int{0}, deferrals: []int{1},
+		},
+		{
 			name:  "nothing fits: empty plan, no deferral counted",
 			items: []AdmissionItem{item(1, 100), item(2, 90)},
 			bc:    shape(2, 2, 40),

@@ -239,12 +239,12 @@ func TestTPOTGuardRetiresHopelessSequence(t *testing.T) {
 	}
 }
 
-// TestWaveDeadlineFailsStalledWave: a wave stalled indefinitely at a
+// TestWaveWatchdogFailsStalledWave: a wave stalled indefinitely at a
 // boundary ends when its WaveTimeout deadline wakes the stall — its
 // request fails with ErrWaveStalled, the KV audit stays clean, the next
 // wave on the same server runs normally, and Close returns (with the
 // stalled wave's error) instead of hanging.
-func TestWaveDeadlineFailsStalledWave(t *testing.T) {
+func TestWaveWatchdogFailsStalledWave(t *testing.T) {
 	cfg := model.Tiny()
 	cpu, gpu, pinned, cacheArena := newTestArenas()
 	w, err := NewRandomWeights(cpu, cfg, 35)

@@ -318,12 +318,12 @@ func TestServerCanceledWhileQueued(t *testing.T) {
 	}
 }
 
-// TestServerDeferredRequestWaitsForRoom drives the wave core under
-// FIFO admission: a short request that Alg. 2's length sort passes over
-// in two consecutive waves, each time behind a longer arrival, stays
-// queued and is placed at the first wave with room, with the
-// reference's tokens.
-func TestServerDeferredRequestWaitsForRoom(t *testing.T) {
+// TestServerNoProgressGuard pins that the wave core has no no-progress
+// guard: under FIFO admission a short request that Alg. 2's length sort
+// passes over in two consecutive waves, each time behind a longer
+// arrival, stays queued and is placed at the first wave with room, with
+// the reference's tokens.
+func TestServerNoProgressGuard(t *testing.T) {
 	cfg := model.Tiny()
 	cpu, gpu, pinned, cacheArena := newTestArenas()
 	w, err := NewRandomWeights(cpu, cfg, 5)
