@@ -18,7 +18,7 @@ func newWeights(cpu *memory.Arena, cfg model.Config, seed int64) (*engine.Weight
 
 func newPipeline(w *engine.Weights, gpu, pinned, cache *memory.Arena, seqs, mu int) (*engine.Pipeline, error) {
 	return engine.NewPipeline(w, gpu, pinned, cache, seqs,
-		engine.Config{MicroBatch: mu, MaxContext: 64, Lookahead: 2})
+		engine.Config{MicroBatch: mu, MaxContext: 64})
 }
 
 func promptsFrom(reqs []workload.Request, vocab int) [][]int {

@@ -39,7 +39,7 @@ func main() {
 		log.Fatal(err)
 	}
 	pipe, err := engine.NewPipeline(host.W, host.GPU, host.Pinned, host.Cache, len(prompts),
-		engine.Config{MicroBatch: 2, MaxContext: maxContext, Lookahead: 2})
+		engine.Config{MicroBatch: 2, MaxContext: maxContext})
 	if err != nil {
 		log.Fatal(err)
 	}

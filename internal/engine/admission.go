@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"errors"
 	"fmt"
 	"sort"
 	"time"
@@ -21,6 +22,56 @@ type SLO struct {
 
 // IsZero reports whether the SLO carries no targets.
 func (s SLO) IsZero() bool { return s.TTFT == 0 && s.TPOT == 0 }
+
+// Verdict judges one finished request against the SLO — the one rule
+// the server, traffic.Run and the admission simulator all count by.
+// err is the request's terminal error, tokens how many it produced,
+// ttft its time to first token and tpot its mean time per token after
+// the first.
+//
+// A zero SLO or a canceled request (the client walked away; the server
+// neither met nor missed) is not judged. Any other error is a TTFT
+// miss: the first token never came in time. So is no token at all
+// against a TTFT target. TPOT is judged only once two tokens exist; a
+// request can miss both.
+func (s SLO) Verdict(err error, tokens int, ttft, tpot time.Duration) (judged, missTTFT, missTPOT bool) {
+	if s.IsZero() || errors.Is(err, ErrCanceled) {
+		return false, false, false
+	}
+	missTTFT = err != nil || (s.TTFT > 0 && (tokens == 0 || ttft > s.TTFT))
+	missTPOT = s.TPOT > 0 && tokens > 1 && tpot > s.TPOT
+	return true, missTTFT, missTPOT
+}
+
+// SLOTally counts SLO verdicts: the judged requests, those inside every
+// stated target, and the blown dimensions (SLO.Verdict has the rule).
+type SLOTally struct {
+	SLORequests int `json:"slo_requests"`
+	SLOMet      int `json:"slo_met"`
+	SLOMissTTFT int `json:"slo_miss_ttft"`
+	SLOMissTPOT int `json:"slo_miss_tpot"`
+}
+
+// Count judges one finished request (SLO.Verdict's arguments) into the
+// tally and reports whether it met its SLO.
+func (t *SLOTally) Count(slo SLO, err error, tokens int, ttft, tpot time.Duration) (met bool) {
+	judged, missTTFT, missTPOT := slo.Verdict(err, tokens, ttft, tpot)
+	if !judged {
+		return false
+	}
+	t.SLORequests++
+	if missTTFT {
+		t.SLOMissTTFT++
+	}
+	if missTPOT {
+		t.SLOMissTPOT++
+	}
+	if missTTFT || missTPOT {
+		return false
+	}
+	t.SLOMet++
+	return true
+}
 
 // starvationWaves is how many consecutive deferrals promote a request
 // to the front of the slack-ordered admission queue. Together with

@@ -21,6 +21,9 @@
 //   - AdmissionPolicy, PlanWave (admission.go): the queue bound and the
 //     wave-boundary decision — ordering, Alg. 2 placement, deferral —
 //     shared with the traffic simulator.
+//   - SLO.Verdict, SLOTally (admission.go): whether a finished request
+//     met its SLO, and the four counters. ServerStats, traffic's Run
+//     report, its simulator and its sweep points embed the tally.
 //   - ServerStats (stats.go): the counters. The server accumulates into
 //     one directly; ServeResult and the facade's results embed it.
 //   - The step's task graph (internal/schedule): roles, lanes,
@@ -107,12 +110,11 @@
 // it.
 //
 // in wave: owns one pipeline sequence; push streams its tokens and the
-// wave's stop function retires it (GenLen reached, cancel, TPOT guard).
-// It leaves only to finished: nil on success, ErrCanceled,
-// ErrDeadlineExceeded (TPOT guard), a request-scoped error (KV
-// exhaustion, failed expert fetch) or the wave's error (generation
-// error, ErrWaveStalled). A handle never returns from a wave
-// to the queue.
+// wave's stop function retires it (GenLen reached, cancel). It leaves
+// only to finished: nil on success, ErrCanceled, a request-scoped error
+// (KV exhaustion, failed expert fetch) or the wave's error (generation
+// error, ErrWaveStalled). A handle never returns from a wave to the
+// queue.
 //
 // finished: terminal, entered exactly once through Handle.settle (a
 // second call is a no-op) by Server.finalize, which folds the outcome

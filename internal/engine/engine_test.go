@@ -36,19 +36,16 @@ func TestPipelineMatchesReference(t *testing.T) {
 	for _, tc := range []struct {
 		name          string
 		seqs, mu, gen int
-		lookahead     int
 		layers        int // 0: Tiny's four
 	}{
-		{"single-seq", 1, 1, 6, 2, 0},
-		{"one-microbatch", 3, 3, 5, 2, 0},
-		{"two-microbatches", 4, 2, 6, 2, 0},
-		{"many-microbatches", 8, 2, 5, 2, 0},
-		{"uneven-tail", 5, 2, 4, 2, 0},
-		{"lookahead-1", 6, 2, 4, 1, 0},
-		{"lookahead-3", 6, 2, 4, 3, 0},
-		// Buffer-slot parity flips between steps, and the look-ahead is
-		// clamped to the two micro-batches.
-		{"odd-layers-lookahead-past-microbatches", 4, 2, 6, 3, 3},
+		{"single-seq", 1, 1, 6, 0},
+		{"one-microbatch", 3, 3, 5, 0},
+		{"two-microbatches", 4, 2, 6, 0},
+		{"many-microbatches", 8, 2, 5, 0},
+		{"uneven-tail", 5, 2, 4, 0},
+		// Buffer-slot parity flips between steps, and CGOPipe's
+		// look-ahead of 2 is clamped to the one micro-batch.
+		{"odd-layers-lookahead-past-microbatches", 4, 4, 6, 3},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			cfg := cfg
@@ -73,7 +70,7 @@ func TestPipelineMatchesReference(t *testing.T) {
 			}
 
 			pl, err := NewPipeline(w, gpu, pinned, cacheArena, tc.seqs,
-				Config{MicroBatch: tc.mu, MaxContext: 64, Lookahead: tc.lookahead})
+				Config{MicroBatch: tc.mu, MaxContext: 64})
 			if err != nil {
 				t.Fatalf("pipeline: %v", err)
 			}

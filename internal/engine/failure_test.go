@@ -112,8 +112,8 @@ func TestClosedPipelineRejected(t *testing.T) {
 }
 
 // TestPipelineRandomShapesMatchReference fuzzes batch shapes: random
-// sequence counts, micro-batch sizes, lookaheads, prompt lengths and
-// generation lengths must all stay token-exact vs the reference.
+// sequence counts, micro-batch sizes, prompt lengths and generation
+// lengths must all stay token-exact vs the reference.
 func TestPipelineRandomShapesMatchReference(t *testing.T) {
 	if testing.Short() {
 		t.Skip("fuzzing skipped in -short")
@@ -123,7 +123,6 @@ func TestPipelineRandomShapesMatchReference(t *testing.T) {
 	for trial := 0; trial < 12; trial++ {
 		seqs := 1 + rng.Intn(7)
 		mu := 1 + rng.Intn(seqs)
-		lookahead := 1 + rng.Intn(3)
 		gen := 2 + rng.Intn(5)
 		seed := rng.Int63()
 
@@ -143,17 +142,17 @@ func TestPipelineRandomShapesMatchReference(t *testing.T) {
 			t.Fatal(err)
 		}
 		pl, err := NewPipeline(w, gpu, pinned, cacheArena, seqs,
-			Config{MicroBatch: mu, MaxContext: 64, Lookahead: lookahead})
+			Config{MicroBatch: mu, MaxContext: 64})
 		if err != nil {
 			t.Fatal(err)
 		}
 		got, err := pl.Generate(prompts, gen)
 		pl.Close()
 		if err != nil {
-			t.Fatalf("trial %d (seqs=%d mu=%d la=%d gen=%d): %v", trial, seqs, mu, lookahead, gen, err)
+			t.Fatalf("trial %d (seqs=%d mu=%d gen=%d): %v", trial, seqs, mu, gen, err)
 		}
 		if !reflect.DeepEqual(got, want) {
-			t.Fatalf("trial %d (seqs=%d mu=%d la=%d gen=%d): diverged", trial, seqs, mu, lookahead, gen)
+			t.Fatalf("trial %d (seqs=%d mu=%d gen=%d): diverged", trial, seqs, mu, gen)
 		}
 	}
 }

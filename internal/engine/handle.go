@@ -23,10 +23,8 @@ var ErrServerClosed = errors.New("engine: server closed")
 var ErrOverloaded = errors.New("engine: server overloaded")
 
 // ErrDeadlineExceeded reports a request dropped by deadline
-// enforcement: its TTFT budget expired while it was still queued (no
-// prefill was wasted on it), or — under the TPOT guard — its decode
-// pace could no longer meet the TPOT budget even if every remaining
-// step were free. Tokens generated before the drop are still returned.
+// enforcement: its TTFT budget expired while it was still queued, so
+// no prefill was wasted on it and it produced no token.
 var ErrDeadlineExceeded = errors.New("engine: deadline exceeded")
 
 // ErrWaveStalled reports a wave that ran past ServeConfig.WaveTimeout:
@@ -69,7 +67,6 @@ type Handle struct {
 	out               []int
 	err               error
 	finished          bool
-	tpotHopeless      bool // TPOT guard verdict: budget irrecoverable
 	firstTok, lastTok time.Time
 }
 

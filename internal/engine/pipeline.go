@@ -68,8 +68,8 @@ type Pipeline struct {
 	hidden tensor.Mat
 
 	// The run's micro-batch partition: mbs[j] lists sequence indices.
-	mbs                   [][]int
-	microBatch, lookahead int
+	mbs        [][]int
+	microBatch int
 
 	// The transfer buffers (GPU and CPU sides), one row per token row of
 	// the pass: micro-batch j's rows start at rowOff[j], as in hidden.
@@ -231,9 +231,6 @@ type Config struct {
 	MicroBatch int
 	// MaxContext is a sequence slot's KV pool share in float32 tokens.
 	MaxContext int
-	// Lookahead is how many micro-batches ahead CPU attention launches
-	// (<= 0: Alg. 1's 2).
-	Lookahead int
 	// KVDtype selects the KV cache codec: kvcache.F32 (the zero value;
 	// bit-exact) or kvcache.Int8 (§3.3 group quantization — ~9/32 the
 	// cache footprint, attention dequantizes rows in place).
@@ -315,7 +312,7 @@ func NewPipeline(w *Weights, gpu, pinned, cacheArena *memory.Arena, numSeqs int,
 	p := &Pipeline{
 		w: w, layout: layout,
 		db: db, staging: staging, cache: cache,
-		microBatch: cfg.MicroBatch, lookahead: cfg.Lookahead,
+		microBatch:   cfg.MicroBatch,
 		logits:       make([]float32, numSeqs*w.Cfg.VocabSize),
 		normedHead:   make([]float32, numSeqs*w.Cfg.Hidden),
 		kern:         defaultKernels(),
@@ -420,7 +417,7 @@ func (p *Pipeline) begin(prompts, partition [][]int) error {
 		}
 		graph, err := schedule.Build(schedule.CGOPipe, schedule.Plan{
 			Layers: p.w.Cfg.Layers, MicroBatches: nb,
-			Lookahead: p.lookahead, AttnPages: attnPages(table, p.layout.AttnFloats()), LayerFFN: true,
+			AttnPages: attnPages(table, p.layout.AttnFloats()), LayerFFN: true,
 		})
 		if err != nil {
 			return err

@@ -69,8 +69,8 @@ func (p *Pipeline) GenerateStream(prompts [][]int, genLen int, sink StepSink, st
 // retries at most 4 times with backoff capped at 400 µs; Acquire waits
 // only on a fetch in flight and panics rather than waits when every slot
 // is pinned; the KV alloc hook returns an error; sink and stop must not
-// block (the server's push into a buffered channel, a TPOT check under
-// the handle's lock); and the lanes wait only on the builder's graph,
+// block (the server's push into a buffered channel, its stop a cancel
+// poll and a count); and the lanes wait only on the builder's graph,
 // which schedule's TestEngineGraphsRun runs to completion on in-order
 // lanes for every shape. A run that did not end would be a bug, not a
 // condition to recover from.

@@ -181,64 +181,6 @@ func TestServerDropsExpiredTTFTDeadline(t *testing.T) {
 	}
 }
 
-// TestTPOTGuardRetiresHopelessSequence: under the TPOT guard a decoding
-// sequence whose elapsed span already exceeds its whole-generation TPOT
-// budget is retired through the stop path — keeping the tokens it
-// produced (a bit-exact reference prefix) — while its wave-mate runs to
-// completion bit-identical to the oracle.
-func TestTPOTGuardRetiresHopelessSequence(t *testing.T) {
-	cfg := model.Tiny()
-	cpu, gpu, pinned, cacheArena := newTestArenas()
-	w, err := NewRandomWeights(cpu, cfg, 34)
-	if err != nil {
-		t.Fatal(err)
-	}
-	const genLen = 6
-	// Per-step stalls make real time pass between decode boundaries, so
-	// the 1ns budget below is provably blown by the second token.
-	inj := faults.New(faults.Config{StallEvery: 1, StallFor: 2 * time.Millisecond})
-	srv, err := NewServer(&Host{W: w, GPU: gpu, Pinned: pinned, Cache: cacheArena}, ServeConfig{
-		Config:          Config{MicroBatch: 2, MaxContext: 64, Faults: inj},
-		NumMicroBatches: 1, GenLen: genLen, TPOTGuard: true,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	reqs := []workload.Request{
-		{ID: 1, PromptLen: 5},
-		{ID: 2, PromptLen: 6},
-	}
-	hs, err := srv.SubmitBatchSLO(reqs, []SLO{{TPOT: time.Nanosecond}, {}}, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := srv.Close(); err != nil {
-		t.Fatalf("Close: %v", err)
-	}
-	want := refTokens(t, w, reqs, 64, genLen)
-	gotA, aerr := hs[0].Wait()
-	if !errors.Is(aerr, ErrDeadlineExceeded) {
-		t.Fatalf("hopeless request: want ErrDeadlineExceeded, got %v", aerr)
-	}
-	if len(gotA) < 2 || len(gotA) >= genLen {
-		t.Fatalf("hopeless request emitted %d tokens, want >= 2 and < %d", len(gotA), genLen)
-	}
-	if !reflect.DeepEqual(gotA, want[0][:len(gotA)]) {
-		t.Errorf("retired tokens not a reference prefix: got %v, want %v", gotA, want[0][:len(gotA)])
-	}
-	gotB, berr := hs[1].Wait()
-	if berr != nil {
-		t.Fatalf("wave-mate failed: %v", berr)
-	}
-	if !reflect.DeepEqual(gotB, want[1]) {
-		t.Errorf("wave-mate diverged after TPOT retirement:\n got %v\nwant %v", gotB, want[1])
-	}
-	st := srv.Stats()
-	if st.DeadlineDropped != 1 || st.Failed != 1 || st.Completed != 1 || st.KVLeaks != 0 {
-		t.Errorf("stats: %+v", st)
-	}
-}
-
 // TestWaveWatchdogFailsStalledWave: a wave stalled indefinitely at a
 // boundary ends when its WaveTimeout deadline wakes the stall — its
 // request fails with ErrWaveStalled, the KV audit stays clean, the next

@@ -33,10 +33,6 @@ type ServeConfig struct {
 	// already expired at the wave boundary (ErrDeadlineExceeded), before
 	// any prefill is wasted on them.
 	EnforceDeadlines bool
-	// TPOTGuard retires decoding sequences whose elapsed decode time
-	// already exceeds their whole TPOT budget (ErrDeadlineExceeded),
-	// through the normal stop path — survivors stay bit-identical.
-	TPOTGuard bool
 	// WaveTimeout is each wave's deadline: a wave running longer ends at
 	// its next pass boundary and its requests fail with ErrWaveStalled.
 	// 0 sets no deadline.

@@ -2,6 +2,7 @@ package engine
 
 import (
 	"errors"
+	"fmt"
 	"reflect"
 	"testing"
 	"time"
@@ -261,4 +262,46 @@ func TestCancelMidWaveDoesNotStall(t *testing.T) {
 		t.Fatal("Close stalled after mid-wave cancel")
 	}
 	h.Wait() // either canceled or completed depending on timing; must not hang
+}
+
+// TestSLOVerdict is the rule every SLO tally counts by, row by row, and
+// the tally those rows fold into.
+func TestSLOVerdict(t *testing.T) {
+	slo := SLO{TTFT: 100 * time.Millisecond, TPOT: 10 * time.Millisecond}
+	ms := time.Millisecond
+	var tally SLOTally
+	for _, tc := range []struct {
+		name                       string
+		slo                        SLO
+		err                        error
+		tokens                     int
+		ttft, tpot                 time.Duration
+		judged, missTTFT, missTPOT bool
+	}{
+		{"zero SLO is not judged", SLO{}, errors.New("boom"), 0, 0, 0, false, false, false},
+		{"canceled is not judged", slo, fmt.Errorf("wave 3: %w", ErrCanceled), 1, 500 * ms, 0, false, false, false},
+		{"met", slo, nil, 4, 50 * ms, 5 * ms, true, false, false},
+		{"error is a TTFT miss", slo, ErrWaveStalled, 4, 50 * ms, 5 * ms, true, true, false},
+		{"no token is a TTFT miss", slo, nil, 0, 0, 0, true, true, false},
+		{"no token without a TTFT target is met", SLO{TPOT: slo.TPOT}, nil, 0, 0, 0, true, false, false},
+		{"late first token is a TTFT miss", slo, nil, 4, 150 * ms, 5 * ms, true, true, false},
+		{"slow decode is a TPOT miss", slo, nil, 4, 50 * ms, 20 * ms, true, false, true},
+		{"one token is not judged on TPOT", slo, nil, 1, 50 * ms, 20 * ms, true, false, false},
+		{"both misses", slo, nil, 4, 150 * ms, 20 * ms, true, true, true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			judged, missTTFT, missTPOT := tc.slo.Verdict(tc.err, tc.tokens, tc.ttft, tc.tpot)
+			if judged != tc.judged || missTTFT != tc.missTTFT || missTPOT != tc.missTPOT {
+				t.Errorf("Verdict = judged %v, TTFT miss %v, TPOT miss %v; want %v, %v, %v",
+					judged, missTTFT, missTPOT, tc.judged, tc.missTTFT, tc.missTPOT)
+			}
+			wantMet := tc.judged && !tc.missTTFT && !tc.missTPOT
+			if met := tally.Count(tc.slo, tc.err, tc.tokens, tc.ttft, tc.tpot); met != wantMet {
+				t.Errorf("Count = %v, want %v", met, wantMet)
+			}
+		})
+	}
+	if want := (SLOTally{SLORequests: 8, SLOMet: 3, SLOMissTTFT: 4, SLOMissTPOT: 2}); tally != want {
+		t.Errorf("tally %+v, want %+v", tally, want)
+	}
 }

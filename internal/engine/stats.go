@@ -46,24 +46,18 @@ type ServerStats struct {
 	// first.
 	TTFTP50, TTFTP95, TTFTP99 time.Duration
 	TPOTP50, TPOTP95, TPOTP99 time.Duration
-	// SLO accounting over finished requests that carried an SLO
-	// (canceled requests are excluded — the client walked away, the
-	// server neither met nor missed). SLOMet counts requests inside
-	// every stated target; SLOMissTTFT / SLOMissTPOT count the blown
-	// dimension (a request can miss both). A failed SLO request counts
-	// as a TTFT miss: its first token never came.
-	SLORequests, SLOMet      int
-	SLOMissTTFT, SLOMissTPOT int
+	// SLO accounting over finished requests, judged by SLO.Verdict.
+	SLOTally
 	// MaxDeferrals is the most wave boundaries any single request has
 	// been passed over — the observed starvation bound.
 	MaxDeferrals int
 	// Overload / robustness accounting. Shed counts requests rejected at
 	// Submit by overload control (never admitted, not in Submitted);
 	// DeadlineDropped counts admitted requests dropped by deadline
-	// enforcement (queued past their TTFT budget, or retired by the TPOT
-	// guard); WaveTimeouts counts waves that ran past WaveTimeout;
-	// KVLeaks counts waves whose end-of-wave KV-pool audit found blocks
-	// not returned to the free list.
+	// enforcement (queued past their TTFT budget); WaveTimeouts counts
+	// waves that ran past WaveTimeout; KVLeaks counts waves whose
+	// end-of-wave KV-pool audit found blocks not returned to the free
+	// list.
 	Shed, DeadlineDropped, WaveTimeouts, KVLeaks int
 	// Fault accounting from the expert pager: transient fetch faults
 	// absorbed by retry, and fetches that failed past the retry budget
@@ -150,18 +144,15 @@ func (s *Server) finalize(h *Handle, err error) {
 	if n > 1 {
 		tpot = span / time.Duration(n-1)
 	}
-	slo := h.item.SLO
 
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.dequeueLocked(h)
-	canceled := false
 	switch {
 	case err == nil:
 		s.stats.Completed++
 	case errors.Is(err, ErrCanceled):
 		s.stats.Canceled++
-		canceled = true
 	default:
 		s.stats.Failed++
 	}
@@ -175,24 +166,5 @@ func (s *Server) finalize(h *Handle, err error) {
 	if n > 1 {
 		s.tpot = observe(s.tpot, tpot)
 	}
-	// SLO attainment: judged for every finished SLO-carrying request
-	// except canceled ones (the client walked away mid-flight — the
-	// server neither met nor missed). A failed request, or one whose
-	// first token never came, blows its TTFT budget by definition.
-	if slo.IsZero() || canceled {
-		return
-	}
-	s.stats.SLORequests++
-	missTTFT := slo.TTFT > 0 && (n == 0 || ttft > slo.TTFT)
-	missTTFT = missTTFT || (err != nil && !canceled)
-	missTPOT := slo.TPOT > 0 && n > 1 && tpot > slo.TPOT
-	if missTTFT {
-		s.stats.SLOMissTTFT++
-	}
-	if missTPOT {
-		s.stats.SLOMissTPOT++
-	}
-	if !missTTFT && !missTPOT {
-		s.stats.SLOMet++
-	}
+	s.stats.SLOTally.Count(h.item.SLO, err, n, ttft, tpot)
 }

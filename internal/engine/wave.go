@@ -64,24 +64,7 @@ func (s *Server) runWave(pending []*Handle) []*Handle {
 	sink := func(seq, index, token int) { wave[seq].push(index, token) }
 	stop := func(seq, emitted int) bool {
 		h := wave[seq]
-		if h.canceled() || emitted >= h.genLen {
-			return true
-		}
-		// TPOT guard: once the time already spent decoding exceeds the
-		// request's whole TPOT budget for its full generation, no pace of
-		// remaining steps can recover it — retire the sequence through the
-		// normal stop path (its KV blocks free, survivors bit-identical)
-		// instead of burning wave capacity on a blown deadline.
-		if tpot := h.item.SLO.TPOT; s.cfg.TPOTGuard && tpot > 0 && emitted >= 2 {
-			h.mu.Lock()
-			hopeless := h.lastTok.Sub(h.firstTok) > tpot*time.Duration(h.genLen-1)
-			if hopeless {
-				h.tpotHopeless = true
-			}
-			h.mu.Unlock()
-			return hopeless
-		}
-		return false
+		return h.canceled() || emitted >= h.genLen
 	}
 	ctx := context.Background()
 	if s.cfg.WaveTimeout > 0 {
@@ -136,9 +119,6 @@ func (s *Server) runWave(pending []*Handle) []*Handle {
 	}
 
 	for i, h := range wave {
-		h.mu.Lock()
-		hopeless := h.tpotHopeless
-		h.mu.Unlock()
 		var herr error
 		switch {
 		case s.pl.SeqErr(i) != nil:
@@ -147,12 +127,6 @@ func (s *Server) runWave(pending []*Handle) []*Handle {
 			// went back to the survivors), so only this request fails; the
 			// wave and its other requests are unaffected.
 			herr = fmt.Errorf("engine: wave %d: request %d: %w", waveNum, h.ID(), s.pl.SeqErr(i))
-		case hopeless:
-			s.mu.Lock()
-			s.stats.DeadlineDropped++
-			s.mu.Unlock()
-			herr = fmt.Errorf("engine: request %d: TPOT budget (%v) irrecoverable after %d tokens: %w",
-				h.ID(), h.item.SLO.TPOT, len(tokens[i]), ErrDeadlineExceeded)
 		case len(tokens[i]) < h.genLen && h.canceled():
 			herr = ErrCanceled
 		}

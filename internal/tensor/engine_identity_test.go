@@ -60,7 +60,7 @@ func TestEngineTokensSameOnBothTiles(t *testing.T) {
 			t.Fatal(err)
 		}
 		pipe, err := engine.NewPipeline(host.W, host.GPU, host.Pinned, host.Cache, len(prompts),
-			engine.Config{MicroBatch: 2, MaxContext: maxContext, Lookahead: 2, PrefillChunk: chunk, KVDtype: dtype})
+			engine.Config{MicroBatch: 2, MaxContext: maxContext, PrefillChunk: chunk, KVDtype: dtype})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -6,6 +6,7 @@ import (
 	"os"
 	"time"
 
+	"moelightning/internal/engine"
 	"moelightning/internal/metrics"
 )
 
@@ -41,14 +42,11 @@ func SummarizeLatency(h *metrics.Histogram) LatencyMS {
 // at one arrival-rate multiple, measured end to end against a fresh
 // server.
 type SweepPoint struct {
-	Scale            float64   `json:"scale"`
-	OfferedRPS       float64   `json:"offered_rps"`
-	Requests         int       `json:"requests"`
-	Completed        int       `json:"completed"`
-	SLORequests      int       `json:"slo_requests"`
-	SLOMet           int       `json:"slo_met"`
-	SLOMissTTFT      int       `json:"slo_miss_ttft"`
-	SLOMissTPOT      int       `json:"slo_miss_tpot"`
+	Scale      float64 `json:"scale"`
+	OfferedRPS float64 `json:"offered_rps"`
+	Requests   int     `json:"requests"`
+	Completed  int     `json:"completed"`
+	engine.SLOTally
 	GoodputRPS       float64   `json:"goodput_rps"`
 	GoodTokensPerSec float64   `json:"good_tokens_per_sec"`
 	TTFT             LatencyMS `json:"ttft_ms"`

@@ -1,7 +1,6 @@
 package traffic
 
 import (
-	"errors"
 	"fmt"
 	"sort"
 	"sync"
@@ -34,9 +33,6 @@ type RequestResult struct {
 	Tokens     int
 	Err        error
 	SLO        SLO
-	// MetSLO is false for any SLO-bearing request that missed a target
-	// or failed outright; always false for best-effort requests.
-	MetSLO bool
 }
 
 // CohortSummary aggregates one cohort's outcomes within a Report.
@@ -53,8 +49,8 @@ type Report struct {
 	Requests  int
 	Completed int
 	Failed    int
-	// SLO accounting over SLO-bearing requests only.
-	SLORequests, SLOMet, SLOMissTTFT, SLOMissTPOT int
+	// SLO accounting, judged by engine.SLO.Verdict.
+	engine.SLOTally
 	// OfferedRPS is arrivals over the trace span; GoodputRPS counts only
 	// SLO-met requests over the wall-clock run; GoodTokensPerSecond is
 	// their generated tokens over the same window.
@@ -69,10 +65,9 @@ type Report struct {
 // at its arrival offset from its own goroutine — arrivals never wait on
 // the server, exactly like production ingress — and each request's
 // token stream is timed to first token (TTFT) and across decode steps
-// (TPOT). The report judges each SLO-bearing request against its own
-// targets (a failed request counts as a TTFT miss, a canceled one is
-// excluded), and folds latencies into shared histograms for the
-// percentile summary.
+// (TPOT). The report judges each request against its own SLO
+// (engine.SLO.Verdict), and folds latencies into shared histograms for
+// the percentile summary.
 func Run(submit SubmitFunc, trace Trace, cfg RunConfig) (Report, error) {
 	if submit == nil {
 		return Report{}, fmt.Errorf("traffic: Run needs a submit function")
@@ -133,21 +128,9 @@ func Run(submit SubmitFunc, trace Trace, cfg RunConfig) (Report, error) {
 			tpotH.Observe(r.TPOT)
 			ch[1].Observe(r.TPOT)
 		}
-		if !r.SLO.IsZero() && !errors.Is(r.Err, engine.ErrCanceled) {
-			rep.SLORequests++
-			missTTFT := r.Err != nil || (r.SLO.TTFT > 0 && (r.Tokens == 0 || r.TTFT > r.SLO.TTFT))
-			missTPOT := r.SLO.TPOT > 0 && r.Tokens > 1 && r.TPOT > r.SLO.TPOT
-			if missTTFT {
-				rep.SLOMissTTFT++
-			}
-			if missTPOT {
-				rep.SLOMissTPOT++
-			}
-			if !missTTFT && !missTPOT {
-				rep.SLOMet++
-				cs.SLOMet++
-				goodTokens += r.Tokens
-			}
+		if rep.SLOTally.Count(r.SLO, r.Err, r.Tokens, r.TTFT, r.TPOT) {
+			cs.SLOMet++
+			goodTokens += r.Tokens
 		}
 		rep.Cohorts[r.Cohort] = cs
 	}

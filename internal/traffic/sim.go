@@ -40,8 +40,9 @@ type SimReport struct {
 	Waves []SimWave
 	// TTFT maps request ID to its simulated time-to-first-token.
 	TTFT map[int]time.Duration
-	// SLO accounting over SLO-bearing requests (shed = TTFT miss).
-	SLORequests, SLOMet, SLOMissTTFT, SLOMissTPOT int
+	// SLO accounting, judged by engine.SLO.Verdict: a shed request
+	// fails, so it misses TTFT.
+	engine.SLOTally
 	// MaxDeferrals is the worst per-request deferral count observed —
 	// the measured starvation bound.
 	MaxDeferrals int
@@ -142,25 +143,18 @@ func SimulateAdmission(trace Trace, cfg SimConfig) (SimReport, error) {
 		clock = wave.End
 	}
 
-	// Judge SLOs: an admitted request's TTFT is simulated; TPOT is the
-	// cost model's constant decode cadence. Shed requests miss TTFT.
+	// Judge SLOs: every request is judged on its GenLen tokens at the
+	// cost model's constant decode cadence, and an admitted one on its
+	// simulated TTFT. A shed one was refused at arrival: it fails (any
+	// error is a TTFT miss; ErrOverloaded stands for either refusal),
+	// and misses TPOT too when the cadence exceeds its target.
 	for _, ev := range trace.Events {
-		if ev.SLO.IsZero() {
-			continue
-		}
-		rep.SLORequests++
+		var err error
 		ttft, admitted := rep.TTFT[ev.Request.ID]
-		missTTFT := !admitted || (ev.SLO.TTFT > 0 && ttft > ev.SLO.TTFT)
-		missTPOT := ev.SLO.TPOT > 0 && ev.Request.GenLen > 1 && perStep > ev.SLO.TPOT
-		if missTTFT {
-			rep.SLOMissTTFT++
+		if !admitted {
+			err = engine.ErrOverloaded
 		}
-		if missTPOT {
-			rep.SLOMissTPOT++
-		}
-		if !missTTFT && !missTPOT {
-			rep.SLOMet++
-		}
+		rep.SLOTally.Count(ev.SLO, err, ev.Request.GenLen, ttft, perStep)
 	}
 	return rep, nil
 }

@@ -62,10 +62,7 @@ func Sweep(factory Factory, scn Scenario, seed int64, scales []float64, runCfg R
 			OfferedRPS:       rep.OfferedRPS,
 			Requests:         rep.Requests,
 			Completed:        rep.Completed,
-			SLORequests:      rep.SLORequests,
-			SLOMet:           rep.SLOMet,
-			SLOMissTTFT:      rep.SLOMissTTFT,
-			SLOMissTPOT:      rep.SLOMissTPOT,
+			SLOTally:         rep.SLOTally,
 			GoodputRPS:       rep.GoodputRPS,
 			GoodTokensPerSec: rep.GoodTokensPerSecond,
 			TTFT:             rep.TTFT,

@@ -76,8 +76,7 @@ var (
 	// never admitted; fail fast and retry or re-route.
 	ErrOverloaded = engine.ErrOverloaded
 	// ErrDeadlineExceeded reports a request dropped by deadline
-	// enforcement: TTFT budget expired while queued, or the TPOT guard
-	// judged its decode pace irrecoverable.
+	// enforcement: its TTFT budget expired while it was queued.
 	ErrDeadlineExceeded = engine.ErrDeadlineExceeded
 	// ErrWaveStalled reports a wave that ran past WaveTimeout: its
 	// requests fail with it, and the next wave runs under its own
@@ -108,9 +107,6 @@ type ServerConfig struct {
 	// holds MicroBatchSize x MaxContext, charged in whole cache blocks,
 	// and Submit refuses a request an empty micro-batch cannot hold.
 	MaxContext int
-	// Lookahead is the pipeline's CPU-attention lookahead (Alg. 1's
-	// default of 2 when zero).
-	Lookahead int
 	// FixedGenLen makes every request generate exactly GenLen tokens
 	// regardless of its own Request.GenLen — the classic closed-batch
 	// behavior RunFunctional preserves.
@@ -151,10 +147,8 @@ type ServerConfig struct {
 	MaxQueuedRequests int
 	// EnforceDeadlines fails queued requests whose TTFT budget expired
 	// before a wave picked them up (ErrDeadlineExceeded), sparing the
-	// prefill; TPOTGuard retires decoding sequences whose pace can no
-	// longer meet their TPOT budget, bit-identically for survivors.
+	// prefill.
 	EnforceDeadlines bool
-	TPOTGuard        bool
 	// WaveTimeout is each wave's deadline (ErrWaveStalled): a stalled
 	// wave ends at its next pass boundary, so Close never waits on it
 	// for long. 0 sets no deadline.
@@ -222,7 +216,6 @@ func NewServer(cfg ServerConfig) (*Server, error) {
 		Config: engine.Config{
 			MicroBatch:           cfg.MicroBatchSize,
 			MaxContext:           cfg.MaxContext,
-			Lookahead:            cfg.Lookahead,
 			KVDtype:              cfg.KVDtype,
 			PrefillChunk:         cfg.PrefillChunk,
 			SharedPrefix:         cfg.SharedPrefixKV == SharedPrefixOn,
@@ -237,7 +230,6 @@ func NewServer(cfg ServerConfig) (*Server, error) {
 		GenLen:             cfg.GenLen,
 		HonorRequestGenLen: !cfg.FixedGenLen,
 		EnforceDeadlines:   cfg.EnforceDeadlines,
-		TPOTGuard:          cfg.TPOTGuard,
 		WaveTimeout:        cfg.WaveTimeout,
 	}
 	host, err := engine.NewHost(cfg.Model, cfg.Seed, ecfg.MicroBatch*ecfg.NumMicroBatches, ecfg.MaxContext, ecfg.ExpertResidencyBytes)

@@ -340,13 +340,13 @@ func TestNewServerRejectsBigModels(t *testing.T) {
 	}
 }
 
-// TestFunctionalOptionPlumbing: Lookahead reaches the engine (the run
+// TestFunctionalOptionPlumbing: PrefillChunk reaches the engine (the run
 // verifies against the reference under it) and Deferred surfaces in the
 // result.
 func TestFunctionalOptionPlumbing(t *testing.T) {
 	reqs := serverRequests(5, 4)
 	res, err := RunFunctional(TinyMoE(), reqs, FunctionalOptions{
-		ServerConfig: ServerConfig{Seed: 9, GenLen: 4, Lookahead: 3}, Verify: true,
+		ServerConfig: ServerConfig{Seed: 9, GenLen: 4, PrefillChunk: 3}, Verify: true,
 	})
 	if err != nil {
 		t.Fatal(err)
