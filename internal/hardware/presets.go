@@ -145,14 +145,15 @@ func DualA100() Spec {
 // both "GPU" and "CPU" levels are the host's core pool and DRAM, and
 // the "link" is a memcpy: through the pinned staging arena for the
 // shared weights, straight into a resident slot for an expert block.
-// The peaks are *nominal* — cores x 32 GFLOP/s (an 8-lane FMA at 2 GHz)
-// and a 16 GB/s DRAM stream per level — deliberately what a spec sheet
-// would claim, not what scalar Go kernels sustain. That gap is the
+// The peaks are *nominal* — cores x 64 GFLOP/s (an AVX2 core's issue
+// limit: two 8-lane FMA ports at 2 GHz) and a 16 GB/s DRAM stream per
+// level — deliberately what a spec sheet would claim, not what the
+// kernels sustain (the AVX2 tiles issue a multiply and an add where an
+// FMA would be one, and the Go loops are scalar). That gap is the
 // point: predictions from this spec's analytic curve miss the real
-// engine by an order of magnitude, and internal/calib's measured
-// table is what closes it. Calibration tables store efficiencies
-// relative to these raw peaks, so predictions only compose with
-// inputs built on the same spec.
+// engine, and internal/calib's measured table is what closes it.
+// Calibration tables store efficiencies relative to these raw peaks,
+// so predictions only compose with inputs built on the same spec.
 func Host(cores int) Spec {
 	if cores < 1 {
 		cores = 1
@@ -160,7 +161,7 @@ func Host(cores int) Spec {
 	level := func(name string, mem int64) CPU {
 		return CPU{
 			Name: name, MemBytes: mem,
-			MemBandwidth: GBps(16), PeakFLOPS: float64(cores) * 32e9,
+			MemBandwidth: GBps(16), PeakFLOPS: float64(cores) * 64e9,
 			Cores: cores, EffBandwidth: 0.80, EffFLOPS: 0.50,
 		}
 	}
