@@ -17,8 +17,10 @@
 //   - "attend-f32" / "attend-int8" entries bucket by Context and
 //     calibrate the attention core at either KV codec (OpAttendF32,
 //     OpAttendInt8, and OpCPUAttn via Shape.KVInt8);
-//   - "prefill" entries bucket by Tokens (wave prompt tokens) and
-//     calibrate OpPrefill from whole packed-prefill passes;
+//   - "prefill" / "prefill-int8" entries bucket by Tokens (wave prompt
+//     tokens) and calibrate OpPrefill from whole packed-prefill passes
+//     at either KV codec (via Shape.KVInt8: an int8 pass also quantizes
+//     every appended K/V row);
 //   - "decode-step" entries record whole pipelined decode steps (warm
 //     and cold expert pools). They are not queried per-op; instead
 //     Build folds them into ScheduleEffDecode — the ratio of the
@@ -66,7 +68,7 @@ const ErrorBand = 0.25
 // Entry is one benchmarked op instance.
 type Entry struct {
 	// Op is the measured kernel family ("gemm", "attend-f32",
-	// "attend-int8", "prefill", "decode-step").
+	// "attend-int8", "prefill", "prefill-int8", "decode-step").
 	Op string `json:"op"`
 	// Tokens and Context are the shape-bucket key (Context only for
 	// attention entries).
@@ -169,6 +171,9 @@ func entryOp(op roofline.OpClass, s roofline.Shape) string {
 		}
 		return "attend-f32"
 	case roofline.OpPrefill, roofline.OpPrefillChunk:
+		if s.KVInt8 {
+			return "prefill-int8"
+		}
 		return "prefill"
 	}
 	return ""

@@ -76,12 +76,14 @@ func Build(cfg BuildConfig) (*Table, error) {
 			t.Entries = append(t.Entries, e)
 		}
 	}
-	for _, chunk := range prefillChunks {
-		e, err := t.measurePrefill(cfg, chunk)
-		if err != nil {
-			return nil, err
+	for _, dtype := range []kvcache.DType{kvcache.F32, kvcache.Int8} {
+		for _, chunk := range prefillChunks {
+			e, err := t.measurePrefill(cfg, dtype, chunk)
+			if err != nil {
+				return nil, err
+			}
+			t.Entries = append(t.Entries, e)
 		}
-		t.Entries = append(t.Entries, e)
 	}
 	if err := t.closeDecodeLoop(cfg, decodeSteps); err != nil {
 		return nil, err
@@ -190,9 +192,10 @@ func (t *Table) measureAttend(cfg BuildConfig, dtype kvcache.DType, items, conte
 }
 
 // measurePrefill times one whole wave-packed prefill pass at the given
-// chunk bound; the wave is sized so total prompt tokens equal the
-// chunk, making the entry's bucket key the packed-batch size itself.
-func (t *Table) measurePrefill(cfg BuildConfig, chunk int) (Entry, error) {
+// KV codec and chunk bound; the wave is sized so total prompt tokens
+// equal the chunk, making the entry's bucket key the packed-batch size
+// itself.
+func (t *Table) measurePrefill(cfg BuildConfig, dtype kvcache.DType, chunk int) (Entry, error) {
 	seqs := 8
 	if chunk < seqs {
 		seqs = chunk
@@ -202,7 +205,7 @@ func (t *Table) measurePrefill(cfg BuildConfig, chunk int) (Entry, error) {
 	// outside the timer) until enough wall clock accumulates.
 	bench := engine.BenchConfig{
 		Model: cfg.Model, Seed: cfg.Seed, Seqs: seqs, PromptLen: promptLen,
-		Config: engine.Config{PrefillChunk: chunk, KVDtype: kvcache.F32},
+		Config: engine.Config{PrefillChunk: chunk, KVDtype: dtype},
 	}
 	min := t.minTime(cfg).Seconds()
 	var tokens int
@@ -220,7 +223,11 @@ func (t *Table) measurePrefill(cfg BuildConfig, chunk int) (Entry, error) {
 	secs := total / float64(passes)
 	cost := cfg.Model.PrefillCost(tokens, promptLen)
 	effC, effB := t.effOf(cost.FLOPs, cost.Bytes(), secs)
-	return Entry{Op: "prefill", Tokens: tokens, FLOPs: cost.FLOPs,
+	op := "prefill"
+	if dtype == kvcache.Int8 {
+		op = "prefill-int8"
+	}
+	return Entry{Op: op, Tokens: tokens, FLOPs: cost.FLOPs,
 		Bytes: cost.Bytes(), Seconds: secs, EffCompute: effC, EffBandwidth: effB}, nil
 }
 

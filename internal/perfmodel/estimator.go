@@ -202,7 +202,7 @@ func (e *Estimator) PrefillTime(p Policy) float64 {
 	if e.In.Paged {
 		launch = totalTokens
 	}
-	gpu := e.gpuOpTime(roofline.OpPrefill, roofline.Shape{Tokens: launch}, cost.FLOPs, cost.Bytes())
+	gpu := e.gpuOpTime(roofline.OpPrefill, roofline.Shape{Tokens: launch, KVInt8: e.In.KVCodec == KVPagedInt8}, cost.FLOPs, cost.Bytes())
 
 	weights := e.linkTime(float64(m.TotalWeightBytes()) * (1 - p.WeightsGPURatio))
 	if p.WeightsDiskRatio > 0 && e.In.Spec.Disk.Present() {

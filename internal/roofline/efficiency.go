@@ -50,8 +50,9 @@ const (
 // Shape characterizes one op instance for efficiency lookup: the token
 // count driving kernel saturation (GEMM rows, query tokens per launch)
 // and, for attention ops, the cached context length being read plus
-// whether the KV cache is int8 group-quantized (OpCPUAttn carries the
-// codec here; the GPU attend classes carry it in the class name).
+// whether the KV cache is int8 group-quantized (OpCPUAttn and OpPrefill
+// carry the codec here; the GPU attend classes carry it in the class
+// name).
 type Shape struct {
 	Tokens  int
 	Context int
