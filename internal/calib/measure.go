@@ -122,23 +122,26 @@ func (t *Table) minTime(cfg BuildConfig) time.Duration {
 	return 25 * time.Millisecond
 }
 
-// measureGEMM times the engine's parallel matmul kernel on a
-// tokens x Hidden by Hidden x Intermediate tile — the shape class
-// behind the projection and expert-FFN GEMMs.
+// measureGEMM times the kernel the expert FFN runs, MatMulPParallel
+// over panel-stored weights, on the expert up-projection: tokens x
+// Hidden against Intermediate x Hidden. The entry calibrates every
+// projection/FFN query, though the shared projections run MatMulT's
+// row-lane tile; the decode closure factor absorbs the difference.
+// (Random values need no packing: any slice is some matrix in panels.)
 func (t *Table) measureGEMM(cfg BuildConfig, tokens int) Entry {
 	m := cfg.Model
 	h, inter := m.Hidden, m.Intermediate
 	rng := rand.New(rand.NewSource(cfg.Seed + int64(tokens)))
 	a := tensor.NewMat(tokens, h)
-	bT := tensor.NewMat(inter, h)
+	b := tensor.PanelsFromSlice(inter, h, make([]float32, inter*h))
 	dst := tensor.NewMat(tokens, inter)
 	for i := range a.Data {
 		a.Data[i] = rng.Float32() - 0.5
 	}
-	for i := range bT.Data {
-		bT.Data[i] = rng.Float32() - 0.5
+	for i := range b.Data {
+		b.Data[i] = rng.Float32() - 0.5
 	}
-	secs := timeOp(t.minTime(cfg), func() { tensor.MatMulTParallel(dst, a, bT) })
+	secs := timeOp(t.minTime(cfg), func() { tensor.MatMulPParallel(dst, a, b) })
 
 	flops := 2 * float64(tokens) * float64(h) * float64(inter)
 	bytes := 4 * float64(tokens*h+h*inter+tokens*inter)

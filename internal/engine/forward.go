@@ -69,7 +69,7 @@ func preAttention(layout Layout, layer []float32, x tensor.Mat, positions []int,
 // it onto the sequences routed to that expert. A failed Acquire is
 // never Released.
 type expertSource interface {
-	Acquire(e int) (gate, up, down tensor.Mat, err error)
+	Acquire(e int) (gate, up, down tensor.Panels, err error)
 	Release(e int)
 }
 
@@ -81,7 +81,7 @@ type residentExperts struct {
 	data   []float32
 }
 
-func (s residentExperts) Acquire(e int) (gate, up, down tensor.Mat, err error) {
+func (s residentExperts) Acquire(e int) (gate, up, down tensor.Panels, err error) {
 	gate, up, down = s.layout.Expert(s.data, e)
 	return gate, up, down, nil
 }
@@ -227,11 +227,11 @@ func expertFFN(layout Layout, experts expertSource, x tensor.Mat, scratch *ffnSc
 		}
 		gateAct := tensor.FromSlice(ne, h2, scratch.gateAct[:ne*h2])
 		upAct := tensor.FromSlice(ne, h2, scratch.upAct[:ne*h2])
-		tensor.MatMulTParallel(gateAct, xe, gate)
-		tensor.MatMulTParallel(upAct, xe, up)
+		tensor.MatMulPParallel(gateAct, xe, gate)
+		tensor.MatMulPParallel(upAct, xe, up)
 		tensor.SiLUMul(gateAct.Data, gateAct.Data, upAct.Data)
 		expProj := tensor.FromSlice(ne, h, scratch.expProj[:ne*h])
-		tensor.MatMulTParallel(expProj, gateAct, down)
+		tensor.MatMulPParallel(expProj, gateAct, down)
 		experts.Release(e)
 		weights := scratch.bucketW[e]
 		for r, t := range toks {

@@ -90,8 +90,10 @@ func (l Layout) ResidencySlots(bytes int) int {
 	return n
 }
 
-// Views over a layer's flat data. Weights are stored transposed
-// ([out, in]) for MatMulT.
+// Views over a layer's flat data. The shared projections are stored
+// transposed ([out, in]) for MatMulT; an expert's gate, up and down are
+// the same [out, in] matrices in tensor.Panels order for MatMulP, in
+// the CPU home and so, byte for byte, in every pager slot.
 
 func (l Layout) AttnNorm(data []float32) []float32 {
 	return data[l.attnNorm : l.attnNorm+l.cfg.Hidden]
@@ -122,25 +124,21 @@ func (l Layout) Router(data []float32) tensor.Mat {
 }
 
 // Expert returns the gate, up and down projections of expert e.
-func (l Layout) Expert(data []float32, e int) (gate, up, down tensor.Mat) {
+func (l Layout) Expert(data []float32, e int) (gate, up, down tensor.Panels) {
 	if e < 0 || e >= l.cfg.Experts {
 		panic(fmt.Sprintf("engine: expert %d out of %d", e, l.cfg.Experts))
 	}
 	base := l.expertBase + e*l.expertSize
-	h, h2 := l.cfg.Hidden, l.cfg.Intermediate
-	gate = tensor.FromSlice(h2, h, data[base+l.gate:base+l.up])
-	up = tensor.FromSlice(h2, h, data[base+l.up:base+l.down])
-	down = tensor.FromSlice(h, h2, data[base+l.down:base+l.expertSize])
-	return gate, up, down
+	return l.ExpertWeights(data[base : base+l.expertSize])
 }
 
 // ExpertWeights views a standalone expert block (ExpertFloats long) as
 // its gate, up and down projections — the pager-slot counterpart of
 // Expert, which indexes a full layer region.
-func (l Layout) ExpertWeights(data []float32) (gate, up, down tensor.Mat) {
+func (l Layout) ExpertWeights(data []float32) (gate, up, down tensor.Panels) {
 	h, h2 := l.cfg.Hidden, l.cfg.Intermediate
-	gate = tensor.FromSlice(h2, h, data[l.gate:l.up])
-	up = tensor.FromSlice(h2, h, data[l.up:l.down])
-	down = tensor.FromSlice(h, h2, data[l.down:l.expertSize])
+	gate = tensor.PanelsFromSlice(h2, h, data[l.gate:l.up])
+	up = tensor.PanelsFromSlice(h2, h, data[l.up:l.down])
+	down = tensor.PanelsFromSlice(h, h2, data[l.down:l.expertSize])
 	return gate, up, down
 }

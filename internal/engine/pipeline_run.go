@@ -653,12 +653,12 @@ type pagedExperts struct {
 	layer int
 }
 
-func (s *pagedExperts) Acquire(e int) (gate, up, down tensor.Mat, err error) {
+func (s *pagedExperts) Acquire(e int) (gate, up, down tensor.Panels, err error) {
 	block, err := s.p.pager.Acquire(paging.ExpertKey{Layer: s.layer, Expert: e})
 	if err != nil {
 		// The caller (expertFFN) skips the expert without touching
 		// the matrices or calling Release.
-		return tensor.Mat{}, tensor.Mat{}, tensor.Mat{}, err
+		return tensor.Panels{}, tensor.Panels{}, tensor.Panels{}, err
 	}
 	gate, up, down = s.p.layout.ExpertWeights(block)
 	return gate, up, down, nil

@@ -582,9 +582,9 @@ type failingExperts struct {
 	err    error
 }
 
-func (f failingExperts) Acquire(e int) (gate, up, down tensor.Mat, err error) {
+func (f failingExperts) Acquire(e int) (gate, up, down tensor.Panels, err error) {
 	if e == f.expert {
-		return tensor.Mat{}, tensor.Mat{}, tensor.Mat{}, f.err
+		return tensor.Panels{}, tensor.Panels{}, tensor.Panels{}, f.err
 	}
 	return f.expertSource.Acquire(e)
 }

@@ -44,6 +44,23 @@ func seedMatMulT(dst, a, bT tensor.Mat) {
 	}
 }
 
+// seedMatMulP is seedMatMulT over an expert matrix stored in panels:
+// the same loop, reading element (j, k) at its panel slot.
+func seedMatMulP(dst, a tensor.Mat, b tensor.Panels) {
+	for i := 0; i < a.Rows; i++ {
+		ar := a.Row(i)
+		dr := dst.Row(i)
+		for j := 0; j < b.N; j++ {
+			off, stride := b.Col(j)
+			var sum float32
+			for k, av := range ar {
+				sum += float32(av * b.Data[off+k*stride])
+			}
+			dr[j] = sum
+		}
+	}
+}
+
 // seedTopK is the seed O(n*k^2) selection with the rescan.
 func seedTopK(x []float32, k int) []int {
 	if k > len(x) {
@@ -168,13 +185,13 @@ func seedExpertFFN(layout Layout, experts expertSource, x tensor.Mat, scratch *s
 			if aerr != nil {
 				panic(aerr) // seed benches run on resident experts only
 			}
-			seedMatMulT(tensor.FromSlice(1, cfg.Intermediate, scratch.gateAct), nm, gate)
-			seedMatMulT(tensor.FromSlice(1, cfg.Intermediate, scratch.upAct), nm, up)
+			seedMatMulP(tensor.FromSlice(1, cfg.Intermediate, scratch.gateAct), nm, gate)
+			seedMatMulP(tensor.FromSlice(1, cfg.Intermediate, scratch.upAct), nm, up)
 			tensor.SiLU(scratch.gateAct)
 			for k := range scratch.gateAct {
 				scratch.gateAct[k] *= scratch.upAct[k]
 			}
-			seedMatMulT(tensor.FromSlice(1, cfg.Hidden, scratch.proj),
+			seedMatMulP(tensor.FromSlice(1, cfg.Hidden, scratch.proj),
 				tensor.FromSlice(1, cfg.Intermediate, scratch.gateAct), down)
 			experts.Release(e)
 			tensor.Axpy(sel[j], scratch.proj, scratch.ffnOut)

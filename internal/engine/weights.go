@@ -48,8 +48,21 @@ func NewRandomWeights(cpu *memory.Arena, cfg model.Config, seed int64) (*Weights
 			return nil, err
 		}
 		data := r.Data()
-		for i := range data {
+		for i := range data[:layout.SharedFloats()] {
 			data[i] = (rng.Float32()*2 - 1) * scale
+		}
+		// Expert matrices take the same draws in the same order, row
+		// after row of [out, in], each element written to its panel slot.
+		for e := 0; e < cfg.Experts; e++ {
+			gate, up, down := layout.Expert(data, e)
+			for _, m := range []tensor.Panels{gate, up, down} {
+				for j := 0; j < m.N; j++ {
+					off, stride := m.Col(j)
+					for kk := 0; kk < m.K; kk++ {
+						m.Data[off+kk*stride] = (rng.Float32()*2 - 1) * scale
+					}
+				}
+			}
 		}
 		// Norm weights want to be ~1, not ~0.
 		for i, v := range layout.AttnNorm(data) {

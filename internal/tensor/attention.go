@@ -211,11 +211,11 @@ func combineGo(out, p []float32, ctx int, x []float32, ld, n, headDim int) {
 	}
 }
 
-// combineVec is combineGo on the AVX2 combine kernel, four heads a call.
+// combineVec is combineGo on axpyRowsAVX2, four heads a call.
 func combineVec(out, p []float32, ctx int, x []float32, ld, n, headDim int) {
 	hn := len(out) / headDim
 	for g := 0; g < hn; g += 4 {
-		attnCombineAVX2(&out[g*headDim], headDim, min(4, hn-g), &p[g*ctx], ctx, &x[0], ld, n, headDim)
+		axpyRowsAVX2(&out[g*headDim], headDim, min(4, hn-g), &p[g*ctx], ctx, &x[0], ld, n, headDim)
 	}
 }
 

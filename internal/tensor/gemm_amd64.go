@@ -5,8 +5,8 @@ package tensor
 import "math"
 
 // useAVX2 selects the vector kernels: the GEMM tile in matMulTBlock,
-// attention's score and combine kernels, and exp32's lanes in Softmax
-// and SiLUMul. It is set once from CPUID; only tests assign it
+// the column-lane GEMM in matMulPBlock, attention's score and combine
+// kernels, and exp32's lanes in Softmax and SiLUMul. It is set once from CPUID; only tests assign it
 // afterwards, to run both kernel sets on one host.
 var useAVX2 = cpuHasAVX2()
 
@@ -15,8 +15,12 @@ func cpuHasAVX2() bool
 //go:noescape
 func gemmPanel8AVX2(dst *float32, ldd, rows int, panel *float32, k int, b *float32, ldb, nblk int)
 
+// axpyRowsAVX2 sets o[r*ldo+i] += p[r*ldp+t] * v[t*ldv+i] for rows r
+// < rows (1 to 4), i < dim (a multiple of 8) and t < n ascending: the
+// panel GEMM's kernel and attention's combine.
+//
 //go:noescape
-func attnCombineAVX2(o *float32, ldo, heads int, p *float32, ldp int, v *float32, ldv, n, dim int)
+func axpyRowsAVX2(o *float32, ldo, rows int, p *float32, ldp int, v *float32, ldv, n, dim int)
 
 // The exp kernels (exp_amd64.s) take n elements, a positive multiple of
 // eight, and compute exp32 eight lanes at a time.

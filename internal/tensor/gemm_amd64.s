@@ -141,45 +141,49 @@ next:
 	VZEROUPPER
 	RET
 
-// One head's step over sixteen (eight) lanes: a += p * v[t], with v[t]
-// in Y8 (and Y9), the product rounded before the sum.
-#define HEAD16(paddr, a0, a1) \
+// One row's step over sixteen (eight) lanes: acc += p * v[t], with
+// v[t] in Y8 (and Y9), the product rounded before the sum.
+#define ROW16(paddr, a0, a1) \
 	VBROADCASTSS paddr, Y10; \
 	VMULPS       Y8, Y10, Y11; \
 	VADDPS       Y11, a0, a0; \
 	VMULPS       Y9, Y10, Y10; \
 	VADDPS       Y10, a1, a1
 
-#define HEAD8(paddr, a0) \
+#define ROW8(paddr, a0) \
 	VBROADCASTSS paddr, Y10; \
 	VMULPS       Y8, Y10, Y10; \
 	VADDPS       Y10, a0, a0
 
-// func attnCombineAVX2(o *float32, ldo, heads int, p *float32, ldp int, v *float32, ldv, n, dim int)
+// func axpyRowsAVX2(o *float32, ldo, rows int, p *float32, ldp int, v *float32, ldv, n, dim int)
 //
-// For heads (1 to 4) output rows and n rows of v computes
+// For rows (1 to 4) output rows and n rows of v computes
 //
-//	o[h*ldo + i] += p[h*ldp + t] * v[t*ldv + i]
+//	o[r*ldo + i] += p[r*ldp + t] * v[t*ldv + i]
 //
-// for i < dim, t ascending — each element one accumulator, as in Axpy.
-// Lanes run across i, sixteen at a time and then eight; dim must be a
-// multiple of 8, n at least 1. Each output row is loaded and stored
-// once per lane block, each v row read once for all heads. The head
-// count is tested inside the step, where the branches always go the
-// same way; one CMPQ $2 serves the "one head" and "two heads" exits,
-// as vector instructions leave the flags alone.
-TEXT ·attnCombineAVX2(SB), NOSPLIT, $0-72
+// for i < dim, t ascending — each element one accumulator, as Axpy
+// applied for t = 0, 1, ... Lanes run across i, sixteen at a time and
+// then eight; dim must be a multiple of 8, n at least 1. Two callers
+// share it: the GEMM over panel-stored weights (matMulPBlock: p is up
+// to four rows of a, v one 16-column panel, t the reduction k) and
+// attention's combine (combineVec: p is up to four heads' softmax
+// rows, v a block of value rows, i across headDim). Each output row is
+// loaded and stored once per lane block, each v row read once for all
+// rows. The row count is tested inside the step, where the branches
+// always go the same way; one CMPQ $2 serves the "one row" and "two
+// rows" exits, as vector instructions leave the flags alone.
+TEXT ·axpyRowsAVX2(SB), NOSPLIT, $0-72
 	MOVQ o+0(FP), DI
 	MOVQ ldo+8(FP), R8
-	MOVQ heads+16(FP), R9
+	MOVQ rows+16(FP), R9
 	MOVQ p+24(FP), SI
 	MOVQ ldp+32(FP), R10
 	MOVQ v+40(FP), BX
 	MOVQ ldv+48(FP), R12
 	MOVQ dim+64(FP), CX
 	SHLQ $2, R8             // output row stride in bytes
-	SHLQ $2, R10            // p head stride in bytes
-	LEAQ (R10)(R10*2), R11  // three p heads
+	SHLQ $2, R10            // p row stride in bytes
+	LEAQ (R10)(R10*2), R11  // three p rows
 	SHLQ $2, R12            // v row stride in bytes
 
 wide:
@@ -208,15 +212,15 @@ wrun:
 wstep:
 	VMOVUPS (DX), Y8
 	VMOVUPS 32(DX), Y9
-	HEAD16((AX), Y0, Y1)
+	ROW16((AX), Y0, Y1)
 	CMPQ    R9, $2
 	JLT     wnext
-	HEAD16((AX)(R10*1), Y2, Y3)
+	ROW16((AX)(R10*1), Y2, Y3)
 	JEQ     wnext
-	HEAD16((AX)(R10*2), Y4, Y5)
+	ROW16((AX)(R10*2), Y4, Y5)
 	CMPQ    R9, $4
 	JLT     wnext
-	HEAD16((AX)(R11*1), Y6, Y7)
+	ROW16((AX)(R11*1), Y6, Y7)
 
 wnext:
 	ADDQ $4, AX
@@ -266,15 +270,15 @@ nrun:
 
 nstep:
 	VMOVUPS (DX), Y8
-	HEAD8((AX), Y0)
+	ROW8((AX), Y0)
 	CMPQ    R9, $2
 	JLT     nnext
-	HEAD8((AX)(R10*1), Y2)
+	ROW8((AX)(R10*1), Y2)
 	JEQ     nnext
-	HEAD8((AX)(R10*2), Y4)
+	ROW8((AX)(R10*2), Y4)
 	CMPQ    R9, $4
 	JLT     nnext
-	HEAD8((AX)(R11*1), Y6)
+	ROW8((AX)(R11*1), Y6)
 
 nnext:
 	ADDQ $4, AX

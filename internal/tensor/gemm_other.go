@@ -6,19 +6,20 @@ package tensor
 // cannot see what assembly reads and writes, so a -race build runs the
 // Go kernels and every GEMM and attention access stays visible to it
 // (and every kernel is slowed alike, which the calibration test's
-// timings rely on). The Go tile in matMulTBlock, attention's Go score
-// and combine loops and exp32 are then the only kernels.
+// timings rely on). The Go tile in matMulTBlock, Axpy over panels in
+// matMulPBlock, attention's Go score and combine loops and exp32 are
+// then the only kernels.
 var useAVX2 = false
 
 func matMulTVec(dst, a, bT Mat, lo, hi, jlo, jhi int) int { return jlo }
 
-// The vector kernels' stubs: attention, Softmax and SiLUMul call them
-// only when useAVX2.
+// The vector kernels' stubs: the panel GEMM, attention, Softmax and
+// SiLUMul call them only when useAVX2.
 func gemmPanel8AVX2(dst *float32, ldd, rows int, panel *float32, k int, b *float32, ldb, nblk int) {
 	panic("tensor: no AVX2 kernels in this build")
 }
 
-func attnCombineAVX2(o *float32, ldo, heads int, p *float32, ldp int, v *float32, ldv, n, dim int) {
+func axpyRowsAVX2(o *float32, ldo, rows int, p *float32, ldp int, v *float32, ldv, n, dim int) {
 	panic("tensor: no AVX2 kernels in this build")
 }
 

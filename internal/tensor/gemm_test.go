@@ -108,7 +108,8 @@ func TestMatMulTTilesAgree(t *testing.T) {
 
 // TestMatMulTParallelNoAllocs pins the panel scratch to the stack: at
 // the bench model's decode and prefill expert shapes a sequential
-// MatMulTParallel allocates nothing on either tile. (Fanned out over
+// MatMulTParallel, and MatMulPParallel over the same matrix in panels,
+// allocate nothing on either tile. (Fanned out over
 // several workers it allocates the closure and wait group it always
 // has; AllocsPerRun measures at GOMAXPROCS 1, so the default pool is
 // swapped for a one-worker one.)
@@ -122,6 +123,10 @@ func TestMatMulTParallelNoAllocs(t *testing.T) {
 			a, bT, dst := benchMats(sh[0], sh[1], sh[2])
 			if n := testing.AllocsPerRun(10, func() { MatMulTParallel(dst, a, bT) }); n != 0 {
 				t.Errorf("MatMulTParallel %dx%d->%d: %v allocs per call, want 0", sh[0], sh[1], sh[2], n)
+			}
+			b := packPanels(bT)
+			if n := testing.AllocsPerRun(10, func() { MatMulPParallel(dst, a, b) }); n != 0 {
+				t.Errorf("MatMulPParallel %dx%d->%d: %v allocs per call, want 0", sh[0], sh[1], sh[2], n)
 			}
 		}
 	})

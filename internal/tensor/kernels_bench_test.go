@@ -50,16 +50,48 @@ func BenchmarkKernelsMatMulTParallel(b *testing.B) {
 // BenchmarkKernelsMatMulTRows is one core on the bench model's expert
 // up-projection (k 128, 448 columns) at the row counts the engine runs:
 // a lone token, a decode micro-batch, a small wave, a prefill chunk.
+// layout=rows is MatMulT on the row-major matrix, layout=panels MatMulP
+// on the same matrix in panels, the layout the expert FFN runs. With
+// b=warm every call reads the same matrix (L2-resident); with b=cold
+// calls rotate over 144 of them, one decode step's expert weights
+// (31.5 MiB, from L3 as in the engine). Each runs on the vector kernels
+// and on Go.
 func BenchmarkKernelsMatMulTRows(b *testing.B) {
+	const k, n, cold = 128, 448, 144
+	var mats []Mat
+	var panels []Panels
 	for _, rows := range []int{1, 2, 4, 16, 256} {
-		b.Run(fmt.Sprint(rows), func(b *testing.B) {
-			a, bT, dst := benchMats(rows, 128, 448)
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				MatMulT(dst, a, bT)
+		for _, warm := range []bool{true, false} {
+			for _, layout := range []string{"rows", "panels"} {
+				prefix := fmt.Sprintf("rows=%d/b=cold/layout=%s/", rows, layout)
+				if warm {
+					prefix = fmt.Sprintf("rows=%d/b=warm/layout=%s/", rows, layout)
+				}
+				vectorRun(b, prefix, func(b *testing.B) {
+					if mats == nil {
+						rng := rand.New(rand.NewSource(1))
+						for range cold {
+							mats = append(mats, randMat(rng, n, k))
+							panels = append(panels, packPanels(mats[len(mats)-1]))
+						}
+					}
+					a, dst := randMat(rand.New(rand.NewSource(2)), rows, k), NewMat(rows, n)
+					step := 0
+					if !warm {
+						step = 1
+					}
+					b.ResetTimer()
+					for i, m := 0, 0; i < b.N; i, m = i+1, (m+step)%cold {
+						if layout == "rows" {
+							MatMulT(dst, a, mats[m])
+						} else {
+							MatMulP(dst, a, panels[m])
+						}
+					}
+					b.ReportMetric(2*float64(rows*k*n)*float64(b.N)/b.Elapsed().Seconds()/1e9, "GFLOP/s")
+				})
 			}
-			b.ReportMetric(2*float64(rows*128*448)*float64(b.N)/b.Elapsed().Seconds()/1e9, "GFLOP/s")
-		})
+		}
 	}
 }
 

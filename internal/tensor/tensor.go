@@ -1,31 +1,34 @@
 // Package tensor provides the dense float32 compute kernels the
 // functional engine runs: tiled transposed-weight matrix multiplication
-// with a worker-pool parallel variant, RMSNorm, softmax, fused SiLU,
-// rotary embeddings, batched attention and top-k selection, on flat
-// row-major slices. Kernels are deterministic by construction: every
-// variant of an operation computes each output element with the same
-// accumulation order, so tiled, parallel and batched paths agree bit
-// for bit with their scalar counterparts at any worker count. The
-// invariant: one accumulator per output element, walking its reduction
-// in ascending order, the multiply and the add rounded separately
-// (`s += float32(a*b)`). For the GEMM the reduction is over k; in
-// attention a score is a GEMM element (a query head against one key's
-// head slice, over headDim) and a combine element is one accumulator
-// over the context positions t, as Axpy. The Go loops (matMulTBlock,
-// Dot, Axpy) are the definition; on amd64 with AVX2 the assembly
-// kernels (gemm_amd64.s) put eight such elements side by side in one
-// register — lanes across output rows for the GEMM and across query
-// heads for attention scores, across headDim for the combine; never an
-// FMA, never a sum across lanes — and are tested identical to the Go
-// loops, which every other host and every -race build runs. The
-// exponential in Softmax and SiLUMul is exp32 (exp.go), one float32
-// function defined in Go step by step, each multiply and add rounded on
-// its own; its AVX2 lanes (exp_amd64.s) run the same steps eight
-// elements at a time and are tested identical to it, and Softmax states
-// its float64 sum as eight strided parts so lanes can hold them. Nothing
-// here calls math.Exp. Quantization is scalar Go. Modeling the
-// performance of full-size models remains the job of the perfmodel/sim
-// packages.
+// and, for weights stored as 16-column panels (Panels), a column-lane
+// one, each with a worker-pool parallel variant; RMSNorm, softmax,
+// fused SiLU, rotary embeddings, batched attention and top-k selection,
+// on flat row-major slices. Kernels are deterministic by construction:
+// every variant of an operation computes each output element with the
+// same accumulation order, so tiled, panel, parallel and batched paths
+// agree bit for bit with their scalar counterparts at any worker count.
+// The invariant: one accumulator per output element, walking its
+// reduction in ascending order, the multiply and the add rounded
+// separately (`s += float32(a*b)`). For the GEMM the reduction is over
+// k; in attention a score is a GEMM element (a query head against one
+// key's head slice, over headDim) and a combine element is one
+// accumulator over the context positions t, as Axpy. The Go loops
+// (matMulTBlock, Dot, Axpy — the panel GEMM is Axpy over a panel's
+// rows) are the definition; on amd64 with AVX2 the assembly kernels
+// (gemm_amd64.s) put eight such elements side by side in one register —
+// lanes across output rows for the row-major GEMM and across query
+// heads for attention scores (one tile, gemmPanel8AVX2), across output
+// columns for the panel GEMM and across headDim for the combine (one
+// kernel, axpyRowsAVX2); never an FMA, never a sum across lanes — and
+// are tested identical to the Go loops, which every other host and
+// every -race build runs. The exponential in Softmax and SiLUMul is
+// exp32 (exp.go), one float32 function defined in Go step by step, each
+// multiply and add rounded on its own; its AVX2 lanes (exp_amd64.s) run
+// the same steps eight elements at a time and are tested identical to
+// it, and Softmax states its float64 sum as eight strided parts so
+// lanes can hold them. Nothing here calls math.Exp. Quantization is
+// scalar Go. Modeling the performance of full-size models remains the
+// job of the perfmodel/sim packages.
 package tensor
 
 import (
