@@ -4,65 +4,45 @@
 //
 //	moebench -exp fig7 [-settings S1,S2] [-gens 32,64,128,256]
 //	moebench -exp tab4 | tab5 | fig1 | fig4 | fig5 | fig6 | fig8 | fig9 | fig10
-//	moebench -exp slo     (open-loop traffic + SLO sweep -> BENCH_serve.json)
+//	moebench -exp calib | chaos [-quick] [-json FILE]
 //	moebench -exp all
 //
 // Each experiment prints the same rows/series the paper reports; see
 // CHANGES.md and ROADMAP.md, "Numbers on record", for the
-// paper-vs-measured record. -exp slo drives the live server with seeded
-// Poisson and bursty arrival traces at several load multiples, reports
-// p50/p95/p99 TTFT/TPOT and goodput under per-cohort SLOs, finds the
-// saturation knee, and writes the standing BENCH_serve.json (-json
-// overrides the path). The Submit / Tokens / Stats walk-through is
-// examples/quickstart.
+// paper-vs-measured record. -exp calib and -exp chaos drive the live
+// server and write a JSON report (-json overrides the path). The
+// standing serving benchmark is `sh bench/run.sh`; the Submit / Tokens
+// / Stats walk-through is examples/quickstart.
 package main
 
 import (
-	"context"
 	"flag"
 	"fmt"
 	"os"
 	"strconv"
 	"strings"
-	"time"
 
-	"moelightning"
 	"moelightning/internal/calib"
 	"moelightning/internal/chaos"
 	"moelightning/internal/experiments"
 	"moelightning/internal/metrics"
 	"moelightning/internal/traffic"
-	"moelightning/internal/workload"
 )
 
 func main() {
-	exp := flag.String("exp", "all", "experiment id: fig1,fig4,fig5,fig6,fig7,fig8,fig9,fig10,tab4,tab5,disk,quant,sparsity,latency,slo,calib,chaos,all")
+	exp := flag.String("exp", "all", "experiment id: fig1,fig4,fig5,fig6,fig7,fig8,fig9,fig10,tab4,tab5,disk,quant,sparsity,latency,calib,chaos,all")
 	settings := flag.String("settings", "S1,S2,S6,S7", "comma-separated settings for fig7")
 	gens := flag.String("gens", "32,64,128,256", "comma-separated generation lengths")
-	kvdtype := flag.String("kvdtype", "f32", "KV cache codec for -exp slo: f32 or int8")
-	sharedPrefix := flag.Bool("sharedprefix", true, "shared-prefix KV reuse for -exp slo (refcounted blocks, copy-on-write)")
-	jsonPath := flag.String("json", "", "write the machine-readable result here (slo defaults to BENCH_serve.json, calib to BENCH_calib.json, chaos to BENCH_chaos.json)")
-	rps := flag.Float64("rps", 12, "base arrival rate for -exp slo scenarios")
-	requests := flag.Int("requests", 36, "requests per sweep point for -exp slo")
-	sweep := flag.String("sweep", "0.5,1,2", "comma-separated arrival-rate multiples for the -exp slo saturation sweep")
-	seed := flag.Int64("seed", 2024, "trace seed for -exp slo and bench seed for -exp calib")
+	jsonPath := flag.String("json", "", "write the machine-readable result here (calib defaults to BENCH_calib.json, chaos to BENCH_chaos.json)")
+	seed := flag.Int64("seed", 2024, "bench seed for -exp calib, trace and fault seed for -exp chaos")
 	quick := flag.Bool("quick", false, "shrink -exp calib/chaos runs for smoke tests")
 	flag.Parse()
-
-	kvDtype, err := moelightning.ParseKVDtype(*kvdtype)
-	if err != nil {
-		fatal(err)
-	}
 
 	genLens, err := parseInts(*gens)
 	if err != nil {
 		fatal(err)
 	}
 	settingNames := strings.Split(*settings, ",")
-	sweepScales, err := parseFloats(*sweep)
-	if err != nil {
-		fatal(err)
-	}
 
 	run := func(id string) error {
 		switch id {
@@ -119,12 +99,6 @@ func main() {
 				return err
 			}
 			fmt.Print(experiments.RenderKVSparsity(rows))
-		case "slo":
-			path := *jsonPath
-			if path == "" {
-				path = "BENCH_serve.json"
-			}
-			return runSLO(kvDtype, prefixMode(*sharedPrefix), *rps, *requests, sweepScales, *seed, path)
 		case "calib":
 			path := *jsonPath
 			if path == "" {
@@ -172,101 +146,6 @@ func main() {
 		}
 		fmt.Println()
 	}
-}
-
-// prefixMode maps the -sharedprefix flag to the facade knob.
-func prefixMode(on bool) moelightning.SharedPrefixMode {
-	if on {
-		return moelightning.SharedPrefixOn
-	}
-	return moelightning.SharedPrefixOff
-}
-
-// runSLO is the standing serve benchmark: seeded open-loop scenarios
-// (steady Poisson chat+agentic, bursty four-cohort mix) played in real
-// time against a live SLO-aware tiny server at several arrival-rate
-// multiples. Each sweep point reports goodput under the per-cohort SLOs
-// and TTFT/TPOT percentiles; the knee marks where extra offered load
-// stops buying goodput. The whole result lands in BENCH_serve.json.
-func runSLO(kvDtype moelightning.KVDtype, prefix moelightning.SharedPrefixMode, rps float64, requests int, scales []float64, seed int64, jsonPath string) error {
-	if len(scales) < 3 {
-		return fmt.Errorf("slo: need >= 3 sweep scales, got %v", scales)
-	}
-	const genLen = 10
-	factory := func(scale float64) (traffic.ServerHooks, error) {
-		srv, err := moelightning.NewServer(moelightning.ServerConfig{
-			Model:          moelightning.TinyMoE(),
-			Seed:           seed,
-			GenLen:         genLen,
-			MaxContext:     64,
-			KVDtype:        kvDtype,
-			SLOAware:       true,
-			SharedPrefixKV: prefix,
-		})
-		if err != nil {
-			return traffic.ServerHooks{}, err
-		}
-		return traffic.ServerHooks{
-			Submit: func(req workload.Request, slo traffic.SLO) (*moelightning.Handle, error) {
-				return srv.SubmitSLO(context.Background(), req, slo)
-			},
-			Stats: srv.Stats,
-			Close: srv.Close,
-		}, nil
-	}
-
-	scenarios := []traffic.Scenario{
-		traffic.PoissonChat(rps, requests),
-		traffic.BurstyMix(rps, requests),
-	}
-	bench := traffic.BenchResult{
-		Schema:        traffic.BenchSchema,
-		GeneratedUnix: time.Now().Unix(),
-		Model:         moelightning.TinyMoE().Name,
-		KVDtype:       kvDtype.String(),
-		Admission:     "deadline-slack", // the factory's SLOAware: true
-		Seed:          seed,
-	}
-	for _, scn := range scenarios {
-		points, err := traffic.Sweep(factory, scn, seed, scales, traffic.RunConfig{})
-		if err != nil {
-			return err
-		}
-		knee := traffic.FindKnee(points)
-		table := &metrics.Table{Header: []string{
-			"scale", "offered rps", "goodput rps", "slo met", "ttft p50/p95/p99 ms", "tpot p95 ms", "deferred", "knee"}}
-		for i, p := range points {
-			mark := ""
-			if i == knee {
-				mark = "<-- knee"
-			}
-			table.Add(
-				fmt.Sprintf("%.2g", p.Scale),
-				fmt.Sprintf("%.1f", p.OfferedRPS),
-				fmt.Sprintf("%.1f", p.GoodputRPS),
-				fmt.Sprintf("%d/%d", p.SLOMet, p.SLORequests),
-				fmt.Sprintf("%.1f/%.1f/%.1f", p.TTFT.P50, p.TTFT.P95, p.TTFT.P99),
-				fmt.Sprintf("%.1f", p.TPOT.P95),
-				p.Deferred, mark)
-		}
-		fmt.Printf("-- %s (%s) --\n%s", scn.Name, scn.Arrival.Name(), table.String())
-		bench.Scenarios = append(bench.Scenarios, traffic.BenchScenario{
-			Name:             scn.Name,
-			Arrival:          scn.Arrival.Name(),
-			RequestsPerPoint: requests,
-			Points:           points,
-			Knee:             knee,
-		})
-	}
-	if err := traffic.WriteBench(jsonPath, bench); err != nil {
-		return err
-	}
-	// Read back through the validator so a malformed write fails loudly.
-	if _, err := traffic.ReadBench(jsonPath); err != nil {
-		return fmt.Errorf("slo: %s failed validation after write: %w", jsonPath, err)
-	}
-	fmt.Printf("wrote %s (%d scenarios, %d-point sweep)\n", jsonPath, len(bench.Scenarios), len(scales))
-	return nil
 }
 
 // runCalib harvests the calibration table from live micro-benches,
@@ -321,18 +200,6 @@ func runChaos(quick bool, seed int64, jsonPath string) error {
 	}
 	fmt.Printf("wrote %s\n", jsonPath)
 	return err
-}
-
-func parseFloats(s string) ([]float64, error) {
-	var out []float64
-	for _, part := range strings.Split(s, ",") {
-		v, err := strconv.ParseFloat(strings.TrimSpace(part), 64)
-		if err != nil {
-			return nil, fmt.Errorf("parsing %q: %w", part, err)
-		}
-		out = append(out, v)
-	}
-	return out, nil
 }
 
 func parseInts(s string) ([]int, error) {

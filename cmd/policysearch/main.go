@@ -53,7 +53,7 @@ func main() {
 	if *workloadName == "mtbench" {
 		w = w.WithGenLen(*gen)
 	}
-	kvDtype, err := kvcache.ParseDType(*kvdtypeName)
+	kvDtype, err := moelightning.ParseKVDtype(*kvdtypeName)
 	if err != nil {
 		fatal(err)
 	}

@@ -45,6 +45,7 @@ var uncalledExports = map[string]string{
 	"policy.WithMaxN":          "test input: the root search-to-serve test pins the search to waves the tiny arenas hold",
 	"policy.WithMuGrid":        "test input: same test, micro-batch sizes the functional engine runs",
 	"policy.WithRwGrid":        "test input: same test, r_w = 0 because the engine always streams weights",
+	"traffic.PoissonChat":      "test input: traffic's runner and trace tests build their steady chat-and-agentic traces with it",
 
 	// Waiting for the ROADMAP item that gives them a caller.
 	"sim.Result.BubbleTime":     "ROADMAP item 5 applies it to measured steps",

@@ -141,13 +141,31 @@ func TestScheduleFactorAppliesToDecodeOnly(t *testing.T) {
 // TestCalibratedServeError is the loop-closing regression: build the
 // table from live micro-benches, predict the standing scenarios, run
 // the real server, and require the calibrated model inside ErrorBand
-// on every scenario while the analytic host model is demonstrably
-// outside it (its spec-sheet peaks are far above what the kernels
-// sustain). Both sides rest on wall-clock windows of tens of
-// milliseconds, and `go test ./...` runs other packages on the same
-// cores for seconds at a time, so the comparison is between medians
-// over calibRounds interleaved build/evaluate rounds — a round whose
-// build and evaluation saw different loads moves neither median.
+// on every scenario and closer than the analytic host model. Where the
+// analytic model is wrong by structure it must also sit outside the
+// band (specMisses).
+//
+// The harvested table shows where that is. The spec curve prices an op
+// from its row count alone, at half of peak FLOP/s times m/(m+2), so it
+// charges a packed prompt pass of 24-256 rows as one saturated GEMM at
+// 46-50% of peak. The `prefill` entries sustain 3-11% of peak, under
+// half of the 19-26% the `gemm` entries sustain at 4-64 rows: causal
+// attention, charged 4% of a 32-token prompt's FLOPs, takes about a
+// third of the pass's CPU time at the 0.5-2.5% of peak the
+// `attend-f32` entries reach. The analytic prompt phase is therefore
+// several times too cheap however fast the kernels get. The spec has
+// no KV codec term either, while the `attend-int8` and `prefill-int8`
+// entries sit below their f32 twins. Decode is different: the analytic
+// decode step is bound by the spec's DRAM term, which a fast host
+// nearly reaches, so on the decode-weighted wave8-f32 the analytic
+// error falls under the band (24% where it measures 15.7k tok/s on two
+// cores), and that scenario carries only the calibrated clauses.
+//
+// Both sides rest on wall-clock windows of tens of milliseconds, and
+// `go test ./...` runs other packages on the same cores for seconds at
+// a time, so the comparison is between medians over calibRounds
+// interleaved build/evaluate rounds — a round whose build and
+// evaluation saw different loads moves neither median.
 func TestCalibratedServeError(t *testing.T) {
 	if testing.Short() {
 		t.Skip("live calibration bench")
@@ -158,6 +176,7 @@ func TestCalibratedServeError(t *testing.T) {
 	if len(scenarios) < 2 {
 		t.Fatalf("want >= 2 standing scenarios, got %d", len(scenarios))
 	}
+	specMisses := map[string]bool{"prompt32-f32": true, "wave8-int8": true}
 	const calibRounds = 5
 	type series struct{ measured, calibrated, analytic []float64 }
 	runs := make([]series, len(scenarios))
@@ -195,7 +214,7 @@ func TestCalibratedServeError(t *testing.T) {
 			t.Errorf("%s: calibrated error %.1f%% exceeds the %.0f%% band",
 				sc.Name, 100*calibratedErr, 100*ErrorBand)
 		}
-		if analyticErr <= ErrorBand {
+		if specMisses[sc.Name] && analyticErr <= ErrorBand {
 			t.Errorf("%s: analytic error %.1f%% unexpectedly within the band — the calibration demonstration is vacuous",
 				sc.Name, 100*analyticErr)
 		}

@@ -28,13 +28,18 @@ type Scenario struct {
 
 // StandingScenarios are the fixed shapes `moebench -exp calib` and the
 // regression test report predicted-vs-measured error on: one wave at
-// each KV codec.
+// each KV codec, and one f32 wave whose time is mostly its prompt pass.
+// That wave's 8 x 32 prompt tokens are the largest packed pass a full
+// Build harvests, at the same prompt length, so its prompt phase is
+// read from the table rather than extrapolated past it.
 func StandingScenarios() []Scenario {
 	return []Scenario{
 		{Name: "wave8-f32", Requests: 8, PromptLen: 12, GenLen: 8,
 			Mu: 4, NumMicroBatches: 2, KVDtype: kvcache.F32},
 		{Name: "wave8-int8", Requests: 8, PromptLen: 16, GenLen: 8,
 			Mu: 4, NumMicroBatches: 2, KVDtype: kvcache.Int8},
+		{Name: "prompt32-f32", Requests: 8, PromptLen: 32, GenLen: 8,
+			Mu: 4, NumMicroBatches: 2, KVDtype: kvcache.F32},
 	}
 }
 

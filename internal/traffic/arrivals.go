@@ -10,17 +10,10 @@ import (
 // offsets from time zero using the caller's seeded generator, so a
 // process plus a seed is a reproducible timeline.
 type Process interface {
-	// Name identifies the process (and its rates) in traces and bench
-	// output.
+	// Name identifies the process (and its rates) in traces.
 	Name() string
 	// Arrivals draws the first n arrival offsets, ascending.
 	Arrivals(rng *rand.Rand, n int) []time.Duration
-	// Scale returns a copy with every rate multiplied by f — the
-	// saturation sweep's knob. Burst/phase structure is preserved;
-	// only the rates move.
-	Scale(f float64) Process
-	// Rate returns the long-run average arrival rate in requests/sec.
-	Rate() float64
 	validate() error
 }
 
@@ -35,12 +28,7 @@ type Poisson struct {
 	RPS float64
 }
 
-func (p Poisson) Name() string  { return fmt.Sprintf("poisson(%.3g rps)", p.RPS) }
-func (p Poisson) Rate() float64 { return p.RPS }
-func (p Poisson) Scale(f float64) Process {
-	p.RPS *= f
-	return p
-}
+func (p Poisson) Name() string { return fmt.Sprintf("poisson(%.3g rps)", p.RPS) }
 
 func (p Poisson) validate() error {
 	if p.RPS <= 0 {
@@ -74,18 +62,6 @@ func (b Bursty) Name() string {
 	return fmt.Sprintf("bursty(%.3g/%.3g rps, %v/%v)", b.BaseRPS, b.BurstRPS, b.MeanBase, b.MeanBurst)
 }
 
-// Rate is the sojourn-time-weighted average of the two state rates.
-func (b Bursty) Rate() float64 {
-	tb, tu := b.MeanBase.Seconds(), b.MeanBurst.Seconds()
-	return (b.BaseRPS*tb + b.BurstRPS*tu) / (tb + tu)
-}
-
-func (b Bursty) Scale(f float64) Process {
-	b.BaseRPS *= f
-	b.BurstRPS *= f
-	return b
-}
-
 func (b Bursty) validate() error {
 	if b.BaseRPS <= 0 || b.BurstRPS <= 0 {
 		return fmt.Errorf("traffic: bursty rates %v/%v must be positive", b.BaseRPS, b.BurstRPS)
@@ -115,80 +91,6 @@ func (b Bursty) Arrivals(rng *rand.Rand, n int) []time.Duration {
 				mean = b.MeanBurst
 			}
 			stateEnd = t + rng.ExpFloat64()*mean.Seconds()
-			continue
-		}
-		t = next
-		out = append(out, secs(t))
-	}
-	return out
-}
-
-// Diurnal is a multi-period piecewise-constant-rate Poisson process:
-// one Period cycles through len(Phases) equal slots, slot i running at
-// PeakRPS * Phases[i]. A phase multiplier of 0 silences its slot.
-// Like Bursty, gaps crossing a slot boundary are redrawn from the
-// boundary at the new rate, which is exact for exponential gaps.
-type Diurnal struct {
-	PeakRPS float64
-	Period  time.Duration
-	Phases  []float64
-}
-
-func (d Diurnal) Name() string {
-	return fmt.Sprintf("diurnal(%.3g rps peak, %v, %d phases)", d.PeakRPS, d.Period, len(d.Phases))
-}
-
-// Rate is the phase-averaged arrival rate.
-func (d Diurnal) Rate() float64 {
-	sum := 0.0
-	for _, p := range d.Phases {
-		sum += p
-	}
-	return d.PeakRPS * sum / float64(len(d.Phases))
-}
-
-func (d Diurnal) Scale(f float64) Process {
-	d.PeakRPS *= f
-	d.Phases = append([]float64(nil), d.Phases...)
-	return d
-}
-
-func (d Diurnal) validate() error {
-	if d.PeakRPS <= 0 || d.Period <= 0 || len(d.Phases) < 2 {
-		return fmt.Errorf("traffic: diurnal needs positive peak/period and >= 2 phases")
-	}
-	any := false
-	for _, p := range d.Phases {
-		if p < 0 {
-			return fmt.Errorf("traffic: negative diurnal phase %v", p)
-		}
-		any = any || p > 0
-	}
-	if !any {
-		return fmt.Errorf("traffic: all diurnal phases are zero")
-	}
-	return nil
-}
-
-func (d Diurnal) Arrivals(rng *rand.Rand, n int) []time.Duration {
-	out := make([]time.Duration, 0, n)
-	slotLen := d.Period.Seconds() / float64(len(d.Phases))
-	t := 0.0
-	slot := 0
-	slotEnd := slotLen
-	for len(out) < n {
-		rate := d.PeakRPS * d.Phases[slot%len(d.Phases)]
-		if rate <= 0 {
-			t = slotEnd
-			slot++
-			slotEnd += slotLen
-			continue
-		}
-		next := t + expGap(rng, rate)
-		if next >= slotEnd {
-			t = slotEnd
-			slot++
-			slotEnd += slotLen
 			continue
 		}
 		t = next

@@ -1,7 +1,9 @@
 package traffic
 
 import (
+	"encoding/json"
 	"fmt"
+	"os"
 	"sort"
 	"sync"
 	"time"
@@ -12,8 +14,8 @@ import (
 )
 
 // SubmitFunc submits one request with its SLO to a live server and
-// returns the streaming handle. cmd/moebench adapts either the engine
-// server or the public facade to this shape.
+// returns the streaming handle. internal/chaos adapts the engine server
+// and examples/trafficburst the public facade to this shape.
 type SubmitFunc func(req workload.Request, slo SLO) (*engine.Handle, error)
 
 // RunConfig tunes trace playback.
@@ -35,6 +37,30 @@ type RequestResult struct {
 	SLO        SLO
 }
 
+// LatencyMS is a latency summary in milliseconds — the unit every
+// serving table in the paper reports.
+type LatencyMS struct {
+	Mean float64 `json:"mean"`
+	P50  float64 `json:"p50"`
+	P95  float64 `json:"p95"`
+	P99  float64 `json:"p99"`
+}
+
+// SummarizeLatency folds a histogram into a LatencyMS. A nil or empty
+// histogram summarizes to zeros.
+func SummarizeLatency(h *metrics.Histogram) LatencyMS {
+	if h == nil || h.Count() == 0 {
+		return LatencyMS{}
+	}
+	ms := func(d time.Duration) float64 { return float64(d) / float64(time.Millisecond) }
+	return LatencyMS{
+		Mean: ms(h.Mean()),
+		P50:  ms(h.Quantile(0.50)),
+		P95:  ms(h.Quantile(0.95)),
+		P99:  ms(h.Quantile(0.99)),
+	}
+}
+
 // CohortSummary aggregates one cohort's outcomes within a Report.
 type CohortSummary struct {
 	Requests int       `json:"requests"`
@@ -52,13 +78,12 @@ type Report struct {
 	// SLO accounting, judged by engine.SLO.Verdict.
 	engine.SLOTally
 	// OfferedRPS is arrivals over the trace span; GoodputRPS counts only
-	// SLO-met requests over the wall-clock run; GoodTokensPerSecond is
-	// their generated tokens over the same window.
-	OfferedRPS, GoodputRPS, GoodTokensPerSecond float64
-	Elapsed                                     time.Duration
-	TTFT, TPOT                                  LatencyMS
-	Cohorts                                     map[string]CohortSummary
-	Results                                     []RequestResult
+	// SLO-met requests over the wall-clock run.
+	OfferedRPS, GoodputRPS float64
+	Elapsed                time.Duration
+	TTFT, TPOT             LatencyMS
+	Cohorts                map[string]CohortSummary
+	Results                []RequestResult
 }
 
 // Run plays a trace open-loop against submit: every event is dispatched
@@ -106,7 +131,6 @@ func Run(submit SubmitFunc, trace Trace, cfg RunConfig) (Report, error) {
 	}
 	ttftH, tpotH := metrics.NewLatencyHistogram(), metrics.NewLatencyHistogram()
 	cohortH := make(map[string][2]*metrics.Histogram)
-	goodTokens := 0
 	for _, r := range results {
 		ch, ok := cohortH[r.Cohort]
 		if !ok {
@@ -130,7 +154,6 @@ func Run(submit SubmitFunc, trace Trace, cfg RunConfig) (Report, error) {
 		}
 		if rep.SLOTally.Count(r.SLO, r.Err, r.Tokens, r.TTFT, r.TPOT) {
 			cs.SLOMet++
-			goodTokens += r.Tokens
 		}
 		rep.Cohorts[r.Cohort] = cs
 	}
@@ -142,7 +165,6 @@ func Run(submit SubmitFunc, trace Trace, cfg RunConfig) (Report, error) {
 	}
 	if secs := elapsed.Seconds(); secs > 0 {
 		rep.GoodputRPS = float64(rep.SLOMet) / secs
-		rep.GoodTokensPerSecond = float64(goodTokens) / secs
 	}
 	return rep, nil
 }
@@ -186,4 +208,14 @@ func (r Report) CohortNames() []string {
 	}
 	sort.Strings(names)
 	return names
+}
+
+// WriteJSON writes v as indented JSON to path (the chaos experiment's
+// -json report).
+func WriteJSON(path string, v any) error {
+	data, err := json.MarshalIndent(v, "", "  ")
+	if err != nil {
+		return err
+	}
+	return os.WriteFile(path, append(data, '\n'), 0o644)
 }

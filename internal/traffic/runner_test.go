@@ -50,6 +50,9 @@ func TestRunBurstyAgainstLiveServer(t *testing.T) {
 	if rep.Requests != 24 {
 		t.Fatalf("report covers %d requests, want 24", rep.Requests)
 	}
+	if rep.Completed+rep.Failed != rep.Requests {
+		t.Errorf("completed %d + failed %d != %d requests", rep.Completed, rep.Failed, rep.Requests)
+	}
 	if rep.Failed != 0 {
 		for _, r := range rep.Results {
 			if r.Err != nil {
@@ -76,8 +79,16 @@ func TestRunBurstyAgainstLiveServer(t *testing.T) {
 	if rep.SLORequests != 24 {
 		t.Errorf("all cohorts carry SLOs, but only %d counted", rep.SLORequests)
 	}
-	if rep.TTFT.P99 < rep.TTFT.P50 || rep.TTFT.P50 <= 0 {
+	if rep.SLOMet > rep.SLORequests {
+		t.Errorf("slo met %d > slo requests %d", rep.SLOMet, rep.SLORequests)
+	}
+	if rep.TTFT.P50 <= 0 {
 		t.Errorf("implausible TTFT summary %+v", rep.TTFT)
+	}
+	for name, l := range map[string]LatencyMS{"TTFT": rep.TTFT, "TPOT": rep.TPOT} {
+		if l.P50 < 0 || l.P50 > l.P95 || l.P95 > l.P99 {
+			t.Errorf("%s percentiles not monotone: %+v", name, l)
+		}
 	}
 	st := srv.Stats()
 	if st.Submitted != 24 {

@@ -102,14 +102,6 @@ func (s Scenario) Validate() error {
 	return nil
 }
 
-// Scale returns the scenario with every arrival rate multiplied by f —
-// the cohort mix, shapes and SLOs are untouched, so a saturation sweep
-// varies exactly one thing.
-func (s Scenario) Scale(f float64) Scenario {
-	s.Arrival = s.Arrival.Scale(f)
-	return s
-}
-
 // Generate draws the scenario's trace: arrival offsets from the
 // process, then a weighted cohort pick and a prompt-length sample per
 // arrival, all from one seeded generator. The same seed yields the

@@ -5,8 +5,8 @@
 //
 // The pieces compose in layers:
 //
-//   - arrival processes (Poisson, Bursty MMPP, Diurnal multi-period)
-//     draw seeded arrival timelines;
+//   - arrival processes (Poisson, Bursty MMPP) draw seeded arrival
+//     timelines;
 //   - a Scenario layers per-cohort request shapes over an arrival
 //     process: each cohort couples a prompt/generation-length
 //     distribution (internal/workload) with a latency SLO and a
@@ -25,11 +25,6 @@
 // a pure function used to compare FIFO against deadline-slack admission
 // deterministically and to test that a seeded trace always produces
 // identical admitted waves.
-//
-// Sweep runs a scenario at several arrival-rate multiples and FindKnee
-// locates the saturation knee — the point past which offered load no
-// longer buys goodput. WriteBench records the result as the standing
-// BENCH_serve.json trajectory (`moebench -exp slo`).
 package traffic
 
 import (
