@@ -39,7 +39,7 @@ var uncalledExports = map[string]string{
 	"memory.Arena.Used":        "test oracle: engine and paging tests assert arena footprints through it",
 	"tensor.DequantizeRow":     "test oracle: kvcache's tests decode stored int8 rows with it",
 	"tensor.Mat.Set":           "test oracle: kvcache's zero-copy test writes through a block view with it",
-	"tensor.SiLU":              "test oracle: the seed scalar FFN the engine's kernels are measured against",
+	"tensor.SiLU":              "test oracle: the definition SiLUMul is proven against in tensor's kernels_test.go",
 	"tensor.Mat.Clone":         "test input: engine's postAttention identity test copies its inputs with it, and identity tests are not edited to delete a helper",
 	"tensor.MatMulT":           "the sequential definition MatMulTParallel is proven identical to; CI's bench smoke runs BenchmarkKernelsMatMulT",
 	"policy.WithMaxN":          "test input: the root search-to-serve test pins the search to waves the tiny arenas hold",

@@ -147,7 +147,7 @@ func (t *Table) Validate() error {
 // scheduleFactor is the stage correction for an op class.
 func (t *Table) scheduleFactor(op roofline.OpClass) float64 {
 	switch op {
-	case roofline.OpPrefill, roofline.OpPrefillChunk:
+	case roofline.OpPrefill:
 		return 1 // prefill entries are whole-pass measurements already
 	}
 	if t.ScheduleEffDecode > 0 {
@@ -171,7 +171,7 @@ func entryOp(op roofline.OpClass, s roofline.Shape) string {
 			return "attend-int8"
 		}
 		return "attend-f32"
-	case roofline.OpPrefill, roofline.OpPrefillChunk:
+	case roofline.OpPrefill:
 		if s.KVInt8 {
 			return "prefill-int8"
 		}

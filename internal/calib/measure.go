@@ -301,5 +301,4 @@ func (t *Table) decodeStepWork(m model.Config, seqs, context int) (flops, bytes 
 	return flops, bytes
 }
 
-// OpClassFor exposes the estimator's query classes for tests.
 var _ roofline.EfficiencyModel = (*Table)(nil)

@@ -23,7 +23,7 @@
 //     shared with the traffic simulator.
 //   - SLO.Verdict, SLOTally (admission.go): whether a finished request
 //     met its SLO, and the four counters. ServerStats, traffic's Run
-//     report, its simulator and its sweep points embed the tally.
+//     report and its admission simulator's report embed the tally.
 //   - ServerStats (stats.go): the counters. The server accumulates into
 //     one directly; ServeResult and the facade's results embed it.
 //   - The step's task graph (internal/schedule): roles, lanes,

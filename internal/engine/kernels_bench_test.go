@@ -12,51 +12,31 @@ import (
 	"moelightning/internal/workload"
 )
 
-// benchFFNSetup builds a random micro-batch for the expert-FFN
-// comparison benchmarks.
-func benchFFNSetup(b *testing.B, n int) (layout Layout, layer []float32, attn, x tensor.Mat) {
-	b.Helper()
+// BenchmarkKernelsExpertFFN measures the expert-grouped post-attention
+// path on a 32-token micro-batch: one batched GEMM triple per expert.
+func BenchmarkKernelsExpertFFN(b *testing.B) {
 	cfg := benchModel()
-	cpu := memory.NewArena("cpu", 1<<23)
-	w, err := NewRandomWeights(cpu, cfg, 4)
+	w, err := NewRandomWeights(memory.NewArena("cpu", 1<<23), cfg, 4)
 	if err != nil {
 		b.Fatal(err)
 	}
+	const n = 32
 	rng := rand.New(rand.NewSource(8))
-	attn = tensor.NewMat(n, cfg.QDim())
-	x = tensor.NewMat(n, cfg.Hidden)
+	attn := tensor.NewMat(n, cfg.QDim())
+	x := tensor.NewMat(n, cfg.Hidden)
 	for i := range attn.Data {
 		attn.Data[i] = rng.Float32() - 0.5
 	}
 	for i := range x.Data {
 		x.Data[i] = rng.Float32() - 0.5
 	}
-	return w.Layout, w.Layers[0].Data(), attn, x
-}
-
-// BenchmarkKernelsExpertFFN measures the expert-grouped post-attention
-// path on a 32-token micro-batch: one batched GEMM triple per expert.
-func BenchmarkKernelsExpertFFN(b *testing.B) {
-	layout, layer, attn, x := benchFFNSetup(b, 32)
+	layout, layer := w.Layout, w.Layers[0].Data()
 	pristine := append([]float32(nil), x.Data...)
 	scratch := newFFNScratch(layout, x.Rows)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		copy(x.Data, pristine)
 		postAttention(layout, layer, residentExperts{layout: layout, data: layer}, attn, x, scratch)
-	}
-}
-
-// BenchmarkKernelsExpertFFNSeedScalar is the seed baseline: tokens x
-// top-k separate GEMVs with per-token routing.
-func BenchmarkKernelsExpertFFNSeedScalar(b *testing.B) {
-	layout, layer, attn, x := benchFFNSetup(b, 32)
-	pristine := append([]float32(nil), x.Data...)
-	scratch, rows := newSeedScratch(layout), newFFNScratch(layout, x.Rows)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		copy(x.Data, pristine)
-		seedPostAttention(layout, layer, residentExperts{layout: layout, data: layer}, attn, x, scratch, rows)
 	}
 }
 
@@ -79,7 +59,7 @@ func benchModel() model.Config {
 // two-layer working set); decode-phase expert paging traffic is
 // reported as MiB/step so cold-vs-warm comparisons can attribute the
 // ms/step gap to weight movement.
-func benchDecodeStep(b *testing.B, seed bool, dtype kvcache.DType, residencyBytes, seqs, mu int) {
+func benchDecodeStep(b *testing.B, dtype kvcache.DType, residencyBytes, seqs, mu int) {
 	b.Helper()
 	cfg := benchModel()
 	const steps, promptLen = 8, 4
@@ -106,9 +86,6 @@ func benchDecodeStep(b *testing.B, seed bool, dtype kvcache.DType, residencyByte
 		if err != nil {
 			b.Fatal(err)
 		}
-		if seed {
-			pl.kern = newSeedKernels(pl.layout)
-		}
 		if _, err := pl.Run(context.Background(), prompts, nil, 1, nil, nil); err != nil { // its last pass pages layer 0 in
 			b.Fatal(err)
 		}
@@ -129,17 +106,11 @@ func benchDecodeStep(b *testing.B, seed bool, dtype kvcache.DType, residencyByte
 	b.ReportMetric(float64(decodeFetched)/float64(b.N*steps)/(1<<20), "pagedMiB/step")
 }
 
-// BenchmarkDecodeStep is the optimized engine: expert-grouped batched
-// GEMMs, pooled buffers, parallel kernels.
+// BenchmarkDecodeStep times the engine's decode step over 64 sequences
+// in two micro-batches of 32, on the float32 KV cache and the default
+// expert residency.
 func BenchmarkDecodeStep(b *testing.B) {
-	benchDecodeStep(b, false, kvcache.F32, 0, 64, 32)
-}
-
-// BenchmarkDecodeStepSeedScalar swaps the seed scalar kernels into the
-// same pipeline; the ratio of the two ms/step metrics is the kernel
-// rewrite's speedup.
-func BenchmarkDecodeStepSeedScalar(b *testing.B) {
-	benchDecodeStep(b, true, kvcache.F32, 0, 64, 32)
+	benchDecodeStep(b, kvcache.F32, 0, 64, 32)
 }
 
 // BenchmarkDecodeStepQuantKV runs the same decode steps over an Int8
@@ -147,7 +118,7 @@ func BenchmarkDecodeStepSeedScalar(b *testing.B) {
 // Compare ms/step against BenchmarkDecodeStep for the codec's compute
 // cost — the win it buys is 2x+ context per cache byte, not speed.
 func BenchmarkDecodeStepQuantKV(b *testing.B) {
-	benchDecodeStep(b, false, kvcache.Int8, 0, 64, 32)
+	benchDecodeStep(b, kvcache.Int8, 0, 64, 32)
 }
 
 // BenchmarkDecodeStepColdExperts squeezes the expert resident set to a
@@ -159,7 +130,7 @@ func BenchmarkDecodeStepQuantKV(b *testing.B) {
 // and pagedMiB/step against BenchmarkDecodeStepWarmExperts: the time
 // gap is the movement the pager normally hides.
 func BenchmarkDecodeStepColdExperts(b *testing.B) {
-	benchDecodeStep(b, false, kvcache.F32, 1, 8, 4)
+	benchDecodeStep(b, kvcache.F32, 1, 8, 4)
 }
 
 // BenchmarkDecodeStepWarmExperts gives the pager room for every expert
@@ -167,5 +138,5 @@ func BenchmarkDecodeStepColdExperts(b *testing.B) {
 // through the layers decode runs fully warm-resident with zero paging
 // traffic.
 func BenchmarkDecodeStepWarmExperts(b *testing.B) {
-	benchDecodeStep(b, false, kvcache.F32, 1<<30, 8, 4)
+	benchDecodeStep(b, kvcache.F32, 1<<30, 8, 4)
 }

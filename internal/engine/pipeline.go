@@ -160,17 +160,16 @@ type Pipeline struct {
 	prefillChunk       int
 	sharedPrefix       bool
 
-	// expSrc adapts the pager to the expertSource the kernels consume,
-	// one real layer at a time. The GPU lane is serial, so one reusable
-	// instance suffices. predBuf and keyBuf are the expert shares'
-	// prediction workspaces, owned by the Pin lane (fetchExperts).
+	// expSrc adapts the pager to the expertSource expertFFN consumes, one
+	// real layer at a time (ffn(l) sets the layer). The GPU lane is serial,
+	// so one reusable instance suffices. experts is what ffn(l) hands
+	// expertFFN: &expSrc, or a test's wrapper around it. predBuf and keyBuf
+	// are the expert shares' prediction workspaces, owned by the Pin lane
+	// (fetchExperts).
 	expSrc  pagedExperts
+	experts expertSource
 	predBuf []int
 	keyBuf  []paging.ExpertKey
-
-	// kern selects the forward kernels; benchmarks swap in the seed
-	// scalar implementations to measure the optimized paths' speedup.
-	kern kernels
 
 	// err is the run's first lane-task error.
 	err atomic.Pointer[error]
@@ -179,20 +178,6 @@ type Pipeline struct {
 	// wired into the cache and pager hooks at build time); nil injects
 	// nothing.
 	faults *faults.Injector
-}
-
-// kernels bundles the forward-pass implementations the lane tasks call.
-// route and ffn are the two halves of postAttention, called from
-// post(l, j) and ffn(l).
-type kernels struct {
-	preAttn func(layout Layout, shared []float32, x tensor.Mat, positions []int, qkv, normed []float32)
-	route   func(layout Layout, shared []float32, attnOut, x tensor.Mat, scratch *ffnScratch, off int)
-	ffn     func(layout Layout, experts expertSource, x tensor.Mat, scratch *ffnScratch) [][]int
-	attend  func(items []tensor.AttnItem, nq, nkv, headDim int)
-}
-
-func defaultKernels() kernels {
-	return kernels{preAttn: preAttention, route: postRoute, ffn: expertFFN, attend: tensor.AttendMany}
 }
 
 // Counters tallies data movement and kernel activity. Movement is
@@ -315,7 +300,6 @@ func NewPipeline(w *Weights, gpu, pinned, cacheArena *memory.Arena, numSeqs int,
 		microBatch:   cfg.MicroBatch,
 		logits:       make([]float32, numSeqs*w.Cfg.VocabSize),
 		normedHead:   make([]float32, numSeqs*w.Cfg.Hidden),
-		kern:         defaultKernels(),
 		sharedPrefix: cfg.SharedPrefix,
 		prefillChunk: cfg.PrefillChunk,
 	}
@@ -369,6 +353,7 @@ func NewPipeline(w *Weights, gpu, pinned, cacheArena *memory.Arena, numSeqs int,
 		return nil, err
 	}
 	p.expSrc = pagedExperts{p: p}
+	p.experts = &p.expSrc
 	p.predBuf = make([]int, 0, w.Cfg.Experts)
 	p.keyBuf = make([]paging.ExpertKey, 0, w.Cfg.Experts)
 

@@ -246,8 +246,8 @@ func (p *Pipeline) retire(s int) {
 // instead of numSeqs x layers skinny ones. All kernels are
 // row-independent and accumulate in fixed k-ascending /
 // expert-id-ascending order, so the packed shapes are bit-identical to
-// the sequence-at-a-time pass — and to reference.go — under both codecs
-// and any chunk size.
+// reference.go's token-at-a-time forward under both codecs and any chunk
+// size.
 //
 // A prompt longer than one pass runs chunk-outer and layer-inner: the
 // next pass continues it, every layer again. That is bit-identical too,
@@ -449,7 +449,7 @@ func (p *Pipeline) runPreAttn(v, j int) {
 	}
 	cfg := p.w.Cfg
 	qkv := p.rowsOf(p.qkvGPU, cfg.QDim()+2*cfg.KVDim(), j).Data()
-	p.kern.preAttn(p.layout, p.db.Slot(v).Data(), rowRange(p.hidden, lo, hi), p.rowPos[lo:hi], qkv, p.preNormed)
+	preAttention(p.layout, p.db.Slot(v).Data(), rowRange(p.hidden, lo, hi), p.rowPos[lo:hi], qkv, p.preNormed)
 }
 
 // runCPUAttn appends the micro-batch's offloaded K/V to the cache and
@@ -500,7 +500,7 @@ func (p *Pipeline) runCPUAttn(layer, j int) error {
 			causal = append(causal, p.views[s].CausalItem(rowRange(out, r0, r0+n), rowRange(Q, r0, r0+n), p.spanLo[s]))
 		}
 	}
-	p.kern.attend(items, cfg.QHeads, cfg.KVHeads, cfg.HeadDim)
+	tensor.AttendMany(items, cfg.QHeads, cfg.KVHeads, cfg.HeadDim)
 	tensor.AttendCausalMany(causal, cfg.QHeads, cfg.KVHeads, cfg.HeadDim)
 	return nil
 }
@@ -540,7 +540,7 @@ func (p *Pipeline) runPostRoute(v, j int) {
 	x := rowRange(p.xPost, lo, hi)
 	copy(x.Data, rowRange(p.hidden, lo, hi).Data)
 	attn := tensor.FromSlice(hi-lo, p.w.Cfg.QDim(), p.rowsOf(p.attnGPU, p.w.Cfg.QDim(), j).Data())
-	p.kern.route(p.layout, p.db.Slot(v).Data(), attn, x, p.scratch, lo)
+	postRoute(p.layout, p.db.Slot(v).Data(), attn, x, p.scratch, lo)
 }
 
 // runExpertFFN is ffn(l): the layer's expert FFN over the pass's rows,
@@ -551,7 +551,7 @@ func (p *Pipeline) runExpertFFN(layer int) {
 	rows := p.rowSeq[:p.rowOff[len(p.mbs)]]
 	x := rowRange(p.xPost, 0, len(rows))
 	p.expSrc.layer = layer
-	chosen := p.kern.ffn(p.layout, &p.expSrc, x, p.scratch)
+	chosen := expertFFN(p.layout, p.experts, x, p.scratch)
 	// An expert whose weights could not be fetched (past the pager's
 	// retry budget) fails exactly the sequences routed to it, whichever
 	// micro-batch they sit in — marked before the writeback below so
@@ -631,8 +631,7 @@ func (p *Pipeline) realLayer(v int) int {
 // double buffer through staging, via the same runPin/runPage steps the
 // lanes schedule, and so does its predicted expert set, for the rows laid
 // out for that pass, as one share. Every later layer, the next pass's
-// layer 0 included, is paged in by the graph. The benchmark baselines
-// share this path.
+// layer 0 included, is paged in by the graph.
 func (p *Pipeline) primeLayer(v int) error {
 	for pg := 0; pg < p.table.NumPages; pg++ {
 		if err := p.runPin(v, pg); err != nil {

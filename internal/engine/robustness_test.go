@@ -575,15 +575,32 @@ func TestPipelinePermanentFetchFailureRetiresAll(t *testing.T) {
 	assertKVIdle(t, pl)
 }
 
-// failingExperts is an expertSource whose one expert cannot be fetched.
-type failingExperts struct {
+// routeProbe wraps a pipeline's expert source for one layer of one pass.
+// There it records each sequence's routing, read from the pass's own rows
+// (postRoute has left them in the scratch before ffn(l) acquires an
+// expert), and fails expert fail's acquisition with err (none when fail
+// < 0). Everywhere else it passes through.
+type routeProbe struct {
 	expertSource
-	expert int
-	err    error
+	pl          *Pipeline
+	pass, layer int // the pass, as pl.passes reads while it runs (0: not set yet), and its real layer
+	fail        int
+	err         error
+	routedBySeq [][]int
 }
 
-func (f failingExperts) Acquire(e int) (gate, up, down tensor.Panels, err error) {
-	if e == f.expert {
+func (f *routeProbe) Acquire(e int) (gate, up, down tensor.Panels, err error) {
+	p := f.pl
+	if p.passes != f.pass || p.expSrc.layer != f.layer {
+		return f.expertSource.Acquire(e)
+	}
+	if f.routedBySeq == nil {
+		f.routedBySeq = make([][]int, len(p.seqErr))
+		for r, s := range p.rowSeq[:p.rowOff[len(p.mbs)]] {
+			f.routedBySeq[s] = append([]int(nil), p.scratch.chosen[r]...)
+		}
+	}
+	if e == f.fail {
 		return tensor.Panels{}, tensor.Panels{}, tensor.Panels{}, f.err
 	}
 	return f.expertSource.Acquire(e)
@@ -616,9 +633,9 @@ func TestDecodeFetchFailureRetiresRoutedAcrossMicroBatches(t *testing.T) {
 	}
 	errFetch := errors.New("injected: block unavailable")
 
-	// run generates the wave; at (failStep, failLayer) it records each
-	// sequence's routed experts and, with failExpert >= 0, fails that
-	// expert's acquisition.
+	// run generates the wave; in decode step failStep's layer failLayer it
+	// records each sequence's routed experts and, with failExpert >= 0,
+	// fails that expert's acquisition.
 	run := func(failExpert int) (pl *Pipeline, got [][]int, routedAt [][]int) {
 		_, gpu, pinned, cacheArena := newTestArenas()
 		pl, err := NewPipeline(w, gpu, pinned, cacheArena, seqs, Config{MicroBatch: mu, MaxContext: 64})
@@ -626,35 +643,19 @@ func TestDecodeFetchFailureRetiresRoutedAcrossMicroBatches(t *testing.T) {
 			t.Fatal(err)
 		}
 		t.Cleanup(pl.Close)
-		decodeCalls := -1 // ffn calls since prefill ended; the first sink call arms it
-		pl.kern.ffn = func(layout Layout, experts expertSource, x tensor.Mat, scratch *ffnScratch) [][]int {
-			if decodeCalls < 0 {
-				return expertFFN(layout, experts, x, scratch)
-			}
-			step, layer := decodeCalls/cfg.Layers, decodeCalls%cfg.Layers
-			decodeCalls++
-			if step != failStep || layer != failLayer {
-				return expertFFN(layout, experts, x, scratch)
-			}
-			if failExpert >= 0 {
-				experts = failingExperts{experts, failExpert, errFetch}
-			}
-			chosen := expertFFN(layout, experts, x, scratch)
-			routedAt = make([][]int, seqs)
-			for r, s := range pl.rowSeq[:len(chosen)] {
-				routedAt[s] = append([]int(nil), chosen[r]...)
-			}
-			return chosen
-		}
-		got, err = pl.GenerateStream(prompts, gen, func(_, _, _ int) {
-			if decodeCalls < 0 {
-				decodeCalls = 0
+		probe := &routeProbe{expertSource: pl.experts, pl: pl, layer: failLayer, fail: failExpert, err: errFetch}
+		pl.experts = probe
+		// The first token arrives once the prompt phase is over, after
+		// pl.passes passes; decode step k is the pass after k more.
+		got, err = pl.GenerateStream(prompts, gen, func(_, index, _ int) {
+			if index == 0 && probe.pass == 0 {
+				probe.pass = pl.passes + 1 + failStep
 			}
 		}, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
-		return pl, got, routedAt
+		return pl, got, probe.routedBySeq
 	}
 
 	clean, got, routedAt := run(-1)

@@ -39,12 +39,6 @@ const (
 	// OpGEMM is a raw matmul tile — the calibration source that
 	// measured tables map OpPreAttn/OpFFN/OpCPUFFN queries onto.
 	OpGEMM OpClass = "gemm"
-	// OpDecodeStep and OpPrefillChunk are whole-stage calibration
-	// records (one pipelined decode step / one packed prefill chunk);
-	// they close the loop between composed per-op predictions and the
-	// engine's real step times.
-	OpDecodeStep   OpClass = "decode-step"
-	OpPrefillChunk OpClass = "prefill-chunk"
 )
 
 // Shape characterizes one op instance for efficiency lookup: the token

@@ -135,8 +135,9 @@ func topKQuadratic(x []float32, k int) []int {
 	return idx
 }
 
-// TestTopKMatchesQuadraticOracle hammers the single-pass TopK with
-// duplicate-heavy inputs, where the tie-break determinism matters.
+// TestTopKMatchesQuadraticOracle hammers the single-pass TopKInto with
+// duplicate-heavy inputs, where the tie-break determinism matters, into
+// one buffer reused across trials.
 func TestTopKMatchesQuadraticOracle(t *testing.T) {
 	rng := rand.New(rand.NewSource(21))
 	buf := make([]int, 0, 16)
@@ -149,33 +150,29 @@ func TestTopKMatchesQuadraticOracle(t *testing.T) {
 			x[i] = float32(rng.Intn(5))
 		}
 		want := topKQuadratic(x, k)
-		got := TopK(x, k)
+		got := TopKInto(buf, x, k)
 		if len(got) != len(want) {
 			t.Fatalf("trial %d: len %d, want %d", trial, len(got), len(want))
 		}
 		for i := range want {
 			if got[i] != want[i] {
-				t.Fatalf("trial %d (x=%v k=%d): TopK = %v, want %v", trial, x, k, got, want)
-			}
-		}
-		into := TopKInto(buf, x, k)
-		for i := range want {
-			if into[i] != want[i] {
-				t.Fatalf("trial %d: TopKInto = %v, want %v", trial, into, want)
+				t.Fatalf("trial %d (x=%v k=%d): TopKInto = %v, want %v", trial, x, k, got, want)
 			}
 		}
 	}
 }
 
 func TestTopKEdgeCases(t *testing.T) {
-	if got := TopK(nil, 3); len(got) != 0 {
-		t.Fatalf("TopK(nil) = %v", got)
+	// A buffer left holding an earlier result is truncated first.
+	buf := []int{7, 7}
+	if got := TopKInto(buf, nil, 3); len(got) != 0 {
+		t.Fatalf("TopKInto(nil) = %v", got)
 	}
-	if got := TopK([]float32{1, 2}, 0); len(got) != 0 {
-		t.Fatalf("TopK(k=0) = %v", got)
+	if got := TopKInto(buf, []float32{1, 2}, 0); len(got) != 0 {
+		t.Fatalf("TopKInto(k=0) = %v", got)
 	}
-	if got := TopK([]float32{1, 2}, -1); len(got) != 0 {
-		t.Fatalf("TopK(k=-1) = %v", got)
+	if got := TopKInto(buf, []float32{1, 2}, -1); len(got) != 0 {
+		t.Fatalf("TopKInto(k=-1) = %v", got)
 	}
 }
 

@@ -244,21 +244,11 @@ func RMSNorm(dst, x, weight []float32, eps float32) {
 	}
 }
 
-// TopK returns the indices of the k largest values in descending value
-// order; ties break toward the lower index for determinism.
-func TopK(x []float32, k int) []int {
-	if k < 0 {
-		k = 0
-	}
-	if k > len(x) {
-		k = len(x)
-	}
-	return TopKInto(make([]int, 0, k), x, k)
-}
-
-// TopKInto is TopK writing into dst (which must have capacity >= min(k,
-// len(x)) and is truncated to length 0 first), for allocation-free
-// callers. It runs a single pass of partial insertion selection, O(n*k)
+// TopKInto writes into dst the indices of the k largest values of x in
+// descending value order, ties toward the lower index for determinism,
+// and returns it. k is clamped to [0, len(x)]; dst is truncated to length
+// 0 first, and with capacity >= min(k, len(x)) the call allocates
+// nothing. It runs a single pass of partial insertion selection, O(n*k)
 // worst case: dst stays sorted by value descending with ties toward the
 // lower index, and each input either drops out immediately against the
 // current k-th value or shifts a suffix of the small dst array.

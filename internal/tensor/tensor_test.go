@@ -94,11 +94,11 @@ func TestSiLU(t *testing.T) {
 }
 
 func TestTopK(t *testing.T) {
-	got := TopK([]float32{0.1, 0.9, 0.5, 0.9}, 2)
-	if got[0] != 1 || got[1] != 3 {
+	got := TopKInto(make([]int, 0, 2), []float32{0.1, 0.9, 0.5, 0.9}, 2)
+	if len(got) != 2 || got[0] != 1 || got[1] != 3 {
 		t.Fatalf("topk = %v, want [1 3] (ties break low-index first)", got)
 	}
-	if len(TopK([]float32{1, 2}, 5)) != 2 {
+	if len(TopKInto(make([]int, 0, 5), []float32{1, 2}, 5)) != 2 {
 		t.Fatal("topk must clamp k to len")
 	}
 }
