@@ -19,6 +19,7 @@ func Gantt(title string, res sim.Result, width int) string {
 	}
 	scale := float64(width) / res.Makespan
 	letters := map[string]byte{}
+	var order []string // kinds in letter-assignment order, for the legend
 	used := map[byte]bool{}
 	alphabet := "WKHQACPBGXYZwkhqacpbgxyz"
 	letterFor := func(kind string) byte {
@@ -47,6 +48,7 @@ func Gantt(title string, res sim.Result, width int) string {
 			}
 		}
 		letters[kind] = b
+		order = append(order, kind)
 		used[b] = true
 		return b
 	}
@@ -77,8 +79,8 @@ func Gantt(title string, res sim.Result, width int) string {
 		fmt.Fprintf(&b, "%-5s |%s| %5.1f%% busy\n", lane, row, 100*res.Utilization(lane))
 	}
 	b.WriteString("legend:")
-	for kind, ch := range letters {
-		fmt.Fprintf(&b, " %c=%s", ch, kind)
+	for _, kind := range order {
+		fmt.Fprintf(&b, " %c=%s", letters[kind], kind)
 	}
 	fmt.Fprintf(&b, "  makespan=%.4fs\n", res.Makespan)
 	b.WriteString("critical path:")

@@ -112,6 +112,34 @@ func TestGanttUniqueLetters(t *testing.T) {
 	}
 }
 
+// TestGanttLegendDeterministic renders one result repeatedly: the
+// legend lists kinds in the order their letters were assigned, so the
+// chart is the same string every time.
+func TestGanttLegendDeterministic(t *testing.T) {
+	res, err := sim.Run([]sim.Task{
+		{ID: 1, Kind: "weights", Lane: sim.HtoD, Duration: 1},
+		{ID: 2, Kind: "pin", Lane: sim.Pin, Duration: 1},
+		{ID: 3, Kind: "pre-attn", Lane: sim.GPU, Duration: 1, Deps: []int{1}},
+		{ID: 4, Kind: "cpu-attn", Lane: sim.CPU, Duration: 1, Deps: []int{3}},
+		{ID: 5, Kind: "post-attn", Lane: sim.GPU, Duration: 1, Deps: []int{4}},
+		{ID: 6, Kind: "qkv", Lane: sim.DtoH, Duration: 1, Deps: []int{3}},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	first := Gantt("t", res, 40)
+	for i := 0; i < 20; i++ {
+		if out := Gantt("t", res, 40); out != first {
+			t.Fatalf("render %d differs:\n%s\nvs\n%s", i, out, first)
+		}
+	}
+	legend := first[strings.Index(first, "legend:"):strings.Index(first, "  makespan")]
+	const want = "legend: P=pre-attn p=post-attn C=cpu-attn W=weights Q=qkv K=pin"
+	if legend != want {
+		t.Errorf("legend %q, want %q (first-use order)", legend, want)
+	}
+}
+
 func TestGanttEmpty(t *testing.T) {
 	if out := Gantt("t", sim.Result{}, 40); !strings.Contains(out, "empty") {
 		t.Error("empty result")
