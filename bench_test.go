@@ -68,7 +68,7 @@ func BenchmarkFigure6(b *testing.B) {
 	var rs []experiments.Figure6Result
 	var err error
 	for i := 0; i < b.N; i++ {
-		rs, err = experiments.Figure6(4, 4)
+		rs, err = experiments.Figure6("S1", 4, 4)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -223,7 +223,7 @@ func BenchmarkAblationPagedWeights(b *testing.B) {
 	var rs []experiments.Figure6Result
 	var err error
 	for i := 0; i < b.N; i++ {
-		rs, err = experiments.Figure6(8, 8)
+		rs, err = experiments.Figure6("S1", 8, 8)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -242,7 +242,7 @@ func BenchmarkAblationLookahead(b *testing.B) {
 	var rs []experiments.Figure6Result
 	var err error
 	for i := 0; i < b.N; i++ {
-		rs, err = experiments.Figure6(8, 8)
+		rs, err = experiments.Figure6("S1", 8, 8)
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -54,7 +54,7 @@ func main() {
 		case "fig5":
 			fmt.Print(experiments.Figure5().Render())
 		case "fig6":
-			rs, err := experiments.Figure6(4, 4)
+			rs, err := experiments.Figure6("S1", 4, 4)
 			if err != nil {
 				return err
 			}

@@ -13,11 +13,7 @@ import (
 
 	"moelightning/internal/experiments"
 	"moelightning/internal/metrics"
-	"moelightning/internal/perfmodel"
-	"moelightning/internal/policy"
 	"moelightning/internal/schedule"
-	"moelightning/internal/sim"
-	"moelightning/internal/workload"
 )
 
 func main() {
@@ -29,7 +25,7 @@ func main() {
 	flag.Parse()
 
 	if *strategy == "" && *settingName == "S1" {
-		rs, err := experiments.Figure6(*layers, *mb)
+		rs, err := experiments.Figure6("S1", *layers, *mb)
 		if err != nil {
 			fatal(err)
 		}
@@ -37,40 +33,16 @@ func main() {
 		return
 	}
 
-	setting, err := experiments.Lookup(*settingName)
-	if err != nil {
-		fatal(err)
-	}
-	in := setting.Input(workload.MTBench(128))
-	in.Padded = true
-	e, err := perfmodel.New(in)
-	if err != nil {
-		fatal(err)
-	}
-	res, err := policy.Optimize(in)
-	if err != nil {
-		fatal(err)
-	}
-	plan := schedule.PlanFor(e, res.Policy, in.MidContext())
-	plan.Layers = *layers
-	plan.MicroBatches = *mb
-	plan.D.WeightPage = plan.D.WeightWhole / float64(*mb)
-	plan.D.PinPage = plan.D.PinWhole / float64(*mb)
-
 	strategies := schedule.Strategies()
 	if *strategy != "" {
 		strategies = []schedule.Strategy{schedule.Strategy(*strategy)}
 	}
-	for _, s := range strategies {
-		tasks, err := schedule.Build(s, plan)
-		if err != nil {
-			fatal(err)
-		}
-		r, err := sim.Run(tasks)
-		if err != nil {
-			fatal(err)
-		}
-		fmt.Print(metrics.Gantt(string(s), r, *width))
+	rs, err := experiments.Figure6(*settingName, *layers, *mb, strategies...)
+	if err != nil {
+		fatal(err)
+	}
+	for _, r := range rs {
+		fmt.Print(metrics.Gantt(string(r.Strategy), r.Result, *width))
 		fmt.Println()
 	}
 }

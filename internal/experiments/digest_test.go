@@ -33,7 +33,7 @@ func TestAnalyticFiguresDigest(t *testing.T) {
 		digest uint64
 	}{
 		{"fig6", func() (string, error) {
-			rs, err := Figure6(4, 4)
+			rs, err := Figure6("S1", 4, 4)
 			return RenderFigure6(rs), err
 		}, 0x30e8f694484b7a64},
 		{"fig8", func() (string, error) {

@@ -240,7 +240,7 @@ func TestFigure4And5(t *testing.T) {
 }
 
 func TestFigure6CGOPipeWins(t *testing.T) {
-	rs, err := Figure6(4, 4)
+	rs, err := Figure6("S1", 4, 4)
 	if err != nil {
 		t.Fatal(err)
 	}

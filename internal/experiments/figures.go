@@ -187,11 +187,15 @@ type Figure6Result struct {
 	Tasks    []sim.Task
 }
 
-// Figure6 simulates the four scheduling strategies of Fig. 6 on a small
-// representative plan (one decode step over a few layers) derived from
-// MoE-Lightning's S1 policy.
-func Figure6(layers, microBatches int) ([]Figure6Result, error) {
-	setting := Settings()["S1"]
+// Figure6 simulates one decode step under each strategy (none given:
+// the four of Fig. 6) on a small representative plan, layers x
+// microBatches, whose durations are MoE-Lightning's policy on the
+// setting priced at mid-generation.
+func Figure6(settingName string, layers, microBatches int, strategies ...schedule.Strategy) ([]Figure6Result, error) {
+	setting, err := Lookup(settingName)
+	if err != nil {
+		return nil, err
+	}
 	in := setting.Input(workload.MTBench(128))
 	in.Padded = true
 	e, err := perfmodel.New(in)
@@ -210,8 +214,11 @@ func Figure6(layers, microBatches int) ([]Figure6Result, error) {
 	plan.D.WeightPage = plan.D.WeightWhole / float64(microBatches)
 	plan.D.PinPage = plan.D.PinWhole / float64(microBatches)
 
+	if len(strategies) == 0 {
+		strategies = []schedule.Strategy{schedule.CGOPipe, schedule.Overlap, schedule.SerialCPU, schedule.GPUAttn}
+	}
 	var out []Figure6Result
-	for _, s := range []schedule.Strategy{schedule.CGOPipe, schedule.Overlap, schedule.SerialCPU, schedule.GPUAttn} {
+	for _, s := range strategies {
 		d := plan.D
 		if s == schedule.GPUAttn {
 			// S4 moves attention to GPU and streams KV.
