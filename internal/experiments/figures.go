@@ -206,29 +206,20 @@ func Figure6(settingName string, layers, microBatches int, strategies ...schedul
 	if err != nil {
 		return nil, err
 	}
-	p := res.Policy
-	plan := schedule.PlanFor(e, p, in.MidContext())
+	plan := schedule.PlanFor(e, res.Policy, in.MidContext())
 	plan.Layers = layers
 	plan.MicroBatches = microBatches
-	// Re-derive page/KV durations for the shrunken micro-batch count.
+	// A page is a microBatches-th of the layer's transfer.
 	plan.D.WeightPage = plan.D.WeightWhole / float64(microBatches)
 	plan.D.PinPage = plan.D.PinWhole / float64(microBatches)
+	plan.D.DiskPage = plan.D.DiskWhole / float64(microBatches)
 
 	if len(strategies) == 0 {
 		strategies = []schedule.Strategy{schedule.CGOPipe, schedule.Overlap, schedule.SerialCPU, schedule.GPUAttn}
 	}
 	var out []Figure6Result
 	for _, s := range strategies {
-		d := plan.D
-		if s == schedule.GPUAttn {
-			// S4 moves attention to GPU and streams KV.
-			d.KVLoad = e.KVTransferLatency(p.Mu, in.MidContext())
-			d.KVStore = e.KVStoreLatency(p.Mu)
-			d.GPUAttn = e.GPUAttnLatency(p.Mu, in.MidContext())
-		}
-		pl := plan
-		pl.D = d
-		tasks, err := schedule.Build(s, pl)
+		tasks, err := schedule.Build(s, plan)
 		if err != nil {
 			return nil, err
 		}
@@ -324,12 +315,13 @@ func Figure9(mus, contexts []int) ([]Figure9Cell, error) {
 	var cells []Figure9Cell
 	for _, mu := range mus {
 		for _, ctx := range contexts {
+			c := e.TaskCosts(perfmodel.Policy{N: mu, Mu: mu}, ctx)
 			cells = append(cells, Figure9Cell{
 				MicroBatch:   mu,
 				Context:      ctx,
-				FFN:          e.FFNLatency(mu),
-				KVTransfer:   e.KVTransferLatency(mu, ctx),
-				CPUAttention: e.CPUAttnLatency(mu, ctx),
+				FFN:          c.PostAttn,
+				KVTransfer:   c.KVLoad,
+				CPUAttention: c.CPUAttn,
 			})
 		}
 	}

@@ -89,53 +89,40 @@ func RunPolicy(s System, in perfmodel.Input, p perfmodel.Policy) Measurement {
 	}
 	strat := s.Strategy(p)
 
-	// Simulate one decode step at the start, middle and end contexts and
-	// integrate with Simpson's rule (per-step cost is ~affine in
-	// context).
-	sPrompt := in.AvgPrompt()
-	n := in.Workload.GenLen
-	step := func(ctx int) (float64, map[sim.Lane]float64, error) {
-		plan := schedule.PlanFor(e, p, ctx)
-		tasks, err := schedule.Build(strat, plan)
+	// Simulate one decode step at each context the integration asks
+	// for; the mid-generation step is the one reported.
+	mid := in.MidContext()
+	var simErr error
+	decode := in.IntegrateDecode(func(ctx int) float64 {
+		if simErr != nil {
+			return 0
+		}
+		tasks, err := schedule.Build(strat, schedule.PlanFor(e, p, ctx))
 		if err != nil {
-			return 0, nil, err
+			simErr = err
+			return 0
 		}
 		res, err := sim.Run(tasks)
 		if err != nil {
-			return 0, nil, err
+			simErr = err
+			return 0
 		}
-		util := make(map[sim.Lane]float64, 5)
-		for _, l := range sim.Lanes() {
-			util[l] = res.Utilization(l)
+		if ctx == mid {
+			mes.DecodeStepSeconds = res.Makespan
+			mes.Utilization = make(map[sim.Lane]float64, 5)
+			for _, l := range sim.Lanes() {
+				mes.Utilization[l] = res.Utilization(l)
+			}
 		}
-		return res.Makespan, util, nil
-	}
-
-	t0, _, err := step(sPrompt)
-	if err != nil {
-		mes.Err = fmt.Errorf("%s: sim: %w", s.Name, err)
+		return res.Makespan
+	})
+	if simErr != nil {
+		mes.Err = fmt.Errorf("%s: sim: %w", s.Name, simErr)
 		return mes
-	}
-	t1, util, err := step(sPrompt + n/2)
-	if err != nil {
-		mes.Err = fmt.Errorf("%s: sim: %w", s.Name, err)
-		return mes
-	}
-	t2, _, err := step(sPrompt + n)
-	if err != nil {
-		mes.Err = fmt.Errorf("%s: sim: %w", s.Name, err)
-		return mes
-	}
-
-	decode := float64(n) / 6 * (t0 + 4*t1 + t2)
-	if n <= 1 {
-		decode = t0
 	}
 	prefill := e.PrefillTime(p)
-	gen := p.N * n
+	gen := p.N * in.Workload.GenLen
 
-	mes.DecodeStepSeconds = t1
-	mes.Utilization = util
 	mes.PrefillSeconds = prefill
 	mes.DecodeSeconds = decode
 	mes.GeneratedTokens = gen

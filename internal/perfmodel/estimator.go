@@ -37,14 +37,6 @@ func New(in Input) (*Estimator, error) {
 	return e, nil
 }
 
-// attendOp is the attention-core op class at the input's KV codec.
-func (e *Estimator) attendOp() roofline.OpClass {
-	if e.In.KVCodec == KVPagedInt8 {
-		return roofline.OpAttendInt8
-	}
-	return roofline.OpAttendF32
-}
-
 // LayerTimes is the per-layer, whole-batch decode cost broken down by
 // lane (Eq. 13) and by component. All values are seconds.
 type LayerTimes struct {
@@ -97,78 +89,33 @@ func (e *Estimator) linkTime(bytes float64) float64 {
 	return bytes / e.In.Spec.TotalLinkBandwidth()
 }
 
-// DecodeLayer computes the per-layer whole-batch decode cost at the
-// given context length under policy p.
+// DecodeLayer is the per-layer whole-batch decode cost at the given
+// context under policy p: each of the policy's per-micro-batch
+// TaskCosts times the micro-batch count, plus the layer's transfers,
+// summed onto the lane that runs it.
 func (e *Estimator) DecodeLayer(p Policy, context int) LayerTimes {
-	m := e.In.Model
+	c := e.TaskCosts(p, context)
 	nb := float64(p.MicroBatches())
-	var t LayerTimes
-
-	// KV sparsity (§C extension): the attention kernel reads only a
-	// fraction of the cached context; transfers of the hot set shrink
-	// proportionally.
-	context = sparseContext(context, p)
-
-	// --- GPU lane: pre-attention and post-attention for every
-	// micro-batch (CGOPipe keeps projections and FFN on GPU whenever
-	// F_g; when !GPUFFN the FFN moves to the CPU and only the
-	// statically-placed r_w fraction runs on GPU).
-	muShape := roofline.Shape{Tokens: p.Mu}
-	pre := m.PreAttnCost(p.Mu)
-	t.PreAttn = nb * e.gpuOpTime(roofline.OpPreAttn, muShape, pre.FLOPs, pre.Bytes())
-
-	post := m.PostAttnCost(p.Mu, m.ExpertsTouched(p.Mu))
+	t := LayerTimes{
+		PreAttn:    nb * c.PreAttn,
+		AllReduce:  nb * c.AllReduce,
+		WeightXfer: c.Weights,
+		DiskXfer:   c.Disk,
+	}
 	if p.GPUFFN {
-		t.PostAttn = nb * e.gpuOpTime(roofline.OpFFN, muShape, post.FLOPs, post.Bytes())
+		t.PostAttn = nb * c.PostAttn
 	} else {
-		// Static split: r_w of the FFN on GPU, the rest on CPU, no
-		// weight streaming (§3.3 "static weights placement").
-		t.PostAttn = nb * e.gpuOpTime(roofline.OpFFN, muShape, post.FLOPs*p.WeightsGPURatio, post.Bytes()*p.WeightsGPURatio)
-		t.CPUFFN = nb * e.cpuOpTime(roofline.OpCPUFFN, muShape, post.FLOPs*(1-p.WeightsGPURatio), post.Bytes()*(1-p.WeightsGPURatio))
+		t.PostAttn = nb * c.PostAttnGPUShare
+		t.CPUFFN = nb * c.CPUFFN
 	}
-
-	// --- Attention core. KV traffic is denominated at the input's KV
-	// codec rate (kvcache.TokenBytes for paged caches), not the model
-	// dtype's dense rows.
-	attnShape := roofline.Shape{Tokens: p.Mu, Context: context, KVInt8: e.In.KVCodec == KVPagedInt8}
-	attnFLOPs, attnBytes := e.attnCost(p.Mu, context)
-	kvTokLayer := e.kvBytesTokenLayer()
 	if p.GPUAttn {
-		t.GPUAttn = nb * e.gpuOpTime(e.attendOp(), attnShape, attnFLOPs, attnBytes)
-		// The (1-r_c) cold fraction of the (sparsified) KV cache
-		// streams up per micro-batch.
-		kvBytes := float64(p.Mu) * float64(context) * kvTokLayer
-		t.KVXfer = nb * e.linkTime(kvBytes*(1-p.KVGPURatio))
-		// Newly produced K/V for tokens whose cache lives on CPU write
-		// back down.
-		t.KVWriteback = nb * e.linkTime(float64(p.Mu)*kvTokLayer*(1-p.KVGPURatio))
+		t.GPUAttn = nb * c.GPUAttn
+		t.KVXfer = nb * c.KVLoad
+		t.KVWriteback = nb * c.KVStore
 	} else {
-		t.CPUAttn = nb * e.cpuOpTime(roofline.OpCPUAttn, attnShape, attnFLOPs, attnBytes)
-		// D1: Q,K,V offload to CPU after the QKV projection.
-		t.QKVXfer = nb * e.linkTime(float64(m.QKVBytes(p.Mu)))
-		// D2: attention output returns to GPU.
-		t.HiddenXfer = nb * e.linkTime(float64(m.HiddenBytes(p.Mu)))
-	}
-
-	// --- Weight streaming (D3). Under the paged layout only the shared
-	// attention/router prefix rides the scheduled lane; expert blocks
-	// cost pager-fetch bytes per touched expert, discounted by the
-	// measured warm-hit ratio.
-	t.WeightXfer = e.linkTime(e.WeightStreamBytes(p))
-
-	// --- Tensor-parallel all-reduce: two per layer (after O-projection
-	// and after FFN), ring all-reduce moving 2(g-1)/g of the hidden
-	// activations per micro-batch.
-	if g := e.In.Spec.NumGPUs; g > 1 {
-		bytes := 2 * float64(g-1) / float64(g) * float64(m.HiddenBytes(p.Mu))
-		per := 2 * bytes / e.In.Spec.GPUInterconnect.SustainedBandwidth()
-		t.AllReduce = nb * per
-	}
-
-	// --- Disk tier (§C extension): the r_d fraction of the layer's
-	// weights streams disk -> CPU each pass, overlapped with the link.
-	if p.WeightsDiskRatio > 0 && e.In.Spec.Disk.Present() {
-		t.DiskXfer = p.WeightsDiskRatio * float64(m.LayerWeightBytes()) / e.In.Spec.Disk.SustainedRead()
+		t.CPUAttn = nb * c.CPUAttn
+		t.QKVXfer = nb * c.QKVOff
+		t.HiddenXfer = nb * c.HiddenLoad
 	}
 
 	t.GPU = t.PreAttn + t.PostAttn + t.GPUAttn + t.AllReduce
@@ -220,16 +167,6 @@ func (e *Estimator) PrefillTime(p Policy) float64 {
 	return math.Max(math.Max(gpu+allReduce, weights), kvDown)
 }
 
-// Component latencies used by the Fig. 9 ablation; all are single-layer,
-// single-micro-batch times.
-
-// CPUAttnLatency is one micro-batch of CPU attention at the context.
-func (e *Estimator) CPUAttnLatency(mu, context int) float64 {
-	flops, bytes := e.attnCost(mu, context)
-	shape := roofline.Shape{Tokens: mu, Context: context, KVInt8: e.In.KVCodec == KVPagedInt8}
-	return e.cpuOpTime(roofline.OpCPUAttn, shape, flops, bytes)
-}
-
 // sparseContext applies the policy's KV budget to a context length.
 func sparseContext(context int, p Policy) int {
 	c := int(float64(context) * p.EffectiveKVBudget())
@@ -237,19 +174,4 @@ func sparseContext(context int, p Policy) int {
 		c = 1
 	}
 	return c
-}
-
-// KVTransferLatency is the time to move one micro-batch's KV cache for
-// one layer from CPU pinned memory to GPU, at the codec's byte rate.
-func (e *Estimator) KVTransferLatency(mu, context int) float64 {
-	bytes := float64(mu) * float64(context) * e.kvBytesTokenLayer()
-	return e.linkTime(bytes)
-}
-
-// FFNLatency is one micro-batch of the MoE FFN kernel on GPU (weights
-// already resident).
-func (e *Estimator) FFNLatency(mu int) float64 {
-	m := e.In.Model
-	post := m.PostAttnCost(mu, m.ExpertsTouched(mu))
-	return e.gpuOpTime(roofline.OpFFN, roofline.Shape{Tokens: mu}, post.FLOPs, post.Bytes())
 }

@@ -253,31 +253,34 @@ func TestFigure9Shapes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	f32, f256 := e.FFNLatency(32), e.FFNLatency(256)
+	// One micro-batch of mu sequences, the whole KV cache on the CPU.
+	at := func(mu, context int) TaskCosts { return e.TaskCosts(Policy{N: mu, Mu: mu}, context) }
+	f32, f256 := at(32, 512).PostAttn, at(256, 512).PostAttn
 	if f256 > 2*f32 {
 		t.Errorf("FFN latency grew %vx from mu=32 to 256; should be ~flat (memory-bound)", f256/f32)
 	}
-	a512, a2048 := e.CPUAttnLatency(128, 512), e.CPUAttnLatency(128, 2048)
+	a512, a2048 := at(128, 512).CPUAttn, at(128, 2048).CPUAttn
 	if a2048 < 3*a512 {
 		t.Errorf("CPU attention not ~linear in context: %v -> %v", a512, a2048)
 	}
-	ratio := e.KVTransferLatency(128, 1024) / e.CPUAttnLatency(128, 1024)
+	ratio := at(128, 1024).KVLoad / at(128, 1024).CPUAttn
 	if ratio < 2.5 || ratio > 6 {
 		t.Errorf("KV/CPU-attention ratio = %.2f, want 3-4x", ratio)
 	}
 	// §6.2: at large micro-batch and context, CPU attention overtakes
 	// the FFN as the bottleneck.
-	if e.CPUAttnLatency(256, 2048) < e.FFNLatency(256) {
+	if c := at(256, 2048); c.CPUAttn < c.PostAttn {
 		t.Error("CPU attention should exceed FFN latency at mu=256 ctx=2048")
 	}
-	if e.CPUAttnLatency(32, 128) > e.FFNLatency(32) {
+	if c := at(32, 128); c.CPUAttn > c.PostAttn {
 		t.Error("FFN should dominate at small mu and context")
 	}
 }
 
 func TestAllReduceOnlyMultiGPU(t *testing.T) {
 	e := s1Estimator(t)
-	if e.AllReduceLatency(64) != 0 {
+	p := Policy{N: 64, Mu: 64, GPUFFN: true}
+	if e.TaskCosts(p, 512).AllReduce != 0 {
 		t.Error("single GPU must not all-reduce")
 	}
 	in := s1Input()
@@ -286,7 +289,7 @@ func TestAllReduceOnlyMultiGPU(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if e4.AllReduceLatency(64) <= 0 {
+	if e4.TaskCosts(p, 512).AllReduce <= 0 {
 		t.Error("4xT4 must pay all-reduce time")
 	}
 }
@@ -309,7 +312,8 @@ func TestPolicyString(t *testing.T) {
 
 func TestPinBandwidthHalvesDRAM(t *testing.T) {
 	e := s1Estimator(t)
-	if e.PinBandwidth() != e.In.Spec.CPU.SustainedBandwidth()/2 {
+	p := mlPolicy()
+	if e.TaskCosts(p, 512).Pin != e.WeightStreamBytes(p)/(e.In.Spec.CPU.SustainedBandwidth()/2) {
 		t.Error("pin copy must run at half DRAM bandwidth")
 	}
 }

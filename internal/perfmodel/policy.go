@@ -2,7 +2,12 @@
 // per-layer decode latency T(M, H, W, P) of Eq. 12, the memory-footprint
 // constraints on GPU and CPU, and an end-to-end throughput estimate that
 // includes the prefill stage. It is the single source of cost truth for
-// the policy optimizer, the HRM plots and the discrete-event simulator.
+// the policy optimizer, the HRM plots and the discrete-event simulator:
+// a decode layer's costs are one price list, TaskCosts, the seconds of
+// each task for one micro-batch. Two compositions read it: DecodeLayer
+// sums it onto Eq. 12's lanes, and schedule.PlanFor copies it into the
+// simulator's task durations. Input.IntegrateDecode turns either one's
+// step cost into the decode stage's.
 package perfmodel
 
 import (

@@ -23,18 +23,26 @@ type Report struct {
 	Bottleneck string
 }
 
-// DecodeTime integrates the decode stage cost as context grows from the
-// prompt length to prompt+gen using Simpson's rule over three points;
-// per-step cost is nearly affine in context, so this is exact enough.
+// DecodeTime is the ideal decode stage cost: Eq. 12's step integrated
+// over the generation.
 func (e *Estimator) DecodeTime(p Policy) float64 {
-	s := e.In.AvgPrompt()
-	n := e.In.Workload.GenLen
+	return e.In.IntegrateDecode(func(context int) float64 { return e.DecodeStepTime(p, context) })
+}
+
+// IntegrateDecode is the decode stage cost as context grows from the
+// prompt length to prompt+gen, from the cost of one step at a context
+// (the ideal step, or a simulated makespan): Simpson's rule over three
+// points. Per-step cost is nearly affine in context, so this is exact
+// enough. It asks for the middle context, MidContext, in every case.
+func (in Input) IntegrateDecode(step func(context int) float64) float64 {
+	s := in.AvgPrompt()
+	n := in.Workload.GenLen
 	if n <= 1 {
-		return e.DecodeStepTime(p, s)
+		return step(s)
 	}
-	t0 := e.DecodeStepTime(p, s)
-	t1 := e.DecodeStepTime(p, s+n/2)
-	t2 := e.DecodeStepTime(p, s+n)
+	t0 := step(s)
+	t1 := step(s + n/2)
+	t2 := step(s + n)
 	return float64(n) / 6 * (t0 + 4*t1 + t2)
 }
 

@@ -4,43 +4,36 @@ import (
 	"moelightning/internal/perfmodel"
 )
 
-// PlanFor derives the simulation plan (layer/micro-batch counts and all
-// task durations) for a policy at a given context length, using the
-// performance model as the single source of kernel and transfer costs.
+// PlanFor derives the simulation plan for a policy at a given context:
+// the model's layer count, the policy's micro-batch count, and one
+// duration per task copied from the performance model's price list
+// (perfmodel.TaskCosts). Post-attention carries the tensor-parallel
+// all-reduce, and a page is a MicroBatches-th of the layer's transfer.
 func PlanFor(e *perfmodel.Estimator, p perfmodel.Policy, context int) Plan {
+	c := e.TaskCosts(p, context)
 	nb := p.MicroBatches()
-	streamBytes := e.WeightStreamBytes(p)
-	// The policy's KV budget (§C sparsity extension) shrinks what the
-	// attention kernel and KV transfers touch.
-	attnCtx := int(float64(context) * p.EffectiveKVBudget())
-	if attnCtx < 1 {
-		attnCtx = 1
-	}
-	d := Durations{
-		PreAttn:  e.PreAttnLatency(p.Mu),
-		PostAttn: e.PostAttnLatency(p.Mu),
-		CPUAttn:  e.CPUAttnLatency(p.Mu, attnCtx),
-		GPUAttn:  e.GPUAttnLatency(p.Mu, attnCtx),
-
-		QKVOff:     e.QKVOffloadLatency(p.Mu),
-		HiddenLoad: e.HiddenLoadLatency(p.Mu),
-		KVLoad:     e.KVTransferLatency(p.Mu, attnCtx) * (1 - p.KVGPURatio),
-		KVStore:    e.KVStoreLatency(p.Mu) * (1 - p.KVGPURatio),
-
-		WeightWhole: e.WeightStreamLatency(p),
-		WeightPage:  e.WeightStreamLatency(p) / float64(nb),
-		PinWhole:    e.PinLatency(streamBytes),
-		PinPage:     e.PinLatency(streamBytes / float64(nb)),
-	}
-	if p.WeightsDiskRatio > 0 && e.In.Spec.Disk.Present() {
-		diskBytes := p.WeightsDiskRatio * float64(e.In.Model.LayerWeightBytes())
-		d.DiskWhole = diskBytes / e.In.Spec.Disk.SustainedRead()
-		d.DiskPage = d.DiskWhole / float64(nb)
-	}
+	pages := float64(nb)
 	return Plan{
 		Layers:       e.In.Model.Layers,
 		MicroBatches: nb,
-		D:            d,
+		D: Durations{
+			PreAttn:  c.PreAttn,
+			PostAttn: c.PostAttn + c.AllReduce,
+			CPUAttn:  c.CPUAttn,
+			GPUAttn:  c.GPUAttn,
+
+			QKVOff:     c.QKVOff,
+			HiddenLoad: c.HiddenLoad,
+			KVLoad:     c.KVLoad,
+			KVStore:    c.KVStore,
+
+			WeightWhole: c.Weights,
+			WeightPage:  c.Weights / pages,
+			PinWhole:    c.Pin,
+			PinPage:     c.Pin / pages,
+			DiskWhole:   c.Disk,
+			DiskPage:    c.Disk / pages,
+		},
 	}
 }
 

@@ -62,8 +62,10 @@ func Strategies() []Strategy {
 	return []Strategy{CGOPipe, Overlap, SerialCPU, GPUAttn, Serial}
 }
 
-// Durations carries per-task durations in seconds, produced by the
-// performance model for a concrete (model, hardware, workload, policy).
+// Durations carries per-task durations in seconds. PlanFor copies
+// them from the performance model's price list (perfmodel.TaskCosts)
+// for a concrete (model, hardware, workload, policy); the engine's
+// graph carries none.
 type Durations struct {
 	PreAttn  float64 // GPU: layer-norm + QKV projection, one micro-batch
 	PostAttn float64 // GPU: O projection + MoE FFN (+ TP all-reduces), one micro-batch; under Plan.LayerFFN O projection + router only

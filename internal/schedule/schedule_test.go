@@ -181,7 +181,8 @@ func TestPlanForProducesConsistentDurations(t *testing.T) {
 	}
 	// Fig. 9 relationship at this scale: KV transfer ~3-4x CPU attention
 	// (CPU memory bandwidth vs link bandwidth).
-	ratio := e.KVTransferLatency(p.Mu, 512) / e.CPUAttnLatency(p.Mu, 512)
+	c := e.TaskCosts(p, 512)
+	ratio := c.KVLoad / c.CPUAttn
 	if ratio < 2.5 || ratio > 6 {
 		t.Errorf("KV transfer / CPU attention = %.2f, want ~3-4x", ratio)
 	}
