@@ -127,7 +127,6 @@ func (c Config) ExpertsTouched(n int) int {
 func (c Config) DecodeLayerCost(n, context, mu int) (pre, attn, post OpCost) {
 	pre = c.PreAttnCost(n)
 	attn = c.AttnCost(n, context)
-	post = c.PostAttnCost(n, c.ExpertsTouched(mu)).Scale(1)
 	// PostAttnCost is per micro-batch for weights; scale to n tokens in
 	// micro-batches of mu: tokens scale linearly, weight reads repeat
 	// per micro-batch.
