@@ -96,7 +96,7 @@ func (e *Estimator) TaskCosts(p Policy, context int) TaskCosts {
 }
 
 // WeightStreamBytes is the portion of one layer's weights that crosses
-// the link each pass under policy p. Under the paged layout (PR 6)
+// the link each pass under policy p. Under the paged layout (Input.Paged)
 // only the shared attention/router prefix is scheduled per pass;
 // expert FFN blocks cost pager-fetch bytes per acquisition, discounted
 // by the measured warm-hit ratio.
