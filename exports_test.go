@@ -34,8 +34,7 @@ var uncalledExports = map[string]string{
 	"traffic.Trace.UnmarshalJSON": "json.Unmarshaler, reached through encoding/json",
 
 	// What another package's test (or CI) measures the engine against.
-	"kvcache.Cache.FreeBlocks": "test oracle: engine's retirement and exhaustion tests count the pool through it",
-	"kvcache.Cache.UsedBlocks": "test oracle: the pool-capacity view prefix sharing is asserted against",
+	"kvcache.Cache.UsedBlocks": "test oracle: the pool-capacity view (blocks a sequence holds; a cached prefix block counts as free) prefix sharing is asserted against",
 	"memory.Arena.Used":        "test oracle: engine and paging tests assert arena footprints through it",
 	"tensor.DequantizeRow":     "test oracle: kvcache's tests decode stored int8 rows with it",
 	"tensor.Mat.Set":           "test oracle: kvcache's zero-copy test writes through a block view with it",

@@ -10,7 +10,8 @@
 //     sequential reference oracle (faults fail requests, never corrupt
 //     survivors);
 //   - the KV pool returns to its initial free count at every wave
-//     boundary (no leaked blocks, audited by the server's end-of-wave
+//     boundary, prefix blocks kept for later waves counting as free (no
+//     leaked blocks, audited by the server's end-of-wave
 //     kvcache.CheckIdle pass);
 //   - Close() returns within a bound even with faults outstanding.
 //
@@ -120,6 +121,11 @@ type Report struct {
 	FaultRetries  int64 `json:"fault_retries"`
 	FaultFailures int64 `json:"fault_failures"`
 	WaveTimeouts  int   `json:"wave_timeouts"`
+
+	// Prompt tokens mapped from prefix blocks an earlier wave left
+	// cached: when positive, the forced KV exhaustions struck a pool
+	// that held cached blocks.
+	RetainedHitTokens int `json:"retained_hit_tokens"`
 
 	// Invariant verdicts.
 	LeakedBlockWaves int    `json:"leaked_block_waves"`
@@ -241,6 +247,7 @@ func Run(cfg Config) (Report, error) {
 	rep.FaultRetries = st.FaultRetries
 	rep.FaultFailures = st.FaultFailures
 	rep.WaveTimeouts = st.WaveTimeouts
+	rep.RetainedHitTokens = st.RetainedHitTokens
 	rep.LeakedBlockWaves = st.KVLeaks
 
 	if !rep.CloseWithinBound {

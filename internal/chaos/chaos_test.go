@@ -11,7 +11,10 @@ import (
 // with latency stalls longer than the wave deadline, so waves end by
 // WaveTimeout while others complete around them. Run returns an error
 // whenever a standing invariant breaks, so the assertion surface is
-// simply err == nil plus sanity on the report's bookkeeping.
+// simply err == nil plus sanity on the report's bookkeeping. In the
+// faults case requests must also have mapped prompt prefixes earlier
+// waves left cached, so the KV faults strike a pool holding cached
+// blocks.
 func TestChaosRunInvariants(t *testing.T) {
 	if testing.Short() {
 		t.Skip("chaos run plays a wall-clock trace")
@@ -51,6 +54,9 @@ func TestChaosRunInvariants(t *testing.T) {
 			}
 			if rep.FaultRetries == 0 && rep.FaultFailures == 0 {
 				t.Error("no expert-fetch faults fired: the scenario exercised nothing")
+			}
+			if cfg.StallEvery == 0 && rep.RetainedHitTokens == 0 {
+				t.Error("no prompt prefix served across waves: the KV faults never met a cached block")
 			}
 			if cfg.StallEvery > 0 && rep.WaveTimeouts == 0 {
 				t.Error("no wave ran past its deadline: the stall scenario exercised nothing")

@@ -95,8 +95,9 @@ type Pipeline struct {
 	rowSeq, rowPos []int
 	nextRows       int
 
-	// The run's prompts, the shared prefix each sequence maps from its
-	// donor instead of computing (planPrefixReuse), each sequence's next
+	// The run's prompts, the shared prefix each sequence maps instead of
+	// computing and its donor, -1 when the cache holds it
+	// (planPrefixReuse), each sequence's next
 	// input token once its prompt is done (the greedy sample of its last
 	// row), and how many passes the run has run, prompt passes first.
 	prompts     [][]int
@@ -197,9 +198,11 @@ type Counters struct {
 
 	// PrefixHitTokens counts prompt tokens whose KV was mapped from a
 	// resident shared prefix instead of being recomputed: the FLOPs and
-	// cache bytes prefix sharing saved. CowCopies counts copy-on-write
-	// block copies (divergence into a shared block).
-	PrefixHitTokens, CowCopies atomic.Int64
+	// cache bytes prefix sharing saved. RetainedHitTokens is the part of
+	// it mapped from blocks an earlier run left cached rather than from a
+	// wave-mate. CowCopies counts copy-on-write block copies (divergence
+	// into a shared block).
+	PrefixHitTokens, RetainedHitTokens, CowCopies atomic.Int64
 
 	// ExpertPaging is the expert-weight pager's traffic: warm hits,
 	// demand-fetch misses, prefetches, evictions and bytes fetched.
@@ -229,11 +232,13 @@ type Config struct {
 	// cached prefix, so the output is bit-identical for any chunk size.
 	PrefillChunk int
 	// SharedPrefix enables shared-prefix KV reuse during prefill:
-	// sequences of a wave whose prompts open with identical tokens map
-	// the first sequence's cache blocks in place (refcounted,
-	// copy-on-write on divergence) and skip prefilling the matched
-	// tokens. Output is bit-identical with the knob on or off — the
-	// mapped rows are the rows the follower would have computed.
+	// sequences whose prompts open with identical tokens map cache blocks
+	// in place (refcounted, copy-on-write on divergence) and skip
+	// prefilling the matched tokens — a wave-mate's blocks, or whole
+	// blocks an earlier run's prompts left cached, which the pool keeps
+	// until it needs them (kvcache's retention). Output is bit-identical
+	// with the knob on or off — the mapped rows are the rows the
+	// sequence would have computed.
 	SharedPrefix bool
 	// ExpertResidencyBytes caps the GPU-resident expert-weight pool:
 	// the pager keeps this many bytes of expert FFN blocks resident
@@ -372,8 +377,10 @@ func NewPipeline(w *Weights, gpu, pinned, cacheArena *memory.Arena, numSeqs int,
 // micro-batches (nil: Generate's, consecutive runs of Config.MicroBatch
 // or, when that is not positive, one). It releases the last run's
 // sequences and resets the run's state: each sequence's span starts
-// past its planned shared prefix (planPrefixReuse), and rows and next
-// tokens are laid afresh by every pass. When the micro-batch count
+// past its planned shared prefix (planPrefixReuse) — a prefix the cache
+// kept from earlier runs is attached here, at every layer, before any
+// pass can reclaim it — and rows and next tokens are laid afresh by
+// every pass. When the micro-batch count
 // differs from the bound graph's, it splits the shared weights into that
 // many pages and binds the lanes to the graph schedule.Build emits for
 // it. The partition is copied: retirement assigns into p.mbs.
@@ -422,6 +429,13 @@ func (p *Pipeline) begin(prompts, partition [][]int) error {
 	p.err.Store(nil)
 	p.prompts = prompts
 	p.skip, p.donor = p.planPrefixReuse(prompts)
+	for s, n := range p.skip {
+		if n > 0 && p.donor[s] < 0 {
+			for l := 0; l < p.w.Cfg.Layers; l++ {
+				p.cache.AttachPrefix(s, l, prompts[s], n)
+			}
+		}
+	}
 	copy(p.spanHi, p.skip)
 	return nil
 }
@@ -451,16 +465,17 @@ func (p *Pipeline) failed() error {
 // ReleaseAll releases every sequence's cache blocks (idempotent — a
 // sequence already retired or released is a no-op). The server calls
 // it after each wave so KVIdle can verify the pool returned to its
-// initial free count.
+// initial free count, cached prefix blocks included.
 func (p *Pipeline) ReleaseAll() {
 	for s := range p.seqErr {
 		p.cache.Release(s)
 	}
 }
 
-// KVIdle verifies the pipeline's KV cache is back to its freshly-built
-// state (every block free, no refcounts, empty prefix index): the
-// run-end leak check.
+// KVIdle verifies no sequence holds the pipeline's KV cache: every
+// block free or cached (unreferenced, kept for its indexed prefix), no
+// streams, and every prefix-index entry naming a cached block
+// (kvcache.CheckIdle). It is the run-end leak check.
 func (p *Pipeline) KVIdle() error { return p.cache.CheckIdle() }
 
 // validatePartition checks an explicit micro-batch partition covers

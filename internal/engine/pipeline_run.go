@@ -262,15 +262,16 @@ func (p *Pipeline) retire(s int) {
 // running: prefill fails only the offending request, never the wave.
 //
 // With SharedPrefix enabled, sequences whose prompts open with the same
-// tokens as one earlier in issue order skip the matched prefix
-// entirely: begin starts their spans past it, and at the follower's
-// first computed token the donor's cache blocks are mapped in place
-// (refcount++, zero copies, zero FLOPs). Attention reads the shared
+// tokens as one earlier in issue order, or as whole blocks an earlier
+// run's prompts left cached, skip the matched prefix entirely: begin
+// starts their spans past it and maps a cached prefix at once, and at a
+// follower's first computed token the donor's cache blocks are mapped in
+// place (refcount++, zero copies, zero FLOPs). Attention reads the shared
 // prefix through the same block views as everything else; because the
-// donor's K/V rows for a prefix token depend only on (token id,
-// position), the mapped rows are bit-identical to the rows the follower
-// would have computed, so sharing changes no output bit under either
-// codec.
+// K/V rows for a prefix token depend only on the token ids up to it and
+// their positions, the mapped rows are bit-identical to the rows the
+// sequence would have computed, so sharing changes no output bit under
+// either codec.
 //
 // After every pass Run samples (sampleNext): a prompt whose last token
 // was in the pass takes its first token from that row, which seeds its
@@ -507,13 +508,15 @@ func (p *Pipeline) runCPUAttn(layer, j int) error {
 
 // appendSpan appends rows [r0, r0+n) of K and V, sequence s's span of
 // the pass, to its cache stream at one layer (the cache quantizes on
-// write under an Int8 codec). A span that opens at the sequence's first
-// computed token first maps its planned shared prefix in: its donor
-// precedes it in issue order (planPrefixReuse) and the CPU lane runs
-// cattn in issue order, so the donor's rows of this layer are all
-// appended by now and its full blocks are indexable.
+// write under an Int8 codec). A span that opens at the first computed
+// token of a sequence with a donor first maps its planned shared prefix
+// in: the donor precedes it in issue order (planPrefixReuse) and the CPU
+// lane runs cattn in issue order, so the donor's whole prompt at this
+// layer is appended and indexed by now. With SharedPrefix on, the span
+// that completes a prompt indexes the prompt's full blocks at the layer,
+// for wave-mates behind it and, once released, for later runs.
 func (p *Pipeline) appendSpan(s, layer int, K, V tensor.Mat, r0, n int) error {
-	if p.skip[s] > 0 && p.spanLo[s] == p.skip[s] {
+	if p.donor[s] >= 0 && p.spanLo[s] == p.skip[s] {
 		if err := p.attachPrefix(s, layer); err != nil {
 			return err
 		}
@@ -523,6 +526,9 @@ func (p *Pipeline) appendSpan(s, layer int, K, V tensor.Mat, r0, n int) error {
 			return err
 		}
 		p.Counters.DtoHBytes.Add(int64(p.cache.TokenBytes()))
+	}
+	if p.sharedPrefix && p.spanHi[s] == len(p.prompts[s]) {
+		p.cache.IndexPrefix(s, layer, p.prompts[s])
 	}
 	return nil
 }

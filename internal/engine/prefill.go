@@ -10,36 +10,53 @@ import (
 // promptTotals records the run's prompt phase once its last pass has
 // sampled: the wall-clock its passes took and, over the sequences that
 // survived it, the tokens computed. PrefillTokens counts tokens actually
-// computed; prefix-mapped tokens land in PrefixHitTokens instead.
+// computed; prefix-mapped tokens land in PrefixHitTokens instead, and
+// those a sequence mapped from blocks an earlier run left cached (it
+// has no donor) in RetainedHitTokens too.
 func (p *Pipeline) promptTotals(took time.Duration) {
-	prefilled, reused := 0, 0
+	prefilled, reused, retained := 0, 0, 0
 	for s, prompt := range p.prompts {
 		if p.seqErr[s] != nil {
 			continue
 		}
 		prefilled += len(prompt) - p.skip[s]
 		reused += p.skip[s]
+		if p.donor[s] < 0 {
+			retained += p.skip[s]
+		}
 	}
 	p.PrefillTokens, p.PrefillDuration = prefilled, took
 	p.Counters.PrefixHitTokens.Add(int64(reused))
+	p.Counters.RetainedHitTokens.Add(int64(retained))
 	p.Counters.CowCopies.Store(p.cache.CowCopies())
 }
 
-// planPrefixReuse pairs each sequence with the sequence ahead of it in
-// issue order (micro-batch order, then order within the micro-batch)
-// sharing its longest common prompt prefix, block-rounded to what
-// AttachPrefix can map: a non-block-aligned match keeps its partial
-// tail only when the donor's prompt runs through that block boundary
-// (the tail block must be full on the donor's side to be indexable);
-// otherwise it floors to whole blocks. Matches shorter than one block
-// share nothing, and at least the prompt's last token is always
-// computed — decode needs its hidden state. Returns per-sequence skip
-// lengths and donor indices (-1 for none).
+// planPrefixReuse plans where each sequence's prompt prefix comes from,
+// walking the sequences in issue order (micro-batch order, then order
+// within the micro-batch). At least the prompt's last token is always
+// computed — decode needs its hidden state — and a match shorter than
+// one block shares nothing. Two sources:
 //
-// A donor precedes its follower in issue order, the order passes take
-// prompt tokens in and the CPU lane runs each layer's attention in, so
-// the donor's whole prompt is cached at a layer before the follower
-// attaches at it.
+//   - the cache: the leading whole blocks the prefix index resolves at
+//     every layer (kvcache.IndexedPrefix) — blocks an earlier run's
+//     prompts indexed and left cached. begin attaches them before the
+//     first pass;
+//   - a wave-mate: the sequence ahead of it in issue order sharing its
+//     longest common prompt prefix, block-rounded to what AttachPrefix
+//     can map: a non-block-aligned match keeps its partial tail only
+//     when the donor's prompt runs through that block boundary (the
+//     tail block must be full on the donor's side to be indexable);
+//     otherwise it floors to whole blocks. A donor precedes its follower
+//     in issue order, the order passes take prompt tokens in and the CPU
+//     lane runs each layer's attention in, so the donor's whole prompt
+//     is cached and indexed at a layer before the follower attaches at
+//     it (appendSpan).
+//
+// The longer source wins, the cache on a tie. The wave-mate scan stays
+// pairwise because the index cannot answer it: at begin the wave-mates'
+// blocks are not computed yet, and a partial tail block is never
+// indexed under the follower's own tokens. Returns per-sequence skip
+// lengths and donor indices (-1: none, or the cache).
 func (p *Pipeline) planPrefixReuse(prompts [][]int) (skip, donor []int) {
 	skip = make([]int, len(prompts))
 	donor = make([]int, len(prompts))
@@ -75,6 +92,10 @@ func (p *Pipeline) planPrefixReuse(prompts [][]int) (skip, donor []int) {
 		if bestD >= 0 && best%bt != 0 && (best/bt+1)*bt > len(prompts[bestD]) {
 			best = best / bt * bt
 		}
+		if cached := p.cache.IndexedPrefix(prompts[s], len(prompts[s])-1); cached >= best {
+			skip[s] = cached
+			continue
+		}
 		if best < bt {
 			continue
 		}
@@ -83,17 +104,16 @@ func (p *Pipeline) planPrefixReuse(prompts [][]int) (skip, donor []int) {
 	return skip, donor
 }
 
-// attachPrefix maps sequence s's planned shared prefix at one layer:
-// it (idempotently) indexes the donor's full blocks, then attaches the
-// chain. Anything short of a full attach — donor retired and its
+// attachPrefix maps sequence s's planned shared prefix from its donor at
+// one layer: the donor indexed its full prompt blocks there as its
+// prompt completed (appendSpan), so the chain resolves through the
+// index — to the donor's blocks, or to cached or live copies of the same
+// tokens. Anything short of a full attach — donor retired and its
 // blocks reclaimed, or the pool too tight to have kept them — is
 // reported as block exhaustion so the caller's per-sequence isolation
 // path handles it.
 func (p *Pipeline) attachPrefix(s, l int) error {
 	d := p.donor[s]
-	if p.seqErr[d] == nil {
-		p.cache.IndexPrefix(d, l, p.prompts[d])
-	}
 	got := p.cache.AttachPrefix(s, l, p.prompts[d], p.skip[s])
 	if got != p.skip[s] {
 		return fmt.Errorf("%w (seq %d layer %d: shared prefix unavailable, attached %d of %d)",

@@ -390,6 +390,96 @@ func TestServeSharedPrefixWave(t *testing.T) {
 	}
 }
 
+// TestServeRetainedPrefixAcrossWaves: a prompt prefix one wave computed
+// serves later waves from the cache, bit-identical to the reference
+// under both codecs. Wave 1 runs request 1 alone, with a 64-token system
+// prompt (four blocks). Wave 2 runs request 2 alone, which shares that
+// prompt: with no wave-mate it maps exactly the 64 cached tokens. Wave 3
+// mixes a third cached hit with a wave-mate pair opening with a new
+// 32-token prompt, one of which maps it from the other. The KV audit
+// passes after every wave, cached blocks and all.
+func TestServeRetainedPrefixAcrossWaves(t *testing.T) {
+	cfg := model.Tiny()
+	const genLen, maxContext = 4, 100
+	waves := [][]workload.Request{
+		{{ID: 1, PromptLen: 70, PrefixID: 5, PrefixLen: 64}},
+		{{ID: 2, PromptLen: 73, PrefixID: 5, PrefixLen: 64}},
+		{
+			{ID: 3, PromptLen: 67, PrefixID: 5, PrefixLen: 64},
+			{ID: 4, PromptLen: 40, PrefixID: 6, PrefixLen: 32},
+			{ID: 5, PromptLen: 38, PrefixID: 6, PrefixLen: 32},
+		},
+	}
+	// Prefix hits each wave adds: none, the cached prompt, the cached
+	// prompt plus the wave-mate's; the cached part of each.
+	wantHits := []int{0, 64, 64 + 32}
+	wantRetained := []int{0, 64, 64}
+	for _, dtype := range []kvcache.DType{kvcache.F32, kvcache.Int8} {
+		t.Run(dtype.String(), func(t *testing.T) {
+			cpu, gpu, pinned, cacheArena := newTestArenas()
+			w, err := NewRandomWeights(cpu, cfg, 41)
+			if err != nil {
+				t.Fatal(err)
+			}
+			s, err := NewServer(&Host{W: w, GPU: gpu, Pinned: pinned, Cache: cacheArena}, ServeConfig{
+				Config:          Config{MicroBatch: 2, MaxContext: maxContext, KVDtype: dtype, SharedPrefix: true},
+				NumMicroBatches: 2, GenLen: genLen,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer s.Close()
+			var all []workload.Request
+			for _, wave := range waves {
+				all = append(all, wave...)
+			}
+			ref, err := NewReferenceKV(w, memory.NewArena("rc", 1<<22), len(all), maxContext, dtype)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, err := ref.Generate(PromptsFromRequests(all, cfg.VocabSize), genLen)
+			if err != nil {
+				t.Fatal(err)
+			}
+
+			// The server's loop stays idle (nothing is submitted): the test
+			// runs the waves itself, one after another.
+			next := 0
+			for i, wave := range waves {
+				before := s.Stats()
+				hs := make([]*Handle, len(wave))
+				for k, req := range wave {
+					hs[k] = newHandle(req, nil, genLen, SLO{})
+				}
+				if pending := s.runWave(hs); len(pending) != 0 {
+					t.Fatalf("wave %d deferred %d requests", i+1, len(pending))
+				}
+				for _, h := range hs {
+					got, err := h.Wait()
+					if err != nil {
+						t.Fatalf("wave %d request %d: %v", i+1, h.ID(), err)
+					}
+					if !reflect.DeepEqual(got, want[next]) {
+						t.Errorf("wave %d request %d diverged from the reference:\n got %v\nwant %v", i+1, h.ID(), got, want[next])
+					}
+					next++
+				}
+				st := s.Stats()
+				if hits := st.PrefixHitTokens - before.PrefixHitTokens; hits != wantHits[i] {
+					t.Errorf("wave %d mapped %d prefix tokens, want %d", i+1, hits, wantHits[i])
+				}
+				if kept := st.RetainedHitTokens - before.RetainedHitTokens; kept != wantRetained[i] {
+					t.Errorf("wave %d mapped %d cached prefix tokens, want %d", i+1, kept, wantRetained[i])
+				}
+				if st.KVLeaks != 0 {
+					t.Fatalf("wave %d failed its KV audit", i+1)
+				}
+				assertKVIdle(t, s.pl)
+			}
+		})
+	}
+}
+
 // TestConcurrentSubmitSharedPrefix hammers the server with concurrent
 // prefix-sharing submissions (run under -race in CI): every request
 // must complete with its full generation, and the sharing counters must

@@ -32,11 +32,13 @@ type ServerStats struct {
 	// PrefixHitTokens counts prompt tokens served by mapping a shared
 	// resident prefix instead of prefilling them; PrefixHitRatio is
 	// their share of all prompt tokens handled (hit + prefilled).
-	// CowCopies counts copy-on-write block copies triggered by writes
-	// into shared blocks.
-	PrefixHitTokens int
-	PrefixHitRatio  float64
-	CowCopies       int64
+	// RetainedHitTokens is the part of PrefixHitTokens served from blocks
+	// an earlier wave's prompts left cached. CowCopies counts
+	// copy-on-write block copies triggered by writes into shared blocks.
+	PrefixHitTokens   int
+	PrefixHitRatio    float64
+	RetainedHitTokens int
+	CowCopies         int64
 	// AvgTTFT is the mean time from Submit to a request's first token;
 	// AvgTPOT the mean time per output token after the first.
 	AvgTTFT, AvgTPOT time.Duration
@@ -93,6 +95,7 @@ func (s *Server) Stats() ServerStats {
 	st.WeightBytesFetched, st.ExpertHits, st.ExpertMisses = ep.BytesFetched.Load(), ep.Hits.Load(), ep.Misses.Load()
 	st.FaultRetries, st.FaultFailures = ep.FetchRetries.Load(), ep.FetchFailures.Load()
 	st.PrefixHitTokens, st.CowCopies = int(c.PrefixHitTokens.Load()), c.CowCopies.Load()
+	st.RetainedHitTokens = int(c.RetainedHitTokens.Load())
 	if s.ttft != nil {
 		st.AvgTTFT = s.ttft.Mean()
 		st.TTFTP50 = s.ttft.Quantile(0.50)

@@ -7,8 +7,10 @@ import (
 
 // TestCheckIdleDetectsLeaksAndRecovers: CheckIdle flags live streams /
 // held blocks while a sequence is appended, and passes again once the
-// sequence — prefix index included — is released, or, after a leak no
-// release can return, once the cache is Reset.
+// sequence is released — its indexed block cached, which is not a leak —
+// or, after a leak no release can return (a block out of the pool, an
+// unreferenced indexed block off the reclaim list), once the cache is
+// Reset.
 func TestCheckIdleDetectsLeaksAndRecovers(t *testing.T) {
 	const layers, dim, block = 2, 4, 4
 	c := newCache(t, layers, dim, block, 32)
@@ -24,13 +26,32 @@ func TestCheckIdleDetectsLeaksAndRecovers(t *testing.T) {
 			}
 		}
 	}
-	c.IndexPrefix(0, 0, tokens)
+	for l := 0; l < layers; l++ {
+		c.IndexPrefix(0, l, tokens)
+	}
 	if err := c.CheckIdle(); err == nil {
 		t.Fatal("CheckIdle passed with a live sequence holding blocks")
 	}
 	c.Release(0)
 	if err := c.CheckIdle(); err != nil {
 		t.Fatalf("cache not idle after releasing its only sequence: %v", err)
+	}
+	if c.ncached != layers || c.IndexedPrefix(tokens, block) != block || c.FreeBlocks() != len(c.all) {
+		t.Fatalf("released indexed blocks: %d cached, %d free of %d; want %d cached and resolvable, all free",
+			c.ncached, c.FreeBlocks(), len(c.all), layers)
+	}
+
+	// An unreferenced indexed block that is off the reclaim list can
+	// never be taken again: a leak, though nothing references it.
+	lost := c.takeBlock()
+	lost.refs, lost.indexed = 0, true
+	c.prefix[prefixKey{lost.hash, lost.layer}] = lost
+	if err := c.CheckIdle(); err == nil {
+		t.Fatal("CheckIdle passed with an indexed block off the reclaim list")
+	}
+	c.Reset()
+	if err := c.CheckIdle(); err != nil || c.ncached != 0 {
+		t.Fatalf("after Reset: %v, %d cached", err, c.ncached)
 	}
 
 	// A leak: a live indexed sequence plus a block out of the pool that

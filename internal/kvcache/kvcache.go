@@ -40,9 +40,11 @@
 //   - Every block carries a reference count. Append allocates private
 //     blocks (one reference); AttachPrefix maps existing blocks into
 //     another sequence's stream, bumping their counts. Release
-//     decrements each block of the sequence and returns a block to the
-//     free pool only when its last reference drops — retiring one
-//     reader of a shared prefix never harms the survivors.
+//     decrements each block of the sequence; a block leaves its last
+//     reader only when that count drops to zero — retiring one reader
+//     of a shared prefix never harms the survivors — and then returns
+//     to the free pool, or, while the prefix index names it, to the
+//     reclaim list below.
 //   - IndexPrefix registers a sequence's full (completely appended)
 //     blocks in a prefix index keyed by the running FNV-1a chain hash
 //     of every token up to and including the block. AttachPrefix
@@ -55,6 +57,21 @@
 //     one first — copy-on-write — so divergence never corrupts the
 //     shared prefix. A write into a still-indexed private block
 //     unregisters it instead, keeping the index truthful.
+//
+// # Retention: released prefixes stay resolvable until reclaimed
+//
+// A block whose last reference drops while it is indexed keeps its
+// index entry and its bytes: it moves onto a reclaim list ordered by
+// release time, so a prompt that opens with the same tokens later —
+// in another run, long after its first reader left — maps it as it
+// would a live reader's block. Such a cached block counts as free
+// (FreeBlocks, UsedBlocks, CheckIdle): Append takes a free block
+// first and, only when none is left, reclaims the least recently
+// released cached one, deindexing it before its bytes change. Retention
+// therefore never fails an Append a plain pool would have served, and
+// ErrOutOfBlocks keeps its meaning. The list is intrusive (links in
+// the block), so release, reclaim and re-attach are O(1) and allocate
+// nothing. Reset drops every cached block with the index.
 //
 // Invariants: a (sequence, layer) stream's length only advances after
 // the token's block is secured and its K/V stored, so a failed Append
@@ -134,8 +151,8 @@ type Cache struct {
 	groups     int
 	rowFloats  int
 
-	pool   []*block // free blocks
-	all    []block  // every physical block (pool + assigned), in New's pool order
+	pool   []*block // free blocks: unreferenced and unindexed
+	all    []block  // every physical block (pool + cached + assigned), in New's pool order
 	arena  *memory.Arena
 	blocks map[seqLayer][]*block
 	length map[seqLayer]int // tokens appended per sequence per layer
@@ -143,9 +160,15 @@ type Cache struct {
 	// prefix is the content-addressed block index: chain hash of all
 	// tokens through a full block, per layer, to the physical block
 	// holding that span. Entries are registered by IndexPrefix and
-	// removed when the block is freed or written.
+	// removed when the block is written or reclaimed.
 	prefix    map[prefixKey]*block
 	cowCopies int64
+
+	// cached heads the reclaim list, a ring through block.prev/next of
+	// the unreferenced blocks the index still names, least recently
+	// released first; ncached is its length.
+	cached  block
+	ncached int
 
 	// allocHook, when set, is consulted before every physical block
 	// allocation; a non-nil return forces the allocation to fail as if
@@ -158,15 +181,18 @@ type Cache struct {
 type seqLayer struct{ seq, layer int }
 
 // block is one physical cache page plus its sharing state. refs counts
-// the sequences whose streams include it; it returns to the pool when
-// refs drops to zero. A block registered in the prefix index remembers
-// its chain hash so it can be deindexed on write or free.
+// the sequences whose streams include it; when refs drops to zero it
+// returns to the pool, or, if indexed, to the reclaim list, where
+// prev/next link it (both nil off the list). A block registered in the
+// prefix index remembers its chain hash so it can be deindexed on write
+// or reclaim.
 type block struct {
-	region  memory.Region
-	refs    int
-	hash    uint64
-	layer   int
-	indexed bool
+	region     memory.Region
+	refs       int
+	hash       uint64
+	layer      int
+	indexed    bool
+	prev, next *block
 }
 
 type prefixKey struct {
@@ -258,32 +284,42 @@ func New(arena *memory.Arena, layers, kvDim, blockTokens, capacityTokens int, dt
 
 // Reset returns the cache to the state New leaves it in (the
 // copy-on-write tally, cumulative, stays): every block free and
-// unreferenced, no streams, an empty prefix index. It is the recovery
-// from a failed CheckIdle, so a leak costs one wave, not every later one.
+// unreferenced, no streams, no cached blocks, an empty prefix index. It
+// is the recovery from a failed CheckIdle, so a leak costs one wave, not
+// every later one.
 func (c *Cache) Reset() {
 	c.pool = c.pool[:0]
 	for i := range c.all {
 		b := &c.all[i]
-		b.refs, b.indexed = 0, false
+		b.refs, b.indexed, b.prev, b.next = 0, false, nil, nil
 		c.pool = append(c.pool, b)
 	}
+	c.cached.prev, c.cached.next, c.ncached = &c.cached, &c.cached, 0
 	clear(c.blocks)
 	clear(c.length)
 	clear(c.prefix)
 }
 
-// takeBlock pops a free block and resets its sharing state to a fresh
-// private block (one reference, unindexed). Returns nil when the pool
-// is exhausted.
+// takeBlock pops a free block or, when none is left, reclaims the least
+// recently released cached one (deindexing it), and resets its sharing
+// state to a fresh private block (one reference, unindexed). Returns nil
+// when neither is left.
 func (c *Cache) takeBlock() *block {
-	if len(c.pool) == 0 {
+	if len(c.pool) == 0 && c.ncached == 0 {
 		return nil
 	}
 	if c.allocHook != nil && c.allocHook() != nil {
 		return nil // forced exhaustion: same path as an empty pool
 	}
-	b := c.pool[len(c.pool)-1]
-	c.pool = c.pool[:len(c.pool)-1]
+	var b *block
+	if n := len(c.pool); n > 0 {
+		b = c.pool[n-1]
+		c.pool = c.pool[:n-1]
+	} else {
+		b = c.cached.next
+		c.unpark(b)
+		c.deindex(b)
+	}
 	b.refs = 1
 	b.hash = 0
 	b.layer = 0
@@ -291,15 +327,27 @@ func (c *Cache) takeBlock() *block {
 	return b
 }
 
-// unref drops one reference; the last reference deindexes the block
-// and returns it to the pool.
+// unref drops one reference. At the last, an indexed block joins the
+// reclaim list's tail, still resolvable; any other returns to the pool.
 func (c *Cache) unref(b *block) {
 	b.refs--
 	if b.refs > 0 {
 		return
 	}
-	c.deindex(b)
-	c.pool = append(c.pool, b)
+	if !b.indexed {
+		c.pool = append(c.pool, b)
+		return
+	}
+	b.prev, b.next = c.cached.prev, &c.cached
+	b.prev.next, c.cached.prev = b, b
+	c.ncached++
+}
+
+// unpark takes a cached block off the reclaim list.
+func (c *Cache) unpark(b *block) {
+	b.prev.next, b.next.prev = b.next, b.prev
+	b.prev, b.next = nil, nil
+	c.ncached--
 }
 
 // deindex removes a block's prefix-index registration, if any.
@@ -314,8 +362,9 @@ func (c *Cache) deindex(b *block) {
 	b.indexed = false
 }
 
-// FreeBlocks returns the number of unallocated blocks.
-func (c *Cache) FreeBlocks() int { return len(c.pool) }
+// FreeBlocks returns the number of blocks an Append can take: the
+// free ones plus the cached ones it would reclaim.
+func (c *Cache) FreeBlocks() int { return len(c.pool) + c.ncached }
 
 // BlockTokens returns the tokens-per-block geometry.
 func (c *Cache) BlockTokens() int { return c.blockTokens }
@@ -489,8 +538,9 @@ func (c *Cache) Release(seq int) {
 
 // UsedBlocks returns the number of distinct physical blocks currently
 // assigned to at least one sequence. A block shared by many sequences
-// counts once — this is the pool-capacity view, all blocks less FreeBlocks.
-func (c *Cache) UsedBlocks() int { return len(c.all) - len(c.pool) }
+// counts once and a cached block not at all — this is the pool-capacity
+// view, all blocks less FreeBlocks.
+func (c *Cache) UsedBlocks() int { return len(c.all) - c.FreeBlocks() }
 
 // CowCopies returns the cumulative number of copy-on-write block
 // copies performed since the cache was built.
@@ -503,28 +553,38 @@ func (c *Cache) CowCopies() int64 { return c.cowCopies }
 // allocates.
 func (c *Cache) SetAllocHook(hook func() error) { c.allocHook = hook }
 
-// CheckIdle verifies the cache has returned to its freshly-built
-// state: every physical block back in the free pool with zero
-// references, no live sequence streams, and an empty prefix index. It
-// reports the first discrepancy — a leaked (or double-freed) block, a
-// stale stream, a dangling index entry — so serving tests can assert
-// leak-freedom after a drain.
+// CheckIdle verifies that no sequence holds the cache: no live
+// streams, every physical block either free (unreferenced, unindexed)
+// or cached (unreferenced, indexed, on the reclaim list), and every
+// prefix-index entry naming a cached block under its own key. It
+// reports the first discrepancy — a leaked (or double-freed) block, an
+// indexed block off the reclaim list, a stale stream, a dangling index
+// entry — so serving tests can assert leak-freedom after a drain.
+// Cached blocks are not leaks: they are the prefixes kept for later
+// runs.
 func (c *Cache) CheckIdle() error {
-	if len(c.pool) != len(c.all) {
-		return fmt.Errorf("kvcache: %d of %d blocks leaked (%d free)",
-			len(c.all)-len(c.pool), len(c.all), len(c.pool))
+	if free := c.FreeBlocks(); free != len(c.all) {
+		return fmt.Errorf("kvcache: %d of %d blocks leaked (%d free, %d cached)",
+			len(c.all)-free, len(c.all), len(c.pool), c.ncached)
 	}
 	for i, b := range c.pool {
-		if b.refs != 0 {
-			return fmt.Errorf("kvcache: pooled block %d carries %d live refs", i, b.refs)
+		if b.refs != 0 || b.indexed {
+			return fmt.Errorf("kvcache: pooled block %d carries %d live refs (indexed %v)", i, b.refs, b.indexed)
+		}
+	}
+	for b := c.cached.next; b != &c.cached; b = b.next {
+		if b.refs != 0 || !b.indexed {
+			return fmt.Errorf("kvcache: cached block carries %d live refs (indexed %v)", b.refs, b.indexed)
 		}
 	}
 	if len(c.blocks) != 0 || len(c.length) != 0 {
-		return fmt.Errorf("kvcache: %d block streams / %d lengths survive with an empty pool outstanding",
+		return fmt.Errorf("kvcache: %d block streams / %d lengths survive with no sequence live",
 			len(c.blocks), len(c.length))
 	}
-	if len(c.prefix) != 0 {
-		return fmt.Errorf("kvcache: %d prefix-index entries dangle after all blocks freed", len(c.prefix))
+	for k, b := range c.prefix {
+		if b.next == nil || k != (prefixKey{b.hash, b.layer}) {
+			return fmt.Errorf("kvcache: prefix-index entry (layer %d) names no cached block", k.layer)
+		}
 	}
 	return nil
 }
@@ -532,10 +592,13 @@ func (c *Cache) CheckIdle() error {
 // IndexPrefix registers sequence seq's full blocks at one layer in the
 // prefix index under the chain hash of tokens (the sequence's prompt).
 // Only completely appended blocks are registered — a partial tail
-// block's content is still mutable. Idempotent and first-writer-wins:
-// a chain already advertised by another block keeps its existing
-// entry. Call it after the donor's appends at the layer are complete
-// and before a follower's AttachPrefix.
+// block's content is still mutable. Idempotent, and a chain a live
+// block already advertises keeps its entry; a chain only a cached block
+// advertises moves to seq's block, and the cached duplicate returns to
+// the free pool. Registered blocks outlive seq's Release on the reclaim
+// list, so later prompts with the same tokens can attach them. Call it
+// once seq's appends at the layer are complete, before a follower's
+// AttachPrefix.
 func (c *Cache) IndexPrefix(seq, layer int, tokens []int) {
 	key := seqLayer{seq, layer}
 	n := c.length[key]
@@ -551,8 +614,13 @@ func (c *Cache) IndexPrefix(seq, layer int, tokens []int) {
 			continue
 		}
 		pk := prefixKey{h, layer}
-		if _, taken := c.prefix[pk]; taken {
-			continue
+		if old, taken := c.prefix[pk]; taken {
+			if old.refs > 0 {
+				continue
+			}
+			c.unpark(old)
+			old.indexed = false
+			c.pool = append(c.pool, old)
 		}
 		b.hash = h
 		b.layer = layer
@@ -561,10 +629,30 @@ func (c *Cache) IndexPrefix(seq, layer int, tokens []int) {
 	}
 }
 
+// IndexedPrefix returns how many leading tokens of the chain, up to n,
+// the prefix index resolves at every layer, in whole blocks: what
+// AttachPrefix(seq, l, tokens, IndexedPrefix(tokens, n)) maps at each
+// layer l into an empty stream.
+func (c *Cache) IndexedPrefix(tokens []int, n int) int {
+	bt := c.blockTokens
+	h := chainSeed
+	bi := 0
+	for ; (bi+1)*bt <= min(n, len(tokens)); bi++ {
+		h = chainExtend(h, tokens[bi*bt:(bi+1)*bt])
+		for l := 0; l < c.layers; l++ {
+			if _, ok := c.prefix[prefixKey{h, l}]; !ok {
+				return bi * bt
+			}
+		}
+	}
+	return bi * bt
+}
+
 // AttachPrefix maps up to n leading tokens of the given token chain
 // into sequence seq's stream at one layer by resolving whole blocks
 // through the prefix index: each resolved block is shared in place
-// (refcount++, zero copies). The stream must be empty. When n is not
+// (refcount++, zero copies; a cached block leaves the reclaim list).
+// The stream must be empty. When n is not
 // block-aligned the final block is shared too, if the donor chain
 // covers it — the attacher's first divergent Append into it will
 // copy-on-write. Returns the number of tokens attached (a multiple of
@@ -606,6 +694,9 @@ func (c *Cache) AttachPrefix(seq, layer int, tokens []int, n int) int {
 		got = n
 	}
 	for _, b := range attached {
+		if b.refs == 0 {
+			c.unpark(b)
+		}
 		b.refs++
 	}
 	c.blocks[key] = attached

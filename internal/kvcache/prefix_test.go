@@ -206,17 +206,102 @@ func TestDoubleReleaseIsNoOp(t *testing.T) {
 	}
 }
 
-// TestReleasePurgesPrefixIndex: a freed block must leave the index so
-// a later attach cannot map a recycled block.
-func TestReleasePurgesPrefixIndex(t *testing.T) {
+// TestReclaimPurgesPrefixIndex: a released, indexed block stays in the
+// index and still resolves to the same bytes, but once the pool
+// reclaims it for another sequence it leaves the index, so a later
+// attach cannot map a recycled block.
+func TestReclaimPurgesPrefixIndex(t *testing.T) {
 	const layers, dim, block = 1, 2, 4
-	c := newCache(t, layers, dim, block, 64)
+	c := newCache(t, layers, dim, block, 8) // exactly 2 blocks
 	tokens := tokensOf(8, 13)
 	fillSeq(t, c, 0, layers, dim, tokens)
 	c.IndexPrefix(0, 0, tokens)
 	c.Release(0)
-	if got := c.AttachPrefix(1, 0, tokens, 8); got != 0 {
-		t.Fatalf("attach resolved %d tokens through a purged index", got)
+	if c.FreeBlocks() != 2 || c.UsedBlocks() != 0 {
+		t.Fatalf("released cached blocks: free %d used %d, want 2 and 0", c.FreeBlocks(), c.UsedBlocks())
+	}
+	if got := c.AttachPrefix(1, 0, tokens, 8); got != 8 {
+		t.Fatalf("released prefix resolved %d tokens, want 8", got)
+	}
+	for pos := range tokens {
+		if k, v := rowAt(c, 1, 0, pos); k[0] != float32(tokens[pos]) || v[0] != float32(tokens[pos])+0.5 {
+			t.Fatalf("pos %d: cached block reads k %v v %v, want the released bytes", pos, k[0], v[0])
+		}
+	}
+	c.Release(1)
+
+	// Both blocks are cached and none is free: a new sequence's appends
+	// reclaim them and overwrite their rows.
+	fillSeq(t, c, 2, layers, dim, tokensOf(8, 14))
+	if got := c.AttachPrefix(3, 0, tokens, 8); got != 0 {
+		t.Fatalf("attach resolved %d tokens through reclaimed blocks", got)
+	}
+	if got := c.IndexedPrefix(tokens, 8); got != 0 {
+		t.Fatalf("IndexedPrefix resolved %d tokens through reclaimed blocks", got)
+	}
+}
+
+// TestReclaimTakesFreeFirstThenOldestRelease: Append takes a free block
+// before any cached one, and among cached blocks reclaims the least
+// recently released first.
+func TestReclaimTakesFreeFirstThenOldestRelease(t *testing.T) {
+	const layers, dim, block = 1, 2, 4
+	c := newCache(t, layers, dim, block, 16) // 4 blocks
+	a, b := tokensOf(4, 21), tokensOf(4, 22)
+	fillSeq(t, c, 0, layers, dim, a)
+	fillSeq(t, c, 1, layers, dim, b)
+	c.IndexPrefix(0, 0, a)
+	c.IndexPrefix(1, 0, b)
+	c.Release(0) // a is released first: the older cached block
+	c.Release(1)
+
+	// Two free blocks remain: two single-block sequences take them and
+	// leave both cached prefixes resolvable.
+	fillSeq(t, c, 2, layers, dim, tokensOf(4, 23))
+	fillSeq(t, c, 3, layers, dim, tokensOf(4, 24))
+	if c.IndexedPrefix(a, 4) != 4 || c.IndexedPrefix(b, 4) != 4 {
+		t.Fatal("an Append reclaimed a cached block while free blocks were left")
+	}
+	// The next block comes off the reclaim list: a's, the older release.
+	fillSeq(t, c, 4, layers, dim, tokensOf(4, 25))
+	if c.IndexedPrefix(a, 4) != 0 || c.IndexedPrefix(b, 4) != 4 {
+		t.Fatalf("reclaim order: a resolves %d, b %d; want the older a reclaimed", c.IndexedPrefix(a, 4), c.IndexedPrefix(b, 4))
+	}
+	// Attaching b takes it off the reclaim list: with nothing free or
+	// cached left, the pool is exhausted rather than recycling a block
+	// a stream holds.
+	if got := c.AttachPrefix(5, 0, b, 4); got != 4 {
+		t.Fatalf("attach b: %d", got)
+	}
+	if err := c.Append(6, 0, vec(dim, 1), vec(dim, 2)); !errors.Is(err, ErrOutOfBlocks) {
+		t.Fatalf("append with every block held: %v, want ErrOutOfBlocks", err)
+	}
+	if k, _ := rowAt(c, 5, 0, 3); k[0] != float32(b[3]) {
+		t.Fatal("attached cached block lost its bytes")
+	}
+}
+
+// TestIndexPrefixMovesCachedChainToLiveBlock: a sequence that computed
+// blocks a cached block already advertises takes over the index entry,
+// and the cached duplicate returns to the free pool, so the chain
+// resolves to a block a stream holds — one no Append can reclaim.
+func TestIndexPrefixMovesCachedChainToLiveBlock(t *testing.T) {
+	const layers, dim, block = 1, 2, 4
+	c := newCache(t, layers, dim, block, 16)
+	tokens := tokensOf(4, 19)
+	fillSeq(t, c, 0, layers, dim, tokens)
+	c.IndexPrefix(0, 0, tokens)
+	c.Release(0)
+	fillSeq(t, c, 1, layers, dim, tokens) // a free block, not the cached one
+	if c.ncached != 1 {
+		t.Fatalf("%d cached blocks, want 1", c.ncached)
+	}
+	c.IndexPrefix(1, 0, tokens)
+	if c.ncached != 0 || len(c.pool) != 3 {
+		t.Fatalf("after re-indexing: %d cached, %d free; want 0 and 3", c.ncached, len(c.pool))
+	}
+	if got := c.AttachPrefix(2, 0, tokens, 4); got != 4 || c.UsedBlocks() != 1 {
+		t.Fatalf("attach resolved %d tokens over %d used blocks; want 4 over sequence 1's one", got, c.UsedBlocks())
 	}
 }
 

@@ -133,13 +133,16 @@ type ServerConfig struct {
 	// Off, admission is the classic length-sorted Alg. 2 pass.
 	SLOAware bool
 	// SharedPrefixKV controls shared-prefix KV reuse (default on, the
-	// zero value): requests of a wave whose prompts open with identical
-	// tokens — e.g. a common system prompt declared via
-	// Request.PrefixID/PrefixLen — share refcounted cache blocks with
-	// copy-on-write on divergence, skip prefilling the matched tokens,
-	// and are charged only their unshared bytes by the Alg. 2 batcher.
-	// Output is bit-identical with sharing on or off; set
-	// SharedPrefixOff to spend the extra FLOPs and cache anyway.
+	// zero value): requests whose prompts open with identical tokens —
+	// e.g. a common system prompt declared via Request.PrefixID/PrefixLen
+	// — share refcounted cache blocks with copy-on-write on divergence
+	// and skip prefilling the matched tokens. Reuse spans waves: a
+	// prompt's whole blocks stay cached after its request finishes, until
+	// the pool needs the room, so a later wave's request with the same
+	// opening maps them even with no wave-mate. The Alg. 2 batcher charges
+	// a request only its bytes unshared with its wave-mates; a cached
+	// prefix is not discounted. Output is bit-identical with sharing on or
+	// off; set SharedPrefixOff to spend the extra FLOPs and cache anyway.
 	SharedPrefixKV SharedPrefixMode
 	// MaxQueuedRequests bounds the admitted-but-not-yet-dispatched set:
 	// a Submit that would push past it fails fast with ErrOverloaded.
@@ -160,8 +163,8 @@ type ServerConfig struct {
 }
 
 // SharedPrefixMode selects whether the KV cache shares identical
-// prompt prefixes across a wave's requests. The zero value is ON so
-// the facade defaults to sharing.
+// prompt prefixes between requests, within a wave and across waves. The
+// zero value is ON so the facade defaults to sharing.
 type SharedPrefixMode int
 
 const (
