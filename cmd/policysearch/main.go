@@ -34,7 +34,7 @@ func main() {
 	workloadName := flag.String("workload", "mtbench", "workload preset: mtbench, reasoning, summarize")
 	gen := flag.Int("gen", 128, "generation length (mtbench only)")
 	padded := flag.Bool("padded", false, "pad requests to the maximum prompt length")
-	calibPath := flag.String("calib", "", "calibration table (moebench -exp calib); searches measured efficiencies over the paged weight layout")
+	calibPath := flag.String("calib", "", "calibration report written by moebench -exp calib -json; searches its measured efficiencies over the paged weight layout")
 	kvdtypeName := flag.String("kvdtype", "f32", "KV codec the calibrated estimator and the emitted serve config assume: f32 or int8")
 	flag.Parse()
 

@@ -29,10 +29,6 @@ var uncalledExports = map[string]string{
 	"moelightning.System.Roofline":   "facade entry point: the HRM of the system's hardware, what hrmplot builds from the spec directly",
 	"moelightning.NewFaultInjector":  "facade constructor for ServerConfig.Faults; internal/chaos builds the injector directly",
 
-	// Called through an interface, never by name.
-	"traffic.Trace.MarshalJSON":   "json.Marshaler, reached through encoding/json",
-	"traffic.Trace.UnmarshalJSON": "json.Unmarshaler, reached through encoding/json",
-
 	// What another package's test (or CI) measures the engine against.
 	"kvcache.Cache.UsedBlocks": "test oracle: the pool-capacity view (blocks a sequence holds; a cached prefix block counts as free) prefix sharing is asserted against",
 	"memory.Arena.Used":        "test oracle: engine and paging tests assert arena footprints through it",

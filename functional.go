@@ -17,8 +17,7 @@ type Request = workload.Request
 // FunctionalOptions parameterizes a functional-engine run: a real
 // (tiny-scale) MoE transformer executing CGOPipe with one goroutine per
 // hardware lane over explicit memory arenas. The options are the
-// server's own — RunFunctional sets Model and FixedGenLen itself —
-// plus Verify.
+// server's own — RunFunctional sets Model itself — plus Verify.
 type FunctionalOptions struct {
 	ServerConfig
 	// Verify re-runs every request on the sequential reference engine
@@ -42,20 +41,26 @@ type FunctionalResult struct {
 // RunFunctional serves a request queue through the functional CGOPipe
 // engine at tiny scale: a thin compatibility wrapper over Server that
 // submits the whole queue at once and drains it, reproducing the
-// classic closed-batch behavior (every request generates exactly GenLen
-// tokens). Use TinyMoE() (or a similarly small config) — this executes
-// real float32 math, so full-size configs are intentionally not
-// supported.
+// classic closed-batch behavior: every request generates exactly GenLen
+// tokens, whatever its own Request.GenLen. Use TinyMoE() (or a
+// similarly small config) — this executes real float32 math, so
+// full-size configs are intentionally not supported.
 func RunFunctional(cfg ModelConfig, requests []Request, opts FunctionalOptions) (FunctionalResult, error) {
 	if len(requests) == 0 {
 		return FunctionalResult{}, fmt.Errorf("moelightning: empty request queue")
 	}
-	opts.Model, opts.FixedGenLen = cfg, true
+	opts.Model = cfg
 	srv, err := NewServer(opts.ServerConfig)
 	if err != nil {
 		return FunctionalResult{}, err
 	}
-	handles, err := srv.SubmitBatch(context.Background(), requests)
+	// A request's GenLen of 0 is the wave's: submit copies that all ask
+	// for it.
+	full := append([]Request(nil), requests...)
+	for i := range full {
+		full[i].GenLen = 0
+	}
+	handles, err := srv.SubmitBatch(context.Background(), full)
 	if err != nil {
 		srv.Close()
 		return FunctionalResult{}, err

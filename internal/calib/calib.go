@@ -1,16 +1,19 @@
 // Package calib closes the loop between the repo's measured kernels
 // and its analytic performance model: it harvests wall-clock
 // efficiencies from the engine's own micro-benchmarks into a
-// JSON-serializable, schema-versioned Table that implements the
-// roofline.EfficiencyModel seam, so policy search optimizes the
-// machine that actually exists instead of a spec sheet.
+// schema-versioned Table that implements the roofline.EfficiencyModel
+// seam, so policy search optimizes the machine that actually exists
+// instead of a spec sheet.
 //
 // # Table schema
 //
-// A Table (Schema "moelightning/calib/v1") records the raw reference
-// peaks it was measured against (the hardware.Host spec's nominal
-// FLOP/s and bytes/s) plus a flat list of entries. Each Entry is one
-// benchmarked op instance keyed by op kind and shape bucket:
+// A Table (Schema "moelightning/calib/v1") is stored in one file
+// format only: embedded as the "table" of the calibration report
+// `moebench -exp calib -json` writes (BenchSchema; WriteBench, read
+// back by LoadBench and Load). It records the raw reference peaks it
+// was measured against (the hardware.Host spec's nominal FLOP/s and
+// bytes/s) plus a flat list of entries. Each Entry is one benchmarked
+// op instance keyed by op kind and shape bucket:
 //
 //   - "gemm" entries bucket by Tokens (GEMM rows) and calibrate every
 //     projection/FFN query (OpPreAttn, OpFFN, OpCPUFFN);
@@ -47,10 +50,8 @@
 package calib
 
 import (
-	"encoding/json"
 	"fmt"
 	"math"
-	"os"
 	"sort"
 
 	"moelightning/internal/roofline"
@@ -266,39 +267,13 @@ func bracket(ents []Entry, kind string, key int) (lo, hi int) {
 	return last, last
 }
 
-// Write serializes the table to path as indented JSON.
-func (t *Table) Write(path string) error {
-	data, err := json.MarshalIndent(t, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, append(data, '\n'), 0o644)
-}
-
-// Load reads and validates a table, attaching the given fallback. The
-// path may hold either a bare Table or a full moebench calibration
-// report (BenchSchema), in which case the embedded table is used.
+// Load reads the calibration report `moebench -exp calib -json` writes
+// (BenchSchema, see LoadBench) and returns its embedded table with the
+// given fallback attached.
 func Load(path string, fallback roofline.EfficiencyModel) (*Table, error) {
-	data, err := os.ReadFile(path)
+	r, err := LoadBench(path)
 	if err != nil {
 		return nil, err
 	}
-	var t Table
-	if err := json.Unmarshal(data, &t); err != nil {
-		return nil, fmt.Errorf("calib: %s: %w", path, err)
-	}
-	if t.Schema == BenchSchema {
-		var r BenchReport
-		if err := json.Unmarshal(data, &r); err != nil {
-			return nil, fmt.Errorf("calib: %s: %w", path, err)
-		}
-		if r.Table == nil {
-			return nil, fmt.Errorf("calib: %s: bench report carries no table", path)
-		}
-		t = *r.Table
-	}
-	if err := t.Validate(); err != nil {
-		return nil, fmt.Errorf("calib: %s: %w", path, err)
-	}
-	return t.WithFallback(fallback), nil
+	return r.Table.WithFallback(fallback), nil
 }

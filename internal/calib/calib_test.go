@@ -1,7 +1,9 @@
 package calib
 
 import (
+	"encoding/json"
 	"math"
+	"os"
 	"path/filepath"
 	"runtime"
 	"slices"
@@ -31,10 +33,16 @@ func handTable() *Table {
 	}
 }
 
+// TestTableRoundTrip: a table survives the one file format that holds
+// it, the calibration report WriteBench writes, and Load reads it back.
 func TestTableRoundTrip(t *testing.T) {
 	tab := handTable()
 	path := filepath.Join(t.TempDir(), "calib.json")
-	if err := tab.Write(path); err != nil {
+	report := NewBenchReport(tab, "tiny", 1, true, []ScenarioReport{
+		{Name: "a", MeasuredTPS: 100, CalibratedTPS: 110, AnalyticTPS: 150, CalibratedErr: 0.1, AnalyticErr: 0.5},
+		{Name: "b", MeasuredTPS: 200, CalibratedTPS: 190, AnalyticTPS: 300, CalibratedErr: 0.05, AnalyticErr: 0.5},
+	})
+	if err := WriteBench(path, report); err != nil {
 		t.Fatal(err)
 	}
 	got, err := Load(path, nil)
@@ -47,6 +55,18 @@ func TestTableRoundTrip(t *testing.T) {
 	e := got.Efficiency(roofline.OpGEMM, roofline.Shape{Tokens: 1})
 	if e.Compute != 0.1 || e.Bandwidth != 0.4 {
 		t.Errorf("exact-bucket lookup after reload = %+v", e)
+	}
+	// A bare table is not a calibration file.
+	bare, err := json.Marshal(tab)
+	if err != nil {
+		t.Fatal(err)
+	}
+	barePath := filepath.Join(t.TempDir(), "bare.json")
+	if err := os.WriteFile(barePath, bare, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Load(barePath, nil); err == nil {
+		t.Error("Load accepted a bare table")
 	}
 }
 

@@ -193,11 +193,10 @@ func Run(cfg Config) (Report, error) {
 			SLOAware:          true,
 			MaxQueuedRequests: cfg.MaxQueuedRequests,
 		},
-		NumMicroBatches:    numMicro,
-		GenLen:             genLen,
-		HonorRequestGenLen: true,
-		EnforceDeadlines:   true,
-		WaveTimeout:        cfg.WaveTimeout,
+		NumMicroBatches:  numMicro,
+		GenLen:           genLen,
+		EnforceDeadlines: true,
+		WaveTimeout:      cfg.WaveTimeout,
 	})
 	if err != nil {
 		return rep, err

@@ -87,11 +87,10 @@ func NewServer(host *Host, cfg ServeConfig) (*Server, error) {
 	return s, nil
 }
 
-// effGenLen resolves a request's generation length under the server
-// config: with HonorRequestGenLen, a request's own GenLen (capped at the
-// wave length) wins; otherwise every request runs the full wave length.
+// effGenLen resolves a request's generation length: its own GenLen,
+// capped at the wave length, or the wave length when it sets none.
 func (s *Server) effGenLen(r workload.Request) int {
-	if s.cfg.HonorRequestGenLen && r.GenLen > 0 && r.GenLen < s.cfg.GenLen {
+	if r.GenLen > 0 && r.GenLen < s.cfg.GenLen {
 		return r.GenLen
 	}
 	return s.cfg.GenLen

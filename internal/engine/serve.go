@@ -21,14 +21,11 @@ type ServeConfig struct {
 	AdmissionPolicy
 	// NumMicroBatches is Alg. 2's n_ub: micro-batches per wave.
 	NumMicroBatches int
-	// GenLen is tokens to generate per request.
+	// GenLen is the wave's generation length: a request generates its
+	// own GenLen tokens when 0 < GenLen < this, and this many otherwise.
+	// A request that ends early retires its sequence and frees its KV
+	// blocks mid-wave.
 	GenLen int
-	// HonorRequestGenLen lets a request's own GenLen (when 0 < GenLen <
-	// the wave's GenLen) end it early, retiring its sequence and freeing
-	// its KV blocks mid-wave. Off, every request generates exactly
-	// GenLen tokens — the classic closed-batch behavior Serve and
-	// RunFunctional keep.
-	HonorRequestGenLen bool
 	// EnforceDeadlines fails queued requests whose TTFT budget has
 	// already expired at the wave boundary (ErrDeadlineExceeded), before
 	// any prefill is wasted on them.

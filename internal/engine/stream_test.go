@@ -431,8 +431,8 @@ func TestServerSubmitCloseRace(t *testing.T) {
 	}
 }
 
-// TestServerHonorsRequestGenLen: with HonorRequestGenLen a short
-// request ends at its own GenLen — its tokens are the reference prefix —
+// TestServerHonorsRequestGenLen: a request shorter than the wave ends
+// at its own GenLen — its tokens are the reference prefix —
 // while full-length batch-mates are untouched.
 func TestServerHonorsRequestGenLen(t *testing.T) {
 	cfg := model.Tiny()
@@ -444,7 +444,7 @@ func TestServerHonorsRequestGenLen(t *testing.T) {
 	const waveGen = 6
 	srv, err := NewServer(&Host{W: w, GPU: gpu, Pinned: pinned, Cache: cacheArena}, ServeConfig{
 		Config:          Config{MicroBatch: 2, MaxContext: 128},
-		NumMicroBatches: 1, GenLen: waveGen, HonorRequestGenLen: true,
+		NumMicroBatches: 1, GenLen: waveGen,
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -369,9 +369,6 @@ func (c *Cache) FreeBlocks() int { return len(c.pool) + c.ncached }
 // BlockTokens returns the tokens-per-block geometry.
 func (c *Cache) BlockTokens() int { return c.blockTokens }
 
-// DType returns the cache's storage codec.
-func (c *Cache) DType() DType { return c.dtype }
-
 // TokenBytes returns the stored payload of one token at one layer
 // (both halves) in bytes under a codec: 2*kvDim*4 for F32, 2*(kvDim
 // codes packed four to a float32 word + 4 bytes per group scale) for

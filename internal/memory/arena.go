@@ -78,9 +78,6 @@ type Region struct {
 // Len returns the region length in floats.
 func (r Region) Len() int { return r.n }
 
-// Arena returns the owning arena.
-func (r Region) Arena() *Arena { return r.arena }
-
 // Data returns the region's backing slice.
 func (r Region) Data() []float32 {
 	return r.arena.data[r.off : r.off+r.n]

@@ -121,25 +121,6 @@ func (c Config) ExpertsTouched(n int) int {
 	return touched
 }
 
-// DecodeLayerCost aggregates a full decode pass over one layer for n
-// tokens at the given average context, with attention split out so the
-// scheduler can place it on CPU or GPU.
-func (c Config) DecodeLayerCost(n, context, mu int) (pre, attn, post OpCost) {
-	pre = c.PreAttnCost(n)
-	attn = c.AttnCost(n, context)
-	// PostAttnCost is per micro-batch for weights; scale to n tokens in
-	// micro-batches of mu: tokens scale linearly, weight reads repeat
-	// per micro-batch.
-	nb := (n + mu - 1) / mu
-	perMB := c.PostAttnCost(mu, c.ExpertsTouched(mu))
-	post = OpCost{
-		FLOPs:       perMB.FLOPs / float64(mu) * float64(n),
-		WeightBytes: perMB.WeightBytes * float64(nb),
-		ActBytes:    perMB.ActBytes / float64(mu) * float64(n),
-	}
-	return pre, attn, post
-}
-
 // PrefillCost is the whole-model prefill cost for total prompt tokens,
 // which the paper runs entirely on GPU (§4 footnote 7). Attention here
 // is causal over the prompt; we charge the average context s/2.

@@ -152,19 +152,6 @@ func TestExpertsTouched(t *testing.T) {
 	}
 }
 
-func TestDecodeLayerCostScalesWithBatch(t *testing.T) {
-	cfg := Mixtral8x7B()
-	_, _, post1 := cfg.DecodeLayerCost(128, 512, 32)
-	_, _, post2 := cfg.DecodeLayerCost(256, 512, 32)
-	if post2.FLOPs <= post1.FLOPs {
-		t.Error("post FLOPs must grow with batch")
-	}
-	// Weight bytes scale with the number of micro-batches (HBM re-reads).
-	if post2.WeightBytes != 2*post1.WeightBytes {
-		t.Errorf("weight re-reads: %v vs %v, want 2x", post2.WeightBytes, post1.WeightBytes)
-	}
-}
-
 func TestPrefillCostScalesWithTokens(t *testing.T) {
 	cfg := Mixtral8x7B()
 	c1 := cfg.PrefillCost(1000, 100)

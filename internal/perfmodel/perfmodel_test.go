@@ -119,6 +119,24 @@ func TestWeightStreamingScalesWithRw(t *testing.T) {
 	}
 }
 
+// TestDecodeLayerChargesWeightsPerMicroBatch: each micro-batch's
+// post-attention reads the layer's touched expert weights from HBM
+// again. At a fixed μ, twice the micro-batches cost twice the
+// post-attention time, and one batch cut into micro-batches costs more
+// than the same batch as one.
+func TestDecodeLayerChargesWeightsPerMicroBatch(t *testing.T) {
+	e := s1Estimator(t)
+	four := e.DecodeLayer(Policy{N: 128, Mu: 32, GPUFFN: true}, 512).PostAttn
+	eight := e.DecodeLayer(Policy{N: 256, Mu: 32, GPUFFN: true}, 512).PostAttn
+	if four <= 0 || eight != 2*four {
+		t.Errorf("post-attention over 8 micro-batches = %v, want twice the 4 micro-batches' %v", eight, four)
+	}
+	whole := e.DecodeLayer(Policy{N: 256, Mu: 256, GPUFFN: true}, 512).PostAttn
+	if eight <= whole {
+		t.Errorf("256 sequences in 8 micro-batches cost %v of post-attention, want more than the %v of one", eight, whole)
+	}
+}
+
 func TestGPUAttentionMovesKV(t *testing.T) {
 	e := s1Estimator(t)
 	p := mlPolicy()

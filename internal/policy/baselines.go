@@ -1,10 +1,6 @@
 package policy
 
-import (
-	"math"
-
-	"moelightning/internal/perfmodel"
-)
+import "moelightning/internal/perfmodel"
 
 // Baseline policy makers. These emulate what the baseline systems'
 // own planners choose, including their blind spots, so that Tab. 5
@@ -15,10 +11,9 @@ import (
 // FlexGenTheirPolicy emulates FlexGen's planner:
 //   - attention on GPU, KV cache on CPU (r_c = 0), weights on CPU
 //     (r_w = 0 in the memory-constrained settings);
-//   - its cost model treats GPU kernel time as FLOPs/peak — no
-//     small-micro-batch saturation and no per-micro-batch expert weight
-//     re-read from HBM — so small μ looks free and it picks the smallest
-//     μ whose predicted throughput is within tol of the best;
+//   - μ is the largest micro-batch its over-conservative GPU memory
+//     accounting admits (an inflated activation workspace), not the
+//     one that saturates the GPU;
 //   - batch size is pushed to the CPU-memory maximum to amortize weight
 //     transfers (§1: "process as many requests as possible").
 func FlexGenTheirPolicy(in perfmodel.Input) (perfmodel.Policy, error) {
@@ -49,9 +44,6 @@ func FlexGenTheirPolicy(in perfmodel.Input) (perfmodel.Policy, error) {
 	}
 	best := perfmodel.Policy{Mu: mu, GPUAttn: true, GPUFFN: true}
 	best.N = maxFeasibleN(e, best, 1<<20)
-	// Sanity: its own cost model must not predict a regression vs the
-	// next-smaller μ (it never does — the model is μ-insensitive).
-	_ = flexGenPredictedThroughput(e, best)
 	return best, nil
 }
 
@@ -62,32 +54,6 @@ func flexGenGPUFits(e *perfmodel.Estimator, p perfmodel.Policy, inflation float6
 	mem := e.GPUMem(p)
 	inflated := mem.Total() + int64(float64(mem.Activations)*(inflation-1))
 	return inflated <= e.In.Spec.TotalGPUMem()
-}
-
-// flexGenPredictedThroughput scores a policy the way FlexGen's planner
-// would: per-layer time is max(weight+KV transfer, GPU FLOPs at full
-// peak). It omits kernel saturation and HBM weight re-reads entirely.
-func flexGenPredictedThroughput(e *perfmodel.Estimator, p perfmodel.Policy) float64 {
-	m := e.In.Model
-	spec := e.In.Spec
-	ctx := e.In.MidContext()
-
-	weightBytes := float64(m.LayerWeightBytes()) * (1 - p.WeightsGPURatio)
-	kvBytes := float64(p.N) * float64(ctx) * m.KVBytesPerTokenLayer()
-	htod := (weightBytes + kvBytes) / spec.TotalLinkBandwidth()
-
-	pre, attn, post := m.DecodeLayerCost(p.N, ctx, p.Mu)
-	flops := pre.FLOPs + attn.FLOPs + post.FLOPs
-	// Their model: peak FLOPS, weights read once per layer, but kernel
-	// dispatch overhead per micro-batch is visible in their profiles.
-	launch := float64(p.MicroBatches()) * 3 * spec.GPU.LaunchOverhead
-	gpu := flops/(spec.GPU.SustainedFLOPS()*float64(spec.NumGPUs)) + launch
-	hbm := (float64(m.LayerWeightBytes()) + pre.ActBytes + attn.ActBytes + post.ActBytes) / spec.TotalGPUBandwidth()
-
-	layer := math.Max(htod, math.Max(gpu, hbm))
-	decode := layer * float64(m.Layers) * float64(e.In.Workload.GenLen)
-	prefill := e.PrefillTime(p)
-	return float64(p.N*e.In.Workload.GenLen) / (decode + prefill)
 }
 
 // FlexGenOurPolicy is Tab. 5's "FlexGen w/ our policy": run the real
@@ -107,7 +73,6 @@ func DeepSpeedPolicy(in perfmodel.Input) (perfmodel.Policy, error) {
 	if err != nil {
 		return perfmodel.Policy{}, err
 	}
-	best := perfmodel.Policy{}
 	// Largest single micro-batch whose KV cache fits GPU memory.
 	lo, hi := 1, 1<<18
 	for lo < hi {
@@ -119,7 +84,7 @@ func DeepSpeedPolicy(in perfmodel.Input) (perfmodel.Policy, error) {
 			hi = mid - 1
 		}
 	}
-	best = perfmodel.Policy{N: lo, Mu: lo, GPUAttn: true, GPUFFN: true, KVGPURatio: 1}
+	best := perfmodel.Policy{N: lo, Mu: lo, GPUAttn: true, GPUFFN: true, KVGPURatio: 1}
 	if e.Feasible(best) != nil {
 		return best, ErrNoFeasiblePolicy
 	}

@@ -20,7 +20,6 @@ func newTestServer(t *testing.T, sloAware bool) (*engine.Server, model.Config) {
 		Config:          engine.Config{MicroBatch: 2, MaxContext: 64},
 		AdmissionPolicy: engine.AdmissionPolicy{SLOAware: sloAware},
 		NumMicroBatches: 2, GenLen: 10,
-		HonorRequestGenLen: true,
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -1,7 +1,6 @@
 package traffic
 
 import (
-	"encoding/json"
 	"fmt"
 	"time"
 
@@ -11,25 +10,25 @@ import (
 // Event is one timed request in a trace.
 type Event struct {
 	// At is the arrival offset from the trace's start.
-	At time.Duration `json:"at_ns"`
+	At time.Duration
 	// Cohort names the cohort the request was drawn from.
-	Cohort string `json:"cohort"`
+	Cohort string
 	// Request is the concrete request (ID, prompt length, gen length,
 	// and — for cohorts with a system prompt — the shared-prefix id and
-	// token length, so a replayed trace exercises prefix reuse).
-	Request workload.Request `json:"request"`
+	// token length, so a played trace exercises prefix reuse).
+	Request workload.Request
 	// SLO is the request's latency target (zero = best effort).
-	SLO SLO `json:"slo"`
+	SLO SLO
 }
 
-// Trace is a replayable open-loop request timeline: the full output of
-// Scenario.Generate for one seed. It serializes to JSON so a trace can
-// be stored, diffed, and replayed bit-identically.
+// Trace is an open-loop request timeline regenerated from its seed:
+// the full output of Scenario.Generate for one seed, so the same seed
+// always plays the same requests at the same offsets.
 type Trace struct {
-	Scenario string  `json:"scenario"`
-	Arrival  string  `json:"arrival"`
-	Seed     int64   `json:"seed"`
-	Events   []Event `json:"events"`
+	Scenario string
+	Arrival  string
+	Seed     int64
+	Events   []Event
 }
 
 // Span is the arrival window: the offset of the last event.
@@ -58,24 +57,9 @@ func (t Trace) CohortCounts() map[string]int {
 	return counts
 }
 
-// MarshalJSON is the standard encoding (Trace is a plain struct); the
-// method pair exists so the wire format is an explicit, tested API.
-func (t Trace) MarshalJSON() ([]byte, error) {
-	type wire Trace // drop methods to avoid recursion
-	return json.Marshal(wire(t))
-}
-
-// UnmarshalJSON decodes a serialized trace and validates its shape.
-func (t *Trace) UnmarshalJSON(data []byte) error {
-	type wire Trace
-	var w wire
-	if err := json.Unmarshal(data, &w); err != nil {
-		return err
-	}
-	*t = Trace(w)
-	return t.validate()
-}
-
+// validate checks the trace's shape: arrivals in order, every request
+// with a prompt and a generation, every prefix inside its prompt. Run
+// and SimulateAdmission refuse a trace that fails it.
 func (t Trace) validate() error {
 	prev := time.Duration(-1)
 	for i, ev := range t.Events {

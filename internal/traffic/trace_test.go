@@ -1,7 +1,6 @@
 package traffic
 
 import (
-	"encoding/json"
 	"reflect"
 	"testing"
 	"time"
@@ -13,7 +12,7 @@ func eventReq(id, prompt, gen int) workload.Request {
 	return workload.Request{ID: id, PromptLen: prompt, GenLen: gen}
 }
 
-// TestGenerateDeterministic: the same seed yields a byte-identical
+// TestGenerateDeterministic: the same seed yields an identical
 // trace; a different seed yields a different one.
 func TestGenerateDeterministic(t *testing.T) {
 	scn := BurstyMix(10, 120)
@@ -35,41 +34,26 @@ func TestGenerateDeterministic(t *testing.T) {
 	if reflect.DeepEqual(a.Events, c.Events) {
 		t.Fatal("different seeds produced identical traces")
 	}
-	ja, _ := json.Marshal(a)
-	jb, _ := json.Marshal(b)
-	if string(ja) != string(jb) {
-		t.Fatal("same seed produced different serialized traces")
-	}
 }
 
-// TestTraceRoundTrip: a trace survives JSON encode/decode bit-exactly,
-// SLOs included.
-func TestTraceRoundTrip(t *testing.T) {
+// TestTraceCarriesCohortSLOs: every generated chat event carries the
+// chat cohort's SLO, a 400ms TTFT target, and the trace passes the
+// shape check Run applies.
+func TestTraceCarriesCohortSLOs(t *testing.T) {
 	tr, err := PoissonChat(12, 60).Generate(7)
 	if err != nil {
 		t.Fatal(err)
 	}
-	data, err := json.Marshal(tr)
-	if err != nil {
-		t.Fatal(err)
+	if err := tr.validate(); err != nil {
+		t.Fatalf("generated trace rejected: %v", err)
 	}
-	var back Trace
-	if err := json.Unmarshal(data, &back); err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(tr, back) {
-		t.Fatal("trace changed across JSON round trip")
-	}
-	// SLOs made it through (chat cohort carries a 400ms TTFT target).
-	found := false
-	for _, ev := range back.Events {
-		if ev.Cohort == "chat" && ev.SLO.TTFT == 400*time.Millisecond {
-			found = true
-			break
+	for i, ev := range tr.Events {
+		if ev.Cohort == "chat" && ev.SLO.TTFT != 400*time.Millisecond {
+			t.Fatalf("event %d: chat TTFT target %v, want 400ms", i, ev.SLO.TTFT)
 		}
 	}
-	if !found {
-		t.Error("chat SLO lost in serialization")
+	if tr.CohortCounts()["chat"] == 0 {
+		t.Error("no chat event drawn")
 	}
 }
 
@@ -119,8 +103,8 @@ func TestTraceCohortMix(t *testing.T) {
 
 // TestCohortSystemPrompt: cohorts with SystemPromptTokens stamp a
 // stable nonzero PrefixID per cohort name (distinct across cohorts),
-// replays are bit-identical, and the prefix survives a JSON round trip
-// under the bounds validator.
+// regenerated traces are bit-identical, and the bounds validator
+// rejects a prefix longer than its prompt.
 func TestCohortSystemPrompt(t *testing.T) {
 	if prefixID("chat") == prefixID("agentic") {
 		t.Fatal("distinct cohorts hashed to the same prefix id")
@@ -140,20 +124,9 @@ func TestCohortSystemPrompt(t *testing.T) {
 	if !reflect.DeepEqual(a, b) {
 		t.Fatal("same seed produced different prefix-carrying traces")
 	}
-	data, err := json.Marshal(a)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var back Trace
-	if err := json.Unmarshal(data, &back); err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(a, back) {
-		t.Fatal("prefix fields changed across JSON round trip")
-	}
 	// Every event in this scenario belongs to a system-prompt cohort and
 	// must count the prefix inside its prompt.
-	for i, ev := range back.Events {
+	for i, ev := range a.Events {
 		if ev.Request.PrefixLen <= 0 || ev.Request.PrefixLen >= ev.Request.PromptLen {
 			t.Fatalf("event %d: prefix %d not inside %d-token prompt", i, ev.Request.PrefixLen, ev.Request.PromptLen)
 		}
@@ -162,18 +135,14 @@ func TestCohortSystemPrompt(t *testing.T) {
 	bad := Trace{Scenario: "x", Events: []Event{{
 		Request: workload.Request{ID: 1, PromptLen: 4, GenLen: 2, PrefixID: 3, PrefixLen: 9},
 	}}}
-	raw, err := json.Marshal(bad)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var rejected Trace
-	if err := json.Unmarshal(raw, &rejected); err == nil {
-		t.Error("prefix longer than prompt decoded without error")
+	if err := bad.validate(); err == nil {
+		t.Error("prefix longer than prompt passed validation")
 	}
 }
 
-// TestTraceValidateRejectsBadTraces: decode rejects out-of-order and
-// empty-shape events.
+// TestTraceValidateRejectsBadTraces: validation, which Run and
+// SimulateAdmission apply before playing a trace, rejects out-of-order
+// and empty-shape events.
 func TestTraceValidateRejectsBadTraces(t *testing.T) {
 	bad := []Trace{
 		{Scenario: "x", Events: []Event{
@@ -183,13 +152,8 @@ func TestTraceValidateRejectsBadTraces(t *testing.T) {
 		{Scenario: "x", Events: []Event{{At: 0, Request: eventReq(1, 0, 2)}}},
 	}
 	for i, tr := range bad {
-		data, err := json.Marshal(tr)
-		if err != nil {
-			t.Fatal(err)
-		}
-		var back Trace
-		if err := json.Unmarshal(data, &back); err == nil {
-			t.Errorf("case %d: bad trace decoded without error", i)
+		if err := tr.validate(); err == nil {
+			t.Errorf("case %d: bad trace passed validation", i)
 		}
 	}
 }

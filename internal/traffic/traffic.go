@@ -12,9 +12,9 @@
 //     distribution (internal/workload) with a latency SLO and a
 //     traffic share — chat short-prompt, RAG long-prompt, agentic
 //     many-short-turns, batch summarization;
-//   - Scenario.Generate produces a Trace: a replayable, serializable
-//     list of timed requests. The same seed always yields the same
-//     trace, byte for byte.
+//   - Scenario.Generate produces a Trace: a list of timed requests
+//     regenerated from its seed. The same seed always yields the same
+//     trace.
 //
 // A trace is consumed two ways. Run plays it open-loop in real time
 // against a live server (each request submitted from its own goroutine

@@ -149,6 +149,36 @@ func TestRunFunctional(t *testing.T) {
 	}
 }
 
+// TestRunFunctionalRunsTheWaveLength: RunFunctional is a closed batch,
+// so requests asking for fewer tokens than opts.GenLen still generate
+// exactly opts.GenLen, verified against the reference, and the
+// caller's requests keep their own GenLen.
+func TestRunFunctionalRunsTheWaveLength(t *testing.T) {
+	const genLen = 6
+	reqs := []Request{
+		{ID: 1, PromptLen: 5, GenLen: 2},
+		{ID: 2, PromptLen: 8, GenLen: 1},
+		{ID: 3, PromptLen: 3},
+	}
+	res, err := RunFunctional(TinyMoE(), reqs, FunctionalOptions{
+		ServerConfig: ServerConfig{Seed: 9, GenLen: genLen}, Verify: true,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !res.Verified {
+		t.Fatal("verification did not run")
+	}
+	for _, r := range reqs {
+		if got := len(res.Outputs[r.ID]); got != genLen {
+			t.Errorf("request %d generated %d tokens, want %d", r.ID, got, genLen)
+		}
+	}
+	if reqs[0].GenLen != 2 || reqs[1].GenLen != 1 {
+		t.Errorf("RunFunctional rewrote the caller's requests: %+v", reqs)
+	}
+}
+
 // TestRunFunctionalInt8KV serves the same queue over the group-
 // quantized cache: Verify holds because the reference reads an Int8
 // cache too (pipeline-vs-reference bit-identity survives the codec),

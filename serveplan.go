@@ -11,9 +11,10 @@ import (
 // shape becomes the wave shape, the workload's prompt/generation
 // lengths size the context bound (engine.ContextBound), which is also
 // each sequence's share of the Alg. 2 KV budget, so the batcher admits
-// a whole micro-batch of the workload's longest requests. The result
-// is what `policysearch` prints and what the calibration scenarios
-// serve under.
+// a whole micro-batch of the workload's longest requests. The wave
+// length is the workload's GenLen, which its requests carry too, so
+// each generates the full wave the optimizer's estimate charges. The
+// result is what `policysearch` prints.
 func ServerConfigForPolicy(m ModelConfig, p Policy, w WorkloadConfig, kv KVDtype) ServerConfig {
 	prompt := w.MaxPrompt
 	if prompt <= 0 {
@@ -30,9 +31,6 @@ func ServerConfigForPolicy(m ModelConfig, p Policy, w WorkloadConfig, kv KVDtype
 		GenLen:          w.GenLen,
 		MaxContext:      engine.ContextBound(prompt, w.GenLen),
 		KVDtype:         kv,
-		// The optimizer's throughput estimate assumes the closed-batch
-		// schedule: every admitted request runs the full wave length.
-		FixedGenLen: true,
 	}
 }
 
@@ -41,9 +39,9 @@ func ServerConfigForPolicy(m ModelConfig, p Policy, w WorkloadConfig, kv KVDtype
 // the preset you searched for).
 func FormatServerConfig(c ServerConfig) string {
 	return fmt.Sprintf(
-		"moelightning.ServerConfig{Model: <model>, MicroBatchSize: %d, NumMicroBatches: %d, GenLen: %d, MaxContext: %d, KVDtype: %s, FixedGenLen: %v}",
+		"moelightning.ServerConfig{Model: <model>, MicroBatchSize: %d, NumMicroBatches: %d, GenLen: %d, MaxContext: %d, KVDtype: %s}",
 		c.MicroBatchSize, c.NumMicroBatches, c.GenLen, c.MaxContext,
-		kvdtypeLiteral(c.KVDtype), c.FixedGenLen)
+		kvdtypeLiteral(c.KVDtype))
 }
 
 func kvdtypeLiteral(kv KVDtype) string {

@@ -84,7 +84,7 @@ func TestFormatServerConfigIsCopyPasteable(t *testing.T) {
 	s := FormatServerConfig(cfg)
 	for _, want := range []string{
 		"MicroBatchSize: 4", "NumMicroBatches: 2", "GenLen: 8",
-		"moelightning.KVInt8", "FixedGenLen: true",
+		"moelightning.KVInt8",
 	} {
 		if !strings.Contains(s, want) {
 			t.Errorf("formatted config missing %q:\n%s", want, s)

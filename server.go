@@ -98,19 +98,16 @@ type ServerConfig struct {
 	// (Alg. 2 batching); defaults 2 and 2.
 	MicroBatchSize  int
 	NumMicroBatches int
-	// GenLen is the wave generation length; default 8. Unless
-	// FixedGenLen is set, a request whose own GenLen is shorter stops
-	// early and frees its KV slot for the next wave.
+	// GenLen is the wave generation length; default 8. A request
+	// generates its own GenLen tokens when 0 < GenLen < this, stopping
+	// early and freeing its KV slot for the next wave, and this many
+	// otherwise.
 	GenLen int
 	// MaxContext is each sequence slot's share of the KV cache in
 	// float32 tokens; default 128. It sizes admission too: a micro-batch
 	// holds MicroBatchSize x MaxContext, charged in whole cache blocks,
 	// and Submit refuses a request an empty micro-batch cannot hold.
 	MaxContext int
-	// FixedGenLen makes every request generate exactly GenLen tokens
-	// regardless of its own Request.GenLen — the classic closed-batch
-	// behavior RunFunctional preserves.
-	FixedGenLen bool
 	// KVDtype selects the KV cache codec: KVFloat32 (the zero value)
 	// or KVInt8 for the §3.3 group-quantized cache.
 	KVDtype KVDtype
@@ -229,11 +226,10 @@ func NewServer(cfg ServerConfig) (*Server, error) {
 			SLOAware:          cfg.SLOAware,
 			MaxQueuedRequests: cfg.MaxQueuedRequests,
 		},
-		NumMicroBatches:    cfg.NumMicroBatches,
-		GenLen:             cfg.GenLen,
-		HonorRequestGenLen: !cfg.FixedGenLen,
-		EnforceDeadlines:   cfg.EnforceDeadlines,
-		WaveTimeout:        cfg.WaveTimeout,
+		NumMicroBatches:  cfg.NumMicroBatches,
+		GenLen:           cfg.GenLen,
+		EnforceDeadlines: cfg.EnforceDeadlines,
+		WaveTimeout:      cfg.WaveTimeout,
 	}
 	host, err := engine.NewHost(cfg.Model, cfg.Seed, ecfg.MicroBatch*ecfg.NumMicroBatches, ecfg.MaxContext, ecfg.ExpertResidencyBytes)
 	if err != nil {

@@ -240,9 +240,8 @@ func TestNewServerHoldsItsWave(t *testing.T) {
 // Seeded random queues, and the cases that once admitted past the pool
 // (the int8 byte rate over a token-counted pool; token counts over
 // whole blocks; a prefix discount larger than the engine maps), run
-// through NewServer under both codecs, with
-// prefix sharing and per-request generation lengths on and off: every
-// request completes.
+// through NewServer under both codecs, with prefix sharing on and off
+// and per-request generation lengths: every request completes.
 func TestServerAdmissionNeverExhaustsPool(t *testing.T) {
 	type scenario struct {
 		name string
@@ -294,39 +293,37 @@ func TestServerAdmissionNeverExhaustsPool(t *testing.T) {
 	for _, sc := range scenarios {
 		for _, kv := range []KVDtype{KVFloat32, KVInt8} {
 			for _, prefix := range []SharedPrefixMode{SharedPrefixOn, SharedPrefixOff} {
-				for _, fixed := range []bool{false, true} {
-					cfg := sc.cfg
-					cfg.Model, cfg.KVDtype, cfg.SharedPrefixKV, cfg.FixedGenLen = m, kv, prefix, fixed
-					cfg.defaults()
-					name := fmt.Sprintf("%s/%v/shared=%v/fixed=%v", sc.name, kv, prefix == SharedPrefixOn, fixed)
-					// The requests an empty micro-batch holds (Submit
-					// refuses the rest), as one batch.
-					var queue []Request
-					for _, r := range sc.reqs {
-						need := (r.PromptLen + cfg.GenLen + kvcache.DefaultBlockTokens - 1) / kvcache.DefaultBlockTokens
-						if need <= blocks(cfg, kv) {
-							queue = append(queue, r)
-						}
+				cfg := sc.cfg
+				cfg.Model, cfg.KVDtype, cfg.SharedPrefixKV = m, kv, prefix
+				cfg.defaults()
+				name := fmt.Sprintf("%s/%v/shared=%v", sc.name, kv, prefix == SharedPrefixOn)
+				// The requests an empty micro-batch holds (Submit
+				// refuses the rest), as one batch.
+				var queue []Request
+				for _, r := range sc.reqs {
+					need := (r.PromptLen + cfg.GenLen + kvcache.DefaultBlockTokens - 1) / kvcache.DefaultBlockTokens
+					if need <= blocks(cfg, kv) {
+						queue = append(queue, r)
 					}
-					srv, err := NewServer(cfg)
-					if err != nil {
-						t.Fatalf("%s: %v", name, err)
+				}
+				srv, err := NewServer(cfg)
+				if err != nil {
+					t.Fatalf("%s: %v", name, err)
+				}
+				hs, err := srv.SubmitBatch(context.Background(), queue)
+				if err != nil {
+					t.Fatalf("%s: %v", name, err)
+				}
+				for _, h := range hs {
+					if _, err := h.Wait(); err != nil {
+						t.Errorf("%s: request %d: %v", name, h.ID(), err)
 					}
-					hs, err := srv.SubmitBatch(context.Background(), queue)
-					if err != nil {
-						t.Fatalf("%s: %v", name, err)
-					}
-					for _, h := range hs {
-						if _, err := h.Wait(); err != nil {
-							t.Errorf("%s: request %d: %v", name, h.ID(), err)
-						}
-					}
-					if err := srv.Close(); err != nil {
-						t.Errorf("%s: Close: %v", name, err)
-					}
-					if st := srv.Stats(); st.Completed != st.Submitted || st.Submitted != len(queue) {
-						t.Errorf("%s: completed %d of %d submitted, %d queued", name, st.Completed, st.Submitted, len(queue))
-					}
+				}
+				if err := srv.Close(); err != nil {
+					t.Errorf("%s: Close: %v", name, err)
+				}
+				if st := srv.Stats(); st.Completed != st.Submitted || st.Submitted != len(queue) {
+					t.Errorf("%s: completed %d of %d submitted, %d queued", name, st.Completed, st.Submitted, len(queue))
 				}
 			}
 		}
