@@ -1,7 +1,6 @@
 package moelightning
 
 import (
-	"context"
 	"fmt"
 	"slices"
 
@@ -39,57 +38,44 @@ type FunctionalResult struct {
 }
 
 // RunFunctional serves a request queue through the functional CGOPipe
-// engine at tiny scale: a thin compatibility wrapper over Server that
-// submits the whole queue at once and drains it, reproducing the
-// classic closed-batch behavior: every request generates exactly GenLen
-// tokens, whatever its own Request.GenLen. Use TinyMoE() (or a
-// similarly small config) — this executes real float32 math, so
-// full-size configs are intentionally not supported.
+// engine at tiny scale: it drains the whole queue as one closed queue
+// (engine.Serve) on a server built from opts, and every request
+// generates exactly GenLen tokens, whatever its own Request.GenLen. Any
+// failed request fails the run. Use TinyMoE() (or a similarly small
+// config) — this executes real float32 math, so full-size configs are
+// intentionally not supported.
 func RunFunctional(cfg ModelConfig, requests []Request, opts FunctionalOptions) (FunctionalResult, error) {
 	if len(requests) == 0 {
 		return FunctionalResult{}, fmt.Errorf("moelightning: empty request queue")
 	}
 	opts.Model = cfg
-	srv, err := NewServer(opts.ServerConfig)
+	host, ecfg, err := newHost(opts.ServerConfig)
 	if err != nil {
 		return FunctionalResult{}, err
 	}
-	// A request's GenLen of 0 is the wave's: submit copies that all ask
+	// A request's GenLen of 0 is the wave's: serve copies that all ask
 	// for it.
 	full := append([]Request(nil), requests...)
 	for i := range full {
 		full[i].GenLen = 0
 	}
-	handles, err := srv.SubmitBatch(context.Background(), full)
+	res, err := engine.Serve(host, full, ecfg)
 	if err != nil {
-		srv.Close()
 		return FunctionalResult{}, err
 	}
-	if err := srv.Close(); err != nil { // drains: every handle finishes
-		return FunctionalResult{}, err
-	}
-
-	out := FunctionalResult{Outputs: make(map[int][]int, len(handles))}
-	for _, h := range handles {
-		tokens, herr := h.Wait()
-		if herr != nil {
-			return FunctionalResult{}, herr
-		}
-		out.Outputs[h.ID()] = tokens
-	}
-	out.ServerStats = srv.Stats()
+	out := FunctionalResult{ServerStats: res.ServerStats, Outputs: res.Outputs}
 
 	if opts.Verify {
-		// The server derives prompts over the model's vocabulary and srv.cfg
+		// The server derives prompts over the model's vocabulary and ecfg
 		// is its effective configuration: the reference re-derives exactly
 		// the prompts the server used.
-		prompts := engine.PromptsFromRequests(requests, srv.host.W.Cfg.VocabSize)
-		arena := memory.NewArena("ref", kvcache.ArenaFloats(cfg.Layers, cfg.KVDim(), len(requests)*srv.cfg.MaxContext))
-		ref, err := engine.NewReferenceKV(srv.host.W, arena, len(requests), srv.cfg.MaxContext, srv.cfg.KVDtype)
+		prompts := engine.PromptsFromRequests(requests, host.W.Cfg.VocabSize)
+		arena := memory.NewArena("ref", kvcache.ArenaFloats(cfg.Layers, cfg.KVDim(), len(requests)*ecfg.MaxContext))
+		ref, err := engine.NewReferenceKV(host.W, arena, len(requests), ecfg.MaxContext, ecfg.KVDtype)
 		if err != nil {
 			return out, err
 		}
-		want, err := ref.Generate(prompts, srv.cfg.GenLen)
+		want, err := ref.Generate(prompts, ecfg.GenLen)
 		if err != nil {
 			return out, err
 		}

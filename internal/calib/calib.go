@@ -23,15 +23,16 @@
 //   - "prefill" / "prefill-int8" entries bucket by Tokens (wave prompt
 //     tokens) and calibrate OpPrefill from whole packed-prefill passes
 //     at either KV codec (via Shape.KVInt8: an int8 pass also quantizes
-//     every appended K/V row);
-//   - "decode-step" entries record whole pipelined decode steps (warm
-//     and cold expert pools). They are not queried per-op; instead
-//     Build folds them into ScheduleEffDecode — the ratio of the
-//     composed per-op prediction to the measured step at a reference
-//     shape — which Efficiency applies multiplicatively to every
-//     decode-phase class, so scheduling overhead the per-op benches
-//     cannot see (lane barriers, sampling, the LM head) is charged
-//     once, honestly.
+//     every appended K/V row).
+//
+// Whole pipelined decode steps are measured too, but kept as no entry:
+// Build folds the warm step into ScheduleEffDecode — the ratio of the
+// composed per-op prediction to the measured step at a reference
+// shape — which Efficiency applies multiplicatively to every
+// decode-phase class, so scheduling overhead the per-op benches cannot
+// see (lane barriers, sampling, the LM head) is charged once, honestly.
+// A table written with "decode-step" entries still loads: no query
+// reads that kind.
 //
 // An entry's efficiencies are derived with the same FLOP/byte
 // accounting the estimator charges (model.*Cost), so at a measured
@@ -70,7 +71,7 @@ const ErrorBand = 0.25
 // Entry is one benchmarked op instance.
 type Entry struct {
 	// Op is the measured kernel family ("gemm", "attend-f32",
-	// "attend-int8", "prefill", "prefill-int8", "decode-step").
+	// "attend-int8", "prefill", "prefill-int8").
 	Op string `json:"op"`
 	// Tokens and Context are the shape-bucket key (Context only for
 	// attention entries).

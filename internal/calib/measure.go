@@ -33,7 +33,7 @@ type BuildConfig struct {
 // Build runs every micro-bench in-process and assembles the table:
 // GEMM tiles across row counts, the blockwise attention core at both
 // KV codecs across context lengths, whole packed-prefill passes across
-// chunk sizes, and warm/cold whole decode steps — the last closing the
+// chunk sizes, and warm whole decode steps — the last closing the
 // loop as the decode schedule-efficiency factor and the measured
 // expert warm-hit ratio.
 func Build(cfg BuildConfig) (*Table, error) {
@@ -234,10 +234,9 @@ func (t *Table) measurePrefill(cfg BuildConfig, dtype kvcache.DType, chunk int) 
 		Bytes: cost.Bytes(), Seconds: secs, EffCompute: effC, EffBandwidth: effB}, nil
 }
 
-// closeDecodeLoop measures warm and cold whole decode steps, records
-// them as decode-step entries, harvests the expert warm-hit ratio, and
-// sets ScheduleEffDecode so the composed per-op prediction matches the
-// measured warm step at the reference shape.
+// closeDecodeLoop measures whole warm decode steps, harvests the expert
+// warm-hit ratio, and sets ScheduleEffDecode so the composed per-op
+// prediction matches the measured step at the reference shape.
 func (t *Table) closeDecodeLoop(cfg BuildConfig, steps int) error {
 	const seqs, mu, promptLen = 8, attendItems, 4
 	bench := engine.BenchConfig{
@@ -248,25 +247,9 @@ func (t *Table) closeDecodeLoop(cfg BuildConfig, steps int) error {
 	if err != nil {
 		return err
 	}
-	bench.ExpertResidencyBytes = 1 // one resident block: every acquisition is cold
-	cold, err := engine.MeasureDecodeSteps(bench)
-	if err != nil {
-		return err
-	}
 	if acq := warm.ExpertHits + warm.ExpertMisses; acq > 0 {
 		t.ExpertHitRatio = float64(warm.ExpertHits) / float64(acq)
 	}
-	for _, r := range []struct {
-		name string
-		res  engine.DecodeBenchResult
-	}{{"warm", warm}, {"cold", cold}} {
-		flops, bytes := t.decodeStepWork(cfg.Model, seqs, r.res.Context)
-		effC, effB := t.effOf(flops, bytes, r.res.SecondsPerStep)
-		t.Entries = append(t.Entries, Entry{Op: "decode-step", Tokens: seqs,
-			Context: r.res.Context, FLOPs: flops, Bytes: bytes,
-			Seconds: r.res.SecondsPerStep, EffCompute: effC, EffBandwidth: effB})
-	}
-
 	// Close the loop: predict the warm reference step from the per-op
 	// entries alone and fold the residual — lane barriers, sampling,
 	// the LM head, everything the isolated benches cannot see — into
@@ -287,18 +270,6 @@ func (t *Table) closeDecodeLoop(cfg BuildConfig, steps int) error {
 		t.ScheduleEffDecode = predicted / warm.SecondsPerStep
 	}
 	return nil
-}
-
-// decodeStepWork is the model-charged FLOPs/bytes of one whole decode
-// step (all micro-batches, all layers) — the denominator for the
-// informational decode-step entries.
-func (t *Table) decodeStepWork(m model.Config, seqs, context int) (flops, bytes float64) {
-	pre := m.PreAttnCost(seqs)
-	post := m.PostAttnCost(seqs, m.ExpertsTouched(seqs))
-	attn := m.AttnCost(seqs, context)
-	flops = float64(m.Layers) * (pre.FLOPs + post.FLOPs + attn.FLOPs)
-	bytes = float64(m.Layers) * (pre.Bytes() + post.Bytes() + attn.Bytes())
-	return flops, bytes
 }
 
 var _ roofline.EfficiencyModel = (*Table)(nil)

@@ -19,11 +19,9 @@ import (
 type Scenario struct {
 	Name string
 	// Requests closed-queue requests of PromptLen prompt tokens each,
-	// generating GenLen tokens, served as NumMicroBatches micro-batches
-	// of Mu sequences.
-	Requests, PromptLen, GenLen int
-	Mu, NumMicroBatches         int
-	KVDtype                     kvcache.DType
+	// generating GenLen tokens, served in micro-batches of Mu sequences.
+	Requests, PromptLen, GenLen, Mu int
+	KVDtype                         kvcache.DType
 }
 
 // StandingScenarios are the fixed shapes `moebench -exp calib` and the
@@ -35,11 +33,11 @@ type Scenario struct {
 func StandingScenarios() []Scenario {
 	return []Scenario{
 		{Name: "wave8-f32", Requests: 8, PromptLen: 12, GenLen: 8,
-			Mu: 4, NumMicroBatches: 2, KVDtype: kvcache.F32},
+			Mu: 4, KVDtype: kvcache.F32},
 		{Name: "wave8-int8", Requests: 8, PromptLen: 16, GenLen: 8,
-			Mu: 4, NumMicroBatches: 2, KVDtype: kvcache.Int8},
+			Mu: 4, KVDtype: kvcache.Int8},
 		{Name: "prompt32-f32", Requests: 8, PromptLen: 32, GenLen: 8,
-			Mu: 4, NumMicroBatches: 2, KVDtype: kvcache.F32},
+			Mu: 4, KVDtype: kvcache.F32},
 	}
 }
 
@@ -72,17 +70,9 @@ func (sc Scenario) KVCodec() perfmodel.KVCodec {
 }
 
 // ServeConfig is the ready-to-run engine configuration for the
-// scenario.
+// scenario: the serve shape policy search emits for its Policy.
 func (sc Scenario) ServeConfig() engine.ServeConfig {
-	return engine.ServeConfig{
-		Config: engine.Config{
-			MicroBatch: sc.Mu,
-			MaxContext: engine.ContextBound(sc.PromptLen, sc.GenLen),
-			KVDtype:    sc.KVDtype,
-		},
-		NumMicroBatches: sc.NumMicroBatches,
-		GenLen:          sc.GenLen,
-	}
+	return engine.ServeConfigForPolicy(sc.Policy(), sc.Workload(), sc.KVDtype)
 }
 
 // Queue is the scenario's closed request queue.

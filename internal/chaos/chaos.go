@@ -19,6 +19,7 @@
 package chaos
 
 import (
+	"context"
 	"fmt"
 	"slices"
 	"sync"
@@ -207,7 +208,7 @@ func Run(cfg Config) (Report, error) {
 	var hmu sync.Mutex
 	var admitted []*engine.Handle
 	submit := func(req workload.Request, slo traffic.SLO) (*engine.Handle, error) {
-		h, err := srv.SubmitSLO(req, slo, nil)
+		h, err := srv.SubmitSLO(context.Background(), req, slo)
 		if err != nil {
 			return nil, err
 		}

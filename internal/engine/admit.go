@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"context"
 	"fmt"
 	"strings"
 	"sync"
@@ -96,20 +97,22 @@ func (s *Server) effGenLen(r workload.Request) int {
 	return s.cfg.GenLen
 }
 
-// Submit admits one request. cancel (may be nil) cancels the request
-// when closed: queued requests are dropped at the next wave boundary,
-// in-flight requests retire at the next decode-step boundary, freeing
-// their KV blocks; either way the handle finishes with ErrCanceled.
-func (s *Server) Submit(req workload.Request, cancel <-chan struct{}) (*Handle, error) {
-	return s.SubmitSLO(req, SLO{}, cancel)
+// Submit admits one request. Canceling ctx (nil never cancels) cancels
+// the request: queued, it is dropped at the next wave boundary;
+// mid-generation, its sequence retires at the next decode-step boundary
+// and its KV blocks are freed, without perturbing any other request's
+// tokens. The handle then finishes with ErrCanceled, returning the
+// tokens streamed so far.
+func (s *Server) Submit(ctx context.Context, req workload.Request) (*Handle, error) {
+	return s.SubmitSLO(ctx, req, SLO{})
 }
 
-// SubmitSLO admits one request carrying a latency SLO: the server
-// counts the request into its SLO-attainment stats, and — when the
-// server runs SLO-aware admission — prioritizes it at wave boundaries
-// by its remaining TTFT slack.
-func (s *Server) SubmitSLO(req workload.Request, slo SLO, cancel <-chan struct{}) (*Handle, error) {
-	hs, err := s.SubmitBatchSLO([]workload.Request{req}, []SLO{slo}, cancel)
+// SubmitSLO admits one request carrying a latency SLO. The SLO is
+// accounted in Stats (met / TTFT miss / TPOT miss over finished
+// requests) and, when the server runs SLO-aware admission, drives the
+// request's wave-boundary priority via its deadline slack.
+func (s *Server) SubmitSLO(ctx context.Context, req workload.Request, slo SLO) (*Handle, error) {
+	hs, err := s.submitBatch(ctx, []workload.Request{req}, slo)
 	if err != nil {
 		return nil, err
 	}
@@ -118,22 +121,17 @@ func (s *Server) SubmitSLO(req workload.Request, slo SLO, cancel <-chan struct{}
 
 // SubmitBatch admits a group of requests atomically: they reach the same
 // wave-boundary batching decision together, exactly as a closed queue
-// would (the RunFunctional compatibility wrapper relies on this). The
-// cancel channel, if non-nil, cancels the whole group.
-func (s *Server) SubmitBatch(reqs []workload.Request, cancel <-chan struct{}) ([]*Handle, error) {
-	return s.SubmitBatchSLO(reqs, nil, cancel)
+// would (Serve relies on this). ctx cancels the whole group.
+func (s *Server) SubmitBatch(ctx context.Context, reqs []workload.Request) ([]*Handle, error) {
+	return s.submitBatch(ctx, reqs, SLO{})
 }
 
-// SubmitBatchSLO is SubmitBatch with a per-request SLO. slos may be nil
-// (no targets) or must match reqs in length. A batch holding a request
-// without a prompt token, or one no micro-batch's KV budget holds, is
-// rejected whole, before anything is counted.
-func (s *Server) SubmitBatchSLO(reqs []workload.Request, slos []SLO, cancel <-chan struct{}) ([]*Handle, error) {
+// submitBatch admits reqs as one group, each carrying slo. A batch
+// holding a request without a prompt token, or one no micro-batch's KV
+// budget holds, is rejected whole, before anything is counted.
+func (s *Server) submitBatch(ctx context.Context, reqs []workload.Request, slo SLO) ([]*Handle, error) {
 	if len(reqs) == 0 {
 		return nil, fmt.Errorf("engine: empty request batch")
-	}
-	if slos != nil && len(slos) != len(reqs) {
-		return nil, fmt.Errorf("engine: %d SLOs for %d requests", len(slos), len(reqs))
 	}
 	for _, r := range reqs {
 		if r.PromptLen < 1 {
@@ -144,12 +142,12 @@ func (s *Server) SubmitBatchSLO(reqs []workload.Request, slos []SLO, cancel <-ch
 				r.ID, r.PromptLen, s.cfg.GenLen, s.cfg.MicroBatch, s.cfg.MaxContext)
 		}
 	}
+	var cancel <-chan struct{}
+	if ctx != nil {
+		cancel = ctx.Done()
+	}
 	hs := make([]*Handle, len(reqs))
 	for i, r := range reqs {
-		var slo SLO
-		if slos != nil {
-			slo = slos[i]
-		}
 		hs[i] = newHandle(r, cancel, s.effGenLen(r), slo)
 	}
 	s.mu.Lock()
@@ -167,7 +165,6 @@ func (s *Server) SubmitBatchSLO(reqs []workload.Request, slos []SLO, cancel <-ch
 	for _, h := range hs {
 		h.queued = true
 		s.stats.QueuedRequests++
-		s.stats.QueuedTokens += h.qtokens
 	}
 	// In the queue before the lock goes: a Close that follows finds the
 	// batch there, and the loop serves it before it exits.
@@ -203,7 +200,7 @@ func (s *Server) describeHandles(hs []*Handle) string {
 	return b.String()
 }
 
-// dequeueLocked takes a handle out of the queue gauges: called when it
+// dequeueLocked takes a handle out of the queue gauge: called when it
 // dispatches into a wave or finishes while queued. Idempotent; callers
 // hold s.mu.
 func (s *Server) dequeueLocked(h *Handle) {
@@ -212,7 +209,6 @@ func (s *Server) dequeueLocked(h *Handle) {
 	}
 	h.queued = false
 	s.stats.QueuedRequests--
-	s.stats.QueuedTokens -= h.qtokens
 }
 
 // Close stops admission, serves every request already submitted, shuts

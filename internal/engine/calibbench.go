@@ -42,9 +42,9 @@ type DecodeBenchResult struct {
 	// Context is the cached context length at the midpoint of the
 	// measured steps.
 	Context int
-	// ExpertHits / ExpertMisses / ExpertBytesFetched are the pager's
-	// traffic over the measured steps only (warm-up excluded).
-	ExpertHits, ExpertMisses, ExpertBytesFetched int64
+	// ExpertHits / ExpertMisses are the pager's acquisitions over the
+	// measured steps only (warm-up excluded).
+	ExpertHits, ExpertMisses int64
 }
 
 // MeasureDecodeSteps runs the prompt phase over cfg.Seqs prompts (a
@@ -75,7 +75,6 @@ func MeasureDecodeSteps(cfg BenchConfig) (DecodeBenchResult, error) {
 	}
 	paging := &pl.Counters.ExpertPaging
 	hits0, misses0 := paging.Hits.Load(), paging.Misses.Load()
-	bytes0 := paging.BytesFetched.Load()
 
 	start := time.Now()
 	for range cfg.Steps {
@@ -89,7 +88,6 @@ func MeasureDecodeSteps(cfg BenchConfig) (DecodeBenchResult, error) {
 	res.Context = cfg.PromptLen + 1 + cfg.Steps/2
 	res.ExpertHits = paging.Hits.Load() - hits0
 	res.ExpertMisses = paging.Misses.Load() - misses0
-	res.ExpertBytesFetched = paging.BytesFetched.Load() - bytes0
 	return res, nil
 }
 

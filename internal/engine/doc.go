@@ -60,7 +60,12 @@
 // admit.go (submit into the locked queue, overload gate, admission
 // loop), wave.go (plan → run
 // on the server's pipeline under the wave's deadline → audit → finalize,
-// one call on the admission loop's goroutine) and stats.go.
+// one call on the admission loop's goroutine) and stats.go. It is the
+// only server type: the root package's Server is an alias of it. Submit,
+// SubmitSLO and SubmitBatch take a context whose cancellation cancels
+// the request (a nil context never cancels). Serve (serve.go) is the
+// only closed-queue drain, and ServeConfigForPolicy the only mapping
+// from an optimizer policy to a serve shape.
 //
 // # The expert weight stream
 //

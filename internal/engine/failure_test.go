@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"context"
 	"errors"
 	"math/rand"
 	"reflect"
@@ -269,7 +270,7 @@ func exhaustionServer(t *testing.T, w *Weights, gpu, pinned *memory.Arena, failA
 func TestServerFailsOnlyExhaustedRequest(t *testing.T) {
 	w, gpu, pinned, _, reqs, _, want := exhaustionFixture(t)
 	srv := exhaustionServer(t, w, gpu, pinned, 13)
-	hs, err := srv.SubmitBatch(reqs, nil)
+	hs, err := srv.SubmitBatch(context.Background(), reqs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -381,7 +382,7 @@ func TestServerFailsOnlyPrefillExhaustedRequest(t *testing.T) {
 	// Layers 0-2 take 4 blocks each; the 13th allocation is the long
 	// prompt's first at layer 3.
 	srv := exhaustionServer(t, w, gpu, pinned, 13)
-	hs, err := srv.SubmitBatch(reqs, nil)
+	hs, err := srv.SubmitBatch(context.Background(), reqs)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -51,13 +51,10 @@ type Handle struct {
 	item   AdmissionItem
 	cancel <-chan struct{}
 	genLen int // effective generation length for this request
-	// qtokens is prompt + effective gen tokens: its weight in the
-	// QueuedTokens gauge.
-	qtokens int
 
-	// queued marks the handle as counted in the server's queue gauges.
+	// queued marks the handle as counted in the server's queue gauge.
 	// Guarded by the SERVER's mu (it moves with the stats'
-	// QueuedRequests / QueuedTokens), not h.mu.
+	// QueuedRequests), not h.mu.
 	queued bool
 
 	done chan struct{}
@@ -82,11 +79,10 @@ var closedTokens = func() chan Token {
 
 func newHandle(req workload.Request, cancel <-chan struct{}, genLen int, slo SLO) *Handle {
 	return &Handle{
-		item:    AdmissionItem{Req: req, Submitted: time.Now(), SLO: slo},
-		cancel:  cancel,
-		genLen:  genLen,
-		qtokens: req.PromptLen + genLen,
-		done:    make(chan struct{}),
+		item:   AdmissionItem{Req: req, Submitted: time.Now(), SLO: slo},
+		cancel: cancel,
+		genLen: genLen,
+		done:   make(chan struct{}),
 	}
 }
 

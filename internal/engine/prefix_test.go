@@ -513,7 +513,7 @@ func TestConcurrentSubmitSharedPrefix(t *testing.T) {
 				{ID: 2*g + 1, PromptLen: 20 + g, PrefixID: 9, PrefixLen: 16},
 				{ID: 2*g + 2, PromptLen: 21 + g, PrefixID: 9, PrefixLen: 16},
 			}
-			hs, err := srv.SubmitBatch(reqs, nil)
+			hs, err := srv.SubmitBatch(context.Background(), reqs)
 			if err != nil {
 				t.Errorf("goroutine %d: %v", g, err)
 				return

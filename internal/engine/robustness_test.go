@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"context"
 	"errors"
 	"reflect"
 	"runtime"
@@ -89,25 +90,25 @@ func TestServerShedsAtRequestBound(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	a, err := srv.Submit(workload.Request{ID: 1, PromptLen: 4}, nil)
+	a, err := srv.Submit(context.Background(), workload.Request{ID: 1, PromptLen: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
 	// The wave dispatches A (dequeuing it) and parks at the stall: the
 	// queue bound is now exercised purely by the arrivals below.
 	waitCh(t, reached, "wave to reach the stall point")
-	b, err := srv.Submit(workload.Request{ID: 2, PromptLen: 5}, nil)
+	b, err := srv.Submit(context.Background(), workload.Request{ID: 2, PromptLen: 5})
 	if err != nil {
 		t.Fatal(err)
 	}
-	c, err := srv.Submit(workload.Request{ID: 3, PromptLen: 6}, nil)
+	c, err := srv.Submit(context.Background(), workload.Request{ID: 3, PromptLen: 6})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st := srv.Stats(); st.QueuedRequests != 2 || st.QueuedTokens != (5+2)+(6+2) {
-		t.Errorf("queue ledger: %d requests / %d tokens, want 2 / 15", st.QueuedRequests, st.QueuedTokens)
+	if st := srv.Stats(); st.QueuedRequests != 2 {
+		t.Errorf("queue ledger: %d requests, want 2", st.QueuedRequests)
 	}
-	_, derr := srv.Submit(workload.Request{ID: 4, PromptLen: 4}, nil)
+	_, derr := srv.Submit(context.Background(), workload.Request{ID: 4, PromptLen: 4})
 	if !errors.Is(derr, ErrOverloaded) {
 		t.Fatalf("overflow submit: want ErrOverloaded, got %v", derr)
 	}
@@ -127,7 +128,7 @@ func TestServerShedsAtRequestBound(t *testing.T) {
 	if st.Shed != 1 || st.Submitted != 3 || st.Completed != 3 {
 		t.Errorf("stats: shed %d submitted %d completed %d, want 1/3/3", st.Shed, st.Submitted, st.Completed)
 	}
-	if st.KVLeaks != 0 || st.QueuedRequests != 0 || st.QueuedTokens != 0 {
+	if st.KVLeaks != 0 || st.QueuedRequests != 0 {
 		t.Errorf("post-drain state: %+v", st)
 	}
 }
@@ -151,12 +152,12 @@ func TestServerDropsExpiredTTFTDeadline(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	a, err := srv.Submit(workload.Request{ID: 1, PromptLen: 4}, nil)
+	a, err := srv.Submit(context.Background(), workload.Request{ID: 1, PromptLen: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
 	waitCh(t, reached, "wave to reach the stall point")
-	b, err := srv.SubmitSLO(workload.Request{ID: 2, PromptLen: 5}, SLO{TTFT: 2 * time.Millisecond}, nil)
+	b, err := srv.SubmitSLO(context.Background(), workload.Request{ID: 2, PromptLen: 5}, SLO{TTFT: 2 * time.Millisecond})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -209,7 +210,7 @@ func TestWaveWatchdogFailsStalledWave(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	h, err := srv.Submit(workload.Request{ID: 1, PromptLen: 4}, nil)
+	h, err := srv.Submit(context.Background(), workload.Request{ID: 1, PromptLen: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -220,7 +221,7 @@ func TestWaveWatchdogFailsStalledWave(t *testing.T) {
 	// deadline of its own, so it completes with the reference's tokens.
 	close(gate)
 	req := workload.Request{ID: 2, PromptLen: 5}
-	h2, err := srv.Submit(req, nil)
+	h2, err := srv.Submit(context.Background(), req)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -273,7 +274,7 @@ func TestWaveDeadlineDiesWithItsWave(t *testing.T) {
 		if i > 0 {
 			time.Sleep(timeout + 50*time.Millisecond) // past the first wave's deadline
 		}
-		h, err := srv.Submit(req, nil)
+		h, err := srv.Submit(context.Background(), req)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -320,7 +321,7 @@ func TestCloseLeavesNoGoroutine(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		h, err := srv.Submit(workload.Request{ID: 1, PromptLen: 4}, nil)
+		h, err := srv.Submit(context.Background(), workload.Request{ID: 1, PromptLen: 4})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -364,7 +365,7 @@ func TestServerSubmitNeverWaitsOnAWave(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	first, err := srv.Submit(workload.Request{ID: 0, PromptLen: 4}, nil)
+	first, err := srv.Submit(context.Background(), workload.Request{ID: 0, PromptLen: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -376,7 +377,7 @@ func TestServerSubmitNeverWaitsOnAWave(t *testing.T) {
 	go func() {
 		defer close(submitted)
 		for i := 1; i <= n; i++ {
-			h, err := srv.Submit(workload.Request{ID: i, PromptLen: 3 + i%5}, nil)
+			h, err := srv.Submit(context.Background(), workload.Request{ID: i, PromptLen: 3 + i%5})
 			if err != nil {
 				t.Error(err)
 				return
@@ -445,7 +446,7 @@ func TestServerCloseRacesSubmit(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < most; i++ {
-				h, err := srv.Submit(workload.Request{ID: g*most + i, PromptLen: 3 + i%5}, nil)
+				h, err := srv.Submit(context.Background(), workload.Request{ID: g*most + i, PromptLen: 3 + i%5})
 				if i == 0 {
 					in.Done()
 				}
@@ -740,7 +741,7 @@ func TestServerForcedKVExhaustionFailsOnlyVictim(t *testing.T) {
 		{ID: 2, PromptLen: 7},
 		{ID: 3, PromptLen: 8},
 	}
-	hs, err := srv.SubmitBatch(reqs, nil)
+	hs, err := srv.SubmitBatch(context.Background(), reqs)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,8 +1,12 @@
 package engine
 
 import (
+	"cmp"
+	"context"
 	"time"
 
+	"moelightning/internal/kvcache"
+	"moelightning/internal/perfmodel"
 	"moelightning/internal/workload"
 )
 
@@ -36,6 +40,26 @@ type ServeConfig struct {
 	WaveTimeout time.Duration
 }
 
+// ServeConfigForPolicy maps an optimizer policy onto the serve shape
+// that runs it: the policy's μ sequences a micro-batch and its ⌈N/μ⌉
+// micro-batches (at least one) shape each wave, and the workload's
+// longest prompt (its mean when no maximum is set) plus its GenLen size
+// the context bound (ContextBound), which is also each sequence's share
+// of the Alg. 2 KV budget, so the batcher admits a whole micro-batch of
+// the workload's longest requests. The wave length is the workload's
+// GenLen.
+func ServeConfigForPolicy(p perfmodel.Policy, w workload.Config, kv kvcache.DType) ServeConfig {
+	prompt := w.MaxPrompt
+	if prompt <= 0 {
+		prompt = w.AvgPrompt
+	}
+	return ServeConfig{
+		Config:          Config{MicroBatch: p.Mu, MaxContext: ContextBound(prompt, w.GenLen), KVDtype: kv},
+		NumMicroBatches: max(p.MicroBatches(), 1),
+		GenLen:          w.GenLen,
+	}
+}
+
 // ServeResult is the outcome of serving a closed queue: the server's
 // final counter snapshot plus the tokens.
 type ServeResult struct {
@@ -46,7 +70,9 @@ type ServeResult struct {
 
 // Serve drains a closed request queue through successive pipeline
 // waves: a thin wrapper over the long-lived Server that submits the
-// whole queue at once and waits for the drain.
+// whole queue at once and waits for the drain. It returns the first
+// failed request's error, in queue order, or else Close's; the
+// requests that succeeded keep their outputs either way.
 func Serve(host *Host, queue []workload.Request, cfg ServeConfig) (ServeResult, error) {
 	res := ServeResult{Outputs: make(map[int][]int)}
 	if len(queue) == 0 {
@@ -56,17 +82,21 @@ func Serve(host *Host, queue []workload.Request, cfg ServeConfig) (ServeResult, 
 	if err != nil {
 		return res, err
 	}
-	handles, err := srv.SubmitBatch(queue, nil)
+	handles, err := srv.SubmitBatch(context.Background(), queue)
 	if err != nil {
 		srv.Close()
 		return res, err
 	}
 	closeErr := srv.Close() // drains: every handle finishes
+	var failed error
 	for _, h := range handles {
-		if tokens, herr := h.Wait(); herr == nil {
+		tokens, herr := h.Wait()
+		if herr == nil {
 			res.Outputs[h.ID()] = tokens
+		} else if failed == nil {
+			failed = herr
 		}
 	}
 	res.ServerStats = srv.Stats()
-	return res, closeErr
+	return res, cmp.Or(failed, closeErr)
 }

@@ -2,6 +2,8 @@ package engine
 
 import (
 	"context"
+	"errors"
+	"fmt"
 	"reflect"
 	"runtime"
 	"strings"
@@ -160,7 +162,7 @@ func TestServerRejectsEmptyPrompt(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, n := range []int{0, -1} {
-		hs, err := srv.SubmitBatch([]workload.Request{{ID: 1, PromptLen: 4}, {ID: 2, PromptLen: n}}, nil)
+		hs, err := srv.SubmitBatch(context.Background(), []workload.Request{{ID: 1, PromptLen: 4}, {ID: 2, PromptLen: n}})
 		if err == nil || hs != nil {
 			t.Fatalf("PromptLen %d: accepted (%d handles)", n, len(hs))
 		}
@@ -168,11 +170,11 @@ func TestServerRejectsEmptyPrompt(t *testing.T) {
 			t.Errorf("PromptLen %d: error does not name the request: %v", n, err)
 		}
 	}
-	if st := srv.Stats(); st.Submitted != 0 || st.Shed != 0 || st.QueuedRequests != 0 || st.QueuedTokens != 0 {
+	if st := srv.Stats(); st.Submitted != 0 || st.Shed != 0 || st.QueuedRequests != 0 {
 		t.Errorf("a refused batch left a trace: %+v", st)
 	}
 	good := workload.Request{ID: 3, PromptLen: 5}
-	h, err := srv.Submit(good, nil)
+	h, err := srv.Submit(context.Background(), good)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -214,7 +216,7 @@ func TestServerRejectsUnplaceableRequest(t *testing.T) {
 	}
 	good := []workload.Request{{ID: 1, PromptLen: 12}, {ID: 2, PromptLen: 248}, {ID: 3, PromptLen: 30}}
 	for _, n := range []int{249, 300} {
-		hs, err := srv.SubmitBatch([]workload.Request{good[0], {ID: 7, PromptLen: n}}, nil)
+		hs, err := srv.SubmitBatch(context.Background(), []workload.Request{good[0], {ID: 7, PromptLen: n}})
 		if err == nil || hs != nil {
 			t.Fatalf("PromptLen %d: accepted (%d handles)", n, len(hs))
 		}
@@ -222,10 +224,10 @@ func TestServerRejectsUnplaceableRequest(t *testing.T) {
 			t.Errorf("PromptLen %d: error does not name the request: %v", n, err)
 		}
 	}
-	if st := srv.Stats(); st.Submitted != 0 || st.Shed != 0 || st.QueuedRequests != 0 || st.QueuedTokens != 0 {
+	if st := srv.Stats(); st.Submitted != 0 || st.Shed != 0 || st.QueuedRequests != 0 {
 		t.Errorf("a refused batch left a trace: %+v", st)
 	}
-	hs, err := srv.SubmitBatch(good, nil)
+	hs, err := srv.SubmitBatch(context.Background(), good)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -384,15 +386,15 @@ func TestStatsConservation(t *testing.T) {
 		t.Fatal(err)
 	}
 	queue := serveQueue(5) // three waves of 2+2+1: deferrals
-	if _, err := srv.SubmitBatch(queue, nil); err != nil {
+	if _, err := srv.SubmitBatch(context.Background(), queue); err != nil {
 		t.Fatal(err)
 	}
-	canceled := make(chan struct{})
-	close(canceled)
-	if _, err := srv.Submit(workload.Request{ID: 1, PromptLen: 4}, canceled); err != nil {
+	canceled, cancel := context.WithCancel(context.Background())
+	cancel()
+	if _, err := srv.Submit(canceled, workload.Request{ID: 1, PromptLen: 4}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := srv.Submit(workload.Request{ID: 2, PromptLen: 8}, nil); err != nil {
+	if _, err := srv.Submit(context.Background(), workload.Request{ID: 2, PromptLen: 8}); err != nil {
 		t.Fatal(err)
 	}
 	srv.Close()
@@ -404,8 +406,8 @@ func TestStatsConservation(t *testing.T) {
 	if st.Canceled != 1 || st.Failed == 0 || st.Completed == 0 || st.Deferred == 0 {
 		t.Errorf("the mix did not exercise every outcome: %+v", st)
 	}
-	if st.QueuedRequests != 0 || st.QueuedTokens != 0 {
-		t.Errorf("queue ledger not empty after Close: %d requests, %d tokens", st.QueuedRequests, st.QueuedTokens)
+	if st.QueuedRequests != 0 {
+		t.Errorf("queue ledger not empty after Close: %d requests", st.QueuedRequests)
 	}
 
 	// The same closed queue through Serve and through a Server by hand.
@@ -417,7 +419,7 @@ func TestStatsConservation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := byHand.SubmitBatch(queue, nil); err != nil {
+	if _, err := byHand.SubmitBatch(context.Background(), queue); err != nil {
 		t.Fatal(err)
 	}
 	byHand.Close()
@@ -426,6 +428,35 @@ func TestStatsConservation(t *testing.T) {
 	}
 	if res.Submitted != len(queue) || res.Completed != len(queue) || res.GeneratedTokens != 3*len(queue) || res.TTFTP50 <= 0 {
 		t.Errorf("Serve snapshot incomplete: %+v", res.ServerStats)
+	}
+}
+
+// TestServeReturnsFailedRequestError: a request that fails in its wave
+// fails the drain with its own error, so a caller counting Outputs
+// never reads a short run as a whole one; the requests that succeeded
+// keep their outputs.
+func TestServeReturnsFailedRequestError(t *testing.T) {
+	host, err := NewHost(model.Tiny(), 11, 2, 32, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	queue := serveQueue(4)
+	res, err := Serve(host, queue, ServeConfig{
+		// The first KV block allocation fails: the first wave's first
+		// request runs out of blocks.
+		Config:          Config{MicroBatch: 2, MaxContext: 32, Faults: faults.New(faults.Config{KVAllocFailAt: []int{1}})},
+		NumMicroBatches: 1, GenLen: 3,
+	})
+	if !errors.Is(err, kvcache.ErrOutOfBlocks) {
+		t.Fatalf("Serve error = %v, want the failed request's ErrOutOfBlocks", err)
+	}
+	if res.Failed != 1 || len(res.Outputs) != len(queue)-1 {
+		t.Fatalf("%d failed, %d outputs; want 1 failed and the other %d served", res.Failed, len(res.Outputs), len(queue)-1)
+	}
+	for _, r := range queue {
+		if _, ok := res.Outputs[r.ID]; !ok && !strings.Contains(err.Error(), fmt.Sprintf("request %d:", r.ID)) {
+			t.Errorf("the error does not name request %d, the one without output: %v", r.ID, err)
+		}
 	}
 }
 
@@ -447,7 +478,7 @@ func TestStatsCoverFinishedWave(t *testing.T) {
 	}
 	defer srv.Close()
 	for wave := 1; wave <= 3; wave++ {
-		h, err := srv.Submit(workload.Request{ID: wave, PromptLen: 4}, nil)
+		h, err := srv.Submit(context.Background(), workload.Request{ID: wave, PromptLen: 4})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"reflect"
@@ -117,8 +118,8 @@ func TestServerSLOStatsPopulated(t *testing.T) {
 	var handles []*Handle
 	for i := 0; i < 6; i++ {
 		// Generous targets: the tiny engine meets them, so SLOMet fills.
-		h, err := srv.SubmitSLO(workload.Request{ID: 1 + i, PromptLen: 3 + i, GenLen: 4},
-			SLO{TTFT: 30 * time.Second, TPOT: 30 * time.Second}, nil)
+		h, err := srv.SubmitSLO(context.Background(), workload.Request{ID: 1 + i, PromptLen: 3 + i, GenLen: 4},
+			SLO{TTFT: 30 * time.Second, TPOT: 30 * time.Second})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -155,8 +156,8 @@ func TestSLOMissAccounting(t *testing.T) {
 		AdmissionPolicy: AdmissionPolicy{SLOAware: true},
 		NumMicroBatches: 1, GenLen: 3,
 	})
-	h, err := srv.SubmitSLO(workload.Request{ID: 1, PromptLen: 4, GenLen: 3},
-		SLO{TTFT: time.Nanosecond}, nil)
+	h, err := srv.SubmitSLO(context.Background(), workload.Request{ID: 1, PromptLen: 4, GenLen: 3},
+		SLO{TTFT: time.Nanosecond})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -181,9 +182,9 @@ func TestQueueCanceledHandleNeverBuffers(t *testing.T) {
 		Config:          Config{MicroBatch: 2, MaxContext: 1024},
 		NumMicroBatches: 1, GenLen: 512,
 	})
-	canceled := make(chan struct{})
-	close(canceled)
-	h, err := srv.Submit(workload.Request{ID: 7, PromptLen: 4, GenLen: 512}, canceled)
+	canceled, cancel := context.WithCancel(context.Background())
+	cancel()
+	h, err := srv.Submit(canceled, workload.Request{ID: 7, PromptLen: 4, GenLen: 512})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -241,15 +242,16 @@ func TestCancelMidWaveDoesNotStall(t *testing.T) {
 		Config:          Config{MicroBatch: 2, MaxContext: 64},
 		NumMicroBatches: 1, GenLen: 8,
 	})
-	cancel := make(chan struct{})
-	h, err := srv.Submit(workload.Request{ID: 1, PromptLen: 4, GenLen: 8}, cancel)
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	h, err := srv.Submit(ctx, workload.Request{ID: 1, PromptLen: 4, GenLen: 8})
 	if err != nil {
 		t.Fatal(err)
 	}
 	// Cancel as soon as the first token proves the wave is running.
 	go func() {
 		<-h.Tokens()
-		close(cancel)
+		cancel()
 	}()
 	done := make(chan error, 1)
 	go func() { done <- srv.Close() }()

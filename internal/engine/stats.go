@@ -65,12 +65,10 @@ type ServerStats struct {
 	// absorbed by retry, and fetches that failed past the retry budget
 	// (each such failure retires the sequences routed to that expert).
 	FaultRetries, FaultFailures int64
-	// QueuedRequests / QueuedTokens are gauges, not totals: the requests
-	// admitted and not yet dispatched into a wave (deferred handles stay
-	// counted until they dispatch or finish), and their prompt +
-	// generation tokens. MaxQueuedRequests bounds the first; the second
-	// bounds nothing.
-	QueuedRequests, QueuedTokens int
+	// QueuedRequests is a gauge, not a total: the requests admitted and
+	// not yet dispatched into a wave (deferred handles stay counted until
+	// they dispatch or finish). MaxQueuedRequests bounds it.
+	QueuedRequests int
 	// TokensPerSecond is generation throughput over busy (in-wave) time,
 	// failed waves included.
 	TokensPerSecond float64

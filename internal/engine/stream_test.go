@@ -197,7 +197,7 @@ func TestServerAdmitsAcrossWaves(t *testing.T) {
 	}
 
 	queue := serveQueue(6)
-	first, err := srv.SubmitBatch(queue[:4], nil)
+	first, err := srv.SubmitBatch(context.Background(), queue[:4])
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -208,7 +208,7 @@ func TestServerAdmitsAcrossWaves(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	second, err := srv.SubmitBatch(queue[4:], nil)
+	second, err := srv.SubmitBatch(context.Background(), queue[4:])
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -264,7 +264,7 @@ func TestStatsCoverRequestsThatFinished(t *testing.T) {
 	})
 	defer srv.Close()
 	for round := 1; round <= rounds; round++ {
-		hs, err := srv.SubmitBatch(serveQueue(perRound), nil)
+		hs, err := srv.SubmitBatch(context.Background(), serveQueue(perRound))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -281,8 +281,8 @@ func TestStatsCoverRequestsThatFinished(t *testing.T) {
 	}
 }
 
-// TestServerCanceledWhileQueued: a request whose cancel channel is
-// already closed is reaped at the wave boundary without computing.
+// TestServerCanceledWhileQueued: a request whose context is already
+// canceled is reaped at the wave boundary without computing.
 func TestServerCanceledWhileQueued(t *testing.T) {
 	cfg := model.Tiny()
 	cpu, gpu, pinned, cacheArena := newTestArenas()
@@ -297,9 +297,9 @@ func TestServerCanceledWhileQueued(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	canceled := make(chan struct{})
-	close(canceled)
-	h, err := srv.Submit(workload.Request{ID: 7, PromptLen: 4, GenLen: 3}, canceled)
+	canceled, cancel := context.WithCancel(context.Background())
+	cancel()
+	h, err := srv.Submit(canceled, workload.Request{ID: 7, PromptLen: 4, GenLen: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -400,7 +400,7 @@ func TestServerSubmitCloseRace(t *testing.T) {
 			wg.Add(1)
 			go func(g int) {
 				defer wg.Done()
-				h, err := srv.Submit(workload.Request{ID: g + 1, PromptLen: 3, GenLen: 2}, nil)
+				h, err := srv.Submit(context.Background(), workload.Request{ID: g + 1, PromptLen: 3, GenLen: 2})
 				results <- result{h, err}
 			}(g)
 		}
@@ -453,7 +453,7 @@ func TestServerHonorsRequestGenLen(t *testing.T) {
 		{ID: 1, PromptLen: 5, GenLen: 2}, // ends early
 		{ID: 2, PromptLen: 6, GenLen: waveGen},
 	}
-	hs, err := srv.SubmitBatch(queue, nil)
+	hs, err := srv.SubmitBatch(context.Background(), queue)
 	if err != nil {
 		t.Fatal(err)
 	}

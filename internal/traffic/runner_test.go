@@ -1,6 +1,7 @@
 package traffic
 
 import (
+	"context"
 	"errors"
 	"testing"
 
@@ -41,7 +42,7 @@ func TestRunBurstyAgainstLiveServer(t *testing.T) {
 		t.Fatal(err)
 	}
 	rep, err := Run(func(req workload.Request, slo SLO) (*engine.Handle, error) {
-		return srv.SubmitSLO(req, slo, nil)
+		return srv.SubmitSLO(context.Background(), req, slo)
 	}, tr, RunConfig{})
 	if err != nil {
 		t.Fatal(err)
@@ -107,7 +108,7 @@ func TestRunSpeedup(t *testing.T) {
 		t.Fatal(err)
 	}
 	rep, err := Run(func(req workload.Request, slo SLO) (*engine.Handle, error) {
-		return srv.SubmitSLO(req, slo, nil)
+		return srv.SubmitSLO(context.Background(), req, slo)
 	}, tr, RunConfig{Speed: 50})
 	if err != nil {
 		t.Fatal(err)
@@ -121,8 +122,8 @@ func TestRunSpeedup(t *testing.T) {
 }
 
 // TestRunExcludesCanceledFromSLO: a request its client cancels is
-// neither met nor missed, as in the server's own Stats. The cancel
-// channel is closed before the request arrives, so the server reaps it
+// neither met nor missed, as in the server's own Stats. Its context
+// is canceled before the request arrives, so the server reaps it
 // at the next wave boundary.
 func TestRunExcludesCanceledFromSLO(t *testing.T) {
 	srv, _ := newTestServer(t, false)
@@ -131,10 +132,10 @@ func TestRunExcludesCanceledFromSLO(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	canceled := make(chan struct{})
-	close(canceled)
+	canceled, cancel := context.WithCancel(context.Background())
+	cancel()
 	rep, err := Run(func(req workload.Request, slo SLO) (*engine.Handle, error) {
-		return srv.SubmitSLO(req, slo, canceled)
+		return srv.SubmitSLO(canceled, req, slo)
 	}, tr, RunConfig{Speed: 50})
 	if err != nil {
 		t.Fatal(err)

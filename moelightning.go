@@ -43,7 +43,8 @@
 //	}
 //	fmt.Println(srv.Stats().TokensPerSecond)
 //
-// RunFunctional remains as a one-shot closed-batch wrapper over Server.
+// RunFunctional remains as a one-shot closed-batch run: it drains a
+// queue through the engine's closed-queue Serve.
 package moelightning
 
 import (

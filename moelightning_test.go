@@ -224,6 +224,18 @@ func TestRunFunctionalRejectsBigModels(t *testing.T) {
 	}
 }
 
+// TestRunFunctionalFailsOnFailedRequest: a request that fails in its
+// wave fails the run, rather than leaving a hole in Outputs.
+func TestRunFunctionalFailsOnFailedRequest(t *testing.T) {
+	reqs := []Request{{ID: 1, PromptLen: 5}, {ID: 2, PromptLen: 8}}
+	_, err := RunFunctional(TinyMoE(), reqs, FunctionalOptions{ServerConfig: ServerConfig{
+		Seed: 9, GenLen: 4, Faults: NewFaultInjector(FaultsConfig{KVAllocFailAt: []int{1}}),
+	}})
+	if err == nil {
+		t.Fatal("a failed request did not fail the run")
+	}
+}
+
 // TestRunFunctionalSharedPrefix: a queue declaring a common prefix
 // produces identical outputs with sharing on or off, verifies against
 // the reference with sharing on, and only the sharing run reports

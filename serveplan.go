@@ -7,30 +7,20 @@ import (
 )
 
 // ServerConfigForPolicy maps an optimizer policy onto a ready-to-run
-// ServerConfig for the functional engine: the policy's micro-batch
-// shape becomes the wave shape, the workload's prompt/generation
-// lengths size the context bound (engine.ContextBound), which is also
-// each sequence's share of the Alg. 2 KV budget, so the batcher admits
-// a whole micro-batch of the workload's longest requests. The wave
-// length is the workload's GenLen, which its requests carry too, so
-// each generates the full wave the optimizer's estimate charges. The
-// result is what `policysearch` prints.
+// ServerConfig for the functional engine: engine.ServeConfigForPolicy's
+// serve shape — the policy's micro-batch shape as the wave shape, the
+// context bound sized for the workload's longest request, the wave
+// length its GenLen — flattened onto the public fields. Calibration
+// measures the same shape. The result is what `policysearch` prints.
 func ServerConfigForPolicy(m ModelConfig, p Policy, w WorkloadConfig, kv KVDtype) ServerConfig {
-	prompt := w.MaxPrompt
-	if prompt <= 0 {
-		prompt = w.AvgPrompt
-	}
-	numMB := p.MicroBatches()
-	if numMB <= 0 {
-		numMB = 1
-	}
+	c := engine.ServeConfigForPolicy(p, w, kv)
 	return ServerConfig{
 		Model:           m,
-		MicroBatchSize:  p.Mu,
-		NumMicroBatches: numMB,
-		GenLen:          w.GenLen,
-		MaxContext:      engine.ContextBound(prompt, w.GenLen),
-		KVDtype:         kv,
+		MicroBatchSize:  c.MicroBatch,
+		NumMicroBatches: c.NumMicroBatches,
+		GenLen:          c.GenLen,
+		MaxContext:      c.MaxContext,
+		KVDtype:         c.KVDtype,
 	}
 }
 

@@ -1,7 +1,6 @@
 package moelightning
 
 import (
-	"context"
 	"fmt"
 	"time"
 
@@ -14,6 +13,14 @@ import (
 // aliases, so values flow freely between the facade and any code that
 // works with the engine package.
 type (
+	// Server is the long-lived streaming inference API over the
+	// functional CGOPipe engine. NewServer builds weights and memory
+	// arenas once; Submit admits requests at any time, without waiting on
+	// a running wave, and returns a Handle whose Tokens() channel carries
+	// tokens as decode steps complete; an admission loop re-runs the
+	// Alg. 2 batcher over (deferred + newly arrived) requests at every
+	// wave boundary; Close drains and shuts down.
+	Server = engine.Server
 	// Token is one streamed generation event: the token's position in
 	// its request's output and the generated token id.
 	Token = engine.Token
@@ -187,29 +194,26 @@ func (c *ServerConfig) defaults() {
 	}
 }
 
-// Server is the long-lived streaming inference API over the functional
-// CGOPipe engine. NewServer builds weights and memory arenas once;
-// Submit admits requests at any time, without waiting on a running
-// wave, and returns a Handle whose Tokens() channel carries tokens as
-// decode steps complete; an admission loop re-runs the Alg. 2 batcher
-// over (deferred + newly arrived) requests at every wave boundary;
-// Close drains and shuts down.
-type Server struct {
-	host *engine.Host
-	eng  *engine.Server
-	cfg  engine.ServeConfig // the effective engine configuration
-}
-
 // NewServer validates the configuration, builds the weights and arenas,
-// and starts the serving loop. This is the one place the flat public
-// ServerConfig is mapped onto the engine's options.
+// and starts the serving loop.
 func NewServer(cfg ServerConfig) (*Server, error) {
-	cfg.defaults()
-	if err := cfg.Model.Validate(); err != nil {
+	host, ecfg, err := newHost(cfg)
+	if err != nil {
 		return nil, err
 	}
+	return engine.NewServer(host, ecfg)
+}
+
+// newHost validates cfg and builds the host it serves on, with the
+// engine configuration it serves under: the one place the flat public
+// ServerConfig is mapped onto the engine's options.
+func newHost(cfg ServerConfig) (*engine.Host, engine.ServeConfig, error) {
+	cfg.defaults()
+	if err := cfg.Model.Validate(); err != nil {
+		return nil, engine.ServeConfig{}, err
+	}
 	if cfg.Model.TotalParams() > 50_000_000 {
-		return nil, fmt.Errorf("moelightning: %s has %d parameters; the functional engine is for tiny configs (use TinyMoE)",
+		return nil, engine.ServeConfig{}, fmt.Errorf("moelightning: %s has %d parameters; the functional engine is for tiny configs (use TinyMoE)",
 			cfg.Model.Name, cfg.Model.TotalParams())
 	}
 	ecfg := engine.ServeConfig{
@@ -232,51 +236,5 @@ func NewServer(cfg ServerConfig) (*Server, error) {
 		WaveTimeout:      cfg.WaveTimeout,
 	}
 	host, err := engine.NewHost(cfg.Model, cfg.Seed, ecfg.MicroBatch*ecfg.NumMicroBatches, ecfg.MaxContext, ecfg.ExpertResidencyBytes)
-	if err != nil {
-		return nil, err
-	}
-	eng, err := engine.NewServer(host, ecfg)
-	if err != nil {
-		return nil, err
-	}
-	return &Server{host: host, eng: eng, cfg: ecfg}, nil
-}
-
-// Submit admits one request. Canceling ctx cancels the request: queued,
-// it is dropped at the next wave boundary; mid-generation, its sequence
-// retires at the next decode-step boundary and its KV slot is freed,
-// without perturbing any other request's tokens. The handle then
-// finishes with ErrCanceled, returning the tokens streamed so far.
-func (s *Server) Submit(ctx context.Context, req Request) (*Handle, error) {
-	return s.eng.Submit(req, ctxDone(ctx))
-}
-
-// SubmitSLO admits one request carrying a latency SLO. The SLO is
-// accounted in Stats (met / TTFT miss / TPOT miss over finished
-// requests) and, when the server runs with SLOAware admission, drives
-// the request's wave-boundary priority via its deadline slack.
-func (s *Server) SubmitSLO(ctx context.Context, req Request, slo SLO) (*Handle, error) {
-	return s.eng.SubmitSLO(req, slo, ctxDone(ctx))
-}
-
-// SubmitBatch admits a group of requests atomically: they reach the
-// same wave-boundary batching decision together, like a closed queue.
-// ctx cancels the whole group.
-func (s *Server) SubmitBatch(ctx context.Context, reqs []Request) ([]*Handle, error) {
-	return s.eng.SubmitBatch(reqs, ctxDone(ctx))
-}
-
-// Stats snapshots the server's serving metrics.
-func (s *Server) Stats() ServerStats { return s.eng.Stats() }
-
-// Close stops admission, serves every request already submitted, shuts
-// the engine down, and returns the first wave error if any occurred. It
-// blocks until the drain completes and is safe to call more than once.
-func (s *Server) Close() error { return s.eng.Close() }
-
-func ctxDone(ctx context.Context) <-chan struct{} {
-	if ctx == nil {
-		return nil
-	}
-	return ctx.Done()
+	return host, ecfg, err
 }
