@@ -31,18 +31,17 @@ type Config struct {
 	// micro-batch, so an int8 KV codec admits ~32/9 the context.
 	TokenBytes int
 	CacheBytes int
-	// SharedPrefix makes the capacity check charge only NEW tokens for
-	// a request whose declared prefix (workload.Request.PrefixID /
-	// PrefixLen) is already placed in this round: the engine maps those
-	// blocks instead of allocating them, so admission should reflect
-	// true residual demand. The discount is rounded down to whole cache
-	// blocks of BlockTokens — sharing granularity — and generation room
-	// is always charged in full. MicroBatch.PromptTokens stays the real
-	// prompt total (it feeds compute-balance metrics, not capacity).
-	SharedPrefix bool
-	// BlockTokens is the KV cache's tokens-per-block geometry; required
-	// when SharedPrefix is set. Under the byte budget a request is then
-	// charged whole blocks, as the paged cache hands them out.
+	// BlockTokens is the KV cache's tokens-per-block geometry. When set,
+	// a request is charged whole blocks under the byte budget, as the
+	// paged cache hands them out, and the capacity check charges only
+	// NEW tokens for a request whose declared prefix
+	// (workload.Request.PrefixID / PrefixLen) is already placed in this
+	// round: the engine maps those blocks instead of allocating them, so
+	// admission reflects true residual demand. The discount is rounded
+	// down to whole blocks — the engine shares nothing finer — and
+	// generation room is always charged in full. MicroBatch.PromptTokens
+	// stays the real prompt total (it feeds compute-balance metrics, not
+	// capacity). Zero charges tokens and discounts nothing.
 	BlockTokens int
 }
 
@@ -94,9 +93,6 @@ func (c Config) Validate() error {
 	if !c.byteAware() && c.CacheTokens <= 0 {
 		return fmt.Errorf("batching: invalid cache=%d", c.CacheTokens)
 	}
-	if c.SharedPrefix && c.BlockTokens <= 0 {
-		return fmt.Errorf("batching: SharedPrefix needs a positive BlockTokens, got %d", c.BlockTokens)
-	}
 	return nil
 }
 
@@ -140,7 +136,7 @@ func batchInOrder(queue []workload.Request, cfg Config) (batches []MicroBatch, a
 	}
 	// partitions under construction, and their token sums (Alg. 2 l.1-3).
 	// sums carries real prompt tokens (reported in MicroBatch); charged
-	// carries prompt tokens less any SharedPrefix discount, for the
+	// carries prompt tokens less any shared-prefix discount, for the
 	// least-loaded pick; spent is the capacity check's cost.
 	parts := make([][]workload.Request, cfg.NumMicroBatches)
 	sums := make([]int, cfg.NumMicroBatches)
@@ -155,7 +151,7 @@ func batchInOrder(queue []workload.Request, cfg Config) (batches []MicroBatch, a
 	// the round (any partition: the wave's cache is shared) can lend: its
 	// declared prefix short of its last token, the most the engine maps.
 	var seen map[int]int
-	if cfg.SharedPrefix {
+	if cfg.BlockTokens > 0 {
 		seen = make(map[int]int)
 	}
 
@@ -184,7 +180,7 @@ func batchInOrder(queue []workload.Request, cfg Config) (batches []MicroBatch, a
 		sums[idx] += req.PromptLen
 		charged[idx] += req.PromptLen - discount
 		spent[idx] += cost
-		if cfg.SharedPrefix && req.PrefixID != 0 {
+		if seen != nil && req.PrefixID != 0 {
 			if lend := min(req.PrefixLen, req.PromptLen-1); lend > seen[req.PrefixID] {
 				seen[req.PrefixID] = lend
 			}
@@ -210,7 +206,7 @@ func batchInOrder(queue []workload.Request, cfg Config) (batches []MicroBatch, a
 // prompt is always charged (the last token is always computed), and a
 // match shorter than one block discounts nothing.
 func (c Config) prefixDiscount(req workload.Request, seen map[int]int) int {
-	if !c.SharedPrefix || req.PrefixID == 0 {
+	if c.BlockTokens <= 0 || req.PrefixID == 0 {
 		return 0
 	}
 	d := min(req.PrefixLen, req.PromptLen-1, seen[req.PrefixID])

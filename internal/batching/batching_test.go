@@ -187,7 +187,7 @@ func TestByteBudgetChargesWholeBlocks(t *testing.T) {
 // of the two it issues first.
 func TestSharedPrefixLendsAllButLastToken(t *testing.T) {
 	cfg := Config{NumMicroBatches: 1, MicroBatchSize: 2, GenLen: 8, TokenBytes: 128, CacheBytes: 64 * 128,
-		SharedPrefix: true, BlockTokens: 16}
+		BlockTokens: 16}
 	// Request 0 is all prefix (32 + 8 tokens, 3 blocks): it lends 31,
 	// one block. The follower (40 + 8 tokens, 3 blocks) is charged 2:
 	// 5 blocks, past a 4-block budget that a 2-block discount would meet.
@@ -368,33 +368,22 @@ func TestBatchOrderedSameCapacitySemantics(t *testing.T) {
 	}
 }
 
-// TestSharedPrefixValidate: SharedPrefix without a block geometry is a
-// config error — the discount is defined in whole cache blocks.
-func TestSharedPrefixValidate(t *testing.T) {
-	cfg := Config{NumMicroBatches: 1, MicroBatchSize: 2, CacheTokens: 100, SharedPrefix: true}
-	if _, _, err := Batch(nil, cfg); err == nil {
-		t.Error("SharedPrefix without BlockTokens accepted")
-	}
-	cfg.BlockTokens = 16
-	if _, _, err := Batch(nil, cfg); err != nil {
-		t.Errorf("valid shared-prefix config rejected: %v", err)
-	}
-}
-
 // TestSharedPrefixDiscountAdmitsMore: requests sharing a declared
 // prefix charge only their unshared tail once the prefix is placed, so
 // a budget that defers plain requests admits the whole sharing cohort —
 // the Alg. 2 counterpart of mapping blocks instead of allocating them.
 func TestSharedPrefixDiscountAdmitsMore(t *testing.T) {
 	queue := make([]workload.Request, 4)
+	plain := make([]workload.Request, 4)
 	for i := range queue {
 		queue[i] = workload.Request{ID: i + 1, PromptLen: 40, GenLen: 10, PrefixID: 7, PrefixLen: 32}
+		plain[i] = workload.Request{ID: i + 1, PromptLen: 40, GenLen: 10}
 	}
-	base := Config{NumMicroBatches: 1, MicroBatchSize: 4, GenLen: 10, CacheTokens: 120, BlockTokens: 16}
+	cfg := Config{NumMicroBatches: 1, MicroBatchSize: 4, GenLen: 10, CacheTokens: 120, BlockTokens: 16}
 
-	// Without sharing the classic check holds: 40+10=50, 90+20... third
-	// request would reach 130+30 > 120, so only two place.
-	batches, aborted, err := Batch(queue, base)
+	// Without a declared prefix the classic check holds: 40+10=50,
+	// 90+20... third request would reach 130+30 > 120, so only two place.
+	batches, aborted, err := Batch(plain, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -402,9 +391,7 @@ func TestSharedPrefixDiscountAdmitsMore(t *testing.T) {
 		t.Fatalf("no sharing: %d placed, %d aborted; want 2/2", len(batches[0].Requests), len(aborted))
 	}
 
-	shared := base
-	shared.SharedPrefix = true
-	batches, aborted, err = Batch(queue, shared)
+	batches, aborted, err = Batch(queue, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -420,11 +407,12 @@ func TestSharedPrefixDiscountAdmitsMore(t *testing.T) {
 }
 
 // TestSharedPrefixDiscountRules: the discount is block-floored, capped
-// below the full prompt (the last token is always computed), gated on a
-// block-size match, and scoped per prefix id.
+// below the full prompt (the last token is always computed), scoped per
+// prefix id, and nothing without a block geometry — it is defined in
+// whole cache blocks.
 func TestSharedPrefixDiscountRules(t *testing.T) {
 	cfg := Config{NumMicroBatches: 1, MicroBatchSize: 8, GenLen: 0, CacheTokens: 1 << 20,
-		SharedPrefix: true, BlockTokens: 16}
+		BlockTokens: 16}
 	seen := map[int]int{}
 	if d := cfg.prefixDiscount(workload.Request{PromptLen: 40, PrefixID: 1, PrefixLen: 32}, seen); d != 0 {
 		t.Errorf("unseen prefix discounted %d", d)
@@ -452,5 +440,10 @@ func TestSharedPrefixDiscountRules(t *testing.T) {
 	// Different prefix id: no discount.
 	if d := cfg.prefixDiscount(workload.Request{PromptLen: 40, PrefixID: 2, PrefixLen: 32}, seen); d != 0 {
 		t.Errorf("foreign prefix discounted %d", d)
+	}
+	// No block geometry: no discount.
+	cfg.BlockTokens = 0
+	if d := cfg.prefixDiscount(workload.Request{PromptLen: 40, PrefixID: 1, PrefixLen: 32}, seen); d != 0 {
+		t.Errorf("discount without BlockTokens = %d, want 0", d)
 	}
 }

@@ -185,10 +185,9 @@ func Run(cfg Config) (Report, error) {
 	}
 	srv, err := engine.NewServer(host, engine.ServeConfig{
 		Config: engine.Config{
-			MicroBatch:   microBatch,
-			MaxContext:   maxContext,
-			SharedPrefix: true,
-			Faults:       inj,
+			MicroBatch: microBatch,
+			MaxContext: maxContext,
+			Faults:     inj,
 		},
 		AdmissionPolicy: engine.AdmissionPolicy{
 			SLOAware:          true,

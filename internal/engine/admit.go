@@ -64,7 +64,6 @@ func NewServer(host *Host, cfg ServeConfig) (*Server, error) {
 		GenLen:          cfg.GenLen,
 		TokenBytes:      kvcache.TokenBytes(kvDim, cfg.KVDtype),
 		CacheBytes:      cfg.MicroBatch * cfg.MaxContext * kvcache.TokenBytes(kvDim, kvcache.F32),
-		SharedPrefix:    cfg.SharedPrefix,
 		BlockTokens:     kvcache.DefaultBlockTokens,
 	}
 	if err := bc.Validate(); err != nil {

@@ -159,7 +159,6 @@ type Pipeline struct {
 	// in one GEMM.
 	logits, normedHead []float32
 	prefillChunk       int
-	sharedPrefix       bool
 
 	// expSrc adapts the pager to the expertSource expertFFN consumes, one
 	// real layer at a time (ffn(l) sets the layer). The GPU lane is serial,
@@ -200,9 +199,8 @@ type Counters struct {
 	// resident shared prefix instead of being recomputed: the FLOPs and
 	// cache bytes prefix sharing saved. RetainedHitTokens is the part of
 	// it mapped from blocks an earlier run left cached rather than from a
-	// wave-mate. CowCopies counts copy-on-write block copies (divergence
-	// into a shared block).
-	PrefixHitTokens, RetainedHitTokens, CowCopies atomic.Int64
+	// wave-mate.
+	PrefixHitTokens, RetainedHitTokens atomic.Int64
 
 	// ExpertPaging is the expert-weight pager's traffic: warm hits,
 	// demand-fetch misses, prefetches, evictions and bytes fetched.
@@ -231,14 +229,11 @@ type Config struct {
 	// kernel is row-independent and attention reads each token's own
 	// cached prefix, so the output is bit-identical for any chunk size.
 	PrefillChunk int
-	// SharedPrefix enables shared-prefix KV reuse during prefill:
-	// sequences whose prompts open with identical tokens map cache blocks
-	// in place (refcounted, copy-on-write on divergence) and skip
-	// prefilling the matched tokens — a wave-mate's blocks, or whole
-	// blocks an earlier run's prompts left cached, which the pool keeps
-	// until it needs them (kvcache's retention). Output is bit-identical
-	// with the knob on or off — the mapped rows are the rows the
-	// sequence would have computed.
+	// SharedPrefix is ignored: prefix sharing is always on. Sequences
+	// whose prompts open with identical whole blocks map them in place
+	// (planPrefixReuse). The field stays because the standing benchmark's
+	// wave harness (bench/wave.go) sets it, until ROADMAP item 7 revises
+	// that frozen code.
 	SharedPrefix bool
 	// ExpertResidencyBytes caps the GPU-resident expert-weight pool:
 	// the pager keeps this many bytes of expert FFN blocks resident
@@ -305,7 +300,6 @@ func NewPipeline(w *Weights, gpu, pinned, cacheArena *memory.Arena, numSeqs int,
 		microBatch:   cfg.MicroBatch,
 		logits:       make([]float32, numSeqs*w.Cfg.VocabSize),
 		normedHead:   make([]float32, numSeqs*w.Cfg.Hidden),
-		sharedPrefix: cfg.SharedPrefix,
 		prefillChunk: cfg.PrefillChunk,
 	}
 	if p.prefillChunk <= 0 {

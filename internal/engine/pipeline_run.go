@@ -146,9 +146,6 @@ func (p *Pipeline) Run(ctx context.Context, prompts, partition [][]int, genLen i
 			}
 		}
 	}
-	// Decode-time writes into shared history (multi-turn continuations)
-	// may copy-on-write after the prompt phase counted; refresh the tally.
-	p.Counters.CowCopies.Store(p.cache.CowCopies())
 	return out, nil
 }
 
@@ -261,12 +258,12 @@ func (p *Pipeline) retire(s int) {
 // back at once). It retires at the pass boundary, never with lanes
 // running: prefill fails only the offending request, never the wave.
 //
-// With SharedPrefix enabled, sequences whose prompts open with the same
-// tokens as one earlier in issue order, or as whole blocks an earlier
-// run's prompts left cached, skip the matched prefix entirely: begin
-// starts their spans past it and maps a cached prefix at once, and at a
-// follower's first computed token the donor's cache blocks are mapped in
-// place (refcount++, zero copies, zero FLOPs). Attention reads the shared
+// Sequences whose prompts open with the same whole blocks of tokens as
+// one earlier in issue order, or as blocks an earlier run's prompts left
+// cached, skip the matched prefix entirely: begin starts their spans
+// past it and maps a cached prefix at once, and at a follower's first
+// computed token the donor's cache blocks are mapped in place
+// (refcount++, zero copies, zero FLOPs). Attention reads the shared
 // prefix through the same block views as everything else; because the
 // K/V rows for a prefix token depend only on the token ids up to it and
 // their positions, the mapped rows are bit-identical to the rows the
@@ -512,9 +509,9 @@ func (p *Pipeline) runCPUAttn(layer, j int) error {
 // token of a sequence with a donor first maps its planned shared prefix
 // in: the donor precedes it in issue order (planPrefixReuse) and the CPU
 // lane runs cattn in issue order, so the donor's whole prompt at this
-// layer is appended and indexed by now. With SharedPrefix on, the span
-// that completes a prompt indexes the prompt's full blocks at the layer,
-// for wave-mates behind it and, once released, for later runs.
+// layer is appended and indexed by now. The span that completes a
+// prompt indexes the prompt's full blocks at the layer, for wave-mates
+// behind it and, once released, for later runs.
 func (p *Pipeline) appendSpan(s, layer int, K, V tensor.Mat, r0, n int) error {
 	if p.donor[s] >= 0 && p.spanLo[s] == p.skip[s] {
 		if err := p.attachPrefix(s, layer); err != nil {
@@ -527,7 +524,7 @@ func (p *Pipeline) appendSpan(s, layer int, K, V tensor.Mat, r0, n int) error {
 		}
 		p.Counters.DtoHBytes.Add(int64(p.cache.TokenBytes()))
 	}
-	if p.sharedPrefix && p.spanHi[s] == len(p.prompts[s]) {
+	if p.spanHi[s] == len(p.prompts[s]) {
 		p.cache.IndexPrefix(s, layer, p.prompts[s])
 	}
 	return nil

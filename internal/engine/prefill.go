@@ -28,43 +28,36 @@ func (p *Pipeline) promptTotals(took time.Duration) {
 	p.PrefillTokens, p.PrefillDuration = prefilled, took
 	p.Counters.PrefixHitTokens.Add(int64(reused))
 	p.Counters.RetainedHitTokens.Add(int64(retained))
-	p.Counters.CowCopies.Store(p.cache.CowCopies())
 }
 
 // planPrefixReuse plans where each sequence's prompt prefix comes from,
 // walking the sequences in issue order (micro-batch order, then order
-// within the micro-batch). At least the prompt's last token is always
-// computed — decode needs its hidden state — and a match shorter than
-// one block shares nothing. Two sources:
+// within the micro-batch). Only whole blocks are shared, the way
+// admission charges for them (batching's prefix discount), and at least
+// the prompt's last token is always computed — decode needs its hidden
+// state — so a match is floored to whole blocks of the prompt short of
+// its last token. Two sources:
 //
 //   - the cache: the leading whole blocks the prefix index resolves at
 //     every layer (kvcache.IndexedPrefix) — blocks an earlier run's
 //     prompts indexed and left cached. begin attaches them before the
 //     first pass;
 //   - a wave-mate: the sequence ahead of it in issue order sharing its
-//     longest common prompt prefix, block-rounded to what AttachPrefix
-//     can map: a non-block-aligned match keeps its partial tail only
-//     when the donor's prompt runs through that block boundary (the
-//     tail block must be full on the donor's side to be indexable);
-//     otherwise it floors to whole blocks. A donor precedes its follower
-//     in issue order, the order passes take prompt tokens in and the CPU
+//     longest common prompt prefix. A donor precedes its follower in
+//     issue order, the order passes take prompt tokens in and the CPU
 //     lane runs each layer's attention in, so the donor's whole prompt
 //     is cached and indexed at a layer before the follower attaches at
 //     it (appendSpan).
 //
 // The longer source wins, the cache on a tie. The wave-mate scan stays
 // pairwise because the index cannot answer it: at begin the wave-mates'
-// blocks are not computed yet, and a partial tail block is never
-// indexed under the follower's own tokens. Returns per-sequence skip
-// lengths and donor indices (-1: none, or the cache).
+// blocks are not computed yet. Returns per-sequence skip lengths and
+// donor indices (-1: none, or the cache).
 func (p *Pipeline) planPrefixReuse(prompts [][]int) (skip, donor []int) {
 	skip = make([]int, len(prompts))
 	donor = make([]int, len(prompts))
 	for s := range donor {
 		donor[s] = -1
-	}
-	if !p.sharedPrefix {
-		return skip, donor
 	}
 	bt := p.cache.BlockTokens()
 	var order []int
@@ -86,17 +79,9 @@ func (p *Pipeline) planPrefixReuse(prompts [][]int) (skip, donor []int) {
 				best, bestD = lcp, d
 			}
 		}
-		if best > len(prompts[s])-1 {
-			best = len(prompts[s]) - 1
-		}
-		if bestD >= 0 && best%bt != 0 && (best/bt+1)*bt > len(prompts[bestD]) {
-			best = best / bt * bt
-		}
+		best = min(best, len(prompts[s])-1) / bt * bt
 		if cached := p.cache.IndexedPrefix(prompts[s], len(prompts[s])-1); cached >= best {
 			skip[s] = cached
-			continue
-		}
-		if best < bt {
 			continue
 		}
 		skip[s], donor[s] = best, bestD

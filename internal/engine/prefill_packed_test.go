@@ -90,7 +90,7 @@ func TestPackedPrefillBitIdenticalMixedLengths(t *testing.T) {
 				cacheArena := memory.NewArena("cache", 1<<22)
 				pl, err := NewPipeline(w, gpu, pinned, cacheArena, len(prompts),
 					Config{MicroBatch: 2, MaxContext: 64, KVDtype: dtype,
-						PrefillChunk: chunk, SharedPrefix: tc.followers > 0})
+						PrefillChunk: chunk})
 				if err != nil {
 					t.Fatal(err)
 				}

@@ -26,11 +26,11 @@ func prefixRequests(n, id, prefixLen int, tailLens []int) []workload.Request {
 	return reqs
 }
 
-// TestPrefillSharedPrefixBitIdentical is the tentpole's correctness
+// TestPrefillSharedPrefixBitIdentical is prefix sharing's correctness
 // contract: a wave of requests sharing a block-aligned prompt prefix
-// generates exactly the tokens of the sharing-off run and of the
-// sequential reference, under both codecs — mapped prefix rows are the
-// rows the follower would have computed. The sharing run must also
+// generates exactly the sequential reference's tokens, under both
+// codecs and under any partition and prompt budget — mapped prefix rows
+// are the rows the follower would have computed. The run must also
 // account the skipped tokens in PrefixHitTokens.
 func TestPrefillSharedPrefixBitIdentical(t *testing.T) {
 	cfg := model.Tiny()
@@ -54,19 +54,16 @@ func TestPrefillSharedPrefixBitIdentical(t *testing.T) {
 				t.Fatal(err)
 			}
 
-			var hits [3]int64
-			for i, pc := range []struct {
+			for _, pc := range []struct {
 				Config
 				partition [][]int
 			}{
 				{Config: Config{MicroBatch: 2}},
-				{Config: Config{MicroBatch: 2, SharedPrefix: true}},
 				// Sequence 0 in a later micro-batch than sequences 1 and 2,
 				// which issue first and so donate, and a 16-token budget that
 				// splits the donor's prompt across passes.
-				{Config: Config{SharedPrefix: true, PrefillChunk: 16}, partition: [][]int{{1, 2}, {0, 3}}},
+				{Config: Config{PrefillChunk: 16}, partition: [][]int{{1, 2}, {0, 3}}},
 			} {
-				shared := pc.SharedPrefix
 				pc.MaxContext, pc.KVDtype = 64, dtype
 				gpu := memory.NewArena("gpu", 1<<22)
 				pinned := memory.NewArena("pinned", 1<<22)
@@ -82,32 +79,26 @@ func TestPrefillSharedPrefixBitIdentical(t *testing.T) {
 				}
 				if !reflect.DeepEqual(got, want) {
 					pl.Close()
-					t.Fatalf("shared=%v tokens diverge from reference:\n got %v\nwant %v", shared, got, want)
+					t.Fatalf("partition %v: tokens diverge from reference:\n got %v\nwant %v", pc.partition, got, want)
 				}
-				hits[i] = pl.Counters.PrefixHitTokens.Load()
+				// Three followers each skip at least the 32 aligned prefix
+				// tokens (the LCP can extend past the declared prefix if
+				// suffix streams coincide — still correct, just more hits).
+				if h := pl.Counters.PrefixHitTokens.Load(); h < 3*32 {
+					t.Errorf("partition %v: mapped %d tokens, want >= %d", pc.partition, h, 3*32)
+				}
 				pl.Close()
-			}
-			if hits[0] != 0 {
-				t.Errorf("sharing off reported %d prefix hits", hits[0])
-			}
-			// Three followers each skip at least the 32 aligned prefix
-			// tokens (the LCP can extend past the declared prefix if
-			// suffix streams coincide — still correct, just more hits).
-			for _, h := range hits[1:] {
-				if h < 3*32 {
-					t.Errorf("sharing on mapped %d tokens, want >= %d", h, 3*32)
-				}
 			}
 		})
 	}
 }
 
-// TestPrefillSharedPrefixCowDivergence exercises the non-block-aligned
-// path under both codecs: a follower matching 24 of the donor's 40
-// tokens shares the donor's second block ceil-wise and must
-// copy-on-write it (once per layer) at its first divergent append —
-// with no effect on any output bit.
-func TestPrefillSharedPrefixCowDivergence(t *testing.T) {
+// TestPrefillSharedPrefixWholeBlocksOnly: under both codecs, a follower
+// matching 24 of the donor's 40 tokens maps only the one whole block
+// those 24 cover and computes the rest of its prompt, the first eight
+// matched tokens included, into blocks of its own — bit-identical to
+// the reference.
+func TestPrefillSharedPrefixWholeBlocksOnly(t *testing.T) {
 	cfg := model.Tiny()
 	donor := make([]int, 40)
 	for i := range donor {
@@ -141,7 +132,7 @@ func TestPrefillSharedPrefixCowDivergence(t *testing.T) {
 			pinned := memory.NewArena("pinned", 1<<22)
 			cacheArena := memory.NewArena("cache", 1<<22)
 			pl, err := NewPipeline(w, gpu, pinned, cacheArena, 2,
-				Config{MicroBatch: 2, MaxContext: 64, KVDtype: dtype, SharedPrefix: true})
+				Config{MicroBatch: 2, MaxContext: 64, KVDtype: dtype})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -153,24 +144,23 @@ func TestPrefillSharedPrefixCowDivergence(t *testing.T) {
 			if !reflect.DeepEqual(got, want) {
 				t.Fatalf("tokens diverge from reference:\n got %v\nwant %v", got, want)
 			}
-			if hits := pl.Counters.PrefixHitTokens.Load(); hits != 24 {
-				t.Errorf("prefix hits = %d, want 24", hits)
+			if hits := pl.Counters.PrefixHitTokens.Load(); hits != 16 {
+				t.Errorf("prefix hits = %d, want 16 (one whole block)", hits)
 			}
-			// The follower's first divergent token (position 24) lands in
-			// the shared ceil block at every layer: one COW per layer.
-			if cows := pl.Counters.CowCopies.Load(); cows != int64(cfg.Layers) {
-				t.Errorf("cow copies = %d, want %d (one per layer)", cows, cfg.Layers)
+			if n := pl.PrefillTokens; n != len(donor)+len(follower)-16 {
+				t.Errorf("prefilled %d tokens, want %d", n, len(donor)+len(follower)-16)
 			}
 		})
 	}
 }
 
-// TestPrefillSharedPrefixAcceptance is the PR's headline scenario: a
-// 16-request chat wave sharing a 512-token system prompt completes in a
-// KV pool sized for the no-sharing footprint of only 4 requests,
-// prefilling >= 5x fewer tokens than the wave's prompt total, with
-// PrefixHitTokens accounting for exactly the difference — and the
-// tokens bit-identical to a sharing-off run given unlimited memory.
+// TestPrefillSharedPrefixAcceptance is prefix sharing's headline
+// scenario: a 16-request chat wave sharing a 512-token system prompt
+// completes in a KV pool sized for the no-sharing footprint of only 4
+// requests, prefilling >= 5x fewer tokens than the wave's prompt total,
+// with PrefixHitTokens accounting for exactly the difference — and the
+// tokens bit-identical to the sequential reference given unlimited
+// memory.
 func TestPrefillSharedPrefixAcceptance(t *testing.T) {
 	if raceEnabled {
 		t.Skip("single-threaded 512-token wave is prohibitively slow under -race; sharing paths are race-tested by TestConcurrentSubmitSharedPrefix")
@@ -200,83 +190,64 @@ func TestPrefillSharedPrefixAcceptance(t *testing.T) {
 
 	// Per-request no-sharing footprint: ceil((prompt+gen)/block) blocks
 	// per layer, prompt <= 520, so 33 blocks x Layers. The pool holds
-	// exactly 4 requests' worth; the wave needs 16.
+	// exactly 4 requests' worth; without sharing the wave needs 16.
 	blockFloats := 16 * cfg.KVDim() * 2
 	perReqBlocks := (prefixLen + 8 + gen + 15) / 16 * cfg.Layers
 	poolBlocks := 4 * perReqBlocks
 	// NewPipeline sizes the pool as seqs*MaxContext tokens across layers.
 	maxContext := poolBlocks / cfg.Layers * 16 / seqs
-
-	// Ground truth: sharing off with an arena big enough for all 16.
-	bigCache := memory.NewArena("bigcache", seqs*(prefixLen+32)/16*cfg.Layers*blockFloats)
-	plOff, err := NewPipeline(w, memory.NewArena("gpu0", 1<<22), memory.NewArena("pin0", 1<<22),
-		bigCache, seqs, Config{MicroBatch: 4, MaxContext: prefixLen + 32, SharedPrefix: false})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer plOff.Close()
-	want, err := plOff.Generate(prompts, gen)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for s := 0; s < seqs; s++ {
-		if serr := plOff.SeqErr(s); serr != nil {
-			t.Fatalf("unconstrained sharing-off run starved seq %d: %v", s, serr)
+	// Sanity on the claim itself: without sharing, at most 4 of the 16
+	// requests' footprints fit the pool together.
+	fit, used := 0, 0
+	for _, p := range prompts {
+		if need := (len(p) + gen + 15) / 16 * cfg.Layers; used+need <= poolBlocks {
+			fit, used = fit+1, used+need
 		}
 	}
+	if fit > 4 {
+		t.Fatalf("%d requests' no-sharing footprints fit the %d-block pool, want at most 4", fit, poolBlocks)
+	}
 
-	// The same wave, sharing on, in the 4-request pool.
-	smallCache := memory.NewArena("smallcache", poolBlocks*blockFloats)
-	plOn, err := NewPipeline(w, memory.NewArena("gpu1", 1<<22), memory.NewArena("pin1", 1<<22),
-		smallCache, seqs, Config{MicroBatch: 4, MaxContext: maxContext, SharedPrefix: true})
+	// Ground truth: the reference with a cache big enough for all 16.
+	ref, err := NewReferenceKV(w, memory.NewArena("rc", seqs*(prefixLen+32)/16*cfg.Layers*blockFloats), seqs, prefixLen+32, kvcache.F32)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer plOn.Close()
-	got, err := plOn.Generate(prompts, gen)
+	want, err := ref.Generate(prompts, gen)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	// The wave in the 4-request pool.
+	smallCache := memory.NewArena("smallcache", poolBlocks*blockFloats)
+	pl, err := NewPipeline(w, memory.NewArena("gpu", 1<<22), memory.NewArena("pin", 1<<22),
+		smallCache, seqs, Config{MicroBatch: 4, MaxContext: maxContext})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer pl.Close()
+	got, err := pl.Generate(prompts, gen)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for s := 0; s < seqs; s++ {
-		if serr := plOn.SeqErr(s); serr != nil {
-			t.Fatalf("sharing-on wave starved seq %d in the 4-request pool: %v", s, serr)
+		if serr := pl.SeqErr(s); serr != nil {
+			t.Fatalf("wave starved seq %d in the 4-request pool: %v", s, serr)
 		}
 	}
 	if !reflect.DeepEqual(got, want) {
-		t.Fatal("sharing-on tokens diverge from the sharing-off run")
+		t.Fatal("tokens diverge from the reference")
 	}
 
-	hits := int(plOn.Counters.PrefixHitTokens.Load())
+	hits := int(pl.Counters.PrefixHitTokens.Load())
 	if hits != (seqs-1)*prefixLen {
 		t.Errorf("prefix hits = %d, want %d (15 followers x 512)", hits, (seqs-1)*prefixLen)
 	}
-	if plOn.PrefillTokens+hits != totalPrompt {
-		t.Errorf("prefilled %d + mapped %d != prompt total %d", plOn.PrefillTokens, hits, totalPrompt)
+	if pl.PrefillTokens+hits != totalPrompt {
+		t.Errorf("prefilled %d + mapped %d != prompt total %d", pl.PrefillTokens, hits, totalPrompt)
 	}
-	if 5*plOn.PrefillTokens > totalPrompt {
-		t.Errorf("prefilled %d tokens of %d; want >= 5x reduction", plOn.PrefillTokens, totalPrompt)
-	}
-
-	// Sanity on the claim itself: sharing off genuinely cannot serve
-	// this wave from the small pool — most sequences starve.
-	smallCache2 := memory.NewArena("smallcache2", poolBlocks*blockFloats)
-	plTight, err := NewPipeline(w, memory.NewArena("gpu2", 1<<22), memory.NewArena("pin2", 1<<22),
-		smallCache2, seqs, Config{MicroBatch: 4, MaxContext: maxContext, SharedPrefix: false})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer plTight.Close()
-	if _, err := plTight.Generate(prompts, gen); err != nil {
-		t.Fatalf("tight sharing-off wave failed outright: %v", err)
-	}
-	starved := 0
-	for s := 0; s < seqs; s++ {
-		if errors.Is(plTight.SeqErr(s), kvcache.ErrOutOfBlocks) {
-			starved++
-		}
-	}
-	if starved < seqs-4 {
-		t.Errorf("sharing-off starved only %d of %d in the 4-request pool", starved, seqs)
+	if 5*pl.PrefillTokens > totalPrompt {
+		t.Errorf("prefilled %d tokens of %d; want >= 5x reduction", pl.PrefillTokens, totalPrompt)
 	}
 }
 
@@ -322,7 +293,7 @@ func TestPrefillSharedPrefixFollowerExhaustion(t *testing.T) {
 	blockFloats := 16 * cfg.KVDim() * 2
 	cacheArena := memory.NewArena("cache", 12*blockFloats)
 	pl, err := NewPipeline(w, memory.NewArena("gpu", 1<<22), memory.NewArena("pin", 1<<22),
-		cacheArena, 3, Config{MicroBatch: 3, MaxContext: 16, SharedPrefix: true})
+		cacheArena, 3, Config{MicroBatch: 3, MaxContext: 16})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -352,41 +323,43 @@ func TestPrefillSharedPrefixFollowerExhaustion(t *testing.T) {
 }
 
 // TestServeSharedPrefixWave runs prefix-sharing requests through the
-// wave server: outputs are identical with the knob on or off, and the
-// on-run's stats attribute the followers' prefixes to PrefixHitTokens
-// with a consistent hit ratio.
+// wave server: outputs equal the reference's, and the stats attribute
+// the followers' prefixes to PrefixHitTokens with a consistent hit
+// ratio.
 func TestServeSharedPrefixWave(t *testing.T) {
 	cfg := model.Tiny()
 	reqs := prefixRequests(4, 3, 16, []int{6, 4, 8, 5})
-	var outputs [2]map[int][]int
-	var onStats ServeResult
-	for i, shared := range []bool{false, true} {
-		cpu, gpu, pinned, cacheArena := newTestArenas()
-		w, err := NewRandomWeights(cpu, cfg, 5)
-		if err != nil {
-			t.Fatal(err)
-		}
-		res, err := Serve(&Host{W: w, GPU: gpu, Pinned: pinned, Cache: cacheArena}, reqs, ServeConfig{
-			Config:          Config{MicroBatch: 2, MaxContext: 50, SharedPrefix: shared},
-			NumMicroBatches: 2, GenLen: 4,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		outputs[i] = res.Outputs
-		if shared {
-			onStats = res
+	cpu, gpu, pinned, cacheArena := newTestArenas()
+	w, err := NewRandomWeights(cpu, cfg, 5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := Serve(&Host{W: w, GPU: gpu, Pinned: pinned, Cache: cacheArena}, reqs, ServeConfig{
+		Config:          Config{MicroBatch: 2, MaxContext: 50},
+		NumMicroBatches: 2, GenLen: 4,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ref, err := NewReferenceKV(w, memory.NewArena("rc", 1<<22), len(reqs), 50, kvcache.F32)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := ref.Generate(PromptsFromRequests(reqs, cfg.VocabSize), 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, r := range reqs {
+		if !reflect.DeepEqual(res.Outputs[r.ID], want[i]) {
+			t.Errorf("request %d diverged from the reference:\n got %v\nwant %v", r.ID, res.Outputs[r.ID], want[i])
 		}
 	}
-	if !reflect.DeepEqual(outputs[0], outputs[1]) {
-		t.Fatalf("outputs differ with sharing on:\n off %v\n on  %v", outputs[0], outputs[1])
+	if res.PrefixHitTokens < 3*16 {
+		t.Errorf("prefix hits = %d, want >= 48 (three followers x one block)", res.PrefixHitTokens)
 	}
-	if onStats.PrefixHitTokens < 3*16 {
-		t.Errorf("prefix hits = %d, want >= 48 (three followers x one block)", onStats.PrefixHitTokens)
-	}
-	wantRatio := float64(onStats.PrefixHitTokens) / float64(onStats.PrefixHitTokens+onStats.PrefillTokens)
-	if onStats.PrefixHitRatio != wantRatio {
-		t.Errorf("hit ratio = %v, want %v", onStats.PrefixHitRatio, wantRatio)
+	wantRatio := float64(res.PrefixHitTokens) / float64(res.PrefixHitTokens+res.PrefillTokens)
+	if res.PrefixHitRatio != wantRatio {
+		t.Errorf("hit ratio = %v, want %v", res.PrefixHitRatio, wantRatio)
 	}
 }
 
@@ -422,7 +395,7 @@ func TestServeRetainedPrefixAcrossWaves(t *testing.T) {
 				t.Fatal(err)
 			}
 			s, err := NewServer(&Host{W: w, GPU: gpu, Pinned: pinned, Cache: cacheArena}, ServeConfig{
-				Config:          Config{MicroBatch: 2, MaxContext: maxContext, KVDtype: dtype, SharedPrefix: true},
+				Config:          Config{MicroBatch: 2, MaxContext: maxContext, KVDtype: dtype},
 				NumMicroBatches: 2, GenLen: genLen,
 			})
 			if err != nil {
@@ -493,7 +466,7 @@ func TestConcurrentSubmitSharedPrefix(t *testing.T) {
 		t.Fatal(err)
 	}
 	srv, err := NewServer(&Host{W: w, GPU: gpu, Pinned: pinned, Cache: cacheArena}, ServeConfig{
-		Config:          Config{MicroBatch: 4, MaxContext: 50, SharedPrefix: true},
+		Config:          Config{MicroBatch: 4, MaxContext: 50},
 		NumMicroBatches: 2, GenLen: 4,
 	})
 	if err != nil {
@@ -585,7 +558,7 @@ func BenchmarkPrefillSharedPrefix(b *testing.B) {
 		pinned.Reset()
 		cacheArena.Reset()
 		pl, err := NewPipeline(w, gpu, pinned, cacheArena, seqs,
-			Config{MicroBatch: 4, MaxContext: prefixLen + 16, SharedPrefix: true})
+			Config{MicroBatch: 4, MaxContext: prefixLen + 16})
 		if err != nil {
 			b.Fatal(err)
 		}

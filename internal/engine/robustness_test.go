@@ -791,7 +791,7 @@ func TestCancelMidPrefillPreservesSharedPrefix(t *testing.T) {
 	// The loop stays idle (nothing is submitted): the test drives the
 	// wave core on its own goroutine.
 	s, err := NewServer(&Host{W: w, GPU: gpu, Pinned: pinned, Cache: cacheArena}, ServeConfig{
-		Config:          Config{MicroBatch: 2, MaxContext: 100, SharedPrefix: true, Faults: inj},
+		Config:          Config{MicroBatch: 2, MaxContext: 100, Faults: inj},
 		NumMicroBatches: 1, GenLen: genLen,
 	})
 	if err != nil {

@@ -18,8 +18,9 @@ import (
 type ServeConfig struct {
 	// Config is handed as is to the server's one pipeline, which runs
 	// every wave in the batcher's placement. Its MicroBatch is Alg. 2's
-	// ubs: the maximum requests per micro-batch. MaxContext, KVDtype and
-	// SharedPrefix also shape the batcher's KV budget and prefix discount.
+	// ubs: the maximum requests per micro-batch. MaxContext and KVDtype
+	// also shape the batcher's KV budget; the prefix discount is charged
+	// in the cache's whole blocks, as the pipeline shares them.
 	Config
 	// AdmissionPolicy orders and bounds the pending queue.
 	AdmissionPolicy

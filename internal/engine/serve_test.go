@@ -208,7 +208,7 @@ func TestServerRejectsUnplaceableRequest(t *testing.T) {
 	}
 	const maxContext, genLen = 128, 8
 	srv, err := NewServer(&Host{W: w, GPU: gpu, Pinned: pinned, Cache: cacheArena}, ServeConfig{
-		Config:          Config{MicroBatch: 2, MaxContext: maxContext, SharedPrefix: true},
+		Config:          Config{MicroBatch: 2, MaxContext: maxContext},
 		NumMicroBatches: 2, GenLen: genLen,
 	})
 	if err != nil {

@@ -33,8 +33,11 @@ type ServerStats struct {
 	// resident prefix instead of prefilling them; PrefixHitRatio is
 	// their share of all prompt tokens handled (hit + prefilled).
 	// RetainedHitTokens is the part of PrefixHitTokens served from blocks
-	// an earlier wave's prompts left cached. CowCopies counts
-	// copy-on-write block copies triggered by writes into shared blocks.
+	// an earlier wave's prompts left cached. CowCopies always reads 0:
+	// only whole blocks are shared and a shared block is never written,
+	// so no block is ever copied. The field stays because the standing
+	// benchmark (bench/run.go) reads it, until ROADMAP item 7 revises
+	// that frozen code.
 	PrefixHitTokens   int
 	PrefixHitRatio    float64
 	RetainedHitTokens int
@@ -92,8 +95,7 @@ func (s *Server) Stats() ServerStats {
 	st.HtoDBytes, st.DtoHBytes, st.PagesMoved = c.HtoDBytes.Load(), c.DtoHBytes.Load(), c.PagesMoved.Load()
 	st.WeightBytesFetched, st.ExpertHits, st.ExpertMisses = ep.BytesFetched.Load(), ep.Hits.Load(), ep.Misses.Load()
 	st.FaultRetries, st.FaultFailures = ep.FetchRetries.Load(), ep.FetchFailures.Load()
-	st.PrefixHitTokens, st.CowCopies = int(c.PrefixHitTokens.Load()), c.CowCopies.Load()
-	st.RetainedHitTokens = int(c.RetainedHitTokens.Load())
+	st.PrefixHitTokens, st.RetainedHitTokens = int(c.PrefixHitTokens.Load()), int(c.RetainedHitTokens.Load())
 	if s.ttft != nil {
 		st.AvgTTFT = s.ttft.Mean()
 		st.TTFTP50 = s.ttft.Quantile(0.50)

@@ -32,7 +32,7 @@
 // the tensor package an attention problem with that codec's block list
 // and scratch (view.go).
 //
-// # Shared prefixes: refcounts, the hash index, and copy-on-write
+// # Shared prefixes: refcounts and the hash index
 //
 // Blocks are refcounted and content-addressed, so sequences whose
 // prompts share a leading run of tokens can share physical blocks:
@@ -51,12 +51,12 @@
 //     resolves a token chain through that index — content addressing,
 //     not sequence identity — so any sequence whose prompt hashes to
 //     the same chain maps the same physical blocks, zero copies.
-//   - A write into a block with other readers (the partially-shared
-//     tail block of a non-block-aligned prefix, or a multi-turn
-//     continuation into shared history) copies the block to a private
-//     one first — copy-on-write — so divergence never corrupts the
-//     shared prefix. A write into a still-indexed private block
-//     unregisters it instead, keeping the index truthful.
+//   - Only full blocks are shared or indexed, and a full block is never
+//     written: a stream only appends, so its full blocks are final. A
+//     follower maps whole blocks and appends its own tokens into
+//     private blocks, so no write ever reaches a block another stream
+//     reads or the index names. Append refuses one that would, as a
+//     safety check.
 //
 // # Retention: released prefixes stay resolvable until reclaimed
 //
@@ -160,9 +160,8 @@ type Cache struct {
 	// prefix is the content-addressed block index: chain hash of all
 	// tokens through a full block, per layer, to the physical block
 	// holding that span. Entries are registered by IndexPrefix and
-	// removed when the block is written or reclaimed.
-	prefix    map[prefixKey]*block
-	cowCopies int64
+	// removed when the block is reclaimed.
+	prefix map[prefixKey]*block
 
 	// cached heads the reclaim list, a ring through block.prev/next of
 	// the unreferenced blocks the index still names, least recently
@@ -184,8 +183,8 @@ type seqLayer struct{ seq, layer int }
 // the sequences whose streams include it; when refs drops to zero it
 // returns to the pool, or, if indexed, to the reclaim list, where
 // prev/next link it (both nil off the list). A block registered in the
-// prefix index remembers its chain hash so it can be deindexed on write
-// or reclaim.
+// prefix index remembers its chain hash so it can be deindexed on
+// reclaim.
 type block struct {
 	region     memory.Region
 	refs       int
@@ -282,11 +281,10 @@ func New(arena *memory.Arena, layers, kvDim, blockTokens, capacityTokens int, dt
 	return c, nil
 }
 
-// Reset returns the cache to the state New leaves it in (the
-// copy-on-write tally, cumulative, stays): every block free and
-// unreferenced, no streams, no cached blocks, an empty prefix index. It
-// is the recovery from a failed CheckIdle, so a leak costs one wave, not
-// every later one.
+// Reset returns the cache to the state New leaves it in: every block
+// free and unreferenced, no streams, no cached blocks, an empty prefix
+// index. It is the recovery from a failed CheckIdle, so a leak costs one
+// wave, not every later one.
 func (c *Cache) Reset() {
 	c.pool = c.pool[:0]
 	for i := range c.all {
@@ -393,10 +391,10 @@ func (c *Cache) Len(seq int) int { return c.length[seqLayer{seq, 0}] }
 // at a layer, at that layer's next position, quantizing on write when
 // the cache's dtype is Int8. The stream's length is committed only
 // after the token's block is secured, so a failed Append —
-// ErrOutOfBlocks included — leaves the stream unchanged. Writing into
-// a block that other sequences also reference copies it to a private
-// block first (copy-on-write); writing into a private block that is
-// still advertised by the prefix index unregisters it instead.
+// ErrOutOfBlocks included — leaves the stream unchanged. A token lands
+// in the stream's tail block, which is never full, so never shared or
+// indexed; a write into a block another stream reads or the index
+// names is refused with an error, as a safety check.
 func (c *Cache) Append(seq, layer int, k, v []float32) error {
 	if len(k) != c.kvDim || len(v) != c.kvDim {
 		return fmt.Errorf("kvcache: k/v dim %d/%d != %d", len(k), len(v), c.kvDim)
@@ -419,22 +417,8 @@ func (c *Cache) Append(seq, layer int, k, v []float32) error {
 	if bi >= len(blocks) {
 		return fmt.Errorf("kvcache: non-contiguous append at pos %d (have %d blocks)", pos, len(blocks))
 	}
-	if blocks[bi].refs > 1 {
-		// Shared block: copy-on-write before mutating. Pool exhaustion
-		// here still leaves the stream untouched — the shared block
-		// stays in place and the length is not advanced.
-		fresh := c.takeBlock()
-		if fresh == nil {
-			return fmt.Errorf("%w (seq %d layer %d pos %d: copy-on-write)", ErrOutOfBlocks, seq, layer, pos)
-		}
-		copy(fresh.region.Data(), blocks[bi].region.Data())
-		c.unref(blocks[bi])
-		blocks[bi] = fresh
-		c.cowCopies++
-	} else {
-		// Private block, but possibly still advertised to future
-		// attachers: its content is about to change, so retract it.
-		c.deindex(blocks[bi])
+	if b := blocks[bi]; b.refs > 1 || b.indexed {
+		return fmt.Errorf("kvcache: write into a shared or indexed block (seq %d layer %d pos %d)", seq, layer, pos)
 	}
 	row := pos % c.blockTokens
 	data := blocks[bi].region.Data()
@@ -539,10 +523,6 @@ func (c *Cache) Release(seq int) {
 // view, all blocks less FreeBlocks.
 func (c *Cache) UsedBlocks() int { return len(c.all) - c.FreeBlocks() }
 
-// CowCopies returns the cumulative number of copy-on-write block
-// copies performed since the cache was built.
-func (c *Cache) CowCopies() int64 { return c.cowCopies }
-
 // SetAllocHook installs (or, with nil, removes) the forced-failure
 // hook consulted on every physical block allocation: a non-nil return
 // makes that allocation fail exactly like pool exhaustion. Call it
@@ -588,13 +568,14 @@ func (c *Cache) CheckIdle() error {
 
 // IndexPrefix registers sequence seq's full blocks at one layer in the
 // prefix index under the chain hash of tokens (the sequence's prompt).
-// Only completely appended blocks are registered — a partial tail
-// block's content is still mutable. Idempotent, and a chain a live
-// block already advertises keeps its entry; a chain only a cached block
-// advertises moves to seq's block, and the cached duplicate returns to
-// the free pool. Registered blocks outlive seq's Release on the reclaim
-// list, so later prompts with the same tokens can attach them. Call it
-// once seq's appends at the layer are complete, before a follower's
+// Only completely appended blocks are registered: a full block is never
+// written again, so a registered block keeps the bytes its chain names
+// until it is reclaimed. Idempotent, and a chain a live block already
+// advertises keeps its entry; a chain only a cached block advertises
+// moves to seq's block, and the cached duplicate returns to the free
+// pool. Registered blocks outlive seq's Release on the reclaim list, so
+// later prompts with the same tokens can attach them. Call it once
+// seq's appends at the layer are complete, before a follower's
 // AttachPrefix.
 func (c *Cache) IndexPrefix(seq, layer int, tokens []int) {
 	key := seqLayer{seq, layer}
@@ -645,34 +626,20 @@ func (c *Cache) IndexedPrefix(tokens []int, n int) int {
 	return bi * bt
 }
 
-// AttachPrefix maps up to n leading tokens of the given token chain
-// into sequence seq's stream at one layer by resolving whole blocks
-// through the prefix index: each resolved block is shared in place
+// AttachPrefix maps the leading whole blocks of up to n tokens of the
+// given token chain into sequence seq's stream at one layer by resolving
+// them through the prefix index: each resolved block is shared in place
 // (refcount++, zero copies; a cached block leaves the reclaim list).
-// The stream must be empty. When n is not
-// block-aligned the final block is shared too, if the donor chain
-// covers it — the attacher's first divergent Append into it will
-// copy-on-write. Returns the number of tokens attached (a multiple of
-// the block size, or exactly n for an aligned/ceil match; 0 when the
-// index holds no matching chain). tokens must extend through every
-// block consulted, i.e. the donor's own prompt.
+// The stream must be empty. A partial block is never mapped: the
+// attacher computes the rest of its prompt into blocks of its own.
+// Returns the number of tokens attached, a multiple of the block size
+// (0 when the index holds no matching chain).
 func (c *Cache) AttachPrefix(seq, layer int, tokens []int, n int) int {
 	key := seqLayer{seq, layer}
 	if c.length[key] != 0 || len(c.blocks[key]) != 0 {
 		return 0
 	}
-	if n > len(tokens) {
-		n = len(tokens)
-	}
-	if n <= 0 {
-		return 0
-	}
-	want := (n + c.blockTokens - 1) / c.blockTokens
-	if want*c.blockTokens > len(tokens) {
-		// The tail block's chain hash needs tokens through the block
-		// boundary; the chain doesn't reach it, so share floor blocks.
-		want = n / c.blockTokens
-	}
+	want := min(n, len(tokens)) / c.blockTokens
 	var attached []*block
 	h := chainSeed
 	for bi := 0; bi < want; bi++ {
@@ -687,9 +654,6 @@ func (c *Cache) AttachPrefix(seq, layer int, tokens []int, n int) int {
 		return 0
 	}
 	got := len(attached) * c.blockTokens
-	if got > n {
-		got = n
-	}
 	for _, b := range attached {
 		if b.refs == 0 {
 			c.unpark(b)

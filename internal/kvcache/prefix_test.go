@@ -96,7 +96,12 @@ func TestAttachPrefixRequiresIndexedChain(t *testing.T) {
 	}
 }
 
-func TestAttachPrefixPartialTailCopiesOnWrite(t *testing.T) {
+// TestAttachPrefixPartialMatchAttachesWholeBlocks: a 6-token match
+// over 4-token blocks maps the one whole block it covers, never the
+// donor's partly matched second block. The follower's next token goes
+// into a block of its own — the row reads back as the codec's round
+// trip of what was written — and the donor's rows stay as they were.
+func TestAttachPrefixPartialMatchAttachesWholeBlocks(t *testing.T) {
 	const layers, dim, block = 1, 4, 4
 	for _, dtype := range []DType{F32, Int8} {
 		t.Run(dtype.String(), func(t *testing.T) {
@@ -108,39 +113,34 @@ func TestAttachPrefixPartialTailCopiesOnWrite(t *testing.T) {
 			donorTokens := tokensOf(8, 5)
 			fillSeq(t, c, 0, layers, dim, donorTokens)
 			c.IndexPrefix(0, 0, donorTokens)
-			// 6 tokens shared: one full block + 2 rows of the second —
-			// the ceil block is mapped and the first divergent write
-			// must copy it.
-			got := c.AttachPrefix(1, 0, donorTokens, 6)
-			if got != 6 {
-				t.Fatalf("attached %d, want 6", got)
+			donorRow, _ := rowAt(c, 0, 0, 4)
+			donorRow = append([]float32(nil), donorRow...)
+			used := c.UsedBlocks()
+			if got := c.AttachPrefix(1, 0, donorTokens, 6); got != 4 {
+				t.Fatalf("attached %d, want 4 (one whole block)", got)
 			}
-			if c.CowCopies() != 0 {
-				t.Fatalf("premature COW: %d", c.CowCopies())
+			if c.Len(1) != 4 || c.UsedBlocks() != used {
+				t.Fatalf("len %d over %d used blocks; want 4 over %d", c.Len(1), c.UsedBlocks(), used)
 			}
 			div := vec(dim, 555)
 			if err := c.Append(1, 0, div, div); err != nil {
 				t.Fatal(err)
 			}
-			if c.CowCopies() != 1 {
-				t.Fatalf("cow copies = %d, want 1", c.CowCopies())
+			if c.UsedBlocks() != used+1 {
+				t.Fatalf("follower's append used %d blocks, want %d", c.UsedBlocks(), used+1)
 			}
-			// Donor still reads its own token at position 6; follower
-			// reads the divergent row; the shared first 6 rows agree.
-			for pos := 0; pos < 6; pos++ {
+			for pos := 0; pos < 4; pos++ {
 				dk, _ := rowAt(c, 0, 0, pos)
 				fk, _ := rowAt(c, 1, 0, pos)
 				if !reflect.DeepEqual(dk, fk) {
-					t.Fatalf("shared row %d diverged after COW", pos)
+					t.Fatalf("shared row %d differs between donor and follower", pos)
 				}
 			}
-			dk, _ := rowAt(c, 0, 0, 6)
-			fk, _ := rowAt(c, 1, 0, 6)
-			if dk[0] == fk[0] {
-				t.Fatal("divergent row leaked between sequences")
+			if dk, _ := rowAt(c, 0, 0, 4); !reflect.DeepEqual(dk, donorRow) {
+				t.Fatal("follower's append changed the donor's row")
 			}
-			// Bit-identity under the codec: the follower's divergent row
-			// must equal a freshly quantized/decoded reference of it.
+			// Bit-identity under the codec: the follower's row must equal a
+			// freshly quantized/decoded reference of it.
 			ref := make([]float32, dim)
 			if dtype == Int8 {
 				codes := make([]float32, tensor.PackedCols(dim))
@@ -150,8 +150,8 @@ func TestAttachPrefixPartialTailCopiesOnWrite(t *testing.T) {
 			} else {
 				copy(ref, div)
 			}
-			if !reflect.DeepEqual(fk, ref) {
-				t.Fatalf("follower divergent row %v != codec reference %v", fk, ref)
+			if fk, _ := rowAt(c, 1, 0, 4); !reflect.DeepEqual(fk, ref) {
+				t.Fatalf("follower row %v != codec reference %v", fk, ref)
 			}
 		})
 	}
@@ -305,66 +305,72 @@ func TestIndexPrefixMovesCachedChainToLiveBlock(t *testing.T) {
 	}
 }
 
-// TestAppendDeindexesOverwrittenBlock: a write into a private block
-// that the prefix index still advertises (follower inherited the
-// donor's indexed ceil block, donor released, refcount back to one)
-// must retract the index entry before mutating, so a later attacher
-// never maps overwritten content.
-func TestAppendDeindexesOverwrittenBlock(t *testing.T) {
+// TestAppendRefusesSharedOrIndexedBlock: only full blocks are shared or
+// indexed, so no Append can reach one; if one did, it is refused with
+// an error that leaves the stream's length and the block's rows as they
+// were, and the index still maps the block's old bytes. The two states
+// are set by hand here: no sequence of calls produces them.
+func TestAppendRefusesSharedOrIndexedBlock(t *testing.T) {
 	const layers, dim, block = 1, 2, 4
-	c := newCache(t, layers, dim, block, 64)
-	tokens := tokensOf(8, 17)
-	fillSeq(t, c, 0, layers, dim, tokens)
-	c.IndexPrefix(0, 0, tokens)
-	// Follower shares 6 of 8 tokens: both blocks mapped, the second
-	// partially. Donor retires, leaving the follower sole owner of two
-	// still-indexed blocks.
-	if got := c.AttachPrefix(1, 0, tokens, 6); got != 6 {
-		t.Fatalf("attach: %d", got)
-	}
-	c.Release(0)
-	// The follower's divergent append hits the indexed second block
-	// with refs == 1: in-place write, but the stale chain entry for
-	// the full 8-token prefix must be gone.
-	if err := c.Append(1, 0, vec(dim, 555), vec(dim, 555)); err != nil {
-		t.Fatal(err)
-	}
-	if c.CowCopies() != 0 {
-		t.Fatalf("sole-owner write copied: %d", c.CowCopies())
-	}
-	if got := c.AttachPrefix(2, 0, tokens, 8); got != 4 {
-		t.Fatalf("stale 2-block chain resolved %d tokens, want 4 (first block only)", got)
+	for _, state := range []string{"shared", "indexed"} {
+		t.Run(state, func(t *testing.T) {
+			c := newCache(t, layers, dim, block, 64)
+			tokens := tokensOf(6, 17)
+			fillSeq(t, c, 0, layers, dim, tokens)
+			c.IndexPrefix(0, 0, tokens) // the full first block
+			tail := c.blocks[seqLayer{0, 0}][1]
+			if state == "shared" {
+				tail.refs++
+			} else {
+				tail.indexed = true
+			}
+			rows := append([]float32(nil), tail.region.Data()...)
+			if err := c.Append(0, 0, vec(dim, 555), vec(dim, 555)); err == nil {
+				t.Fatal("Append wrote into a shared or indexed block")
+			}
+			if c.Len(0) != 6 {
+				t.Fatalf("refused Append moved the length to %d", c.Len(0))
+			}
+			if !reflect.DeepEqual(tail.region.Data(), rows) {
+				t.Fatal("refused Append changed the block's rows")
+			}
+			if got := c.AttachPrefix(1, 0, tokens, 4); got != 4 {
+				t.Fatalf("the indexed block resolved %d tokens, want 4", got)
+			}
+			if k, _ := rowAt(c, 1, 0, 3); k[0] != float32(tokens[3]) {
+				t.Fatal("the indexed block lost its bytes")
+			}
+		})
 	}
 }
 
-// TestCowExhaustionLeavesStreamUnchanged: running out of blocks during
-// a copy-on-write must behave like any failed Append — stream length
-// unchanged, shared block untouched.
-func TestCowExhaustionLeavesStreamUnchanged(t *testing.T) {
+// TestExhaustionAfterAttachLeavesStreamUnchanged: a follower that runs
+// out of blocks right after attaching a prefix fails its Append like
+// any other — stream length unchanged, the shared block untouched — and
+// retiring it leaves the donor fully resident.
+func TestExhaustionAfterAttachLeavesStreamUnchanged(t *testing.T) {
 	const layers, dim, block = 1, 2, 4
 	c := newCache(t, layers, dim, block, 8) // exactly 2 blocks
 	tokens := tokensOf(8, 29)
 	fillSeq(t, c, 0, layers, dim, tokens) // pool drained
 	c.IndexPrefix(0, 0, tokens)
-	if got := c.AttachPrefix(1, 0, tokens, 6); got != 6 {
-		t.Fatalf("attach: %d", got)
+	if got := c.AttachPrefix(1, 0, tokens, 6); got != 4 {
+		t.Fatalf("attach: %d, want 4", got)
 	}
 	err := c.Append(1, 0, vec(dim, 9), vec(dim, 9))
 	if !errors.Is(err, ErrOutOfBlocks) {
 		t.Fatalf("want ErrOutOfBlocks, got %v", err)
 	}
-	if c.Len(1) != 6 {
-		t.Fatalf("failed COW advanced length to %d", c.Len(1))
+	if c.Len(1) != 4 {
+		t.Fatalf("failed Append advanced length to %d", c.Len(1))
 	}
-	if c.CowCopies() != 0 {
-		t.Fatalf("failed COW counted: %d", c.CowCopies())
+	for pos := range tokens {
+		if k, _ := rowAt(c, 0, 0, pos); k[0] != float32(tokens[pos]) {
+			t.Fatalf("failed Append changed the donor's row %d", pos)
+		}
 	}
-	// Donor's content at the contested position is intact.
-	if k, _ := rowAt(c, 0, 0, 6); k[0] != float32(tokens[6]) {
-		t.Fatal("failed COW corrupted shared block")
-	}
-	// Retiring the offender releases its tail capacity... it holds no
-	// private blocks, so the donor remains fully resident.
+	// The offender holds no private blocks, so retiring it leaves the
+	// donor fully resident.
 	c.Release(1)
 	if c.UsedBlocks() != 2 {
 		t.Fatalf("used = %d after offender retired", c.UsedBlocks())

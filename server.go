@@ -93,7 +93,11 @@ var (
 
 // ServerConfig parameterizes a long-lived functional serving instance.
 // The zero value plus a Model is usable: sizes default to 2x2 waves,
-// 8 tokens, 128 context.
+// 8 tokens, 128 context. Prefix sharing needs no setting: requests whose
+// prompts open with the same whole KV blocks (e.g. a common system
+// prompt, declared via Request.PrefixID/PrefixLen so a wave's admission
+// charges it once) map those blocks and skip prefilling them, within a
+// wave and across waves, with output bit-identical to computing them.
 type ServerConfig struct {
 	// Model is the MoE architecture to serve. Like RunFunctional, the
 	// server executes real float32 math, so only tiny configs (TinyMoE)
@@ -136,18 +140,6 @@ type ServerConfig struct {
 	// jumps to the front of the order and is placed at the next one.
 	// Off, admission is the classic length-sorted Alg. 2 pass.
 	SLOAware bool
-	// SharedPrefixKV controls shared-prefix KV reuse (default on, the
-	// zero value): requests whose prompts open with identical tokens —
-	// e.g. a common system prompt declared via Request.PrefixID/PrefixLen
-	// — share refcounted cache blocks with copy-on-write on divergence
-	// and skip prefilling the matched tokens. Reuse spans waves: a
-	// prompt's whole blocks stay cached after its request finishes, until
-	// the pool needs the room, so a later wave's request with the same
-	// opening maps them even with no wave-mate. The Alg. 2 batcher charges
-	// a request only its bytes unshared with its wave-mates; a cached
-	// prefix is not discounted. Output is bit-identical with sharing on or
-	// off; set SharedPrefixOff to spend the extra FLOPs and cache anyway.
-	SharedPrefixKV SharedPrefixMode
 	// MaxQueuedRequests bounds the admitted-but-not-yet-dispatched set:
 	// a Submit that would push past it fails fast with ErrOverloaded.
 	// <= 0 disables the bound.
@@ -165,19 +157,6 @@ type ServerConfig struct {
 	// nothing and installs no hooks.
 	Faults *FaultInjector
 }
-
-// SharedPrefixMode selects whether the KV cache shares identical
-// prompt prefixes between requests, within a wave and across waves. The
-// zero value is ON so the facade defaults to sharing.
-type SharedPrefixMode int
-
-const (
-	// SharedPrefixOn enables shared-prefix KV reuse (the default).
-	SharedPrefixOn SharedPrefixMode = iota
-	// SharedPrefixOff disables it: every request prefills and caches
-	// its full prompt privately.
-	SharedPrefixOff
-)
 
 func (c *ServerConfig) defaults() {
 	if c.MicroBatchSize <= 0 {
@@ -222,7 +201,6 @@ func newHost(cfg ServerConfig) (*engine.Host, engine.ServeConfig, error) {
 			MaxContext:           cfg.MaxContext,
 			KVDtype:              cfg.KVDtype,
 			PrefillChunk:         cfg.PrefillChunk,
-			SharedPrefix:         cfg.SharedPrefixKV == SharedPrefixOn,
 			ExpertResidencyBytes: cfg.ExpertResidencyBytes,
 			Faults:               cfg.Faults,
 		},

@@ -240,8 +240,8 @@ func TestNewServerHoldsItsWave(t *testing.T) {
 // Seeded random queues, and the cases that once admitted past the pool
 // (the int8 byte rate over a token-counted pool; token counts over
 // whole blocks; a prefix discount larger than the engine maps), run
-// through NewServer under both codecs, with prefix sharing on and off
-// and per-request generation lengths: every request completes.
+// through NewServer under both codecs, with per-request generation
+// lengths: every request completes.
 func TestServerAdmissionNeverExhaustsPool(t *testing.T) {
 	type scenario struct {
 		name string
@@ -292,39 +292,37 @@ func TestServerAdmissionNeverExhaustsPool(t *testing.T) {
 	}
 	for _, sc := range scenarios {
 		for _, kv := range []KVDtype{KVFloat32, KVInt8} {
-			for _, prefix := range []SharedPrefixMode{SharedPrefixOn, SharedPrefixOff} {
-				cfg := sc.cfg
-				cfg.Model, cfg.KVDtype, cfg.SharedPrefixKV = m, kv, prefix
-				cfg.defaults()
-				name := fmt.Sprintf("%s/%v/shared=%v", sc.name, kv, prefix == SharedPrefixOn)
-				// The requests an empty micro-batch holds (Submit
-				// refuses the rest), as one batch.
-				var queue []Request
-				for _, r := range sc.reqs {
-					need := (r.PromptLen + cfg.GenLen + kvcache.DefaultBlockTokens - 1) / kvcache.DefaultBlockTokens
-					if need <= blocks(cfg, kv) {
-						queue = append(queue, r)
-					}
+			cfg := sc.cfg
+			cfg.Model, cfg.KVDtype = m, kv
+			cfg.defaults()
+			name := fmt.Sprintf("%s/%v", sc.name, kv)
+			// The requests an empty micro-batch holds (Submit refuses
+			// the rest), as one batch.
+			var queue []Request
+			for _, r := range sc.reqs {
+				need := (r.PromptLen + cfg.GenLen + kvcache.DefaultBlockTokens - 1) / kvcache.DefaultBlockTokens
+				if need <= blocks(cfg, kv) {
+					queue = append(queue, r)
 				}
-				srv, err := NewServer(cfg)
-				if err != nil {
-					t.Fatalf("%s: %v", name, err)
+			}
+			srv, err := NewServer(cfg)
+			if err != nil {
+				t.Fatalf("%s: %v", name, err)
+			}
+			hs, err := srv.SubmitBatch(context.Background(), queue)
+			if err != nil {
+				t.Fatalf("%s: %v", name, err)
+			}
+			for _, h := range hs {
+				if _, err := h.Wait(); err != nil {
+					t.Errorf("%s: request %d: %v", name, h.ID(), err)
 				}
-				hs, err := srv.SubmitBatch(context.Background(), queue)
-				if err != nil {
-					t.Fatalf("%s: %v", name, err)
-				}
-				for _, h := range hs {
-					if _, err := h.Wait(); err != nil {
-						t.Errorf("%s: request %d: %v", name, h.ID(), err)
-					}
-				}
-				if err := srv.Close(); err != nil {
-					t.Errorf("%s: Close: %v", name, err)
-				}
-				if st := srv.Stats(); st.Completed != st.Submitted || st.Submitted != len(queue) {
-					t.Errorf("%s: completed %d of %d submitted, %d queued", name, st.Completed, st.Submitted, len(queue))
-				}
+			}
+			if err := srv.Close(); err != nil {
+				t.Errorf("%s: Close: %v", name, err)
+			}
+			if st := srv.Stats(); st.Completed != st.Submitted || st.Submitted != len(queue) {
+				t.Errorf("%s: completed %d of %d submitted, %d queued", name, st.Completed, st.Submitted, len(queue))
 			}
 		}
 	}
@@ -359,13 +357,16 @@ func TestFunctionalOptionPlumbing(t *testing.T) {
 // TestServerConfigCoversEngineConfig: the flat public ServerConfig is
 // the one hand-written mapping left above the engine, so every engine
 // knob must have a counterpart there — all of engine.Config, some under
-// their serving names.
+// their serving names — except SharedPrefix, which the engine ignores.
 func TestServerConfigCoversEngineConfig(t *testing.T) {
 	public := reflect.TypeOf(ServerConfig{})
-	renamed := map[string]string{"MicroBatch": "MicroBatchSize", "SharedPrefix": "SharedPrefixKV"}
+	renamed := map[string]string{"MicroBatch": "MicroBatchSize"}
 	ec := reflect.TypeOf(engine.Config{})
 	for i := 0; i < ec.NumField(); i++ {
 		name := ec.Field(i).Name
+		if name == "SharedPrefix" {
+			continue
+		}
 		if to, ok := renamed[name]; ok {
 			name = to
 		}
