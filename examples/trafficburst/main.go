@@ -1,10 +1,10 @@
 // TrafficBurst: the open-loop serving harness end to end. A seeded
 // bursty (MMPP-2) trace over the four tiny-scale cohorts — chat, RAG,
 // agentic, batch summarization, each with its own TTFT/TPOT SLO — is
-// played in real time against a live SLO-aware Server: requests arrive
-// on the trace's clock from their own goroutines, exactly like
-// production ingress, and deadline-slack admission decides who enters
-// each wave. The report shows per-cohort latency percentiles and
+// played in real time against a live Server: requests arrive on the
+// trace's clock from their own goroutines, exactly like production
+// ingress, and each request's TTFT target, submitted with it, decides
+// by deadline slack who enters each wave. The report shows per-cohort latency percentiles and
 // goodput under SLO; the same trace replayed from the same seed is
 // byte-identical.
 package main
@@ -36,7 +36,6 @@ func main() {
 		Seed:       2024,
 		GenLen:     10,
 		MaxContext: 64,
-		SLOAware:   true, // wave boundaries admit by deadline slack
 	})
 	if err != nil {
 		fail(err)

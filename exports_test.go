@@ -45,7 +45,7 @@ var uncalledExports = map[string]string{
 	// Waiting for the ROADMAP item that gives them a caller.
 	"sim.Result.BubbleTime":     "ROADMAP item 5 applies it to measured steps",
 	"sim.Result.KindTime":       "ROADMAP item 5 applies it to measured steps",
-	"traffic.SimulateAdmission": "the only deterministic check that slack order beats FIFO and that shedding bounds TTFT (ROADMAP item 8)",
+	"traffic.SimulateAdmission": "the only deterministic check that slack order beats length order and that shedding bounds TTFT (ROADMAP item 8)",
 }
 
 // TestExportsHaveCallers is ROADMAP item 8's scan, kept as a test: every

@@ -111,40 +111,45 @@ func Batch(queue []workload.Request, cfg Config) (batches []MicroBatch, aborted 
 	sort.SliceStable(sorted, func(i, j int) bool {
 		return sorted[i].PromptLen > sorted[j].PromptLen // descending (l.4)
 	})
-	return batchInOrder(sorted, cfg)
+	placed, deferred, err := BatchOrdered(sorted, cfg)
+	if err != nil {
+		return nil, nil, err
+	}
+	for _, group := range placed {
+		mb := MicroBatch{Requests: make([]workload.Request, len(group))}
+		for i, pos := range group {
+			mb.Requests[i] = sorted[pos]
+			mb.PromptTokens += sorted[pos].PromptLen
+		}
+		batches = append(batches, mb)
+	}
+	for _, pos := range deferred {
+		aborted = append(aborted, sorted[pos])
+	}
+	return batches, aborted, nil
 }
 
-// BatchOrdered runs the Alg. 2 placement loop over the queue in the
-// caller's order instead of sorting by prompt length: the first request
-// is placed (or aborted) first, the second next, and so on. This is the
-// SLO-aware admission entry point — the engine orders the queue by
-// deadline slack (most urgent first) so that when capacity runs out it
-// is the slack-rich requests that defer, at the cost of the
-// length-sorted ordering's tighter token balance. Capacity semantics
-// (least-loaded partition, byte- or token-budget check) are identical
-// to Batch.
-func BatchOrdered(queue []workload.Request, cfg Config) (batches []MicroBatch, aborted []workload.Request, err error) {
-	return batchInOrder(queue, cfg)
-}
-
-// batchInOrder is the shared Alg. 2 placement loop: deal requests, in
-// the order given, to the least-loaded open partition under the
-// capacity budget.
-func batchInOrder(queue []workload.Request, cfg Config) (batches []MicroBatch, aborted []workload.Request, err error) {
+// BatchOrdered is the Alg. 2 placement loop over the queue in the
+// caller's order: the first request is placed (or aborted) first, the
+// second next, each dealt to the least-loaded open partition under the
+// capacity budget (byte- or token-denominated). Batch is this loop over
+// the queue sorted by descending prompt length; the engine's admission
+// runs it over its own order, in which urgent requests come first.
+// Results are positions in queue: each formed micro-batch's requests in
+// placement order, then the aborted ones in queue order.
+func BatchOrdered(queue []workload.Request, cfg Config) (batches [][]int, aborted []int, err error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, nil, err
 	}
-	// partitions under construction, and their token sums (Alg. 2 l.1-3).
-	// sums carries real prompt tokens (reported in MicroBatch); charged
-	// carries prompt tokens less any shared-prefix discount, for the
-	// least-loaded pick; spent is the capacity check's cost.
-	parts := make([][]workload.Request, cfg.NumMicroBatches)
-	sums := make([]int, cfg.NumMicroBatches)
+	// partitions under construction (Alg. 2 l.1-3). charged carries
+	// prompt tokens less any shared-prefix discount, for the least-loaded
+	// pick; spent is the capacity check's cost.
+	parts := make([][]int, cfg.NumMicroBatches)
 	charged := make([]int, cfg.NumMicroBatches)
 	spent := make([]int, cfg.NumMicroBatches)
 	live := make([]int, 0, cfg.NumMicroBatches) // indices of open partitions
 	for i := range parts {
-		parts[i] = make([]workload.Request, 0, cfg.MicroBatchSize)
+		parts[i] = make([]int, 0, cfg.MicroBatchSize)
 		live = append(live, i)
 	}
 	// seen tracks, per prefix id, the longest prefix a request placed in
@@ -155,9 +160,9 @@ func batchInOrder(queue []workload.Request, cfg Config) (batches []MicroBatch, a
 		seen = make(map[int]int)
 	}
 
-	for _, req := range queue {
+	for pos, req := range queue {
 		if len(live) == 0 {
-			aborted = append(aborted, req) // l.6-7
+			aborted = append(aborted, pos) // l.6-7
 			continue
 		}
 		// argmin over open partitions (l.8), by capacity-relevant load.
@@ -173,11 +178,10 @@ func batchInOrder(queue []workload.Request, cfg Config) (batches []MicroBatch, a
 		discount := cfg.prefixDiscount(req, seen)
 		cost := cfg.cost(req.PromptLen, discount)
 		if cfg.overBudget(spent[idx] + cost) {
-			aborted = append(aborted, req) // l.10
+			aborted = append(aborted, pos) // l.10
 			continue
 		}
-		parts[idx] = append(parts[idx], req) // l.12-13
-		sums[idx] += req.PromptLen
+		parts[idx] = append(parts[idx], pos) // l.12-13
 		charged[idx] += req.PromptLen - discount
 		spent[idx] += cost
 		if seen != nil && req.PrefixID != 0 {
@@ -186,14 +190,14 @@ func batchInOrder(queue []workload.Request, cfg Config) (batches []MicroBatch, a
 			}
 		}
 		if len(parts[idx]) == cfg.MicroBatchSize { // l.14-18
-			batches = append(batches, MicroBatch{Requests: parts[idx], PromptTokens: sums[idx]})
+			batches = append(batches, parts[idx])
 			live = remove(live, idx)
 		}
 	}
 	// Flush partially filled partitions in index order.
 	for _, i := range live {
 		if len(parts[i]) > 0 {
-			batches = append(batches, MicroBatch{Requests: parts[i], PromptTokens: sums[i]})
+			batches = append(batches, parts[i])
 		}
 	}
 	return batches, aborted, nil

@@ -23,6 +23,17 @@ func finalTokens(m MicroBatch, genLen int) int {
 	return m.PromptTokens + len(m.Requests)*genLen
 }
 
+// atPositions is the micro-batch BatchOrdered's positions name in
+// queue.
+func atPositions(queue []workload.Request, group []int) MicroBatch {
+	var m MicroBatch
+	for _, pos := range group {
+		m.Requests = append(m.Requests, queue[pos])
+		m.PromptTokens += queue[pos].PromptLen
+	}
+	return m
+}
+
 func TestBalancedPartition(t *testing.T) {
 	cfg := Config{NumMicroBatches: 2, MicroBatchSize: 2, GenLen: 0, CacheTokens: 1000}
 	batches, aborted, err := Batch(reqs(100, 90, 10, 20), cfg)
@@ -296,7 +307,8 @@ func TestSpreadEmpty(t *testing.T) {
 
 // TestBatchOrderedPreservesCallerOrder: the first request in the queue
 // is placed first — no length sort — so the caller's priority order
-// decides who defers when capacity runs out.
+// decides who defers when capacity runs out. Placements come back as
+// positions in the queue.
 func TestBatchOrderedPreservesCallerOrder(t *testing.T) {
 	// One partition of two slots: the first two queue entries must be
 	// the admitted pair regardless of length.
@@ -310,26 +322,17 @@ func TestBatchOrderedPreservesCallerOrder(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var got []int
-	for _, mb := range batches {
-		for _, r := range mb.Requests {
-			got = append(got, r.ID)
-		}
-	}
-	if !reflect.DeepEqual(got, []int{1, 2}) {
-		t.Errorf("admitted %v, want [1 2]", got)
-	}
-	if len(aborted) != 1 || aborted[0].ID != 3 {
-		t.Errorf("aborted %v, want request 3", aborted)
+	if !reflect.DeepEqual(batches, [][]int{{0, 1}}) || !reflect.DeepEqual(aborted, []int{2}) {
+		t.Errorf("placed %v aborted %v, want [[0 1]] aborted [2]", batches, aborted)
 	}
 	// Batch, by contrast, sorts length-descending and admits the long
 	// request first.
-	batches, _, err = Batch(queue, cfg)
+	mbs, _, err := Batch(queue, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if batches[0].Requests[0].ID != 3 {
-		t.Errorf("Batch should place the longest prompt first, got %d", batches[0].Requests[0].ID)
+	if mbs[0].Requests[0].ID != 3 {
+		t.Errorf("Batch should place the longest prompt first, got %d", mbs[0].Requests[0].ID)
 	}
 }
 
@@ -345,7 +348,8 @@ func TestBatchOrderedSameCapacitySemantics(t *testing.T) {
 		t.Fatal(err)
 	}
 	seen := 0
-	for _, mb := range batches {
+	for _, group := range batches {
+		mb := atPositions(requests, group)
 		if len(mb.Requests) > cfg.MicroBatchSize {
 			t.Fatalf("micro-batch over size: %d", len(mb.Requests))
 		}
@@ -363,7 +367,11 @@ func TestBatchOrderedSameCapacitySemantics(t *testing.T) {
 	sort.SliceStable(sorted, func(i, j int) bool { return sorted[i].PromptLen > sorted[j].PromptLen })
 	a, aAb, _ := BatchOrdered(sorted, cfg)
 	b, bAb, _ := Batch(sorted, cfg)
-	if !reflect.DeepEqual(a, b) || !reflect.DeepEqual(aAb, bAb) {
+	var mbs []MicroBatch
+	for _, group := range a {
+		mbs = append(mbs, atPositions(sorted, group))
+	}
+	if !reflect.DeepEqual(mbs, b) || !reflect.DeepEqual(atPositions(sorted, aAb).Requests, bAb) {
 		t.Error("BatchOrdered on a length-sorted queue must equal Batch")
 	}
 }

@@ -7,7 +7,9 @@ import (
 	"path/filepath"
 	"runtime"
 	"slices"
+	"syscall"
 	"testing"
+	"time"
 
 	"moelightning/internal/hardware"
 	"moelightning/internal/model"
@@ -158,6 +160,24 @@ func TestScheduleFactorAppliesToDecodeOnly(t *testing.T) {
 	}
 }
 
+// cpuPerWall runs f and returns the process CPU seconds (user plus
+// system, every thread; getrusage RUSAGE_SELF) it used per wall second.
+// A round whose table and serve read apart here ran under different CPU
+// grants from the host.
+func cpuPerWall(t *testing.T, f func()) float64 {
+	t.Helper()
+	cpu := func() time.Duration {
+		var ru syscall.Rusage
+		if err := syscall.Getrusage(syscall.RUSAGE_SELF, &ru); err != nil {
+			t.Fatal(err)
+		}
+		return time.Duration(ru.Utime.Nano() + ru.Stime.Nano())
+	}
+	c0, w0 := cpu(), time.Now()
+	f()
+	return (cpu() - c0).Seconds() / time.Since(w0).Seconds()
+}
+
 // TestCalibratedServeError is the loop-closing regression: build the
 // table from live micro-benches, predict the standing scenarios, run
 // the real server, and require the calibrated model inside ErrorBand
@@ -202,17 +222,21 @@ func TestCalibratedServeError(t *testing.T) {
 	type errs struct{ calibrated, analytic []float64 }
 	runs := make([]errs, len(scenarios))
 	for round := 0; round < calibRounds; round++ {
-		tab, err := Build(BuildConfig{Model: m, Spec: spec, Seed: 7})
+		var tab *Table
+		var err error
+		buildGrant := cpuPerWall(t, func() { tab, err = Build(BuildConfig{Model: m, Spec: spec, Seed: 7}) })
 		if err != nil {
 			t.Fatal(err)
 		}
 		if err := tab.Validate(); err != nil {
 			t.Fatal(err)
 		}
-		reports, err := Evaluate(tab, m, spec, 7, scenarios)
+		var reports []ScenarioReport
+		evalGrant := cpuPerWall(t, func() { reports, err = Evaluate(tab, m, spec, 7, scenarios) })
 		if err != nil {
 			t.Fatal(err)
 		}
+		t.Logf("round %d: %.2f process CPU s per wall s over Build, %.2f over Evaluate", round, buildGrant, evalGrant)
 		for i, r := range reports {
 			t.Logf("round %d %s: measured %.1f tok/s, calibrated %.1f (err %.1f%%), analytic %.1f (err %.1f%%)",
 				round, r.Name, r.MeasuredTPS, r.CalibratedTPS, 100*r.CalibratedErr, r.AnalyticTPS, 100*r.AnalyticErr)

@@ -189,14 +189,11 @@ func Run(cfg Config) (Report, error) {
 			MaxContext: maxContext,
 			Faults:     inj,
 		},
-		AdmissionPolicy: engine.AdmissionPolicy{
-			SLOAware:          true,
-			MaxQueuedRequests: cfg.MaxQueuedRequests,
-		},
-		NumMicroBatches:  numMicro,
-		GenLen:           genLen,
-		EnforceDeadlines: true,
-		WaveTimeout:      cfg.WaveTimeout,
+		MaxQueuedRequests: cfg.MaxQueuedRequests,
+		NumMicroBatches:   numMicro,
+		GenLen:            genLen,
+		EnforceDeadlines:  true,
+		WaveTimeout:       cfg.WaveTimeout,
 	})
 	if err != nil {
 		return rep, err

@@ -74,44 +74,21 @@ func (t *SLOTally) Count(slo SLO, err error, tokens int, ttft, tpot time.Duratio
 }
 
 // starvationWaves is how many consecutive deferrals promote a request
-// to the front of the slack-ordered admission queue. Together with
-// BatchOrdered's place-first-request-first behavior it bounds
-// starvation: a request deferred this many times is the first dealt to
-// an empty micro-batch at the next wave boundary, so it is admitted
-// then (the server refuses at Submit any request an empty micro-batch
-// cannot hold).
+// to the front of the admission order. Together with BatchOrdered's
+// place-first-request-first behavior it bounds starvation: a request
+// deferred this many times is the first dealt to an empty micro-batch
+// at the next wave boundary, so it is admitted then (the server refuses
+// at Submit any request an empty micro-batch cannot hold).
 const starvationWaves = 3
 
-// AdmissionPolicy is the queueing policy of a serving loop: how the
-// pending queue is ordered at a wave boundary and how large it may
-// grow. The live Server (embedded in its ServeConfig) and the traffic
-// package's virtual-time simulator hand the same value to the same two
-// functions — QueueBound at arrival, PlanWave at every boundary — so
-// simulated and live wave composition agree because they are one piece
-// of code.
-type AdmissionPolicy struct {
-	// SLOAware switches wave-boundary admission from FIFO-with-deferral
-	// to deadline-slack order: at every wave boundary the (deferred +
-	// newly arrived) queue is sorted most-urgent-first (AdmissionOrder)
-	// and placed by batching.BatchOrdered, so when capacity runs out it
-	// is the slack-rich requests that defer — but none more than three
-	// boundaries running. Off, admission is exactly the classic
-	// length-sorted Alg. 2 pass.
-	SLOAware bool
-	// MaxQueuedRequests bounds the admitted-but-not-yet-dispatched set:
-	// an arrival that would push past it fails fast with ErrOverloaded
-	// instead of queueing toward a blown deadline. <= 0 disables the
-	// bound.
-	MaxQueuedRequests int
-}
-
-// QueueBound is the hard overload gate: it rejects (ErrOverloaded) an
+// QueueBound is the hard overload gate of the live server and the
+// traffic package's simulator alike: it rejects (ErrOverloaded) an
 // arrival of reqs requests when admitting it would push a queue already
-// holding queuedReqs past MaxQueuedRequests.
-func (p AdmissionPolicy) QueueBound(queuedReqs, reqs int) error {
-	if n := p.MaxQueuedRequests; n > 0 && queuedReqs+reqs > n {
+// holding queuedReqs past maxQueued. maxQueued <= 0 is no bound.
+func QueueBound(maxQueued, queuedReqs, reqs int) error {
+	if maxQueued > 0 && queuedReqs+reqs > maxQueued {
 		return fmt.Errorf("%w: %d queued requests + %d exceed MaxQueuedRequests %d",
-			ErrOverloaded, queuedReqs, reqs, n)
+			ErrOverloaded, queuedReqs, reqs, maxQueued)
 	}
 	return nil
 }
@@ -142,17 +119,22 @@ func (it AdmissionItem) slack(now time.Time) time.Duration {
 	return it.Submitted.Add(it.SLO.TTFT).Sub(now)
 }
 
-// AdmissionOrder returns the deadline-slack admission order as a
-// permutation of item indices, most urgent first:
+// AdmissionOrder returns the wave-boundary admission order as a
+// permutation of item indices, first placed first. It reads nothing but
+// what each item carries:
 //
-//  1. starved requests (Deferrals >= starvationWaves, the bound that
-//     replaces FIFO's implicit fairness), longest-deferred first;
-//  2. everything else by ascending TTFT slack at now — requests without
-//     a TTFT target have infinite slack and sort last, among themselves
-//     in FIFO (submission) order.
+//  1. starved requests (Deferrals >= starvationWaves), longest-deferred
+//     first, then by submission time;
+//  2. everything else by ascending TTFT slack at now, so when capacity
+//     runs out it is the slack-rich requests that defer — requests
+//     without a TTFT target have infinite slack and sort last;
+//  3. equal slack by descending prompt length, Alg. 2's order (l.4);
+//  4. then input order.
 //
-// Ties break by submission time, then by input index, so the order is
-// deterministic for any input.
+// A queue without TTFT targets or starved requests is thus in exactly
+// batching.Batch's length order, and one whose requests share a TTFT
+// target is in submission order. The order is deterministic for any
+// input.
 func AdmissionOrder(items []AdmissionItem, now time.Time) []int {
 	order := make([]int, len(items))
 	for i := range order {
@@ -170,11 +152,10 @@ func AdmissionOrder(items []AdmissionItem, now time.Time) []int {
 			}
 			return ia.Submitted.Before(ib.Submitted)
 		}
-		ka, kb := ia.slack(now), ib.slack(now)
-		if ka != kb {
+		if ka, kb := ia.slack(now), ib.slack(now); ka != kb {
 			return ka < kb
 		}
-		return ia.Submitted.Before(ib.Submitted)
+		return ia.Req.PromptLen > ib.Req.PromptLen
 	})
 	return order
 }
@@ -186,66 +167,39 @@ type WavePlan struct {
 	// its requests in placement order. Empty means no pending request
 	// fits an empty micro-batch; the server never asks about one.
 	MicroBatches [][]int
-	// Deferred lists the requests passed over, in the batcher's abort
-	// order — the order they keep at the head of the next boundary's
-	// queue. They wait for a later boundary: each fits an empty
-	// micro-batch, so one with room always comes.
+	// Deferred lists the requests passed over, in admission order — the
+	// order they keep at the head of the next boundary's queue. They
+	// wait for a later boundary: each fits an empty micro-batch, so one
+	// with room always comes.
 	Deferred []int
 }
 
-// PlanWave decides one wave boundary: it orders the pending items
-// (arrival order, or most-urgent-first under policy.SLOAware), runs the
-// Alg. 2 placement over them and maps the batcher's placement back onto
-// item indices. It has no clock and no state of its own — now and the
+// PlanWave decides one wave boundary: it orders the pending items by
+// AdmissionOrder, runs the Alg. 2 placement over them in that order
+// (batching.BatchOrdered) and maps the placed positions back onto item
+// indices. It has no clock and no state of its own — now and the
 // items' deferral counts are inputs — so the same queue always yields
 // the same plan. The one thing it writes is those counts: each deferred
 // item's Deferrals is advanced in place, ready for the next boundary.
 // Nothing is counted when no request fits at all.
-func PlanWave(items []AdmissionItem, now time.Time, policy AdmissionPolicy, bc batching.Config) (WavePlan, error) {
-	var order []int
-	if policy.SLOAware {
-		order = AdmissionOrder(items, now)
-	} else {
-		order = make([]int, len(items))
-		for i := range order {
-			order[i] = i
-		}
-	}
-	// Duplicate request ids denote identical requests (prompts derive
-	// from the id), so a per-id FIFO over the ordered queue keeps the
-	// mapping from placed requests back to items well-defined.
-	reqs := make([]workload.Request, len(items))
-	byID := make(map[int][]int, len(items))
+func PlanWave(items []AdmissionItem, now time.Time, bc batching.Config) (WavePlan, error) {
+	order := AdmissionOrder(items, now)
+	reqs := make([]workload.Request, len(order))
 	for i, idx := range order {
 		reqs[i] = items[idx].Req
-		byID[reqs[i].ID] = append(byID[reqs[i].ID], idx)
 	}
-	take := func(id int) int {
-		idx := byID[id][0]
-		byID[id] = byID[id][1:]
-		return idx
-	}
-	var mbs []batching.MicroBatch
-	var aborted []workload.Request
-	var err error
-	if policy.SLOAware {
-		mbs, aborted, err = batching.BatchOrdered(reqs, bc)
-	} else {
-		mbs, aborted, err = batching.Batch(reqs, bc)
-	}
-	if err != nil || len(mbs) == 0 {
+	placed, deferred, err := batching.BatchOrdered(reqs, bc)
+	if err != nil || len(placed) == 0 {
 		return WavePlan{}, err
 	}
-	var plan WavePlan
-	for _, mb := range mbs {
-		group := make([]int, len(mb.Requests))
-		for i, r := range mb.Requests {
-			group[i] = take(r.ID)
+	for _, group := range placed {
+		for i, pos := range group {
+			group[i] = order[pos]
 		}
-		plan.MicroBatches = append(plan.MicroBatches, group)
 	}
-	for _, r := range aborted {
-		idx := take(r.ID)
+	plan := WavePlan{MicroBatches: placed}
+	for _, pos := range deferred {
+		idx := order[pos]
 		plan.Deferred = append(plan.Deferred, idx)
 		items[idx].Deferrals++
 	}

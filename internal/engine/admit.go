@@ -108,8 +108,10 @@ func (s *Server) Submit(ctx context.Context, req workload.Request) (*Handle, err
 
 // SubmitSLO admits one request carrying a latency SLO. The SLO is
 // accounted in Stats (met / TTFT miss / TPOT miss over finished
-// requests) and, when the server runs SLO-aware admission, drives the
-// request's wave-boundary priority via its deadline slack.
+// requests), and a TTFT target sets the request's place in the
+// wave-boundary admission order by its deadline slack
+// (AdmissionOrder): ahead of every request with more slack and of
+// every request without a target.
 func (s *Server) SubmitSLO(ctx context.Context, req workload.Request, slo SLO) (*Handle, error) {
 	hs, err := s.submitBatch(ctx, []workload.Request{req}, slo)
 	if err != nil {
@@ -156,7 +158,7 @@ func (s *Server) submitBatch(ctx context.Context, reqs []workload.Request, slo S
 	}
 	// Overload control: bound the pending set before the batch enters
 	// it. The whole batch is admitted or shed atomically.
-	if err := s.cfg.QueueBound(s.stats.QueuedRequests, len(hs)); err != nil {
+	if err := QueueBound(s.cfg.MaxQueuedRequests, s.stats.QueuedRequests, len(hs)); err != nil {
 		s.stats.Shed += len(hs)
 		s.mu.Unlock()
 		return nil, fmt.Errorf("%w: shed %s", err, s.describeHandles(hs))

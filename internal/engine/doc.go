@@ -18,9 +18,10 @@
 //   - KV capacity: Config.MaxContext float32 tokens a sequence slot,
 //     made the pool and its arena by kvcache.PoolTokens / ArenaFloats and
 //     each micro-batch's Alg. 2 budget (NewServer), in whole blocks.
-//   - AdmissionPolicy, PlanWave (admission.go): the queue bound and the
-//     wave-boundary decision — ordering, Alg. 2 placement, deferral —
-//     shared with the traffic simulator.
+//   - QueueBound, AdmissionOrder, PlanWave (admission.go): the queue
+//     bound and the wave-boundary decision — one order read from the
+//     requests, Alg. 2 placement, deferral — shared with the traffic
+//     simulator.
 //   - SLO.Verdict, SLOTally (admission.go): whether a finished request
 //     met its SLO, and the four counters. ServerStats, traffic's Run
 //     report and its admission simulator's report embed the tally.

@@ -83,9 +83,9 @@ func TestServerShedsAtRequestBound(t *testing.T) {
 	}
 	inj, reached, release := stallGate()
 	srv, err := NewServer(&Host{W: w, GPU: gpu, Pinned: pinned, Cache: cacheArena}, ServeConfig{
-		Config:          Config{MicroBatch: 1, MaxContext: 64, Faults: inj},
-		AdmissionPolicy: AdmissionPolicy{MaxQueuedRequests: 2},
-		NumMicroBatches: 1, GenLen: 2,
+		Config:            Config{MicroBatch: 1, MaxContext: 64, Faults: inj},
+		MaxQueuedRequests: 2,
+		NumMicroBatches:   1, GenLen: 2,
 	})
 	if err != nil {
 		t.Fatal(err)

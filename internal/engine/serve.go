@@ -13,8 +13,9 @@ import (
 // ServeConfig parameterizes wave-based batch serving: the request queue
 // is processed in waves, each wave formed by the Alg. 2 batcher into
 // balanced micro-batches and run through a CGOPipe pipeline. It is the
-// pipeline's own Config plus the admission policy plus the knobs only
-// the serving loop has; no engine option is restated here.
+// pipeline's own Config plus the knobs only the serving loop has; no
+// engine option is restated here. Admission order has no knob: it is
+// read from the requests (AdmissionOrder).
 type ServeConfig struct {
 	// Config is handed as is to the server's one pipeline, which runs
 	// every wave in the batcher's placement. Its MicroBatch is Alg. 2's
@@ -22,8 +23,11 @@ type ServeConfig struct {
 	// also shape the batcher's KV budget; the prefix discount is charged
 	// in the cache's whole blocks, as the pipeline shares them.
 	Config
-	// AdmissionPolicy orders and bounds the pending queue.
-	AdmissionPolicy
+	// MaxQueuedRequests bounds the admitted-but-not-yet-dispatched set:
+	// an arrival that would push past it fails fast with ErrOverloaded
+	// (QueueBound) instead of queueing toward a blown deadline. <= 0
+	// disables the bound.
+	MaxQueuedRequests int
 	// NumMicroBatches is Alg. 2's n_ub: micro-batches per wave.
 	NumMicroBatches int
 	// GenLen is the wave's generation length: a request generates its

@@ -313,30 +313,21 @@ func TestPartitionValidation(t *testing.T) {
 }
 
 // TestServeConfigRestatesNoEngineOption: ServeConfig carries the
-// pipeline's Config by embedding, and no field of its own (or of the
-// embedded AdmissionPolicy) shadows a Config field — so an engine knob
-// exists in exactly one place below the public facade.
+// pipeline's Config by embedding, and no field of its own shadows a
+// Config field — so an engine knob exists in exactly one place below
+// the public facade.
 func TestServeConfigRestatesNoEngineOption(t *testing.T) {
 	sc, pc := reflect.TypeOf(ServeConfig{}), reflect.TypeOf(Config{})
 	if f, ok := sc.FieldByName("Config"); !ok || !f.Anonymous || f.Type != pc {
 		t.Fatal("ServeConfig does not embed Config")
 	}
-	var check func(typ reflect.Type)
-	check = func(typ reflect.Type) {
-		for i := 0; i < typ.NumField(); i++ {
-			f := typ.Field(i)
-			if f.Anonymous {
-				if f.Type != pc {
-					check(f.Type)
-				}
-				continue
-			}
+	for i := 0; i < sc.NumField(); i++ {
+		if f := sc.Field(i); f.Type != pc {
 			if _, dup := pc.FieldByName(f.Name); dup {
-				t.Errorf("%s.%s restates Config.%s", typ.Name(), f.Name, f.Name)
+				t.Errorf("ServeConfig.%s restates Config.%s", f.Name, f.Name)
 			}
 		}
 	}
-	check(sc)
 	// A host sized for one short sequence cannot hold a 4x4 wave of
 	// long ones: NewServer refuses it before any wave runs.
 	host, err := NewHost(model.Tiny(), 1, 1, 16, 0)

@@ -44,16 +44,15 @@ func TestAdmissionOrderDeterministic(t *testing.T) {
 	}
 }
 
-// TestServerSLOAwareStarvationBound is the live starvation regression:
+// TestServerStarvationBound is the live starvation regression:
 // a long-prompt request with a loose deadline, passed over wave after
 // wave by tight-deadline short requests that keep arriving, waits for
 // its turn and is placed once it hits the starvation bound — never
 // failed, never deferred forever. The test drives the wave core itself,
 // so two fresh arrivals join the queue at every boundary.
-func TestServerSLOAwareStarvationBound(t *testing.T) {
+func TestServerStarvationBound(t *testing.T) {
 	srv := newSLOTestServer(t, ServeConfig{
 		Config:          Config{MicroBatch: 2, MaxContext: 20},
-		AdmissionPolicy: AdmissionPolicy{SLOAware: true},
 		NumMicroBatches: 1, GenLen: 2,
 	})
 	defer srv.Close()
@@ -107,12 +106,51 @@ func TestServerSLOAwareStarvationBound(t *testing.T) {
 	}
 }
 
+// TestServerSlackOrderKeepsTheLenderCap: requests with TTFT targets are
+// placed by slack, not length, so a shorter all-prefix request can be
+// placed ahead of a longer one sharing its prefix. Slack places 1, 2,
+// 3: 1 and 2 open the two micro-batches and 3 is dealt to 1's, the one
+// that issues first. The batcher discounts 3 for the prefix 2 lends,
+// but 2 is all prefix and lends only the 31 tokens ahead of its last
+// one — one block — so 3 is charged all but that block, no longer fits
+// beside 1 and waits for the next wave. Charged a two-block discount
+// instead, it would be placed and issued ahead of 2, which then maps
+// one block from it, and the wave would run out of KV blocks. The test
+// drives the wave core itself, so all three reach one boundary.
+func TestServerSlackOrderKeepsTheLenderCap(t *testing.T) {
+	srv := newSLOTestServer(t, ServeConfig{
+		Config:          Config{MicroBatch: 2, MaxContext: 24},
+		NumMicroBatches: 2, GenLen: 8,
+	})
+	defer srv.Close()
+	reqs := []workload.Request{
+		{ID: 1, PromptLen: 20, GenLen: 8},
+		{ID: 2, PromptLen: 32, GenLen: 8, PrefixID: 5, PrefixLen: 32},
+		{ID: 3, PromptLen: 40, GenLen: 8, PrefixID: 5, PrefixLen: 32},
+	}
+	var pending []*Handle
+	for i, r := range reqs {
+		pending = append(pending, newHandle(r, nil, 8, SLO{TTFT: time.Duration(i+1) * time.Hour}))
+	}
+	handles := pending
+	for len(pending) > 0 {
+		pending = srv.runWave(pending)
+	}
+	for _, h := range handles {
+		if _, err := h.Wait(); err != nil {
+			t.Errorf("request %d: %v", h.ID(), err)
+		}
+	}
+	if st := srv.Stats(); st.Completed != 3 || st.Waves != 2 {
+		t.Errorf("stats: completed %d of 3 in %d waves, want 2", st.Completed, st.Waves)
+	}
+}
+
 // TestServerSLOStatsPopulated: percentile fields and SLO counters come
-// back filled after an SLO-aware run.
+// back filled after a run of requests with SLO targets.
 func TestServerSLOStatsPopulated(t *testing.T) {
 	srv := newSLOTestServer(t, ServeConfig{
 		Config:          Config{MicroBatch: 2, MaxContext: 64},
-		AdmissionPolicy: AdmissionPolicy{SLOAware: true},
 		NumMicroBatches: 2, GenLen: 4,
 	})
 	var handles []*Handle
@@ -153,7 +191,6 @@ func TestServerSLOStatsPopulated(t *testing.T) {
 func TestSLOMissAccounting(t *testing.T) {
 	srv := newSLOTestServer(t, ServeConfig{
 		Config:          Config{MicroBatch: 1, MaxContext: 64},
-		AdmissionPolicy: AdmissionPolicy{SLOAware: true},
 		NumMicroBatches: 1, GenLen: 3,
 	})
 	h, err := srv.SubmitSLO(context.Background(), workload.Request{ID: 1, PromptLen: 4, GenLen: 3},

@@ -319,7 +319,7 @@ func TestServerCanceledWhileQueued(t *testing.T) {
 }
 
 // TestServerNoProgressGuard pins that the wave core has no no-progress
-// guard: under FIFO admission a short request that Alg. 2's length sort
+// guard: without TTFT targets, a short request that Alg. 2's length sort
 // passes over in two consecutive waves, each time behind a longer
 // arrival, stays queued and is placed at the first wave with room, with
 // the reference's tokens.

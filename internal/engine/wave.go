@@ -22,7 +22,7 @@ func (s *Server) runWave(pending []*Handle) []*Handle {
 	for i, h := range pending {
 		items[i] = h.item
 	}
-	plan, err := PlanWave(items, time.Now(), s.cfg.AdmissionPolicy, s.bc)
+	plan, err := PlanWave(items, time.Now(), s.bc)
 	if err != nil {
 		s.failAll(pending, err)
 		return nil

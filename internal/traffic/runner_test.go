@@ -10,22 +10,20 @@ import (
 	"moelightning/internal/workload"
 )
 
-func newTestServer(t *testing.T, sloAware bool) (*engine.Server, model.Config) {
+func newTestServer(t *testing.T) *engine.Server {
 	t.Helper()
-	cfg := model.Tiny()
-	host, err := engine.NewHost(cfg, 11, 4, 64, 0)
+	host, err := engine.NewHost(model.Tiny(), 11, 4, 64, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	srv, err := engine.NewServer(host, engine.ServeConfig{
 		Config:          engine.Config{MicroBatch: 2, MaxContext: 64},
-		AdmissionPolicy: engine.AdmissionPolicy{SLOAware: sloAware},
 		NumMicroBatches: 2, GenLen: 10,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	return srv, cfg
+	return srv
 }
 
 // TestRunBurstyAgainstLiveServer plays a seeded bursty trace open-loop
@@ -34,7 +32,7 @@ func newTestServer(t *testing.T, sloAware bool) (*engine.Server, model.Config) {
 // exercises concurrent Submit), and the report must account for every
 // request with measured latencies.
 func TestRunBurstyAgainstLiveServer(t *testing.T) {
-	srv, _ := newTestServer(t, true)
+	srv := newTestServer(t)
 	defer srv.Close()
 
 	tr, err := BurstyMix(60, 24).Generate(2024)
@@ -99,7 +97,7 @@ func TestRunBurstyAgainstLiveServer(t *testing.T) {
 // TestRunSpeedup: Speed compresses playback without changing the
 // request population.
 func TestRunSpeedup(t *testing.T) {
-	srv, _ := newTestServer(t, false)
+	srv := newTestServer(t)
 	defer srv.Close()
 	// Rate 1 rps spans ~7s; at 50x the arrivals land within ~140ms, so
 	// even race-instrumented processing finishes well inside the span.
@@ -126,7 +124,7 @@ func TestRunSpeedup(t *testing.T) {
 // is canceled before the request arrives, so the server reaps it
 // at the next wave boundary.
 func TestRunExcludesCanceledFromSLO(t *testing.T) {
-	srv, _ := newTestServer(t, false)
+	srv := newTestServer(t)
 	defer srv.Close()
 	tr, err := PoissonChat(1, 1).Generate(7)
 	if err != nil {

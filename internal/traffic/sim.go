@@ -7,16 +7,20 @@ import (
 	"moelightning/internal/engine"
 )
 
-// SimConfig parameterizes a virtual-time admission simulation.
+// SimConfig parameterizes a virtual-time admission simulation. It has
+// no ordering option: as in the live server, each boundary's order is
+// read from the requests (engine.AdmissionOrder), so a trace whose
+// events carry TTFT targets is admitted by deadline slack and one
+// without them by Alg. 2's length order.
 type SimConfig struct {
 	// Batch is the wave shape (identical role to the live server's
 	// Alg. 2 configuration).
 	Batch batching.Config
-	// AdmissionPolicy is the live server's queueing policy, applied
-	// verbatim: FIFO or deadline-slack ordering, and the overload bound
-	// that sheds an arrival at admission (never queued, a TTFT miss if
-	// it carried an SLO).
-	engine.AdmissionPolicy
+	// MaxQueuedRequests is the live server's overload bound, applied
+	// verbatim (engine.QueueBound): an arrival that would push the
+	// queue past it is shed at admission (never queued, a TTFT miss if
+	// it carried an SLO). <= 0 disables the bound.
+	MaxQueuedRequests int
 	// PerPromptToken and PerDecodeStep are the virtual cost model: a
 	// wave's prefill takes admitted-prompt-tokens x PerPromptToken, and
 	// its decode takes GenLen x PerDecodeStep. Zero selects 100us and
@@ -54,10 +58,10 @@ type SimReport struct {
 // SimulateAdmission replays a trace through the engine's wave-boundary
 // admission on a virtual clock. It is a pure function of (trace, cfg):
 // every boundary is decided by engine.PlanWave and every arrival gated
-// by engine.AdmissionPolicy.QueueBound — the code the live server
-// runs — so all that lives here is the clock and the cost model, and
-// the admitted waves are bit-reproducible (the determinism and
-// FIFO-vs-slack comparisons rest on this).
+// by engine.QueueBound — the code the live server runs — so all that
+// lives here is the clock and the cost model, and the admitted waves
+// are bit-reproducible (the determinism and slack-vs-length-order
+// comparisons rest on this).
 //
 // The cost model is deliberately simple: a wave occupies the server for
 // prefill (admitted prompt tokens x PerPromptToken) plus decode (GenLen
@@ -73,7 +77,6 @@ func SimulateAdmission(trace Trace, cfg SimConfig) (SimReport, error) {
 	if err := cfg.Batch.Validate(); err != nil {
 		return SimReport{}, err
 	}
-	policy := cfg.AdmissionPolicy
 	perPrompt := cfg.PerPromptToken
 	if perPrompt <= 0 {
 		perPrompt = 100 * time.Microsecond
@@ -102,7 +105,7 @@ func SimulateAdmission(trace Trace, cfg SimConfig) (SimReport, error) {
 			// Overload control at arrival, exactly where the live server
 			// sheds or refuses: a full queue fails the request fast instead
 			// of letting it age toward a blown deadline.
-			if policy.QueueBound(len(pending), 1) != nil || !cfg.Batch.Fits(ev.Request.PromptLen) {
+			if engine.QueueBound(cfg.MaxQueuedRequests, len(pending), 1) != nil || !cfg.Batch.Fits(ev.Request.PromptLen) {
 				rep.Shed = append(rep.Shed, ev.Request.ID)
 				continue
 			}
@@ -112,7 +115,7 @@ func SimulateAdmission(trace Trace, cfg SimConfig) (SimReport, error) {
 			continue // every arrival was refused
 		}
 
-		plan, err := engine.PlanWave(pending, base.Add(clock), policy, cfg.Batch)
+		plan, err := engine.PlanWave(pending, base.Add(clock), cfg.Batch)
 		if err != nil {
 			return SimReport{}, err
 		}

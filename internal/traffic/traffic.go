@@ -21,10 +21,11 @@
 // at its due instant, TTFT/TPOT measured per request, goodput counted
 // under each cohort's SLO). SimulateAdmission replays the same trace
 // through the engine's actual wave-boundary admission logic
-// (engine.PlanWave and AdmissionPolicy.QueueBound) on a virtual clock —
-// a pure function used to compare FIFO against deadline-slack admission
-// deterministically and to test that a seeded trace always produces
-// identical admitted waves.
+// (engine.PlanWave and engine.QueueBound) on a virtual clock — a pure
+// function used to compare deadline-slack order (the trace's TTFT
+// targets visible) against Alg. 2's length order (the same trace with
+// its targets hidden) deterministically, and to test that a seeded
+// trace always produces identical admitted waves.
 package traffic
 
 import (

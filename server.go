@@ -132,13 +132,16 @@ type ServerConfig struct {
 	// safe: a routed-to expert that is not resident demand-fetches
 	// synchronously, so a small budget costs time, never correctness.
 	ExpertResidencyBytes int
-	// SLOAware switches wave-boundary admission from FIFO-with-deferral
-	// to deadline-slack order: the (deferred + newly arrived) queue is
-	// sorted most-urgent-first at every boundary, so when capacity runs
-	// out it is the slack-rich requests that defer. Starvation is
-	// bounded at 3: a request deferred three consecutive boundaries
-	// jumps to the front of the order and is placed at the next one.
-	// Off, admission is the classic length-sorted Alg. 2 pass.
+	// SLOAware is ignored: admission has one order, read from what each
+	// request carries. At every wave boundary the (deferred + newly
+	// arrived) queue is ordered by TTFT deadline slack (SubmitSLO's
+	// targets; a request without one has infinite slack), then by
+	// descending prompt length as in Alg. 2, so a queue without targets
+	// is the classic length-sorted pass. Starvation is bounded at 3: a
+	// request deferred three consecutive boundaries jumps to the front
+	// and is placed at the next one. The field stays because the
+	// standing benchmark's workloads (bench/workloads.go) set it, until
+	// ROADMAP item 7 revises that frozen code.
 	SLOAware bool
 	// MaxQueuedRequests bounds the admitted-but-not-yet-dispatched set:
 	// a Submit that would push past it fails fast with ErrOverloaded.
@@ -204,14 +207,11 @@ func newHost(cfg ServerConfig) (*engine.Host, engine.ServeConfig, error) {
 			ExpertResidencyBytes: cfg.ExpertResidencyBytes,
 			Faults:               cfg.Faults,
 		},
-		AdmissionPolicy: engine.AdmissionPolicy{
-			SLOAware:          cfg.SLOAware,
-			MaxQueuedRequests: cfg.MaxQueuedRequests,
-		},
-		NumMicroBatches:  cfg.NumMicroBatches,
-		GenLen:           cfg.GenLen,
-		EnforceDeadlines: cfg.EnforceDeadlines,
-		WaveTimeout:      cfg.WaveTimeout,
+		NumMicroBatches:   cfg.NumMicroBatches,
+		GenLen:            cfg.GenLen,
+		MaxQueuedRequests: cfg.MaxQueuedRequests,
+		EnforceDeadlines:  cfg.EnforceDeadlines,
+		WaveTimeout:       cfg.WaveTimeout,
 	}
 	host, err := engine.NewHost(cfg.Model, cfg.Seed, ecfg.MicroBatch*ecfg.NumMicroBatches, ecfg.MaxContext, ecfg.ExpertResidencyBytes)
 	return host, ecfg, err

@@ -254,13 +254,14 @@ func TestServerAdmissionNeverExhaustsPool(t *testing.T) {
 			{ID: 3, PromptLen: 200, GenLen: 8}, {ID: 4, PromptLen: 200, GenLen: 8}}},
 		{"whole-blocks", ServerConfig{Seed: 3, MicroBatchSize: 2, NumMicroBatches: 1, MaxContext: 40, GenLen: 8},
 			[]Request{{ID: 1, PromptLen: 32}, {ID: 2, PromptLen: 31}}},
-		// Placed 1, 2, 3 (FIFO) but issued 1, 3, 2: micro-batch [1 3]
-		// fills first. Request 2 is all prefix, so the engine maps only
-		// the 31 tokens ahead of its last one from request 3, and 3 may
-		// be charged for no more than that.
-		{"prefix-order", ServerConfig{Seed: 3, MaxContext: 24, SLOAware: true}, []Request{
-			{ID: 1, PromptLen: 20}, {ID: 2, PromptLen: 32, PrefixID: 5, PrefixLen: 32},
-			{ID: 3, PromptLen: 40, PrefixID: 5, PrefixLen: 32}}},
+		// Placed 1, 2, 3 (equal lengths keep input order; 1 and 2 tie
+		// on load, so 3 joins 1) but issued 1, 3, 2 under int8:
+		// micro-batch [1 3] fills first. Request 2 is all prefix, so the
+		// engine maps only the 31 tokens ahead of its last one from
+		// request 3, and 3 may be charged for no more than that.
+		{"prefix-order", ServerConfig{Seed: 3, MaxContext: 24}, []Request{
+			{ID: 1, PromptLen: 32}, {ID: 2, PromptLen: 32, PrefixID: 5, PrefixLen: 32},
+			{ID: 3, PromptLen: 32, PrefixID: 5, PrefixLen: 32}}},
 	}
 	// blocks is how many KV blocks an empty micro-batch's budget buys
 	// under a codec: the test's own statement of the block charge.
