@@ -4,9 +4,9 @@
 // played in real time against a live Server: requests arrive on the
 // trace's clock from their own goroutines, exactly like production
 // ingress, and each request's TTFT target, submitted with it, decides
-// by deadline slack who enters each wave. The report shows per-cohort latency percentiles and
-// goodput under SLO; the same trace replayed from the same seed is
-// byte-identical.
+// by deadline slack who enters each wave. The report shows per-cohort
+// latency percentiles and goodput under SLO; the same trace replayed
+// from the same seed is byte-identical.
 package main
 
 import (
