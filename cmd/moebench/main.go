@@ -190,6 +190,7 @@ func runChaos(quick bool, seed int64, jsonPath string) error {
 	table.Add("completed / canceled / failed", fmt.Sprintf("%d / %d / %d", rep.Completed, rep.Canceled, rep.Failed))
 	table.Add("deadline dropped", rep.DeadlineDropped)
 	table.Add("fault retries / failures", fmt.Sprintf("%d / %d", rep.FaultRetries, rep.FaultFailures))
+	table.Add("stalls fired / stall points", fmt.Sprintf("%d / %d", rep.Stalls, rep.StallPoints))
 	table.Add("wave timeouts", rep.WaveTimeouts)
 	table.Add("leaked-block waves", rep.LeakedBlockWaves)
 	table.Add("survivors checked / mismatched", fmt.Sprintf("%d / %d", rep.SurvivorsChecked, rep.Mismatched))

@@ -21,54 +21,36 @@ type Config struct {
 	MicroBatchSize int
 	// GenLen is the generation length each request will run.
 	GenLen int
-	// CacheTokens is the KV capacity per micro-batch in tokens
-	// (cache_size in Alg. 2). Used when the byte-aware pair below is
-	// unset.
+	// CacheTokens is ignored: the budget is CacheBytes. The field stays
+	// because the standing benchmark's batching probe (bench/probes.go)
+	// sets it, until ROADMAP item 7 revises that frozen code.
 	CacheTokens int
-	// TokenBytes and CacheBytes, when both set, switch the capacity
-	// check (Alg. 2 l.9) from tokens to bytes: a token costs TokenBytes
-	// (kvcache.TokenBytes, codec-dependent) of CacheBytes per
-	// micro-batch, so an int8 KV codec admits ~32/9 the context.
+	// TokenBytes and CacheBytes are the capacity check (Alg. 2 l.9,
+	// cache_size): a token costs TokenBytes (kvcache.TokenBytes,
+	// codec-dependent) of CacheBytes per micro-batch, so an int8 KV codec
+	// admits ~32/9 the context. TokenBytes 1 budgets in tokens.
 	TokenBytes int
 	CacheBytes int
 	// BlockTokens is the KV cache's tokens-per-block geometry. When set,
-	// a request is charged whole blocks under the byte budget, as the
-	// paged cache hands them out, and the capacity check charges only
-	// NEW tokens for a request whose declared prefix
-	// (workload.Request.PrefixID / PrefixLen) is already placed in this
-	// round: the engine maps those blocks instead of allocating them, so
-	// admission reflects true residual demand. The discount is rounded
-	// down to whole blocks — the engine shares nothing finer — and
-	// generation room is always charged in full. MicroBatch.PromptTokens
-	// stays the real prompt total (it feeds compute-balance metrics, not
-	// capacity). Zero charges tokens and discounts nothing.
+	// a request is charged whole blocks, as the paged cache hands them
+	// out, and the capacity check charges only NEW tokens for a request
+	// whose declared prefix (workload.Request.PrefixID / PrefixLen) is
+	// already placed in this round: the engine maps those blocks instead
+	// of allocating them, so admission reflects true residual demand.
+	// The discount is rounded down to whole blocks — the engine shares
+	// nothing finer — and generation room is always charged in full.
+	// MicroBatch.PromptTokens stays the real prompt total (it feeds
+	// compute-balance metrics, not capacity). Zero charges single tokens
+	// and discounts nothing.
 	BlockTokens int
 }
 
-// byteAware reports whether the capacity check runs in bytes.
-func (c Config) byteAware() bool { return c.TokenBytes > 0 && c.CacheBytes > 0 }
-
-// cost is one request's charge against its micro-batch's KV budget,
-// for its prompt less the shared-prefix discount plus GenLen: in whole
-// blocks of bytes, in bytes without a block geometry, or in tokens.
+// cost is one request's charge against its micro-batch's KV budget: its
+// prompt less the shared-prefix discount plus GenLen, in whole blocks
+// of bytes.
 func (c Config) cost(promptLen, discount int) int {
-	tokens := promptLen - discount + c.GenLen
-	switch {
-	case !c.byteAware():
-		return tokens
-	case c.BlockTokens > 0:
-		return (tokens + c.BlockTokens - 1) / c.BlockTokens * c.BlockTokens * c.TokenBytes
-	}
-	return tokens * c.TokenBytes
-}
-
-// overBudget reports whether a micro-batch's spent cost exceeds the
-// KV budget.
-func (c Config) overBudget(spent int) bool {
-	if c.byteAware() {
-		return spent > c.CacheBytes
-	}
-	return spent > c.CacheTokens
+	bt := max(c.BlockTokens, 1)
+	return (promptLen - discount + c.GenLen + bt - 1) / bt * bt * c.TokenBytes
 }
 
 // Cost is what a request of promptLen prompt tokens and no shared
@@ -77,7 +59,7 @@ func (c Config) Cost(promptLen int) int { return c.cost(promptLen, 0) }
 
 // Fits reports whether such a request fits an empty micro-batch; one
 // that does not can never be placed.
-func (c Config) Fits(promptLen int) bool { return !c.overBudget(c.Cost(promptLen)) }
+func (c Config) Fits(promptLen int) bool { return c.Cost(promptLen) <= c.CacheBytes }
 
 // Validate reports malformed configs.
 func (c Config) Validate() error {
@@ -87,11 +69,8 @@ func (c Config) Validate() error {
 	if c.GenLen < 0 {
 		return fmt.Errorf("batching: invalid genlen=%d", c.GenLen)
 	}
-	if (c.TokenBytes > 0) != (c.CacheBytes > 0) {
-		return fmt.Errorf("batching: TokenBytes=%d and CacheBytes=%d must be set together", c.TokenBytes, c.CacheBytes)
-	}
-	if !c.byteAware() && c.CacheTokens <= 0 {
-		return fmt.Errorf("batching: invalid cache=%d", c.CacheTokens)
+	if c.TokenBytes <= 0 || c.CacheBytes <= 0 {
+		return fmt.Errorf("batching: invalid budget TokenBytes=%d CacheBytes=%d", c.TokenBytes, c.CacheBytes)
 	}
 	return nil
 }
@@ -132,9 +111,9 @@ func Batch(queue []workload.Request, cfg Config) (batches []MicroBatch, aborted 
 // BatchOrdered is the Alg. 2 placement loop over the queue in the
 // caller's order: the first request is placed (or aborted) first, the
 // second next, each dealt to the least-loaded open partition under the
-// capacity budget (byte- or token-denominated). Batch is this loop over
-// the queue sorted by descending prompt length; the engine's admission
-// runs it over its own order, in which urgent requests come first.
+// capacity budget. Batch is this loop over the queue sorted by
+// descending prompt length; the engine's admission runs it over its own
+// order, in which urgent requests come first.
 // Results are positions in queue: each formed micro-batch's requests in
 // placement order, then the aborted ones in queue order.
 func BatchOrdered(queue []workload.Request, cfg Config) (batches [][]int, aborted []int, err error) {
@@ -177,7 +156,7 @@ func BatchOrdered(queue []workload.Request, cfg Config) (batches [][]int, aborte
 		// charges only the unshared tail of the prompt.
 		discount := cfg.prefixDiscount(req, seen)
 		cost := cfg.cost(req.PromptLen, discount)
-		if cfg.overBudget(spent[idx] + cost) {
+		if spent[idx]+cost > cfg.CacheBytes {
 			aborted = append(aborted, pos) // l.10
 			continue
 		}

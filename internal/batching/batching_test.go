@@ -18,7 +18,8 @@ func reqs(lens ...int) []workload.Request {
 }
 
 // finalTokens is a micro-batch's final token count (prompt +
-// generation), what the token budget bounds.
+// generation), what a budget of one byte a token without a block
+// geometry bounds.
 func finalTokens(m MicroBatch, genLen int) int {
 	return m.PromptTokens + len(m.Requests)*genLen
 }
@@ -35,7 +36,7 @@ func atPositions(queue []workload.Request, group []int) MicroBatch {
 }
 
 func TestBalancedPartition(t *testing.T) {
-	cfg := Config{NumMicroBatches: 2, MicroBatchSize: 2, GenLen: 0, CacheTokens: 1000}
+	cfg := Config{NumMicroBatches: 2, MicroBatchSize: 2, GenLen: 0, TokenBytes: 1, CacheBytes: 1000}
 	batches, aborted, err := Batch(reqs(100, 90, 10, 20), cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -53,7 +54,7 @@ func TestBalancedPartition(t *testing.T) {
 }
 
 func TestCacheOverflowAborts(t *testing.T) {
-	cfg := Config{NumMicroBatches: 1, MicroBatchSize: 4, GenLen: 10, CacheTokens: 150}
+	cfg := Config{NumMicroBatches: 1, MicroBatchSize: 4, GenLen: 10, TokenBytes: 1, CacheBytes: 150}
 	batches, aborted, err := Batch(reqs(100, 100), cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -69,7 +70,7 @@ func TestCacheOverflowAborts(t *testing.T) {
 }
 
 func TestFullPartitionsClose(t *testing.T) {
-	cfg := Config{NumMicroBatches: 1, MicroBatchSize: 2, GenLen: 1, CacheTokens: 1000}
+	cfg := Config{NumMicroBatches: 1, MicroBatchSize: 2, GenLen: 1, TokenBytes: 1, CacheBytes: 1000}
 	batches, aborted, err := Batch(reqs(10, 10, 10), cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -86,7 +87,7 @@ func TestFullPartitionsClose(t *testing.T) {
 func TestSortDescendingAssignment(t *testing.T) {
 	// Longest requests place first (Alg. 2 line 4): with two partitions
 	// the two longest must land in different micro-batches.
-	cfg := Config{NumMicroBatches: 2, MicroBatchSize: 2, GenLen: 0, CacheTokens: 10000}
+	cfg := Config{NumMicroBatches: 2, MicroBatchSize: 2, GenLen: 0, TokenBytes: 1, CacheBytes: 10000}
 	batches, _, err := Batch(reqs(500, 490, 5, 5), cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -109,24 +110,25 @@ func TestSortDescendingAssignment(t *testing.T) {
 
 func TestValidate(t *testing.T) {
 	bad := []Config{
-		{NumMicroBatches: 0, MicroBatchSize: 1, CacheTokens: 1},
-		{NumMicroBatches: 1, MicroBatchSize: 0, CacheTokens: 1},
-		{NumMicroBatches: 1, MicroBatchSize: 1, CacheTokens: 0},
-		{NumMicroBatches: 1, MicroBatchSize: 1, GenLen: -1, CacheTokens: 1},
-		// The byte-aware pair must come together.
+		{NumMicroBatches: 0, MicroBatchSize: 1, TokenBytes: 1, CacheBytes: 1},
+		{NumMicroBatches: 1, MicroBatchSize: 0, TokenBytes: 1, CacheBytes: 1},
+		{NumMicroBatches: 1, MicroBatchSize: 1, TokenBytes: 1, CacheBytes: 0},
+		{NumMicroBatches: 1, MicroBatchSize: 1, GenLen: -1, TokenBytes: 1, CacheBytes: 1},
+		// The byte budget needs both halves.
 		{NumMicroBatches: 1, MicroBatchSize: 1, TokenBytes: 64},
 		{NumMicroBatches: 1, MicroBatchSize: 1, CacheBytes: 4096},
 		{NumMicroBatches: 1, MicroBatchSize: 1, CacheTokens: 10, TokenBytes: 64},
+		// A token budget alone is no budget: CacheTokens is ignored.
+		{NumMicroBatches: 1, MicroBatchSize: 1, CacheTokens: 10},
 	}
 	for i, cfg := range bad {
 		if _, _, err := Batch(nil, cfg); err == nil {
 			t.Errorf("case %d accepted", i)
 		}
 	}
-	// Byte-aware without CacheTokens is a valid config.
 	ok := Config{NumMicroBatches: 1, MicroBatchSize: 1, TokenBytes: 64, CacheBytes: 4096}
 	if _, _, err := Batch(nil, ok); err != nil {
-		t.Errorf("byte-aware config rejected: %v", err)
+		t.Errorf("byte budget rejected: %v", err)
 	}
 }
 
@@ -217,7 +219,7 @@ func TestSharedPrefixLendsAllButLastToken(t *testing.T) {
 
 func TestInputNotMutated(t *testing.T) {
 	in := reqs(5, 50, 10)
-	cfg := Config{NumMicroBatches: 2, MicroBatchSize: 2, GenLen: 1, CacheTokens: 1000}
+	cfg := Config{NumMicroBatches: 2, MicroBatchSize: 2, GenLen: 1, TokenBytes: 1, CacheBytes: 1000}
 	if _, _, err := Batch(in, cfg); err != nil {
 		t.Fatal(err)
 	}
@@ -235,7 +237,8 @@ func TestBatchProperties(t *testing.T) {
 			NumMicroBatches: int(nub%8) + 1,
 			MicroBatchSize:  int(ubs%16) + 1,
 			GenLen:          4,
-			CacheTokens:     2000,
+			TokenBytes:      1,
+			CacheBytes:      2000,
 		}
 		in := make([]workload.Request, len(lens))
 		for i, l := range lens {
@@ -250,7 +253,7 @@ func TestBatchProperties(t *testing.T) {
 			if len(b.Requests) > cfg.MicroBatchSize {
 				return false
 			}
-			if finalTokens(b, cfg.GenLen) > cfg.CacheTokens {
+			if finalTokens(b, cfg.GenLen) > cfg.CacheBytes {
 				return false
 			}
 			sum := 0
@@ -286,7 +289,7 @@ func TestBatchProperties(t *testing.T) {
 func TestBalanceQuality(t *testing.T) {
 	wl := workload.MTBench(32).WithRequests(256)
 	requests := wl.Generate(3)
-	cfg := Config{NumMicroBatches: 8, MicroBatchSize: 32, GenLen: 32, CacheTokens: 1 << 20}
+	cfg := Config{NumMicroBatches: 8, MicroBatchSize: 32, GenLen: 32, TokenBytes: 1, CacheBytes: 1 << 20}
 	batches, aborted, err := Batch(requests, cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -317,7 +320,7 @@ func TestBatchOrderedPreservesCallerOrder(t *testing.T) {
 		{ID: 2, PromptLen: 3, GenLen: 2},
 		{ID: 3, PromptLen: 50, GenLen: 2},
 	}
-	cfg := Config{NumMicroBatches: 1, MicroBatchSize: 2, GenLen: 2, CacheTokens: 100}
+	cfg := Config{NumMicroBatches: 1, MicroBatchSize: 2, GenLen: 2, TokenBytes: 1, CacheBytes: 100}
 	batches, aborted, err := BatchOrdered(queue, cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -342,7 +345,7 @@ func TestBatchOrderedPreservesCallerOrder(t *testing.T) {
 // input.
 func TestBatchOrderedSameCapacitySemantics(t *testing.T) {
 	requests := workload.MTBench(8).WithRequests(64).Generate(9)
-	cfg := Config{NumMicroBatches: 4, MicroBatchSize: 4, GenLen: 8, CacheTokens: 220}
+	cfg := Config{NumMicroBatches: 4, MicroBatchSize: 4, GenLen: 8, TokenBytes: 1, CacheBytes: 220}
 	batches, aborted, err := BatchOrdered(requests, cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -353,7 +356,7 @@ func TestBatchOrderedSameCapacitySemantics(t *testing.T) {
 		if len(mb.Requests) > cfg.MicroBatchSize {
 			t.Fatalf("micro-batch over size: %d", len(mb.Requests))
 		}
-		if finalTokens(mb, cfg.GenLen) > cfg.CacheTokens {
+		if finalTokens(mb, cfg.GenLen) > cfg.CacheBytes {
 			t.Fatalf("micro-batch over budget: %d tokens", finalTokens(mb, cfg.GenLen))
 		}
 		seen += len(mb.Requests)
@@ -387,10 +390,11 @@ func TestSharedPrefixDiscountAdmitsMore(t *testing.T) {
 		queue[i] = workload.Request{ID: i + 1, PromptLen: 40, GenLen: 10, PrefixID: 7, PrefixLen: 32}
 		plain[i] = workload.Request{ID: i + 1, PromptLen: 40, GenLen: 10}
 	}
-	cfg := Config{NumMicroBatches: 1, MicroBatchSize: 4, GenLen: 10, CacheTokens: 120, BlockTokens: 16}
+	cfg := Config{NumMicroBatches: 1, MicroBatchSize: 4, GenLen: 10, TokenBytes: 1, CacheBytes: 160, BlockTokens: 16}
 
-	// Without a declared prefix the classic check holds: 40+10=50,
-	// 90+20... third request would reach 130+30 > 120, so only two place.
+	// Without a declared prefix each request is charged 40+10 = 50
+	// tokens in 4 blocks (64): two place (128), a third would reach
+	// 192 > 160.
 	batches, aborted, err := Batch(plain, cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -403,8 +407,8 @@ func TestSharedPrefixDiscountAdmitsMore(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// First charges 40; followers charge 40-32=8 each: 40+3*8+4*10 = 104
-	// <= 120 — all four fit.
+	// First charges 4 blocks; followers charge 40-32+10 = 18 tokens, 2
+	// blocks each: 64 + 3*32 = 160 <= 160 — all four fit.
 	if len(batches) != 1 || len(batches[0].Requests) != 4 || len(aborted) != 0 {
 		t.Fatalf("sharing: batches %+v aborted %d, want all 4 placed", batches, len(aborted))
 	}
@@ -419,7 +423,7 @@ func TestSharedPrefixDiscountAdmitsMore(t *testing.T) {
 // prefix id, and nothing without a block geometry — it is defined in
 // whole cache blocks.
 func TestSharedPrefixDiscountRules(t *testing.T) {
-	cfg := Config{NumMicroBatches: 1, MicroBatchSize: 8, GenLen: 0, CacheTokens: 1 << 20,
+	cfg := Config{NumMicroBatches: 1, MicroBatchSize: 8, GenLen: 0, TokenBytes: 1, CacheBytes: 1 << 20,
 		BlockTokens: 16}
 	seen := map[int]int{}
 	if d := cfg.prefixDiscount(workload.Request{PromptLen: 40, PrefixID: 1, PrefixLen: 32}, seen); d != 0 {

@@ -118,10 +118,15 @@ type Report struct {
 	Shed            int `json:"shed"`
 	DeadlineDropped int `json:"deadline_dropped"`
 
-	// Fault accounting from the injector's hooks.
+	// Fault accounting from the injector's hooks. StallPoints counts the
+	// decode steps that consulted the injector's stall point and Stalls
+	// the stalls it fired, so a run without wave timeouts tells whether
+	// no stall fired or none outlasted a wave's deadline.
 	FaultRetries  int64 `json:"fault_retries"`
 	FaultFailures int64 `json:"fault_failures"`
 	WaveTimeouts  int   `json:"wave_timeouts"`
+	StallPoints   int   `json:"stall_points"`
+	Stalls        int   `json:"stalls"`
 
 	// Prompt tokens mapped from prefix blocks an earlier wave left
 	// cached: when positive, the forced KV exhaustions struck a pool
@@ -243,6 +248,8 @@ func Run(cfg Config) (Report, error) {
 	rep.FaultRetries = st.FaultRetries
 	rep.FaultFailures = st.FaultFailures
 	rep.WaveTimeouts = st.WaveTimeouts
+	fs := inj.Stats()
+	rep.StallPoints, rep.Stalls = fs.StallPoints, fs.Stalls
 	rep.RetainedHitTokens = st.RetainedHitTokens
 	rep.LeakedBlockWaves = st.KVLeaks
 

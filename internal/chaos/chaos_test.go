@@ -58,8 +58,15 @@ func TestChaosRunInvariants(t *testing.T) {
 			if cfg.StallEvery == 0 && rep.RetainedHitTokens == 0 {
 				t.Error("no prompt prefix served across waves: the KV faults never met a cached block")
 			}
+			if cfg.StallEvery > 0 {
+				t.Logf("%d stalls fired at %d stall points; %d waves timed out", rep.Stalls, rep.StallPoints, rep.WaveTimeouts)
+				if rep.Stalls == 0 {
+					t.Errorf("no stall fired at %d stall points: the stall scenario exercised nothing", rep.StallPoints)
+				}
+			}
 			if cfg.StallEvery > 0 && rep.WaveTimeouts == 0 {
-				t.Error("no wave ran past its deadline: the stall scenario exercised nothing")
+				t.Errorf("no wave ran past its deadline: the stall scenario exercised nothing (%d stalls fired at %d stall points)",
+					rep.Stalls, rep.StallPoints)
 			}
 			if !rep.CloseWithinBound {
 				t.Error("close overran its bound")

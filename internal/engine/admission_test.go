@@ -28,7 +28,7 @@ func TestPlanWave(t *testing.T) {
 		return it
 	}
 	shape := func(numMB, size, cache int) batching.Config {
-		return batching.Config{NumMicroBatches: numMB, MicroBatchSize: size, GenLen: 2, CacheTokens: cache}
+		return batching.Config{NumMicroBatches: numMB, MicroBatchSize: size, GenLen: 2, TokenBytes: 1, CacheBytes: cache}
 	}
 	later := item(4, 4)
 	later.Submitted = base.Add(time.Millisecond)
@@ -217,7 +217,8 @@ func TestPlanWaveWithoutTargetsIsBatch(t *testing.T) {
 			NumMicroBatches: 1 + rng.Intn(4),
 			MicroBatchSize:  1 + rng.Intn(4),
 			GenLen:          rng.Intn(8),
-			CacheTokens:     16 + rng.Intn(96),
+			TokenBytes:      1,
+			CacheBytes:      16 + rng.Intn(96),
 		}
 		if rng.Intn(2) == 0 {
 			bc.BlockTokens = 4 << rng.Intn(3)

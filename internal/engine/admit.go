@@ -87,13 +87,14 @@ func NewServer(host *Host, cfg ServeConfig) (*Server, error) {
 	return s, nil
 }
 
-// effGenLen resolves a request's generation length: its own GenLen,
-// capped at the wave length, or the wave length when it sets none.
-func (s *Server) effGenLen(r workload.Request) int {
-	if r.GenLen > 0 && r.GenLen < s.cfg.GenLen {
+// EffGenLen resolves a request's generation length in a wave of
+// waveGenLen steps: its own GenLen, capped at the wave length, or the
+// wave length when it sets none.
+func EffGenLen(r workload.Request, waveGenLen int) int {
+	if r.GenLen > 0 && r.GenLen < waveGenLen {
 		return r.GenLen
 	}
-	return s.cfg.GenLen
+	return waveGenLen
 }
 
 // Submit admits one request. Canceling ctx (nil never cancels) cancels
@@ -149,7 +150,7 @@ func (s *Server) submitBatch(ctx context.Context, reqs []workload.Request, slo S
 	}
 	hs := make([]*Handle, len(reqs))
 	for i, r := range reqs {
-		hs[i] = newHandle(r, cancel, s.effGenLen(r), slo)
+		hs[i] = newHandle(r, cancel, EffGenLen(r, s.cfg.GenLen), slo)
 	}
 	s.mu.Lock()
 	if s.closed {

@@ -57,25 +57,15 @@ type Handle struct {
 	// QueuedRequests), not h.mu.
 	queued bool
 
-	done chan struct{}
+	done   chan struct{}
+	tokens chan Token // buffered for genLen; closed by wake
 
 	mu                sync.Mutex
-	tokens            chan Token // lazily allocated; see tokensLocked
 	out               []int
 	err               error
 	finished          bool
 	firstTok, lastTok time.Time
 }
-
-// closedTokens is the shared pre-closed channel handed to consumers of
-// requests that finished before producing a token (canceled while
-// queued, failed at admission): those handles never allocate a
-// generation-length buffer.
-var closedTokens = func() chan Token {
-	ch := make(chan Token)
-	close(ch)
-	return ch
-}()
 
 func newHandle(req workload.Request, cancel <-chan struct{}, genLen int, slo SLO) *Handle {
 	return &Handle{
@@ -83,6 +73,7 @@ func newHandle(req workload.Request, cancel <-chan struct{}, genLen int, slo SLO
 		cancel: cancel,
 		genLen: genLen,
 		done:   make(chan struct{}),
+		tokens: make(chan Token, genLen),
 	}
 }
 
@@ -96,29 +87,8 @@ func (h *Handle) ID() int { return h.item.Req.ID }
 // first token arrives right after the wave's prefill, long before the
 // wave's final step. The channel is buffered for the request's
 // effective generation length (the engine never blocks on a slow
-// consumer) and is closed when the request finishes. The buffer is
-// allocated on first use: a request that finishes without producing a
-// token — canceled while queued, failed at admission — returns a shared
-// closed channel and never pays for one.
-func (h *Handle) Tokens() <-chan Token {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return h.tokensLocked()
-}
-
-// tokensLocked returns the token channel, allocating it on demand with
-// capacity for the request's remaining generation (so pushes from the
-// serving goroutine can never block). Callers hold h.mu.
-func (h *Handle) tokensLocked() chan Token {
-	if h.tokens == nil {
-		if h.finished {
-			h.tokens = closedTokens
-		} else {
-			h.tokens = make(chan Token, h.genLen)
-		}
-	}
-	return h.tokens
-}
+// consumer) and is closed when the request finishes.
+func (h *Handle) Tokens() <-chan Token { return h.tokens }
 
 // Done is closed when the request finishes: completed, canceled or
 // failed.
@@ -165,10 +135,9 @@ func (h *Handle) push(index, id int) {
 		h.firstTok = now
 	}
 	h.lastTok = now
-	ch := h.tokensLocked()
 	h.mu.Unlock()
 	select {
-	case ch <- Token{Index: index, ID: id}:
+	case h.tokens <- Token{Index: index, ID: id}:
 	default: // unreachable: capacity covers the full generation
 	}
 }
@@ -199,22 +168,12 @@ func (h *Handle) settle(err error) bool {
 	}
 	h.finished = true
 	h.err = err
-	if h.tokens == nil {
-		// Never streamed and no consumer asked yet: point Tokens() at the
-		// shared closed channel instead of allocating one to close.
-		h.tokens = closedTokens
-	}
 	return true
 }
 
 // wake closes the settled handle's channels. Call it once, after the
 // settle that returned true.
 func (h *Handle) wake() {
-	h.mu.Lock()
-	ch := h.tokens
-	h.mu.Unlock()
-	if ch != closedTokens {
-		close(ch)
-	}
+	close(h.tokens)
 	close(h.done)
 }

@@ -8,9 +8,9 @@ import (
 )
 
 // The benchmarks below time the way attention reads the paged cache:
-// the zero-copy blockwise path (BlockView + AttendOneBlocks walking the
-// blocks in place), float32 and int8. Same GQA problem, same context,
-// same geometry as one decode-step sequence.
+// the zero-copy blockwise path (BlockView + a one-item AttendMany, which
+// runs inline, walking the blocks in place), float32 and int8. Same GQA
+// problem, same context, same geometry as one decode-step sequence.
 
 const (
 	benchCtx     = 512
@@ -55,15 +55,17 @@ func BenchmarkBlockwiseAttend(b *testing.B) {
 	kvDim := benchNKV * benchHeadDim
 	kb := make([]tensor.Mat, 0, benchCtx/benchBlock+1)
 	vb := make([]tensor.Mat, 0, benchCtx/benchBlock+1)
-	out := make([]float32, benchNQ*benchHeadDim)
 	const group = benchNQ / benchNKV // one score lane per query head of a GQA group
-	scores := make([]float32, group*benchCtx)
+	items := []tensor.AttnItem{{
+		Out: make([]float32, benchNQ*benchHeadDim), Q: q,
+		Scores: make([]float32, group*benchCtx),
+	}}
 	b.SetBytes(int64(2 * benchCtx * kvDim * 4))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		var ctx int
-		kb, vb, ctx = c.BlockView(0, 0, kb[:0], vb[:0])
-		tensor.AttendOneBlocks(out, q, kb, vb, benchNQ, benchNKV, benchHeadDim, scores[:group*ctx])
+		kb, vb, _ = c.BlockView(0, 0, kb[:0], vb[:0])
+		items[0].KeyBlocks, items[0].ValueBlocks = kb, vb
+		tensor.AttendMany(items, benchNQ, benchNKV, benchHeadDim)
 	}
 }
 
@@ -75,15 +77,16 @@ func BenchmarkBlockwiseAttendQuantKV(b *testing.B) {
 	kvDim := benchNKV * benchHeadDim
 	kb := make([]tensor.QBlock, 0, benchCtx/benchBlock+1)
 	vb := make([]tensor.QBlock, 0, benchCtx/benchBlock+1)
-	out := make([]float32, benchNQ*benchHeadDim)
 	const group = benchNQ / benchNKV
-	scores := make([]float32, group*benchCtx)
-	rowBuf := make([]float32, benchHeadDim)
+	items := []tensor.AttnItem{{
+		Out: make([]float32, benchNQ*benchHeadDim), Q: q,
+		Scores: make([]float32, group*benchCtx), RowScratch: make([]float32, benchHeadDim),
+	}}
 	b.SetBytes(int64(2 * benchCtx * (kvDim + 4*tensor.QGroups(kvDim, GroupSize))))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		var ctx int
-		kb, vb, ctx = c.QBlockView(0, 0, kb[:0], vb[:0])
-		tensor.AttendOneBlocksQ(out, q, kb, vb, benchNQ, benchNKV, benchHeadDim, scores[:group*ctx], rowBuf)
+		kb, vb, _ = c.QBlockView(0, 0, kb[:0], vb[:0])
+		items[0].KeyQBlocks, items[0].ValueQBlocks = kb, vb
+		tensor.AttendMany(items, benchNQ, benchNKV, benchHeadDim)
 	}
 }

@@ -15,8 +15,8 @@
 //     four int8 codes per word) followed by a scale region
 //     ([blockTokens, ceil(kvDim/32)] float32, one scale per 32-value
 //     group). Append quantizes on write; QBlockView exposes the
-//     context as []tensor.QBlock views that tensor.AttendOneBlocksQ
-//     walks in place, dequantizing a few head-slice rows at a time — the
+//     context as []tensor.QBlock views that tensor.AttendMany walks in
+//     place, dequantizing a few head-slice rows at a time — the
 //     float32 context is never materialized. A token costs
 //     ceil(kvDim/4)+ceil(kvDim/32) floats per half instead of kvDim
 //     (9/32 of float32 when kvDim is a multiple of 32). A pool's
@@ -470,8 +470,7 @@ func (c *Cache) BlockView(seq, layer int, keys, values []tensor.Mat) (k, v []ten
 // tensor.QBlock per block (views over the block's packed codes and
 // scales, the last block possibly partial) to keys and values and
 // returns the slices plus the context length. No data is copied and
-// nothing is dequantized — tensor.AttendOneBlocksQ walks the views in
-// place. Panics on an F32 cache.
+// nothing is dequantized — tensor.AttendMany walks the views in place. Panics on an F32 cache.
 func (c *Cache) QBlockView(seq, layer int, keys, values []tensor.QBlock) (k, v []tensor.QBlock, ctx int) {
 	if c.dtype != Int8 {
 		panic("kvcache: QBlockView on an unquantized cache (use BlockView)")

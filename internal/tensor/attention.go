@@ -7,17 +7,18 @@ import "math"
 //   - keys/values are the cached context, one row per token, each row
 //     nkv heads x headDim;
 //   - GQA shares each KV head across a group of nq/nkv query heads;
-//   - the context may arrive flat (one Mat), paged (a list of block
-//     Mats in token order) or paged and int8-quantized (QBlocks).
+//   - the context arrives paged, as the KV cache holds it: a list of
+//     float32 block Mats in token order, or of int8 QBlocks.
 //
-// Every representation runs one body, attend: per KV head, score the
-// group's query heads against each key (a GEMM element: one accumulator
-// over headDim in ascending order), scale, one softmax per head over the
+// Both codecs run one body, attend: per KV head, score the group's
+// query heads against each key (a GEMM element: one accumulator over
+// headDim in ascending order), scale, one softmax per head over the
 // whole context, then the weighted sum of the values (one accumulator
 // per output element over t in ascending order, as Axpy). Blocks are
-// walked in place; the representations differ only in how a block's
-// head slice is read (kvBlocks.chunk), so the blockwise and quantized
-// kernels are bit-identical to the flat one over the same values.
+// walked in place; the codecs differ only in how a block's head slice
+// is read (kvBlocks.chunk), so the output does not depend on where the
+// block boundaries fall, and the int8 path is bit-identical to the
+// float32 one over the dequantized values.
 
 // attnStackDim is the widest head the attention scratch holds on the
 // stack: 128, the widest head of every model preset. The vector kernels
@@ -42,7 +43,7 @@ type kvBlocks struct {
 	q []QBlock
 }
 
-// blocksOf picks an item's representation: quantized blocks win.
+// blocksOf picks an item's codec: int8 blocks win when set.
 func blocksOf(f []Mat, q []QBlock) kvBlocks {
 	if len(q) > 0 {
 		return kvBlocks{q: q}
@@ -85,7 +86,7 @@ func (s kvBlocks) chunk(b, t, lo, headDim int, buf []float32) (x []float32, ld, 
 }
 
 // attend is single-token GQA attention, out = softmax(q K^T / sqrt(d))
-// V, over any representation of the context. scores is scratch of
+// V, over either codec of a paged context. scores is scratch of
 // length >= (nq/nkv)*ctx, one ctx-long lane per query head of a group;
 // rowBuf is int8 decode scratch of length >= headDim, read only when a
 // head is wider than the stack's 8*attnStackDim decode rows. Each is
@@ -219,14 +220,6 @@ func combineVec(out, p []float32, ctx int, x []float32, ld, n, headDim int) {
 	}
 }
 
-// AttendOne computes single-token GQA attention: out = softmax(q K^T /
-// sqrt(d)) V over ctx cached tokens. keys and values are [ctx,
-// nkv*headDim]; out must be nq*headDim long. scores is scratch of
-// length >= (nq/nkv)*ctx (allocated when short).
-func AttendOne(out, q []float32, keys, values Mat, nq, nkv, headDim int, scores []float32) {
-	AttendOneBlocks(out, q, []Mat{keys}, []Mat{values}, nq, nkv, headDim, scores)
-}
-
 // BlocksRows returns the total row (token) count of a block list.
 func BlocksRows(blocks []Mat) int {
 	n := 0
@@ -236,65 +229,35 @@ func BlocksRows(blocks []Mat) int {
 	return n
 }
 
-// AttendOneBlocks is AttendOne over a paged context: keys[b] and
-// values[b] are the b-th block's rows, in token order (the last block
-// may be partial). It walks the block list in place — no gathered
-// copy — and is bit-identical to AttendOne over the gathered context.
-// scores is scratch of length >= (nq/nkv)*ctx, one lane per query head
-// of a GQA group (allocated when short).
-func AttendOneBlocks(out, q []float32, keys, values []Mat, nq, nkv, headDim int, scores []float32) {
-	attend(out, q, kvBlocks{f: keys}, kvBlocks{f: values}, nq, nkv, headDim, scores, nil)
-}
-
-// AttendOneBlocksQ is AttendOneBlocks over a quantized paged context:
-// keys[b]/values[b] are the b-th block's int8 halves. Each KV head's
-// slice of a row is decoded once, a few rows at a time into stack
-// scratch, and serves every query head of its group; the float32
-// context is never materialized. Given identical dequantized values
-// the output is bit-identical to AttendOneBlocks. scores is as there;
-// rowBuf is headDim scratch read only when a head is wider than the
-// stack's 8*attnStackDim decode rows. Each is allocated when short.
-func AttendOneBlocksQ(out, q []float32, keys, values []QBlock, nq, nkv, headDim int, scores, rowBuf []float32) {
-	attend(out, q, kvBlocks{q: keys}, kvBlocks{q: values}, nq, nkv, headDim, scores, rowBuf)
-}
-
 // AttnItem is one independent single-token attention problem for
-// AttendMany. Out and Q are nq*headDim vectors; the context is flat
-// (Keys/Values), paged (KeyBlocks/ValueBlocks — the zero-copy path
-// over a paged KV cache) or paged and int8-quantized (KeyQBlocks/
-// ValueQBlocks, which win over both — attention dequantizes rows on
-// the fly). Scores is optional per-item scratch of length >=
-// (nq/nkv)*ctx for every representation (one score lane per query head
-// of a GQA group). RowScratch is optional headDim scratch the quantized
-// path decodes into when a head is wider than its stack rows. Each
-// is allocated when nil or undersized; pass adequately sized scratch
-// for zero-alloc steady state.
+// AttendMany: out = softmax(q K^T / sqrt(d)) V over a paged context.
+// Out and Q are nq*headDim vectors. The context is float32 blocks
+// (KeyBlocks/ValueBlocks) or int8 blocks (KeyQBlocks/ValueQBlocks,
+// which win when set; rows are dequantized on the fly), in token order,
+// the last block possibly partial, walked in place. Scores is optional
+// scratch of length >= (nq/nkv)*ctx, one score lane per query head of a
+// GQA group. RowScratch is optional headDim scratch the int8 path
+// decodes into when a head is wider than its stack rows. Each is
+// allocated when nil or undersized; pass adequately sized scratch for
+// zero-alloc steady state.
 type AttnItem struct {
 	Out, Q, Scores           []float32
-	Keys, Values             Mat
 	KeyBlocks, ValueBlocks   []Mat
 	KeyQBlocks, ValueQBlocks []QBlock
 	RowScratch               []float32
 }
 
-// attend solves one item, dispatching on its context representation.
+// attend solves one item.
 func (it *AttnItem) attend(nq, nkv, headDim int) {
-	if len(it.KeyQBlocks) > 0 {
-		AttendOneBlocksQ(it.Out, it.Q, it.KeyQBlocks, it.ValueQBlocks, nq, nkv, headDim, it.Scores, it.RowScratch)
-		return
-	}
-	if len(it.KeyBlocks) > 0 {
-		AttendOneBlocks(it.Out, it.Q, it.KeyBlocks, it.ValueBlocks, nq, nkv, headDim, it.Scores)
-		return
-	}
-	AttendOne(it.Out, it.Q, it.Keys, it.Values, nq, nkv, headDim, it.Scores)
+	attend(it.Out, it.Q, blocksOf(it.KeyBlocks, it.KeyQBlocks), blocksOf(it.ValueBlocks, it.ValueQBlocks),
+		nq, nkv, headDim, it.Scores, it.RowScratch)
 }
 
 // AttendMany computes a batch of independent single-token GQA attention
 // problems, fanned out across the default worker pool one item at a
 // time (items are coarse-grained: each is O(ctx * nq * headDim) work).
-// Bit-identical to solving each item sequentially, whether its context
-// is flat or paged. Where the pool would run every item inline the
+// Bit-identical to solving each item sequentially, on either codec.
+// Where the pool would run every item inline the
 // items run here, so a caller passing sized scratch allocates nothing.
 func AttendMany(items []AttnItem, nq, nkv, headDim int) {
 	pool := Default()
@@ -389,8 +352,8 @@ func causalManyBounds(items []CausalItem, chunks, total int) []int {
 // Each token's problem reads only its own cached prefix (scoped by
 // BlocksPrefix/QBlocksPrefix views) and writes only its own output
 // row, so the fan-out is bit-identical to solving every item
-// sequentially — and, by the blockwise-kernel invariants, to flat
-// per-token AttendOne over the same values.
+// sequentially — and, since block boundaries do not change the output,
+// to a one-token AttendMany item per token over its prefix.
 func AttendCausalMany(items []CausalItem, nq, nkv, headDim int) {
 	total, maxCtx, maxBlocks := 0, 0, 0
 	for i := range items {

@@ -20,6 +20,13 @@ func attnMat(rng *rand.Rand, rows, cols int) Mat {
 	return m
 }
 
+// attendOneBlock is single-token attention over a context held as one
+// float32 block: the oracle the paged and int8 paths are checked
+// against (block boundaries do not change the output).
+func attendOneBlock(out, q []float32, keys, values Mat, nq, nkv, headDim int) {
+	attend(out, q, kvBlocks{f: []Mat{keys}}, kvBlocks{f: []Mat{values}}, nq, nkv, headDim, nil, nil)
+}
+
 // quantBlocks splits a [ctx, cols] matrix into int8 blocks of
 // blockTokens rows, the last possibly partial.
 func quantBlocks(m Mat, blockTokens int) []QBlock {
@@ -33,8 +40,8 @@ func quantBlocks(m Mat, blockTokens int) []QBlock {
 
 // TestAttendVectorMatchesGo is the attention kernels' contract as a
 // property: with the vector kernels on and with them off, AttendMany and
-// AttendCausalMany write the same bits — over flat, float32-block and
-// int8-block contexts of 1 to 600 tokens in blocks of 5, 8 and 16 (the
+// AttendCausalMany write the same bits — over one-block, float32-block
+// and int8-block contexts of 1 to 600 tokens in blocks of 5, 8 and 16 (the
 // last block mostly partial), GQA groups of 1, 2, 3, 4 and 8, the head
 // dims the kernels take (multiples of 8) and one they leave to Go (10),
 // and causal chunks that start past position 0.
@@ -66,7 +73,7 @@ func TestAttendVectorMatchesGo(t *testing.T) {
 		run := func(vector bool) [][]float32 {
 			SetVectorTile(vector)
 			items := []AttnItem{
-				{Keys: keys, Values: values},
+				{KeyBlocks: []Mat{keys}, ValueBlocks: []Mat{values}},
 				{KeyBlocks: kb, ValueBlocks: vb},
 				{KeyQBlocks: qkb, ValueQBlocks: qvb},
 			}
@@ -92,7 +99,7 @@ func TestAttendVectorMatchesGo(t *testing.T) {
 		was := SetVectorTile(false)
 		goOut, vecOut := run(false), run(true)
 		SetVectorTile(was)
-		names := []string{"flat", "f32 blocks", "int8 blocks", "causal f32", "causal int8"}
+		names := []string{"one block", "f32 blocks", "int8 blocks", "causal f32", "causal int8"}
 		for i := range goOut {
 			for j := range goOut[i] {
 				if g, v := math.Float32bits(goOut[i][j]), math.Float32bits(vecOut[i][j]); g != v {

@@ -50,7 +50,7 @@ func TestBlocksPrefix(t *testing.T) {
 
 // TestAttendCausalManyMatchesPerToken: the packed cross-sequence
 // causal fan-out must be bit-identical to attending every token
-// sequentially over its own flat prefix — for sequences of different
+// sequentially over its own prefix held as one block — for sequences of different
 // lengths, and for queries split across token-budget chunks via
 // StartPos.
 func TestAttendCausalManyMatchesPerToken(t *testing.T) {
@@ -81,11 +81,11 @@ func TestAttendCausalManyMatchesPerToken(t *testing.T) {
 		}
 		s.blocksK = blockify(s.keys, blockTokens)
 		s.blocksV = blockify(s.values, blockTokens)
-		// Oracle: flat AttendOne per token over its t+1-row prefix.
+		// Oracle: each token alone over its t+1-row prefix as one block.
 		for tok := 0; tok < n; tok++ {
 			sub := Mat{Rows: tok + 1, Cols: kvDim, Data: s.keys.Data[:(tok+1)*kvDim]}
 			subV := Mat{Rows: tok + 1, Cols: kvDim, Data: s.values.Data[:(tok+1)*kvDim]}
-			AttendOne(s.want.Row(tok), s.queries.Row(tok), sub, subV, nq, nkv, headDim, nil)
+			attendOneBlock(s.want.Row(tok), s.queries.Row(tok), sub, subV, nq, nkv, headDim)
 		}
 	}
 
@@ -142,7 +142,7 @@ func TestAttendCausalManyMatchesPerToken(t *testing.T) {
 }
 
 // TestAttendCausalManyQuantMatchesPerToken: the quantized arm of the
-// packed fan-out must be bit-identical to AttendOneBlocksQ per token
+// packed fan-out must be bit-identical to attending each token alone
 // over the same quantized prefixes.
 func TestAttendCausalManyQuantMatchesPerToken(t *testing.T) {
 	const nq, nkv, headDim, blockTokens = 4, 2, 8, 4
@@ -165,7 +165,7 @@ func TestAttendCausalManyQuantMatchesPerToken(t *testing.T) {
 		for tok := 0; tok < n; tok++ {
 			kp = QBlocksPrefix(kp[:0], qk, tok+1)
 			vp = QBlocksPrefix(vp[:0], qv, tok+1)
-			AttendOneBlocksQ(wants[i].Row(tok), queries.Row(tok), kp, vp, nq, nkv, headDim, nil, nil)
+			attend(wants[i].Row(tok), queries.Row(tok), kvBlocks{q: kp}, kvBlocks{q: vp}, nq, nkv, headDim, nil, nil)
 		}
 		items = append(items, CausalItem{
 			Out: outs[i], Queries: queries,

@@ -211,7 +211,7 @@ func TestSiLUMulMatchesUnfused(t *testing.T) {
 }
 
 // TestAttendManyMatchesAttendOne checks the batched attention fan-out
-// against sequential AttendOne calls bit for bit.
+// over one-block items against solving each item alone bit for bit.
 func TestAttendManyMatchesAttendOne(t *testing.T) {
 	const nq, nkv, dh = 4, 2, 4
 	rng := rand.New(rand.NewSource(41))
@@ -226,11 +226,11 @@ func TestAttendManyMatchesAttendOne(t *testing.T) {
 		keys := randMat(rng, ctx, nkv*dh)
 		values := randMat(rng, ctx, nkv*dh)
 		want := make([]float32, nq*dh)
-		AttendOne(want, q, keys, values, nq, nkv, dh, nil)
+		attendOneBlock(want, q, keys, values, nq, nkv, dh)
 		wants[i] = want
 		items[i] = AttnItem{
 			Out: make([]float32, nq*dh), Q: q,
-			Keys: keys, Values: values,
+			KeyBlocks: []Mat{keys}, ValueBlocks: []Mat{values},
 			Scores: make([]float32, ctx),
 		}
 	}
@@ -335,7 +335,7 @@ func randBlockSizes(rng *rand.Rand, ctx int) []int {
 }
 
 // TestAttendOneBlocksBitIdentical checks the blockwise kernel against
-// AttendOne over the flat context bit for bit, across random block
+// the same context held as one block bit for bit, across random block
 // boundaries (including a single all-covering block and all-singleton
 // blocks).
 func TestAttendOneBlocksBitIdentical(t *testing.T) {
@@ -350,7 +350,7 @@ func TestAttendOneBlocksBitIdentical(t *testing.T) {
 		keys := randMat(rng, ctx, nkv*dh)
 		values := randMat(rng, ctx, nkv*dh)
 		want := make([]float32, nq*dh)
-		AttendOne(want, q, keys, values, nq, nkv, dh, nil)
+		attendOneBlock(want, q, keys, values, nq, nkv, dh)
 
 		var sizes []int
 		switch trial % 3 {
@@ -366,7 +366,7 @@ func TestAttendOneBlocksBitIdentical(t *testing.T) {
 		kb := splitBlocks(keys, sizes)
 		vb := splitBlocks(values, sizes)
 		got := make([]float32, nq*dh)
-		AttendOneBlocks(got, q, kb, vb, nq, nkv, dh, make([]float32, ctx))
+		attend(got, q, kvBlocks{f: kb}, kvBlocks{f: vb}, nq, nkv, dh, make([]float32, ctx), nil)
 		for j := range want {
 			if got[j] != want[j] {
 				t.Fatalf("trial %d (ctx=%d blocks=%v): out[%d] = %v, want %v (must be bit-identical)",
@@ -377,7 +377,8 @@ func TestAttendOneBlocksBitIdentical(t *testing.T) {
 }
 
 // TestAttendManyMixedItemsBitIdentical drives AttendMany with a mix of
-// flat and paged items and checks both against sequential AttendOne.
+// one-block and randomly paged items and checks both against solving
+// each over one block alone.
 func TestAttendManyMixedItemsBitIdentical(t *testing.T) {
 	const nq, nkv, dh = 4, 2, 4
 	rng := rand.New(rand.NewSource(52))
@@ -392,16 +393,15 @@ func TestAttendManyMixedItemsBitIdentical(t *testing.T) {
 		keys := randMat(rng, ctx, nkv*dh)
 		values := randMat(rng, ctx, nkv*dh)
 		want := make([]float32, nq*dh)
-		AttendOne(want, q, keys, values, nq, nkv, dh, nil)
+		attendOneBlock(want, q, keys, values, nq, nkv, dh)
 		wants[i] = want
 		it := AttnItem{Out: make([]float32, nq*dh), Q: q, Scores: make([]float32, ctx)}
+		sizes := []int{ctx}
 		if i%2 == 0 {
-			sizes := randBlockSizes(rng, ctx)
-			it.KeyBlocks = splitBlocks(keys, sizes)
-			it.ValueBlocks = splitBlocks(values, sizes)
-		} else {
-			it.Keys, it.Values = keys, values
+			sizes = randBlockSizes(rng, ctx)
 		}
+		it.KeyBlocks = splitBlocks(keys, sizes)
+		it.ValueBlocks = splitBlocks(values, sizes)
 		items[i] = it
 	}
 	AttendMany(items, nq, nkv, dh)

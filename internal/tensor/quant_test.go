@@ -125,7 +125,7 @@ func quantAttnFixture(rng *rand.Rand, ctx, blockTokens, nkv, headDim int) (qk, q
 }
 
 // TestAttendOneBlocksQMatchesDequantized: attention served straight
-// from quantized blocks must be bit-identical to AttendOneBlocks over
+// from quantized blocks must be bit-identical to float32 blocks holding
 // the pre-dequantized context (same score chains, same softmax, same
 // combine order) — the on-the-fly dequant introduces no extra error.
 // Against the original float32 context it must agree within the
@@ -140,10 +140,10 @@ func TestAttendOneBlocksQMatchesDequantized(t *testing.T) {
 			q[i] = rng.Float32()*2 - 1
 		}
 		gotQ := make([]float32, nq*headDim)
-		AttendOneBlocksQ(gotQ, q, qk, qv, nq, nkv, headDim, nil, nil)
+		attend(gotQ, q, kvBlocks{q: qk}, kvBlocks{q: qv}, nq, nkv, headDim, nil, nil)
 
 		wantDeq := make([]float32, nq*headDim)
-		AttendOneBlocks(wantDeq, q, fk, fv, nq, nkv, headDim, nil)
+		attend(wantDeq, q, kvBlocks{f: fk}, kvBlocks{f: fv}, nq, nkv, headDim, nil, nil)
 		for i := range gotQ {
 			if gotQ[i] != wantDeq[i] {
 				t.Fatalf("ctx=%d out[%d]: quantized path %g != dequantized path %g",
@@ -152,7 +152,7 @@ func TestAttendOneBlocksQMatchesDequantized(t *testing.T) {
 		}
 
 		wantF32 := make([]float32, nq*headDim)
-		AttendOne(wantF32, q, keys, values, nq, nkv, headDim, nil)
+		attendOneBlock(wantF32, q, keys, values, nq, nkv, headDim)
 		for i := range gotQ {
 			if err := math.Abs(float64(gotQ[i] - wantF32[i])); err > 0.02 {
 				t.Fatalf("ctx=%d out[%d]: quantized %g vs float32 %g (err %g)",
@@ -182,7 +182,7 @@ func TestAttendManyQuantizedDispatch(t *testing.T) {
 			KeyQBlocks: qk, ValueQBlocks: qv,
 		}
 		want[i] = make([]float32, nq*headDim)
-		AttendOneBlocksQ(want[i], q, qk, qv, nq, nkv, headDim, nil, nil)
+		attend(want[i], q, kvBlocks{q: qk}, kvBlocks{q: qv}, nq, nkv, headDim, nil, nil)
 	}
 	AttendMany(items, nq, nkv, headDim)
 	for i := range items {

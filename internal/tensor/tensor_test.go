@@ -166,7 +166,7 @@ func TestAttendOneUniform(t *testing.T) {
 		values.Set(t0, 1, 1)
 	}
 	out := make([]float32, nq*dh)
-	AttendOne(out, q, keys, values, nq, nkv, dh, nil)
+	AttendMany([]AttnItem{{Out: out, Q: q, KeyBlocks: []Mat{keys}, ValueBlocks: []Mat{values}}}, nq, nkv, dh)
 	for h := 0; h < nq; h++ {
 		if !almostEqual(out[h*dh], 1, 1e-5) { // mean of 0,1,2
 			t.Fatalf("head %d mean = %v, want 1", h, out[h*dh])

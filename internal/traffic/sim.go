@@ -23,7 +23,8 @@ type SimConfig struct {
 	MaxQueuedRequests int
 	// PerPromptToken and PerDecodeStep are the virtual cost model: a
 	// wave's prefill takes admitted-prompt-tokens x PerPromptToken, and
-	// its decode takes GenLen x PerDecodeStep. Zero selects 100us and
+	// its decode takes PerDecodeStep for each step of its longest
+	// admitted request (engine.EffGenLen). Zero selects 100us and
 	// 2ms — roughly the tiny functional engine's shape; only relative
 	// magnitudes matter for policy comparison.
 	PerPromptToken time.Duration
@@ -64,9 +65,11 @@ type SimReport struct {
 // comparisons rest on this).
 //
 // The cost model is deliberately simple: a wave occupies the server for
-// prefill (admitted prompt tokens x PerPromptToken) plus decode (GenLen
-// x PerDecodeStep), every admitted request's first token lands at the
-// end of prefill, and arrivals during the wave queue for the next
+// prefill (admitted prompt tokens x PerPromptToken) plus decode
+// (PerDecodeStep a step) until its longest admitted request is done —
+// each request runs its own GenLen under the wave's, as in the server
+// (engine.EffGenLen) — every admitted request's first token lands at
+// the end of prefill, and arrivals during the wave queue for the next
 // boundary. As in the server, a request no empty micro-batch holds is
 // refused at arrival, and a deferred request waits for a boundary with
 // room: every arrival is either shed or admitted.
@@ -123,16 +126,17 @@ func SimulateAdmission(trace Trace, cfg SimConfig) (SimReport, error) {
 		// land at the end of prefill.
 		wave := SimWave{Start: clock}
 		var admitted, deferred []engine.AdmissionItem
-		promptTokens := 0
+		promptTokens, steps := 0, 0
 		for _, mb := range plan.MicroBatches {
 			for _, i := range mb {
 				admitted = append(admitted, pending[i])
 				wave.Admitted = append(wave.Admitted, pending[i].Req.ID)
 				promptTokens += pending[i].Req.PromptLen
+				steps = max(steps, engine.EffGenLen(pending[i].Req, cfg.Batch.GenLen))
 			}
 		}
 		prefill := time.Duration(promptTokens) * perPrompt
-		wave.End = clock + prefill + time.Duration(cfg.Batch.GenLen)*perStep
+		wave.End = clock + prefill + time.Duration(steps)*perStep
 		for _, it := range admitted {
 			rep.TTFT[it.Req.ID] = base.Add(clock + prefill).Sub(it.Submitted)
 		}
@@ -146,8 +150,8 @@ func SimulateAdmission(trace Trace, cfg SimConfig) (SimReport, error) {
 		clock = wave.End
 	}
 
-	// Judge SLOs: every request is judged on its GenLen tokens at the
-	// cost model's constant decode cadence, and an admitted one on its
+	// Judge SLOs: every request is judged on its effective GenLen tokens
+	// at the cost model's constant decode cadence, and an admitted one on its
 	// simulated TTFT. A shed one was refused at arrival: it fails (any
 	// error is a TTFT miss; ErrOverloaded stands for either refusal),
 	// and misses TPOT too when the cadence exceeds its target.
@@ -157,7 +161,7 @@ func SimulateAdmission(trace Trace, cfg SimConfig) (SimReport, error) {
 		if !admitted {
 			err = engine.ErrOverloaded
 		}
-		rep.SLOTally.Count(ev.SLO, err, ev.Request.GenLen, ttft, perStep)
+		rep.SLOTally.Count(ev.SLO, err, engine.EffGenLen(ev.Request, cfg.Batch.GenLen), ttft, perStep)
 	}
 	return rep, nil
 }

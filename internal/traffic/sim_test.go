@@ -16,7 +16,8 @@ func simBatch() batching.Config {
 		NumMicroBatches: 2,
 		MicroBatchSize:  2,
 		GenLen:          8,
-		CacheTokens:     128,
+		TokenBytes:      1,
+		CacheBytes:      128,
 	}
 }
 
@@ -149,7 +150,7 @@ func TestSimMatchesEngineOrdering(t *testing.T) {
 		t.Fatalf("engine ordering puts ID %d first, want the 100ms-TTFT request", events[order[0]].Request.ID)
 	}
 	rep, err := SimulateAdmission(Trace{Scenario: "x", Events: events}, SimConfig{
-		Batch: batching.Config{NumMicroBatches: 1, MicroBatchSize: 1, GenLen: 4, CacheTokens: 64},
+		Batch: batching.Config{NumMicroBatches: 1, MicroBatchSize: 1, GenLen: 4, TokenBytes: 1, CacheBytes: 64},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -168,7 +169,7 @@ func TestSimRefusesUnplaceableArrival(t *testing.T) {
 		{At: time.Second, Cohort: "a", Request: workload.Request{ID: 2, PromptLen: 8, GenLen: 4}},
 	}
 	rep, err := SimulateAdmission(Trace{Scenario: "x", Events: events}, SimConfig{
-		Batch: batching.Config{NumMicroBatches: 1, MicroBatchSize: 1, GenLen: 4, CacheTokens: 64},
+		Batch: batching.Config{NumMicroBatches: 1, MicroBatchSize: 1, GenLen: 4, TokenBytes: 1, CacheBytes: 64},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -178,6 +179,32 @@ func TestSimRefusesUnplaceableArrival(t *testing.T) {
 	}
 	if len(rep.Waves) != 1 || !reflect.DeepEqual(rep.Waves[0].Admitted, []int{2}) {
 		t.Errorf("waves %+v, want one wave of request 2", rep.Waves)
+	}
+}
+
+// TestSimWaveEndsWithLongestRequest: as in the server, a wave lasts
+// until its longest admitted request is done, each request running its
+// own GenLen under the wave's length of 8 (a longer one is capped).
+func TestSimWaveEndsWithLongestRequest(t *testing.T) {
+	for _, tc := range []struct {
+		genLens []int
+		steps   int
+	}{{[]int{2, 2}, 2}, {[]int{2, 5}, 5}, {[]int{2, 20}, 8}} {
+		var events []Event
+		for i, g := range tc.genLens {
+			events = append(events, Event{Cohort: "a", Request: workload.Request{ID: i + 1, PromptLen: 8, GenLen: g}})
+		}
+		rep, err := SimulateAdmission(Trace{Scenario: "x", Events: events}, SimConfig{
+			Batch:          batching.Config{NumMicroBatches: 1, MicroBatchSize: 2, GenLen: 8, TokenBytes: 1, CacheBytes: 64},
+			PerPromptToken: time.Millisecond, PerDecodeStep: 10 * time.Millisecond,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := 16*time.Millisecond + time.Duration(tc.steps)*10*time.Millisecond
+		if len(rep.Waves) != 1 || rep.Waves[0].End != want {
+			t.Errorf("GenLens %v: waves %+v, want one wave ending at %v (%d steps)", tc.genLens, rep.Waves, want, tc.steps)
+		}
 	}
 }
 
