@@ -470,7 +470,8 @@ func (c *Cache) BlockView(seq, layer int, keys, values []tensor.Mat) (k, v []ten
 // tensor.QBlock per block (views over the block's packed codes and
 // scales, the last block possibly partial) to keys and values and
 // returns the slices plus the context length. No data is copied and
-// nothing is dequantized — tensor.AttendMany walks the views in place. Panics on an F32 cache.
+// nothing is dequantized — tensor.AttendMany walks the views in place.
+// Panics on an F32 cache.
 func (c *Cache) QBlockView(seq, layer int, keys, values []tensor.QBlock) (k, v []tensor.QBlock, ctx int) {
 	if c.dtype != Int8 {
 		panic("kvcache: QBlockView on an unquantized cache (use BlockView)")

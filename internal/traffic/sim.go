@@ -151,10 +151,10 @@ func SimulateAdmission(trace Trace, cfg SimConfig) (SimReport, error) {
 	}
 
 	// Judge SLOs: every request is judged on its effective GenLen tokens
-	// at the cost model's constant decode cadence, and an admitted one on its
-	// simulated TTFT. A shed one was refused at arrival: it fails (any
-	// error is a TTFT miss; ErrOverloaded stands for either refusal),
-	// and misses TPOT too when the cadence exceeds its target.
+	// at the cost model's constant decode cadence, and an admitted one on
+	// its simulated TTFT. A shed one was refused at arrival: it fails
+	// (any error is a TTFT miss; ErrOverloaded stands for either
+	// refusal), and misses TPOT too when the cadence exceeds its target.
 	for _, ev := range trace.Events {
 		var err error
 		ttft, admitted := rep.TTFT[ev.Request.ID]
