@@ -71,7 +71,8 @@ func (s kvBlocks) prefix(dst kvBlocks, n int) kvBlocks {
 // chunk returns rows [t, t+n) of block b's head slice [lo, lo+headDim),
 // row r at x[r*ld:], n >= 1 — the one place the codecs differ. Float32
 // rows are read in place, the rest of the block at once; int8 rows are
-// decoded into buf, as many as it holds.
+// decoded into buf, as many as it holds, in one dequantizeRows call (on
+// the AVX2 lanes where the head slice is whole words of eight codes).
 func (s kvBlocks) chunk(b, t, lo, headDim int, buf []float32) (x []float32, ld, n int) {
 	if len(s.q) == 0 {
 		m := s.f[b]
@@ -79,9 +80,7 @@ func (s kvBlocks) chunk(b, t, lo, headDim int, buf []float32) (x []float32, ld, 
 	}
 	qb := s.q[b]
 	n = min(qb.Rows-t, len(buf)/headDim)
-	for r := 0; r < n; r++ {
-		DequantizeRowSlice(buf[r*headDim:], qb.RowCodes(t+r), qb.RowScales(t+r), lo, lo+headDim, qb.Group)
-	}
+	qb.dequantizeRows(buf, t, n, lo, headDim)
 	return buf, headDim, n
 }
 
@@ -144,7 +143,14 @@ func attendHeads(out, q []float32, keys, values kvBlocks, lo, headDim, ctx int, 
 			t, base = t+n, base+n
 		}
 	}
-	for i := range scores {
+	v := 0
+	if vec {
+		v = len(scores) &^ 7
+		if v > 0 {
+			scaleAVX2(&scores[0], v, scale)
+		}
+	}
+	for i := v; i < len(scores); i++ {
 		scores[i] *= scale
 	}
 	for g := 0; g < hn; g++ {
@@ -233,7 +239,9 @@ func BlocksRows(blocks []Mat) int {
 // AttendMany: out = softmax(q K^T / sqrt(d)) V over a paged context.
 // Out and Q are nq*headDim vectors. The context is float32 blocks
 // (KeyBlocks/ValueBlocks) or int8 blocks (KeyQBlocks/ValueQBlocks,
-// which win when set; rows are dequantized on the fly), in token order,
+// which win when set; each block's head slice is decoded a chunk of rows
+// at a time into stack scratch, on the AVX2 lanes where the host has
+// them, and the float32 kernels read the chunk), in token order,
 // the last block possibly partial, walked in place. Scores is optional
 // scratch of length >= (nq/nkv)*ctx, one score lane per query head of a
 // GQA group. RowScratch is optional headDim scratch the int8 path

@@ -5,9 +5,11 @@ package tensor
 import "math"
 
 // useAVX2 selects the vector kernels: the GEMM tile in matMulTBlock,
-// the column-lane GEMM in matMulPBlock, attention's score and combine
-// kernels, and exp32's lanes in Softmax and SiLUMul. It is set once from CPUID; only tests assign it
-// afterwards, to run both kernel sets on one host.
+// the column-lane GEMM in matMulPBlock, attention's score, scaling and
+// combine kernels, exp32's lanes in Softmax and SiLUMul, and the int8
+// codec's lanes (QuantizeRow, and the decode of attention's int8
+// chunks). It is set once from CPUID; only tests assign it afterwards,
+// to run both kernel sets on one host.
 var useAVX2 = cpuHasAVX2()
 
 func cpuHasAVX2() bool
@@ -45,6 +47,23 @@ func scaleAVX2(x *float32, n int, s float32)
 //
 //go:noescape
 func siluMulAVX2(dst, gate, up *float32, n int)
+
+// The int8 codec's kernels (quant_amd64.s).
+
+// dequantAVX2 sets dst[r*ldd+i] = float32(code i of row r) * scales[r*lds]
+// for r < n and i < w, a multiple of eight inside one scale group; row
+// r's codes are the bytes of codes[r*ldc:].
+//
+//go:noescape
+func dequantAVX2(dst *float32, ldd int, codes *float32, ldc int, scales *float32, lds, n, w int)
+
+// quantizeAVX2 quantizes up to groups whole groups of group values (a
+// multiple of eight) of src into codes and scales as QuantizeRow's Go
+// loop does, and returns how many it did: it stops at a group whose
+// scale would be 0 or that holds a NaN or an infinity.
+//
+//go:noescape
+func quantizeAVX2(codes, scales, src *float32, groups, group int) int
 
 // expLanes is exp32's constants with each row repeated across eight
 // lanes, for the exp kernels' memory operands: exp_amd64.s reads row i

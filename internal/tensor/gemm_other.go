@@ -7,14 +7,14 @@ package tensor
 // Go kernels and every GEMM and attention access stays visible to it
 // (and every kernel is slowed alike, which the calibration test's
 // timings rely on). The Go tile in matMulTBlock, Axpy over panels in
-// matMulPBlock, attention's Go score and combine loops and exp32 are
-// then the only kernels.
+// matMulPBlock, attention's Go score, scaling and combine loops, exp32
+// and the int8 codec's Go loops are then the only kernels.
 var useAVX2 = false
 
 func matMulTVec(dst, a, bT Mat, lo, hi, jlo, jhi int) int { return jlo }
 
-// The vector kernels' stubs: the panel GEMM, attention, Softmax and
-// SiLUMul call them only when useAVX2.
+// The vector kernels' stubs: the panel GEMM, attention, Softmax,
+// SiLUMul and the int8 codec call them only when useAVX2.
 func gemmPanel8AVX2(dst *float32, ldd, rows int, panel *float32, k int, b *float32, ldb, nblk int) {
 	panic("tensor: no AVX2 kernels in this build")
 }
@@ -32,3 +32,11 @@ func expSubAVX2(x *float32, n int, m float32, part *[8]float64) {
 func scaleAVX2(x *float32, n int, s float32) { panic("tensor: no AVX2 kernels in this build") }
 
 func siluMulAVX2(dst, gate, up *float32, n int) { panic("tensor: no AVX2 kernels in this build") }
+
+func dequantAVX2(dst *float32, ldd int, codes *float32, ldc int, scales *float32, lds, n, w int) {
+	panic("tensor: no AVX2 kernels in this build")
+}
+
+func quantizeAVX2(codes, scales, src *float32, groups, group int) int {
+	panic("tensor: no AVX2 kernels in this build")
+}

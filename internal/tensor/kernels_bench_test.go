@@ -134,6 +134,23 @@ func BenchmarkKernelsAttend(b *testing.B) {
 	}
 }
 
+// BenchmarkKernelsQuantize is one K or V row's int8 quantization, what
+// every KV append runs: the bench model's row of 32 values (two KV heads
+// of 16), a 128-wide head and eight of them, on the vector kernels and on
+// Go. GB/s counts the float32 bytes read.
+func BenchmarkKernelsQuantize(b *testing.B) {
+	for _, cols := range []int{32, 128, 1024} {
+		src := randMat(rand.New(rand.NewSource(6)), 1, cols).Data
+		codes, scales := make([]float32, PackedCols(cols)), make([]float32, QGroups(cols, QGroupSize))
+		vectorRun(b, fmt.Sprintf("cols=%d/", cols), func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				QuantizeRow(codes, scales, src, QGroupSize)
+			}
+			b.ReportMetric(float64(4*cols)*float64(b.N)/b.Elapsed().Seconds()/1e9, "GB/s")
+		})
+	}
+}
+
 // vectorRun runs f as one sub-benchmark per kernel set, the vector
 // kernels on (skipped where the build has none) and off.
 func vectorRun(b *testing.B, prefix string, f func(b *testing.B)) {

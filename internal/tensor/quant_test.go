@@ -228,3 +228,182 @@ func TestQuantizeSubnormalGroups(t *testing.T) {
 		}
 	}
 }
+
+// codecSalt are the scales and values where the codec's lanes could part
+// from its Go loops: signed zeros, subnormals, the largest finite value,
+// infinities and NaN.
+var codecSalt = []float32{
+	0, float32(math.Copysign(0, -1)), math.SmallestNonzeroFloat32, 1e-40, -3e-39,
+	math.MaxFloat32, -math.MaxFloat32, float32(math.Inf(1)), float32(math.Inf(-1)), float32(math.NaN()),
+}
+
+// TestDequantVectorMatchesGo is the decode lanes' contract as a
+// property: with the vector kernels on and off, QBlock.dequantizeRows
+// writes the same bits and nothing past its n*w values — for head dims
+// 8, 16, 24, 64 and 128 at every start column that is a multiple of
+// eight (so slices start mid-group and cross group boundaries), groups
+// of 8, 16 and 32, rows with a partly used last code word, every code
+// -128..127 (the lanes read bytes QuantizeRow never writes too) and
+// scales salted with zeros, subnormals, infinities and NaN.
+func TestDequantVectorMatchesGo(t *testing.T) {
+	if !useAVX2 {
+		t.Skip("no AVX2 kernels (host without AVX2, or a -race build): the Go loops are the only ones here")
+	}
+	was := SetVectorTile(true)
+	defer SetVectorTile(was)
+	rng := rand.New(rand.NewSource(53))
+	for _, headDim := range []int{8, 16, 24, 64, 128} {
+		for _, group := range []int{8, 16, 32} {
+			for trial := 0; trial < 6; trial++ {
+				rows := 1 + rng.Intn(19)
+				cols := (1+rng.Intn(3))*headDim + rng.Intn(8)
+				b := QBlock{Rows: rows, Cols: cols, Group: group}
+				b.Codes = make([]float32, rows*PackedCols(cols))
+				b.Scales = make([]float32, rows*QGroups(cols, group))
+				start := rng.Intn(256)
+				for i := range b.Codes {
+					// Consecutive bytes count up from start: every code shows
+					// up once a block holds 256 of them.
+					c := uint32(start + 4*i)
+					b.Codes[i] = math.Float32frombits(uint32(uint8(c)) | uint32(uint8(c+1))<<8 | uint32(uint8(c+2))<<16 | uint32(uint8(c+3))<<24)
+				}
+				for i := range b.Scales {
+					b.Scales[i] = (rng.Float32() + 0.01) * float32(math.Pow(10, float64(rng.Intn(9)-4)))
+					if rng.Intn(6) == 0 {
+						b.Scales[i] = codecSalt[rng.Intn(len(codecSalt))]
+					}
+				}
+				for lo := 0; lo+headDim <= cols; lo += 8 {
+					tt := rng.Intn(rows)
+					n := 1 + rng.Intn(rows-tt)
+					got, want := make([]float32, n*headDim+8), make([]float32, n*headDim+8)
+					for i := range got {
+						got[i], want[i] = -1, -1
+					}
+					b.dequantizeRows(got, tt, n, lo, headDim)
+					SetVectorTile(false)
+					b.dequantizeRows(want, tt, n, lo, headDim)
+					SetVectorTile(true)
+					for i := range want {
+						if math.Float32bits(got[i]) != math.Float32bits(want[i]) {
+							r, c := i/headDim, lo+i%headDim
+							t.Fatalf("head dim %d, group %d, cols %d, rows [%d, %d), columns [%d, %d): dst[%d] (row %d col %d, code %d, scale %g) = %#08x on the lanes, %#08x on Go",
+								headDim, group, cols, tt, tt+n, lo, lo+headDim, i, tt+r, c,
+								qcode(b.RowCodes(min(tt+r, rows-1)), min(c, cols-1)), b.RowScales(min(tt+r, rows-1))[min(c, cols-1)/group],
+								math.Float32bits(got[i]), math.Float32bits(want[i]))
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestQuantizeVectorMatchesGo is the encode lanes' contract as a
+// property: with the vector kernels on and off, QuantizeRow writes the
+// same code words and scales, whatever the words held before — for rows
+// of 1 to 100 values and whole head rows up to 1024 (so the last word is
+// often partly used, and the last group short), groups of 4 (Go only), 8,
+// 16, 32 and 40, and groups drawn from:
+//   - random values over nine decades;
+//   - exact rounding ties: maxAbs 127·2^e makes the inverse scale 2^-e
+//     exactly, so values (k + 1/2)·2^e land on x·inv = k + 1/2 for every
+//     k in -127..126, each beside its float32 neighbours;
+//   - values chosen as float32((k + 1/2)/inv) for a random maxAbs;
+//   - all zeros, subnormal scales, scales that underflow to 0, and
+//     groups holding NaN, an infinity or the largest finite value.
+func TestQuantizeVectorMatchesGo(t *testing.T) {
+	if !useAVX2 {
+		t.Skip("no AVX2 kernels (host without AVX2, or a -race build): the Go loops are the only ones here")
+	}
+	was := SetVectorTile(true)
+	defer SetVectorTile(was)
+	rng := rand.New(rand.NewSource(54))
+	fill := func(g []float32, kind int) {
+		switch kind {
+		case 0: // random, over nine decades
+			for i := range g {
+				g[i] = (rng.Float32()*2 - 1) * float32(math.Pow(10, float64(rng.Intn(9)-4)))
+			}
+		case 1: // exact ties and their neighbours at maxAbs 127·2^e
+			e := float32(math.Ldexp(1, rng.Intn(40)-20))
+			for i := range g {
+				k := float32(rng.Intn(254) - 127)
+				v := (k + 0.5) * e
+				switch rng.Intn(3) {
+				case 1:
+					v = math.Nextafter32(v, float32(math.Inf(1)))
+				case 2:
+					v = math.Nextafter32(v, float32(math.Inf(-1)))
+				}
+				g[i] = v
+			}
+			g[rng.Intn(len(g))] = 127 * e * float32(1-2*rng.Intn(2))
+		case 2: // near-ties at a random maxAbs
+			m := rng.Float32()*100 + 1e-3
+			inv := 127 / float64(m)
+			for i := range g {
+				g[i] = float32((float64(rng.Intn(254)-127) + 0.5) / inv)
+			}
+			g[rng.Intn(len(g))] = m
+		case 3: // all zeros, signed
+			for i := range g {
+				g[i] = float32(math.Copysign(0, float64(rng.Intn(2)*2-1)))
+			}
+		case 4: // a subnormal scale (maxAbs ~1e-40), or one that underflows (~1e-44)
+			m := float32(1e-40)
+			if rng.Intn(2) == 0 {
+				m = 1e-44
+			}
+			for i := range g {
+				g[i] = (rng.Float32()*2 - 1) * m
+			}
+		default: // random with salt: NaN, infinities, the largest finite value
+			for i := range g {
+				g[i] = rng.Float32()*2 - 1
+			}
+			for j := 0; j < 1+rng.Intn(2); j++ {
+				g[rng.Intn(len(g))] = codecSalt[rng.Intn(len(codecSalt))]
+			}
+		}
+	}
+	lengths := []int{64, 128, 256, 512, 1024}
+	for n := 1; n <= 100; n++ {
+		lengths = append(lengths, n)
+	}
+	for _, group := range []int{4, 8, 16, 32, 40} {
+		for _, n := range lengths {
+			for trial := 0; trial < 8; trial++ {
+				src := make([]float32, n)
+				for lo := 0; lo < n; lo += group {
+					fill(src[lo:min(n, lo+group)], rng.Intn(6))
+				}
+				pc, ng := PackedCols(n), QGroups(n, group)
+				// Each side starts from its own garbage.
+				got, want := make([]float32, pc), make([]float32, pc)
+				gotS, wantS := make([]float32, ng), make([]float32, ng)
+				for _, w := range [][]float32{got, want, gotS, wantS} {
+					for i := range w {
+						w[i] = math.Float32frombits(rng.Uint32())
+					}
+				}
+				QuantizeRow(got, gotS, src, group)
+				SetVectorTile(false)
+				QuantizeRow(want, wantS, src, group)
+				SetVectorTile(true)
+				for g := range wantS {
+					if math.Float32bits(gotS[g]) != math.Float32bits(wantS[g]) {
+						t.Fatalf("n %d, group %d: scale %d = %g on the lanes, %g on Go (src %v)",
+							n, group, g, gotS[g], wantS[g], src[g*group:min(n, (g+1)*group)])
+					}
+				}
+				for i := range want {
+					if g, w := math.Float32bits(got[i]), math.Float32bits(want[i]); g != w {
+						t.Fatalf("n %d, group %d: code word %d = %#08x on the lanes, %#08x on Go (src %v, scale %g)",
+							n, group, i, g, w, src[4*i:min(n, 4*i+4)], wantS[4*i/group])
+					}
+				}
+			}
+		}
+	}
+}

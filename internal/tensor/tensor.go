@@ -26,9 +26,11 @@
 // multiply and add rounded on its own; its AVX2 lanes (exp_amd64.s) run
 // the same steps eight elements at a time and are tested identical to
 // it, and Softmax states its float64 sum as eight strided parts so
-// lanes can hold them. Nothing here calls math.Exp. Quantization is
-// scalar Go. Modeling the performance of full-size models remains the
-// job of the perfmodel/sim packages.
+// lanes can hold them. Nothing here calls math.Exp. The int8 KV codec
+// (quant.go) is Go loops with AVX2 lanes beside them (quant_amd64.s),
+// tested identical to them for quantization and for attention's decode.
+// Modeling the performance of full-size models remains the job of the
+// perfmodel/sim packages.
 package tensor
 
 import (
